@@ -153,11 +153,11 @@ def _cmd_matrix_dump(args: argparse.Namespace) -> int:
 def _cmd_charpoly(args: argparse.Namespace) -> int:
     g = _load(args)
     if args.matrix == "grover":
-        p = zeta.grover_zeta_reciprocal(g, workers=args.workers)
+        p = zeta.grover_zeta_reciprocal(g)
     elif args.matrix == "positive-support":
-        p = zeta.ihara_reciprocal_edge(g, workers=args.workers)
+        p = zeta.ihara_reciprocal_edge(g)
     else:
-        p = zeta.ihara_reciprocal_bass(g, workers=args.workers)
+        p = zeta.ihara_reciprocal_bass(g)
     _emit({"coeffs": _poly_strings(p)})
     return 0
 
@@ -167,7 +167,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
 
 def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
     g = _load(args)
-    report = zeta.konno_sato_check(g, workers=args.workers)
+    report = zeta.konno_sato_check(g)
     if args.json:
         payload = {
             "graph": report.graph_summary,
@@ -230,7 +230,7 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
     if args.method in ("spectral", "both"):
         spectral = zeta.spectral_zeta_reciprocal(g, float(u), args.which, args.route)
     if args.method in ("charpoly", "both"):
-        charpoly = zeta.charpoly_zeta_reciprocal(g, u, args.which, workers=args.workers)
+        charpoly = zeta.charpoly_zeta_reciprocal(g, u, args.which)
 
     agree = None
     if args.method == "both":
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["grover", "positive-support", "bass"],
         help="grover: det(I-uU); positive-support: det(I-uU+); bass: Ihara-Bass form",
     )
-    charpoly.add_argument("--workers", type=int, default=1)
     charpoly.set_defaults(func=_cmd_charpoly)
 
     verify = sub.add_parser("verify", help="verification suites")
@@ -387,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "konno-sato", help="check the four determinant factorizations exactly"
     )
     ks.add_argument("--graph", required=True)
-    ks.add_argument("--workers", type=int, default=1)
     ks.add_argument("--json", action="store_true")
     ks.set_defaults(func=_cmd_verify_konno_sato)
 
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="both", choices=["spectral", "charpoly", "both"]
     )
     zeta_eval.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    zeta_eval.add_argument("--workers", type=int, default=1)
     zeta_eval.add_argument("--json", action="store_true")
     zeta_eval.set_defaults(func=_cmd_zeta_eval)
 

@@ -121,7 +121,7 @@ def empirical_spectral_measure(
     return EmpiricalSpectralMeasure.uniform(graph_spectrum(graph, operator).values)
 
 
-def _check_torus_params(d: int, n: int, allow_high_dimension: bool) -> None:
+def _check_torus_dimension(d: int, allow_high_dimension: bool) -> None:
     if d < 1:
         raise FamilyParameterError(f"torus dimension must be at least 1, got {d}")
     if not allow_high_dimension and d > DIMENSION_CAP:
@@ -129,6 +129,10 @@ def _check_torus_params(d: int, n: int, allow_high_dimension: bool) -> None:
             f"torus dimension {d} exceeds the default cap of {DIMENSION_CAP}; "
             f"grid sizes grow as G^d, pass allow_high_dimension=True to override"
         )
+
+
+def _check_torus_params(d: int, n: int, allow_high_dimension: bool) -> None:
+    _check_torus_dimension(d, allow_high_dimension)
     if n < 3:
         raise FamilyParameterError(
             f"torus side must be at least 3 to avoid parallel edges, got {n}"
@@ -234,13 +238,7 @@ def torus_limit_log_mean(
     `grid` points per axis. Periodicity makes the trapezoid rule a plain
     average over the grid, evaluated here one axis-0 slice at a time.
     """
-    if d < 1:
-        raise FamilyParameterError(f"torus dimension must be at least 1, got {d}")
-    if not allow_high_dimension and d > DIMENSION_CAP:
-        raise FamilyParameterError(
-            f"torus dimension {d} exceeds the default cap of {DIMENSION_CAP}; "
-            f"grid sizes grow as G^d, pass allow_high_dimension=True to override"
-        )
+    _check_torus_dimension(d, allow_high_dimension)
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
     u = float(u)

@@ -1,21 +1,24 @@
-"""Exact univariate polynomials over big rationals.
+"""Exact univariate polynomials over big rationals, and the exact kernel.
 
-Characteristic-style determinants det(I - u*M) are recovered exactly by
-evaluating the determinant at the integer nodes u = 0, 1, ..., deg with
-fraction-free elimination and interpolating. The nodes are exact, and with
-exact arithmetic conditioning is irrelevant; integer nodes keep the cleared
-matrices small.
+Every exact determinant in the package is det(I - u*M) for a square
+rational matrix M, computed by `det_i_minus_u`: M is scaled to an integer
+matrix, its characteristic polynomial is found modulo 31-bit primes by
+Hessenberg reduction (Cohen, A Course in Computational Algebraic Number
+Theory, GTM 138, section 2.2), and the residues are combined by the Chinese
+remainder theorem with symmetric residues (von zur Gathen and Gerhard,
+Modern Computer Algebra, chapter 5). An eigenvalue bound fixes the number
+of primes, so the result is exact for every input.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import RatMatrix, det_bareiss_int
+import numpy as np
 
-import math
+from .rational import RatMatrix
 
 
 class Poly:
@@ -143,103 +146,130 @@ def one_minus_u_squared_pow(exponent: int) -> Poly:
     return Poly((1, 0, -1)) ** exponent
 
 
-def _cleared_integer_blocks(blocks: Sequence[RatMatrix]) -> tuple[list[list[list[int]]], int, int]:
-    """Clear denominators jointly: returns integer blocks, the scalar, and n.
+def det_i_minus_u(matrix: RatMatrix) -> Poly:
+    """Exact polynomial det(I - u*M) for a square rational matrix M.
 
-    All blocks are multiplied by the global lcm of entry denominators, so the
-    evaluated matrix at integer nodes is integral and det scales by lcm**n.
+    With L the lcm of the entry denominators, the coefficient of u^k is
+    c_k / L^k, where x^n + c_1 x^(n-1) + ... + c_n = det(xI - L*M). The c_k
+    are found modulo enough primes to pin them down and combined by CRT.
     """
-    n = blocks[0].rows
-    lcm = 1
-    for block in blocks:
-        for _, _, value in block.nonzero_items():
-            lcm = lcm * value.denominator // math.gcd(lcm, value.denominator)
-    int_blocks = []
-    for block in blocks:
-        dense = [[0] * n for _ in range(n)]
-        for i, j, value in block.nonzero_items():
-            dense[i][j] = int(value * lcm)
-        int_blocks.append(dense)
-    return int_blocks, lcm, n
-
-
-def _det_at_node(task: tuple[list[list[list[int]]], int]) -> int:
-    int_blocks, t = task
-    n = len(int_blocks[0])
-    acc = [[0] * n for _ in range(n)]
-    power = 1
-    for block in int_blocks:
-        if power == 1:
-            for i in range(n):
-                row_b = block[i]
-                row_a = acc[i]
-                for j in range(n):
-                    row_a[j] += row_b[j]
-        else:
-            for i in range(n):
-                row_b = block[i]
-                row_a = acc[i]
-                for j in range(n):
-                    if row_b[j]:
-                        row_a[j] += row_b[j] * power
-        power *= t
-    return det_bareiss_int(acc)
-
-
-def det_matrix_polynomial(
-    blocks: Sequence[RatMatrix], degree: int | None = None, workers: int = 1
-) -> Poly:
-    """Exact det(sum_k u^k * blocks[k]) by node evaluation and interpolation.
-
-    ``degree`` bounds the result degree; defaults to n * (len(blocks) - 1).
-    The node evaluations are independent; with ``workers`` > 1 they run in a
-    process pool, collected in node order so the result is schedule-free.
-    """
-    n = blocks[0].rows
-    for block in blocks:
-        if block.rows != block.cols or block.rows != n:
-            raise ValueError("all blocks must be square and same-dimensional")
-    if degree is None:
-        degree = n * (len(blocks) - 1)
-    int_blocks, lcm, n = _cleared_integer_blocks(blocks)
-    tasks = [(int_blocks, t) for t in range(degree + 1)]
-    if workers > 1 and degree > 0:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dets = list(pool.map(_det_at_node, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        dets = [_det_at_node(task) for task in tasks]
-    scale = Fraction(1, lcm**n)
-    values = [d * scale for d in dets]
-    return _interpolate_at_integer_nodes(values)
-
-
-def _interpolate_at_integer_nodes(values: Sequence[Fraction]) -> Poly:
-    """Newton interpolation through (t, values[t]) for t = 0..len-1."""
-    k = len(values)
-    diffs = list(values)
-    # divided differences over the unit-spaced nodes
-    for order in range(1, k):
-        for i in range(k - 1, order - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / order
-    # expand Newton form: (((c_{k-1})(u - x_{k-2}) + c_{k-2}) ... )
-    coeffs = [diffs[k - 1]]
-    for i in range(k - 2, -1, -1):
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            new[j + 1] += c
-            new[j] -= c * i
-        new[0] += diffs[i]
-        coeffs = new
-    return Poly(coeffs)
-
-
-def det_i_minus_u(matrix: RatMatrix, workers: int = 1) -> Poly:
-    """Exact polynomial det(I - u*M) for a square rational matrix M."""
     if matrix.rows != matrix.cols:
         raise ValueError("det(I - u*M) requires a square matrix")
     n = matrix.rows
-    blocks = [RatMatrix.identity(n), matrix * Fraction(-1)]
-    return det_matrix_polynomial(blocks, degree=n, workers=workers)
+    items = list(matrix.nonzero_items())
+    scale = 1
+    for _, _, value in items:
+        scale = math.lcm(scale, value.denominator)
+    rows = np.array([i for i, _, _ in items], dtype=np.intp)
+    cols = np.array([j for _, j, _ in items], dtype=np.intp)
+    values = [value.numerator * (scale // value.denominator) for _, _, value in items]
+    row_sums = [0] * n
+    for (i, _, _), value in zip(items, values):
+        row_sums[i] += abs(value)
+    # rho bounds every eigenvalue of L*M, so |c_k| <= C(n, k) * rho^k
+    rho = max(row_sums)
+    bound = max(math.comb(n, k) * rho**k for k in range(n + 1))
+    primes = []
+    modulus = 1
+    while modulus <= 2 * bound:
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    residues = []
+    for p in primes:
+        a = np.zeros((n, n), dtype=np.int64)
+        a[rows, cols] = [value % p for value in values]
+        residues.append(_charpoly_mod(a, p))
+    return Poly(Fraction(c, scale**k) for k, c in enumerate(_crt(residues, primes, modulus)))
+
+
+_PRIMES: list[int] = []
+
+
+def _prime(index: int) -> int:
+    """The index-th prime below 2^31, counting down; found once per process."""
+    candidate = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+    while len(_PRIMES) <= index:
+        if _is_prime(candidate):
+            _PRIMES.append(candidate)
+        candidate -= 2
+    return _PRIMES[index]
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with bases 2, 3, 5, 7 is exact below 3,215,031,751
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _charpoly_mod(a: np.ndarray, p: int) -> list[int]:
+    """Coefficients c_0..c_n of det(xI - A) mod p, with c_k on x^(n-k).
+
+    A (entries in [0, p), p < 2^31) is brought to upper Hessenberg form by
+    similarity transforms, then the characteristic polynomial follows from
+    the Hessenberg recurrence (Cohen, GTM 138, Algorithm 2.2.9). Every
+    product is reduced mod p before it is summed, so int64 cannot overflow.
+    """
+    n = a.shape[0]
+    for m in range(1, n - 1):
+        nonzero = np.flatnonzero(a[m:, m - 1])
+        if not nonzero.size:
+            continue
+        i = m + int(nonzero[0])
+        if i != m:
+            a[[i, m], :] = a[[m, i], :]
+            a[:, [i, m]] = a[:, [m, i]]
+        factors = a[m + 1 :, m - 1] * pow(int(a[m, m - 1]), p - 2, p) % p
+        # rows i > m lose factor_i times row m (left of column m - 1 both are
+        # already zero); column m gains factor_i times column i, which keeps
+        # the matrix similar
+        a[m + 1 :, m - 1 :] = (a[m + 1 :, m - 1 :] - np.outer(factors, a[m, m - 1 :]) % p) % p
+        a[:, m] = (a[:, m] + (a[:, m + 1 :] * factors % p).sum(axis=1)) % p
+    # polys[m] holds the characteristic polynomial of the leading m x m
+    # block, ascending in x
+    sub = a.diagonal(-1).tolist()
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    for m in range(1, n + 1):
+        column = a[:m, m - 1].tolist()
+        polys[m, 1:] = polys[m - 1, :-1]
+        polys[m] = (polys[m] - polys[m - 1] * column[m - 1] % p) % p
+        # polys[i] (degree i <= m - 2) enters with weight a[i, m-1] times
+        # the subdiagonal product a[i+1, i] * ... * a[m-1, m-2]
+        weights = [0] * (m - 1)
+        t = 1
+        for i in range(m - 2, -1, -1):
+            t = t * sub[i] % p
+            weights[i] = t * column[i] % p
+        if weights:
+            w = np.array(weights, dtype=np.int64)
+            tail = (polys[: m - 1, : m - 1] * w[:, None] % p).sum(axis=0)
+            polys[m, : m - 1] = (polys[m, : m - 1] - tail) % p
+    return polys[n, ::-1].tolist()
+
+
+def _crt(residues: list[list[int]], primes: list[int], modulus: int) -> list[int]:
+    """Combine per-prime residue lists into symmetric residues mod the product."""
+    weights = []
+    for p in primes:
+        rest = modulus // p
+        weights.append(rest * pow(rest, -1, p))
+    out = []
+    for column in zip(*residues):
+        c = sum(r * w for r, w in zip(column, weights)) % modulus
+        out.append(c - modulus if 2 * c > modulus else c)
+    return out
 
 
 def log_series(p: Poly, order: int) -> tuple[Fraction, ...]:

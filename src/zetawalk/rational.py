@@ -2,13 +2,12 @@
 
 Matrices are stored sparsely (one dict of nonzero entries per row) and are
 immutable by convention: all operations return new matrices. Determinants
-are computed by fraction-free Bareiss elimination on a denominator-cleared
-integer copy, so intermediate growth stays polynomial.
+are not taken here: `polynomials.det_i_minus_u` is the package's one exact
+determinant.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -223,58 +222,3 @@ def positive_support(matrix: RatMatrix) -> RatMatrix:
     for i, rd in enumerate(matrix._rowdata):
         out._rowdata[i] = {j: one for j, value in rd.items() if value > 0}
     return out
-
-
-def det_bareiss_int(a: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix; mutates ``a`` in place.
-
-    Fraction-free one-step Bareiss: every intermediate entry is a minor of
-    the input, so the interior division is exact and bit growth is bounded
-    by the Hadamard bound.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            factor = row_i[k]
-            if factor:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-                row_i[k] = 0
-            elif pivot != prev:
-                # zero multiplier rows still pick up the pivot/prev rescaling
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def det(matrix: RatMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant requires a square matrix")
-    dense = matrix.to_dense()
-    scale = Fraction(1)
-    int_rows: list[list[int]] = []
-    for row in dense:
-        lcm = 1
-        for value in row:
-            if value:
-                lcm = lcm * value.denominator // math.gcd(lcm, value.denominator)
-        scale *= lcm
-        int_rows.append([int(value * lcm) for value in row])
-    return Fraction(det_bareiss_int(int_rows), 1) / scale

@@ -32,15 +32,10 @@ from .operators import (
     degree_matrix,
     grover,
     grover_positive_support,
+    laplacian,
     transition,
 )
-from .polynomials import (
-    Poly,
-    det_i_minus_u,
-    det_matrix_polynomial,
-    log_series,
-    one_minus_u_squared_pow,
-)
+from .polynomials import Poly, det_i_minus_u, log_series, one_minus_u_squared_pow
 from .rational import RatMatrix
 
 __all__ = [
@@ -136,17 +131,17 @@ class KonnoSatoReport:
         return tuple(check for check in self.identities if not check.holds)
 
 
-def grover_zeta_reciprocal(graph: Graph, workers: int = 1) -> Poly:
+def grover_zeta_reciprocal(graph: Graph) -> Poly:
     """Arc characteristic polynomial det(I - uU) of the Grover matrix.
 
     This is the reciprocal of the weighted zeta; its degree is twice the
     edge count.
     """
     arcs = arc_space(graph)
-    return det_i_minus_u(grover(graph, arcs), workers=workers)
+    return det_i_minus_u(grover(graph, arcs))
 
 
-def ihara_reciprocal_edge(graph: Graph, workers: int = 1) -> Poly:
+def ihara_reciprocal_edge(graph: Graph) -> Poly:
     """Ihara zeta reciprocal via the positive support: det(I - uU+).
 
     Agrees with the Bass form exactly when the minimum degree is at least
@@ -157,10 +152,10 @@ def ihara_reciprocal_edge(graph: Graph, workers: int = 1) -> Poly:
     """
     _reject_tree(graph)
     arcs = arc_space(graph)
-    return det_i_minus_u(grover_positive_support(graph, arcs), workers=workers)
+    return det_i_minus_u(grover_positive_support(graph, arcs))
 
 
-def ihara_reciprocal_bass(graph: Graph, workers: int = 1) -> Poly:
+def ihara_reciprocal_bass(graph: Graph) -> Poly:
     """Ihara zeta reciprocal in Bass form.
 
     Returns (1 - u^2)^(m - nu) * det(I - uA + u^2 (D - I)) with m edges and
@@ -169,9 +164,21 @@ def ihara_reciprocal_bass(graph: Graph, workers: int = 1) -> Poly:
     _reject_tree(graph)
     n = graph.num_vertices
     eye = RatMatrix.identity(n)
-    blocks = [eye, -adjacency(graph), degree_matrix(graph) - eye]
-    det = det_matrix_polynomial(blocks, workers=workers)
+    det = _quadratic_pencil_det(-adjacency(graph), degree_matrix(graph) - eye)
     return one_minus_u_squared_pow(graph.num_edges - n) * det
+
+
+def _quadratic_pencil_det(b1: RatMatrix, b2: RatMatrix) -> Poly:
+    """det(I + u B1 + u^2 B2) as det(I - uC) of the 2n x 2n companion matrix.
+
+    C = [[-B1, -B2], [I, 0]]; the Schur complement of the lower-right block
+    of I - uC is I + u B1 + u^2 B2, so the two determinants are equal.
+    """
+    n = b1.rows
+    entries = [(i, j, -value) for i, j, value in b1.nonzero_items()]
+    entries += [(i, n + j, -value) for i, j, value in b2.nonzero_items()]
+    entries += [(n + i, i, 1) for i in range(n)]
+    return det_i_minus_u(RatMatrix(2 * n, 2 * n, entries))
 
 
 def _reject_tree(graph: Graph) -> None:
@@ -182,7 +189,7 @@ def _reject_tree(graph: Graph) -> None:
         )
 
 
-def konno_sato_check(graph: Graph, workers: int = 1) -> KonnoSatoReport:
+def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     """Verify the four Konno-Sato identities as exact polynomial equalities.
 
     For a (q+1)-regular graph with nu vertices and m edges, the left sides
@@ -207,18 +214,19 @@ def konno_sato_check(graph: Graph, workers: int = 1) -> KonnoSatoReport:
     n = graph.num_vertices
     eye = RatMatrix.identity(n)
     p_mat = transition(graph)
-    lap = degree_matrix(graph) - adjacency(graph)
+    lap = laplacian(graph)
     cocycle = one_minus_u_squared_pow(graph.num_edges - n)
 
     arcs = arc_space(graph)
-    lhs_grover = det_i_minus_u(grover(graph, arcs), workers=workers)
-    lhs_ihara = det_i_minus_u(grover_positive_support(graph, arcs), workers=workers)
+    lhs_grover = det_i_minus_u(grover(graph, arcs))
+    lhs_ihara = det_i_minus_u(grover_positive_support(graph, arcs))
 
+    # (B1, B2) of each vertex factor det(I + u B1 + u^2 B2)
     vertex_factors = {
-        "grover-transition": [eye, p_mat * Fraction(-2), eye],
-        "ihara-transition": [eye, p_mat * Fraction(-(q + 1)), eye * Fraction(q)],
-        "grover-laplacian": [eye, lap * Fraction(2, q + 1) - eye * Fraction(2), eye],
-        "ihara-laplacian": [eye, lap - eye * Fraction(q + 1), eye * Fraction(q)],
+        "grover-transition": (p_mat * Fraction(-2), eye),
+        "ihara-transition": (p_mat * Fraction(-(q + 1)), eye * Fraction(q)),
+        "grover-laplacian": (lap * Fraction(2, q + 1) - eye * Fraction(2), eye),
+        "ihara-laplacian": (lap - eye * Fraction(q + 1), eye * Fraction(q)),
     }
     sides = {
         "grover-transition": lhs_grover,
@@ -227,8 +235,8 @@ def konno_sato_check(graph: Graph, workers: int = 1) -> KonnoSatoReport:
         "ihara-laplacian": lhs_ihara,
     }
     checks = []
-    for tag, blocks in vertex_factors.items():
-        rhs = cocycle * det_matrix_polynomial(blocks, workers=workers)
+    for tag, (b1, b2) in vertex_factors.items():
+        rhs = cocycle * _quadratic_pencil_det(b1, b2)
         lhs = sides[tag]
         checks.append(IdentityCheck(tag=tag, holds=lhs == rhs, lhs=lhs, rhs=rhs))
     return KonnoSatoReport(
@@ -350,9 +358,7 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
     return SeriesCoefficients(kind=kind, counts=tuple(counts))
 
 
-def zeta_series_consistency(
-    graph: Graph, order: int, workers: int = 1
-) -> SeriesConsistencyReport:
+def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport:
     """Check that log 1/det(I - uU) has coefficients N_r / r exactly.
 
     The order is capped at 12 because both sides grow combinatorially and
@@ -366,7 +372,7 @@ def zeta_series_consistency(
             f"series consistency order {order} exceeds the cap of "
             f"{SERIES_ORDER_CAP}"
         )
-    reciprocal = grover_zeta_reciprocal(graph, workers=workers)
+    reciprocal = grover_zeta_reciprocal(graph)
     logs = tuple(log_series(reciprocal, order))
     counts = weighted_cycle_counts(graph, order)
     scaled = tuple(c / r for r, c in enumerate(counts.counts, start=1))
@@ -428,9 +434,7 @@ def spectral_zeta_reciprocal(
     return math.pow(1.0 - u * u, (q - 1) / 2.0) * math.exp(mean_log)
 
 
-def charpoly_zeta_reciprocal(
-    graph: Graph, u: Fraction, which: str = "grover", workers: int = 1
-) -> float:
+def charpoly_zeta_reciprocal(graph: Graph, u: Fraction, which: str = "grover") -> float:
     """Reciprocal of the generalized zeta via the exact arc determinant.
 
     Evaluates det(I - uU) (or det(I - uU+) for the Ihara kind) exactly at
@@ -441,17 +445,21 @@ def charpoly_zeta_reciprocal(
     if which not in ("grover", "ihara"):
         raise ValueError(f"kind must be grover or ihara, not {which!r}")
     if which == "grover":
-        p = grover_zeta_reciprocal(graph, workers=workers)
+        p = grover_zeta_reciprocal(graph)
     else:
-        p = ihara_reciprocal_edge(graph, workers=workers)
+        p = ihara_reciprocal_edge(graph)
     value = p.eval_exact(Fraction(u))
     if value <= 0:
         raise ZetaDomainError(
             f"determinant value {value} at u = {u} is not positive; "
             f"no positive real root exists"
         )
-    nu = graph.num_vertices
-    return math.exp(math.log(float(value)) / nu)
+    # float(value) underflows (or overflows) outside about 1e-308..1e308;
+    # such values are first brought near 1 by an exact power of two
+    e = value.numerator.bit_length() - value.denominator.bit_length()
+    shift = e if abs(e) > 1000 else 0
+    log_value = math.log(value / Fraction(2) ** shift) + shift * math.log(2)
+    return math.exp(log_value / graph.num_vertices)
 
 
 def _require_spectral_graph(graph: Graph) -> None:

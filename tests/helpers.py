@@ -1,8 +1,8 @@
 """Independent oracles for cross-checking the package's exact routines.
 
 Everything here is deliberately naive: plain fraction Gaussian elimination
-instead of fraction-free Bareiss, list convolutions instead of the Poly
-class. Slower, but sharing no code with the implementations under test.
+instead of the package's multi-modular kernel, list convolutions instead of
+the Poly class. Slower, but sharing no code with the implementations under test.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from zetawalk import (
     arc_space,
     cycle_graph,
     det_i_minus_u,
-    det_matrix_polynomial,
     log_series,
     one_minus_u_squared_pow,
     shift,
@@ -117,32 +116,60 @@ def test_det_i_minus_u_multiplies_over_block_diagonal():
     assert det_i_minus_u(combined) == product
 
 
-def test_det_workers_do_not_change_the_result():
-    rng = random.Random(13)
-    m = random_rat_matrix(rng, 6)
-    assert det_i_minus_u(m, workers=2) == det_i_minus_u(m, workers=1)
-
-
 def test_det_matrix_polynomial_quadratic_pencil():
+    # det(I + u B1 + u^2 B2) = det(I - uC) with C = [[-B1, -B2], [I, 0]]
     rng = random.Random(17)
-    blocks = [RatMatrix.identity(4), random_rat_matrix(rng, 4), random_rat_matrix(rng, 4)]
-    p = det_matrix_polynomial(blocks)
-    assert p.degree <= 8
+    n = 4
+    b1, b2 = random_rat_matrix(rng, n), random_rat_matrix(rng, n)
+    entries = [(i, j, -v) for i, j, v in b1.nonzero_items()]
+    entries += [(i, n + j, -v) for i, j, v in b2.nonzero_items()]
+    entries += [(n + i, i, 1) for i in range(n)]
+    p = det_i_minus_u(RatMatrix(2 * n, 2 * n, entries))
+    assert p.degree <= 2 * n
     for t in (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 7)):
-        pencil = blocks[0] + blocks[1] * t + blocks[2] * (t * t)
+        pencil = RatMatrix.identity(n) + b1 * t + b2 * (t * t)
         assert p.eval_exact(t) == gauss_det(dense(pencil))
 
 
-def test_det_matrix_polynomial_accepts_loose_degree_bound():
-    blocks = [RatMatrix.identity(2), RatMatrix.diagonal([Fraction(-1), Fraction(-2)])]
-    exact = det_matrix_polynomial(blocks, degree=2)
-    padded = det_matrix_polynomial(blocks, degree=6)
-    assert exact == padded == Poly([1, -3, 2])
+def test_det_i_minus_u_with_large_entries_needs_many_primes():
+    # numerators up to 2^40 over denominators up to 2^20 push the
+    # coefficient bound far past a single 31-bit prime
+    rng = random.Random(23)
+    points = [Fraction(1, 3), Fraction(-5, 2), Fraction(7)]
+    heights = []
+    for n in (2, 4, 6):
+        entries = [
+            (i, j, Fraction(rng.randint(-(2**40), 2**40), rng.randint(1, 2**20)))
+            for i in range(n)
+            for j in range(n)
+        ]
+        m = RatMatrix(n, n, entries)
+        p = det_i_minus_u(m)
+        assert p[0] == 1 and p.degree == n
+        heights.append(max(c.denominator.bit_length() for c in p.coeffs))
+        for t in points:
+            assert p.eval_exact(t) == det_i_minus_t_times(m, t)
+    assert max(heights) > 4 * 31
 
 
-def test_det_matrix_polynomial_rejects_mismatched_blocks():
-    with pytest.raises(ValueError):
-        det_matrix_polynomial([RatMatrix.identity(2), RatMatrix.identity(3)])
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        # zero and nilpotent matrices have characteristic polynomial x^n
+        (RatMatrix(3, 3), Poly.one()),
+        (RatMatrix.from_rows([[Fraction(-7, 3)]]), Poly([1, Fraction(7, 3)])),
+        (
+            RatMatrix(4, 4, [(i, j, Fraction(i + 2 * j, 3)) for i in range(4) for j in range(i + 1, 4)]),
+            Poly.one(),
+        ),
+    ],
+    ids=["zero", "one-by-one", "strictly-upper-triangular"],
+)
+def test_det_i_minus_u_edge_cases_match_the_oracle(matrix, expected):
+    p = det_i_minus_u(matrix)
+    assert p == expected
+    for t in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(9, 4)):
+        assert p.eval_exact(t) == det_i_minus_t_times(matrix, t)
 
 
 def test_log_series_of_geometric_factor():

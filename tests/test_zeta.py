@@ -256,6 +256,21 @@ def test_charpoly_domain_error_at_the_unit_root():
         charpoly_zeta_reciprocal(complete_graph(4), Fraction(1))
 
 
+def test_charpoly_evaluation_below_float_range():
+    # det(I - uU) on torus(2,4) at u = 1 - 10^-20 is about 1e-346, below the
+    # smallest float. The reference is the closed-form Konno-Sato product
+    # over the rational torus spectrum, rooted in 60-digit decimal arithmetic.
+    u = Fraction(99999999999999999999, 100000000000000000000)
+    value = charpoly_zeta_reciprocal(torus_graph(2, 4), u)
+    assert math.isclose(value, 1.1771323825530847381e-22, rel_tol=1e-14)
+
+
+def test_charpoly_evaluation_above_float_range():
+    # on K4, det(I - uU) = u^12 (1 + O(1/u)) with det U = 1, about 1e360 here
+    value = charpoly_zeta_reciprocal(complete_graph(4), Fraction(10**30))
+    assert math.isclose(value, 1e90, rel_tol=1e-14)
+
+
 def test_kind_and_route_validation():
     g = complete_graph(4)
     with pytest.raises(ValueError):
