@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Sequence
 
 from . import graphs, limits, operators, zeta
+from .errors import ZetaDomainError
 from .polynomials import Poly
 from .rational import RatMatrix
 
@@ -49,6 +49,14 @@ def _load(args: argparse.Namespace) -> graphs.Graph:
     return graphs.load_graph(args.graph)
 
 
+def _float_u(text: str) -> float:
+    """--u as a double; a value beyond the double range is a domain error."""
+    try:
+        return float(Fraction(text))
+    except OverflowError:
+        raise ZetaDomainError(f"--u {text} is outside the double range") from None
+
+
 def _check_ihara_margin(args: argparse.Namespace, u: float) -> None:
     if args.which != "ihara" or args.full_domain:
         return
@@ -65,40 +73,12 @@ def _check_ihara_margin(args: argparse.Namespace, u: float) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "cycle":
-        _require_params(family, args, need_n=True)
-        g = graphs.cycle_graph(args.N)
-    elif family == "torus":
-        _require_params(family, args, need_n=True, need_d=True)
-        g = graphs.torus_graph(args.d, args.N)
-    elif family == "complete":
-        _require_params(family, args, need_n=True)
-        g = graphs.complete_graph(args.N)
-    elif family == "petersen":
-        _require_params(family, args)
-        g = graphs.petersen_graph()
-    else:
-        _require_params(family, args, need_d=True)
-        g = graphs.hypercube_graph(args.d)
+    g = graphs.build_family(args.family, N=args.N, d=args.d)
     if args.out is None:
         print(json.dumps(graphs.graph_payload(g), indent=2, sort_keys=True))
     else:
         graphs.save_graph(g, args.out)
     return 0
-
-
-def _require_params(
-    family: str, args: argparse.Namespace, need_n: bool = False, need_d: bool = False
-) -> None:
-    if need_n and args.N is None:
-        raise ValueError(f"family {family!r} requires --N")
-    if not need_n and args.N is not None:
-        raise ValueError(f"family {family!r} does not take --N")
-    if need_d and args.d is None:
-        raise ValueError(f"family {family!r} requires --d")
-    if not need_d and args.d is not None:
-        raise ValueError(f"family {family!r} does not take --d")
 
 
 # -- matrix dump ----------------------------------------------------------
@@ -228,7 +208,7 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
     spectral = None
     charpoly = None
     if args.method in ("spectral", "both"):
-        spectral = zeta.spectral_zeta_reciprocal(g, float(u), args.which, args.route)
+        spectral = zeta.spectral_zeta_reciprocal(g, _float_u(args.u), args.which, args.route)
     if args.method in ("charpoly", "both"):
         charpoly = zeta.charpoly_zeta_reciprocal(g, u, args.which)
 
@@ -266,19 +246,17 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_torus_limit(args: argparse.Namespace) -> int:
-    u = float(Fraction(args.u))
+    u = _float_u(args.u)
     _check_ihara_margin(args, u)
-    log_mean = limits.torus_limit_log_mean(
+    value = limits.torus_limit_zeta_reciprocal(
         args.d, u, args.which, args.grid, args.allow_high_dimension
     )
-    prefactor = limits.torus_prefactor(args.d, u)
-    value = prefactor * math.exp(log_mean)
     if args.json:
         _emit(
             {
                 "value": _json_float(value),
                 "grid": args.grid,
-                "prefactor": _json_float(prefactor),
+                "prefactor": _json_float(limits.torus_prefactor(args.d, u)),
             }
         )
     else:
@@ -291,7 +269,7 @@ def _cmd_torus_limit(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     sides = _parse_sides(args.N)
-    u = float(Fraction(args.u))
+    u = _float_u(args.u)
     _check_ihara_margin(args, u)
     study = limits.convergence_study(
         args.d,
@@ -354,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--family",
         required=True,
-        choices=["cycle", "torus", "complete", "petersen", "hypercube"],
+        choices=list(graphs.FAMILIES),
     )
     gen.add_argument("--N", type=int, default=None, help="side or vertex count")
     gen.add_argument("--d", type=int, default=None, help="dimension parameter")

@@ -42,7 +42,7 @@ class TreeGraphError(ValueError):
 
 
 class ZetaDomainError(ValueError):
-    """A spectral evaluation hit a non-positive logarithm argument."""
+    """A float evaluation hit a non-positive logarithm argument or left the double range."""
 
 
 class OracleGuardError(ValueError):

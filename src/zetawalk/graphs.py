@@ -237,19 +237,32 @@ def hypercube_graph(d: int) -> Graph:
     return graph_from_edges(n, edges, family=f"hypercube({d})", vertex_transitive=True)
 
 
-def build_family(tag: str, **params: int) -> Graph:
-    """Build a named family: cycle(N), torus(d, N), complete(n), petersen, hypercube(d)."""
-    if tag == "cycle":
-        return cycle_graph(params["N"])
-    if tag == "torus":
-        return torus_graph(params["d"], params["N"])
-    if tag == "complete":
-        return complete_graph(params["n"])
-    if tag == "petersen":
-        return petersen_graph()
-    if tag == "hypercube":
-        return hypercube_graph(params["d"])
-    raise FamilyParameterError(f"unknown graph family {tag!r}")
+# family tag -> (builder, the parameters it takes, in call order)
+FAMILIES = {
+    "cycle": (cycle_graph, ("N",)),
+    "torus": (torus_graph, ("d", "N")),
+    "complete": (complete_graph, ("N",)),
+    "petersen": (petersen_graph, ()),
+    "hypercube": (hypercube_graph, ("d",)),
+}
+
+
+def build_family(tag: str, N: int | None = None, d: int | None = None) -> Graph:
+    """Build a named family: cycle(N), torus(d, N), complete(N), petersen, hypercube(d).
+
+    Raises FamilyParameterError for an unknown tag, or when a parameter the
+    family takes is missing or one it does not take is given.
+    """
+    if tag not in FAMILIES:
+        raise FamilyParameterError(f"unknown graph family {tag!r}")
+    builder, takes = FAMILIES[tag]
+    given = {"N": N, "d": d}
+    for name, value in given.items():
+        if name in takes and value is None:
+            raise FamilyParameterError(f"family {tag!r} requires {name}")
+        if name not in takes and value is not None:
+            raise FamilyParameterError(f"family {tag!r} does not take {name}")
+    return builder(*(given[name] for name in takes))
 
 
 # -- JSON persistence --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Vertex spectra, empirical spectral measures, and torus limit values.
+"""Vertex spectra, Konno-Sato vertex factors, and torus limit values.
 
 The discrete torus of dimension d and side N is 2d-regular with explicit
 transition eigenvalues (1/d) sum_j cos(2 pi k_j / N) over lattice points k.
@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +26,10 @@ from .graphs import Graph
 
 __all__ = [
     "SpectrumList",
-    "EmpiricalSpectralMeasure",
     "ConvergenceRow",
     "ConvergenceStudy",
     "graph_spectrum",
-    "empirical_spectral_measure",
+    "vertex_factor",
     "torus_spectrum",
     "torus_prefactor",
     "finite_torus_zeta_reciprocal",
@@ -63,32 +61,6 @@ class SpectrumList:
             raise ValueError(f"unknown source {self.source!r}")
 
 
-@dataclass(frozen=True)
-class EmpiricalSpectralMeasure:
-    """Uniform atomic measure on a spectrum with exact rational weights."""
-
-    points: tuple[float, ...]
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights must have equal length")
-        if not self.points:
-            raise ValueError("empirical measure needs at least one point")
-        total = sum(self.weights, Fraction(0))
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, expected exactly 1")
-
-    @classmethod
-    def uniform(cls, points: Sequence[float]) -> "EmpiricalSpectralMeasure":
-        n = len(points)
-        w = Fraction(1, n)
-        return cls(points=tuple(float(x) for x in points), weights=(w,) * n)
-
-    def average(self, f: Callable[[float], float]) -> float:
-        return math.fsum(float(w) * f(x) for x, w in zip(self.points, self.weights))
-
-
 def graph_spectrum(graph: Graph, operator: str = "transition") -> SpectrumList:
     """Ascending eigenvalues of the adjacency, transition, or Laplacian matrix.
 
@@ -112,13 +84,6 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> SpectrumList:
         sym = np.diag(np.array(graph.degree_profile, dtype=float)) - a
     values = np.linalg.eigvalsh(sym)
     return SpectrumList(operator=operator, source="numeric", values=tuple(values.tolist()))
-
-
-def empirical_spectral_measure(
-    graph: Graph, operator: str = "transition"
-) -> EmpiricalSpectralMeasure:
-    """Spectral measure placing weight 1/nu on each eigenvalue."""
-    return EmpiricalSpectralMeasure.uniform(graph_spectrum(graph, operator).values)
 
 
 def _check_torus_dimension(d: int, allow_high_dimension: bool) -> None:
@@ -173,40 +138,92 @@ def _torus_values(
     return 2.0 * (d - total)
 
 
+def vertex_factor(
+    u: float, q: int, which: str, route: str = "transition"
+) -> tuple[float, float]:
+    """The Konno-Sato vertex factor of a (q+1)-regular graph as a line (a, b).
+
+    At an eigenvalue lam of the route's operator the factor is a + b * lam:
+
+        grover, transition:   (1 + u^2) - 2u lam
+        grover, laplacian:    (1 - 2u + u^2) + (2u / (q + 1)) lam
+        ihara, transition:    (1 + q u^2) - (q + 1) u lam
+        ihara, laplacian:     (1 - (q + 1) u + q u^2) + u lam
+
+    Negating the slope is exact, so a + b * lam rounds exactly as the
+    subtractions written above do.
+    """
+    if which not in ("grover", "ihara"):
+        raise ValueError(f"kind must be grover or ihara, not {which!r}")
+    if route not in ("transition", "laplacian"):
+        raise ValueError(f"route must be transition or laplacian, not {route!r}")
+    if which == "grover":
+        if route == "transition":
+            return 1.0 + u * u, -2.0 * u
+        return 1.0 - 2.0 * u + u * u, 2.0 * u / (q + 1)
+    if route == "transition":
+        return 1.0 + q * u * u, -(q + 1) * u
+    return 1.0 - (q + 1) * u + q * u * u, u
+
+
 def torus_prefactor(d: int, u: float) -> float:
     """Factor (1 - u^2)^(d - 1) multiplying the spectral exponential.
 
     The exponent is (m - nu)/nu for the side-N torus, which equals d - 1
-    independently of N.
+    independently of N. Raises ZetaDomainError when it overflows.
     """
-    return float(math.pow(1.0 - float(u) * float(u), d - 1))
+    u = float(u)
+    try:
+        value = math.pow(1.0 - u * u, d - 1)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ZetaDomainError(
+            f"torus prefactor (1 - u^2)^{d - 1} overflows at u = {u}"
+        )
+    return value
 
 
-def _check_domain(d: int, u: float, which: str) -> int:
-    """Log-argument positivity checks for the torus evaluations; returns q.
+def _check_domain(d: int, u: float, which: str) -> tuple[float, float]:
+    """Positivity and overflow checks for the torus evaluations.
 
-    Only the determinant factors are constrained: the torus prefactor
-    exponent d - 1 is an integer, so 1 - u^2 may take any sign here.
+    Returns the vertex factor line of the transition route. Only the
+    determinant factors must be positive: the torus prefactor exponent d - 1
+    is an integer, so 1 - u^2 may take any sign here. The prefactor is
+    checked for overflow before any grid work.
     """
-    if which not in ("grover", "ihara"):
-        raise ValueError(f"kind must be grover or ihara, not {which!r}")
-    q = 2 * d - 1
-    # the determinant factor is affine in the eigenvalue, so positivity on
-    # the whole spectrum range [-1, 1] follows from the two endpoints
+    a, b = vertex_factor(u, 2 * d - 1, which)
+    # the determinant factor is affine in the eigenvalue, so positivity and
+    # finiteness on the whole spectrum range [-1, 1] follow from the two
+    # endpoints
     for lam in (-1.0, 1.0):
-        arg = _factor(u, q, which, lam)
+        arg = a + b * lam
+        if not math.isfinite(arg):
+            raise ZetaDomainError(
+                f"determinant factor at spectrum endpoint {lam} overflows "
+                f"for u = {u} ({which} kind, dimension {d})"
+            )
         if arg <= 0.0:
             raise ZetaDomainError(
                 f"determinant factor {arg} at spectrum endpoint {lam} is not "
                 f"positive for u = {u} ({which} kind, dimension {d})"
             )
-    return q
+    torus_prefactor(d, u)
+    return a, b
 
 
-def _factor(u: float, q: int, which: str, lam) -> object:
-    if which == "grover":
-        return (1.0 + u * u) - 2.0 * u * lam
-    return (1.0 + q * u * u) - (q + 1) * u * lam
+def _assemble(d: int, u: float, mean_log: float) -> float:
+    """The torus value (1 - u^2)^(d-1) * exp(mean_log), checked for overflow."""
+    prefactor = torus_prefactor(d, u)
+    try:
+        value = prefactor * math.exp(mean_log)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ZetaDomainError(
+            f"torus zeta reciprocal overflows at u = {u} (dimension {d})"
+        )
+    return value
 
 
 def finite_torus_zeta_reciprocal(
@@ -216,15 +233,14 @@ def finite_torus_zeta_reciprocal(
 
     Computes (1 - u^2)^(d-1) * exp(mean over the n^d transition eigenvalues
     of log factor(lambda)) for the chosen kind. Raises ZetaDomainError
-    outside the positivity domain.
+    outside the positivity domain or beyond the double range.
     """
     _check_torus_params(d, n, allow_high_dimension)
     u = float(u)
-    q = _check_domain(d, u, which)
+    a, b = _check_domain(d, u, which)
     lams = _torus_values(d, n, "transition", allow_high_dimension)
-    args = _factor(u, q, which, lams)
-    mean_log = math.fsum(np.log(args)) / float(n**d)
-    return torus_prefactor(d, u) * math.exp(mean_log)
+    mean_log = math.fsum(np.log(a + b * lams)) / float(n**d)
+    return _assemble(d, u, mean_log)
 
 
 def torus_limit_log_mean(
@@ -237,18 +253,20 @@ def torus_limit_log_mean(
     product measure, integrated by the periodic trapezoid rule on a grid of
     `grid` points per axis. Periodicity makes the trapezoid rule a plain
     average over the grid, evaluated here one axis-0 slice at a time.
+    Raises ZetaDomainError, before any grid work, where a factor is not
+    positive or a factor or the prefactor overflows.
     """
     _check_torus_dimension(d, allow_high_dimension)
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
     u = float(u)
-    q = _check_domain(d, u, which)
+    a, b = _check_domain(d, u, which)
     cos_axis = np.cos(2.0 * np.pi * np.arange(grid) / grid)
     block_sums = []
     for head in itertools.product(range(grid), repeat=d - 1):
         partial = sum(cos_axis[i] for i in head)
         lams = (partial + cos_axis) / d
-        block_sums.append(float(np.sum(np.log(_factor(u, q, which, lams)))))
+        block_sums.append(float(np.sum(np.log(a + b * lams))))
     return math.fsum(block_sums) / float(grid**d)
 
 
@@ -260,10 +278,11 @@ def torus_limit_zeta_reciprocal(
 
     Assembles the prefactor (1 - u^2)^(d-1) with the exponential of the
     quadrature integral. On grid G this equals the side-G torus value,
-    because the quadrature nodes reproduce its spectrum.
+    because the quadrature nodes reproduce its spectrum. Raises
+    ZetaDomainError outside the positivity domain or beyond the double range.
     """
     mean = torus_limit_log_mean(d, u, which, grid, allow_high_dimension)
-    return torus_prefactor(d, u) * math.exp(mean)
+    return _assemble(d, u, mean)
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,6 @@ class Poly:
     def one(cls) -> "Poly":
         return cls((1,))
 
-    @classmethod
-    def variable(cls) -> "Poly":
-        """The monomial u."""
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -122,13 +117,6 @@ class Poly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * u + c
-        return acc
-
-    def eval_float(self, u: float) -> float:
-        """Horner evaluation in double precision; no exactness claimed."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * u + float(c)
         return acc
 
     def derivative(self) -> "Poly":

@@ -56,10 +56,6 @@ class RatMatrix:
         return m
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def diagonal(cls, values: Sequence) -> "RatMatrix":
         n = len(values)
         m = cls(n, n)
@@ -86,25 +82,6 @@ class RatMatrix:
     def num_nonzero(self) -> int:
         return sum(len(rd) for rd in self._rowdata)
 
-    def to_dense(self) -> list[list[Fraction]]:
-        zero = Fraction(0)
-        out = []
-        for rd in self._rowdata:
-            row = [zero] * self.cols
-            for j, value in rd.items():
-                row[j] = value
-            out.append(row)
-        return out
-
-    def to_float(self):
-        import numpy as np
-
-        out = np.zeros((self.rows, self.cols))
-        for i, rd in enumerate(self._rowdata):
-            for j, value in rd.items():
-                out[i, j] = float(value)
-        return out
-
     # -- algebra --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -115,9 +92,6 @@ class RatMatrix:
             and self.cols == other.cols
             and self._rowdata == other._rowdata
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(sorted(rd.items())) for rd in self._rowdata)))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
@@ -201,9 +175,6 @@ class RatMatrix:
                 if self._rowdata[j].get(i, Fraction(0)) != value:
                     return False
         return True
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, {self.num_nonzero()} nonzero)"

@@ -26,7 +26,7 @@ from .errors import (
     ZetaDomainError,
 )
 from .graphs import ArcSpace, Graph, arc_space
-from .limits import graph_spectrum
+from .limits import graph_spectrum, vertex_factor
 from .operators import (
     adjacency,
     degree_matrix,
@@ -204,12 +204,7 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
         (1 - u^2)^(m - nu) det((1 - 2u + u^2) I + (2u / (q + 1)) L),
         (1 - u^2)^(m - nu) det((1 - (q+1) u + q u^2) I + u L).
     """
-    if not graph.is_regular:
-        degrees = sorted(set(graph.degree_profile))
-        raise NonRegularGraphError(
-            f"Konno-Sato factorization requires a regular graph; "
-            f"degrees present: {degrees}"
-        )
+    _require_regular(graph, "Konno-Sato factorization")
     q = graph.regular_degree - 1
     n = graph.num_vertices
     eye = RatMatrix.identity(n)
@@ -271,12 +266,7 @@ def rooted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     dividing the total by the vertex count is meaningful; the graph must
     carry the vertex_transitive flag.
     """
-    if not graph.claimed_vertex_transitive:
-        raise NotVertexTransitiveError(
-            "rooted counts divide by the vertex count, which is only "
-            "meaningful for vertex-transitive graphs; this graph does not "
-            "carry the vertex_transitive flag"
-        )
+    _require_vertex_transitive(graph, "rooted counting")
     total = weighted_cycle_counts(graph, r_max)
     nu = graph.num_vertices
     return SeriesCoefficients(
@@ -381,26 +371,6 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
     )
 
 
-def _spectral_log_arguments(
-    u: float, q: int, which: str, route: str, spectrum
-) -> list[tuple[float, float]]:
-    """Pairs (eigenvalue, determinant argument) for the spectral product."""
-    pairs = []
-    for lam in spectrum:
-        if which == "grover":
-            if route == "transition":
-                arg = (1.0 + u * u) - 2.0 * u * lam
-            else:
-                arg = (1.0 - 2.0 * u + u * u) + (2.0 * u / (q + 1)) * lam
-        else:
-            if route == "transition":
-                arg = (1.0 + q * u * u) - (q + 1) * u * lam
-            else:
-                arg = (1.0 - (q + 1) * u + q * u * u) + u * lam
-        pairs.append((float(lam), arg))
-    return pairs
-
-
 def spectral_zeta_reciprocal(
     graph: Graph, u: float, which: str = "grover", route: str = "transition"
 ) -> float:
@@ -412,25 +382,24 @@ def spectral_zeta_reciprocal(
     regular and flagged vertex-transitive. Raises ZetaDomainError when
     1 - u^2 or any factor is not strictly positive.
     """
-    _require_spectral_graph(graph)
-    _require_kind_route(which, route)
+    _require_regular(graph, "generalized zeta evaluation")
+    _require_vertex_transitive(graph, "generalized zeta evaluation")
     q = graph.regular_degree - 1
-    nu = graph.num_vertices
     u = float(u)
+    a, b = vertex_factor(u, q, which, route)
     if 1.0 - u * u <= 0.0:
         raise ZetaDomainError(
             f"prefactor base 1 - u^2 = {1.0 - u * u} is not positive at u = {u}"
         )
-    operator = "transition" if route == "transition" else "laplacian"
-    spectrum = graph_spectrum(graph, operator).values
-    pairs = _spectral_log_arguments(u, q, which, route, spectrum)
-    for lam, arg in pairs:
-        if arg <= 0.0:
+    spectrum = graph_spectrum(graph, route).values
+    factors = [a + b * lam for lam in spectrum]
+    for lam, factor in zip(spectrum, factors):
+        if factor <= 0.0:
             raise ZetaDomainError(
-                f"determinant factor {arg} is not positive at eigenvalue "
+                f"determinant factor {factor} is not positive at eigenvalue "
                 f"{lam} for u = {u} ({which}, {route})"
             )
-    mean_log = math.fsum(math.log(arg) for _, arg in pairs) / nu
+    mean_log = math.fsum(math.log(f) for f in factors) / graph.num_vertices
     return math.pow(1.0 - u * u, (q - 1) / 2.0) * math.exp(mean_log)
 
 
@@ -441,9 +410,9 @@ def charpoly_zeta_reciprocal(graph: Graph, u: Fraction, which: str = "grover") -
     the rational point u and returns the positive real nu-th root. Raises
     ZetaDomainError when the determinant value is not strictly positive.
     """
-    _require_spectral_graph(graph)
-    if which not in ("grover", "ihara"):
-        raise ValueError(f"kind must be grover or ihara, not {which!r}")
+    _require_regular(graph, "generalized zeta evaluation")
+    _require_vertex_transitive(graph, "generalized zeta evaluation")
+    vertex_factor(0.0, graph.regular_degree - 1, which)  # rejects an unknown kind
     if which == "grover":
         p = grover_zeta_reciprocal(graph)
     else:
@@ -462,22 +431,18 @@ def charpoly_zeta_reciprocal(graph: Graph, u: Fraction, which: str = "grover") -
     return math.exp(log_value / graph.num_vertices)
 
 
-def _require_spectral_graph(graph: Graph) -> None:
+def _require_regular(graph: Graph, purpose: str) -> None:
     if not graph.is_regular:
         degrees = sorted(set(graph.degree_profile))
         raise NonRegularGraphError(
-            f"generalized zeta evaluation requires a regular graph; "
-            f"degrees present: {degrees}"
+            f"{purpose} requires a regular graph; degrees present: {degrees}"
         )
+
+
+def _require_vertex_transitive(graph: Graph, purpose: str) -> None:
     if not graph.claimed_vertex_transitive:
         raise NotVertexTransitiveError(
-            "generalized zeta evaluation divides spectral data by the "
-            "vertex count, which requires the vertex_transitive flag"
+            f"{purpose} divides by the vertex count, which is only meaningful "
+            f"for vertex-transitive graphs; the graph does not carry the "
+            f"vertex_transitive flag"
         )
-
-
-def _require_kind_route(which: str, route: str) -> None:
-    if which not in ("grover", "ihara"):
-        raise ValueError(f"kind must be grover or ihara, not {which!r}")
-    if route not in ("transition", "laplacian"):
-        raise ValueError(f"route must be transition or laplacian, not {route!r}")

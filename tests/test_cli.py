@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zetawalk
 from zetawalk import IdentityCheck, KonnoSatoReport, Poly, load_graph
 from zetawalk.cli import entrypoint
 
@@ -296,6 +299,40 @@ def test_converge_bad_inputs_exit_2(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta-eval", "--graph", "{k4}", "--u", "1e400", "--method", "spectral"],
+        ["torus-limit", "--d", "2", "--u", "1e400"],
+        ["converge", "--d", "2", "--u", "1e400", "--N", "4"],
+    ],
+)
+def test_u_beyond_double_range_exits_2(capsys, k4_path, argv):
+    code, out, err = run_cli(capsys, [arg.format(k4=k4_path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --u 1e400 is outside the double range\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus-limit", "--d", "2", "--u", "1e200"],
+        ["torus-limit", "--d", "2", "--u", "1e200", "--json"],
+        ["torus-limit", "--d", "2", "--u", "1e100"],
+        ["torus-limit", "--d", "3", "--u", "1e100"],
+        ["torus-limit", "--d", "4", "--u", "1e60", "--grid", "8"],
+        ["converge", "--d", "2", "--u", "1e200", "--N", "4"],
+    ],
+)
+def test_torus_overflow_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "overflows" in err
+    assert err.count("\n") == 1
+
+
 def test_output_is_deterministic_across_runs(capsys, k4_path):
     argv = ["zeta-eval", "--graph", k4_path, "--u", "1/5", "--json"]
     _, first, _ = run_cli(capsys, argv)
@@ -336,10 +373,15 @@ def test_invalid_graph_document_exits_2(capsys, tmp_path):
 
 
 def test_module_and_console_entrypoints():
+    # the child imports the same package as this process, installed or not
+    source = str(Path(zetawalk.__file__).resolve().parents[1])
+    path = [source, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     result = subprocess.run(
         [sys.executable, "-m", "zetawalk", "gen", "--family", "petersen"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["vertices"] == 10

@@ -99,9 +99,13 @@ def test_one_dimensional_torus_is_the_cycle():
 def test_build_family_dispatch():
     assert build_family("torus", d=2, N=3).family == "torus(2,3)"
     assert build_family("cycle", N=4).family == "cycle(4)"
-    assert build_family("complete", n=4).family == "complete(4)"
+    assert build_family("complete", N=4).family == "complete(4)"
     assert build_family("petersen").family == "petersen"
     assert build_family("hypercube", d=3).family == "hypercube(3)"
+    with pytest.raises(FamilyParameterError, match="requires N"):
+        build_family("cycle")
+    with pytest.raises(FamilyParameterError, match="does not take N"):
+        build_family("petersen", N=5)
 
 
 def test_families_claim_vertex_transitivity():

@@ -1,16 +1,13 @@
 import math
-from fractions import Fraction
 
 import pytest
 
 from zetawalk import (
     ConvergenceStudy,
-    EmpiricalSpectralMeasure,
     FamilyParameterError,
     SpectrumList,
     ZetaDomainError,
     convergence_study,
-    empirical_spectral_measure,
     finite_torus_zeta_reciprocal,
     graph_spectrum,
     petersen_graph,
@@ -73,27 +70,6 @@ def test_spectrum_list_validation():
         graph_spectrum(petersen_graph(), "coin")
 
 
-def test_empirical_measure_weights_are_exactly_uniform():
-    measure = empirical_spectral_measure(petersen_graph())
-    assert sum(measure.weights, Fraction(0)) == 1
-    assert set(measure.weights) == {Fraction(1, 10)}
-    assert measure.average(lambda x: 1.0) == pytest.approx(1.0, abs=0)
-    # Petersen transition spectrum: 1 once, 1/3 five times, -2/3 four times
-    mean = measure.average(lambda x: x)
-    assert mean == pytest.approx(0.0, abs=1e-12)
-
-
-def test_empirical_measure_validation():
-    with pytest.raises(ValueError):
-        EmpiricalSpectralMeasure(points=(0.0, 1.0), weights=(Fraction(1),))
-    with pytest.raises(ValueError):
-        EmpiricalSpectralMeasure(points=(), weights=())
-    with pytest.raises(ValueError):
-        EmpiricalSpectralMeasure(
-            points=(0.0, 1.0), weights=(Fraction(1, 2), Fraction(1, 3))
-        )
-
-
 @pytest.mark.parametrize("which", ["grover", "ihara"])
 @pytest.mark.parametrize(
     "d, u, grid", [(1, 0.3, 8), (2, 0.2, 12), (2, -0.15, 9), (3, 0.1, 8)]
@@ -115,11 +91,11 @@ def test_even_side_grover_value_is_even_in_u(n):
 
 def test_finite_torus_assembles_prefactor_and_spectral_average():
     d, n, u = 2, 5, 0.2
-    measure = EmpiricalSpectralMeasure.uniform(
-        torus_spectrum(d, n, "transition").values
-    )
+    values = torus_spectrum(d, n, "transition").values
     q = 2 * d - 1
-    mean_log = measure.average(lambda lam: math.log((1 + q * u * u) - (q + 1) * u * lam))
+    mean_log = math.fsum(
+        math.log((1 + q * u * u) - (q + 1) * u * lam) for lam in values
+    ) / len(values)
     manual = torus_prefactor(d, u) * math.exp(mean_log)
     assert finite_torus_zeta_reciprocal(d, n, u, "ihara") == pytest.approx(
         manual, abs=1e-14
@@ -168,6 +144,25 @@ def test_grover_kind_allows_u_beyond_one():
         finite_torus_zeta_reciprocal(2, 5, 1.0, "grover")
     with pytest.raises(ZetaDomainError):
         finite_torus_zeta_reciprocal(2, 5, -1.0, "grover")
+
+
+def test_torus_overflow_is_a_domain_error():
+    # the grover kind is defined for any u != +-1, but the float value
+    # leaves the double range at its endpoint factors, its prefactor or its
+    # product
+    with pytest.raises(ZetaDomainError, match="endpoint .* overflows"):
+        finite_torus_zeta_reciprocal(2, 4, 1e200)
+    with pytest.raises(ZetaDomainError, match="endpoint .* overflows"):
+        torus_limit_zeta_reciprocal(2, 1e200, grid=8)
+    with pytest.raises(ZetaDomainError, match="prefactor .* overflows"):
+        torus_prefactor(2, 1e200)
+    with pytest.raises(ZetaDomainError, match="prefactor .* overflows"):
+        torus_limit_zeta_reciprocal(3, 1e100, grid=8)
+    with pytest.raises(ZetaDomainError, match="reciprocal overflows"):
+        finite_torus_zeta_reciprocal(2, 4, 1e100)
+    with pytest.raises(ZetaDomainError, match="reciprocal overflows"):
+        torus_limit_zeta_reciprocal(2, 1e100, grid=8)
+    assert math.isfinite(torus_limit_zeta_reciprocal(2, 1e50, grid=8))
 
 
 def test_ihara_kind_domain_boundary():
