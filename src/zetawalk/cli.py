@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import graphs, limits, operators, zeta
-from .errors import ZetaDomainError
 from .polynomials import Poly
 from .rational import RatMatrix
 
@@ -47,14 +46,6 @@ def _poly_strings(p: Poly) -> list[str]:
 
 def _load(args: argparse.Namespace) -> graphs.Graph:
     return graphs.load_graph(args.graph)
-
-
-def _float_u(text: str) -> float:
-    """--u as a double; a value beyond the double range is a domain error."""
-    try:
-        return float(Fraction(text))
-    except OverflowError:
-        raise ZetaDomainError(f"--u {text} is outside the double range") from None
 
 
 def _check_ihara_margin(args: argparse.Namespace, u: float) -> None:
@@ -208,7 +199,7 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
     spectral = None
     charpoly = None
     if args.method in ("spectral", "both"):
-        spectral = zeta.spectral_zeta_reciprocal(g, _float_u(args.u), args.which, args.route)
+        spectral = zeta.spectral_zeta_reciprocal(g, u, args.which, args.route)
     if args.method in ("charpoly", "both"):
         charpoly = zeta.charpoly_zeta_reciprocal(g, u, args.which)
 
@@ -246,7 +237,7 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_torus_limit(args: argparse.Namespace) -> int:
-    u = _float_u(args.u)
+    u = limits.to_double(Fraction(args.u))
     _check_ihara_margin(args, u)
     value = limits.torus_limit_zeta_reciprocal(
         args.d, u, args.which, args.grid, args.allow_high_dimension
@@ -269,7 +260,7 @@ def _cmd_torus_limit(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     sides = _parse_sides(args.N)
-    u = _float_u(args.u)
+    u = limits.to_double(Fraction(args.u))
     _check_ihara_margin(args, u)
     study = limits.convergence_study(
         args.d,

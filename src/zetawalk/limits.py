@@ -10,13 +10,24 @@ with the integral taken against the uniform product measure. The quadrature
 here is the periodic trapezoid rule, which for these integrands is a plain
 average over a uniform grid; on grid G it reproduces the side-G torus value
 exactly, because the grid eigenvalue multiset is the side-G spectrum.
+
+One enumerator, `_grid_sums`, lists sum_j cos(2 pi k_j / G) over the grid
+in lexicographic order of k, adding the axis terms in axis order. The
+closed-form spectra and the finite torus take it over all d axes. The
+quadrature takes it over the first d - 1 axes and adds the last axis in
+fixed blocks of rows: each row of G points is summed by numpy, and the row
+sums by `math.fsum`, so the result does not depend on the block size.
+
+`vertex_factor_coefficients` is the one table of the four Konno-Sato
+vertex factors, in exact integers; the float line `vertex_factor` and the
+exact check `zeta.konno_sato_check` both read it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -25,11 +36,12 @@ from .errors import FamilyParameterError, ZetaDomainError
 from .graphs import Graph
 
 __all__ = [
-    "SpectrumList",
     "ConvergenceRow",
     "ConvergenceStudy",
     "graph_spectrum",
+    "vertex_factor_coefficients",
     "vertex_factor",
+    "to_double",
     "torus_spectrum",
     "torus_prefactor",
     "finite_torus_zeta_reciprocal",
@@ -42,26 +54,13 @@ __all__ = [
 
 DIMENSION_CAP = 4
 MIN_GRID = 8
+# grid points per quadrature block; bounds memory, does not change the result
+_BLOCK_POINTS = 2**15
 
 _OPERATORS = ("adjacency", "transition", "laplacian")
 
 
-@dataclass(frozen=True)
-class SpectrumList:
-    """Eigenvalues of one vertex operator, tagged with their provenance."""
-
-    operator: str
-    source: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.operator not in _OPERATORS:
-            raise ValueError(f"unknown operator {self.operator!r}")
-        if self.source not in ("numeric", "closed-form"):
-            raise ValueError(f"unknown source {self.source!r}")
-
-
-def graph_spectrum(graph: Graph, operator: str = "transition") -> SpectrumList:
+def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, ...]:
     """Ascending eigenvalues of the adjacency, transition, or Laplacian matrix.
 
     The transition matrix D^-1 A is similar to the symmetric normalization
@@ -82,8 +81,7 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> SpectrumList:
         sym = a * inv_sqrt[:, None] * inv_sqrt[None, :]
     else:
         sym = np.diag(np.array(graph.degree_profile, dtype=float)) - a
-    values = np.linalg.eigvalsh(sym)
-    return SpectrumList(operator=operator, source="numeric", values=tuple(values.tolist()))
+    return tuple(np.linalg.eigvalsh(sym).tolist())
 
 
 def _check_torus_dimension(d: int, allow_high_dimension: bool) -> None:
@@ -106,7 +104,7 @@ def _check_torus_params(d: int, n: int, allow_high_dimension: bool) -> None:
 
 def torus_spectrum(
     d: int, n: int, operator: str = "transition", allow_high_dimension: bool = False
-) -> SpectrumList:
+) -> tuple[float, ...]:
     """Closed-form spectrum of the side-n d-dimensional discrete torus.
 
     Values are listed in lexicographic order of the lattice point
@@ -114,56 +112,74 @@ def torus_spectrum(
     2 * sum_j cos(2 pi k_j / n), the transition eigenvalue is that divided
     by the degree 2d, and the Laplacian eigenvalue is 2d minus it.
     """
-    values = _torus_values(d, n, operator, allow_high_dimension)
-    return SpectrumList(
-        operator=operator, source="closed-form", values=tuple(values.tolist())
-    )
-
-
-def _torus_values(
-    d: int, n: int, operator: str, allow_high_dimension: bool
-) -> np.ndarray:
     if operator not in _OPERATORS:
         raise ValueError(f"unknown operator {operator!r}; pick one of {_OPERATORS}")
     _check_torus_params(d, n, allow_high_dimension)
-    axis = np.cos(2.0 * np.pi * np.arange(n) / n)
-    total = axis
-    for _ in range(d - 1):
-        total = total[..., None] + axis
-    total = total.reshape(-1)
+    total = _grid_sums(d, n)
     if operator == "adjacency":
-        return 2.0 * total
-    if operator == "transition":
-        return total / d
-    return 2.0 * (d - total)
+        total = 2.0 * total
+    elif operator == "transition":
+        total = total / d
+    else:
+        total = 2.0 * (d - total)
+    return tuple(total.tolist())
 
 
-def vertex_factor(
-    u: float, q: int, which: str, route: str = "transition"
-) -> tuple[float, float]:
-    """The Konno-Sato vertex factor of a (q+1)-regular graph as a line (a, b).
+def _grid_sums(d: int, g: int) -> np.ndarray:
+    """sum_j cos(2 pi k_j / g) over k in {0..g-1}^d, flat in lexicographic order.
 
-    At an eigenvalue lam of the route's operator the factor is a + b * lam:
+    The axis terms are added in axis order; d = 0 gives the one empty sum 0.
+    """
+    axis = np.cos(2.0 * np.pi * np.arange(g) / g)
+    total = np.zeros(1)
+    for _ in range(d):
+        total = (total[:, None] + axis).reshape(-1)
+    return total
 
-        grover, transition:   (1 + u^2) - 2u lam
-        grover, laplacian:    (1 - 2u + u^2) + (2u / (q + 1)) lam
-        ihara, transition:    (1 + q u^2) - (q + 1) u lam
-        ihara, laplacian:     (1 - (q + 1) u + q u^2) + u lam
 
-    Negating the slope is exact, so a + b * lam rounds exactly as the
-    subtractions written above do.
+def vertex_factor_coefficients(
+    q: int, which: str, route: str = "transition"
+) -> tuple[int, int, int, int]:
+    """The Konno-Sato vertex factor of a (q+1)-regular graph, in integers.
+
+    Returns (a1, a2, b_num, b_den): at an eigenvalue lam of the route's
+    operator (the transition matrix P or the Laplacian D - A) the factor is
+    1 + a1 u + a2 u^2 + (b_num / b_den) u lam. Konno & Sato, Quantum Inf.
+    Process. 11 (2012) 341.
     """
     if which not in ("grover", "ihara"):
         raise ValueError(f"kind must be grover or ihara, not {which!r}")
     if route not in ("transition", "laplacian"):
         raise ValueError(f"route must be transition or laplacian, not {route!r}")
-    if which == "grover":
-        if route == "transition":
-            return 1.0 + u * u, -2.0 * u
-        return 1.0 - 2.0 * u + u * u, 2.0 * u / (q + 1)
-    if route == "transition":
-        return 1.0 + q * u * u, -(q + 1) * u
-    return 1.0 - (q + 1) * u + q * u * u, u
+    return {
+        ("grover", "transition"): (0, 1, -2, 1),
+        ("grover", "laplacian"): (-2, 1, 2, q + 1),
+        ("ihara", "transition"): (0, q, -(q + 1), 1),
+        ("ihara", "laplacian"): (-(q + 1), q, 1, 1),
+    }[which, route]
+
+
+def vertex_factor(
+    u: float, q: int, which: str, route: str = "transition"
+) -> tuple[float, float]:
+    """The vertex factor of `vertex_factor_coefficients` as a float line (a, b).
+
+    At an eigenvalue lam of the route's operator the factor is a + b * lam.
+    A zero coefficient adds a signed zero and a unit one multiplies exactly,
+    so a and b round exactly as the factors written out term by term do.
+    """
+    a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
+    return 1.0 + a1 * u + a2 * u * u, b_num * u / b_den
+
+
+def to_double(u: float | Fraction) -> float:
+    """u as a double; ZetaDomainError when it lies beyond the double range."""
+    try:
+        return float(u)
+    except OverflowError:
+        x = Fraction(u)
+        log2 = math.log2(abs(x.numerator)) - math.log2(x.denominator)
+        raise ZetaDomainError(f"|u| is about 2^{log2:.1f}, outside the double range") from None
 
 
 def torus_prefactor(d: int, u: float) -> float:
@@ -172,7 +188,7 @@ def torus_prefactor(d: int, u: float) -> float:
     The exponent is (m - nu)/nu for the side-N torus, which equals d - 1
     independently of N. Raises ZetaDomainError when it overflows.
     """
-    u = float(u)
+    u = to_double(u)
     try:
         value = math.pow(1.0 - u * u, d - 1)
     except OverflowError:
@@ -236,9 +252,9 @@ def finite_torus_zeta_reciprocal(
     outside the positivity domain or beyond the double range.
     """
     _check_torus_params(d, n, allow_high_dimension)
-    u = float(u)
+    u = to_double(u)
     a, b = _check_domain(d, u, which)
-    lams = _torus_values(d, n, "transition", allow_high_dimension)
+    lams = _grid_sums(d, n) / d
     mean_log = math.fsum(np.log(a + b * lams)) / float(n**d)
     return _assemble(d, u, mean_log)
 
@@ -252,22 +268,23 @@ def torus_limit_log_mean(
     lambda(theta) = (1/d) sum_j cos theta_j over [0, 2 pi]^d with the uniform
     product measure, integrated by the periodic trapezoid rule on a grid of
     `grid` points per axis. Periodicity makes the trapezoid rule a plain
-    average over the grid, evaluated here one axis-0 slice at a time.
+    average over the grid, summed in blocks of rows along the last axis.
     Raises ZetaDomainError, before any grid work, where a factor is not
     positive or a factor or the prefactor overflows.
     """
     _check_torus_dimension(d, allow_high_dimension)
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
-    u = float(u)
+    u = to_double(u)
     a, b = _check_domain(d, u, which)
-    cos_axis = np.cos(2.0 * np.pi * np.arange(grid) / grid)
-    block_sums = []
-    for head in itertools.product(range(grid), repeat=d - 1):
-        partial = sum(cos_axis[i] for i in head)
-        lams = (partial + cos_axis) / d
-        block_sums.append(float(np.sum(np.log(a + b * lams))))
-    return math.fsum(block_sums) / float(grid**d)
+    heads = _grid_sums(d - 1, grid)
+    axis = _grid_sums(1, grid)
+    rows = max(1, _BLOCK_POINTS // grid)
+    row_sums = np.empty(heads.size)
+    for start in range(0, heads.size, rows):
+        lams = (heads[start:start + rows, None] + axis) / d
+        row_sums[start:start + rows] = np.log(a + b * lams).sum(axis=1)
+    return math.fsum(row_sums) / float(grid**d)
 
 
 def torus_limit_zeta_reciprocal(
@@ -281,6 +298,7 @@ def torus_limit_zeta_reciprocal(
     because the quadrature nodes reproduce its spectrum. Raises
     ZetaDomainError outside the positivity domain or beyond the double range.
     """
+    u = to_double(u)
     mean = torus_limit_log_mean(d, u, which, grid, allow_high_dimension)
     return _assemble(d, u, mean)
 
@@ -335,6 +353,7 @@ def convergence_study(
             f"reference grid {reference_grid} must be at least four times "
             f"the largest side ({4 * max(sides)})"
         )
+    u = to_double(u)
     reference = torus_limit_zeta_reciprocal(
         d, u, which, reference_grid, allow_high_dimension
     )
@@ -344,7 +363,7 @@ def convergence_study(
         rows.append(ConvergenceRow(n=n, value=value, abs_error=abs(value - reference)))
     return ConvergenceStudy(
         d=d,
-        u=float(u),
+        u=u,
         which=which,
         reference_grid=reference_grid,
         reference_value=reference,

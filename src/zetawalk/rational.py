@@ -137,21 +137,6 @@ class RatMatrix:
             out._rowdata[i] = {j: value for j, value in acc.items() if value}
         return out
 
-    def __pow__(self, exponent: int) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("matrix power requires a square matrix")
-        if exponent < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = RatMatrix.identity(self.rows)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base if e > 1 else base
-            e >>= 1
-        return result
-
     def transpose(self) -> "RatMatrix":
         out = RatMatrix(self.cols, self.rows)
         for i, rd in enumerate(self._rowdata):

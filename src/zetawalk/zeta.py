@@ -26,7 +26,7 @@ from .errors import (
     ZetaDomainError,
 )
 from .graphs import ArcSpace, Graph, arc_space
-from .limits import graph_spectrum, vertex_factor
+from .limits import graph_spectrum, to_double, vertex_factor, vertex_factor_coefficients
 from .operators import (
     adjacency,
     degree_matrix,
@@ -193,47 +193,31 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     """Verify the four Konno-Sato identities as exact polynomial equalities.
 
     For a (q+1)-regular graph with nu vertices and m edges, the left sides
-    are det(I - uU) and det(I - uU+) on the arc space; the right sides
-    factor through the transition spectrum,
-
-        (1 - u^2)^(m - nu) det((1 + u^2) I - 2u P),
-        (1 - u^2)^(m - nu) det((1 + q u^2) I - (q + 1) u P),
-
-    or equivalently through the Laplacian,
-
-        (1 - u^2)^(m - nu) det((1 - 2u + u^2) I + (2u / (q + 1)) L),
-        (1 - u^2)^(m - nu) det((1 - (q+1) u + q u^2) I + u L).
+    are det(I - uU) (grover kind) and det(I - uU+) (ihara kind) on the arc
+    space. Each right side is (1 - u^2)^(m - nu) det(I + u B1 + u^2 B2),
+    with B1 = a1 I + b M and B2 = a2 I taken from
+    `limits.vertex_factor_coefficients`, where M is the transition matrix P
+    or the Laplacian D - A of the route.
     """
     _require_regular(graph, "Konno-Sato factorization")
     q = graph.regular_degree - 1
     n = graph.num_vertices
     eye = RatMatrix.identity(n)
-    p_mat = transition(graph)
-    lap = laplacian(graph)
     cocycle = one_minus_u_squared_pow(graph.num_edges - n)
 
     arcs = arc_space(graph)
-    lhs_grover = det_i_minus_u(grover(graph, arcs))
-    lhs_ihara = det_i_minus_u(grover_positive_support(graph, arcs))
-
-    # (B1, B2) of each vertex factor det(I + u B1 + u^2 B2)
-    vertex_factors = {
-        "grover-transition": (p_mat * Fraction(-2), eye),
-        "ihara-transition": (p_mat * Fraction(-(q + 1)), eye * Fraction(q)),
-        "grover-laplacian": (lap * Fraction(2, q + 1) - eye * Fraction(2), eye),
-        "ihara-laplacian": (lap - eye * Fraction(q + 1), eye * Fraction(q)),
-    }
-    sides = {
-        "grover-transition": lhs_grover,
-        "ihara-transition": lhs_ihara,
-        "grover-laplacian": lhs_grover,
-        "ihara-laplacian": lhs_ihara,
+    left_sides = {
+        "grover": det_i_minus_u(grover(graph, arcs)),
+        "ihara": det_i_minus_u(grover_positive_support(graph, arcs)),
     }
     checks = []
-    for tag, (b1, b2) in vertex_factors.items():
-        rhs = cocycle * _quadratic_pencil_det(b1, b2)
-        lhs = sides[tag]
-        checks.append(IdentityCheck(tag=tag, holds=lhs == rhs, lhs=lhs, rhs=rhs))
+    for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):
+        for which, lhs in left_sides.items():
+            a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
+            b1 = eye * a1 + mat * Fraction(b_num, b_den)
+            rhs = cocycle * _quadratic_pencil_det(b1, eye * a2)
+            tag = f"{which}-{route}"
+            checks.append(IdentityCheck(tag=tag, holds=lhs == rhs, lhs=lhs, rhs=rhs))
     return KonnoSatoReport(
         graph_summary=graph.summary(),
         regular_degree=graph.regular_degree,
@@ -385,13 +369,13 @@ def spectral_zeta_reciprocal(
     _require_regular(graph, "generalized zeta evaluation")
     _require_vertex_transitive(graph, "generalized zeta evaluation")
     q = graph.regular_degree - 1
-    u = float(u)
+    u = to_double(u)
     a, b = vertex_factor(u, q, which, route)
     if 1.0 - u * u <= 0.0:
         raise ZetaDomainError(
             f"prefactor base 1 - u^2 = {1.0 - u * u} is not positive at u = {u}"
         )
-    spectrum = graph_spectrum(graph, route).values
+    spectrum = graph_spectrum(graph, route)
     factors = [a + b * lam for lam in spectrum]
     for lam, factor in zip(spectrum, factors):
         if factor <= 0.0:
@@ -408,19 +392,20 @@ def charpoly_zeta_reciprocal(graph: Graph, u: Fraction, which: str = "grover") -
 
     Evaluates det(I - uU) (or det(I - uU+) for the Ihara kind) exactly at
     the rational point u and returns the positive real nu-th root. Raises
-    ZetaDomainError when the determinant value is not strictly positive.
+    ZetaDomainError when the determinant value is not strictly positive or
+    the root is beyond the double range.
     """
     _require_regular(graph, "generalized zeta evaluation")
     _require_vertex_transitive(graph, "generalized zeta evaluation")
-    vertex_factor(0.0, graph.regular_degree - 1, which)  # rejects an unknown kind
-    if which == "grover":
-        p = grover_zeta_reciprocal(graph)
-    else:
-        p = ihara_reciprocal_edge(graph)
-    value = p.eval_exact(Fraction(u))
+    vertex_factor_coefficients(graph.regular_degree - 1, which)  # rejects an unknown kind
+    reciprocal = grover_zeta_reciprocal if which == "grover" else ihara_reciprocal_edge
+    value = reciprocal(graph).eval_exact(Fraction(u))
     if value <= 0:
+        # neither value nor u is written out: either may have more digits
+        # than str() converts
+        sign = "zero" if value == 0 else "negative"
         raise ZetaDomainError(
-            f"determinant value {value} at u = {u} is not positive; "
+            f"determinant value at this u is {sign}, not positive; "
             f"no positive real root exists"
         )
     # float(value) underflows (or overflows) outside about 1e-308..1e308;
@@ -428,7 +413,10 @@ def charpoly_zeta_reciprocal(graph: Graph, u: Fraction, which: str = "grover") -
     e = value.numerator.bit_length() - value.denominator.bit_length()
     shift = e if abs(e) > 1000 else 0
     log_value = math.log(value / Fraction(2) ** shift) + shift * math.log(2)
-    return math.exp(log_value / graph.num_vertices)
+    try:
+        return math.exp(log_value / graph.num_vertices)
+    except OverflowError:
+        raise ZetaDomainError("the nu-th root at this u is beyond the double range") from None
 
 
 def _require_regular(graph: Graph, purpose: str) -> None:

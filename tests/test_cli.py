@@ -311,7 +311,18 @@ def test_u_beyond_double_range_exits_2(capsys, k4_path, argv):
     code, out, err = run_cli(capsys, [arg.format(k4=k4_path) for arg in argv])
     assert code == 2
     assert out == ""
-    assert err == "error: --u 1e400 is outside the double range\n"
+    assert err == "error: |u| is about 2^1328.8, outside the double range\n"
+
+
+def test_charpoly_determinant_too_long_to_print_exits_2(capsys, tmp_path):
+    path = str(tmp_path / "petersen.json")
+    assert entrypoint(["gen", "--family", "petersen", "--out", path]) == 0
+    argv = ["zeta-eval", "--graph", path, "--u", "1e400", "--method", "charpoly"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not positive" in err
 
 
 @pytest.mark.parametrize(

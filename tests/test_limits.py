@@ -1,11 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from zetawalk import (
     ConvergenceStudy,
     FamilyParameterError,
-    SpectrumList,
     ZetaDomainError,
     convergence_study,
     finite_torus_zeta_reciprocal,
@@ -18,6 +18,7 @@ from zetawalk import (
     torus_prefactor,
     torus_spectrum,
 )
+from zetawalk.limits import vertex_factor, vertex_factor_coefficients
 
 TORI = [(1, 5), (2, 3), (2, 4), (3, 3)]
 
@@ -27,24 +28,24 @@ def test_torus_spectrum_counts_and_ranges(d, n):
     p_spec = torus_spectrum(d, n, "transition")
     l_spec = torus_spectrum(d, n, "laplacian")
     a_spec = torus_spectrum(d, n, "adjacency")
-    assert len(p_spec.values) == n**d
-    assert p_spec.source == "closed-form"
-    assert all(-1.0 - 1e-12 <= x <= 1.0 + 1e-12 for x in p_spec.values)
-    assert all(-1e-12 <= x <= 4 * d + 1e-12 for x in l_spec.values)
+    assert isinstance(p_spec, tuple)
+    assert len(p_spec) == n**d
+    assert all(-1.0 - 1e-12 <= x <= 1.0 + 1e-12 for x in p_spec)
+    assert all(-1e-12 <= x <= 4 * d + 1e-12 for x in l_spec)
     # same lex-k order, so the three spectra correspond entry by entry
-    for lp, ll, la in zip(p_spec.values, l_spec.values, a_spec.values):
+    for lp, ll, la in zip(p_spec, l_spec, a_spec):
         assert ll == pytest.approx(2 * d * (1.0 - lp), abs=1e-12)
         assert la == pytest.approx(2 * d * lp, abs=1e-12)
 
 
 def test_one_dimensional_side_four_transition_spectrum():
-    values = sorted(torus_spectrum(1, 4, "transition").values)
+    values = sorted(torus_spectrum(1, 4, "transition"))
     assert values == pytest.approx([-1.0, 0.0, 0.0, 1.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("d, n", TORI)
 def test_transition_spectrum_has_zero_mean(d, n):
-    values = torus_spectrum(d, n, "transition").values
+    values = torus_spectrum(d, n, "transition")
     assert math.fsum(values) == pytest.approx(0.0, abs=1e-10)
     assert max(values) == pytest.approx(1.0, abs=1e-12)
 
@@ -52,18 +53,14 @@ def test_transition_spectrum_has_zero_mean(d, n):
 @pytest.mark.parametrize("d, n", TORI)
 @pytest.mark.parametrize("operator", ["adjacency", "transition", "laplacian"])
 def test_closed_form_spectrum_matches_numeric_diagonalization(d, n, operator):
-    closed = sorted(torus_spectrum(d, n, operator).values)
-    numeric = sorted(graph_spectrum(torus_graph(d, n), operator).values)
+    closed = sorted(torus_spectrum(d, n, operator))
+    numeric = sorted(graph_spectrum(torus_graph(d, n), operator))
     assert len(closed) == len(numeric)
     for a, b in zip(closed, numeric):
         assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_spectrum_list_validation():
-    with pytest.raises(ValueError):
-        SpectrumList(operator="grover", source="numeric", values=(0.0,))
-    with pytest.raises(ValueError):
-        SpectrumList(operator="transition", source="guessed", values=(0.0,))
     with pytest.raises(ValueError):
         torus_spectrum(2, 3, "shift")
     with pytest.raises(ValueError):
@@ -72,7 +69,7 @@ def test_spectrum_list_validation():
 
 @pytest.mark.parametrize("which", ["grover", "ihara"])
 @pytest.mark.parametrize(
-    "d, u, grid", [(1, 0.3, 8), (2, 0.2, 12), (2, -0.15, 9), (3, 0.1, 8)]
+    "d, u, grid", [(1, 0.3, 8), (2, 0.2, 12), (2, -0.15, 9), (3, 0.1, 8), (4, 0.1, 8)]
 )
 def test_quadrature_on_grid_g_equals_side_g_torus(which, d, u, grid):
     # The trapezoid nodes on grid G enumerate the side-G torus spectrum, so
@@ -91,7 +88,7 @@ def test_even_side_grover_value_is_even_in_u(n):
 
 def test_finite_torus_assembles_prefactor_and_spectral_average():
     d, n, u = 2, 5, 0.2
-    values = torus_spectrum(d, n, "transition").values
+    values = torus_spectrum(d, n, "transition")
     q = 2 * d - 1
     mean_log = math.fsum(
         math.log((1 + q * u * u) - (q + 1) * u * lam) for lam in values
@@ -165,6 +162,45 @@ def test_torus_overflow_is_a_domain_error():
     assert math.isfinite(torus_limit_zeta_reciprocal(2, 1e50, grid=8))
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda u: spectral_zeta_reciprocal(petersen_graph(), u),
+        lambda u: torus_prefactor(2, u),
+        lambda u: finite_torus_zeta_reciprocal(2, 4, u),
+        lambda u: torus_limit_log_mean(2, u, grid=8),
+        lambda u: torus_limit_zeta_reciprocal(2, u, grid=8),
+        lambda u: convergence_study(2, u, [4]),
+    ],
+)
+def test_u_beyond_double_range_is_a_domain_error(evaluate):
+    with pytest.raises(ZetaDomainError, match=r"about 2\^1328\.8, outside the double range"):
+        evaluate(Fraction(10**400))
+
+
+# the four Konno-Sato vertex factors, written out term by term
+KONNO_SATO_FACTORS = {
+    ("grover", "transition"): lambda u, q, lam: 1 + u * u - 2 * u * lam,
+    ("grover", "laplacian"): lambda u, q, lam: 1 - 2 * u + u * u + Fraction(2, q + 1) * u * lam,
+    ("ihara", "transition"): lambda u, q, lam: 1 + q * u * u - (q + 1) * u * lam,
+    ("ihara", "laplacian"): lambda u, q, lam: 1 - (q + 1) * u + q * u * u + u * lam,
+}
+
+
+@pytest.mark.parametrize("which, route", list(KONNO_SATO_FACTORS))
+def test_factor_table_gives_the_konno_sato_factors_and_the_float_line(which, route):
+    for q in range(1, 7):
+        a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
+        slope = Fraction(b_num, b_den)
+        for u in (Fraction(1, 5), Fraction(-3, 7), Fraction(9, 10), Fraction(5, 2)):
+            a, b = vertex_factor(float(u), q, which, route)
+            scale = 1 + abs(a1 * u) + abs(a2 * u * u) + abs(slope * u)
+            for lam in (-1, 0, 1):
+                exact = 1 + a1 * u + a2 * u * u + slope * u * lam
+                assert exact == KONNO_SATO_FACTORS[which, route](u, q, lam)
+                assert abs(Fraction(a + b * lam) - exact) <= 8 * 2.0**-52 * scale
+
+
 def test_ihara_kind_domain_boundary():
     # d = 2 gives q = 3: admissible positive u end at 1/q.
     assert finite_torus_zeta_reciprocal(2, 5, 0.3, "ihara") > 0.0
@@ -191,7 +227,7 @@ def test_parameter_validation():
 
 def test_high_dimension_override():
     spec = torus_spectrum(5, 3, allow_high_dimension=True)
-    assert len(spec.values) == 243
+    assert len(spec) == 243
     value = torus_limit_zeta_reciprocal(
         5, 0.05, "grover", grid=8, allow_high_dimension=True
     )

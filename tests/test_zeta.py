@@ -256,6 +256,13 @@ def test_charpoly_domain_error_at_the_unit_root():
         charpoly_zeta_reciprocal(complete_graph(4), Fraction(1))
 
 
+def test_charpoly_domain_error_at_a_determinant_too_long_to_print():
+    # det(I - uU) at u = 10^400 has about 12,000 digits, beyond what str()
+    # converts, so the message must not write it out
+    with pytest.raises(ZetaDomainError, match="negative, not positive"):
+        charpoly_zeta_reciprocal(petersen_graph(), Fraction(10**400))
+
+
 def test_charpoly_evaluation_below_float_range():
     # det(I - uU) on torus(2,4) at u = 1 - 10^-20 is about 1e-346, below the
     # smallest float. The reference is the closed-form Konno-Sato product
@@ -269,6 +276,12 @@ def test_charpoly_evaluation_above_float_range():
     # on K4, det(I - uU) = u^12 (1 + O(1/u)) with det U = 1, about 1e360 here
     value = charpoly_zeta_reciprocal(complete_graph(4), Fraction(10**30))
     assert math.isclose(value, 1e90, rel_tol=1e-14)
+
+
+def test_charpoly_root_beyond_float_range_is_a_domain_error():
+    # on K4 the root is about u^(12/4) = 10^1200
+    with pytest.raises(ZetaDomainError, match="beyond the double range"):
+        charpoly_zeta_reciprocal(complete_graph(4), Fraction(10**400))
 
 
 def test_kind_and_route_validation():
