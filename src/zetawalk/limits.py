@@ -173,13 +173,16 @@ def vertex_factor(
 
 
 def to_double(u: float | Fraction) -> float:
-    """u as a double; ZetaDomainError when it lies beyond the double range."""
+    """u as a double; ZetaDomainError when it is NaN or beyond the double range."""
     try:
-        return float(u)
+        value = float(u)
     except OverflowError:
         x = Fraction(u)
         log2 = math.log2(abs(x.numerator)) - math.log2(x.denominator)
         raise ZetaDomainError(f"|u| is about 2^{log2:.1f}, outside the double range") from None
+    if math.isnan(value):
+        raise ZetaDomainError("u is NaN, not a number")
+    return value
 
 
 def torus_prefactor(d: int, u: float) -> float:

@@ -1,13 +1,18 @@
-"""Exact univariate polynomials over big rationals, and the exact kernel.
+"""Exact univariate polynomials over big rationals, and the two exact kernels.
 
-Every exact determinant in the package is det(I - u*M) for a square
-rational matrix M, computed by `det_i_minus_u`: M is scaled to an integer
-matrix, its characteristic polynomial is found modulo 31-bit primes by
-Hessenberg reduction (Cohen, A Course in Computational Algebraic Number
-Theory, GTM 138, section 2.2), and the residues are combined by the Chinese
-remainder theorem with symmetric residues (von zur Gathen and Gerhard,
-Modern Computer Algebra, chapter 5). An eigenvalue bound fixes the number
-of primes, so the result is exact for every input.
+Both kernels first scale a square rational matrix M to the integer matrix
+L*M, with L the lcm of its denominators.
+
+Every exact determinant in the package is det(I - u*M), computed by
+`det_i_minus_u`: the characteristic polynomial of L*M is found modulo 31-bit
+primes by Hessenberg reduction (Cohen, A Course in Computational Algebraic
+Number Theory, GTM 138, section 2.2), and the residues are combined by the
+Chinese remainder theorem with symmetric residues (von zur Gathen and
+Gerhard, Modern Computer Algebra, chapter 5). An eigenvalue bound fixes the
+number of primes, so the result is exact for every input.
+
+Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r from
+integer powers of L*M; Python ints keep it exact with no bound needed.
 """
 
 from __future__ import annotations
@@ -144,15 +149,12 @@ def det_i_minus_u(matrix: RatMatrix) -> Poly:
     if matrix.rows != matrix.cols:
         raise ValueError("det(I - u*M) requires a square matrix")
     n = matrix.rows
-    items = list(matrix.nonzero_items())
-    scale = 1
-    for _, _, value in items:
-        scale = math.lcm(scale, value.denominator)
-    rows = np.array([i for i, _, _ in items], dtype=np.intp)
-    cols = np.array([j for _, j, _ in items], dtype=np.intp)
-    values = [value.numerator * (scale // value.denominator) for _, _, value in items]
+    scale, entries = _cleared(matrix)
+    rows = np.array([i for i, _, _ in entries], dtype=np.intp)
+    cols = np.array([j for _, j, _ in entries], dtype=np.intp)
+    values = [value for _, _, value in entries]
     row_sums = [0] * n
-    for (i, _, _), value in zip(items, values):
+    for i, _, value in entries:
         row_sums[i] += abs(value)
     # rho bounds every eigenvalue of L*M, so |c_k| <= C(n, k) * rho^k
     rho = max(row_sums)
@@ -168,6 +170,54 @@ def det_i_minus_u(matrix: RatMatrix) -> Poly:
         a[rows, cols] = [value % p for value in values]
         residues.append(_charpoly_mod(a, p))
     return Poly(Fraction(c, scale**k) for k, c in enumerate(_crt(residues, primes, modulus)))
+
+
+def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
+    """Exact traces Tr M^1, ..., Tr M^r_max of a square rational matrix M.
+
+    With L the lcm of the entry denominators, Tr M^r = Tr (L*M)^r / L^r.
+    The powers of L*M are taken with Python ints in sparse rows, each step
+    multiplying the last power by L*M, so only the r_max traces are ever
+    divided. Independent of `det_i_minus_u` and `log_series`, which give
+    the same numbers through Newton's identities.
+    """
+    if matrix.rows != matrix.cols:
+        raise ValueError("trace powers require a square matrix")
+    if r_max < 0:
+        raise ValueError("r_max must be non-negative")
+    scale, entries = _cleared(matrix)
+    base: list[dict[int, int]] = [{} for _ in range(matrix.rows)]
+    for i, j, value in entries:
+        base[i][j] = value
+    traces = []
+    power = base
+    for r in range(1, r_max + 1):
+        if r > 1:
+            power = [_row_times(row, base) for row in power]
+        traces.append(Fraction(sum(row.get(i, 0) for i, row in enumerate(power)), scale**r))
+    return tuple(traces)
+
+
+def _row_times(row: dict[int, int], base: list[dict[int, int]]) -> dict[int, int]:
+    """The sparse row vector ``row`` times the sparse matrix ``base``."""
+    acc: dict[int, int] = {}
+    for k, value in row.items():
+        for j, w in base[k].items():
+            acc[j] = acc.get(j, 0) + value * w
+    return {j: value for j, value in acc.items() if value}
+
+
+def _cleared(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:
+    """The lcm L of the entry denominators, and the nonzero entries of L*M.
+
+    Entries come as (i, j, integer) sorted by (i, j). This is the one place
+    that clears a matrix to integers, for both exact kernels.
+    """
+    items = list(matrix.nonzero_items())
+    scale = 1
+    for _, _, value in items:
+        scale = math.lcm(scale, value.denominator)
+    return scale, [(i, j, value.numerator * (scale // value.denominator)) for i, j, value in items]
 
 
 _PRIMES: list[int] = []

@@ -1,9 +1,10 @@
 """Exact matrices over big rationals.
 
 Matrices are stored sparsely (one dict of nonzero entries per row) and are
-immutable by convention: all operations return new matrices. Determinants
-are not taken here: `polynomials.det_i_minus_u` is the package's one exact
-determinant.
+immutable by convention: all operations return new matrices. Neither
+determinants nor traces are taken here: the exact kernels in `polynomials`
+(`det_i_minus_u` and `trace_powers`) clear a matrix to integers and work on
+that. The product `@` remains for operator assembly (the Grover matrix S C).
 """
 
 from __future__ import annotations
@@ -143,11 +144,6 @@ class RatMatrix:
             for j, value in rd.items():
                 out._rowdata[j][i] = value
         return out
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace requires a square matrix")
-        return sum((rd.get(i, Fraction(0)) for i, rd in enumerate(self._rowdata)), Fraction(0))
 
     def row_sums(self) -> list[Fraction]:
         return [sum(rd.values(), Fraction(0)) for rd in self._rowdata]

@@ -6,8 +6,9 @@ through the positive support, and the Ihara-Bass vertex form
 (1 - u^2)^(m - nu) det(I - uA + u^2 (D - I)). For regular graphs the
 Konno-Sato theorem factors the two arc determinants through the transition
 or Laplacian spectrum; `konno_sato_check` verifies all four identities as
-exact polynomial equalities. Cycle counts come from operator traces, with
-an independent brute-force oracle for cross-checking, and the generalized
+exact polynomial equalities. Cycle counts are exact traces of operator
+powers (`polynomials.trace_powers`, integer powers of the cleared matrix),
+with an independent brute-force oracle for cross-checking, and the generalized
 zeta (the nu-th root normalization) is evaluated numerically from vertex
 spectra.
 """
@@ -35,7 +36,13 @@ from .operators import (
     laplacian,
     transition,
 )
-from .polynomials import Poly, det_i_minus_u, log_series, one_minus_u_squared_pow
+from .polynomials import (
+    Poly,
+    det_i_minus_u,
+    log_series,
+    one_minus_u_squared_pow,
+    trace_powers,
+)
 from .rational import RatMatrix
 
 __all__ = [
@@ -231,7 +238,7 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
         raise ValueError("r_max must be at least 1")
     arcs = arc_space(graph)
     u_mat = grover(graph, arcs)
-    return SeriesCoefficients(kind="weighted", counts=_trace_powers(u_mat, r_max))
+    return SeriesCoefficients(kind="weighted", counts=trace_powers(u_mat, r_max))
 
 
 def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
@@ -240,7 +247,7 @@ def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
         raise ValueError("r_max must be at least 1")
     arcs = arc_space(graph)
     up = grover_positive_support(graph, arcs)
-    return SeriesCoefficients(kind="reduced", counts=_trace_powers(up, r_max))
+    return SeriesCoefficients(kind="reduced", counts=trace_powers(up, r_max))
 
 
 def rooted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
@@ -256,15 +263,6 @@ def rooted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     return SeriesCoefficients(
         kind="rooted", counts=tuple(c / nu for c in total.counts)
     )
-
-
-def _trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
-    counts = []
-    power = matrix
-    for _ in range(r_max):
-        counts.append(power.trace())
-        power = power @ matrix
-    return tuple(counts)
 
 
 def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoefficients:

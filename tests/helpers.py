@@ -1,7 +1,8 @@
 """Independent oracles for cross-checking the package's exact routines.
 
 Everything here is deliberately naive: plain fraction Gaussian elimination
-instead of the package's multi-modular kernel, list convolutions instead of
+instead of the package's multi-modular kernel, dense fraction matrix
+products instead of its integer trace powers, list convolutions instead of
 the Poly class. Slower, but sharing no code with the implementations under test.
 """
 
@@ -49,6 +50,29 @@ def det_i_minus_t_times(matrix: RatMatrix, t: Fraction) -> Fraction:
         for j in range(n):
             a[i][j] = (Fraction(1) if i == j else Fraction(0)) - t * a[i][j]
     return gauss_det(a)
+
+
+def naive_trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
+    """Tr M^r for r = 1..r_max by textbook products of dense fraction lists."""
+    m = dense(matrix)
+    n = len(m)
+    # the nonzero (column, value) pairs of each row of M, so a product
+    # skips the zero entries of M
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    power = m
+    traces = []
+    for r in range(1, r_max + 1):
+        if r > 1:
+            product = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for k in range(n):
+                    a = power[i][k]
+                    if a:
+                        for j, x in nonzero[k]:
+                            product[i][j] += a * x
+            power = product
+        traces.append(sum((power[i][i] for i in range(n)), Fraction(0)))
+    return tuple(traces)
 
 
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -178,6 +178,24 @@ def test_u_beyond_double_range_is_a_domain_error(evaluate):
         evaluate(Fraction(10**400))
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda u: spectral_zeta_reciprocal(petersen_graph(), u),
+        lambda u: torus_prefactor(2, u),
+        lambda u: finite_torus_zeta_reciprocal(2, 4, u),
+        lambda u: torus_limit_log_mean(2, u, grid=8),
+        lambda u: torus_limit_zeta_reciprocal(2, u, grid=8),
+        lambda u: convergence_study(2, u, [4]),
+    ],
+)
+def test_nan_u_is_a_domain_error_naming_nan(evaluate):
+    # NaN fails every positivity comparison, so without its own check it
+    # either passed through as a NaN value or was reported as an overflow
+    with pytest.raises(ZetaDomainError, match="u is NaN"):
+        evaluate(math.nan)
+
+
 # the four Konno-Sato vertex factors, written out term by term
 KONNO_SATO_FACTORS = {
     ("grover", "transition"): lambda u, q, lam: 1 + u * u - 2 * u * lam,

@@ -5,17 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, det_i_minus_t_times, gauss_det, poly_mul, random_rat_matrix
+from helpers import (
+    dense,
+    det_i_minus_t_times,
+    gauss_det,
+    naive_trace_powers,
+    poly_mul,
+    random_rat_matrix,
+)
 from zetawalk import (
     Poly,
     RatMatrix,
     arc_space,
     cycle_graph,
     det_i_minus_u,
+    graph_from_edges,
+    grover,
+    grover_positive_support,
     log_series,
     one_minus_u_squared_pow,
     shift,
+    trace_powers,
 )
+from zetawalk import polynomials
 
 
 def test_poly_trims_trailing_zeros_and_reports_degree():
@@ -210,10 +222,72 @@ def test_log_series_recovers_matrix_power_traces():
     rng = random.Random(19)
     m = random_rat_matrix(rng, 4)
     coeffs = log_series(det_i_minus_u(m), 6)
-    power = m
+    traces = naive_trace_powers(m, 6)
     for r in range(1, 7):
-        assert coeffs[r - 1] * r == power.trace()
-        power = power @ m
+        assert coeffs[r - 1] * r == traces[r - 1]
+
+
+def _newton_traces(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
+    # Tr M^r = r * [u^r] log 1/det(I - uM), through the determinant kernel
+    return tuple(r * c for r, c in enumerate(log_series(det_i_minus_u(matrix), r_max), start=1))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_trace_powers_match_the_naive_oracle_and_newton(seed):
+    rng = random.Random(300 + seed)
+    m = random_rat_matrix(rng, 1 + seed % 6, sparsity=0.3 + 0.1 * (seed % 5))
+    traces = trace_powers(m, 8)
+    assert len(traces) == 8
+    assert traces == naive_trace_powers(m, 8)
+    assert traces == _newton_traces(m, 8)
+
+
+def _degrees_two_to_ten_graph():
+    # vertices 0..10, i ~ j iff i + j >= 9: every degree from 2 to 10
+    # occurs, so the Grover entries have the denominators 2..10 and the
+    # cleared matrix is scaled by their lcm, 2520
+    g = graph_from_edges(11, [(i, j) for i in range(11) for j in range(i + 1, 11) if i + j >= 9])
+    assert set(g.degree_profile) == set(range(2, 11))
+    return g
+
+
+@pytest.mark.parametrize("operator", [grover, grover_positive_support])
+def test_trace_powers_on_a_non_regular_graph_with_lcm_2520(operator):
+    g = _degrees_two_to_ten_graph()
+    m = operator(g, arc_space(g))
+    traces = trace_powers(m, 8)
+    assert traces == naive_trace_powers(m, 8)
+    assert traces == _newton_traces(m, 8)
+
+
+def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
+    # zeta_series_consistency compares the two routes, so the traces must
+    # not be derived from the determinant
+    def forbidden(*args):
+        raise AssertionError("trace_powers went through the determinant route")
+
+    monkeypatch.setattr(polynomials, "det_i_minus_u", forbidden)
+    monkeypatch.setattr(polynomials, "log_series", forbidden)
+    m = random_rat_matrix(random.Random(23), 5)
+    assert polynomials.trace_powers(m, 6) == naive_trace_powers(m, 6)
+
+
+def test_trace_powers_edge_cases():
+    assert trace_powers(RatMatrix(4, 4), 5) == (Fraction(0),) * 5
+    a = Fraction(-3, 7)
+    one_by_one = RatMatrix.from_rows([[a]])
+    assert trace_powers(one_by_one, 6) == tuple(a**r for r in range(1, 7))
+    nilpotent = RatMatrix.from_rows(
+        [[0, Fraction(1, 2), 3], [0, 0, Fraction(-5, 3)], [0, 0, 0]]
+    )
+    assert trace_powers(nilpotent, 5) == (Fraction(0),) * 5
+    for m in (RatMatrix(4, 4), one_by_one, nilpotent):
+        assert trace_powers(m, 5) == naive_trace_powers(m, 5) == _newton_traces(m, 5)
+    assert trace_powers(one_by_one, 0) == ()
+    with pytest.raises(ValueError):
+        trace_powers(one_by_one, -1)
+    with pytest.raises(ValueError):
+        trace_powers(RatMatrix(2, 3), 2)
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
