@@ -2,10 +2,12 @@
 
 Subcommands: gen, matrix dump, charpoly, verify konno-sato, series,
 zeta-eval, torus-limit, converge. Exit codes: 0 for success (including a
-verification that holds), 1 for a verification that fails, 2 for usage or
-domain errors. Output is deterministic: rationals print exactly as "p/q"
-via str(Fraction), floats with 15 significant digits, JSON with two-space
-indentation and fixed key order.
+verification that holds), 1 for a verification that fails, 2 for usage
+errors, file errors and package errors (`ZetawalkError`). Any other
+exception is a bug: it is not caught, so it ends the process with a
+traceback and exit code 1. Output is deterministic: rationals print
+exactly as "p/q" via str(Fraction), floats with 15 significant digits,
+JSON with two-space indentation and fixed key order.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import graphs, limits, operators, zeta
+from .errors import ZetawalkError
 from .polynomials import Poly
 from .rational import RatMatrix
 
@@ -48,12 +51,19 @@ def _load(args: argparse.Namespace) -> graphs.Graph:
     return graphs.load_graph(args.graph)
 
 
+def _parse_u(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ZetawalkError(f"--u must be a rational or decimal number, got {text!r}") from exc
+
+
 def _check_ihara_margin(args: argparse.Namespace, u: float) -> None:
     if args.which != "ihara" or args.full_domain:
         return
     bound = IHARA_MARGIN / (2 * args.d - 1)
     if abs(u) > bound:
-        raise ValueError(
+        raise ZetawalkError(
             f"|u| = {abs(u)} exceeds the default ihara-kind margin "
             f"{IHARA_MARGIN}/(2d-1) = {_fmt(bound)} for d = {args.d}; "
             f"pass --full-domain to evaluate up to the positivity bound"
@@ -195,7 +205,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_zeta_eval(args: argparse.Namespace) -> int:
     g = _load(args)
-    u = Fraction(args.u)
+    u = _parse_u(args.u)
     spectral = None
     charpoly = None
     if args.method in ("spectral", "both"):
@@ -237,9 +247,9 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_torus_limit(args: argparse.Namespace) -> int:
-    u = limits.to_double(Fraction(args.u))
+    u = limits.to_double(_parse_u(args.u))
     _check_ihara_margin(args, u)
-    value = limits.torus_limit_zeta_reciprocal(
+    value, prefactor = limits.torus_limit_terms(
         args.d, u, args.which, args.grid, args.allow_high_dimension
     )
     if args.json:
@@ -247,7 +257,7 @@ def _cmd_torus_limit(args: argparse.Namespace) -> int:
             {
                 "value": _json_float(value),
                 "grid": args.grid,
-                "prefactor": _json_float(limits.torus_prefactor(args.d, u)),
+                "prefactor": _json_float(prefactor),
             }
         )
     else:
@@ -260,7 +270,7 @@ def _cmd_torus_limit(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     sides = _parse_sides(args.N)
-    u = limits.to_double(Fraction(args.u))
+    u = limits.to_double(_parse_u(args.u))
     _check_ihara_margin(args, u)
     study = limits.convergence_study(
         args.d,
@@ -303,9 +313,9 @@ def _parse_sides(text: str) -> list[int]:
     try:
         sides = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ValueError(f"--N must be comma-separated integers, got {text!r}") from exc
+        raise ZetawalkError(f"--N must be comma-separated integers, got {text!r}") from exc
     if not sides:
-        raise ValueError("--N must list at least one torus side")
+        raise ZetawalkError("--N must list at least one torus side")
     return sides
 
 
@@ -431,7 +441,7 @@ def entrypoint(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ZetawalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

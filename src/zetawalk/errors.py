@@ -1,7 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error derives from `ZetawalkError`: an input or a value the
+package refuses on purpose. The command line turns these (and file errors)
+into exit code 2; any other exception is a bug and is not caught there.
+`ZetawalkError` is a `ValueError`, so callers that catch `ValueError` keep
+working.
+"""
 
 
-class GraphError(ValueError):
+class ZetawalkError(ValueError):
+    """Base class of every error the package raises on purpose."""
+
+
+class GraphError(ZetawalkError):
     """Base class for graph construction and validation failures."""
 
 
@@ -25,25 +36,25 @@ class FamilyParameterError(GraphError):
     """A graph-family parameter is below the minimum that keeps the graph simple."""
 
 
-class CoinError(ValueError):
+class CoinError(ZetawalkError):
     """A supplied coin vector violates its support or unit-norm contract."""
 
 
-class NonRegularGraphError(ValueError):
+class NonRegularGraphError(ZetawalkError):
     """The operation is defined for regular graphs only."""
 
 
-class NotVertexTransitiveError(ValueError):
+class NotVertexTransitiveError(ZetawalkError):
     """The operation requires a graph flagged as vertex-transitive."""
 
 
-class TreeGraphError(ValueError):
+class TreeGraphError(ZetawalkError):
     """Zeta functions of trees are trivial and are not computed."""
 
 
-class ZetaDomainError(ValueError):
+class ZetaDomainError(ZetawalkError):
     """A float evaluation hit a non-positive logarithm argument or left the double range."""
 
 
-class OracleGuardError(ValueError):
+class OracleGuardError(ZetawalkError):
     """Brute-force enumeration was refused because it exceeds the cost guard."""

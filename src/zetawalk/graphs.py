@@ -288,7 +288,7 @@ def load_graph(path: str | Path) -> Graph:
     """Load and validate a graph from its JSON edge-list form."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise GraphFormatError("top-level JSON value must be an object")

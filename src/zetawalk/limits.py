@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FamilyParameterError, ZetaDomainError
+from .errors import FamilyParameterError, ZetaDomainError, ZetawalkError
 from .graphs import Graph
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "finite_torus_zeta_reciprocal",
     "torus_limit_log_mean",
     "torus_limit_zeta_reciprocal",
+    "torus_limit_terms",
     "convergence_study",
     "DIMENSION_CAP",
     "MIN_GRID",
@@ -191,7 +192,11 @@ def torus_prefactor(d: int, u: float) -> float:
     The exponent is (m - nu)/nu for the side-N torus, which equals d - 1
     independently of N. Raises ZetaDomainError when it overflows.
     """
-    u = to_double(u)
+    return _prefactor(d, to_double(u))
+
+
+def _prefactor(d: int, u: float) -> float:
+    """`torus_prefactor` at a u that is already a double."""
     try:
         value = math.pow(1.0 - u * u, d - 1)
     except OverflowError:
@@ -203,13 +208,13 @@ def torus_prefactor(d: int, u: float) -> float:
     return value
 
 
-def _check_domain(d: int, u: float, which: str) -> tuple[float, float]:
+def _check_domain(d: int, u: float, which: str) -> tuple[float, float, float]:
     """Positivity and overflow checks for the torus evaluations.
 
-    Returns the vertex factor line of the transition route. Only the
-    determinant factors must be positive: the torus prefactor exponent d - 1
-    is an integer, so 1 - u^2 may take any sign here. The prefactor is
-    checked for overflow before any grid work.
+    Returns the vertex factor line (a, b) of the transition route and the
+    torus prefactor. Only the determinant factors must be positive: the
+    torus prefactor exponent d - 1 is an integer, so 1 - u^2 may take any
+    sign here. The prefactor is checked for overflow before any grid work.
     """
     a, b = vertex_factor(u, 2 * d - 1, which)
     # the determinant factor is affine in the eigenvalue, so positivity and
@@ -227,13 +232,11 @@ def _check_domain(d: int, u: float, which: str) -> tuple[float, float]:
                 f"determinant factor {arg} at spectrum endpoint {lam} is not "
                 f"positive for u = {u} ({which} kind, dimension {d})"
             )
-    torus_prefactor(d, u)
-    return a, b
+    return a, b, _prefactor(d, u)
 
 
-def _assemble(d: int, u: float, mean_log: float) -> float:
-    """The torus value (1 - u^2)^(d-1) * exp(mean_log), checked for overflow."""
-    prefactor = torus_prefactor(d, u)
+def _assemble(d: int, u: float, prefactor: float, mean_log: float) -> float:
+    """The torus value prefactor * exp(mean_log), checked for overflow."""
     try:
         value = prefactor * math.exp(mean_log)
     except OverflowError:
@@ -256,10 +259,10 @@ def finite_torus_zeta_reciprocal(
     """
     _check_torus_params(d, n, allow_high_dimension)
     u = to_double(u)
-    a, b = _check_domain(d, u, which)
+    a, b, prefactor = _check_domain(d, u, which)
     lams = _grid_sums(d, n) / d
     mean_log = math.fsum(np.log(a + b * lams)) / float(n**d)
-    return _assemble(d, u, mean_log)
+    return _assemble(d, u, prefactor, mean_log)
 
 
 def torus_limit_log_mean(
@@ -275,11 +278,19 @@ def torus_limit_log_mean(
     Raises ZetaDomainError, before any grid work, where a factor is not
     positive or a factor or the prefactor overflows.
     """
+    _check_limit_params(d, grid, allow_high_dimension)
+    a, b, _ = _check_domain(d, to_double(u), which)
+    return _grid_log_mean(d, a, b, grid)
+
+
+def _check_limit_params(d: int, grid: int, allow_high_dimension: bool) -> None:
     _check_torus_dimension(d, allow_high_dimension)
     if grid < MIN_GRID:
-        raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
-    u = to_double(u)
-    a, b = _check_domain(d, u, which)
+        raise ZetawalkError(f"grid must be at least {MIN_GRID}, got {grid}")
+
+
+def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
+    """Mean of log(a + b * lambda) over the grid, summed in blocks of rows."""
     heads = _grid_sums(d - 1, grid)
     axis = _grid_sums(1, grid)
     rows = max(1, _BLOCK_POINTS // grid)
@@ -301,9 +312,21 @@ def torus_limit_zeta_reciprocal(
     because the quadrature nodes reproduce its spectrum. Raises
     ZetaDomainError outside the positivity domain or beyond the double range.
     """
+    return torus_limit_terms(d, u, which, grid, allow_high_dimension)[0]
+
+
+def torus_limit_terms(
+    d: int, u: float, which: str = "grover", grid: int = 64,
+    allow_high_dimension: bool = False,
+) -> tuple[float, float]:
+    """`torus_limit_zeta_reciprocal` and its prefactor (1 - u^2)^(d-1), as a pair.
+
+    u is converted, and the prefactor computed, once for both.
+    """
     u = to_double(u)
-    mean = torus_limit_log_mean(d, u, which, grid, allow_high_dimension)
-    return _assemble(d, u, mean)
+    _check_limit_params(d, grid, allow_high_dimension)
+    a, b, prefactor = _check_domain(d, u, which)
+    return _assemble(d, u, prefactor, _grid_log_mean(d, a, b, grid)), prefactor
 
 
 @dataclass(frozen=True)
@@ -346,13 +369,13 @@ def convergence_study(
     """
     sides = list(sides)
     if not sides:
-        raise ValueError("at least one torus side is required")
+        raise ZetawalkError("at least one torus side is required")
     if any(b <= a for a, b in zip(sides, sides[1:])):
-        raise ValueError(f"sides must be strictly increasing, got {sides}")
+        raise ZetawalkError(f"sides must be strictly increasing, got {sides}")
     if reference_grid is None:
         reference_grid = 4 * max(sides)
     if reference_grid < 4 * max(sides):
-        raise ValueError(
+        raise ZetawalkError(
             f"reference grid {reference_grid} must be at least four times "
             f"the largest side ({4 * max(sides)})"
         )

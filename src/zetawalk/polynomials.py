@@ -4,12 +4,19 @@ Both kernels first scale a square rational matrix M to the integer matrix
 L*M, with L the lcm of its denominators.
 
 Every exact determinant in the package is det(I - u*M), computed by
-`det_i_minus_u`: the characteristic polynomial of L*M is found modulo 31-bit
-primes by Hessenberg reduction (Cohen, A Course in Computational Algebraic
-Number Theory, GTM 138, section 2.2), and the residues are combined by the
-Chinese remainder theorem with symmetric residues (von zur Gathen and
-Gerhard, Modern Computer Algebra, chapter 5). An eigenvalue bound fixes the
-number of primes, so the result is exact for every input.
+`det_i_minus_u`: the characteristic polynomial of L*M is found modulo K
+31-bit primes at once. The residues form one (K, n, n) int64 stack, which
+Hessenberg reduction (Cohen, A Course in Computational Algebraic Number
+Theory, GTM 138, section 2.2) brings to upper Hessenberg form one column at
+a time for all primes together. Each step updates only the rows and columns
+whose multiplier is nonzero for some prime. The Hessenberg recurrence then
+runs on the stack as well, and skips the blocks that a subdiagonal zero for
+every prime splits off. The residues are combined by the Chinese remainder
+theorem with symmetric residues (von zur Gathen and Gerhard, Modern
+Computer Algebra, chapter 5). A bound on each coefficient fixes the number
+of primes: the smaller of an eigenvalue (row-sum) bound and a Frobenius
+bound from the inequalities of Schur, the power mean and Maclaurin, both
+in integers, so the result is exact for every input.
 
 Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r from
 integer powers of L*M; Python ints keep it exact with no bound needed.
@@ -150,26 +157,37 @@ def det_i_minus_u(matrix: RatMatrix) -> Poly:
         raise ValueError("det(I - u*M) requires a square matrix")
     n = matrix.rows
     scale, entries = _cleared(matrix)
-    rows = np.array([i for i, _, _ in entries], dtype=np.intp)
-    cols = np.array([j for _, j, _ in entries], dtype=np.intp)
-    values = [value for _, _, value in entries]
+    # symmetric residues pin down every c_k once the modulus exceeds 2 |c_k|
+    primes, modulus = _primes_above(2 * max(_coefficient_bounds(n, entries)))
+    residues = _charpoly_mod_primes(n, entries, primes)
+    return Poly(Fraction(c, scale**k) for k, c in enumerate(_crt(residues, primes, modulus)))
+
+
+def _coefficient_bounds(n: int, entries: list[tuple[int, int, int]]) -> list[int]:
+    """Integers B_k >= |c_k| for the coefficients c_k of det(xI - A), k = 0..n.
+
+    A is the n x n integer matrix with the given nonzero entries. The row-sum
+    norm rho bounds every eigenvalue, so |c_k| <= C(n, k) rho^k. Schur's
+    inequality sum |lam|^2 <= ||A||_F^2, the power mean inequality and
+    Maclaurin's inequality give |c_k| <= C(n, k) (||A||_F^2 / n)^(k/2). B_k is
+    the smaller of the two, with the square root rounded up in integers.
+    """
     row_sums = [0] * n
+    frobenius = 0
     for i, _, value in entries:
         row_sums[i] += abs(value)
-    # rho bounds every eigenvalue of L*M, so |c_k| <= C(n, k) * rho^k
+        frobenius += value * value
     rho = max(row_sums)
-    bound = max(math.comb(n, k) * rho**k for k in range(n + 1))
-    primes = []
-    modulus = 1
-    while modulus <= 2 * bound:
-        primes.append(_prime(len(primes)))
-        modulus *= primes[-1]
-    residues = []
-    for p in primes:
-        a = np.zeros((n, n), dtype=np.int64)
-        a[rows, cols] = [value % p for value in values]
-        residues.append(_charpoly_mod(a, p))
-    return Poly(Fraction(c, scale**k) for k, c in enumerate(_crt(residues, primes, modulus)))
+    bounds = []
+    # at step k, ceil((||A||_F^2 / n)^k) = ceil(num / den) and rho_k = rho^k
+    num = den = rho_k = 1
+    for k in range(n + 1):
+        mean_power = -(-num // den)
+        root = math.isqrt(mean_power)
+        root += root * root < mean_power
+        bounds.append(math.comb(n, k) * min(rho_k, root))
+        num, den, rho_k = num * frobenius, den * n, rho_k * rho
+    return bounds
 
 
 def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
@@ -233,6 +251,16 @@ def _prime(index: int) -> int:
     return _PRIMES[index]
 
 
+def _primes_above(limit: int) -> tuple[list[int], int]:
+    """The fewest leading `_prime`s whose product exceeds limit, and that product."""
+    primes = []
+    modulus = 1
+    while modulus <= limit:
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    return primes, modulus
+
+
 def _is_prime(n: int) -> bool:
     # Miller-Rabin with bases 2, 3, 5, 7 is exact below 3,215,031,751
     d, s = n - 1, 0
@@ -251,50 +279,98 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _charpoly_mod(a: np.ndarray, p: int) -> list[int]:
-    """Coefficients c_0..c_n of det(xI - A) mod p, with c_k on x^(n-k).
+def _charpoly_mod_primes(
+    n: int, entries: list[tuple[int, int, int]], primes: list[int]
+) -> list[list[int]]:
+    """For each prime p, the coefficients c_0..c_n of det(xI - A) mod p.
 
-    A (entries in [0, p), p < 2^31) is brought to upper Hessenberg form by
-    similarity transforms, then the characteristic polynomial follows from
-    the Hessenberg recurrence (Cohen, GTM 138, Algorithm 2.2.9). Every
-    product is reduced mod p before it is summed, so int64 cannot overflow.
+    A is the n x n integer matrix with the given nonzero entries; c_k sits
+    on x^(n-k). The residues of A for all K primes form one (K, n, n) int64
+    stack, brought to upper Hessenberg form by similarity transforms, after
+    which the characteristic polynomials follow from the Hessenberg
+    recurrence (Cohen, GTM 138, Algorithm 2.2.9). Each step runs once for
+    the whole stack and touches only the rows and columns whose multiplier
+    is nonzero for some prime. Entries stay in [0, p) with p < 2^31, and
+    products are reduced mod p before two of them are added, so int64
+    cannot overflow.
     """
-    n = a.shape[0]
+    k = len(primes)
+    # the primes shaped to broadcast over (K, .) and (K, ., .) arrays
+    p1 = np.array(primes, dtype=np.int64)[:, None]
+    p2 = p1[:, :, None]
+    a = np.zeros((k, n, n), dtype=np.int64)
+    rows = [i for i, _, _ in entries]
+    cols = [j for _, j, _ in entries]
+    a[:, rows, cols] = [[value % p for _, _, value in entries] for p in primes]
     for m in range(1, n - 1):
-        nonzero = np.flatnonzero(a[m:, m - 1])
-        if not nonzero.size:
+        nonzero = a[:, m:, m - 1] != 0
+        live = np.flatnonzero(nonzero.any(axis=0))
+        if not live.size:
             continue
-        i = m + int(nonzero[0])
+        # one swap for the stack brings the first row that is nonzero for
+        # some prime to the pivot; a permutation of rows and columns >= m
+        # keeps the Hessenberg columns < m - 1, so it is harmless for every
+        # prime. A prime whose residue there is 0 takes its own swap.
+        i = m + int(live[0])
         if i != m:
-            a[[i, m], :] = a[[m, i], :]
-            a[:, [i, m]] = a[:, [m, i]]
-        factors = a[m + 1 :, m - 1] * pow(int(a[m, m - 1]), p - 2, p) % p
-        # rows i > m lose factor_i times row m (left of column m - 1 both are
-        # already zero); column m gains factor_i times column i, which keeps
-        # the matrix similar
-        a[m + 1 :, m - 1 :] = (a[m + 1 :, m - 1 :] - np.outer(factors, a[m, m - 1 :]) % p) % p
-        a[:, m] = (a[:, m] + (a[:, m + 1 :] * factors % p).sum(axis=1)) % p
-    # polys[m] holds the characteristic polynomial of the leading m x m
-    # block, ascending in x
-    sub = a.diagonal(-1).tolist()
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
+            a[:, [i, m], :] = a[:, [m, i], :]
+            a[:, :, [i, m]] = a[:, :, [m, i]]
+        lagging = ~nonzero[:, i - m]
+        if lagging.any():
+            for q in np.flatnonzero(lagging & nonzero.any(axis=1)):
+                one = a[q]
+                j = m + int(np.argmax(one[m:, m - 1] != 0))
+                one[[j, m], :] = one[[m, j], :]
+                one[:, [j, m]] = one[:, [m, j]]
+        # the swaps leave nonzero entries below row m only in rows after the
+        # first live one; a prime whose column is already zero gets inverse
+        # 0, so its multipliers are 0 and it is left unchanged
+        hit = m + live[1:]
+        if not hit.size:
+            continue
+        pivots = a[:, m, m - 1].tolist()
+        inverses = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)]
+        f = a[:, hit, m - 1] * np.array(inverses, dtype=np.int64)[:, None] % p1
+        # rows in `hit` lose factor times row m (left of column m - 1 both
+        # are already zero, and column m - 1 cancels); column m gains factor
+        # times each column in `hit`, which keeps the matrix similar. A
+        # difference of an entry and one product stays above -2^62.
+        updated = f[:, :, None] * a[:, None, m, m - 1 :]
+        np.subtract(a[:, hit, m - 1 :], updated, out=updated)
+        updated %= p2
+        a[:, hit, m - 1 :] = updated
+        gathered = a.take(hit, axis=2)
+        gathered *= f[:, None, :]
+        gathered %= p2
+        a[:, :, m] = (a[:, :, m] + gathered.sum(axis=2)) % p1
+    # polys[:, m] holds the characteristic polynomial of the leading m x m
+    # block, ascending in x; polys[:, i] (degree i <= m - 2) enters it with
+    # weight a[i, m-1] times the subdiagonal product a[i+1, i] ... a[m-1, m-2],
+    # kept in runs[:, i]. Below the last subdiagonal entry that is zero for
+    # every prime (`top`) every such product is 0, so those weights are skipped.
+    sub = a.diagonal(-1, axis1=1, axis2=2)
+    polys = np.zeros((k, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    runs = np.zeros((k, n), dtype=np.int64)
+    top = 0
     for m in range(1, n + 1):
-        column = a[:m, m - 1].tolist()
-        polys[m, 1:] = polys[m - 1, :-1]
-        polys[m] = (polys[m] - polys[m - 1] * column[m - 1] % p) % p
-        # polys[i] (degree i <= m - 2) enters with weight a[i, m-1] times
-        # the subdiagonal product a[i+1, i] * ... * a[m-1, m-2]
-        weights = [0] * (m - 1)
-        t = 1
-        for i in range(m - 2, -1, -1):
-            t = t * sub[i] % p
-            weights[i] = t * column[i] % p
-        if weights:
-            w = np.array(weights, dtype=np.int64)
-            tail = (polys[: m - 1, : m - 1] * w[:, None] % p).sum(axis=0)
-            polys[m, : m - 1] = (polys[m, : m - 1] - tail) % p
-    return polys[n, ::-1].tolist()
+        polys[:, m, 1 : m + 1] = polys[:, m - 1, :m]
+        polys[:, m, :m] = (polys[:, m, :m] - polys[:, m - 1, :m] * a[:, m - 1, m - 1, None]) % p1
+        if m < 2:
+            continue
+        if not sub[:, m - 2].any():
+            top = m - 1
+            continue
+        runs[:, m - 2] = 1
+        runs[:, top : m - 1] = runs[:, top : m - 1] * sub[:, m - 2, None] % p1
+        weights = runs[:, top : m - 1] * a[:, top : m - 1, m - 1] % p1
+        hit = np.flatnonzero(weights.any(axis=0))
+        if hit.size:
+            tail = polys[:, top + hit, : m - 1]
+            tail *= weights[:, hit, None]
+            tail %= p2
+            polys[:, m, : m - 1] = (polys[:, m, : m - 1] - tail.sum(axis=1)) % p1
+    return polys[:, n, ::-1].tolist()
 
 
 def _crt(residues: list[list[int]], primes: list[int], modulus: int) -> list[int]:

@@ -25,6 +25,7 @@ from .errors import (
     OracleGuardError,
     TreeGraphError,
     ZetaDomainError,
+    ZetawalkError,
 )
 from .graphs import ArcSpace, Graph, arc_space
 from .limits import graph_spectrum, to_double, vertex_factor, vertex_factor_coefficients
@@ -235,7 +236,7 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
 def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Exact weighted counts N_r = Tr U^r for r = 1..r_max."""
     if r_max < 1:
-        raise ValueError("r_max must be at least 1")
+        raise ZetawalkError("r_max must be at least 1")
     arcs = arc_space(graph)
     u_mat = grover(graph, arcs)
     return SeriesCoefficients(kind="weighted", counts=trace_powers(u_mat, r_max))
@@ -244,7 +245,7 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
 def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Counts of cyclically non-backtracking closed arc walks, Tr (U+)^r."""
     if r_max < 1:
-        raise ValueError("r_max must be at least 1")
+        raise ZetawalkError("r_max must be at least 1")
     arcs = arc_space(graph)
     up = grover_positive_support(graph, arcs)
     return SeriesCoefficients(kind="reduced", counts=trace_powers(up, r_max))
@@ -274,7 +275,7 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
     state space is capped at (2m)^r_max <= 10^8 sequences.
     """
     if r_max < 1:
-        raise ValueError("r_max must be at least 1")
+        raise ZetawalkError("r_max must be at least 1")
     if kind not in ("weighted", "reduced"):
         raise ValueError(f"cycle oracle supports weighted or reduced, not {kind!r}")
     arcs = arc_space(graph)
@@ -338,7 +339,7 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
     computation.
     """
     if order < 1:
-        raise ValueError("order must be at least 1")
+        raise ZetawalkError("order must be at least 1")
     if order > SERIES_ORDER_CAP:
         raise OracleGuardError(
             f"series consistency order {order} exceeds the cap of "

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import zetawalk
-from zetawalk import IdentityCheck, KonnoSatoReport, Poly, load_graph
+from zetawalk import IdentityCheck, KonnoSatoReport, Poly, ZetawalkError, errors, limits, load_graph
 from zetawalk.cli import entrypoint
 
 
@@ -381,6 +382,98 @@ def test_invalid_graph_document_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["charpoly", "--graph", str(path)])
     assert code == 2
     assert "not connected" in err
+
+
+def test_every_package_error_derives_from_one_base():
+    classes = [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, Exception)
+    ]
+    assert len(classes) > 10
+    assert all(issubclass(cls, ZetawalkError) for cls in classes)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta-eval", "--graph", "{k4}", "--u", "abc"],
+        ["zeta-eval", "--graph", "{k4}", "--u", "1/0"],
+        ["torus-limit", "--d", "2", "--u", "1/0"],
+        ["converge", "--d", "2", "--u", "nan", "--N", "4"],
+        ["torus-limit", "--d", "2", "--u", "1/5", "--grid", "4"],
+        ["converge", "--d", "2", "--u", "1/5", "--N", "8,4"],
+        ["series", "--graph", "{k4}", "--order", "0", "--which", "grover"],
+        ["series", "--graph", "{k4}", "--order", "0", "--which", "oracle-weighted"],
+        ["charpoly", "--graph", "{binary}"],
+    ],
+)
+def test_input_errors_are_package_errors_and_exit_2(capsys, tmp_path, k4_path, argv):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, [a.format(k4=k4_path, binary=binary) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("boom"), ValueError("boom"), KeyError("boom")])
+def test_internal_errors_are_not_domain_errors(monkeypatch, k4_path, exc):
+    def broken(graph):
+        raise exc
+
+    monkeypatch.setattr(zetawalk.zeta, "grover_zeta_reciprocal", broken)
+    with pytest.raises(type(exc), match="boom"):
+        entrypoint(["charpoly", "--graph", k4_path])
+
+
+def test_an_internal_error_exits_1_with_a_traceback(k4_path):
+    source = str(Path(zetawalk.__file__).resolve().parents[1])
+    path = [source, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    program = (
+        "import zetawalk.zeta\n"
+        "def broken(graph):\n"
+        "    raise ValueError('boom')\n"
+        "zetawalk.zeta.grover_zeta_reciprocal = broken\n"
+        "from zetawalk.cli import main\n"
+        "main()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program, "charpoly", "--graph", k4_path],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" in result.stderr and "ValueError: boom" in result.stderr
+
+
+@pytest.mark.parametrize("which, u", [("grover", "1/5"), ("ihara", "3/20"), ("grover", "9/10")])
+def test_torus_limit_json_converts_u_once_and_computes_the_prefactor_once(
+    capsys, monkeypatch, which, u
+):
+    calls = {"to_double": 0, "prefactor": 0}
+
+    def spy(name, function):
+        def wrapped(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(limits, "to_double", spy("to_double", limits.to_double))
+    monkeypatch.setattr(limits, "_prefactor", spy("prefactor", limits._prefactor))
+    argv = ["torus-limit", "--d", "3", "--u", u, "--which", which, "--grid", "16", "--json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    # the command turns the string into a double; the library checks it once
+    assert calls == {"to_double": 2, "prefactor": 1}
+    monkeypatch.undo()
+    value = zetawalk.torus_limit_zeta_reciprocal(3, float(Fraction(u)), which, 16)
+    prefactor = zetawalk.torus_prefactor(3, float(Fraction(u)))
+    expected = {"value": float(f"{value:.15g}"), "grid": 16, "prefactor": float(f"{prefactor:.15g}")}
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_module_and_console_entrypoints():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,9 @@ from zetawalk import (
     grover_positive_support,
     log_series,
     one_minus_u_squared_pow,
+    petersen_graph,
     shift,
+    torus_graph,
     trace_powers,
 )
 from zetawalk import polynomials
@@ -161,6 +164,127 @@ def test_det_i_minus_u_with_large_entries_needs_many_primes():
         for t in points:
             assert p.eval_exact(t) == det_i_minus_t_times(m, t)
     assert max(heights) > 4 * 31
+
+
+def _cleared_bounds(matrix: RatMatrix) -> tuple[int, list[int]]:
+    scale, entries = polynomials._cleared(matrix)
+    return scale, polynomials._coefficient_bounds(matrix.rows, entries)
+
+
+def _charpoly_coefficients(matrix: RatMatrix) -> list[Fraction]:
+    """c_0..c_n of det(xI - M) from naive traces and Newton's identities."""
+    n = matrix.rows
+    sums = naive_trace_powers(matrix, n)
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
+    return [(-1) ** k * x for k, x in enumerate(e)]
+
+
+@pytest.mark.parametrize("graph", [petersen_graph(), torus_graph(2, 3), cycle_graph(5)],
+                         ids=["petersen", "torus-2-3", "cycle-5"])
+def test_coefficient_bound_of_an_orthogonal_matrix_is_binomial_times_scale_power(graph):
+    # U is orthogonal, so ||L*U||_F^2 / n = L^2 and the Frobenius bound is
+    # C(n, k) L^k; for q >= 1 it is never above the row-sum bound
+    u_mat = grover(graph, arc_space(graph))
+    n = u_mat.rows
+    scale, bounds = _cleared_bounds(u_mat)
+    assert bounds == [math.comb(n, k) * scale**k for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-2, 3), Fraction(5)])
+def test_coefficient_bound_is_attained_by_a_scalar_matrix(c):
+    # det(xI - L*c*I) = (x - L*c)^n has |c_k| = C(n, k) |L*c|^k exactly
+    n = 6
+    matrix = RatMatrix(n, n, [(i, i, c) for i in range(n)])
+    scale, bounds = _cleared_bounds(matrix)
+    coefficients = _charpoly_coefficients(matrix * scale)
+    assert [abs(x) for x in coefficients] == bounds
+
+
+def test_coefficient_bound_is_never_exceeded_on_random_matrices():
+    rng = random.Random(29)
+    tight = 0
+    for trial in range(40):
+        n = rng.randint(1, 7)
+        matrix = random_rat_matrix(rng, n, rng.choice([0.2, 0.5, 1.0]))
+        scale, bounds = _cleared_bounds(matrix)
+        coefficients = _charpoly_coefficients(matrix * scale)
+        assert all(abs(x) <= b for x, b in zip(coefficients, bounds))
+        # the row-sum bound alone, which the Frobenius term can only lower
+        _, entries = polynomials._cleared(matrix)
+        rho = max([sum(abs(v) for i, _, v in entries if i == r) for r in range(n)])
+        assert all(b <= math.comb(n, k) * rho**k for k, b in enumerate(bounds))
+        tight += any(b < math.comb(n, k) * rho**k for k, b in enumerate(bounds))
+    assert tight > 0
+
+
+@pytest.mark.parametrize(
+    "graph, operator, count",
+    [
+        (torus_graph(2, 4), grover, 4),
+        (torus_graph(2, 4), grover_positive_support, 3),
+        (petersen_graph(), grover, 2),
+    ],
+    ids=["torus-2-4-U", "torus-2-4-U+", "petersen-U"],
+)
+def test_prime_count_from_the_coefficient_bound(graph, operator, count):
+    _, bounds = _cleared_bounds(operator(graph, arc_space(graph)))
+    primes, modulus = polynomials._primes_above(2 * max(bounds))
+    assert len(primes) == count and modulus == math.prod(primes)
+
+
+P0, P1 = polynomials._prime(0), polynomials._prime(1)
+
+
+def _check_against_the_oracle(matrix: RatMatrix) -> None:
+    # n + 1 points fix a polynomial of degree <= n
+    p = det_i_minus_u(matrix)
+    assert p[0] == 1 and p.degree <= matrix.rows
+    for t in range(-1, matrix.rows):
+        point = Fraction(t, 3)
+        assert p.eval_exact(point) == det_i_minus_t_times(matrix, point)
+
+
+def test_kernel_swaps_for_a_single_prime_whose_pivot_is_zero():
+    # column 0 below the diagonal is (P0, 1, ...): every prime but P0 pivots
+    # on row 1, P0 sees 0 there and takes its own swap with row 2
+    column = [P0, 1, 3 * P0 + 5]
+    n = len(column) + 1
+    entries = [(i + 1, 0, v) for i, v in enumerate(column)]
+    entries += [(i, j, (i * 7 + j * 3) % 5 - 2) for i in range(n) for j in range(1, n)]
+    matrix = RatMatrix(n, n, entries)
+    primes, _ = polynomials._primes_above(2 * max(_cleared_bounds(matrix)[1]))
+    assert primes[:2] == [P0, P1]
+    assert [v % P0 for v in column][:2] == [0, 1]
+    assert all(column[0] % p for p in primes[1:])
+    _check_against_the_oracle(matrix)
+
+
+def test_kernel_leaves_a_prime_whose_column_is_zero_unchanged():
+    # column 0 below the diagonal is a multiple of P0: zero for P0 alone,
+    # so P0 skips the step while the other primes eliminate
+    column = [P0, -2 * P0, P0 * P1, 7 * P0]
+    n = len(column) + 1
+    entries = [(0, 0, 2)] + [(i + 1, 0, v) for i, v in enumerate(column)]
+    entries += [(i, j, (i + 2 * j) % 7 - 3) for i in range(n) for j in range(1, n)]
+    matrix = RatMatrix(n, n, entries)
+    primes, _ = polynomials._primes_above(2 * max(_cleared_bounds(matrix)[1]))
+    assert primes[0] == P0 and len(primes) >= 3
+    assert all(v % P0 == 0 for v in column)
+    assert all(any(v % p for v in column) for p in primes[1:])
+    _check_against_the_oracle(matrix)
+
+
+def test_kernel_with_primes_that_disagree_on_later_steps():
+    # entries near the primes throughout, so residues vanish for one prime
+    # at pivots and columns of later elimination steps as well
+    rng = random.Random(31)
+    values = [P0, P1, 2 * P0, P0 * P1, -P1, 1, -1, 2, 0, 0, 0]
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            entries = [(i, j, rng.choice(values)) for i in range(n) for j in range(n)]
+            _check_against_the_oracle(RatMatrix(n, n, entries))
 
 
 @pytest.mark.parametrize(
