@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -61,6 +62,8 @@ def _parse_u(text: str) -> Fraction:
 def _check_ihara_margin(args: argparse.Namespace, u: float) -> None:
     if args.which != "ihara" or args.full_domain:
         return
+    # the margin is defined through d, so an invalid d is reported first
+    limits.check_torus_dimension(args.d, args.allow_high_dimension)
     bound = IHARA_MARGIN / (2 * args.d - 1)
     if abs(u) > bound:
         raise ZetawalkError(
@@ -433,10 +436,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_u(argv: Sequence[str]) -> list[str]:
+    """argv with each negative value of --u attached, as in "--u=-1/7".
+
+    argparse reads "-0.3" after an option as its value but "-1/7" as an
+    option of its own, which leaves --u without a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--u" and re.match(r"-\.?\d", token):
+            out[-1] = f"--u={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def entrypoint(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_u(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -49,6 +49,7 @@ __all__ = [
     "torus_limit_zeta_reciprocal",
     "torus_limit_terms",
     "convergence_study",
+    "check_torus_dimension",
     "DIMENSION_CAP",
     "MIN_GRID",
 ]
@@ -85,7 +86,8 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, .
     return tuple(np.linalg.eigvalsh(sym).tolist())
 
 
-def _check_torus_dimension(d: int, allow_high_dimension: bool) -> None:
+def check_torus_dimension(d: int, allow_high_dimension: bool) -> None:
+    """Refuse a torus dimension below 1, or above `DIMENSION_CAP` unless allowed."""
     if d < 1:
         raise FamilyParameterError(f"torus dimension must be at least 1, got {d}")
     if not allow_high_dimension and d > DIMENSION_CAP:
@@ -96,7 +98,7 @@ def _check_torus_dimension(d: int, allow_high_dimension: bool) -> None:
 
 
 def _check_torus_params(d: int, n: int, allow_high_dimension: bool) -> None:
-    _check_torus_dimension(d, allow_high_dimension)
+    check_torus_dimension(d, allow_high_dimension)
     if n < 3:
         raise FamilyParameterError(
             f"torus side must be at least 3 to avoid parallel edges, got {n}"
@@ -284,7 +286,7 @@ def torus_limit_log_mean(
 
 
 def _check_limit_params(d: int, grid: int, allow_high_dimension: bool) -> None:
-    _check_torus_dimension(d, allow_high_dimension)
+    check_torus_dimension(d, allow_high_dimension)
     if grid < MIN_GRID:
         raise ZetawalkError(f"grid must be at least {MIN_GRID}, got {grid}")
 

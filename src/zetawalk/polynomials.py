@@ -18,8 +18,10 @@ of primes: the smaller of an eigenvalue (row-sum) bound and a Frobenius
 bound from the inequalities of Schur, the power mean and Maclaurin, both
 in integers, so the result is exact for every input.
 
-Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r from
-integer powers of L*M; Python ints keep it exact with no bound needed.
+Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r. It
+forms the integer powers of L*M only up to ceil(r_max / 2) and reads each
+higher trace as a pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them;
+Python ints keep it exact with no bound needed.
 """
 
 from __future__ import annotations
@@ -194,35 +196,50 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
     """Exact traces Tr M^1, ..., Tr M^r_max of a square rational matrix M.
 
     With L the lcm of the entry denominators, Tr M^r = Tr (L*M)^r / L^r.
-    The powers of L*M are taken with Python ints in sparse rows, each step
-    multiplying the last power by L*M, so only the r_max traces are ever
-    divided. Independent of `det_i_minus_u` and `log_series`, which give
-    the same numbers through Newton's identities.
+    Only the integer powers P_a = (L*M)^a with a <= ceil(r_max / 2) are
+    formed, with Python ints in sparse rows, and only two are alive at a
+    time: P_a is P_(a-1) times L*M, starting from P_0 = I. Since
+    Tr (A B) = sum_ij A[i][j] B[j][i], Tr P_(2a-1) is the pairing of P_(a-1)
+    with P_a and Tr P_(2a) the pairing of P_a with itself; a pairing costs
+    one lookup per stored entry, a product one per entry and term. Only the
+    r_max traces are ever divided. Independent of `det_i_minus_u` and
+    `log_series`, which give the same numbers through Newton's identities.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("trace powers require a square matrix")
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
     scale, entries = _cleared(matrix)
-    base: list[dict[int, int]] = [{} for _ in range(matrix.rows)]
+    base: list[list[tuple[int, int]]] = [[] for _ in range(matrix.rows)]
     for i, j, value in entries:
-        base[i][j] = value
-    traces = []
-    power = base
-    for r in range(1, r_max + 1):
-        if r > 1:
-            power = [_row_times(row, base) for row in power]
-        traces.append(Fraction(sum(row.get(i, 0) for i, row in enumerate(power)), scale**r))
-    return tuple(traces)
+        base[i].append((j, value))
+    sums = [0] * (r_max + 1)
+    power: list[dict[int, int]] = [{i: 1} for i in range(matrix.rows)]
+    for a in range(1, (r_max + 1) // 2 + 1):
+        previous, power = power, [_row_times(row, base) for row in power]
+        sums[2 * a - 1] = _pairing(previous, power)
+        if 2 * a <= r_max:
+            sums[2 * a] = _pairing(power, power)
+    return tuple(Fraction(sums[r], scale**r) for r in range(1, r_max + 1))
 
 
-def _row_times(row: dict[int, int], base: list[dict[int, int]]) -> dict[int, int]:
-    """The sparse row vector ``row`` times the sparse matrix ``base``."""
+def _row_times(row: dict[int, int], base: list[list[tuple[int, int]]]) -> dict[int, int]:
+    """The sparse row vector ``row`` times the matrix with (column, value) rows ``base``."""
     acc: dict[int, int] = {}
+    get = acc.get
     for k, value in row.items():
-        for j, w in base[k].items():
-            acc[j] = acc.get(j, 0) + value * w
+        for j, w in base[k]:
+            acc[j] = get(j, 0) + value * w
     return {j: value for j, value in acc.items() if value}
+
+
+def _pairing(a: list[dict[int, int]], b: list[dict[int, int]]) -> int:
+    """Tr (A B) = sum over i, j of A[i][j] * B[j][i], for sparse rows A and B."""
+    total = 0
+    for i, row in enumerate(a):
+        for j, value in row.items():
+            total += value * b[j].get(i, 0)
+    return total
 
 
 def _cleared(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:

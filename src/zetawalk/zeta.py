@@ -7,10 +7,10 @@ through the positive support, and the Ihara-Bass vertex form
 Konno-Sato theorem factors the two arc determinants through the transition
 or Laplacian spectrum; `konno_sato_check` verifies all four identities as
 exact polynomial equalities. Cycle counts are exact traces of operator
-powers (`polynomials.trace_powers`, integer powers of the cleared matrix),
-with an independent brute-force oracle for cross-checking, and the generalized
-zeta (the nu-th root normalization) is evaluated numerically from vertex
-spectra.
+powers (`polynomials.trace_powers`, pairings of integer powers of the
+cleared matrix up to half the order), with an independent brute-force
+oracle for cross-checking, and the generalized zeta (the nu-th root
+normalization) is evaluated numerically from vertex spectra.
 """
 
 from __future__ import annotations

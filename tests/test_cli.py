@@ -315,6 +315,37 @@ def test_u_beyond_double_range_exits_2(capsys, k4_path, argv):
     assert err == "error: |u| is about 2^1328.8, outside the double range\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta-eval", "--graph", "{k4}", "--u", "{u}", "--json"],
+        ["zeta-eval", "--graph", "{k4}", "--u", "{u}", "--which", "ihara"],
+        ["torus-limit", "--d", "2", "--u", "{u}", "--grid", "16"],
+        ["converge", "--d", "2", "--u", "{u}", "--N", "4,8", "--json"],
+    ],
+)
+@pytest.mark.parametrize("u", ["-1/7", "-3/20", "-0.15"])
+def test_negative_u_after_a_space_reads_as_with_an_equals_sign(capsys, k4_path, argv, u):
+    # argparse takes "-1/7" for an option of its own unless it is attached
+    spaced = [arg.format(k4=k4_path, u=u) for arg in argv]
+    joined = [arg for arg in spaced if arg != u]
+    joined[joined.index("--u")] = f"--u={u}"
+    assert run_cli(capsys, spaced) == run_cli(capsys, joined)
+    code, out, err = run_cli(capsys, spaced)
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("command", [["torus-limit"], ["converge", "--N", "4,8"]])
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_ihara_dimension_is_checked_before_the_margin(capsys, command, d):
+    argv = command + ["--d", d, "--u", "1/10", "--which", "ihara"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: torus dimension must be at least 1, got {d}\n"
+
+
 def test_charpoly_determinant_too_long_to_print_exits_2(capsys, tmp_path):
     path = str(tmp_path / "petersen.json")
     assert entrypoint(["gen", "--family", "petersen", "--out", path]) == 0

@@ -397,14 +397,16 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
 
 
 def test_trace_powers_edge_cases():
-    assert trace_powers(RatMatrix(4, 4), 5) == (Fraction(0),) * 5
     a = Fraction(-3, 7)
     one_by_one = RatMatrix.from_rows([[a]])
     assert trace_powers(one_by_one, 6) == tuple(a**r for r in range(1, 7))
     nilpotent = RatMatrix.from_rows(
         [[0, Fraction(1, 2), 3], [0, 0, Fraction(-5, 3)], [0, 0, 0]]
     )
-    assert trace_powers(nilpotent, 5) == (Fraction(0),) * 5
+    upper_shift = RatMatrix(5, 5, [(i, i + 1, Fraction(1)) for i in range(4)])
+    for m in (RatMatrix(1, 1), RatMatrix(4, 4), nilpotent, upper_shift):
+        for r_max in range(10):
+            assert trace_powers(m, r_max) == (Fraction(0),) * r_max
     for m in (RatMatrix(4, 4), one_by_one, nilpotent):
         assert trace_powers(m, 5) == naive_trace_powers(m, 5) == _newton_traces(m, 5)
     assert trace_powers(one_by_one, 0) == ()
@@ -412,6 +414,22 @@ def test_trace_powers_edge_cases():
         trace_powers(one_by_one, -1)
     with pytest.raises(ValueError):
         trace_powers(RatMatrix(2, 3), 2)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+@settings(max_examples=60, deadline=None)
+def test_trace_powers_match_the_naive_oracle_at_every_order_property(rows):
+    # trace_powers reads odd and even orders from different pairings of
+    # powers, so every order 0..9 is checked
+    m = RatMatrix.from_rows(rows)
+    naive = naive_trace_powers(m, 9)
+    for r_max in range(10):
+        assert trace_powers(m, r_max) == naive[:r_max]
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
