@@ -12,11 +12,19 @@ average over a uniform grid; on grid G it reproduces the side-G torus value
 exactly, because the grid eigenvalue multiset is the side-G spectrum.
 
 One enumerator, `_grid_sums`, lists sum_j cos(2 pi k_j / G) over the grid
-in lexicographic order of k, adding the axis terms in axis order. The
-closed-form spectra and the finite torus take it over all d axes. The
-quadrature takes it over the first d - 1 axes and adds the last axis in
-fixed blocks of rows: each row of G points is summed by numpy, and the row
-sums by `math.fsum`, so the result does not depend on the block size.
+in lexicographic order of k, adding the axis terms in axis order; the
+closed-form spectra take it over all d axes. Most of those sums repeat bit
+for bit, so the torus values work on value classes instead: `_grid_classes`
+builds the distinct sums and their multiplicities one axis at a time, with
+the same operands in the same order, so every class value is bitwise one of
+the enumerated sums and the G^k points are never listed. The finite torus
+takes the log of each distinct eigenvalue once. The quadrature takes the
+classes of the first d - 1 axes and adds the last axis in fixed blocks of
+rows: each row of G points is summed by numpy, as for the full grid. A
+mean is then the exact sum of each log (or row sum) times its multiplicity,
+rounded once by `_weighted_fsum`; `math.fsum` over the full list rounds the
+same exact sum once, so the values are bitwise those of the full
+enumeration, and they do not depend on the block size.
 
 `vertex_factor_coefficients` is the one table of the four Konno-Sato
 vertex factors, in exact integers; the float line `vertex_factor` and the
@@ -128,16 +136,76 @@ def torus_spectrum(
     return tuple(total.tolist())
 
 
+def _axis_terms(g: int) -> np.ndarray:
+    """cos(2 pi k / g) for k = 0..g-1, the terms of one grid axis."""
+    return np.cos(2.0 * np.pi * np.arange(g) / g)
+
+
 def _grid_sums(d: int, g: int) -> np.ndarray:
     """sum_j cos(2 pi k_j / g) over k in {0..g-1}^d, flat in lexicographic order.
 
     The axis terms are added in axis order; d = 0 gives the one empty sum 0.
     """
-    axis = np.cos(2.0 * np.pi * np.arange(g) / g)
+    axis = _axis_terms(g)
     total = np.zeros(1)
     for _ in range(d):
         total = (total[:, None] + axis).reshape(-1)
     return total
+
+
+def _grid_classes(k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `_grid_sums(k, g)` and how often each occurs.
+
+    Built one axis at a time: the classes so far plus each axis term, added
+    as `_grid_sums` adds them, then sorted and merged by bit pattern. Each
+    sum is its prefix sum plus one axis term, so prefixes with equal bits
+    give equal sums and merging them loses no value; the g^k points are
+    never listed. Values come sorted by their bits read as int64, counts as
+    int64; ZetawalkError when g^k does not fit that count.
+    """
+    if g**k >= 2**63:
+        raise ZetawalkError(
+            f"a grid of {g}^{k} points has more points than a 64-bit count holds"
+        )
+    axis = _axis_terms(g)
+    values = np.zeros(1)
+    counts = np.ones(1, dtype=np.int64)
+    for _ in range(k):
+        bits = (values[:, None] + axis).reshape(-1).view(np.int64)
+        order = np.argsort(bits)
+        bits = bits[order]
+        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        values = bits[starts].view(np.float64)
+        counts = np.add.reduceat(np.repeat(counts, g)[order], starts)
+    return values, counts
+
+
+_HALF_BITS = 26
+# Veltkamp's splitter: x * (2^27 + 1) leaves a double in halves of 26 bits
+_SPLITTER = 2.0 ** (_HALF_BITS + 1) + 1.0
+
+
+def _weighted_fsum(values: np.ndarray, counts: np.ndarray) -> float:
+    """sum_i values[i] * counts[i], exact before its one final rounding.
+
+    Each value splits into 26-bit halves (Veltkamp; Dekker, Numer. Math. 18
+    (1971) 224) and each int64 count into 26-bit limbs, so every product of
+    a half with a limb scaled by its power of two is exact; `math.fsum`
+    rounds their sum correctly, so the result equals `math.fsum` over the
+    values repeated counts times. Values must stay below about 2^900 so the
+    split and the products do not overflow.
+    """
+    scaled = values * _SPLITTER
+    high = scaled - (scaled - values)
+    low = values - high
+    products = []
+    scale = 1.0
+    while counts.any():
+        limb = (counts & (2**_HALF_BITS - 1)).astype(np.float64) * scale
+        products += [high * limb, low * limb]
+        counts = counts >> _HALF_BITS
+        scale *= 2.0**_HALF_BITS
+    return math.fsum(np.concatenate(products))
 
 
 def vertex_factor_coefficients(
@@ -262,8 +330,8 @@ def finite_torus_zeta_reciprocal(
     _check_torus_params(d, n, allow_high_dimension)
     u = to_double(u)
     a, b, prefactor = _check_domain(d, u, which)
-    lams = _grid_sums(d, n) / d
-    mean_log = math.fsum(np.log(a + b * lams)) / float(n**d)
+    values, counts = _grid_classes(d, n)
+    mean_log = _weighted_fsum(np.log(a + b * (values / d)), counts) / float(n**d)
     return _assemble(d, u, prefactor, mean_log)
 
 
@@ -292,15 +360,23 @@ def _check_limit_params(d: int, grid: int, allow_high_dimension: bool) -> None:
 
 
 def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
-    """Mean of log(a + b * lambda) over the grid, summed in blocks of rows."""
-    heads = _grid_sums(d - 1, grid)
+    """Mean of log(a + b * lambda) over the grid, one row per head value class.
+
+    The heads are the classes of the first d - 1 axes; each class is one
+    row of `grid` points along the last axis, evaluated in blocks of rows
+    and summed by numpy exactly as the row of any head with that value
+    would be. The row sums, weighted by their multiplicities, are summed
+    exactly and rounded once, which is `math.fsum` over the rows of every
+    head: the mean is bitwise that of the full grid.
+    """
+    heads, counts = _grid_classes(d - 1, grid)
     axis = _grid_sums(1, grid)
     rows = max(1, _BLOCK_POINTS // grid)
     row_sums = np.empty(heads.size)
     for start in range(0, heads.size, rows):
         lams = (heads[start:start + rows, None] + axis) / d
         row_sums[start:start + rows] = np.log(a + b * lams).sum(axis=1)
-    return math.fsum(row_sums) / float(grid**d)
+    return _weighted_fsum(row_sums, counts) / float(grid**d)
 
 
 def torus_limit_zeta_reciprocal(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, starmap
+from typing import Iterator, Sequence
 
 from .errors import (
     NonRegularGraphError,
@@ -427,9 +429,44 @@ def _require_regular(graph: Graph, purpose: str) -> None:
 
 
 def _require_vertex_transitive(graph: Graph, purpose: str) -> None:
+    """Require the vertex_transitive flag, and check it by walk-regularity.
+
+    A vertex-transitive graph has the same number of closed walks of each
+    length at every vertex; a flag the counts of length 2, 3 or 4 refute
+    raises NotVertexTransitiveError naming the length.
+    """
     if not graph.claimed_vertex_transitive:
         raise NotVertexTransitiveError(
             f"{purpose} divides by the vertex count, which is only meaningful "
             f"for vertex-transitive graphs; the graph does not carry the "
             f"vertex_transitive flag"
         )
+    for length, counts in _closed_walk_counts(graph):
+        if min(counts) != max(counts):
+            raise NotVertexTransitiveError(
+                f"{purpose} requires a vertex-transitive graph, but the graph "
+                f"flagged vertex_transitive has from {min(counts)} to "
+                f"{max(counts)} closed walks of length {length} at a vertex"
+            )
+
+
+def _closed_walk_counts(graph: Graph) -> Iterator[tuple[int, Sequence[int]]]:
+    """(length, closed walks of that length at each vertex) for lengths 2, 3, 4.
+
+    diag A^2 is the degree sequence; the caller asks for more only when it
+    is constant. With each neighbor set N(w) held as a bitmask, the entry
+    A^2_ww' = |N(w) & N(w')| is a popcount, so diag A^3_v = sum_w A_vw A^2_wv
+    and diag A^4_v = sum_ww' A_vw A^2_ww' A_w'v follow in exact integers from
+    the adjacency lists; in the latter the terms w = w' add up to deg(v)^2
+    and the others come in equal pairs.
+    """
+    yield 2, graph.degree_profile
+    masks = [sum(map((1).__lshift__, neighbors)) for neighbors in graph.adjacency]
+    threes, fours = [], []
+    for mask, neighbors in zip(masks, graph.adjacency):
+        rows = [masks[w] for w in neighbors]
+        threes.append(sum(map(int.bit_count, map(mask.__and__, rows))))
+        pairs = sum(map(int.bit_count, starmap(int.__and__, combinations(rows, 2))))
+        fours.append(len(neighbors) ** 2 + 2 * pairs)
+    yield 3, threes
+    yield 4, fours

@@ -1,17 +1,29 @@
-"""Independent oracles for cross-checking the package's exact routines.
+"""Independent oracles for cross-checking the package's routines.
 
 Everything here is deliberately naive: plain fraction Gaussian elimination
 instead of the package's multi-modular kernel, dense fraction matrix
 products instead of its integer trace powers, list convolutions instead of
-the Poly class. Slower, but sharing no code with the implementations under test.
+the Poly class, and every grid point listed instead of the value classes of
+the torus means. Slower, but sharing no code with the implementations under
+test beyond the vertex factor line and the prefactor. It also builds the
+Frucht graph, which a false vertex_transitive flag cannot pass off as
+vertex-transitive.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from zetawalk import RatMatrix
+import numpy as np
+
+from zetawalk import RatMatrix, graph_from_edges, torus_prefactor
+from zetawalk.graphs import Graph
+from zetawalk.limits import vertex_factor
+
+# grid points per row block of the full-grid quadrature
+FULL_GRID_BLOCK_POINTS = 2**15
 
 
 def dense(matrix: RatMatrix) -> list[list[Fraction]]:
@@ -110,3 +122,51 @@ def random_rat_matrix(rng: random.Random, n: int, sparsity: float = 0.5) -> RatM
                 if value:
                     entries.append((i, j, value))
     return RatMatrix(n, n, entries)
+
+
+def full_grid_sums(d: int, g: int) -> np.ndarray:
+    """sum_j cos(2 pi k_j / g) at every k in {0..g-1}^d, in lexicographic order."""
+    axis = np.cos(2.0 * np.pi * np.arange(g) / g)
+    total = np.zeros(1)
+    for _ in range(d):
+        total = (total[:, None] + axis).reshape(-1)
+    return total
+
+
+def full_grid_log_mean(d: int, u: float, which: str, grid: int) -> float:
+    """The torus limit log mean from every grid point.
+
+    The heads of the first d - 1 axes are all listed; each head's row of
+    `grid` points along the last axis is summed by numpy, in blocks of rows,
+    and all the row sums by `math.fsum`.
+    """
+    a, b = vertex_factor(u, 2 * d - 1, which)
+    heads = full_grid_sums(d - 1, grid)
+    axis = full_grid_sums(1, grid)
+    rows = max(1, FULL_GRID_BLOCK_POINTS // grid)
+    row_sums = np.empty(heads.size)
+    for start in range(0, heads.size, rows):
+        lams = (heads[start:start + rows, None] + axis) / d
+        row_sums[start:start + rows] = np.log(a + b * lams).sum(axis=1)
+    return math.fsum(row_sums) / float(grid**d)
+
+
+def full_grid_finite_torus(d: int, n: int, u: float, which: str) -> float:
+    """The side-n torus reciprocal from `math.fsum` over the log of every eigenvalue."""
+    a, b = vertex_factor(u, 2 * d - 1, which)
+    lams = full_grid_sums(d, n) / d
+    mean_log = math.fsum(np.log(a + b * lams)) / float(n**d)
+    return torus_prefactor(d, u) * math.exp(mean_log)
+
+
+# the Frucht graph in LCF notation: cubic, and its only automorphism is the
+# identity
+FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+
+
+def frucht_graph() -> Graph:
+    """The Frucht graph, falsely flagged vertex-transitive."""
+    n = len(FRUCHT_LCF)
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    edges |= {tuple(sorted((i, (i + step) % n))) for i, step in enumerate(FRUCHT_LCF)}
+    return graph_from_edges(n, sorted(edges), family="frucht", vertex_transitive=True)

@@ -8,7 +8,17 @@ from pathlib import Path
 import pytest
 
 import zetawalk
-from zetawalk import IdentityCheck, KonnoSatoReport, Poly, ZetawalkError, errors, limits, load_graph
+from helpers import frucht_graph
+from zetawalk import (
+    IdentityCheck,
+    KonnoSatoReport,
+    Poly,
+    ZetawalkError,
+    errors,
+    limits,
+    load_graph,
+    save_graph,
+)
 from zetawalk.cli import entrypoint
 
 
@@ -221,6 +231,17 @@ def test_zeta_eval_domain_error_exits_2(capsys, k4_path):
     code, _, err = run_cli(capsys, ["zeta-eval", "--graph", k4_path, "--u", "3/2"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("method", ["spectral", "charpoly"])
+def test_zeta_eval_refutes_a_false_vertex_transitive_flag(capsys, tmp_path, method):
+    path = tmp_path / "frucht.json"
+    save_graph(frucht_graph(), path)
+    code, out, err = run_cli(
+        capsys, ["zeta-eval", "--graph", str(path), "--u", "1/10", "--method", method]
+    )
+    assert (code, out) == (2, "")
+    assert "closed walks of length 3" in err
 
 
 def test_torus_limit_at_zero_is_one(capsys):

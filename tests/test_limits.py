@@ -1,12 +1,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import full_grid_finite_torus, full_grid_log_mean
 from zetawalk import (
     ConvergenceStudy,
     FamilyParameterError,
     ZetaDomainError,
+    ZetawalkError,
     convergence_study,
     finite_torus_zeta_reciprocal,
     graph_spectrum,
@@ -18,7 +23,8 @@ from zetawalk import (
     torus_prefactor,
     torus_spectrum,
 )
-from zetawalk.limits import vertex_factor, vertex_factor_coefficients
+from zetawalk import limits
+from zetawalk.limits import _weighted_fsum, vertex_factor, vertex_factor_coefficients
 
 TORI = [(1, 5), (2, 3), (2, 4), (3, 3)]
 
@@ -69,14 +75,113 @@ def test_spectrum_list_validation():
 
 @pytest.mark.parametrize("which", ["grover", "ihara"])
 @pytest.mark.parametrize(
-    "d, u, grid", [(1, 0.3, 8), (2, 0.2, 12), (2, -0.15, 9), (3, 0.1, 8), (4, 0.1, 8)]
+    "d, u, grid",
+    [(1, 0.3, 8), (2, 0.2, 12), (2, -0.15, 9), (3, 0.1, 8), (4, 0.1, 8), (8, 0.05, 16)],
 )
 def test_quadrature_on_grid_g_equals_side_g_torus(which, d, u, grid):
     # The trapezoid nodes on grid G enumerate the side-G torus spectrum, so
     # the limit quadrature reproduces the finite value to roundoff.
-    limit = torus_limit_zeta_reciprocal(d, u, which, grid=grid)
-    finite = finite_torus_zeta_reciprocal(d, grid, u, which)
+    limit = torus_limit_zeta_reciprocal(d, u, which, grid=grid, allow_high_dimension=True)
+    finite = finite_torus_zeta_reciprocal(d, grid, u, which, allow_high_dimension=True)
     assert abs(limit - finite) <= 1e-13
+
+
+GRIDS = (8, 9, 15, 16, 31, 32, 64)
+# the (d, G) pairs whose full grid has at most 2^20 points, and the d = 4,
+# G = 64 limit of the spectral-limit benchmark
+ORACLE_CASES = [(d, g) for d in range(1, 6) for g in GRIDS if g**d <= 2**20] + [(4, 64)]
+
+
+@pytest.mark.parametrize("d, grid", ORACLE_CASES)
+def test_torus_values_are_bitwise_those_of_the_full_grid(d, grid):
+    # The value classes keep every operand and every rounding but the one
+    # of the final sum, which both sides round correctly: equal, not close.
+    for which in ("grover", "ihara"):
+        edge = 1.0 if which == "grover" else 1.0 / (2 * d - 1)
+        for u in (-0.5 * edge, 0.2 * edge, 0.95 * edge):
+            mean = full_grid_log_mean(d, u, which, grid)
+            assert torus_limit_log_mean(d, u, which, grid, allow_high_dimension=True) == mean
+            assert torus_limit_zeta_reciprocal(
+                d, u, which, grid, allow_high_dimension=True
+            ) == torus_prefactor(d, u) * math.exp(mean)
+            if grid**d < 2**20:
+                assert finite_torus_zeta_reciprocal(
+                    d, grid, u, which, allow_high_dimension=True
+                ) == full_grid_finite_torus(d, grid, u, which)
+
+
+@pytest.mark.parametrize("block", ["grid", 64, 2**20])
+def test_quadrature_does_not_depend_on_the_block_size(monkeypatch, block):
+    cases = [(2, 0.3, "grover", 31), (3, -0.1, "ihara", 16), (4, 0.2, "grover", 32),
+             (3, 0.9, "grover", 64), (1, 0.4, "ihara", 9)]
+    expected = [torus_limit_log_mean(d, u, which, grid) for d, u, which, grid in cases]
+    for (d, u, which, grid), value in zip(cases, expected):
+        monkeypatch.setattr(limits, "_BLOCK_POINTS", grid if block == "grid" else block)
+        assert torus_limit_log_mean(d, u, which, grid) == value
+
+
+def exact_weighted_sum(values, counts) -> float:
+    """sum values[i] * counts[i] in fractions, rounded once."""
+    total = sum(Fraction(float(v)) * int(c) for v, c in zip(values, counts))
+    return float(total)
+
+
+@pytest.mark.parametrize(
+    "values, counts",
+    [
+        ([1e16, 1.0, -1e16], [1, 1, 1]),
+        ([1e16, 0.1, -1e16, 3.0], [3, 7, 3, 2]),
+        ([0.0, 0.0], [3, 5]),
+        ([0.0, -2.5, 0.0, 1.25], [4, 1, 9, 2]),
+        ([0.1], [7]),
+        ([-1 / 3], [1]),
+        ([2.0**-1074, 5e-324 * 3, 1e-310], [5, 2, 9]),
+    ],
+)
+def test_weighted_fsum_is_fsum_over_the_repeated_values(values, counts):
+    got = _weighted_fsum(np.array(values), np.array(counts, dtype=np.int64))
+    assert got == math.fsum(np.repeat(values, counts))
+    assert got == exact_weighted_sum(values, counts)
+
+
+@pytest.mark.parametrize(
+    "values, counts",
+    [
+        # counts at and past 2^26 fill the second 26-bit limb, past 2^52 the third
+        ([0.1, -0.3, 1e16, -1e16], [2**26 + 5, 3 * 2**26 + 1, 2**26, 2**26]),
+        ([1 / 3, -1 / 7], [2**62 + 1, 2**53 - 1]),
+        ([0.7], [2**26]),
+        ([1e16, 1.0, -1e16], [2**40, 2**40 + 3, 2**40]),
+    ],
+)
+def test_weighted_fsum_with_counts_past_one_limb(values, counts):
+    got = _weighted_fsum(np.array(values), np.array(counts, dtype=np.int64))
+    assert got == exact_weighted_sum(values, counts)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-1e200, max_value=1e200),
+            st.integers(min_value=1, max_value=2**62),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_weighted_fsum_rounds_the_exact_sum_once(pairs):
+    values, counts = zip(*pairs)
+    got = _weighted_fsum(np.array(values), np.array(counts, dtype=np.int64))
+    assert got == exact_weighted_sum(values, counts)
+
+
+def test_grid_beyond_a_64_bit_point_count_is_refused():
+    # 8^21 = 2^63 head points would wrap the int64 multiplicities
+    with pytest.raises(ZetawalkError, match="64-bit count"):
+        torus_limit_log_mean(22, 0.01, grid=8, allow_high_dimension=True)
+    with pytest.raises(ZetawalkError, match="64-bit count"):
+        finite_torus_zeta_reciprocal(21, 8, 0.01, allow_high_dimension=True)
+    assert math.isfinite(torus_limit_log_mean(21, 0.01, grid=8, allow_high_dimension=True))
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import poly_mul, poly_pow
+from helpers import frucht_graph, poly_mul, poly_pow
 from zetawalk import (
     NonRegularGraphError,
     NotVertexTransitiveError,
@@ -12,6 +12,7 @@ from zetawalk import (
     SeriesCoefficients,
     TreeGraphError,
     ZetaDomainError,
+    build_family,
     charpoly_zeta_reciprocal,
     complete_graph,
     cycle_graph,
@@ -30,6 +31,8 @@ from zetawalk import (
     weighted_cycle_counts,
     zeta_series_consistency,
 )
+from zetawalk.graphs import FAMILIES
+from zetawalk.zeta import _require_vertex_transitive
 
 PAW = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 DIAMOND = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -237,6 +240,47 @@ def test_spectral_evaluation_requires_regularity_and_the_flag():
         spectral_zeta_reciprocal(square, 0.1)
     with pytest.raises(NotVertexTransitiveError):
         charpoly_zeta_reciprocal(square, Fraction(1, 10))
+
+
+def test_a_false_vertex_transitive_flag_is_refuted_by_closed_walks():
+    frucht = frucht_graph()
+    assert frucht.regular_degree == 3 and frucht.num_edges == 18
+    evaluations = [
+        lambda g: spectral_zeta_reciprocal(g, 0.1),
+        lambda g: spectral_zeta_reciprocal(g, 0.1, which="ihara", route="laplacian"),
+        lambda g: charpoly_zeta_reciprocal(g, Fraction(1, 10)),
+        lambda g: rooted_cycle_counts(g, 3),
+    ]
+    # two triangles meet at some vertices of the Frucht graph, none at others
+    for evaluate in evaluations:
+        with pytest.raises(NotVertexTransitiveError, match="from 0 to 2 closed walks of length 3"):
+            evaluate(frucht)
+    # cubic and triangle-free, with one 4-cycle through some vertices and
+    # two through others
+    squares = graph_from_edges(
+        10,
+        [(0, 4), (0, 6), (0, 8), (1, 4), (1, 5), (1, 9), (2, 6), (2, 8), (2, 9),
+         (3, 5), (3, 7), (3, 9), (4, 7), (5, 6), (7, 8)],
+        vertex_transitive=True,
+    )
+    for evaluate in evaluations:
+        with pytest.raises(NotVertexTransitiveError, match="from 17 to 19 closed walks of length 4"):
+            evaluate(squares)
+    paw = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], vertex_transitive=True)
+    with pytest.raises(NotVertexTransitiveError, match="closed walks of length 2"):
+        rooted_cycle_counts(paw, 3)
+
+
+def test_every_family_passes_the_walk_regularity_check():
+    cases = [("cycle", {"N": 3}), ("cycle", {"N": 8}), ("torus", {"d": 1, "N": 5}),
+             ("torus", {"d": 2, "N": 3}), ("torus", {"d": 2, "N": 4}),
+             ("torus", {"d": 3, "N": 7}), ("complete", {"N": 3}), ("complete", {"N": 6}),
+             ("petersen", {}), ("hypercube", {"d": 2}), ("hypercube", {"d": 4})]
+    assert {tag for tag, _ in cases} == set(FAMILIES)
+    for tag, params in cases:
+        graph = build_family(tag, **params)
+        assert graph.claimed_vertex_transitive
+        _require_vertex_transitive(graph, "walk-regularity check")
 
 
 def test_spectral_domain_errors():
