@@ -112,7 +112,9 @@ def graph_from_edges(
     """Validate an edge list and build an immutable Graph.
 
     Raises LoopEdgeError, DuplicateEdgeError, or DisconnectedGraphError for
-    the corresponding simplicity/connectivity violations.
+    the corresponding simplicity/connectivity violations, and
+    GraphFormatError for a vertex outside the range or an empty edge list:
+    every operator of the package needs at least one arc.
     """
     if num_vertices < 1:
         raise GraphFormatError(f"vertex count must be positive, got {num_vertices}")
@@ -130,6 +132,8 @@ def graph_from_edges(
         seen.add(key)
         neighbor_sets[i].add(j)
         neighbor_sets[j].add(i)
+    if not seen:
+        raise GraphFormatError("the graph has no edges; at least one is required")
 
     _require_connected(num_vertices, neighbor_sets)
 

@@ -4,11 +4,15 @@ Both kernels first scale a square rational matrix M to the integer matrix
 L*M, with L the lcm of its denominators.
 
 Every exact determinant in the package is det(I - u*M), computed by
-`det_i_minus_u`: the characteristic polynomial of L*M is found modulo K
-31-bit primes at once. The residues form one (K, n, n) int64 stack, which
-Hessenberg reduction (Cohen, A Course in Computational Algebraic Number
-Theory, GTM 138, section 2.2) brings to upper Hessenberg form one column at
-a time for all primes together. Each step updates only the rows and columns
+`_scaled_charpoly` as integer coefficients C_k of u^k / L^k and divided out
+by `det_i_minus_u`; callers that go on in integers (the Bass form and the
+Konno-Sato vertex sides) take the C_k and multiply by the cocycle
+(1 - u^2)^e with `_times_one_minus_u_squared` before they divide. The
+characteristic polynomial of L*M is found modulo K 31-bit primes at once.
+The residues form one (K, n, n) int64 stack, which Hessenberg reduction
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+section 2.2) brings to upper Hessenberg form one column at a time for all
+primes together. Each step updates only the rows and columns
 whose multiplier is nonzero for some prime. The Hessenberg recurrence then
 runs on the stack as well, and skips the blocks that a subdiagonal zero for
 every prime splits off. The residues are combined by the Chinese remainder
@@ -148,12 +152,32 @@ def one_minus_u_squared_pow(exponent: int) -> Poly:
     return Poly((1, 0, -1)) ** exponent
 
 
-def det_i_minus_u(matrix: RatMatrix) -> Poly:
-    """Exact polynomial det(I - u*M) for a square rational matrix M.
+def _times_one_minus_u_squared(coeffs: list[int], exponent: int) -> list[int]:
+    """Integer coefficients of (1 - u^2)^exponent times the given polynomial.
 
-    With L the lcm of the entry denominators, the coefficient of u^k is
-    c_k / L^k, where x^n + c_1 x^(n-1) + ... + c_n = det(xI - L*M). The c_k
-    are found modulo enough primes to pin them down and combined by CRT.
+    Each factor 1 - u^2 is one pass of r_i -= r_(i-2), from the top down so
+    that r_(i-2) is still the old value; the list grows by two per pass.
+    """
+    out = list(coeffs)
+    for _ in range(exponent):
+        out += [0, 0]
+        for i in range(len(out) - 1, 1, -1):
+            out[i] -= out[i - 2]
+    return out
+
+
+def det_i_minus_u(matrix: RatMatrix) -> Poly:
+    """Exact polynomial det(I - u*M) for a square rational matrix M."""
+    scale, coeffs = _scaled_charpoly(matrix)
+    return Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs))
+
+
+def _scaled_charpoly(matrix: RatMatrix) -> tuple[int, list[int]]:
+    """L and integers C_0..C_n with det(I - u*M) = sum_k C_k u^k / L^k.
+
+    L is the lcm of the entry denominators of the square matrix M, and
+    x^n + C_1 x^(n-1) + ... + C_n = det(xI - L*M). The C_k are found modulo
+    enough primes to pin them down and combined by CRT.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("det(I - u*M) requires a square matrix")
@@ -162,7 +186,7 @@ def det_i_minus_u(matrix: RatMatrix) -> Poly:
     # symmetric residues pin down every c_k once the modulus exceeds 2 |c_k|
     primes, modulus = _primes_above(2 * max(_coefficient_bounds(n, entries)))
     residues = _charpoly_mod_primes(n, entries, primes)
-    return Poly(Fraction(c, scale**k) for k, c in enumerate(_crt(residues, primes, modulus)))
+    return scale, _crt(residues, primes, modulus)
 
 
 def _coefficient_bounds(n: int, entries: list[tuple[int, int, int]]) -> list[int]:

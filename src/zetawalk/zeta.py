@@ -6,11 +6,17 @@ through the positive support, and the Ihara-Bass vertex form
 (1 - u^2)^(m - nu) det(I - uA + u^2 (D - I)). For regular graphs the
 Konno-Sato theorem factors the two arc determinants through the transition
 or Laplacian spectrum; `konno_sato_check` verifies all four identities as
-exact polynomial equalities. Cycle counts are exact traces of operator
-powers (`polynomials.trace_powers`, pairings of integer powers of the
-cleared matrix up to half the order), with an independent brute-force
-oracle for cross-checking, and the generalized zeta (the nu-th root
-normalization) is evaluated numerically from vertex spectra.
+exact polynomial equalities. Its right sides come from one characteristic
+polynomial per route: det(I - xM) = sum_k c_k x^k of the nu x nu vertex
+operator M gives det(s I + t M) = sum_k c_k (-t)^k s^(nu-k), which is
+evaluated at the vertex factor line s = 1 + a1 u + a2 u^2, t = b u in
+integers. The Bass form and the Konno-Sato sides multiply by the cocycle
+(1 - u^2)^(m - nu) in integers before the one division. Cycle counts are
+exact traces of operator powers (`polynomials.trace_powers`, pairings of
+integer powers of the cleared matrix up to half the order), with an
+independent brute-force oracle for cross-checking, and the generalized
+zeta (the nu-th root normalization) is evaluated numerically from vertex
+spectra.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .graphs import ArcSpace, Graph, arc_space
 from .limits import graph_spectrum, to_double, vertex_factor, vertex_factor_coefficients
 from .operators import (
     adjacency,
-    degree_matrix,
     grover,
     grover_positive_support,
     laplacian,
@@ -41,9 +46,10 @@ from .operators import (
 )
 from .polynomials import (
     Poly,
+    _scaled_charpoly,
+    _times_one_minus_u_squared,
     det_i_minus_u,
     log_series,
-    one_minus_u_squared_pow,
     trace_powers,
 )
 from .rational import RatMatrix
@@ -169,26 +175,19 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
     """Ihara zeta reciprocal in Bass form.
 
     Returns (1 - u^2)^(m - nu) * det(I - uA + u^2 (D - I)) with m edges and
-    nu vertices; the exponent m - nu is the Betti number minus one.
+    nu vertices; the exponent m - nu is the Betti number minus one. The
+    determinant is det(I - uC) of the 2nu x 2nu companion matrix
+    C = [[A, I - D], [I, 0]]: the Schur complement of the lower-right block
+    of I - uC is the pencil. C has integer entries, so its scale L is 1 and
+    the cocycle multiplies integer coefficients.
     """
     _reject_tree(graph)
     n = graph.num_vertices
-    eye = RatMatrix.identity(n)
-    det = _quadratic_pencil_det(-adjacency(graph), degree_matrix(graph) - eye)
-    return one_minus_u_squared_pow(graph.num_edges - n) * det
-
-
-def _quadratic_pencil_det(b1: RatMatrix, b2: RatMatrix) -> Poly:
-    """det(I + u B1 + u^2 B2) as det(I - uC) of the 2n x 2n companion matrix.
-
-    C = [[-B1, -B2], [I, 0]]; the Schur complement of the lower-right block
-    of I - uC is I + u B1 + u^2 B2, so the two determinants are equal.
-    """
-    n = b1.rows
-    entries = [(i, j, -value) for i, j, value in b1.nonzero_items()]
-    entries += [(i, n + j, -value) for i, j, value in b2.nonzero_items()]
-    entries += [(n + i, i, 1) for i in range(n)]
-    return det_i_minus_u(RatMatrix(2 * n, 2 * n, entries))
+    entries = list(adjacency(graph).nonzero_items())
+    entries += [(v, n + v, 1 - d) for v, d in enumerate(graph.degree_profile) if d != 1]
+    entries += [(n + v, v, 1) for v in range(n)]
+    _, coeffs = _scaled_charpoly(RatMatrix(2 * n, 2 * n, entries))
+    return Poly(_times_one_minus_u_squared(coeffs, graph.num_edges - n))
 
 
 def _reject_tree(graph: Graph) -> None:
@@ -204,16 +203,23 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
 
     For a (q+1)-regular graph with nu vertices and m edges, the left sides
     are det(I - uU) (grover kind) and det(I - uU+) (ihara kind) on the arc
-    space. Each right side is (1 - u^2)^(m - nu) det(I + u B1 + u^2 B2),
-    with B1 = a1 I + b M and B2 = a2 I taken from
+    space. Each right side is (1 - u^2)^(m - nu) det(s I + t M), with
+    s = 1 + a1 u + a2 u^2 and t = b u taken from
     `limits.vertex_factor_coefficients`, where M is the transition matrix P
-    or the Laplacian D - A of the route.
+    or the Laplacian D - A of the route. The kernel runs once per route, on
+    M itself: if det(I - xM) = sum_k c_k x^k, then
+    det(s I + t M) = sum_k c_k (-t)^k s^(nu-k) for any matrix, so both kinds
+    are read off the same c_k (`_vertex_side`). Trees (m < nu) are
+    rejected before any determinant.
     """
     _require_regular(graph, "Konno-Sato factorization")
     q = graph.regular_degree - 1
-    n = graph.num_vertices
-    eye = RatMatrix.identity(n)
-    cocycle = one_minus_u_squared_pow(graph.num_edges - n)
+    exponent = graph.num_edges - graph.num_vertices
+    if exponent < 0:
+        raise TreeGraphError(
+            f"Konno-Sato factorization requires a cycle; on a tree the factor "
+            f"(1 - u^2)^(m - nu) has exponent {exponent}"
+        )
 
     arcs = arc_space(graph)
     left_sides = {
@@ -222,10 +228,10 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     }
     checks = []
     for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):
+        scale, coeffs = _scaled_charpoly(mat)
         for which, lhs in left_sides.items():
-            a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
-            b1 = eye * a1 + mat * Fraction(b_num, b_den)
-            rhs = cocycle * _quadratic_pencil_det(b1, eye * a2)
+            factor = vertex_factor_coefficients(q, which, route)
+            rhs = _vertex_side(scale, coeffs, factor, exponent)
             tag = f"{which}-{route}"
             checks.append(IdentityCheck(tag=tag, holds=lhs == rhs, lhs=lhs, rhs=rhs))
     return KonnoSatoReport(
@@ -233,6 +239,33 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
         regular_degree=graph.regular_degree,
         identities=tuple(checks),
     )
+
+
+def _vertex_side(
+    scale: int, coeffs: list[int], factor: tuple[int, int, int, int], exponent: int
+) -> Poly:
+    """(1 - u^2)^exponent det(s I + t M) from det(I - uM) = sum_k C_k u^k / L^k.
+
+    factor is (a1, a2, b_num, b_den): s = 1 + a1 u + a2 u^2, t = (b_num/b_den) u.
+    With D = L b_den, D^nu det(s I + t M) = sum_k C_k (-b_num u)^k (D s)^(nu-k),
+    which Horner's rule builds in integers: R <- R (D s) + C_k (-b_num)^k u^k.
+    Only the final coefficients are divided by D^nu.
+    """
+    a1, a2, b_num, b_den = factor
+    d = scale * b_den
+    # D s = s0 + s1 u + s2 u^2
+    s0, s1, s2 = d, d * a1, d * a2
+    acc = [coeffs[0]]
+    for k, c in enumerate(coeffs[1:], start=1):
+        nxt = [0] * (len(acc) + 2)
+        for i, r in enumerate(acc):
+            nxt[i] += r * s0
+            nxt[i + 1] += r * s1
+            nxt[i + 2] += r * s2
+        nxt[k] += c * (-b_num) ** k
+        acc = nxt
+    denominator = d ** (len(coeffs) - 1)
+    return Poly(Fraction(r, denominator) for r in _times_one_minus_u_squared(acc, exponent))
 
 
 def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:

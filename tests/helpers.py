@@ -5,9 +5,12 @@ instead of the package's multi-modular kernel, dense fraction matrix
 products instead of its integer trace powers, list convolutions instead of
 the Poly class, and every grid point listed instead of the value classes of
 the torus means. Slower, but sharing no code with the implementations under
-test beyond the vertex factor line and the prefactor. It also builds the
-Frucht graph, which a false vertex_transitive flag cannot pass off as
-vertex-transitive.
+test beyond the vertex factor line and the prefactor. The one exception is
+`quadratic_pencil_det`, the 2n x 2n companion route that the Konno-Sato
+right sides took before they were read off the vertex characteristic
+polynomial; it runs the package kernel on a different matrix. It also
+builds the Frucht graph, which a false vertex_transitive flag cannot pass
+off as vertex-transitive.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zetawalk import RatMatrix, graph_from_edges, torus_prefactor
+from zetawalk import RatMatrix, det_i_minus_u, graph_from_edges, torus_prefactor
 from zetawalk.graphs import Graph
 from zetawalk.limits import vertex_factor
 
@@ -85,6 +88,19 @@ def naive_trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
             power = product
         traces.append(sum((power[i][i] for i in range(n)), Fraction(0)))
     return tuple(traces)
+
+
+def quadratic_pencil_det(b1: RatMatrix, b2: RatMatrix):
+    """det(I + u B1 + u^2 B2) as det(I - uC) of the 2n x 2n companion matrix.
+
+    C = [[-B1, -B2], [I, 0]]; the Schur complement of the lower-right block
+    of I - uC is I + u B1 + u^2 B2, so the two determinants are equal.
+    """
+    n = b1.rows
+    entries = [(i, j, -value) for i, j, value in b1.nonzero_items()]
+    entries += [(i, n + j, -value) for i, j, value in b2.nonzero_items()]
+    entries += [(n + i, i, 1) for i in range(n)]
+    return det_i_minus_u(RatMatrix(2 * n, 2 * n, entries))
 
 
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -436,6 +436,34 @@ def test_invalid_graph_document_exits_2(capsys, tmp_path):
     assert "not connected" in err
 
 
+def test_konno_sato_on_a_regular_tree_exits_2(capsys, tmp_path):
+    path = tmp_path / "k2.json"
+    path.write_text('{"vertices": 2, "edges": [[0, 1]]}')
+    for argv in (["verify", "konno-sato"], ["verify", "konno-sato", "--json"]):
+        code, out, err = run_cli(capsys, argv + ["--graph", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "tree" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--order", "3", "--which", "grover"],
+        ["charpoly"],
+        ["verify", "konno-sato"],
+        ["zeta-eval", "--method", "spectral", "--u", "1/5"],
+    ],
+)
+def test_edgeless_graph_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "edgeless.json"
+    path.write_text('{"vertices": 1, "edges": [], "vertex_transitive": true}')
+    code, out, err = run_cli(capsys, argv + ["--graph", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "no edges" in err
+
+
 def test_every_package_error_derives_from_one_base():
     classes = [
         value for value in vars(errors).values()

@@ -21,6 +21,7 @@ from zetawalk import (
     save_graph,
     torus_graph,
 )
+from zetawalk.graphs import FAMILIES
 
 
 def test_triangle_basic_counts():
@@ -60,6 +61,31 @@ def test_out_of_range_vertex_rejected():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         graph_from_edges(4, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize("num_vertices", [1, 3])
+def test_edgeless_graph_rejected(tmp_path, num_vertices):
+    with pytest.raises(GraphFormatError, match="no edges"):
+        graph_from_edges(num_vertices, [])
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"vertices": num_vertices, "edges": []}))
+    with pytest.raises(GraphFormatError, match="no edges"):
+        load_graph(path)
+
+
+def test_every_family_builds_at_its_smallest_sizes():
+    smallest = {
+        "cycle": [{"N": 3}],
+        "torus": [{"d": 1, "N": 3}, {"d": 2, "N": 3}],
+        "complete": [{"N": 3}],
+        "petersen": [{}],
+        "hypercube": [{"d": 2}],
+    }
+    assert set(smallest) == set(FAMILIES)
+    for tag, sizes in smallest.items():
+        for params in sizes:
+            g = build_family(tag, **params)
+            assert g.num_edges >= g.num_vertices, (tag, params)
 
 
 def test_tree_is_allowed_at_construction():

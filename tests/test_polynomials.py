@@ -12,6 +12,7 @@ from helpers import (
     gauss_det,
     naive_trace_powers,
     poly_mul,
+    quadratic_pencil_det,
     random_rat_matrix,
 )
 from zetawalk import (
@@ -135,14 +136,32 @@ def test_det_matrix_polynomial_quadratic_pencil():
     rng = random.Random(17)
     n = 4
     b1, b2 = random_rat_matrix(rng, n), random_rat_matrix(rng, n)
-    entries = [(i, j, -v) for i, j, v in b1.nonzero_items()]
-    entries += [(i, n + j, -v) for i, j, v in b2.nonzero_items()]
-    entries += [(n + i, i, 1) for i in range(n)]
-    p = det_i_minus_u(RatMatrix(2 * n, 2 * n, entries))
+    p = quadratic_pencil_det(b1, b2)
     assert p.degree <= 2 * n
     for t in (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 7)):
         pencil = RatMatrix.identity(n) + b1 * t + b2 * (t * t)
         assert p.eval_exact(t) == gauss_det(dense(pencil))
+
+
+def test_scaled_charpoly_clears_denominators_and_matches_det_i_minus_u():
+    rng = random.Random(23)
+    for n in (1, 2, 5, 8):
+        m = random_rat_matrix(rng, n)
+        scale, coeffs = polynomials._scaled_charpoly(m)
+        assert scale == math.lcm(1, *(v.denominator for _, _, v in m.nonzero_items()))
+        assert len(coeffs) == n + 1 and coeffs[0] == 1
+        assert all(isinstance(c, int) for c in coeffs)
+        assert Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs)) == det_i_minus_u(m)
+
+
+def test_integer_cocycle_matches_one_minus_u_squared_pow():
+    rng = random.Random(29)
+    for _ in range(20):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
+        for e in range(6):
+            out = polynomials._times_one_minus_u_squared(coeffs, e)
+            assert all(isinstance(c, int) for c in out)
+            assert Poly(out) == one_minus_u_squared_pow(e) * Poly(coeffs)
 
 
 def test_det_i_minus_u_with_large_entries_needs_many_primes():

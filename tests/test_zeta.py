@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import frucht_graph, poly_mul, poly_pow
+from helpers import frucht_graph, poly_mul, poly_pow, quadratic_pencil_det
 from zetawalk import (
     NonRegularGraphError,
     NotVertexTransitiveError,
     OracleGuardError,
     Poly,
+    RatMatrix,
     SeriesCoefficients,
     TreeGraphError,
     ZetaDomainError,
@@ -31,8 +32,12 @@ from zetawalk import (
     weighted_cycle_counts,
     zeta_series_consistency,
 )
+from zetawalk import zeta
 from zetawalk.graphs import FAMILIES
-from zetawalk.zeta import _require_vertex_transitive
+from zetawalk.limits import vertex_factor_coefficients
+from zetawalk.operators import adjacency, degree_matrix, laplacian, transition
+from zetawalk.polynomials import _scaled_charpoly, one_minus_u_squared_pow
+from zetawalk.zeta import _require_vertex_transitive, _vertex_side
 
 PAW = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 DIAMOND = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -119,6 +124,61 @@ def test_konno_sato_identities_hold_exactly(graph):
 def test_konno_sato_rejects_non_regular_graphs():
     with pytest.raises(NonRegularGraphError):
         konno_sato_check(PAW)
+
+
+def test_konno_sato_rejects_a_regular_tree_before_any_determinant(monkeypatch):
+    # K2 is 1-regular with m - nu = -1: the cocycle (1 - u^2)^(m - nu) has no
+    # polynomial meaning
+    def forbidden(matrix):
+        raise AssertionError("no determinant may run on a tree")
+
+    monkeypatch.setattr(zeta, "det_i_minus_u", forbidden)
+    monkeypatch.setattr(zeta, "_scaled_charpoly", forbidden)
+    with pytest.raises(TreeGraphError, match="exponent -1"):
+        konno_sato_check(graph_from_edges(2, [(0, 1)]))
+
+
+def circulant_graph(n, jumps):
+    edges = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}
+    return graph_from_edges(n, sorted(edges), family=f"circulant({n},{jumps})")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [cycle_graph(n) for n in range(3, 7)]
+    + [complete_graph(n) for n in range(4, 8)]
+    + [petersen_graph(), torus_graph(2, 3), torus_graph(3, 3)]
+    + [hypercube_graph(3), hypercube_graph(4)]
+    + [circulant_graph(7, (1, 2)), circulant_graph(8, (1, 4))],
+    ids=lambda g: g.summary(),
+)
+def test_konno_sato_right_sides_match_the_companion_pencil(graph):
+    # each right side read off det(I - uM) equals the 2nu x 2nu companion
+    # determinant of the pencil I + u (a1 I + b M) + u^2 a2 I, times the cocycle
+    q = graph.regular_degree - 1
+    n = graph.num_vertices
+    eye = RatMatrix.identity(n)
+    cocycle = graph.num_edges - n
+    for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):
+        scale, coeffs = _scaled_charpoly(mat)
+        for which in ("grover", "ihara"):
+            a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
+            oracle = one_minus_u_squared_pow(cocycle) * quadratic_pencil_det(
+                eye * a1 + mat * Fraction(b_num, b_den), eye * a2
+            )
+            rhs = _vertex_side(scale, coeffs, (a1, a2, b_num, b_den), cocycle)
+            assert rhs == oracle, f"{which}-{route}"
+
+
+@pytest.mark.parametrize(
+    "graph", [PAW, DIAMOND, graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])]
+    + [petersen_graph(), torus_graph(2, 3)],
+    ids=lambda g: g.summary(),
+)
+def test_bass_form_matches_the_companion_pencil_times_the_cocycle(graph):
+    n = graph.num_vertices
+    pencil = quadratic_pencil_det(-adjacency(graph), degree_matrix(graph) - RatMatrix.identity(n))
+    assert ihara_reciprocal_bass(graph) == one_minus_u_squared_pow(graph.num_edges - n) * pencil
 
 
 def test_konno_sato_right_sides_are_usable_polynomials():
