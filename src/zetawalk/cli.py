@@ -63,7 +63,7 @@ def _check_ihara_margin(args: argparse.Namespace, u: float) -> None:
     if args.which != "ihara" or args.full_domain:
         return
     # the margin is defined through d, so an invalid d is reported first
-    limits.check_torus_dimension(args.d, args.allow_high_dimension)
+    limits.check_torus_dimension(args.d)
     bound = IHARA_MARGIN / (2 * args.d - 1)
     if abs(u) > bound:
         raise ZetawalkError(
@@ -252,9 +252,7 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
 def _cmd_torus_limit(args: argparse.Namespace) -> int:
     u = limits.to_double(_parse_u(args.u))
     _check_ihara_margin(args, u)
-    value, prefactor = limits.torus_limit_terms(
-        args.d, u, args.which, args.grid, args.allow_high_dimension
-    )
+    value, prefactor = limits.torus_limit_terms(args.d, u, args.which, args.grid)
     if args.json:
         _emit(
             {
@@ -276,12 +274,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     u = limits.to_double(_parse_u(args.u))
     _check_ihara_margin(args, u)
     study = limits.convergence_study(
-        args.d,
-        u,
-        sides,
-        args.which,
-        reference_grid=args.reference_grid,
-        allow_high_dimension=args.allow_high_dimension,
+        args.d, u, sides, args.which, reference_grid=args.reference_grid
     )
     monotone = study.errors_monotone()
     if args.json:
@@ -411,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="lift the default ihara-kind margin |u| <= 0.9/(2d-1)",
     )
-    torus_limit.add_argument("--allow-high-dimension", action="store_true")
     torus_limit.add_argument("--json", action="store_true")
     torus_limit.set_defaults(func=_cmd_torus_limit)
 
@@ -429,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="lift the default ihara-kind margin |u| <= 0.9/(2d-1)",
     )
-    converge.add_argument("--allow-high-dimension", action="store_true")
     converge.add_argument("--json", action="store_true")
     converge.set_defaults(func=_cmd_converge)
 

@@ -26,6 +26,11 @@ rounded once by `_weighted_fsum`; `math.fsum` over the full list rounds the
 same exact sum once, so the values are bitwise those of the full
 enumeration, and they do not depend on the block size.
 
+There is no cap on d. What bounds memory is the number of grid points
+formed at once: `_grid_sums` checks G^d and each axis step of
+`_grid_classes` checks the classes so far times G, both before they
+allocate, and a step above `_MAX_POINTS` is refused with ZetawalkError.
+
 `vertex_factor_coefficients` is the one table of the four Konno-Sato
 vertex factors, in exact integers; the float line `vertex_factor` and the
 exact check `zeta.konno_sato_check` both read it.
@@ -58,14 +63,15 @@ __all__ = [
     "torus_limit_terms",
     "convergence_study",
     "check_torus_dimension",
-    "DIMENSION_CAP",
     "MIN_GRID",
 ]
 
-DIMENSION_CAP = 4
 MIN_GRID = 8
 # grid points per quadrature block; bounds memory, does not change the result
 _BLOCK_POINTS = 2**15
+# the most grid points formed at once; a larger grid is refused before it
+# is allocated (d = 6 on grid 64 forms 26.1M and peaks near 0.9 GiB)
+_MAX_POINTS = 2**25
 
 _OPERATORS = ("adjacency", "transition", "laplacian")
 
@@ -94,38 +100,33 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, .
     return tuple(np.linalg.eigvalsh(sym).tolist())
 
 
-def check_torus_dimension(d: int, allow_high_dimension: bool) -> None:
-    """Refuse a torus dimension below 1, or above `DIMENSION_CAP` unless allowed."""
+def check_torus_dimension(d: int) -> None:
+    """Refuse a torus dimension below 1."""
     if d < 1:
         raise FamilyParameterError(f"torus dimension must be at least 1, got {d}")
-    if not allow_high_dimension and d > DIMENSION_CAP:
-        raise FamilyParameterError(
-            f"torus dimension {d} exceeds the default cap of {DIMENSION_CAP}; "
-            f"grid sizes grow as G^d, pass allow_high_dimension=True to override"
-        )
 
 
-def _check_torus_params(d: int, n: int, allow_high_dimension: bool) -> None:
-    check_torus_dimension(d, allow_high_dimension)
+def _check_torus_params(d: int, n: int) -> None:
+    check_torus_dimension(d)
     if n < 3:
         raise FamilyParameterError(
             f"torus side must be at least 3 to avoid parallel edges, got {n}"
         )
 
 
-def torus_spectrum(
-    d: int, n: int, operator: str = "transition", allow_high_dimension: bool = False
-) -> tuple[float, ...]:
+def torus_spectrum(d: int, n: int, operator: str = "transition") -> tuple[float, ...]:
     """Closed-form spectrum of the side-n d-dimensional discrete torus.
 
     Values are listed in lexicographic order of the lattice point
     k in {0..n-1}^d: the adjacency eigenvalue at k is
     2 * sum_j cos(2 pi k_j / n), the transition eigenvalue is that divided
     by the degree 2d, and the Laplacian eigenvalue is 2d minus it.
+    ZetawalkError when the n^d values are more than the grid points formed
+    at once.
     """
     if operator not in _OPERATORS:
         raise ValueError(f"unknown operator {operator!r}; pick one of {_OPERATORS}")
-    _check_torus_params(d, n, allow_high_dimension)
+    _check_torus_params(d, n)
     total = _grid_sums(d, n)
     if operator == "adjacency":
         total = 2.0 * total
@@ -146,6 +147,7 @@ def _grid_sums(d: int, g: int) -> np.ndarray:
 
     The axis terms are added in axis order; d = 0 gives the one empty sum 0.
     """
+    _check_points(g**d, d, g)
     axis = _axis_terms(g)
     total = np.zeros(1)
     for _ in range(d):
@@ -153,7 +155,16 @@ def _grid_sums(d: int, g: int) -> np.ndarray:
     return total
 
 
-def _grid_classes(k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_points(points: int, d: int, g: int) -> None:
+    """ZetawalkError when a grid step would form more than `_MAX_POINTS` points."""
+    if points > _MAX_POINTS:
+        raise ZetawalkError(
+            f"dimension {d} on grid {g} would form {points:,} grid points at "
+            f"once, more than the {_MAX_POINTS:,} allowed; use a smaller grid"
+        )
+
+
+def _grid_classes(k: int, g: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of `_grid_sums(k, g)` and how often each occurs.
 
     Built one axis at a time: the classes so far plus each axis term, added
@@ -161,17 +172,19 @@ def _grid_classes(k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     sum is its prefix sum plus one axis term, so prefixes with equal bits
     give equal sums and merging them loses no value; the g^k points are
     never listed. Values come sorted by their bits read as int64, counts as
-    int64; ZetawalkError when g^k does not fit that count.
+    int64; ZetawalkError, naming the torus dimension d, when g^k does not fit
+    that count or a step would form more than `_MAX_POINTS` points.
     """
     if g**k >= 2**63:
         raise ZetawalkError(
             f"a grid of {g}^{k} points has more points than a 64-bit count holds"
         )
-    axis = _axis_terms(g)
     values = np.zeros(1)
     counts = np.ones(1, dtype=np.int64)
     for _ in range(k):
-        bits = (values[:, None] + axis).reshape(-1).view(np.int64)
+        _check_points(values.size * g, d, g)
+        # the axis is formed after the check, so a refused grid allocates none
+        bits = (values[:, None] + _axis_terms(g)).reshape(-1).view(np.int64)
         order = np.argsort(bits)
         bits = bits[order]
         starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
@@ -318,27 +331,22 @@ def _assemble(d: int, u: float, prefactor: float, mean_log: float) -> float:
     return value
 
 
-def finite_torus_zeta_reciprocal(
-    d: int, n: int, u: float, which: str = "grover", allow_high_dimension: bool = False
-) -> float:
+def finite_torus_zeta_reciprocal(d: int, n: int, u: float, which: str = "grover") -> float:
     """Generalized zeta reciprocal of the side-n torus from its closed-form spectrum.
 
     Computes (1 - u^2)^(d-1) * exp(mean over the n^d transition eigenvalues
     of log factor(lambda)) for the chosen kind. Raises ZetaDomainError
     outside the positivity domain or beyond the double range.
     """
-    _check_torus_params(d, n, allow_high_dimension)
+    _check_torus_params(d, n)
     u = to_double(u)
     a, b, prefactor = _check_domain(d, u, which)
-    values, counts = _grid_classes(d, n)
+    values, counts = _grid_classes(d, n, d)
     mean_log = _weighted_fsum(np.log(a + b * (values / d)), counts) / float(n**d)
     return _assemble(d, u, prefactor, mean_log)
 
 
-def torus_limit_log_mean(
-    d: int, u: float, which: str = "grover", grid: int = 64,
-    allow_high_dimension: bool = False,
-) -> float:
+def torus_limit_log_mean(d: int, u: float, which: str = "grover", grid: int = 64) -> float:
     """Quadrature value of the limit integral mean of log factor(lambda(theta)).
 
     lambda(theta) = (1/d) sum_j cos theta_j over [0, 2 pi]^d with the uniform
@@ -348,13 +356,13 @@ def torus_limit_log_mean(
     Raises ZetaDomainError, before any grid work, where a factor is not
     positive or a factor or the prefactor overflows.
     """
-    _check_limit_params(d, grid, allow_high_dimension)
+    _check_limit_params(d, grid)
     a, b, _ = _check_domain(d, to_double(u), which)
     return _grid_log_mean(d, a, b, grid)
 
 
-def _check_limit_params(d: int, grid: int, allow_high_dimension: bool) -> None:
-    check_torus_dimension(d, allow_high_dimension)
+def _check_limit_params(d: int, grid: int) -> None:
+    check_torus_dimension(d)
     if grid < MIN_GRID:
         raise ZetawalkError(f"grid must be at least {MIN_GRID}, got {grid}")
 
@@ -369,7 +377,7 @@ def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
     exactly and rounded once, which is `math.fsum` over the rows of every
     head: the mean is bitwise that of the full grid.
     """
-    heads, counts = _grid_classes(d - 1, grid)
+    heads, counts = _grid_classes(d - 1, grid, d)
     axis = _grid_sums(1, grid)
     rows = max(1, _BLOCK_POINTS // grid)
     row_sums = np.empty(heads.size)
@@ -380,8 +388,7 @@ def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
 
 
 def torus_limit_zeta_reciprocal(
-    d: int, u: float, which: str = "grover", grid: int = 64,
-    allow_high_dimension: bool = False,
+    d: int, u: float, which: str = "grover", grid: int = 64
 ) -> float:
     """Infinite-volume generalized zeta reciprocal of the d-dimensional torus.
 
@@ -390,19 +397,18 @@ def torus_limit_zeta_reciprocal(
     because the quadrature nodes reproduce its spectrum. Raises
     ZetaDomainError outside the positivity domain or beyond the double range.
     """
-    return torus_limit_terms(d, u, which, grid, allow_high_dimension)[0]
+    return torus_limit_terms(d, u, which, grid)[0]
 
 
 def torus_limit_terms(
-    d: int, u: float, which: str = "grover", grid: int = 64,
-    allow_high_dimension: bool = False,
+    d: int, u: float, which: str = "grover", grid: int = 64
 ) -> tuple[float, float]:
     """`torus_limit_zeta_reciprocal` and its prefactor (1 - u^2)^(d-1), as a pair.
 
     u is converted, and the prefactor computed, once for both.
     """
     u = to_double(u)
-    _check_limit_params(d, grid, allow_high_dimension)
+    _check_limit_params(d, grid)
     a, b, prefactor = _check_domain(d, u, which)
     return _assemble(d, u, prefactor, _grid_log_mean(d, a, b, grid)), prefactor
 
@@ -437,7 +443,6 @@ def convergence_study(
     sides: Sequence[int],
     which: str = "grover",
     reference_grid: int | None = None,
-    allow_high_dimension: bool = False,
 ) -> ConvergenceStudy:
     """Tabulate finite-torus values against a fine-grid limit reference.
 
@@ -458,12 +463,10 @@ def convergence_study(
             f"the largest side ({4 * max(sides)})"
         )
     u = to_double(u)
-    reference = torus_limit_zeta_reciprocal(
-        d, u, which, reference_grid, allow_high_dimension
-    )
+    reference = torus_limit_zeta_reciprocal(d, u, which, reference_grid)
     rows = []
     for n in sides:
-        value = finite_torus_zeta_reciprocal(d, n, u, which, allow_high_dimension)
+        value = finite_torus_zeta_reciprocal(d, n, u, which)
         rows.append(ConvergenceRow(n=n, value=value, abs_error=abs(value - reference)))
     return ConvergenceStudy(
         d=d,

@@ -52,7 +52,7 @@ from .polynomials import (
     log_series,
     trace_powers,
 )
-from .rational import RatMatrix
+from .rational import RatMatrix, positive_support
 
 __all__ = [
     "SeriesCoefficients",
@@ -221,10 +221,10 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
             f"(1 - u^2)^(m - nu) has exponent {exponent}"
         )
 
-    arcs = arc_space(graph)
+    u_mat = grover(graph, arc_space(graph))
     left_sides = {
-        "grover": det_i_minus_u(grover(graph, arcs)),
-        "ihara": det_i_minus_u(grover_positive_support(graph, arcs)),
+        "grover": det_i_minus_u(u_mat),
+        "ihara": det_i_minus_u(positive_support(u_mat)),
     }
     checks = []
     for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):

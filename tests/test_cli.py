@@ -283,6 +283,28 @@ def test_torus_limit_ihara_margin(capsys):
     assert float(out) > 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torus-limit", "--d", "5", "--u", "1/20"],
+        ["converge", "--d", "6", "--u", "1/20", "--N", "4,8"],
+    ],
+)
+def test_high_dimensions_run_without_a_flag(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_grid_too_large_to_form_exits_2(capsys):
+    argv = ["torus-limit", "--d", "3", "--u", "1/5", "--grid", "20000"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dimension 3 on grid 20000 would form ")
+    assert err.count("\n") == 1 and "grid points at once" in err
+
+
 def test_converge_csv_output(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -413,6 +435,7 @@ def test_output_is_deterministic_across_runs(capsys, k4_path):
         ["gen", "--family", "dodecahedron"],
         ["matrix", "dump", "--graph", "x.json", "--operator", "hamiltonian"],
         ["charpoly", "--graph", "x.json", "--workers", "2"],
+        ["torus-limit", "--d", "5", "--u", "1/20", "--allow-high-dimension"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

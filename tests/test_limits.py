@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -81,8 +83,8 @@ def test_spectrum_list_validation():
 def test_quadrature_on_grid_g_equals_side_g_torus(which, d, u, grid):
     # The trapezoid nodes on grid G enumerate the side-G torus spectrum, so
     # the limit quadrature reproduces the finite value to roundoff.
-    limit = torus_limit_zeta_reciprocal(d, u, which, grid=grid, allow_high_dimension=True)
-    finite = finite_torus_zeta_reciprocal(d, grid, u, which, allow_high_dimension=True)
+    limit = torus_limit_zeta_reciprocal(d, u, which, grid=grid)
+    finite = finite_torus_zeta_reciprocal(d, grid, u, which)
     assert abs(limit - finite) <= 1e-13
 
 
@@ -100,13 +102,13 @@ def test_torus_values_are_bitwise_those_of_the_full_grid(d, grid):
         edge = 1.0 if which == "grover" else 1.0 / (2 * d - 1)
         for u in (-0.5 * edge, 0.2 * edge, 0.95 * edge):
             mean = full_grid_log_mean(d, u, which, grid)
-            assert torus_limit_log_mean(d, u, which, grid, allow_high_dimension=True) == mean
+            assert torus_limit_log_mean(d, u, which, grid) == mean
             assert torus_limit_zeta_reciprocal(
-                d, u, which, grid, allow_high_dimension=True
+                d, u, which, grid
             ) == torus_prefactor(d, u) * math.exp(mean)
             if grid**d < 2**20:
                 assert finite_torus_zeta_reciprocal(
-                    d, grid, u, which, allow_high_dimension=True
+                    d, grid, u, which
                 ) == full_grid_finite_torus(d, grid, u, which)
 
 
@@ -178,10 +180,10 @@ def test_weighted_fsum_rounds_the_exact_sum_once(pairs):
 def test_grid_beyond_a_64_bit_point_count_is_refused():
     # 8^21 = 2^63 head points would wrap the int64 multiplicities
     with pytest.raises(ZetawalkError, match="64-bit count"):
-        torus_limit_log_mean(22, 0.01, grid=8, allow_high_dimension=True)
+        torus_limit_log_mean(22, 0.01, grid=8)
     with pytest.raises(ZetawalkError, match="64-bit count"):
-        finite_torus_zeta_reciprocal(21, 8, 0.01, allow_high_dimension=True)
-    assert math.isfinite(torus_limit_log_mean(21, 0.01, grid=8, allow_high_dimension=True))
+        finite_torus_zeta_reciprocal(21, 8, 0.01)
+    assert math.isfinite(torus_limit_log_mean(21, 0.01, grid=8))
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -339,22 +341,48 @@ def test_parameter_validation():
     with pytest.raises(FamilyParameterError):
         torus_spectrum(2, 2)
     with pytest.raises(FamilyParameterError):
-        finite_torus_zeta_reciprocal(5, 3, 0.1)
+        finite_torus_zeta_reciprocal(0, 3, 0.1)
     with pytest.raises(FamilyParameterError):
-        torus_limit_log_mean(5, 0.1)
+        torus_limit_log_mean(0, 0.1)
     with pytest.raises(ValueError):
         torus_limit_log_mean(2, 0.1, grid=7)
     with pytest.raises(ValueError):
         torus_limit_zeta_reciprocal(2, 0.1, "bass", grid=16)
 
 
-def test_high_dimension_override():
-    spec = torus_spectrum(5, 3, allow_high_dimension=True)
+def test_high_dimensions_need_no_flag():
+    spec = torus_spectrum(5, 3)
     assert len(spec) == 243
-    value = torus_limit_zeta_reciprocal(
-        5, 0.05, "grover", grid=8, allow_high_dimension=True
-    )
+    value = torus_limit_zeta_reciprocal(5, 0.05, "grover", grid=8)
     assert value > 0.0
+
+
+@pytest.mark.parametrize(
+    "evaluate, d, grid, points",
+    [
+        (lambda: torus_limit_log_mean(3, 0.1, grid=20000), 3, 20000, None),
+        (lambda: torus_limit_zeta_reciprocal(1, 0.1, grid=10**8), 1, 10**8, 10**8),
+        (lambda: finite_torus_zeta_reciprocal(3, 20000, 0.05), 3, 20000, None),
+        (lambda: torus_spectrum(5, 64), 5, 64, 64**5),
+    ],
+)
+def test_grid_too_large_to_form_is_refused_before_allocating(evaluate, d, grid, points):
+    # each is refused at its first step past the bound, so nothing near
+    # that many points is ever allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ZetawalkError) as info:
+            evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    pattern = rf"dimension {d} on grid {grid} would form ([\d,]+) grid points at once"
+    count = int(re.match(pattern, str(info.value))[1].replace(",", ""))
+    assert count > limits._MAX_POINTS
+    assert count % grid == 0
+    if points is not None:
+        assert count == points
 
 
 def test_convergence_study_shape_and_monotonicity():

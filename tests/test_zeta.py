@@ -32,7 +32,7 @@ from zetawalk import (
     weighted_cycle_counts,
     zeta_series_consistency,
 )
-from zetawalk import zeta
+from zetawalk import operators, zeta
 from zetawalk.graphs import FAMILIES
 from zetawalk.limits import vertex_factor_coefficients
 from zetawalk.operators import adjacency, degree_matrix, laplacian, transition
@@ -136,6 +136,26 @@ def test_konno_sato_rejects_a_regular_tree_before_any_determinant(monkeypatch):
     monkeypatch.setattr(zeta, "_scaled_charpoly", forbidden)
     with pytest.raises(TreeGraphError, match="exponent -1"):
         konno_sato_check(graph_from_edges(2, [(0, 1)]))
+
+
+def test_konno_sato_builds_the_grover_matrix_once(monkeypatch):
+    # U+ is the positive support of the U already built, not a second S @ C
+    calls = []
+    grover = operators.grover
+
+    def counting_grover(graph, arcs):
+        calls.append(graph)
+        return grover(graph, arcs)
+
+    monkeypatch.setattr(zeta, "grover", counting_grover)
+    monkeypatch.setattr(operators, "grover", counting_grover)
+    graph = torus_graph(2, 3)
+    report = konno_sato_check(graph)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    lhs = {check.tag.split("-")[0]: check.lhs for check in report.identities}
+    assert lhs["grover"] == grover_zeta_reciprocal(graph)
+    assert lhs["ihara"] == ihara_reciprocal_edge(graph)
 
 
 def circulant_graph(n, jumps):
