@@ -8,6 +8,11 @@ exception is a bug: it is not caught, so it ends the process with a
 traceback and exit code 1. Output is deterministic: rationals print
 exactly as "p/q" via str(Fraction), floats with 15 significant digits,
 JSON with two-space indentation and fixed key order.
+
+A choice that selects a library call is written once, in a table from
+choice to call whose keys are also the argparse choices: `graphs.FAMILIES`
+for gen --family, and `_OPERATORS`, `_RECIPROCALS` and `_SERIES` here for
+matrix dump --operator, charpoly --matrix and series --which.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from typing import Sequence
 from . import graphs, limits, operators, zeta
 from .errors import ZetawalkError
 from .polynomials import Poly
-from .rational import RatMatrix
 
 FLOAT_FORMAT = ".15g"
 DEFAULT_TOLERANCE = 1e-12
@@ -48,10 +52,6 @@ def _poly_strings(p: Poly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def _load(args: argparse.Namespace) -> graphs.Graph:
-    return graphs.load_graph(args.graph)
-
-
 def _parse_u(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -63,7 +63,7 @@ def _check_ihara_margin(args: argparse.Namespace, u: float) -> None:
     if args.which != "ihara" or args.full_domain:
         return
     # the margin is defined through d, so an invalid d is reported first
-    limits.check_torus_dimension(args.d)
+    graphs.check_torus(args.d)
     bound = IHARA_MARGIN / (2 * args.d - 1)
     if abs(u) > bound:
         raise ZetawalkError(
@@ -88,39 +88,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # -- matrix dump ----------------------------------------------------------
 
 
-_MATRIX_OPERATORS = (
-    "adjacency",
-    "degree",
-    "transition",
-    "laplacian",
-    "shift",
-    "coin",
-    "grover",
-    "positive-support",
-)
+# The calls of a choice table look the library function up when they run,
+# so a wrapper set on the module attribute (perfbench's tracer) sees them.
 
-
-def _build_operator(g: graphs.Graph, name: str) -> RatMatrix:
-    if name in ("adjacency", "degree", "transition", "laplacian"):
-        return {
-            "adjacency": operators.adjacency,
-            "degree": operators.degree_matrix,
-            "transition": operators.transition,
-            "laplacian": operators.laplacian,
-        }[name](g)
-    arcs = graphs.arc_space(g)
-    if name == "shift":
-        return operators.shift(arcs)
-    if name == "coin":
-        return operators.coin(g, arcs)
-    if name == "grover":
-        return operators.grover(g, arcs)
-    return operators.grover_positive_support(g, arcs)
+# --operator -> the walk operator of a graph
+_OPERATORS = {
+    "adjacency": lambda g: operators.adjacency(g),
+    "degree": lambda g: operators.degree_matrix(g),
+    "transition": lambda g: operators.transition(g),
+    "laplacian": lambda g: operators.laplacian(g),
+    "shift": lambda g: operators.shift(graphs.arc_space(g)),
+    "coin": lambda g: operators.coin(g, graphs.arc_space(g)),
+    "grover": lambda g: operators.grover(g, graphs.arc_space(g)),
+    "positive-support": lambda g: operators.grover_positive_support(g, graphs.arc_space(g)),
+}
 
 
 def _cmd_matrix_dump(args: argparse.Namespace) -> int:
-    g = _load(args)
-    matrix = _build_operator(g, args.operator)
+    matrix = _OPERATORS[args.operator](graphs.load_graph(args.graph))
     _emit(
         {
             "rows": matrix.rows,
@@ -134,14 +119,16 @@ def _cmd_matrix_dump(args: argparse.Namespace) -> int:
 # -- charpoly -------------------------------------------------------------
 
 
+# --matrix -> the exact zeta reciprocal of a graph
+_RECIPROCALS = {
+    "grover": lambda g: zeta.grover_zeta_reciprocal(g),
+    "positive-support": lambda g: zeta.ihara_reciprocal_edge(g),
+    "bass": lambda g: zeta.ihara_reciprocal_bass(g),
+}
+
+
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    g = _load(args)
-    if args.matrix == "grover":
-        p = zeta.grover_zeta_reciprocal(g)
-    elif args.matrix == "positive-support":
-        p = zeta.ihara_reciprocal_edge(g)
-    else:
-        p = zeta.ihara_reciprocal_bass(g)
+    p = _RECIPROCALS[args.matrix](graphs.load_graph(args.graph))
     _emit({"coeffs": _poly_strings(p)})
     return 0
 
@@ -150,8 +137,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
-    g = _load(args)
-    report = zeta.konno_sato_check(g)
+    report = zeta.konno_sato_check(graphs.load_graph(args.graph))
     if args.json:
         payload = {
             "graph": report.graph_summary,
@@ -185,16 +171,17 @@ def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
 # -- series ---------------------------------------------------------------
 
 
+# --which -> the cycle counts N_1..N_order of a graph
+_SERIES = {
+    "grover": lambda g, order: zeta.weighted_cycle_counts(g, order),
+    "ihara": lambda g, order: zeta.reduced_cycle_counts(g, order),
+    "oracle-weighted": lambda g, order: zeta.cycle_oracle(g, order, "weighted"),
+    "oracle-reduced": lambda g, order: zeta.cycle_oracle(g, order, "reduced"),
+}
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
-    g = _load(args)
-    if args.which == "grover":
-        series = zeta.weighted_cycle_counts(g, args.order)
-    elif args.which == "ihara":
-        series = zeta.reduced_cycle_counts(g, args.order)
-    elif args.which == "oracle-weighted":
-        series = zeta.cycle_oracle(g, args.order, "weighted")
-    else:
-        series = zeta.cycle_oracle(g, args.order, "reduced")
+    series = _SERIES[args.which](graphs.load_graph(args.graph), args.order)
     if args.json:
         _emit({"N": [str(c) for c in series.counts]})
     else:
@@ -207,7 +194,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta_eval(args: argparse.Namespace) -> int:
-    g = _load(args)
+    g = graphs.load_graph(args.graph)
     u = _parse_u(args.u)
     spectral = None
     charpoly = None
@@ -340,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_sub = matrix.add_subparsers(dest="matrix_command", required=True)
     dump = matrix_sub.add_parser("dump", help="dump a walk operator as sparse JSON")
     dump.add_argument("--graph", required=True, help="graph JSON path")
-    dump.add_argument("--operator", required=True, choices=list(_MATRIX_OPERATORS))
+    dump.add_argument("--operator", required=True, choices=list(_OPERATORS))
     dump.set_defaults(func=_cmd_matrix_dump)
 
     charpoly = sub.add_parser(
@@ -350,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     charpoly.add_argument(
         "--matrix",
         default="grover",
-        choices=["grover", "positive-support", "bass"],
+        choices=list(_RECIPROCALS),
         help="grover: det(I-uU); positive-support: det(I-uU+); bass: Ihara-Bass form",
     )
     charpoly.set_defaults(func=_cmd_charpoly)
@@ -370,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument(
         "--which",
         required=True,
-        choices=["grover", "ihara", "oracle-weighted", "oracle-reduced"],
+        choices=list(_SERIES),
         help="grover: Tr U^r; ihara: Tr (U+)^r; oracle-*: brute-force enumeration",
     )
     series.add_argument("--json", action="store_true")

@@ -182,18 +182,25 @@ def cycle_graph(n: int) -> Graph:
     return graph_from_edges(n, edges, family=f"cycle({n})", vertex_transitive=True)
 
 
-def torus_graph(d: int, n: int) -> Graph:
-    """d-dimensional discrete torus on n^d vertices (2d-regular).
+def check_torus(d: int, n: int | None = None) -> None:
+    """Refuse a torus dimension below 1 and, when given, a side below 3.
 
-    Requires n >= 3; n = 2 would collapse the two directions per axis into
-    parallel edges, breaking the simple-graph assumption.
+    A side of 2 would collapse the two directions per axis into parallel
+    edges, breaking the simple-graph assumption. The one torus check of the
+    package: the torus graph, its closed-form spectrum and values, and the
+    torus limit all call it.
     """
     if d < 1:
-        raise FamilyParameterError(f"torus needs d >= 1, got {d}")
-    if n < 3:
+        raise FamilyParameterError(f"torus dimension must be at least 1, got {d}")
+    if n is not None and n < 3:
         raise FamilyParameterError(
-            f"torus needs N >= 3, got {n}: N = 2 creates parallel edges per axis"
+            f"torus side must be at least 3 to avoid parallel edges, got {n}"
         )
+
+
+def torus_graph(d: int, n: int) -> Graph:
+    """d-dimensional discrete torus on n^d vertices (2d-regular); see `check_torus`."""
+    check_torus(d, n)
     num_vertices = n**d
     strides = [n**k for k in range(d)]
 

@@ -26,10 +26,13 @@ rounded once by `_weighted_fsum`; `math.fsum` over the full list rounds the
 same exact sum once, so the values are bitwise those of the full
 enumeration, and they do not depend on the block size.
 
-There is no cap on d. What bounds memory is the number of grid points
-formed at once: `_grid_sums` checks G^d and each axis step of
-`_grid_classes` checks the classes so far times G, both before they
-allocate, and a step above `_MAX_POINTS` is refused with ZetawalkError.
+There is no cap on d; the torus parameters d >= 1 and side >= 3 are
+checked by `graphs.check_torus`, as for the torus graph. What bounds
+memory is the number of grid points formed at once: `_grid_sums` checks
+G^d and each axis step of `_grid_classes` checks the classes so far times
+G, both before they allocate, and a step above `_MAX_POINTS` is refused
+with ZetawalkError. A step holds about 24 bytes per point at its peak: the
+summed bits, their sort order and the sorted copy.
 
 `vertex_factor_coefficients` is the one table of the four Konno-Sato
 vertex factors, in exact integers; the float line `vertex_factor` and the
@@ -45,8 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FamilyParameterError, ZetaDomainError, ZetawalkError
-from .graphs import Graph
+from .errors import ZetaDomainError, ZetawalkError
+from .graphs import Graph, check_torus
 
 __all__ = [
     "ConvergenceRow",
@@ -62,7 +65,6 @@ __all__ = [
     "torus_limit_zeta_reciprocal",
     "torus_limit_terms",
     "convergence_study",
-    "check_torus_dimension",
     "MIN_GRID",
 ]
 
@@ -70,8 +72,11 @@ MIN_GRID = 8
 # grid points per quadrature block; bounds memory, does not change the result
 _BLOCK_POINTS = 2**15
 # the most grid points formed at once; a larger grid is refused before it
-# is allocated (d = 6 on grid 64 forms 26.1M and peaks near 0.9 GiB)
+# is allocated (d = 6 on grid 64 forms 26.1M and peaks at 656 MiB RSS)
 _MAX_POINTS = 2**25
+# how far one absolute error may exceed the one before it and still count
+# as not increasing in `ConvergenceStudy.errors_monotone`
+_MONOTONE_SLACK = 1e-12
 
 _OPERATORS = ("adjacency", "transition", "laplacian")
 
@@ -84,7 +89,7 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, .
     symmetric form.
     """
     if operator not in _OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}; pick one of {_OPERATORS}")
+        raise ZetawalkError(f"unknown operator {operator!r}; pick one of {_OPERATORS}")
     n = graph.num_vertices
     a = np.zeros((n, n), dtype=float)
     for i, neighbors in enumerate(graph.adjacency):
@@ -100,20 +105,6 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, .
     return tuple(np.linalg.eigvalsh(sym).tolist())
 
 
-def check_torus_dimension(d: int) -> None:
-    """Refuse a torus dimension below 1."""
-    if d < 1:
-        raise FamilyParameterError(f"torus dimension must be at least 1, got {d}")
-
-
-def _check_torus_params(d: int, n: int) -> None:
-    check_torus_dimension(d)
-    if n < 3:
-        raise FamilyParameterError(
-            f"torus side must be at least 3 to avoid parallel edges, got {n}"
-        )
-
-
 def torus_spectrum(d: int, n: int, operator: str = "transition") -> tuple[float, ...]:
     """Closed-form spectrum of the side-n d-dimensional discrete torus.
 
@@ -125,8 +116,8 @@ def torus_spectrum(d: int, n: int, operator: str = "transition") -> tuple[float,
     at once.
     """
     if operator not in _OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}; pick one of {_OPERATORS}")
-    _check_torus_params(d, n)
+        raise ZetawalkError(f"unknown operator {operator!r}; pick one of {_OPERATORS}")
+    check_torus(d, n)
     total = _grid_sums(d, n)
     if operator == "adjacency":
         total = 2.0 * total
@@ -187,9 +178,16 @@ def _grid_classes(k: int, g: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         bits = (values[:, None] + _axis_terms(g)).reshape(-1).view(np.int64)
         order = np.argsort(bits)
         bits = bits[order]
-        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        first = np.empty(bits.size, dtype=bool)
+        first[0] = True
+        np.not_equal(bits[1:], bits[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
         values = bits[starts].view(np.float64)
-        counts = np.add.reduceat(np.repeat(counts, g)[order], starts)
+        # freed before the counts are gathered, to keep the step's peak low
+        del bits, first
+        # point i * g + j of the step has the count of class i
+        order //= g
+        counts = np.add.reduceat(counts[order], starts)
     return values, counts
 
 
@@ -232,9 +230,9 @@ def vertex_factor_coefficients(
     Process. 11 (2012) 341.
     """
     if which not in ("grover", "ihara"):
-        raise ValueError(f"kind must be grover or ihara, not {which!r}")
+        raise ZetawalkError(f"kind must be grover or ihara, not {which!r}")
     if route not in ("transition", "laplacian"):
-        raise ValueError(f"route must be transition or laplacian, not {route!r}")
+        raise ZetawalkError(f"route must be transition or laplacian, not {route!r}")
     return {
         ("grover", "transition"): (0, 1, -2, 1),
         ("grover", "laplacian"): (-2, 1, 2, q + 1),
@@ -338,7 +336,7 @@ def finite_torus_zeta_reciprocal(d: int, n: int, u: float, which: str = "grover"
     of log factor(lambda)) for the chosen kind. Raises ZetaDomainError
     outside the positivity domain or beyond the double range.
     """
-    _check_torus_params(d, n)
+    check_torus(d, n)
     u = to_double(u)
     a, b, prefactor = _check_domain(d, u, which)
     values, counts = _grid_classes(d, n, d)
@@ -362,7 +360,7 @@ def torus_limit_log_mean(d: int, u: float, which: str = "grover", grid: int = 64
 
 
 def _check_limit_params(d: int, grid: int) -> None:
-    check_torus_dimension(d)
+    check_torus(d)
     if grid < MIN_GRID:
         raise ZetawalkError(f"grid must be at least {MIN_GRID}, got {grid}")
 
@@ -431,10 +429,10 @@ class ConvergenceStudy:
     reference_value: float
     rows: tuple[ConvergenceRow, ...]
 
-    def errors_monotone(self, slack: float = 1e-12) -> bool:
-        """True when the absolute errors never increase by more than slack."""
+    def errors_monotone(self) -> bool:
+        """True when the absolute errors never increase by more than 1e-12."""
         errs = [row.abs_error for row in self.rows]
-        return all(b <= a + slack for a, b in zip(errs, errs[1:]))
+        return all(b <= a + _MONOTONE_SLACK for a, b in zip(errs, errs[1:]))
 
 
 def convergence_study(

@@ -7,7 +7,8 @@ Every exact determinant in the package is det(I - u*M), computed by
 `_scaled_charpoly` as integer coefficients C_k of u^k / L^k and divided out
 by `det_i_minus_u`; callers that go on in integers (the Bass form and the
 Konno-Sato vertex sides) take the C_k and multiply by the cocycle
-(1 - u^2)^e with `_times_one_minus_u_squared` before they divide. The
+(1 - u^2)^e with `_times_one_minus_u_squared` before they divide; that
+integer pass is the one way the package forms the cocycle. The
 characteristic polynomial of L*M is found modulo K 31-bit primes at once.
 The residues form one (K, n, n) int64 stack, which Hessenberg reduction
 (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
@@ -26,6 +27,10 @@ Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r. It
 forms the integer powers of L*M only up to ceil(r_max / 2) and reads each
 higher trace as a pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them;
 Python ints keep it exact with no bound needed.
+
+`log_series` expands log(1/p) for p(0) = 1 by Newton's identities, one
+recurrence over the coefficients of p; for p = det(I - uM) its
+coefficients are Tr M^r / r, which ties the two kernels together.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ZetawalkError
 from .rational import RatMatrix
 
 
@@ -147,11 +153,6 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def one_minus_u_squared_pow(exponent: int) -> Poly:
-    """(1 - u^2)^exponent expanded exactly."""
-    return Poly((1, 0, -1)) ** exponent
-
-
 def _times_one_minus_u_squared(coeffs: list[int], exponent: int) -> list[int]:
     """Integer coefficients of (1 - u^2)^exponent times the given polynomial.
 
@@ -180,7 +181,7 @@ def _scaled_charpoly(matrix: RatMatrix) -> tuple[int, list[int]]:
     enough primes to pin them down and combined by CRT.
     """
     if matrix.rows != matrix.cols:
-        raise ValueError("det(I - u*M) requires a square matrix")
+        raise ZetawalkError("det(I - u*M) requires a square matrix")
     n = matrix.rows
     scale, entries = _cleared(matrix)
     # symmetric residues pin down every c_k once the modulus exceeds 2 |c_k|
@@ -230,9 +231,9 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
     `log_series`, which give the same numbers through Newton's identities.
     """
     if matrix.rows != matrix.cols:
-        raise ValueError("trace powers require a square matrix")
+        raise ZetawalkError("trace powers require a square matrix")
     if r_max < 0:
-        raise ValueError("r_max must be non-negative")
+        raise ZetawalkError("r_max must be non-negative")
     scale, entries = _cleared(matrix)
     base: list[list[tuple[int, int]]] = [[] for _ in range(matrix.rows)]
     for i, j, value in entries:
@@ -430,30 +431,20 @@ def _crt(residues: list[list[int]], primes: list[int], modulus: int) -> list[int
 def log_series(p: Poly, order: int) -> tuple[Fraction, ...]:
     """Coefficients c_1..c_order of log(1/p(u)) as a formal power series.
 
-    Requires p(0) = 1. Uses log(1/p)' = -p'/p: the series inverse of p is
-    computed by the standard convolution recurrence and multiplied by -p'.
+    Requires p(0) = 1. Since log(1/p)' = -p'/p, the sums s_r = r c_r satisfy
+    -p' = p * sum_r s_r u^(r-1), whose coefficient of u^(r-1) is Newton's
+    identity s_r = -r p_r - sum_(k=1)^(min(r-1, deg p)) p_k s_(r-k).
     """
     if p[0] != 1:
-        raise ValueError("log series requires constant term 1")
+        raise ZetawalkError("log series requires constant term 1")
     if order < 0:
-        raise ValueError("order must be non-negative")
-    # inv[k] with p * inv = 1 (mod u^order)
-    inv = [Fraction(1)] + [Fraction(0)] * (order - 1) if order else []
-    for k in range(1, order):
-        acc = Fraction(0)
-        for i in range(1, min(k, p.degree) + 1):
-            ci = p[i]
-            if ci:
-                acc += ci * inv[k - i]
-        inv[k] = -acc
-    dp = p.derivative()
-    out = []
+        raise ZetawalkError("order must be non-negative")
+    sums: list[Fraction] = []
     for r in range(1, order + 1):
-        # coefficient of u^(r-1) in -p' * inv
-        acc = Fraction(0)
-        for i in range(0, r):
-            a = dp[i]
-            if a:
-                acc += a * inv[r - 1 - i]
-        out.append(-acc / r)
-    return tuple(out)
+        acc = -r * p[r]
+        # p_k pairs with s_(r-k) for k = 1..min(r-1, deg p)
+        for c, s in zip(p.coeffs[1:r], reversed(sums)):
+            if c:
+                acc -= c * s
+        sums.append(acc)
+    return tuple(s / r for r, s in enumerate(sums, start=1))

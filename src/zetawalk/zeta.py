@@ -90,7 +90,7 @@ class SeriesCoefficients:
 
     def __post_init__(self) -> None:
         if self.kind not in ("weighted", "reduced", "rooted"):
-            raise ValueError(f"unknown series kind {self.kind!r}")
+            raise ZetawalkError(f"unknown series kind {self.kind!r}")
 
     @property
     def order(self) -> int:
@@ -312,7 +312,7 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
     if kind not in ("weighted", "reduced"):
-        raise ValueError(f"cycle oracle supports weighted or reduced, not {kind!r}")
+        raise ZetawalkError(f"cycle oracle supports weighted or reduced, not {kind!r}")
     arcs = arc_space(graph)
     n_arcs = arcs.num_arcs
     if n_arcs**r_max > ORACLE_STATE_BOUND:
@@ -356,12 +356,7 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
             return acc
 
         for a0 in range(n_arcs):
-            if r == 1:
-                for y, w in successor[a0]:
-                    if y == a0:
-                        total += w
-            else:
-                total += extend(a0, a0, 0, Fraction(1))
+            total += extend(a0, a0, 0, Fraction(1))
         counts.append(total)
     return SeriesCoefficients(kind=kind, counts=tuple(counts))
 
@@ -369,6 +364,7 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
 def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport:
     """Check that log 1/det(I - uU) has coefficients N_r / r exactly.
 
+    U is built once for both sides.
     The order is capped at 12 because both sides grow combinatorially and
     the check is meant as a series-level sanity gate, not a production
     computation.
@@ -380,10 +376,9 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
             f"series consistency order {order} exceeds the cap of "
             f"{SERIES_ORDER_CAP}"
         )
-    reciprocal = grover_zeta_reciprocal(graph)
-    logs = tuple(log_series(reciprocal, order))
-    counts = weighted_cycle_counts(graph, order)
-    scaled = tuple(c / r for r, c in enumerate(counts.counts, start=1))
+    u_mat = grover(graph, arc_space(graph))
+    logs = log_series(det_i_minus_u(u_mat), order)
+    scaled = tuple(c / r for r, c in enumerate(trace_powers(u_mat, order), start=1))
     return SeriesConsistencyReport(
         order=order, log_coefficients=logs, scaled_counts=scaled
     )

@@ -14,10 +14,19 @@ from zetawalk import (
     KonnoSatoReport,
     Poly,
     ZetawalkError,
+    arc_space,
+    cli,
+    cycle_oracle,
     errors,
+    grover_zeta_reciprocal,
+    ihara_reciprocal_bass,
+    ihara_reciprocal_edge,
     limits,
     load_graph,
+    operators,
+    reduced_cycle_counts,
     save_graph,
+    weighted_cycle_counts,
 )
 from zetawalk.cli import entrypoint
 
@@ -104,6 +113,63 @@ def test_matrix_dump_arc_operators(capsys, c3_path):
         capsys, ["matrix", "dump", "--graph", c3_path, "--operator", "grover"]
     )
     assert json.loads(out)["rows"] == 6
+
+
+def _sparse(matrix):
+    return {
+        "rows": matrix.rows,
+        "cols": matrix.cols,
+        "entries": [[i, j, str(v)] for i, j, v in matrix.nonzero_items()],
+    }
+
+
+def _coeffs(reciprocal):
+    return lambda g: {"coeffs": [str(c) for c in reciprocal(g).coeffs]}
+
+
+def _counts(series):
+    return lambda g: {"N": [str(c) for c in series(g).counts]}
+
+
+# every choice of the three choice tables, with the library call it names,
+# serialized as the command prints it
+CHOICES = {
+    ("matrix dump", "adjacency"): lambda g: _sparse(operators.adjacency(g)),
+    ("matrix dump", "degree"): lambda g: _sparse(operators.degree_matrix(g)),
+    ("matrix dump", "transition"): lambda g: _sparse(operators.transition(g)),
+    ("matrix dump", "laplacian"): lambda g: _sparse(operators.laplacian(g)),
+    ("matrix dump", "shift"): lambda g: _sparse(operators.shift(arc_space(g))),
+    ("matrix dump", "coin"): lambda g: _sparse(operators.coin(g, arc_space(g))),
+    ("matrix dump", "grover"): lambda g: _sparse(operators.grover(g, arc_space(g))),
+    ("matrix dump", "positive-support"):
+        lambda g: _sparse(operators.grover_positive_support(g, arc_space(g))),
+    ("charpoly", "grover"): _coeffs(grover_zeta_reciprocal),
+    ("charpoly", "positive-support"): _coeffs(ihara_reciprocal_edge),
+    ("charpoly", "bass"): _coeffs(ihara_reciprocal_bass),
+    ("series", "grover"): _counts(lambda g: weighted_cycle_counts(g, 5)),
+    ("series", "ihara"): _counts(lambda g: reduced_cycle_counts(g, 5)),
+    ("series", "oracle-weighted"): _counts(lambda g: cycle_oracle(g, 5, "weighted")),
+    ("series", "oracle-reduced"): _counts(lambda g: cycle_oracle(g, 5, "reduced")),
+}
+
+
+def test_every_table_choice_is_exercised():
+    tables = {"matrix dump": cli._OPERATORS, "charpoly": cli._RECIPROCALS, "series": cli._SERIES}
+    assert set(CHOICES) == {
+        (command, choice) for command, table in tables.items() for choice in table
+    }
+
+
+@pytest.mark.parametrize("command, choice", list(CHOICES))
+def test_each_choice_prints_the_library_call_it_names(capsys, k4_path, command, choice):
+    argv = {
+        "matrix dump": ["matrix", "dump", "--operator", choice],
+        "charpoly": ["charpoly", "--matrix", choice],
+        "series": ["series", "--which", choice, "--order", "5", "--json"],
+    }[command] + ["--graph", k4_path]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(CHOICES[command, choice](load_graph(k4_path)), indent=2) + "\n"
 
 
 def test_charpoly_of_triangle(capsys, c3_path):

@@ -12,6 +12,7 @@ from helpers import (
     gauss_det,
     naive_trace_powers,
     poly_mul,
+    poly_pow,
     quadratic_pencil_det,
     random_rat_matrix,
 )
@@ -25,7 +26,6 @@ from zetawalk import (
     grover,
     grover_positive_support,
     log_series,
-    one_minus_u_squared_pow,
     petersen_graph,
     shift,
     torus_graph,
@@ -70,12 +70,6 @@ def test_poly_evaluation_and_derivative():
     assert p.derivative().coeffs == (-3, 4)
 
 
-def test_one_minus_u_squared_pow():
-    assert one_minus_u_squared_pow(0) == Poly.one()
-    assert one_minus_u_squared_pow(1).coeffs == (1, 0, -1)
-    assert one_minus_u_squared_pow(3).coeffs == (1, 0, -3, 0, 3, 0, -1)
-
-
 def test_det_i_minus_u_of_zero_matrix_is_one():
     assert det_i_minus_u(RatMatrix(4, 4)) == Poly.one()
 
@@ -88,7 +82,7 @@ def test_det_i_minus_u_requires_square():
 def test_det_i_minus_u_of_cycle_shift():
     # The flip-flop shift on C3 is three disjoint swaps.
     arcs = arc_space(cycle_graph(3))
-    assert det_i_minus_u(shift(arcs)) == one_minus_u_squared_pow(3)
+    assert det_i_minus_u(shift(arcs)) == Poly(poly_pow([1, 0, -1], 3))
 
 
 def test_det_i_minus_u_constant_term_is_one():
@@ -155,13 +149,16 @@ def test_scaled_charpoly_clears_denominators_and_matches_det_i_minus_u():
 
 
 def test_integer_cocycle_matches_one_minus_u_squared_pow():
+    assert polynomials._times_one_minus_u_squared([1], 0) == [1]
+    assert polynomials._times_one_minus_u_squared([1], 1) == [1, 0, -1]
+    assert polynomials._times_one_minus_u_squared([1], 3) == [1, 0, -3, 0, 3, 0, -1]
     rng = random.Random(29)
     for _ in range(20):
         coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
         for e in range(6):
             out = polynomials._times_one_minus_u_squared(coeffs, e)
             assert all(isinstance(c, int) for c in out)
-            assert Poly(out) == one_minus_u_squared_pow(e) * Poly(coeffs)
+            assert Poly(out) == Poly(poly_mul(poly_pow([1, 0, -1], e), coeffs))
 
 
 def test_det_i_minus_u_with_large_entries_needs_many_primes():
@@ -465,6 +462,25 @@ def test_log_series_additivity_property(tail_p, tail_q):
     lp = log_series(p, 7)
     lq = log_series(q, 7)
     assert log_series(p * q, 7) == tuple(a + b for a, b in zip(lp, lq))
+
+
+@given(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=9), max_size=8),
+    st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_log_series_satisfies_its_defining_relation_property(tail, order):
+    # log(1/p)' = -p'/p, so -p' = p * sum_r r c_r u^(r-1) modulo u^order
+    p = [Fraction(1)] + tail
+    sums = [r * c for r, c in enumerate(log_series(Poly(p), order), start=1)]
+    assert len(sums) == order
+    product = poly_mul(p, sums)
+    minus_derivative = [-k * c for k, c in enumerate(p)][1:]
+
+    def low(coeffs):
+        return (coeffs + [Fraction(0)] * order)[:order]
+
+    assert low(product) == low(minus_derivative)
 
 
 @given(

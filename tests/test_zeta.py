@@ -13,22 +13,29 @@ from zetawalk import (
     SeriesCoefficients,
     TreeGraphError,
     ZetaDomainError,
+    ZetawalkError,
     build_family,
     charpoly_zeta_reciprocal,
     complete_graph,
     cycle_graph,
     cycle_oracle,
+    det_i_minus_u,
+    finite_torus_zeta_reciprocal,
     graph_from_edges,
+    graph_spectrum,
     grover_zeta_reciprocal,
     hypercube_graph,
     ihara_reciprocal_bass,
     ihara_reciprocal_edge,
     konno_sato_check,
+    log_series,
     petersen_graph,
     reduced_cycle_counts,
     rooted_cycle_counts,
     spectral_zeta_reciprocal,
     torus_graph,
+    torus_spectrum,
+    trace_powers,
     weighted_cycle_counts,
     zeta_series_consistency,
 )
@@ -36,7 +43,7 @@ from zetawalk import operators, zeta
 from zetawalk.graphs import FAMILIES
 from zetawalk.limits import vertex_factor_coefficients
 from zetawalk.operators import adjacency, degree_matrix, laplacian, transition
-from zetawalk.polynomials import _scaled_charpoly, one_minus_u_squared_pow
+from zetawalk.polynomials import _scaled_charpoly
 from zetawalk.zeta import _require_vertex_transitive, _vertex_side
 
 PAW = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -158,6 +165,22 @@ def test_konno_sato_builds_the_grover_matrix_once(monkeypatch):
     assert lhs["ihara"] == ihara_reciprocal_edge(graph)
 
 
+def test_series_consistency_builds_the_grover_matrix_once(monkeypatch):
+    # det(I - uU) and the traces of U powers come from one U
+    calls = []
+    grover = operators.grover
+
+    def counting_grover(graph, arcs):
+        calls.append(graph)
+        return grover(graph, arcs)
+
+    monkeypatch.setattr(zeta, "grover", counting_grover)
+    monkeypatch.setattr(operators, "grover", counting_grover)
+    report = zeta_series_consistency(torus_graph(2, 3), 6)
+    assert len(calls) == 1
+    assert report.holds
+
+
 def circulant_graph(n, jumps):
     edges = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}
     return graph_from_edges(n, sorted(edges), family=f"circulant({n},{jumps})")
@@ -183,7 +206,7 @@ def test_konno_sato_right_sides_match_the_companion_pencil(graph):
         scale, coeffs = _scaled_charpoly(mat)
         for which in ("grover", "ihara"):
             a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
-            oracle = one_minus_u_squared_pow(cocycle) * quadratic_pencil_det(
+            oracle = Poly(poly_pow([1, 0, -1], cocycle)) * quadratic_pencil_det(
                 eye * a1 + mat * Fraction(b_num, b_den), eye * a2
             )
             rhs = _vertex_side(scale, coeffs, (a1, a2, b_num, b_den), cocycle)
@@ -198,7 +221,7 @@ def test_konno_sato_right_sides_match_the_companion_pencil(graph):
 def test_bass_form_matches_the_companion_pencil_times_the_cocycle(graph):
     n = graph.num_vertices
     pencil = quadratic_pencil_det(-adjacency(graph), degree_matrix(graph) - RatMatrix.identity(n))
-    assert ihara_reciprocal_bass(graph) == one_minus_u_squared_pow(graph.num_edges - n) * pencil
+    assert ihara_reciprocal_bass(graph) == Poly(poly_pow([1, 0, -1], graph.num_edges - n)) * pencil
 
 
 def test_konno_sato_right_sides_are_usable_polynomials():
@@ -249,6 +272,35 @@ def test_series_coefficients_accessors():
         s.count(3)
     with pytest.raises(ValueError):
         SeriesCoefficients(kind="mystery", counts=())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spectral_zeta_reciprocal(petersen_graph(), 0.1, "mystery"),
+        lambda: spectral_zeta_reciprocal(petersen_graph(), 0.1, "grover", "mystery"),
+        lambda: finite_torus_zeta_reciprocal(2, 3, 0.1, "mystery"),
+        lambda: charpoly_zeta_reciprocal(petersen_graph(), Fraction(1, 10), "mystery"),
+        lambda: graph_spectrum(petersen_graph(), "mystery"),
+        lambda: torus_spectrum(2, 3, "mystery"),
+        lambda: cycle_oracle(cycle_graph(3), 3, "mystery"),
+        lambda: SeriesCoefficients(kind="mystery", counts=()),
+        lambda: det_i_minus_u(RatMatrix(2, 3)),
+        lambda: trace_powers(RatMatrix(2, 3), 2),
+        lambda: trace_powers(RatMatrix(2, 2), -1),
+        lambda: log_series(Poly([2, 1]), 3),
+        lambda: log_series(Poly([1, 1]), -1),
+    ],
+    ids=[
+        "spectral-kind", "spectral-route", "finite-torus-kind", "charpoly-kind",
+        "graph-spectrum-operator", "torus-spectrum-operator", "oracle-kind",
+        "series-kind", "det-non-square", "traces-non-square", "traces-negative-order",
+        "log-constant-term", "log-negative-order",
+    ],
+)
+def test_refused_arguments_raise_the_package_error(call):
+    with pytest.raises(ZetawalkError):
+        call()
 
 
 def test_rooted_counts_divide_by_the_vertex_count():
