@@ -13,6 +13,10 @@ A choice that selects a library call is written once, in a table from
 choice to call whose keys are also the argparse choices: `graphs.FAMILIES`
 for gen --family, and `_OPERATORS`, `_RECIPROCALS` and `_SERIES` here for
 matrix dump --operator, charpoly --matrix and series --which.
+
+The float commands (zeta-eval --method spectral, torus-limit, converge)
+take their domain from the library: 1 - u^2 > 0 and every vertex factor
+positive, the same rule for both kinds; outside it they exit 2.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ from .polynomials import Poly
 
 FLOAT_FORMAT = ".15g"
 DEFAULT_TOLERANCE = 1e-12
-# default safety margin on |u| for the ihara kind on the d-torus, inside
-# the true positivity bound |u| < 1/(2d-1)
-IHARA_MARGIN = 0.9
 
 
 def _fmt(x: float) -> str:
@@ -57,20 +58,6 @@ def _parse_u(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ZetawalkError(f"--u must be a rational or decimal number, got {text!r}") from exc
-
-
-def _check_ihara_margin(args: argparse.Namespace, u: float) -> None:
-    if args.which != "ihara" or args.full_domain:
-        return
-    # the margin is defined through d, so an invalid d is reported first
-    graphs.check_torus(args.d)
-    bound = IHARA_MARGIN / (2 * args.d - 1)
-    if abs(u) > bound:
-        raise ZetawalkError(
-            f"|u| = {abs(u)} exceeds the default ihara-kind margin "
-            f"{IHARA_MARGIN}/(2d-1) = {_fmt(bound)} for d = {args.d}; "
-            f"pass --full-domain to evaluate up to the positivity bound"
-        )
 
 
 # -- gen ----------------------------------------------------------------
@@ -238,7 +225,6 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
 
 def _cmd_torus_limit(args: argparse.Namespace) -> int:
     u = limits.to_double(_parse_u(args.u))
-    _check_ihara_margin(args, u)
     value, prefactor = limits.torus_limit_terms(args.d, u, args.which, args.grid)
     if args.json:
         _emit(
@@ -259,7 +245,6 @@ def _cmd_torus_limit(args: argparse.Namespace) -> int:
 def _cmd_converge(args: argparse.Namespace) -> int:
     sides = _parse_sides(args.N)
     u = limits.to_double(_parse_u(args.u))
-    _check_ihara_margin(args, u)
     study = limits.convergence_study(
         args.d, u, sides, args.which, reference_grid=args.reference_grid
     )
@@ -386,11 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     torus_limit.add_argument("--u", required=True)
     torus_limit.add_argument("--which", default="grover", choices=["grover", "ihara"])
     torus_limit.add_argument("--grid", type=int, default=64)
-    torus_limit.add_argument(
-        "--full-domain",
-        action="store_true",
-        help="lift the default ihara-kind margin |u| <= 0.9/(2d-1)",
-    )
     torus_limit.add_argument("--json", action="store_true")
     torus_limit.set_defaults(func=_cmd_torus_limit)
 
@@ -403,11 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     converge.add_argument("--which", default="grover", choices=["grover", "ihara"])
     converge.add_argument("--reference-grid", type=int, default=None)
     converge.add_argument("--require-monotone", action="store_true")
-    converge.add_argument(
-        "--full-domain",
-        action="store_true",
-        help="lift the default ihara-kind margin |u| <= 0.9/(2d-1)",
-    )
     converge.add_argument("--json", action="store_true")
     converge.set_defaults(func=_cmd_converge)
 

@@ -11,6 +11,11 @@ here is the periodic trapezoid rule, which for these integrands is a plain
 average over a uniform grid; on grid G it reproduces the side-G torus value
 exactly, because the grid eigenvalue multiset is the side-G spectrum.
 
+Every float route, here and in `zeta.spectral_zeta_reciprocal`, has one
+domain: 1 - u^2 > 0 and every vertex factor positive. `_prefactor` refuses
+the base and returns (1 - u^2)^((q-1)/2); `_check_domain` refuses a torus
+factor at the spectrum endpoints. Inside that domain no value overflows.
+
 One enumerator, `_grid_sums`, lists sum_j cos(2 pi k_j / G) over the grid
 in lexicographic order of k, adding the axis terms in axis order; the
 closed-form spectra take it over all d axes. Most of those sums repeat bit
@@ -271,62 +276,45 @@ def torus_prefactor(d: int, u: float) -> float:
     """Factor (1 - u^2)^(d - 1) multiplying the spectral exponential.
 
     The exponent is (m - nu)/nu for the side-N torus, which equals d - 1
-    independently of N. Raises ZetaDomainError when it overflows.
+    independently of N. Raises ZetaDomainError unless 1 - u^2 > 0.
     """
-    return _prefactor(d, to_double(u))
+    return _prefactor(2 * d - 1, to_double(u))
 
 
-def _prefactor(d: int, u: float) -> float:
-    """`torus_prefactor` at a u that is already a double."""
-    try:
-        value = math.pow(1.0 - u * u, d - 1)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ZetaDomainError(
-            f"torus prefactor (1 - u^2)^{d - 1} overflows at u = {u}"
-        )
-    return value
+def _prefactor(q: int, u: float) -> float:
+    """(1 - u^2)^((q - 1)/2) of a (q+1)-regular graph, at a u that is a double.
+
+    The one rule for the prefactor base of every float route: ZetaDomainError
+    unless 1 - u^2 > 0.
+    """
+    base = 1.0 - u * u
+    if base <= 0.0:
+        raise ZetaDomainError(f"prefactor base 1 - u^2 = {base} is not positive at u = {u}")
+    return math.pow(base, (q - 1) / 2.0)
 
 
 def _check_domain(d: int, u: float, which: str) -> tuple[float, float, float]:
-    """Positivity and overflow checks for the torus evaluations.
+    """The domain of the torus evaluations: 1 - u^2 > 0 and positive factors.
 
     Returns the vertex factor line (a, b) of the transition route and the
-    torus prefactor. Only the determinant factors must be positive: the
-    torus prefactor exponent d - 1 is an integer, so 1 - u^2 may take any
-    sign here. The prefactor is checked for overflow before any grid work.
+    torus prefactor. An unknown kind is refused first, then a prefactor base
+    that is not positive, then a vertex factor that is not positive, all
+    before any grid work.
     """
     a, b = vertex_factor(u, 2 * d - 1, which)
-    # the determinant factor is affine in the eigenvalue, so positivity and
-    # finiteness on the whole spectrum range [-1, 1] follow from the two
-    # endpoints
+    prefactor = _prefactor(2 * d - 1, u)
+    # the determinant factor is affine in the eigenvalue, so positivity on
+    # the whole spectrum range [-1, 1] follows from the two endpoints. With
+    # |u| < 1 and both endpoints positive, every factor lies in (0, 4]: the
+    # mean log is finite, the prefactor is at most 1, and no value overflows
     for lam in (-1.0, 1.0):
         arg = a + b * lam
-        if not math.isfinite(arg):
-            raise ZetaDomainError(
-                f"determinant factor at spectrum endpoint {lam} overflows "
-                f"for u = {u} ({which} kind, dimension {d})"
-            )
         if arg <= 0.0:
             raise ZetaDomainError(
                 f"determinant factor {arg} at spectrum endpoint {lam} is not "
                 f"positive for u = {u} ({which} kind, dimension {d})"
             )
-    return a, b, _prefactor(d, u)
-
-
-def _assemble(d: int, u: float, prefactor: float, mean_log: float) -> float:
-    """The torus value prefactor * exp(mean_log), checked for overflow."""
-    try:
-        value = prefactor * math.exp(mean_log)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ZetaDomainError(
-            f"torus zeta reciprocal overflows at u = {u} (dimension {d})"
-        )
-    return value
+    return a, b, prefactor
 
 
 def finite_torus_zeta_reciprocal(d: int, n: int, u: float, which: str = "grover") -> float:
@@ -341,7 +329,7 @@ def finite_torus_zeta_reciprocal(d: int, n: int, u: float, which: str = "grover"
     a, b, prefactor = _check_domain(d, u, which)
     values, counts = _grid_classes(d, n, d)
     mean_log = _weighted_fsum(np.log(a + b * (values / d)), counts) / float(n**d)
-    return _assemble(d, u, prefactor, mean_log)
+    return prefactor * math.exp(mean_log)
 
 
 def torus_limit_log_mean(d: int, u: float, which: str = "grover", grid: int = 64) -> float:
@@ -351,8 +339,8 @@ def torus_limit_log_mean(d: int, u: float, which: str = "grover", grid: int = 64
     product measure, integrated by the periodic trapezoid rule on a grid of
     `grid` points per axis. Periodicity makes the trapezoid rule a plain
     average over the grid, summed in blocks of rows along the last axis.
-    Raises ZetaDomainError, before any grid work, where a factor is not
-    positive or a factor or the prefactor overflows.
+    Raises ZetaDomainError, before any grid work, where 1 - u^2 or a factor
+    is not positive.
     """
     _check_limit_params(d, grid)
     a, b, _ = _check_domain(d, to_double(u), which)
@@ -408,7 +396,7 @@ def torus_limit_terms(
     u = to_double(u)
     _check_limit_params(d, grid)
     a, b, prefactor = _check_domain(d, u, which)
-    return _assemble(d, u, prefactor, _grid_log_mean(d, a, b, grid)), prefactor
+    return prefactor * math.exp(_grid_log_mean(d, a, b, grid)), prefactor
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,6 @@ class Poly:
             acc = acc * u + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Poly(0)"

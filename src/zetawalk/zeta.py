@@ -36,7 +36,13 @@ from .errors import (
     ZetawalkError,
 )
 from .graphs import ArcSpace, Graph, arc_space
-from .limits import graph_spectrum, to_double, vertex_factor, vertex_factor_coefficients
+from .limits import (
+    _prefactor,
+    graph_spectrum,
+    to_double,
+    vertex_factor,
+    vertex_factor_coefficients,
+)
 from .operators import (
     adjacency,
     grover,
@@ -400,10 +406,7 @@ def spectral_zeta_reciprocal(
     q = graph.regular_degree - 1
     u = to_double(u)
     a, b = vertex_factor(u, q, which, route)
-    if 1.0 - u * u <= 0.0:
-        raise ZetaDomainError(
-            f"prefactor base 1 - u^2 = {1.0 - u * u} is not positive at u = {u}"
-        )
+    prefactor = _prefactor(q, u)
     spectrum = graph_spectrum(graph, route)
     factors = [a + b * lam for lam in spectrum]
     for lam, factor in zip(spectrum, factors):
@@ -413,7 +416,7 @@ def spectral_zeta_reciprocal(
                 f"{lam} for u = {u} ({which}, {route})"
             )
     mean_log = math.fsum(math.log(f) for f in factors) / graph.num_vertices
-    return math.pow(1.0 - u * u, (q - 1) / 2.0) * math.exp(mean_log)
+    return prefactor * math.exp(mean_log)
 
 
 def charpoly_zeta_reciprocal(graph: Graph, u: Fraction, which: str = "grover") -> float:

@@ -332,21 +332,52 @@ def test_torus_limit_json_schema(capsys):
 
 
 def test_torus_limit_ihara_margin(capsys):
-    # |u| = 0.4 exceeds 0.9/(2*2-1) = 0.3: refused without --full-domain.
-    code, _, err = run_cli(
+    # the ihara kind keeps the library's domain and no margin of its own:
+    # |u| = 0.4 is beyond the positivity bound 1/(2*2-1), so a factor at
+    # the spectrum endpoint 1 is not positive
+    code, out, err = run_cli(
         capsys, ["torus-limit", "--d", "2", "--u", "2/5", "--which", "ihara"]
     )
-    assert code == 2
-    assert "--full-domain" in err
-
-    # 0.3 < 1/3 is inside the true positivity domain once the margin lifts.
-    code, out, _ = run_cli(
-        capsys,
-        ["torus-limit", "--d", "2", "--u", "3/10", "--which", "ihara",
-         "--grid", "16", "--full-domain"],
+    a, b = limits.vertex_factor(0.4, 3, "ihara")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: determinant factor {a + b} at spectrum endpoint 1.0 is not "
+        f"positive for u = 0.4 (ihara kind, dimension 2)\n"
     )
-    assert code == 0
-    assert float(out) > 0.0
+
+    # 0.3 < 1/3 is inside the positivity domain
+    code, out, err = run_cli(
+        capsys,
+        ["torus-limit", "--d", "2", "--u", "3/10", "--which", "ihara", "--grid", "16"],
+    )
+    assert (code, err) == (0, "")
+    assert out == f"{zetawalk.torus_limit_zeta_reciprocal(2, 0.3, 'ihara', 16):.15g}\n"
+
+    # --full-domain is not an option
+    code, out, err = run_cli(
+        capsys,
+        ["torus-limit", "--d", "2", "--u", "1/5", "--which", "ihara", "--full-domain"],
+    )
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --full-domain" in err
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ihara_kind_runs_at_095_of_the_positivity_bound(capsys, d):
+    u = Fraction(95, 100 * (2 * d - 1))
+    argv = ["torus-limit", "--d", str(d), "--u", str(u), "--which", "ihara", "--grid", "16", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    value, prefactor = zetawalk.torus_limit_terms(d, float(u), "ihara", 16)
+    expected = {"value": float(f"{value:.15g}"), "grid": 16, "prefactor": float(f"{prefactor:.15g}")}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+    argv = ["converge", "--d", str(d), "--u", str(u), "--N", "4,8", "--which", "ihara"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    study = zetawalk.convergence_study(d, float(u), [4, 8], "ihara")
+    rows = [f"{row.n},{row.value:.15g},{row.abs_error:.15g}" for row in study.rows]
+    assert out == "\n".join(["N,value,abs_error", *rows]) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -478,11 +509,13 @@ def test_charpoly_determinant_too_long_to_print_exits_2(capsys, tmp_path):
     ],
 )
 def test_torus_overflow_exits_2(capsys, argv):
+    # a u this large is refused by its prefactor base, before any factor,
+    # power or product is formed that could overflow
     code, out, err = run_cli(capsys, argv)
+    u = float(argv[argv.index("--u") + 1])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "overflows" in err
-    assert err.count("\n") == 1
+    assert err == f"error: prefactor base 1 - u^2 = {1.0 - u * u} is not positive at u = {u}\n"
 
 
 def test_output_is_deterministic_across_runs(capsys, k4_path):

@@ -21,6 +21,7 @@ from zetawalk import (
     spectral_zeta_reciprocal,
     torus_graph,
     torus_limit_log_mean,
+    torus_limit_terms,
     torus_limit_zeta_reciprocal,
     torus_prefactor,
     torus_spectrum,
@@ -237,36 +238,66 @@ def test_finite_torus_matches_graph_spectral_route():
         assert abs(from_graph - from_formula) <= 1e-12
 
 
+def base_refusal(u: float) -> str:
+    """The pattern of the one prefactor-base refusal of the float routes at u."""
+    return "^" + re.escape(f"prefactor base 1 - u^2 = {1.0 - u * u} is not positive at u = {u}") + "$"
+
+
 def test_grover_kind_allows_u_beyond_one():
-    # (1 + u^2) - 2u*lam > 0 for all |lam| <= 1 whenever u != +-1, so the
-    # value stays defined; its sign follows the prefactor (1 - u^2)^(d-1).
-    assert finite_torus_zeta_reciprocal(1, 5, 2.0, "grover") > 0.0
-    value = finite_torus_zeta_reciprocal(2, 5, 2.0, "grover")
-    assert math.isfinite(value)
-    assert value < 0.0
-    with pytest.raises(ZetaDomainError):
-        finite_torus_zeta_reciprocal(2, 5, 1.0, "grover")
-    with pytest.raises(ZetaDomainError):
-        finite_torus_zeta_reciprocal(2, 5, -1.0, "grover")
+    # (1 + u^2) - 2u*lam > 0 for all |lam| <= 1 whenever u != +-1, but the
+    # prefactor base 1 - u^2 is not positive for |u| >= 1, so the torus
+    # routes refuse u there as the spectral route does
+    for d in (1, 2):
+        for u in (1.0, -1.0, 2.0, -2.0):
+            with pytest.raises(ZetaDomainError, match=base_refusal(u)):
+                finite_torus_zeta_reciprocal(d, 5, u, "grover")
 
 
 def test_torus_overflow_is_a_domain_error():
-    # the grover kind is defined for any u != +-1, but the float value
-    # leaves the double range at its endpoint factors, its prefactor or its
-    # product
-    with pytest.raises(ZetaDomainError, match="endpoint .* overflows"):
+    # a u this large is refused by its prefactor base, before any factor,
+    # power or product is formed that could overflow
+    with pytest.raises(ZetaDomainError, match=base_refusal(1e200)):
         finite_torus_zeta_reciprocal(2, 4, 1e200)
-    with pytest.raises(ZetaDomainError, match="endpoint .* overflows"):
+    with pytest.raises(ZetaDomainError, match=base_refusal(1e200)):
         torus_limit_zeta_reciprocal(2, 1e200, grid=8)
-    with pytest.raises(ZetaDomainError, match="prefactor .* overflows"):
+    with pytest.raises(ZetaDomainError, match=base_refusal(1e200)):
         torus_prefactor(2, 1e200)
-    with pytest.raises(ZetaDomainError, match="prefactor .* overflows"):
+    with pytest.raises(ZetaDomainError, match=base_refusal(1e100)):
         torus_limit_zeta_reciprocal(3, 1e100, grid=8)
-    with pytest.raises(ZetaDomainError, match="reciprocal overflows"):
+    with pytest.raises(ZetaDomainError, match=base_refusal(1e100)):
         finite_torus_zeta_reciprocal(2, 4, 1e100)
-    with pytest.raises(ZetaDomainError, match="reciprocal overflows"):
+    with pytest.raises(ZetaDomainError, match=base_refusal(1e100)):
         torus_limit_zeta_reciprocal(2, 1e100, grid=8)
-    assert math.isfinite(torus_limit_zeta_reciprocal(2, 1e50, grid=8))
+    with pytest.raises(ZetaDomainError, match=base_refusal(1e50)):
+        torus_limit_zeta_reciprocal(2, 1e50, grid=8)
+
+
+def _float_routes():
+    """Every float entry point, with each kind and route it takes, as u -> call."""
+    for name, graph in (("petersen", petersen_graph()), ("torus(2,4)", torus_graph(2, 4))):
+        for which in ("grover", "ihara"):
+            for route in ("transition", "laplacian"):
+                yield pytest.param(
+                    lambda u, g=graph, w=which, r=route: spectral_zeta_reciprocal(g, u, w, r),
+                    id=f"spectral-{name}-{which}-{route}",
+                )
+    yield pytest.param(lambda u: torus_prefactor(2, u), id="torus_prefactor")
+    for which in ("grover", "ihara"):
+        for name, call in (
+            ("finite_torus", lambda u, w: finite_torus_zeta_reciprocal(2, 4, u, w)),
+            ("log_mean", lambda u, w: torus_limit_log_mean(2, u, w, grid=8)),
+            ("limit", lambda u, w: torus_limit_zeta_reciprocal(2, u, w, grid=8)),
+            ("terms", lambda u, w: torus_limit_terms(2, u, w, grid=8)),
+            ("convergence_study", lambda u, w: convergence_study(2, u, [4], w)),
+        ):
+            yield pytest.param(lambda u, c=call, w=which: c(u, w), id=f"{name}-{which}")
+
+
+@pytest.mark.parametrize("u", [1.0, -1.0, 1.5, -3.0, 1e200, math.inf])
+@pytest.mark.parametrize("evaluate", list(_float_routes()))
+def test_every_float_route_refuses_a_prefactor_base_that_is_not_positive(evaluate, u):
+    with pytest.raises(ZetaDomainError, match=base_refusal(u)):
+        evaluate(u)
 
 
 @pytest.mark.parametrize(
