@@ -83,7 +83,28 @@ _MAX_POINTS = 2**25
 # as not increasing in `ConvergenceStudy.errors_monotone`
 _MONOTONE_SLACK = 1e-12
 
-_OPERATORS = ("adjacency", "transition", "laplacian")
+
+def _normalized(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """D^-1/2 A D^-1/2, the symmetric form of the transition matrix."""
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+# vertex operator -> (its symmetric form from the 0/1 adjacency matrix and
+# the degrees, for `graph_spectrum`; its torus eigenvalue from the grid sum
+# sum_j cos(2 pi k_j / n) and the dimension d, for `torus_spectrum`)
+_OPERATORS = {
+    "adjacency": (lambda a, degrees: a, lambda total, d: 2.0 * total),
+    "transition": (_normalized, lambda total, d: total / d),
+    "laplacian": (lambda a, degrees: np.diag(degrees) - a, lambda total, d: 2.0 * (d - total)),
+}
+
+
+def _operator(name: str) -> tuple:
+    """The `_OPERATORS` entry of a vertex operator; ZetawalkError for an unknown name."""
+    if name not in _OPERATORS:
+        raise ZetawalkError(f"unknown operator {name!r}; pick one of {tuple(_OPERATORS)}")
+    return _OPERATORS[name]
 
 
 def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, ...]:
@@ -93,20 +114,13 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, .
     D^-1/2 A D^-1/2, so its spectrum is real and is computed from the
     symmetric form.
     """
-    if operator not in _OPERATORS:
-        raise ZetawalkError(f"unknown operator {operator!r}; pick one of {_OPERATORS}")
+    symmetric_form, _ = _operator(operator)
     n = graph.num_vertices
     a = np.zeros((n, n), dtype=float)
     for i, neighbors in enumerate(graph.adjacency):
         for j in neighbors:
             a[i, j] = 1.0
-    if operator == "adjacency":
-        sym = a
-    elif operator == "transition":
-        inv_sqrt = 1.0 / np.sqrt(np.array(graph.degree_profile, dtype=float))
-        sym = a * inv_sqrt[:, None] * inv_sqrt[None, :]
-    else:
-        sym = np.diag(np.array(graph.degree_profile, dtype=float)) - a
+    sym = symmetric_form(a, np.array(graph.degree_profile, dtype=float))
     return tuple(np.linalg.eigvalsh(sym).tolist())
 
 
@@ -120,17 +134,9 @@ def torus_spectrum(d: int, n: int, operator: str = "transition") -> tuple[float,
     ZetawalkError when the n^d values are more than the grid points formed
     at once.
     """
-    if operator not in _OPERATORS:
-        raise ZetawalkError(f"unknown operator {operator!r}; pick one of {_OPERATORS}")
+    _, eigenvalue = _operator(operator)
     check_torus(d, n)
-    total = _grid_sums(d, n)
-    if operator == "adjacency":
-        total = 2.0 * total
-    elif operator == "transition":
-        total = total / d
-    else:
-        total = 2.0 * (d - total)
-    return tuple(total.tolist())
+    return tuple(eigenvalue(_grid_sums(d, n), d).tolist())
 
 
 def _axis_terms(g: int) -> np.ndarray:

@@ -23,6 +23,19 @@ of primes: the smaller of an eigenvalue (row-sum) bound and a Frobenius
 bound from the inequalities of Schur, the power mean and Maclaurin, both
 in integers, so the result is exact for every input.
 
+Callers that hold the graph (`_det_i_minus_u`, `_scaled_charpoly`) take a
+second route to the same residues on the discrete torus. When the graph is
+verified to be torus(d, N) and L*M is verified to be translation invariant
+on its vertices or arcs, with entry t_ss'(w - v) from state (v, s) to
+(w, s'), then modulo a prime p = 1 (mod N) with a primitive N-th root of
+unity omega, det(xI - L*M) is the product over k in Z_N^d of the
+characteristic polynomials of the blocks sum_z t_ss'(z) omega^(k.z):
+2d x 2d on the arcs and 1 x 1 on the vertices. The K N^d blocks go through
+the same Hessenberg kernel as one stack, each prime's N^d polynomials are
+multiplied by a product tree, and the bound and the CRT are those of the
+generic route. The public `det_i_minus_u(matrix)` has no graph and always
+takes the generic route, which is the oracle for the other in the tests.
+
 Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r. It
 forms the integer powers of L*M only up to ceil(r_max / 2) and reads each
 higher trace as a pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them;
@@ -36,12 +49,14 @@ coefficients are Tr M^r / r, which ties the two kernels together.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ZetawalkError
+from .graphs import Graph, arc_space, torus_graph
 from .rational import RatMatrix
 
 
@@ -166,24 +181,37 @@ def _times_one_minus_u_squared(coeffs: list[int], exponent: int) -> list[int]:
 
 def det_i_minus_u(matrix: RatMatrix) -> Poly:
     """Exact polynomial det(I - u*M) for a square rational matrix M."""
-    scale, coeffs = _scaled_charpoly(matrix)
+    return _det_i_minus_u(matrix)
+
+
+def _det_i_minus_u(matrix: RatMatrix, graph: Graph | None = None) -> Poly:
+    """`det_i_minus_u`, on the Fourier route when M is a torus operator of graph."""
+    scale, coeffs = _scaled_charpoly(matrix, graph)
     return Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs))
 
 
-def _scaled_charpoly(matrix: RatMatrix) -> tuple[int, list[int]]:
+def _scaled_charpoly(matrix: RatMatrix, graph: Graph | None = None) -> tuple[int, list[int]]:
     """L and integers C_0..C_n with det(I - u*M) = sum_k C_k u^k / L^k.
 
     L is the lcm of the entry denominators of the square matrix M, and
     x^n + C_1 x^(n-1) + ... + C_n = det(xI - L*M). The C_k are found modulo
-    enough primes to pin them down and combined by CRT.
+    enough primes to pin them down and combined by CRT. The residues come
+    from the Fourier blocks when `_torus_stencil` finds M translation
+    invariant on the torus graph, and from the whole matrix otherwise.
     """
     if matrix.rows != matrix.cols:
         raise ZetawalkError("det(I - u*M) requires a square matrix")
     n = matrix.rows
     scale, entries = _cleared(matrix)
     # symmetric residues pin down every c_k once the modulus exceeds 2 |c_k|
-    primes, modulus = _primes_above(2 * max(_coefficient_bounds(n, entries)))
-    residues = _charpoly_mod_primes(n, entries, primes)
+    limit = 2 * max(_coefficient_bounds(n, entries))
+    torus = _torus_stencil(graph, n, entries)
+    if torus is None:
+        primes, modulus = _primes_above(limit)
+        residues = _hessenberg_charpolys(_residue_stack(n, entries, primes), primes).tolist()
+    else:
+        primes, modulus = _primes_above(limit, torus.side)
+        residues = _fourier_charpolys(torus, primes)
     return scale, _crt(residues, primes, modulus)
 
 
@@ -277,27 +305,51 @@ def _cleared(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:
     return scale, [(i, j, value.numerator * (scale // value.denominator)) for i, j, value in items]
 
 
-_PRIMES: list[int] = []
+# n -> the primes = 1 (mod n) below 2^31 found so far, descending
+_PRIMES: dict[int, list[int]] = {}
 
 
-def _prime(index: int) -> int:
-    """The index-th prime below 2^31, counting down; found once per process."""
-    candidate = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
-    while len(_PRIMES) <= index:
+def _prime(index: int, n: int = 2) -> int:
+    """The index-th prime p = 1 (mod n) below 2^31, counting down.
+
+    Each list is found once per process. The default n = 2 gives every odd
+    prime below 2^31; the Fourier route asks for p = 1 (mod N), so that F_p
+    holds the N-th roots of unity. Candidates step by lcm(2, n), so all are
+    odd.
+    """
+    found = _PRIMES.setdefault(n, [])
+    step = math.lcm(2, n)
+    candidate = found[-1] - step if found else (2**31 - 2) // step * step + 1
+    while len(found) <= index:
         if _is_prime(candidate):
-            _PRIMES.append(candidate)
-        candidate -= 2
-    return _PRIMES[index]
+            found.append(candidate)
+        candidate -= step
+    return found[index]
 
 
-def _primes_above(limit: int) -> tuple[list[int], int]:
-    """The fewest leading `_prime`s whose product exceeds limit, and that product."""
+def _primes_above(limit: int, n: int = 2) -> tuple[list[int], int]:
+    """The fewest leading `_prime(., n)`s whose product exceeds limit, and that product."""
     primes = []
     modulus = 1
     while modulus <= limit:
-        primes.append(_prime(len(primes)))
+        primes.append(_prime(len(primes), n))
         modulus *= primes[-1]
     return primes, modulus
+
+
+def _root_of_unity(n: int, p: int) -> int:
+    """A primitive n-th root of unity modulo a prime p = 1 (mod n).
+
+    omega = g^((p-1)/n) for the least g >= 2 that gives it order exactly n:
+    its order divides n, and it is n when omega^(n/r) != 1 for every prime
+    factor r of n.
+    """
+    factors = {r for r in range(2, n + 1) if n % r == 0 and all(r % f for f in range(2, r))}
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // n, p)
+        if all(pow(omega, n // r, p) != 1 for r in factors):
+            return omega
+    raise ZetawalkError(f"no primitive {n}-th root of unity modulo {p}")
 
 
 def _is_prime(n: int) -> bool:
@@ -318,51 +370,54 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _charpoly_mod_primes(
-    n: int, entries: list[tuple[int, int, int]], primes: list[int]
-) -> list[list[int]]:
-    """For each prime p, the coefficients c_0..c_n of det(xI - A) mod p.
-
-    A is the n x n integer matrix with the given nonzero entries; c_k sits
-    on x^(n-k). The residues of A for all K primes form one (K, n, n) int64
-    stack, brought to upper Hessenberg form by similarity transforms, after
-    which the characteristic polynomials follow from the Hessenberg
-    recurrence (Cohen, GTM 138, Algorithm 2.2.9). Each step runs once for
-    the whole stack and touches only the rows and columns whose multiplier
-    is nonzero for some prime. Entries stay in [0, p) with p < 2^31, and
-    products are reduced mod p before two of them are added, so int64
-    cannot overflow.
-    """
-    k = len(primes)
-    # the primes shaped to broadcast over (K, .) and (K, ., .) arrays
-    p1 = np.array(primes, dtype=np.int64)[:, None]
-    p2 = p1[:, :, None]
-    a = np.zeros((k, n, n), dtype=np.int64)
+def _residue_stack(n: int, entries: list[tuple[int, int, int]], primes: list[int]) -> np.ndarray:
+    """The (K, n, n) int64 residues mod each of the K primes of the n x n
+    integer matrix with the given nonzero entries."""
+    a = np.zeros((len(primes), n, n), dtype=np.int64)
     rows = [i for i, _, _ in entries]
     cols = [j for _, j, _ in entries]
     a[:, rows, cols] = [[value % p for _, _, value in entries] for p in primes]
+    return a
+
+
+def _hessenberg_charpolys(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """For each slice a[b] of a (B, n, n) stack, det(xI - a[b]) mod primes[b].
+
+    Row b of the (B, n + 1) int64 result holds c_0..c_n, with c_k on
+    x^(n-k). Each slice holds residues in [0, p) for its own prime p < 2^31;
+    a prime may serve several slices. The stack is brought to upper
+    Hessenberg form by similarity transforms, after which the characteristic
+    polynomials follow from the Hessenberg recurrence (Cohen, GTM 138,
+    Algorithm 2.2.9). Each step runs once for the whole stack and touches
+    only the rows and columns whose multiplier is nonzero for some slice.
+    Products are reduced mod p before two of them are added, so int64
+    cannot overflow. The stack is overwritten.
+    """
+    slices, n = a.shape[:2]
+    # the primes shaped to broadcast over (B, .) and (B, ., .) arrays
+    p1 = np.array(primes, dtype=np.int64)[:, None]
+    p2 = p1[:, :, None]
     for m in range(1, n - 1):
         nonzero = a[:, m:, m - 1] != 0
         live = np.flatnonzero(nonzero.any(axis=0))
         if not live.size:
             continue
         # one swap for the stack brings the first row that is nonzero for
-        # some prime to the pivot; a permutation of rows and columns >= m
+        # some slice to the pivot; a permutation of rows and columns >= m
         # keeps the Hessenberg columns < m - 1, so it is harmless for every
-        # prime. A prime whose residue there is 0 takes its own swap.
+        # slice. The slices whose residue there is 0 then swap their own
+        # first nonzero row to the pivot, all at once.
         i = m + int(live[0])
         if i != m:
             a[:, [i, m], :] = a[:, [m, i], :]
             a[:, :, [i, m]] = a[:, :, [m, i]]
-        lagging = ~nonzero[:, i - m]
-        if lagging.any():
-            for q in np.flatnonzero(lagging & nonzero.any(axis=1)):
-                one = a[q]
-                j = m + int(np.argmax(one[m:, m - 1] != 0))
-                one[[j, m], :] = one[[m, j], :]
-                one[:, [j, m]] = one[:, [m, j]]
+        q = np.flatnonzero(~nonzero[:, i - m] & nonzero.any(axis=1))
+        if q.size:
+            j = m + np.argmax(a[q, m:, m - 1] != 0, axis=1)
+            a[q, m, :], a[q, j, :] = a[q, j, :], a[q, m, :]
+            a[q, :, m], a[q, :, j] = a[q, :, j], a[q, :, m]
         # the swaps leave nonzero entries below row m only in rows after the
-        # first live one; a prime whose column is already zero gets inverse
+        # first live one; a slice whose column is already zero gets inverse
         # 0, so its multipliers are 0 and it is left unchanged
         hit = m + live[1:]
         if not hit.size:
@@ -386,11 +441,11 @@ def _charpoly_mod_primes(
     # block, ascending in x; polys[:, i] (degree i <= m - 2) enters it with
     # weight a[i, m-1] times the subdiagonal product a[i+1, i] ... a[m-1, m-2],
     # kept in runs[:, i]. Below the last subdiagonal entry that is zero for
-    # every prime (`top`) every such product is 0, so those weights are skipped.
+    # every slice (`top`) every such product is 0, so those weights are skipped.
     sub = a.diagonal(-1, axis1=1, axis2=2)
-    polys = np.zeros((k, n + 1, n + 1), dtype=np.int64)
+    polys = np.zeros((slices, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
-    runs = np.zeros((k, n), dtype=np.int64)
+    runs = np.zeros((slices, n), dtype=np.int64)
     top = 0
     for m in range(1, n + 1):
         polys[:, m, 1 : m + 1] = polys[:, m - 1, :m]
@@ -409,7 +464,140 @@ def _charpoly_mod_primes(
             tail *= weights[:, hit, None]
             tail %= p2
             polys[:, m, : m - 1] = (polys[:, m, : m - 1] - tail.sum(axis=1)) % p1
-    return polys[:, n, ::-1].tolist()
+    return polys[:, n, ::-1]
+
+
+class _Torus(NamedTuple):
+    """A matrix found translation invariant on the torus Z_N^d.
+
+    Its states are pairs (vertex v, direction s), `width` directions per
+    vertex, and its entry from (v, s) to (w, s') is t_ss'(w - v). `stencil`
+    lists the nonzero t_ss'(z) as (s, s', z, t), z the flat index of the
+    step; `coords[v]` are the d coordinates of the vertex with flat index v.
+    """
+
+    side: int
+    coords: np.ndarray
+    width: int
+    stencil: list[tuple[int, int, int, int]]
+
+
+_TORUS_TAG = re.compile(r"torus\((\d+),(\d+)\)")
+
+
+def _torus_stencil(
+    graph: Graph | None, n: int, entries: list[tuple[int, int, int]]
+) -> _Torus | None:
+    """The stencil of the n x n integer matrix with these entries, when it has one.
+
+    The graph must be torus(d, N): the family tag names the candidate, and
+    the edges must be those of `torus_graph(d, N)`, so a tag alone is not
+    trusted. The matrix must act on the N^d vertices, or on the 2d N^d arcs
+    in `arc_space` order, where an arc is the state (origin, direction of
+    its step). The stencil is read off the rows of the states at vertex 0;
+    every nonzero entry, from (v, s) to (w, s'), must then be t_ss'(w - v),
+    and there must be N^d entries per stencil entry, so that none is
+    missing. Both checks are O(m + nnz). Otherwise the answer is None, and
+    the generic kernel runs.
+    """
+    match = _TORUS_TAG.fullmatch(graph.family or "") if graph is not None else None
+    if match is None:
+        return None
+    d, side = int(match[1]), int(match[2])
+    nu = graph.num_vertices
+    # side >= 3, so side^d = nu needs d <= log2(nu)
+    if not (1 <= d <= nu.bit_length() and side >= 3 and side**d == nu):
+        return None
+    if graph.adjacency != torus_graph(d, side).adjacency:
+        return None
+    place = side ** np.arange(d)
+    coords = np.arange(nu)[:, None] // place % side
+    if n == nu:
+        vertex, direction, width = np.arange(nu), np.zeros(nu, dtype=np.int64), 1
+    elif n == 2 * graph.num_edges:
+        arcs = np.array(arc_space(graph).arcs)
+        vertex = arcs[:, 0]
+        # the steps +-e_j of a vertex are 2d distinct ones for side >= 3
+        steps = (coords[arcs[:, 1]] - coords[vertex]) % side @ place
+        direction = np.unique(steps, return_inverse=True)[1]
+        width = 2 * d
+    else:
+        return None
+    rows = np.array([i for i, _, _ in entries], dtype=np.int64)
+    cols = np.array([j for _, j, _ in entries], dtype=np.int64)
+    origins = vertex[rows]
+    steps = (coords[vertex[cols]] - coords[origins]) % side @ place
+    keys = ((direction[rows] * width + direction[cols]) * nu + steps).tolist()
+    values = [value for _, _, value in entries]
+    stencil = {key: value for key, value, v in zip(keys, values, origins.tolist()) if v == 0}
+    if len(entries) != nu * len(stencil):
+        return None
+    if any(stencil.get(key) != value for key, value in zip(keys, values)):
+        return None
+    table = [(key // nu // width, key // nu % width, key % nu, t) for key, t in stencil.items()]
+    return _Torus(side, coords, width, table)
+
+
+def _fourier_charpolys(torus: _Torus, primes: list[int]) -> list[list[int]]:
+    """det(xI - T) mod each prime p = 1 (mod N) for the torus matrix T.
+
+    With omega a primitive N-th root of unity mod p, the vectors
+    f(w, s') = omega^(k.w) a_s' for k in Z_N^d span F_p^n, and T maps those
+    of one k among themselves through the width x width block
+    T^(k)_ss' = sum_z t_ss'(z) omega^(k.z). So det(xI - T) is the product
+    over k of det(xI - T^(k)) mod p. The blocks of all primes form one
+    stack for `_hessenberg_charpolys`, and `_product_mod` multiplies the N^d
+    block polynomials of each prime. The coefficients come in the layout of
+    the generic kernel: c_0..c_n, with c_k on x^(n-k), which is also the
+    coefficient of u^k in det(I - uT); the block polynomials are multiplied
+    in that reading, where 1 is (1, 0, ..., 0).
+    """
+    side, coords, width, stencil = torus
+    nu = len(coords)
+    count = len(primes)
+    p = np.array(primes, dtype=np.int64)[:, None]
+    # omega^e mod p for e = 0..N-1, one row per prime
+    powers = np.ones((count, side), dtype=np.int64)
+    roots = np.array([_root_of_unity(side, q) for q in primes], dtype=np.int64)
+    for e in range(1, side):
+        powers[:, e] = powers[:, e - 1] * roots % p[:, 0]
+    # k.z mod N for each k and each stencil step z
+    phases = coords @ coords[[z for _, _, z, _ in stencil]].T % side
+    blocks = np.zeros((count, nu, width, width), dtype=np.int64)
+    for e, (s, s2, _, value) in enumerate(stencil):
+        residues = np.array([value % q for q in primes], dtype=np.int64)[:, None]
+        blocks[:, :, s, s2] += residues * powers[:, phases[:, e]] % p
+    blocks %= p[:, :, None, None]
+    charpolys = _hessenberg_charpolys(
+        blocks.reshape(count * nu, width, width), np.repeat(primes, nu).tolist()
+    )
+    product = _product_mod(charpolys.reshape(count, nu, width + 1), p)
+    return product[:, : nu * width + 1].tolist()
+
+
+def _product_mod(polys: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The product of the M polynomials polys[q, :] mod p[q], for each row q.
+
+    polys is a (K, M, L) int64 array of coefficient lists in [0, p), lowest
+    degree first, and p a (K, 1) array of primes below 2^31. A product tree
+    pairs neighbours until one polynomial is left, with the constant 1
+    padding a level of odd length; coefficients past the true degree come
+    out 0. Each product is reduced mod p before it is added, and a sum of
+    at most L terms below 2^31 fits in int64.
+    """
+    p3 = p[:, :, None]
+    while polys.shape[1] > 1:
+        k, m, length = polys.shape
+        if m % 2:
+            one = np.zeros((k, 1, length), dtype=np.int64)
+            one[:, :, 0] = 1
+            polys = np.concatenate((polys, one), axis=1)
+        left, right = polys[:, 0::2], polys[:, 1::2]
+        product = np.zeros((k, left.shape[1], 2 * length - 1), dtype=np.int64)
+        for i in range(length):
+            product[:, :, i : i + length] += left[:, :, i, None] * right % p3
+        polys = product % p3
+    return polys[:, 0]
 
 
 def _crt(residues: list[list[int]], primes: list[int], modulus: int) -> list[int]:

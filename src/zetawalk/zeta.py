@@ -11,7 +11,13 @@ polynomial per route: det(I - xM) = sum_k c_k x^k of the nu x nu vertex
 operator M gives det(s I + t M) = sum_k c_k (-t)^k s^(nu-k), which is
 evaluated at the vertex factor line s = 1 + a1 u + a2 u^2, t = b u in
 integers. The Bass form and the Konno-Sato sides multiply by the cocycle
-(1 - u^2)^(m - nu) in integers before the one division. Cycle counts are
+(1 - u^2)^(m - nu) in integers before the one division. Every function
+here that builds an operator of a graph hands the graph to the kernel
+(`polynomials._det_i_minus_u`, `_scaled_charpoly`), so on a verified
+torus(d, N) the determinant comes from N^d Fourier blocks; the Bass
+companion always takes the generic route. No Konno-Sato formula enters
+either route, so on a torus the check still compares the arc determinant
+with a vertex side computed apart from it. Cycle counts are
 exact traces of operator powers (`polynomials.trace_powers`, pairings of
 integer powers of the cleared matrix up to half the order), with an
 independent brute-force oracle for cross-checking, and the generalized
@@ -52,9 +58,9 @@ from .operators import (
 )
 from .polynomials import (
     Poly,
+    _det_i_minus_u,
     _scaled_charpoly,
     _times_one_minus_u_squared,
-    det_i_minus_u,
     log_series,
     trace_powers,
 )
@@ -160,7 +166,7 @@ def grover_zeta_reciprocal(graph: Graph) -> Poly:
     edge count.
     """
     arcs = arc_space(graph)
-    return det_i_minus_u(grover(graph, arcs))
+    return _det_i_minus_u(grover(graph, arcs), graph)
 
 
 def ihara_reciprocal_edge(graph: Graph) -> Poly:
@@ -174,7 +180,7 @@ def ihara_reciprocal_edge(graph: Graph) -> Poly:
     """
     _reject_tree(graph)
     arcs = arc_space(graph)
-    return det_i_minus_u(grover_positive_support(graph, arcs))
+    return _det_i_minus_u(grover_positive_support(graph, arcs), graph)
 
 
 def ihara_reciprocal_bass(graph: Graph) -> Poly:
@@ -229,12 +235,12 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
 
     u_mat = grover(graph, arc_space(graph))
     left_sides = {
-        "grover": det_i_minus_u(u_mat),
-        "ihara": det_i_minus_u(positive_support(u_mat)),
+        "grover": _det_i_minus_u(u_mat, graph),
+        "ihara": _det_i_minus_u(positive_support(u_mat), graph),
     }
     checks = []
     for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):
-        scale, coeffs = _scaled_charpoly(mat)
+        scale, coeffs = _scaled_charpoly(mat, graph)
         for which, lhs in left_sides.items():
             factor = vertex_factor_coefficients(q, which, route)
             rhs = _vertex_side(scale, coeffs, factor, exponent)
@@ -383,7 +389,7 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
             f"{SERIES_ORDER_CAP}"
         )
     u_mat = grover(graph, arc_space(graph))
-    logs = log_series(det_i_minus_u(u_mat), order)
+    logs = log_series(_det_i_minus_u(u_mat, graph), order)
     scaled = tuple(c / r for r, c in enumerate(trace_powers(u_mat, order), start=1))
     return SeriesConsistencyReport(
         order=order, log_coefficients=logs, scaled_counts=scaled

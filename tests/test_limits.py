@@ -59,6 +59,26 @@ def test_transition_spectrum_has_zero_mean(d, n):
     assert max(values) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_both_spectra_refuse_an_unknown_operator_with_one_message():
+    message = "unknown operator 'bogus'; pick one of ('adjacency', 'transition', 'laplacian')"
+    with pytest.raises(ZetawalkError, match=re.escape(message)):
+        graph_spectrum(petersen_graph(), "bogus")
+    with pytest.raises(ZetawalkError, match=re.escape(message)):
+        torus_spectrum(2, 4, "bogus")
+
+
+def test_both_spectra_read_the_vertex_operator_from_one_table(monkeypatch):
+    # an operator added to the one table reaches both spectra
+    monkeypatch.setitem(
+        limits._OPERATORS, "twice-adjacency", (lambda a, degrees: a + a, lambda total, d: 4.0 * total)
+    )
+    closed = sorted(torus_spectrum(2, 4, "twice-adjacency"))
+    assert closed == sorted(2.0 * x for x in torus_spectrum(2, 4, "adjacency"))
+    numeric = graph_spectrum(torus_graph(2, 4), "twice-adjacency")
+    assert numeric == tuple(2.0 * x for x in graph_spectrum(torus_graph(2, 4), "adjacency"))
+    assert np.allclose(numeric, closed, atol=1e-9)
+
+
 @pytest.mark.parametrize("d, n", TORI)
 @pytest.mark.parametrize("operator", ["adjacency", "transition", "laplacian"])
 def test_closed_form_spectrum_matches_numeric_diagonalization(d, n, operator):

@@ -136,10 +136,10 @@ def test_konno_sato_rejects_non_regular_graphs():
 def test_konno_sato_rejects_a_regular_tree_before_any_determinant(monkeypatch):
     # K2 is 1-regular with m - nu = -1: the cocycle (1 - u^2)^(m - nu) has no
     # polynomial meaning
-    def forbidden(matrix):
+    def forbidden(*args):
         raise AssertionError("no determinant may run on a tree")
 
-    monkeypatch.setattr(zeta, "det_i_minus_u", forbidden)
+    monkeypatch.setattr(zeta, "_det_i_minus_u", forbidden)
     monkeypatch.setattr(zeta, "_scaled_charpoly", forbidden)
     with pytest.raises(TreeGraphError, match="exponent -1"):
         konno_sato_check(graph_from_edges(2, [(0, 1)]))
