@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: gen, matrix dump, charpoly, verify konno-sato, series,
-zeta-eval, torus-limit, converge. Exit codes: 0 for success (including a
-verification that holds), 1 for a verification that fails, 2 for usage
-errors, file errors and package errors (`ZetawalkError`). Any other
-exception is a bug: it is not caught, so it ends the process with a
-traceback and exit code 1. Output is deterministic: rationals print
-exactly as "p/q" via str(Fraction), floats with 15 significant digits,
-JSON with two-space indentation and fixed key order.
+zeta-eval, torus-limit, converge. `entrypoint` builds the parser once per
+process and reuses it; `build_parser` returns a fresh one. Exit codes: 0
+for success (including a verification that holds), 1 for a verification
+that fails, 2 for usage errors, file errors and package errors
+(`ZetawalkError`). Any other exception is a bug: it is not caught, so it
+ends the process with a traceback and exit code 1. Output is
+deterministic: rationals print exactly as "p/q" via str(Fraction), floats
+with 15 significant digits, JSON with two-space indentation and fixed key
+order.
 
 A choice that selects a library call is written once, in a table from
 choice to call whose keys are also the argparse choices: `graphs.FAMILIES`
@@ -22,7 +24,9 @@ positive, the same rule for both kinds; outside it they exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -181,6 +185,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta_eval(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ZetawalkError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     g = graphs.load_graph(args.graph)
     u = _parse_u(args.u)
     spectral = None
@@ -404,10 +410,17 @@ def _attach_negative_u(argv: Sequence[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves no state on the parser: every parse makes a new
+    # Namespace, no default is mutable, and help takes the terminal width
+    # when it is printed
+    return build_parser()
+
+
 def entrypoint(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_u(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_attach_negative_u(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -2,9 +2,11 @@
 
 Vertex-indexed operators: adjacency A, degree D, simple-random-walk
 transition P, combinatorial Laplacian D - A. Arc-indexed operators: the
-flip-flop shift S, the coin C, the Grover matrix U = S @ C, and positive
+flip-flop shift S, the coin C, the Grover matrix U = S C, and positive
 supports. The Grover coin projector |a_u><a_u| has entries 1/deg(u), so C
 and U are exactly rational even though a_u itself contains 1/sqrt(deg).
+Since S is the arc-reversal permutation, U is C with its rows permuted and
+is assembled with no rational product.
 """
 
 from __future__ import annotations
@@ -128,12 +130,14 @@ def _normalize_alpha(alpha, num_arcs: int) -> dict[int, Fraction]:
 
 
 def grover(graph: Graph, arcs: ArcSpace) -> RatMatrix:
-    """Grover walk evolution U = S @ C with the Grover coin.
+    """Grover walk evolution U = S C with the Grover coin.
 
+    S swaps every arc with its inverse, so (S C)[e, :] = C[inverse(e), :]:
+    row e of U is row inverse(e) of C, taken without any arithmetic.
     Entrywise: U[e, f] = 2/deg(t(f)) - [f == inverse(e)] when t(f) = o(e),
     zero otherwise. Real orthogonal since S and C are symmetric involutions.
     """
-    return shift(arcs) @ coin(graph, arcs)
+    return coin(graph, arcs).permute_rows(arcs.inverse)
 
 
 def grover_positive_support(graph: Graph, arcs: ArcSpace) -> RatMatrix:

@@ -4,7 +4,9 @@ Matrices are stored sparsely (one dict of nonzero entries per row) and are
 immutable by convention: all operations return new matrices. Neither
 determinants nor traces are taken here: the exact kernels in `polynomials`
 (`det_i_minus_u` and `trace_powers`) clear a matrix to integers and work on
-that. The product `@` remains for operator assembly (the Grover matrix S C).
+that. Operator assembly needs no product either: the Grover matrix S C is
+the coin with its rows permuted (`permute_rows`). The product `@` stays as
+the tests' oracle for that assembly.
 """
 
 from __future__ import annotations
@@ -136,6 +138,13 @@ class RatMatrix:
                     s = acc.get(j)
                     acc[j] = prod if s is None else s + prod
             out._rowdata[i] = {j: value for j, value in acc.items() if value}
+        return out
+
+    def permute_rows(self, order: Sequence[int]) -> "RatMatrix":
+        """Row i of the result is row order[i] of this one: P @ self for the
+        permutation matrix P with P[i, order[i]] = 1, without arithmetic."""
+        out = RatMatrix(len(order), self.cols)
+        out._rowdata = [dict(self._rowdata[k]) for k in order]
         return out
 
     def transpose(self) -> "RatMatrix":

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -291,6 +292,18 @@ def test_zeta_eval_disagreement_exits_1(capsys, monkeypatch, k4_path):
     code, out, _ = run_cli(capsys, ["zeta-eval", "--graph", k4_path, "--u", "1/5"])
     assert code == 1
     assert "NO" in out
+
+
+@pytest.mark.parametrize("method", ["spectral", "charpoly", "both"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_zeta_eval_refuses_a_tolerance_outside_its_domain(capsys, tmp_path, k4_path, method, tol):
+    # checked before the graph is read, so a missing file gives the same error
+    expected = (2, "", f"error: --tol must be a finite number >= 0, got {float(tol)!r}\n")
+    for graph in (k4_path, str(tmp_path / "missing.json")):
+        argv = ["zeta-eval", "--graph", graph, "--u", "1/5", "--method", method, "--tol", tol, "--json"]
+        assert run_cli(capsys, argv) == expected
+    argv = ["zeta-eval", "--graph", k4_path, "--u", "1/5", "--method", method, "--tol", "0"]
+    assert run_cli(capsys, argv)[0] in (0, 1)
 
 
 def test_zeta_eval_domain_error_exits_2(capsys, k4_path):
@@ -628,10 +641,15 @@ def test_internal_errors_are_not_domain_errors(monkeypatch, k4_path, exc):
         entrypoint(["charpoly", "--graph", k4_path])
 
 
-def test_an_internal_error_exits_1_with_a_traceback(k4_path):
+def _child_env() -> dict[str, str]:
+    # the child imports the same package as this process, installed or not
     source = str(Path(zetawalk.__file__).resolve().parents[1])
     path = [source, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_an_internal_error_exits_1_with_a_traceback(k4_path):
+    env = _child_env()
     program = (
         "import zetawalk.zeta\n"
         "def broken(graph):\n"
@@ -679,10 +697,7 @@ def test_torus_limit_json_converts_u_once_and_computes_the_prefactor_once(
 
 
 def test_module_and_console_entrypoints():
-    # the child imports the same package as this process, installed or not
-    source = str(Path(zetawalk.__file__).resolve().parents[1])
-    path = [source, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = _child_env()
     result = subprocess.run(
         [sys.executable, "-m", "zetawalk", "gen", "--family", "petersen"],
         capture_output=True,
@@ -691,3 +706,51 @@ def test_module_and_console_entrypoints():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["vertices"] == 10
+
+
+def test_the_reused_parser_keeps_no_state(capsys, monkeypatch, k4_path):
+    # help wraps at the terminal width: the same width for both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [
+        ["charpoly", "--graph", k4_path, "--workers", "2"],
+        ["--help"],
+        ["zeta-eval", "--help"],
+        ["torus-limit", "--d", "2", "--u", "-1/7", "--grid", "16"],
+        ["zeta-eval", "--graph", k4_path, "--u", "3/2"],
+        ["converge", "--d", "2", "--u", "-9/10", "--N", "3,4", "--require-monotone"],
+        ["charpoly", "--graph", k4_path],
+        ["torus-limit", "--d", "3", "--u", "1/5", "--grid", "16", "--json"],
+        ["series", "--graph", k4_path, "--which", "grover", "--order", "5", "--json"],
+    ]
+    env = _child_env()
+    fresh = []
+    for argv in commands:
+        result = subprocess.run(
+            [sys.executable, "-m", "zetawalk", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append((result.returncode, result.stdout, result.stderr))
+    # a usage error, help, a package error and a failed check among the runs
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 2, 1, 0, 0, 0]
+    for order in (range(len(commands)), reversed(range(len(commands)))):
+        for i in order:
+            assert run_cli(capsys, commands[i]) == fresh[i], commands[i]
+
+
+def test_entrypoint_builds_the_parser_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "zetawalk":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    argv = ["torus-limit", "--d", "2", "--u", "1/5", "--grid", "8"]
+    assert entrypoint(argv) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(5):
+        assert entrypoint(argv) == 0
+    assert built == []
+    # the public builder still returns a new parser on every call
+    assert cli.build_parser() is not cli.build_parser()
+    assert len(built) == 2

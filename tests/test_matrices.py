@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,24 @@ FAMILIES = [
     graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),  # diamond
     graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # paw, has a leaf
 ]
+
+
+def random_connected_graph(seed: int):
+    """A random tree with a few chords, and a pendant path of two vertices.
+
+    The path's middle vertex has degree 2 and its end is a leaf, the two
+    degrees at which a Grover coin entry 2/deg - 1 is 0 or 1.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    edges |= {(rng.randrange(n), n), (n, n + 1)}
+    return graph_from_edges(n + 2, sorted(edges))
+
+
+RANDOM_GRAPHS = [random_connected_graph(seed) for seed in range(8)]
 
 
 def oracle_grover(graph, arcs):
@@ -107,10 +126,11 @@ def test_shift_is_a_symmetric_involution(graph):
         assert s[e, arcs.inverse[e]] == 1
 
 
-@pytest.mark.parametrize("graph", FAMILIES, ids=lambda g: g.summary())
+@pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
 def test_grover_matches_entrywise_case_table(graph):
+    # grover permutes the coin's rows; the product S @ C is the definition
     arcs = arc_space(graph)
-    assert grover(graph, arcs) == oracle_grover(graph, arcs)
+    assert grover(graph, arcs) == shift(arcs) @ coin(graph, arcs) == oracle_grover(graph, arcs)
 
 
 @pytest.mark.parametrize("graph", FAMILIES, ids=lambda g: g.summary())
