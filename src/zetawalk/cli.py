@@ -187,8 +187,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_zeta_eval(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ZetawalkError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    g = graphs.load_graph(args.graph)
     u = _parse_u(args.u)
+    try:
+        u_text = str(u) if args.json else None
+    except ValueError as exc:  # CPython's limit on int-to-str conversion
+        limit = sys.get_int_max_str_digits()
+        raise ZetawalkError(f"--u as an exact fraction has more than {limit} digits") from exc
+    g = graphs.load_graph(args.graph)
     spectral = None
     charpoly = None
     if args.method in ("spectral", "both"):
@@ -202,7 +207,7 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = {
-            "u": str(u),
+            "u": u_text,
             "which": args.which,
             "route": args.route,
             "method": args.method,

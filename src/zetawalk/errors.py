@@ -36,10 +36,6 @@ class FamilyParameterError(GraphError):
     """A graph-family parameter is below the minimum that keeps the graph simple."""
 
 
-class CoinError(ZetawalkError):
-    """A supplied coin vector violates its support or unit-norm contract."""
-
-
 class NonRegularGraphError(ZetawalkError):
     """The operation is defined for regular graphs only."""
 

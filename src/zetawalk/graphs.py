@@ -9,11 +9,11 @@ fixed here.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -119,7 +119,9 @@ def graph_from_edges(
     if num_vertices < 1:
         raise GraphFormatError(f"vertex count must be positive, got {num_vertices}")
     seen: set[tuple[int, int]] = set()
-    neighbor_sets: list[set[int]] = [set() for _ in range(num_vertices)]
+    # only the vertices edges touch: nothing is sized by the declared count
+    # before the connectivity check, since a connected graph has nu <= m + 1
+    neighbor_sets: defaultdict[int, set[int]] = defaultdict(set)
     for edge in edges:
         i, j = int(edge[0]), int(edge[1])
         if not (0 <= i < num_vertices and 0 <= j < num_vertices):
@@ -137,8 +139,8 @@ def graph_from_edges(
 
     _require_connected(num_vertices, neighbor_sets)
 
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    degrees = tuple(len(s) for s in neighbor_sets)
+    adjacency = tuple(tuple(sorted(neighbor_sets[v])) for v in range(num_vertices))
+    degrees = tuple(len(s) for s in adjacency)
     regular = degrees[0] if len(set(degrees)) == 1 else None
     return Graph(
         num_vertices=num_vertices,
@@ -151,21 +153,17 @@ def graph_from_edges(
     )
 
 
-def _require_connected(num_vertices: int, neighbor_sets: Sequence[set[int]]) -> None:
-    seen = [False] * num_vertices
+def _require_connected(num_vertices: int, neighbor_sets: Mapping[int, set[int]]) -> None:
+    reached = {0}
     queue = deque([0])
-    seen[0] = True
-    count = 1
     while queue:
-        v = queue.popleft()
-        for w in neighbor_sets[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
+        for w in neighbor_sets.get(queue.popleft(), ()):
+            if w not in reached:
+                reached.add(w)
                 queue.append(w)
-    if count != num_vertices:
+    if len(reached) != num_vertices:
         raise DisconnectedGraphError(
-            f"graph is not connected: reached {count} of {num_vertices} vertices"
+            f"graph is not connected: reached {len(reached)} of {num_vertices} vertices"
         )
 
 

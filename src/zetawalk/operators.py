@@ -2,19 +2,18 @@
 
 Vertex-indexed operators: adjacency A, degree D, simple-random-walk
 transition P, combinatorial Laplacian D - A. Arc-indexed operators: the
-flip-flop shift S, the coin C, the Grover matrix U = S C, and positive
-supports. The Grover coin projector |a_u><a_u| has entries 1/deg(u), so C
-and U are exactly rational even though a_u itself contains 1/sqrt(deg).
-Since S is the arc-reversal permutation, U is C with its rows permuted and
-is assembled with no rational product.
+flip-flop shift S, the Grover coin C, the Grover matrix U = S C, and
+positive supports. The Grover coin is the only coin: its projector
+|a_u><a_u| has entries 1/deg(u), so C and U are exactly rational even
+though a_u itself contains 1/sqrt(deg). C is written straight into its
+rows, and since S is the arc-reversal permutation, U is C with its rows
+permuted: no rational product is formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
 
-from .errors import CoinError
 from .graphs import ArcSpace, Graph
 from .rational import RatMatrix, positive_support
 
@@ -68,65 +67,28 @@ def shift(arcs: ArcSpace) -> RatMatrix:
     return RatMatrix(arcs.num_arcs, arcs.num_arcs, entries)
 
 
-def coin(
-    graph: Graph,
-    arcs: ArcSpace,
-    alphas: Sequence[Mapping[int, Fraction] | Sequence[Fraction]] | None = None,
-) -> RatMatrix:
-    """Coin operator C = 2 * sum_u |a_u><a_u| - I on the arc space.
+def coin(graph: Graph, arcs: ArcSpace) -> RatMatrix:
+    """Grover coin C = 2 * sum_u |a_u><a_u| - I, a_u uniform on the arcs into u.
 
-    Each a_u must be supported exactly on the arcs terminating at u and have
-    unit squared norm; both are checked exactly for supplied rational
-    vectors. With alphas omitted, the Grover coin is used: the projector
-    block at u is the all-(1/deg u) matrix, giving entries 2/deg(u) - delta.
+    C[e, f] = 2/deg(u) - [e == f] for arcs e, f into u, and 0 between arcs
+    into different vertices. The diagonal is 0 at degree 2 and is not stored.
     """
     n = arcs.num_arcs
     incoming: list[list[int]] = [[] for _ in range(graph.num_vertices)]
     for e, (_, t) in enumerate(arcs.arcs):
         incoming[t].append(e)
 
-    entries: dict[tuple[int, int], Fraction] = {}
-    if alphas is None:
-        for u, block in enumerate(incoming):
-            w = Fraction(2, graph.degree_profile[u])
-            for e in block:
-                for f in block:
-                    entries[(e, f)] = w
-    else:
-        if len(alphas) != graph.num_vertices:
-            raise CoinError(
-                f"expected one coin vector per vertex ({graph.num_vertices}), got {len(alphas)}"
-            )
-        for u, alpha in enumerate(alphas):
-            vec = _normalize_alpha(alpha, n)
-            support = set(vec)
-            allowed = set(incoming[u])
-            if not support:
-                raise CoinError(f"coin vector at vertex {u} is zero")
-            if not support <= allowed:
-                bad = sorted(support - allowed)[0]
-                raise CoinError(
-                    f"coin vector at vertex {u} has weight on arc {bad}, "
-                    f"which does not terminate at {u}"
-                )
-            norm = sum(value * value for value in vec.values())
-            if norm != 1:
-                raise CoinError(f"coin vector at vertex {u} has squared norm {norm}, expected 1")
-            for e, a in vec.items():
-                for f, b in vec.items():
-                    entries[(e, f)] = entries.get((e, f), Fraction(0)) + 2 * a * b
-
-    for e in range(n):
-        entries[(e, e)] = entries.get((e, e), Fraction(0)) - 1
-    return RatMatrix(n, n, ((i, j, value) for (i, j), value in entries.items()))
-
-
-def _normalize_alpha(alpha, num_arcs: int) -> dict[int, Fraction]:
-    if isinstance(alpha, Mapping):
-        return {int(e): Fraction(v) for e, v in alpha.items() if Fraction(v)}
-    if len(alpha) != num_arcs:
-        raise CoinError(f"coin vector given as a sequence must have length {num_arcs}")
-    return {e: Fraction(v) for e, v in enumerate(alpha) if Fraction(v)}
+    out = RatMatrix(n, n)
+    for u, block in enumerate(incoming):
+        w = Fraction(2, graph.degree_profile[u])
+        diagonal = w - 1
+        for e in block:
+            row = out._rowdata[e] = dict.fromkeys(block, w)
+            if diagonal:
+                row[e] = diagonal
+            else:
+                del row[e]
+    return out
 
 
 def grover(graph: Graph, arcs: ArcSpace) -> RatMatrix:

@@ -306,6 +306,20 @@ def test_zeta_eval_refuses_a_tolerance_outside_its_domain(capsys, tmp_path, k4_p
     assert run_cli(capsys, argv)[0] in (0, 1)
 
 
+@pytest.mark.parametrize("method", ["spectral", "charpoly"])
+def test_zeta_eval_json_refuses_a_u_too_long_to_write(capsys, tmp_path, k4_path, method):
+    # 1e-5000 has a denominator of 5001 digits, past the int-to-str limit;
+    # JSON writes u exactly, so it is refused before the graph is read
+    for graph in (k4_path, str(tmp_path / "missing.json")):
+        argv = ["zeta-eval", "--graph", graph, "--u", "1e-5000", "--method", method, "--json"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --u ") and err.count("\n") == 1
+        assert str(sys.get_int_max_str_digits()) in err
+    argv = ["zeta-eval", "--graph", k4_path, "--u", "1e-5000", "--method", method]
+    assert run_cli(capsys, argv) == (0, f"{method} 1\n", "")
+
+
 def test_zeta_eval_domain_error_exits_2(capsys, k4_path):
     code, _, err = run_cli(capsys, ["zeta-eval", "--graph", k4_path, "--u", "3/2"])
     assert code == 2

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,24 @@ def test_out_of_range_vertex_rejected():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         graph_from_edges(4, [(0, 1), (2, 3)])
+
+
+def test_disconnected_graph_is_refused_before_anything_sized_by_its_vertex_count(tmp_path):
+    # a file only declares its vertex count: before the connectivity check the
+    # loader stores just the vertices that edges touch, at most m + 1 of them
+    message = "graph is not connected: reached 2 of 200000 vertices"
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"vertices": 200000, "edges": [[0, 1]]}))
+    for build in (lambda: graph_from_edges(200000, [(0, 1)]), lambda: load_graph(path)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraphError) as info:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("num_vertices", [1, 3])

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from zetawalk import (
-    CoinError,
     RatMatrix,
     adjacency,
     arc_space,
@@ -140,21 +139,22 @@ def test_grover_is_exactly_orthogonal(graph):
     assert u.transpose() @ u == RatMatrix.identity(arcs.num_arcs)
 
 
-def test_grover_coin_block_structure():
-    g = complete_graph(4)
-    arcs = arc_space(g)
-    c = coin(g, arcs)
+@pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
+def test_grover_coin_block_structure(graph):
+    arcs = arc_space(graph)
+    n = arcs.num_arcs
+    c = coin(graph, arcs)
     assert c.is_symmetric()
-    assert c @ c == RatMatrix.identity(arcs.num_arcs)
-    # Incoming arcs at a vertex form one block of (2/d) J - I.
-    incoming = [e for e in range(arcs.num_arcs) if arcs.terminus(e) == 0]
-    for e in incoming:
-        for f in incoming:
-            expected = Fraction(2, 3) - (1 if e == f else 0)
-            assert c[e, f] == expected
-    # Arcs into distinct vertices never couple.
-    outside = [e for e in range(arcs.num_arcs) if arcs.terminus(e) != 0]
-    assert all(c[e, f] == 0 for e in incoming for f in outside)
+    assert c @ c == RatMatrix.identity(n)
+    # Arcs into u form one block of (2/deg u) J - I, arcs into distinct
+    # vertices never couple, and no zero is stored (the diagonal at degree 2).
+    blocks = [
+        (e, f, Fraction(2, graph.degree(arcs.terminus(e))) - (e == f))
+        for e in range(n)
+        for f in range(n)
+        if arcs.terminus(e) == arcs.terminus(f)
+    ]
+    assert list(c.nonzero_items()) == [entry for entry in blocks if entry[2]]
 
 
 def test_grover_entries_on_complete_graph():
@@ -207,52 +207,3 @@ def test_positive_support_thresholds_strictly_at_zero():
     assert positive_support(m) == RatMatrix.from_rows(
         [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     )
-
-
-def test_custom_coin_matching_grover_weights_reproduces_default():
-    # Degree 4 makes the Grover unit vector rational: every entry is 1/2.
-    g = torus_graph(2, 3)
-    arcs = arc_space(g)
-    half = Fraction(1, 2)
-    alphas = []
-    for u in range(g.num_vertices):
-        block = {e: half for e in range(arcs.num_arcs) if arcs.terminus(e) == u}
-        alphas.append(block)
-    assert coin(g, arcs, alphas) == coin(g, arcs)
-
-
-def test_custom_coin_accepts_signed_unit_vectors():
-    g = cycle_graph(4)
-    arcs = arc_space(g)
-    alphas = []
-    for u in range(4):
-        e_in = [e for e in range(arcs.num_arcs) if arcs.terminus(e) == u]
-        alphas.append({e_in[0]: Fraction(3, 5), e_in[1]: Fraction(-4, 5)})
-    c = coin(g, arcs, alphas)
-    assert c.is_symmetric()
-    assert c @ c == RatMatrix.identity(arcs.num_arcs)
-    u_mat = shift(arcs) @ c
-    assert u_mat.transpose() @ u_mat == RatMatrix.identity(arcs.num_arcs)
-
-
-def test_custom_coin_validation_errors():
-    g = cycle_graph(3)
-    arcs = arc_space(g)
-    incoming = [
-        [e for e in range(arcs.num_arcs) if arcs.terminus(e) == u] for u in range(3)
-    ]
-    unit = [{incoming[u][0]: Fraction(1)} for u in range(3)]
-
-    with pytest.raises(CoinError):
-        coin(g, arcs, unit[:2])
-    with pytest.raises(CoinError):
-        coin(g, arcs, [dict(unit[0]), dict(unit[1]), {}])
-    misplaced = [dict(unit[0]), dict(unit[1]), {incoming[0][0]: Fraction(1)}]
-    with pytest.raises(CoinError):
-        coin(g, arcs, misplaced)
-    off_norm = [dict(unit[0]), dict(unit[1]), {incoming[2][0]: Fraction(1, 2)}]
-    with pytest.raises(CoinError):
-        coin(g, arcs, off_norm)
-    short_sequence = [dict(unit[0]), dict(unit[1]), [Fraction(1)]]
-    with pytest.raises(CoinError):
-        coin(g, arcs, short_sequence)
