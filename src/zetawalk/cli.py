@@ -19,6 +19,11 @@ matrix dump --operator, charpoly --matrix and series --which.
 The float commands (zeta-eval --method spectral, torus-limit, converge)
 take their domain from the library: 1 - u^2 > 0 and every vertex factor
 positive, the same rule for both kinds; outside it they exit 2.
+
+series --which grover|ihara builds the arc operator itself and refuses,
+with exit 2, an order whose counts could have more digits than CPython
+converts to a string, before any power is formed. The library stays
+unlimited.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import graphs, limits, operators, zeta
+from . import graphs, limits, operators, polynomials, zeta
 from .errors import ZetawalkError
 from .polynomials import Poly
+from .rational import RatMatrix
 
 FLOAT_FORMAT = ".15g"
 DEFAULT_TOLERANCE = 1e-12
@@ -162,21 +168,47 @@ def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
 # -- series ---------------------------------------------------------------
 
 
-# --which -> the cycle counts N_1..N_order of a graph
+# --which -> the cycle counts N_1..N_order of a graph: the trace powers of
+# an arc operator of _OPERATORS, or a brute-force oracle
 _SERIES = {
-    "grover": lambda g, order: zeta.weighted_cycle_counts(g, order),
-    "ihara": lambda g, order: zeta.reduced_cycle_counts(g, order),
-    "oracle-weighted": lambda g, order: zeta.cycle_oracle(g, order, "weighted"),
-    "oracle-reduced": lambda g, order: zeta.cycle_oracle(g, order, "reduced"),
+    "grover": lambda g, order: _trace_counts(_OPERATORS["grover"](g), order),
+    "ihara": lambda g, order: _trace_counts(_OPERATORS["positive-support"](g), order),
+    "oracle-weighted": lambda g, order: zeta.cycle_oracle(g, order, "weighted").counts,
+    "oracle-reduced": lambda g, order: zeta.cycle_oracle(g, order, "reduced").counts,
 }
 
 
+def _trace_counts(matrix: RatMatrix, order: int) -> tuple[Fraction, ...]:
+    """Tr M^1..Tr M^order, refused before the powers are formed when a count
+    could not be printed.
+
+    Each count is T_r / L^r with |T_r| <= B, L and B as `trace_powers`
+    finds them, so every numerator and denominator prints when B and
+    L^order have at most as many digits as CPython converts to a string.
+    Both grow with the order, by a factor of at least 2 per step unless
+    they stay put (L = 1, rho <= 1), so the answer at order 4 * limit,
+    where 2^(4 * limit - 2) > 10^limit, holds for every higher order.
+    """
+    if order < 1:
+        raise ZetawalkError("r_max must be at least 1")
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        checked = min(order, 4 * limit)
+        scale, bound = polynomials._trace_sizes(matrix, checked)
+        if max(scale**checked, bound) >= 10**limit:
+            raise ZetawalkError(
+                f"cycle counts of order {order} could have more than {limit} digits, "
+                "more than Python converts to a string"
+            )
+    return polynomials.trace_powers(matrix, order)
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
-    series = _SERIES[args.which](graphs.load_graph(args.graph), args.order)
+    counts = _SERIES[args.which](graphs.load_graph(args.graph), args.order)
     if args.json:
-        _emit({"N": [str(c) for c in series.counts]})
+        _emit({"N": [str(c) for c in counts]})
     else:
-        for r, value in enumerate(series.counts, start=1):
+        for r, value in enumerate(counts, start=1):
             print(f"{r} {value}")
     return 0
 

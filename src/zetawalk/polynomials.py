@@ -36,10 +36,14 @@ multiplied by a product tree, and the bound and the CRT are those of the
 generic route. The public `det_i_minus_u(matrix)` has no graph and always
 takes the generic route, which is the oracle for the other in the tests.
 
-Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r. It
-forms the integer powers of L*M only up to ceil(r_max / 2) and reads each
-higher trace as a pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them;
-Python ints keep it exact with no bound needed.
+Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r, by
+the same multi-modular design. A bound B on every |Tr (L*M)^r| up to r_max,
+the smaller of n rho^r and rho^(r-2) ||L*M||_F^2 (Schur's inequality),
+fixes the primes. The powers of L*M up to ceil(r_max / 2) form one
+(K, n, n) int64 residue stack, each product a sum of gathers of rows,
+one per slot of the widest row of L*M. Each higher trace is read as a
+pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them, and the traces
+are combined by CRT.
 
 `log_series` expands log(1/p) for p(0) = 1 by Newton's identities, one
 recurrence over the coefficients of p; for p = det(I - uM) its
@@ -245,64 +249,147 @@ def _coefficient_bounds(n: int, entries: list[tuple[int, int, int]]) -> list[int
 def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
     """Exact traces Tr M^1, ..., Tr M^r_max of a square rational matrix M.
 
-    With L the lcm of the entry denominators, Tr M^r = Tr (L*M)^r / L^r.
-    Only the integer powers P_a = (L*M)^a with a <= ceil(r_max / 2) are
-    formed, with Python ints in sparse rows, and only two are alive at a
-    time: P_a is P_(a-1) times L*M, starting from P_0 = I. Since
-    Tr (A B) = sum_ij A[i][j] B[j][i], Tr P_(2a-1) is the pairing of P_(a-1)
-    with P_a and Tr P_(2a) the pairing of P_a with itself; a pairing costs
-    one lookup per stored entry, a product one per entry and term. Only the
-    r_max traces are ever divided. Independent of `det_i_minus_u` and
-    `log_series`, which give the same numbers through Newton's identities.
+    With L the lcm of the entry denominators, Tr M^r = Tr A^r / L^r for the
+    integer matrix A = L*M. Every |Tr A^r| is at most the `_trace_bound` B,
+    so the traces are found modulo primes whose product exceeds 2B
+    (`_trace_residues`), combined by CRT, and each divided once by L^r.
+    Independent of `det_i_minus_u` and `log_series`, which give the same
+    numbers through Newton's identities.
     """
     if matrix.rows != matrix.cols:
         raise ZetawalkError("trace powers require a square matrix")
     if r_max < 0:
         raise ZetawalkError("r_max must be non-negative")
+    if r_max == 0:
+        return ()
     scale, entries = _cleared(matrix)
-    base: list[list[tuple[int, int]]] = [[] for _ in range(matrix.rows)]
+    bound = _trace_bound(matrix.rows, entries, r_max)
+    if not bound:
+        # A = 0, or r_max = 1 and a zero diagonal
+        return (Fraction(0),) * r_max
+    primes, modulus = _primes_above(2 * bound)
+    traces = _crt(_trace_residues(matrix.rows, entries, primes, r_max), primes, modulus)
+    return tuple(Fraction(t, scale**r) for r, t in enumerate(traces, start=1))
+
+
+def _trace_sizes(matrix: RatMatrix, r_max: int) -> tuple[int, int]:
+    """L and the bound B of `trace_powers(matrix, r_max)`: each trace it
+    returns is T_r / L^r for an integer |T_r| <= B."""
+    scale, entries = _cleared(matrix)
+    return scale, _trace_bound(matrix.rows, entries, r_max)
+
+
+def _trace_bound(n: int, entries: list[tuple[int, int, int]], r_max: int) -> int:
+    """An integer B >= |Tr A^r| for r = 1..r_max, A the n x n integer matrix
+    with the given nonzero entries.
+
+    |Tr A| <= sum_i |A[i][i]|. For r >= 2, |Tr A^r| <= sum |lam|^r, and the
+    row-sum norm rho bounds every eigenvalue, so this is at most n rho^r and,
+    by Schur's inequality sum |lam|^2 <= ||A||_F^2, at most
+    rho^(r-2) ||A||_F^2. Both grow with r (rho >= 1 unless A = 0), and for
+    integers ||A||_F^2 >= sum_i |A[i][i]|, so B is the bound at r_max.
+    """
+    row_sums = [0] * n
+    frobenius = diagonal = 0
     for i, j, value in entries:
-        base[i].append((j, value))
-    sums = [0] * (r_max + 1)
-    power: list[dict[int, int]] = [{i: 1} for i in range(matrix.rows)]
+        row_sums[i] += abs(value)
+        frobenius += value * value
+        if i == j:
+            diagonal += abs(value)
+    if r_max < 2:
+        return diagonal
+    rho = max(row_sums)
+    return rho ** (r_max - 2) * min(n * rho * rho, frobenius)
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _trace_residues(
+    n: int, entries: list[tuple[int, int, int]], primes: list[int], r_max: int
+) -> list[list[int]]:
+    """Tr A^1..Tr A^r_max mod each prime, A the n x n integer matrix with the
+    given nonzero entries; row k of the result is for primes[k].
+
+    Only the powers P_a = A^a with a <= ceil(r_max / 2) are formed, as one
+    (K, n, n) int64 stack of residues in [0, p) for the K primes. Since
+    Tr (X Y) = sum_ij X[i][j] Y[j][i], Tr A^(2a-1) is the pairing of P_(a-1)
+    with P_a and Tr A^(2a) the pairing of P_a with itself. A is held as its
+    rows padded to the widest, w: slot t of row i holds one nonzero A[i][c]
+    as a symmetric residue, or 0 with c = 0. The product P_a = A P_(a-1) is
+    then w gathers of rows of P_(a-1), each scaled by one slot and added up.
+    The sum is reduced mod p only when its running bound would pass
+    2^63 - 1: once per product on a walk operator, whose entries are small,
+    and every few slots when they are near p / 2. Three stacks are alive at
+    a time.
+    """
+    count = len(primes)
+    p1 = np.array(primes, dtype=np.int64)[:, None]
+    p2 = p1[:, :, None]
+    rows = np.array([i for i, _, _ in entries], dtype=np.int64)
+    slots = np.arange(len(entries)) - np.searchsorted(rows, np.arange(n))[rows]
+    width = int(slots.max()) + 1
+    cols = np.zeros((width, n), dtype=np.int64)
+    cols[slots, rows] = [j for _, j, _ in entries]
+    residues = np.array([[value % p for _, _, value in entries] for p in primes], dtype=np.int64)
+    residues -= np.where(2 * residues > p1, p1, 0)
+    weights = np.zeros((width, count, n, 1), dtype=np.int64)
+    weights[slots, :, rows, 0] = residues.T
+    # |weight * residue| per slot, with the residues of P in [0, p)
+    top = max(primes) - 1
+    term_bounds = [int(b) * top for b in np.abs(weights).max(axis=(1, 2, 3))]
+    power = np.zeros((count, n, n), dtype=np.int64)
+    power[:, np.arange(n), np.arange(n)] = 1
+    spare = np.empty_like(power)
+    gathered = np.empty_like(power)
+    sums = np.zeros((count, r_max), dtype=np.int64)
     for a in range(1, (r_max + 1) // 2 + 1):
-        previous, power = power, [_row_times(row, base) for row in power]
-        sums[2 * a - 1] = _pairing(previous, power)
+        previous, power = power, spare
+        np.take(previous, cols[0], axis=1, out=power, mode="clip")
+        power *= weights[0]
+        running = term_bounds[0]
+        for t in range(1, width):
+            if running + term_bounds[t] > _INT64_MAX:
+                power %= p2
+                running = top
+            np.take(previous, cols[t], axis=1, out=gathered, mode="clip")
+            gathered *= weights[t]
+            power += gathered
+            running += term_bounds[t]
+        power %= p2
+        spare = previous
+        sums[:, 2 * a - 2] = _pairing_mod(previous, power, p1, gathered)
         if 2 * a <= r_max:
-            sums[2 * a] = _pairing(power, power)
-    return tuple(Fraction(sums[r], scale**r) for r in range(1, r_max + 1))
+            sums[:, 2 * a - 1] = _pairing_mod(power, power, p1, gathered)
+    return sums.tolist()
 
 
-def _row_times(row: dict[int, int], base: list[list[tuple[int, int]]]) -> dict[int, int]:
-    """The sparse row vector ``row`` times the matrix with (column, value) rows ``base``."""
-    acc: dict[int, int] = {}
-    get = acc.get
-    for k, value in row.items():
-        for j, w in base[k]:
-            acc[j] = get(j, 0) + value * w
-    return {j: value for j, value in acc.items() if value}
+def _pairing_mod(x: np.ndarray, y: np.ndarray, p1: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Tr (X Y) = sum_ij X[i][j] Y[j][i] mod p for (K, n, n) stacks of residues in [0, p).
 
-
-def _pairing(a: list[dict[int, int]], b: list[dict[int, int]]) -> int:
-    """Tr (A B) = sum over i, j of A[i][j] * B[j][i], for sparse rows A and B."""
-    total = 0
-    for i, row in enumerate(a):
-        for j, value in row.items():
-            total += value * b[j].get(i, 0)
-    return total
+    p1 holds the K primes as a (K, 1) array and `out` is a stack to write
+    the products in. Each product is reduced before it is added, and each
+    sum of n residues before the next sum, so int64 cannot overflow.
+    """
+    np.multiply(x, y.transpose(0, 2, 1), out=out)
+    out %= p1[:, :, None]
+    return (out.sum(axis=2) % p1).sum(axis=1) % p1[:, 0]
 
 
 def _cleared(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:
     """The lcm L of the entry denominators, and the nonzero entries of L*M.
 
     Entries come as (i, j, integer) sorted by (i, j). This is the one place
-    that clears a matrix to integers, for both exact kernels.
+    that clears a matrix to integers, for both exact kernels. L is one lcm
+    over the distinct denominators, and each entry is its numerator times
+    the factor L / q of its denominator q.
     """
     items = list(matrix.nonzero_items())
-    scale = 1
-    for _, _, value in items:
-        scale = math.lcm(scale, value.denominator)
-    return scale, [(i, j, value.numerator * (scale // value.denominator)) for i, j, value in items]
+    ratios = [value.as_integer_ratio() for _, _, value in items]
+    denominators = {q for _, q in ratios}
+    scale = math.lcm(*denominators)
+    factors = {q: scale // q for q in denominators}
+    return scale, [(i, j, num * factors[q]) for (i, j, _), (num, q) in zip(items, ratios)]
 
 
 # n -> the primes = 1 (mod n) below 2^31 found so far, descending

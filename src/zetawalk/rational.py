@@ -180,6 +180,7 @@ def positive_support(matrix: RatMatrix) -> RatMatrix:
     """0/1 matrix marking the strictly positive entries of ``matrix``."""
     out = RatMatrix(matrix.rows, matrix.cols)
     one = Fraction(1)
+    # a Fraction's sign is its numerator's, read without a Fraction comparison
     for i, rd in enumerate(matrix._rowdata):
-        out._rowdata[i] = {j: one for j, value in rd.items() if value > 0}
+        out._rowdata[i] = {j: one for j, value in rd.items() if value.numerator > 0}
     return out

@@ -19,7 +19,8 @@ companion always takes the generic route. No Konno-Sato formula enters
 either route, so on a torus the check still compares the arc determinant
 with a vertex side computed apart from it. Cycle counts are
 exact traces of operator powers (`polynomials.trace_powers`, pairings of
-integer powers of the cleared matrix up to half the order), with an
+the powers of the cleared matrix up to half the order, modulo primes
+chosen from a bound on every trace and combined by CRT), with an
 independent brute-force oracle for cross-checking, and the generalized
 zeta (the nu-th root normalization) is evaluated numerically from vertex
 spectra.

@@ -14,6 +14,7 @@ from zetawalk import (
     IdentityCheck,
     KonnoSatoReport,
     Poly,
+    RatMatrix,
     ZetawalkError,
     arc_space,
     cli,
@@ -253,6 +254,61 @@ def test_series_trace_and_oracle_routes_agree(capsys, k4_path):
     )
     assert fast == slow
     assert json.loads(fast)["N"][1] == "4/3"
+
+
+_DIGIT_LIMIT = pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-to-str digit limit")
+
+
+@_DIGIT_LIMIT
+def test_series_refuses_counts_too_long_to_print(capsys, k4_path):
+    # the counts of U on K4 at order 9100 have denominators 3^9100
+    argv = ["series", "--graph", k4_path, "--order", "9100", "--which", "grover"]
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, argv + extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+@_DIGIT_LIMIT
+@pytest.mark.parametrize("which, order", [("grover", 6152), ("grover", 10**6), ("ihara", 14282)])
+def test_series_refuses_long_counts_before_the_powers(capsys, monkeypatch, k4_path, which, order):
+    # on K4 the trace bound 108 * 5^(order - 2) of U reaches 10^4300 at
+    # order 6152 (and L^order = 3^order at 9013); that of U+, 6 * 2^order
+    # with L = 1, at order 14282
+    def forbidden(*args):
+        raise AssertionError("the powers were formed")
+
+    monkeypatch.setattr(zetawalk.polynomials, "_trace_residues", forbidden)
+    argv = ["series", "--graph", k4_path, "--order", str(order), "--which", which]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_series_digit_check_is_exact_where_the_bound_is_attained():
+    # M = (10): Tr M^r = 10^r is the bound itself, with r + 1 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        counts = cli._trace_counts(RatMatrix.from_rows([[10]]), 639)
+        assert [str(c) for c in counts][-1] == "1" + "0" * 639
+        with pytest.raises(ZetawalkError, match="more than 640 digits"):
+            cli._trace_counts(RatMatrix.from_rows([[10]]), 640)
+        # M = (1/10): the denominator 10^640 alone is refused
+        with pytest.raises(ZetawalkError, match="more than 640 digits"):
+            cli._trace_counts(RatMatrix.from_rows([[Fraction(1, 10)]]), 640)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_DIGIT_LIMIT
+def test_series_digit_check_passes_counts_that_stay_small_at_any_order(monkeypatch):
+    # U+ of a cycle is a permutation: L = 1 and rho = 1, so every count is
+    # 0 or 2N, and no order is refused
+    monkeypatch.setattr(zetawalk.polynomials, "trace_powers", lambda matrix, order: "formed")
+    g = zetawalk.cycle_graph(5)
+    assert cli._trace_counts(operators.grover_positive_support(g, arc_space(g)), 10**9) == "formed"
 
 
 def test_zeta_eval_both_methods_agree(capsys, k4_path):

@@ -20,6 +20,7 @@ from zetawalk import (
     Poly,
     RatMatrix,
     arc_space,
+    complete_graph,
     cycle_graph,
     det_i_minus_u,
     graph_from_edges,
@@ -407,6 +408,8 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
 
     monkeypatch.setattr(polynomials, "det_i_minus_u", forbidden)
     monkeypatch.setattr(polynomials, "log_series", forbidden)
+    monkeypatch.setattr(polynomials, "_scaled_charpoly", forbidden)
+    monkeypatch.setattr(polynomials, "_hessenberg_charpolys", forbidden)
     m = random_rat_matrix(random.Random(23), 5)
     assert polynomials.trace_powers(m, 6) == naive_trace_powers(m, 6)
 
@@ -429,6 +432,73 @@ def test_trace_powers_edge_cases():
         trace_powers(one_by_one, -1)
     with pytest.raises(ValueError):
         trace_powers(RatMatrix(2, 3), 2)
+
+
+def _trace_primes(matrix: RatMatrix, r_max: int) -> list[int]:
+    _, entries = polynomials._cleared(matrix)
+    return polynomials._primes_above(2 * polynomials._trace_bound(matrix.rows, entries, r_max))[0]
+
+
+def test_trace_powers_of_entries_near_10_to_the_30():
+    # dense rows of 16 entries whose residues are spread over (-p/2, p/2],
+    # so that one product's unreduced sum would pass 2^63 - 1: the running
+    # bound makes the kernel reduce the sum inside the product
+    rng = random.Random(31)
+    n = 16
+    m = RatMatrix(n, n, [
+        (i, j, Fraction(10**30 + rng.randrange(10**29), rng.randint(1, 3)))
+        for i in range(n) for j in range(n)
+    ])
+    primes = _trace_primes(m, 6)
+    _, entries = polynomials._cleared(m)
+    slot_bounds = [
+        max(abs(min(v % p, v % p - p, key=abs)) for _, _, v in entries[t::n] for p in primes)
+        for t in range(n)
+    ]
+    assert sum(slot_bounds) * (max(primes) - 1) > 2**63 - 1
+    assert trace_powers(m, 6) == naive_trace_powers(m, 6)
+
+
+def test_trace_powers_with_one_dense_row_and_empty_rows():
+    # rows of widths 7, 0, 1, 0, 0, 2, 0 padded to the widest
+    n = 7
+    m = RatMatrix(n, n, [(0, j, Fraction(j - 3, j + 1)) for j in range(n) if j != 3]
+                  + [(0, 3, Fraction(5)), (2, 0, Fraction(-2, 3)), (5, 0, Fraction(1, 2)),
+                     (5, 5, Fraction(7, 4))])
+    for r_max in range(10):
+        assert trace_powers(m, r_max) == naive_trace_powers(m, r_max)
+
+
+def test_trace_powers_of_k4_at_order_200_take_many_primes():
+    g = complete_graph(4)
+    u_mat = grover(g, arc_space(g))
+    assert len(_trace_primes(u_mat, 200)) > 5
+    assert trace_powers(u_mat, 200) == _newton_traces(u_mat, 200)
+
+
+def test_trace_bound_is_attained_by_the_all_ones_matrix():
+    # J^r = n^(r-1) J, so Tr J^r = n^r: the diagonal sum at r = 1, and
+    # rho^(r-2) ||J||_F^2 = n^(r-2) n^2 for r >= 2
+    for n in range(1, 7):
+        ones = RatMatrix(n, n, [(i, j, Fraction(1)) for i in range(n) for j in range(n)])
+        _, entries = polynomials._cleared(ones)
+        for r in range(1, 9):
+            assert polynomials._trace_bound(n, entries, r) == n**r
+        assert trace_powers(ones, 8) == tuple(Fraction(n**r) for r in range(1, 9))
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+))
+@settings(max_examples=60, deadline=None)
+def test_trace_bound_is_never_exceeded_property(rows):
+    m = RatMatrix.from_rows(rows)
+    scale, entries = polynomials._cleared(m)
+    for r, trace in enumerate(naive_trace_powers(m, 9), start=1):
+        assert abs(trace * scale**r) <= polynomials._trace_bound(m.rows, entries, r)
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
