@@ -274,6 +274,51 @@ def build_family(tag: str, N: int | None = None, d: int | None = None) -> Graph:
     return builder(*(given[name] for name in takes))
 
 
+# family tag -> the group Z_side^d of an abelian Cayley family, as (d, side)
+# from the family's parameters in `FAMILIES` order. Vertex v is the group
+# element whose coordinates are the base-side digits of v, least significant
+# first, and the edges join the elements that differ by a generator: +-e_j
+# on the torus and the cycle, e_j on the hypercube, every nonzero element on
+# the complete graph.
+_CAYLEY_GROUPS = {
+    "cycle": lambda n: (1, n),
+    "torus": lambda d, n: (d, n),
+    "complete": lambda n: (1, n),
+    "hypercube": lambda d: (d, 2),
+}
+
+
+def _cayley_group(graph: Graph) -> tuple[int, int] | None:
+    """(d, side) when the graph is verified to be the abelian Cayley graph
+    of `_CAYLEY_GROUPS` that its family tag names, else None.
+
+    The tag must name a family of the table with integer parameters, and
+    side^d must be the vertex count, which is checked before any graph is
+    built, so a tag of another size costs nothing. `build_family` then
+    rebuilds the graph: its tag must equal the given one exactly and its
+    adjacency the graph's, so a tag alone is not trusted.
+    """
+    name, paren, rest = (graph.family or "").partition("(")
+    if name not in _CAYLEY_GROUPS or not paren or not rest.endswith(")"):
+        return None
+    try:
+        params = [int(text) for text in rest[:-1].split(",")]
+        d, side = _CAYLEY_GROUPS[name](*params)
+    except (TypeError, ValueError):
+        return None
+    nu = graph.num_vertices
+    # side >= 2, so side^d = nu needs d <= log2(nu)
+    if not (1 <= d <= nu.bit_length() and side >= 2 and side**d == nu):
+        return None
+    try:
+        built = build_family(name, **dict(zip(FAMILIES[name][1], params)))
+    except FamilyParameterError:
+        return None
+    if built.family != graph.family or built.adjacency != graph.adjacency:
+        return None
+    return d, side
+
+
 # -- JSON persistence --------------------------------------------------------
 
 

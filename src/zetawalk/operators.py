@@ -7,7 +7,8 @@ positive supports. The Grover coin is the only coin: its projector
 |a_u><a_u| has entries 1/deg(u), so C and U are exactly rational even
 though a_u itself contains 1/sqrt(deg). C is written straight into its
 rows, and since S is the arc-reversal permutation, U is C with its rows
-permuted: no rational product is formed.
+permuted: no rational product is formed. A, P and S are written straight
+into their rows as well, so no entry is converted twice.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ __all__ = [
 def adjacency(graph: Graph) -> RatMatrix:
     """Symmetric 0/1 adjacency matrix with zero diagonal."""
     one = Fraction(1)
-    entries = []
-    for i, neighbors in enumerate(graph.adjacency):
-        for j in neighbors:
-            entries.append((i, j, one))
-    return RatMatrix(graph.num_vertices, graph.num_vertices, entries)
+    out = RatMatrix(graph.num_vertices, graph.num_vertices)
+    out._rowdata = [dict.fromkeys(neighbors, one) for neighbors in graph.adjacency]
+    return out
 
 
 def degree_matrix(graph: Graph) -> RatMatrix:
@@ -47,12 +46,12 @@ def degree_matrix(graph: Graph) -> RatMatrix:
 
 def transition(graph: Graph) -> RatMatrix:
     """Simple-random-walk matrix: P[u, v] = 1/deg(u) on arcs, rows sum to 1."""
-    entries = []
-    for u, neighbors in enumerate(graph.adjacency):
-        w = Fraction(1, graph.degree_profile[u])
-        for v in neighbors:
-            entries.append((u, v, w))
-    return RatMatrix(graph.num_vertices, graph.num_vertices, entries)
+    out = RatMatrix(graph.num_vertices, graph.num_vertices)
+    out._rowdata = [
+        dict.fromkeys(neighbors, Fraction(1, degree))
+        for neighbors, degree in zip(graph.adjacency, graph.degree_profile)
+    ]
+    return out
 
 
 def laplacian(graph: Graph) -> RatMatrix:
@@ -63,8 +62,9 @@ def laplacian(graph: Graph) -> RatMatrix:
 def shift(arcs: ArcSpace) -> RatMatrix:
     """Flip-flop shift: the permutation swapping every arc with its inverse."""
     one = Fraction(1)
-    entries = [(e, arcs.inverse[e], one) for e in range(arcs.num_arcs)]
-    return RatMatrix(arcs.num_arcs, arcs.num_arcs, entries)
+    out = RatMatrix(arcs.num_arcs, arcs.num_arcs)
+    out._rowdata = [{f: one} for f in arcs.inverse]
+    return out
 
 
 def coin(graph: Graph, arcs: ArcSpace) -> RatMatrix:

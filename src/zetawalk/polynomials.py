@@ -24,17 +24,21 @@ bound from the inequalities of Schur, the power mean and Maclaurin, both
 in integers, so the result is exact for every input.
 
 Callers that hold the graph (`_det_i_minus_u`, `_scaled_charpoly`) take a
-second route to the same residues on the discrete torus. When the graph is
-verified to be torus(d, N) and L*M is verified to be translation invariant
+second route to the same residues on an abelian Cayley family of the table
+`graphs._CAYLEY_GROUPS`: torus(d, N), cycle(N), complete(n) and
+hypercube(d), the Cayley graphs of Z_side^d for (d, side) = (d, N), (1, N),
+(1, n) and (d, 2). When the graph is verified to be that family
+(`graphs._cayley_group`) and L*M is verified to be translation invariant
 on its vertices or arcs, with entry t_ss'(w - v) from state (v, s) to
-(w, s'), then modulo a prime p = 1 (mod N) with a primitive N-th root of
-unity omega, det(xI - L*M) is the product over k in Z_N^d of the
-characteristic polynomials of the blocks sum_z t_ss'(z) omega^(k.z):
-2d x 2d on the arcs and 1 x 1 on the vertices. The K N^d blocks go through
-the same Hessenberg kernel as one stack, each prime's N^d polynomials are
-multiplied by a product tree, and the bound and the CRT are those of the
-generic route. The public `det_i_minus_u(matrix)` has no graph and always
-takes the generic route, which is the oracle for the other in the tests.
+(w, s'), then modulo a prime p = 1 (mod side) with a primitive side-th
+root of unity omega, det(xI - L*M) is the product over k in Z_side^d of
+the characteristic polynomials of the blocks sum_z t_ss'(z) omega^(k.z):
+w x w on the arcs, w = 2m / nu the arcs per vertex, and 1 x 1 on the
+vertices. The K side^d blocks go through the same Hessenberg kernel as one
+stack, each prime's side^d polynomials are multiplied by a product tree,
+and the bound and the CRT are those of the generic route. The public
+`det_i_minus_u(matrix)` has no graph and always takes the generic route,
+which is the oracle for the other in the tests.
 
 Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r, by
 the same multi-modular design. A bound B on every |Tr (L*M)^r| up to r_max,
@@ -53,14 +57,13 @@ coefficients are Tr M^r / r, which ties the two kernels together.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ZetawalkError
-from .graphs import Graph, arc_space, torus_graph
+from .graphs import Graph, _cayley_group, arc_space
 from .rational import RatMatrix
 
 
@@ -74,7 +77,9 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
-        values = [Fraction(c) for c in coeffs]
+        # a Fraction is immutable and kept as it is: converting it again
+        # costs more than the arithmetic that made it
+        values = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while values and not values[-1]:
             values.pop()
         self.coeffs = tuple(values)
@@ -201,7 +206,8 @@ def _scaled_charpoly(matrix: RatMatrix, graph: Graph | None = None) -> tuple[int
     x^n + C_1 x^(n-1) + ... + C_n = det(xI - L*M). The C_k are found modulo
     enough primes to pin them down and combined by CRT. The residues come
     from the Fourier blocks when `_torus_stencil` finds M translation
-    invariant on the torus graph, and from the whole matrix otherwise.
+    invariant on a graph of `graphs._CAYLEY_GROUPS`, and from the whole
+    matrix otherwise.
     """
     if matrix.rows != matrix.cols:
         raise ZetawalkError("det(I - u*M) requires a square matrix")
@@ -217,6 +223,13 @@ def _scaled_charpoly(matrix: RatMatrix, graph: Graph | None = None) -> tuple[int
         primes, modulus = _primes_above(limit, torus.side)
         residues = _fourier_charpolys(torus, primes)
     return scale, _crt(residues, primes, modulus)
+
+
+def _charpoly_sizes(matrix: RatMatrix) -> tuple[int, int]:
+    """L and a bound B of `_scaled_charpoly(matrix)`: each C_k it returns
+    has |C_k| <= B."""
+    scale, entries = _cleared(matrix)
+    return scale, max(_coefficient_bounds(matrix.rows, entries))
 
 
 def _coefficient_bounds(n: int, entries: list[tuple[int, int, int]]) -> list[int]:
@@ -555,7 +568,7 @@ def _hessenberg_charpolys(a: np.ndarray, primes: list[int]) -> np.ndarray:
 
 
 class _Torus(NamedTuple):
-    """A matrix found translation invariant on the torus Z_N^d.
+    """A matrix found translation invariant on the group Z_side^d.
 
     Its states are pairs (vertex v, direction s), `width` directions per
     vertex, and its entry from (v, s) to (w, s') is t_ss'(w - v). `stencil`
@@ -569,34 +582,26 @@ class _Torus(NamedTuple):
     stencil: list[tuple[int, int, int, int]]
 
 
-_TORUS_TAG = re.compile(r"torus\((\d+),(\d+)\)")
-
-
 def _torus_stencil(
     graph: Graph | None, n: int, entries: list[tuple[int, int, int]]
 ) -> _Torus | None:
     """The stencil of the n x n integer matrix with these entries, when it has one.
 
-    The graph must be torus(d, N): the family tag names the candidate, and
-    the edges must be those of `torus_graph(d, N)`, so a tag alone is not
-    trusted. The matrix must act on the N^d vertices, or on the 2d N^d arcs
-    in `arc_space` order, where an arc is the state (origin, direction of
-    its step). The stencil is read off the rows of the states at vertex 0;
-    every nonzero entry, from (v, s) to (w, s'), must then be t_ss'(w - v),
-    and there must be N^d entries per stencil entry, so that none is
-    missing. Both checks are O(m + nnz). Otherwise the answer is None, and
-    the generic kernel runs.
+    The graph must be verified to be the Cayley graph of Z_side^d that its
+    family tag names (`graphs._cayley_group`). The matrix must act on the
+    side^d vertices, or on the 2m arcs in `arc_space` order, where an arc is
+    the state (origin, direction of its step): one direction per generator,
+    2m / nu per vertex. The stencil is read off the rows of the states at
+    vertex 0; every nonzero entry, from (v, s) to (w, s'), must then be
+    t_ss'(w - v), and there must be side^d entries per stencil entry, so
+    that none is missing. Both checks are O(m + nnz). Otherwise the answer
+    is None, and the generic kernel runs.
     """
-    match = _TORUS_TAG.fullmatch(graph.family or "") if graph is not None else None
-    if match is None:
+    group = _cayley_group(graph) if graph is not None else None
+    if group is None:
         return None
-    d, side = int(match[1]), int(match[2])
+    d, side = group
     nu = graph.num_vertices
-    # side >= 3, so side^d = nu needs d <= log2(nu)
-    if not (1 <= d <= nu.bit_length() and side >= 3 and side**d == nu):
-        return None
-    if graph.adjacency != torus_graph(d, side).adjacency:
-        return None
     place = side ** np.arange(d)
     coords = np.arange(nu)[:, None] // place % side
     if n == nu:
@@ -604,10 +609,10 @@ def _torus_stencil(
     elif n == 2 * graph.num_edges:
         arcs = np.array(arc_space(graph).arcs)
         vertex = arcs[:, 0]
-        # the steps +-e_j of a vertex are 2d distinct ones for side >= 3
+        # the generators are the steps of every vertex, distinct in the group
         steps = (coords[arcs[:, 1]] - coords[vertex]) % side @ place
         direction = np.unique(steps, return_inverse=True)[1]
-        width = 2 * d
+        width = n // nu
     else:
         return None
     rows = np.array([i for i, _, _ in entries], dtype=np.int64)
@@ -626,29 +631,29 @@ def _torus_stencil(
 
 
 def _fourier_charpolys(torus: _Torus, primes: list[int]) -> list[list[int]]:
-    """det(xI - T) mod each prime p = 1 (mod N) for the torus matrix T.
+    """det(xI - T) mod each prime p = 1 (mod side) for the matrix T on Z_side^d.
 
-    With omega a primitive N-th root of unity mod p, the vectors
-    f(w, s') = omega^(k.w) a_s' for k in Z_N^d span F_p^n, and T maps those
-    of one k among themselves through the width x width block
+    With omega a primitive side-th root of unity mod p (-1 for side 2), the
+    vectors f(w, s') = omega^(k.w) a_s' for k in Z_side^d span F_p^n, and T
+    maps those of one k among themselves through the width x width block
     T^(k)_ss' = sum_z t_ss'(z) omega^(k.z). So det(xI - T) is the product
     over k of det(xI - T^(k)) mod p. The blocks of all primes form one
-    stack for `_hessenberg_charpolys`, and `_product_mod` multiplies the N^d
-    block polynomials of each prime. The coefficients come in the layout of
-    the generic kernel: c_0..c_n, with c_k on x^(n-k), which is also the
-    coefficient of u^k in det(I - uT); the block polynomials are multiplied
-    in that reading, where 1 is (1, 0, ..., 0).
+    stack for `_hessenberg_charpolys`, and `_product_mod` multiplies the
+    side^d block polynomials of each prime. The coefficients come in the
+    layout of the generic kernel: c_0..c_n, with c_k on x^(n-k), which is
+    also the coefficient of u^k in det(I - uT); the block polynomials are
+    multiplied in that reading, where 1 is (1, 0, ..., 0).
     """
     side, coords, width, stencil = torus
     nu = len(coords)
     count = len(primes)
     p = np.array(primes, dtype=np.int64)[:, None]
-    # omega^e mod p for e = 0..N-1, one row per prime
+    # omega^e mod p for e = 0..side-1, one row per prime
     powers = np.ones((count, side), dtype=np.int64)
     roots = np.array([_root_of_unity(side, q) for q in primes], dtype=np.int64)
     for e in range(1, side):
         powers[:, e] = powers[:, e - 1] * roots % p[:, 0]
-    # k.z mod N for each k and each stencil step z
+    # k.z mod side for each k and each stencil step z
     phases = coords @ coords[[z for _, _, z, _ in stencil]].T % side
     blocks = np.zeros((count, nu, width, width), dtype=np.int64)
     for e, (s, s2, _, value) in enumerate(stencil):

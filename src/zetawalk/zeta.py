@@ -14,10 +14,12 @@ integers. The Bass form and the Konno-Sato sides multiply by the cocycle
 (1 - u^2)^(m - nu) in integers before the one division. Every function
 here that builds an operator of a graph hands the graph to the kernel
 (`polynomials._det_i_minus_u`, `_scaled_charpoly`), so on a verified
-torus(d, N) the determinant comes from N^d Fourier blocks; the Bass
-companion always takes the generic route. No Konno-Sato formula enters
-either route, so on a torus the check still compares the arc determinant
-with a vertex side computed apart from it. Cycle counts are
+abelian Cayley family of the table `graphs._CAYLEY_GROUPS` (torus, cycle,
+complete graph, hypercube: the group Z_side^d) the determinant comes from
+side^d Fourier blocks; the Bass companion always takes the generic route.
+No Konno-Sato formula enters either route, so on such a graph the check
+still compares the arc determinant with a vertex side computed apart from
+it. Cycle counts are
 exact traces of operator powers (`polynomials.trace_powers`, pairings of
 the powers of the cleared matrix up to half the order, modulo primes
 chosen from a bound on every trace and combined by CRT), with an
@@ -195,12 +197,17 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
     the cocycle multiplies integer coefficients.
     """
     _reject_tree(graph)
+    _, coeffs = _scaled_charpoly(_bass_companion(graph))
+    return Poly(_times_one_minus_u_squared(coeffs, graph.num_edges - graph.num_vertices))
+
+
+def _bass_companion(graph: Graph) -> RatMatrix:
+    """The integer companion matrix [[A, I - D], [I, 0]] of the Bass form."""
     n = graph.num_vertices
     entries = list(adjacency(graph).nonzero_items())
     entries += [(v, n + v, 1 - d) for v, d in enumerate(graph.degree_profile) if d != 1]
     entries += [(n + v, v, 1) for v in range(n)]
-    _, coeffs = _scaled_charpoly(RatMatrix(2 * n, 2 * n, entries))
-    return Poly(_times_one_minus_u_squared(coeffs, graph.num_edges - n))
+    return RatMatrix(2 * n, 2 * n, entries)
 
 
 def _reject_tree(graph: Graph) -> None:

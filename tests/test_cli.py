@@ -18,6 +18,7 @@ from zetawalk import (
     ZetawalkError,
     arc_space,
     cli,
+    complete_graph,
     cycle_oracle,
     errors,
     grover_zeta_reciprocal,
@@ -257,6 +258,52 @@ def test_series_trace_and_oracle_routes_agree(capsys, k4_path):
 
 
 _DIGIT_LIMIT = pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-to-str digit limit")
+
+
+@pytest.fixture
+def digits_640():
+    """CPython's int-to-str limit lowered to 640 digits for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def _complete_path(tmp_path, n):
+    path = str(tmp_path / f"complete-{n}.json")
+    assert entrypoint(["gen", "--family", "complete", "--N", str(n), "--out", path]) == 0
+    return path
+
+
+# the least complete graph whose coefficient bound for each --matrix passes
+# 640 digits: L^n = 23^552 on K24 for U, B on K29 for U+, and 2^(m - nu) B
+# on K57 for the Bass form
+_FIRST_REFUSED = {"grover": 24, "positive-support": 29, "bass": 57}
+
+
+@pytest.mark.parametrize("matrix, n", list(_FIRST_REFUSED.items()))
+def test_charpoly_refuses_coefficients_too_long_to_print(
+    capsys, monkeypatch, tmp_path, digits_640, matrix, n
+):
+    def forbidden(*args):
+        raise AssertionError("the kernel ran")
+
+    path = _complete_path(tmp_path, n)
+    monkeypatch.setattr(zetawalk.polynomials, "_hessenberg_charpolys", forbidden)
+    code, out, err = run_cli(capsys, ["charpoly", "--graph", path, "--matrix", matrix])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "more than 640 digits" in err
+
+
+@pytest.mark.parametrize("matrix, n", list(_FIRST_REFUSED.items()))
+def test_charpoly_prints_the_complete_graph_below_the_first_refused(
+    capsys, tmp_path, digits_640, matrix, n
+):
+    path = _complete_path(tmp_path, n - 1)
+    code, out, err = run_cli(capsys, ["charpoly", "--graph", path, "--matrix", matrix])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(CHOICES["charpoly", matrix](complete_graph(n - 1)), indent=2) + "\n"
 
 
 @_DIGIT_LIMIT

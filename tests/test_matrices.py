@@ -126,6 +126,28 @@ def test_shift_is_a_symmetric_involution(graph):
 
 
 @pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
+def test_rows_written_directly_are_those_of_the_entry_list_build(graph):
+    # A, P and S as RatMatrix(rows, cols, entries) built them, converting
+    # each entry by Fraction(value) on the way in
+    n = graph.num_vertices
+    arcs = arc_space(graph)
+    arcs_out = [(i, j) for i, neighbors in enumerate(graph.adjacency) for j in neighbors]
+    inverses = [(e, f, 1) for e, f in enumerate(arcs.inverse)]
+    pairs = [
+        (adjacency(graph), RatMatrix(n, n, [(i, j, 1) for i, j in arcs_out])),
+        (
+            transition(graph),
+            RatMatrix(n, n, [(i, j, Fraction(1, graph.degree(i))) for i, j in arcs_out]),
+        ),
+        (shift(arcs), RatMatrix(arcs.num_arcs, arcs.num_arcs, inverses)),
+    ]
+    for new, old in pairs:
+        assert new == old
+        assert list(new.nonzero_items()) == list(old.nonzero_items())
+        assert all(type(value) is Fraction for _, _, value in new.nonzero_items())
+
+
+@pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
 def test_grover_matches_entrywise_case_table(graph):
     # grover permutes the coin's rows; the product S @ C is the definition
     arcs = arc_space(graph)

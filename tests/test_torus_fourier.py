@@ -1,9 +1,11 @@
-"""The Fourier route for torus determinants against the generic kernel.
+"""The Fourier route for abelian Cayley graphs against the generic kernel.
 
-On torus(d, N) every walk operator is translation invariant, and its
-characteristic polynomial mod a prime p = 1 (mod N) is the product of small
-Fourier blocks. The generic Hessenberg kernel on the whole matrix is the
-oracle here; a spy on `polynomials._fourier_charpolys` tells which route ran.
+On torus(d, N), cycle(N), complete(n) and hypercube(d), the Cayley graphs of
+Z_N^d, Z_N, Z_n and Z_2^d, every walk operator is translation invariant,
+and its characteristic polynomial mod a prime p = 1 (mod side) is the
+product of small Fourier blocks. The generic Hessenberg kernel on the whole
+matrix is the oracle here; a spy on `polynomials._fourier_charpolys` tells
+which route ran.
 """
 
 import math
@@ -14,6 +16,8 @@ import pytest
 from zetawalk import (
     RatMatrix,
     arc_space,
+    complete_graph,
+    cycle_graph,
     det_i_minus_u,
     graph_from_edges,
     grover_zeta_reciprocal,
@@ -21,10 +25,11 @@ from zetawalk import (
     ihara_reciprocal_bass,
     ihara_reciprocal_edge,
     konno_sato_check,
+    petersen_graph,
     torus_graph,
     zeta_series_consistency,
 )
-from zetawalk import polynomials, zeta
+from zetawalk import graphs, polynomials, zeta
 from zetawalk.operators import grover, grover_positive_support, laplacian, transition
 
 ARC_OPERATORS = {
@@ -36,6 +41,12 @@ VERTEX_OPERATORS = {"P": transition, "D-A": laplacian}
 # (d, N) where the generic kernel takes under about a second
 ARC_SIZES = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3)]
 VERTEX_SIZES = [(d, n) for d in (1, 2, 3) for n in (3, 4, 5, 6)]
+# the other abelian Cayley families, every operator at each size
+CAYLEY_GRAPHS = (
+    [hypercube_graph(d) for d in range(2, 7)]
+    + [complete_graph(n) for n in range(3, 10)]
+    + [cycle_graph(n) for n in range(3, 9)]
+)
 
 
 @pytest.fixture
@@ -54,23 +65,37 @@ def fourier_calls(monkeypatch):
 
 def _cases(sizes, operators):
     return [
-        pytest.param(d, n, name, id=f"torus-{d}-{n}-{name}")
+        pytest.param(torus_graph(d, n), name, id=f"torus-{d}-{n}-{name}")
         for d, n in sizes
         for name in operators
     ]
 
 
+def _cayley_cases():
+    return [
+        pytest.param(graph, name, id=f"{graph.family}-{name}")
+        for graph in CAYLEY_GRAPHS
+        for name in (*ARC_OPERATORS, *VERTEX_OPERATORS)
+    ]
+
+
 @pytest.mark.parametrize(
-    "d, n, name", _cases(ARC_SIZES, ARC_OPERATORS) + _cases(VERTEX_SIZES, VERTEX_OPERATORS)
+    "graph, name",
+    _cases(ARC_SIZES, ARC_OPERATORS) + _cases(VERTEX_SIZES, VERTEX_OPERATORS) + _cayley_cases(),
 )
-def test_fourier_route_reproduces_the_generic_kernel(d, n, name, fourier_calls):
-    graph = torus_graph(d, n)
+def test_fourier_route_reproduces_the_generic_kernel(graph, name, fourier_calls):
     matrix = {**ARC_OPERATORS, **VERTEX_OPERATORS}[name](graph)
     fourier = polynomials._scaled_charpoly(matrix, graph)
     assert fourier_calls == [matrix.rows]
     assert fourier == polynomials._scaled_charpoly(matrix)
     assert polynomials._det_i_minus_u(matrix, graph) == det_i_minus_u(matrix)
     assert len(fourier_calls) == 2
+
+
+def _case_id(graph, case, join):
+    """The test id of a case on a graph; torus(2,4), the graph of the first
+    of these tests, is not named."""
+    return case if graph.family == "torus(2,4)" else f"{case}{join}{graph.family}"
 
 
 def _relabelled(graph, family):
@@ -101,12 +126,80 @@ def test_another_cayley_graph_of_the_same_group_takes_the_generic_route(fourier_
     assert fourier_calls == []
 
 
-@pytest.mark.parametrize("family", [None, "torus(2, 4)", "torus(2,5)", "torus(4,2)", "cycle(16)"])
-def test_a_torus_without_its_exact_tag_takes_the_generic_route(family, fourier_calls):
-    graph = _relabelled(torus_graph(2, 4), family)
-    matrix = ARC_OPERATORS["U"](graph)
-    assert polynomials._det_i_minus_u(matrix, graph) == det_i_minus_u(matrix)
+def test_a_relabelled_hypercube_with_its_own_tag_takes_the_generic_route(fourier_calls):
+    cube = hypercube_graph(4)
+    # v -> 5v mod 16 permutes the vertices, and the edges with them
+    relabel = [5 * v % 16 for v in range(16)]
+    edges = [(relabel[i], relabel[j]) for i, j in cube.edges()]
+    moved = graph_from_edges(16, edges, family="hypercube(4)", vertex_transitive=True)
+    assert moved.adjacency != cube.adjacency
+    for operator in (*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()):
+        matrix = operator(moved)
+        assert polynomials._det_i_minus_u(matrix, moved) == det_i_minus_u(matrix)
     assert fourier_calls == []
+
+
+@pytest.mark.parametrize(
+    "graph, family",
+    [
+        pytest.param(graph, family, id=_case_id(graph, str(family), " on "))
+        for graph, family in (
+            (torus_graph(2, 4), None),
+            (torus_graph(2, 4), "torus(2, 4)"),
+            (torus_graph(2, 4), "torus(2,5)"),
+            (torus_graph(2, 4), "torus(4,2)"),
+            (torus_graph(2, 4), "cycle(16)"),
+            (complete_graph(6), "complete(06)"),
+            (complete_graph(6), "complete(+6)"),
+            (hypercube_graph(4), "hypercube( 4)"),
+            (hypercube_graph(4), "hypercube(4"),
+            (hypercube_graph(4), "hypercube(4)x"),
+            (hypercube_graph(4), "hypercube(4,2)"),
+            (hypercube_graph(4), "hypercube()"),
+            (cycle_graph(8), "cycle(0_8)"),
+            (torus_graph(2, 4), "cycle(8)"),
+            (torus_graph(2, 4), "complete(16)"),
+            (torus_graph(2, 4), "hypercube(4)"),
+            (torus_graph(2, 4), "petersen"),
+        )
+    ],
+)
+def test_a_torus_without_its_exact_tag_takes_the_generic_route(graph, family, fourier_calls):
+    tagged = _relabelled(graph, family)
+    for operator in (*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()):
+        matrix = operator(tagged)
+        assert polynomials._det_i_minus_u(matrix, tagged) == det_i_minus_u(matrix)
+    assert fourier_calls == []
+
+
+@pytest.mark.parametrize(
+    "family", ["hypercube(60)", "torus(100000000,3)", "torus(3,2)", "complete(17)", "cycle(-16)"]
+)
+def test_a_tag_of_another_size_is_refused_before_any_graph_is_built(
+    family, monkeypatch, fourier_calls
+):
+    built = []
+    build = graphs.build_family
+    monkeypatch.setattr(graphs, "build_family", lambda *a, **k: built.append(a) or build(*a, **k))
+    graph = _relabelled(torus_graph(2, 4), family)
+    assert graphs._cayley_group(graph) is None
+    matrix = VERTEX_OPERATORS["P"](graph)
+    assert polynomials._det_i_minus_u(matrix, graph) == det_i_minus_u(matrix)
+    assert built == [] and fourier_calls == []
+    # the spy does see the rebuild of a tag of the right size
+    assert graphs._cayley_group(torus_graph(2, 4)) == (2, 4) and built == [("torus",)]
+
+
+def test_the_cayley_table_names_the_group_of_each_family():
+    for graph, group in [
+        (torus_graph(3, 4), (3, 4)),
+        (cycle_graph(7), (1, 7)),
+        (complete_graph(5), (1, 5)),
+        (hypercube_graph(3), (3, 2)),
+    ]:
+        assert graphs._cayley_group(graph) == group
+    assert set(graphs._CAYLEY_GROUPS) == set(graphs.FAMILIES) - {"petersen"}
+    assert graphs._cayley_group(petersen_graph()) is None
 
 
 def _perturbed(matrix, kind):
@@ -128,12 +221,20 @@ def _perturbed(matrix, kind):
     return RatMatrix(matrix.rows, matrix.cols, ((i, j, v) for (i, j), v in entries.items()))
 
 
-@pytest.mark.parametrize("kind", ["entry-at-vertex-0", "entry", "zero", "removed"])
-@pytest.mark.parametrize("name", [*ARC_OPERATORS, *VERTEX_OPERATORS])
+@pytest.mark.parametrize(
+    "graph, name, kind",
+    [
+        pytest.param(graph, name, kind, id=_case_id(graph, f"{name}-{kind}", "-"))
+        for graph in (torus_graph(2, 4), hypercube_graph(4), complete_graph(6))
+        for name in (*ARC_OPERATORS, *VERTEX_OPERATORS)
+        for kind in ("entry-at-vertex-0", "entry", "zero", "removed")
+        # D - A on a complete graph has no zero entry to perturb
+        if (graph.family, name, kind) != ("complete(6)", "D-A", "zero")
+    ],
+)
 def test_a_torus_operator_with_one_perturbed_entry_takes_the_generic_route(
-    name, kind, fourier_calls
+    graph, name, kind, fourier_calls
 ):
-    graph = torus_graph(2, 4)
     original = {**ARC_OPERATORS, **VERTEX_OPERATORS}[name](graph)
     matrix = _perturbed(original, kind)
     assert polynomials._det_i_minus_u(matrix, graph) == det_i_minus_u(matrix)
@@ -161,6 +262,19 @@ def test_callers_that_hold_the_graph_hand_it_down(fourier_calls):
 
 def test_konno_sato_report_on_a_torus_is_that_of_the_generic_kernel(monkeypatch, fourier_calls):
     graph = torus_graph(2, 5)
+    _assert_konno_sato_report_is_that_of_the_generic_kernel(graph, monkeypatch, fourier_calls)
+
+
+@pytest.mark.parametrize(
+    "graph", [hypercube_graph(4), complete_graph(6), cycle_graph(5)], ids=lambda g: g.family
+)
+def test_konno_sato_report_on_a_cayley_graph_is_that_of_the_generic_kernel(
+    graph, monkeypatch, fourier_calls
+):
+    _assert_konno_sato_report_is_that_of_the_generic_kernel(graph, monkeypatch, fourier_calls)
+
+
+def _assert_konno_sato_report_is_that_of_the_generic_kernel(graph, monkeypatch, fourier_calls):
     report = konno_sato_check(graph)
     assert len(fourier_calls) == 4
     generic = polynomials._scaled_charpoly
@@ -194,7 +308,7 @@ def test_the_default_primes_are_the_odd_primes_counting_down():
     assert [c for c in between if _is_prime_by_trial_division(c)] == primes
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 12])
 def test_the_root_of_unity_has_order_exactly_n(n):
     for i in range(3):
         p = polynomials._prime(i, n)
@@ -203,8 +317,18 @@ def test_the_root_of_unity_has_order_exactly_n(n):
         assert powers[-1] == 1 and 1 not in powers[:-1]
 
 
-@pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 3)])
-def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, monkeypatch):
+@pytest.mark.parametrize(
+    "d, n, graph",
+    [
+        pytest.param(2, 4, torus_graph(2, 4), id="2-4"),
+        pytest.param(2, 5, torus_graph(2, 5), id="2-5"),
+        pytest.param(3, 3, torus_graph(3, 3), id="3-3"),
+        pytest.param(4, 2, hypercube_graph(4), id="hypercube(4)"),
+        pytest.param(1, 6, complete_graph(6), id="complete(6)"),
+        pytest.param(1, 7, cycle_graph(7), id="cycle(7)"),
+    ],
+)
+def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatch):
     seen = []
     route = polynomials._fourier_charpolys
 
@@ -213,7 +337,7 @@ def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, monkeypatch):
         return route(torus, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
-    graph = torus_graph(d, n)
     polynomials._scaled_charpoly(grover(graph, arc_space(graph)), graph)
     assert seen and all(p % n == 1 for p in seen)
     assert seen == [polynomials._prime(i, n) for i in range(len(seen))]
+    assert graphs._cayley_group(graph) == (d, n)
