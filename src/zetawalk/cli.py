@@ -116,47 +116,36 @@ def _cmd_matrix_dump(args: argparse.Namespace) -> int:
 # -- charpoly -------------------------------------------------------------
 
 
-# --matrix -> the exact zeta reciprocal of a graph, and the matrix M and the
-# exponent e of its form det(I - uM) (1 - u^2)^e
+# --matrix -> the form of the exact zeta reciprocal of a graph: the matrix M
+# of det(I - uM) (1 - u^2)^e, cleared to integers and bounded, e, and the
+# graph for the kernel's route
 _RECIPROCALS = {
-    "grover": (
-        lambda g: zeta.grover_zeta_reciprocal(g),
-        lambda g: (_OPERATORS["grover"](g), 0),
-    ),
-    "positive-support": (
-        lambda g: zeta.ihara_reciprocal_edge(g),
-        lambda g: (_OPERATORS["positive-support"](g), 0),
-    ),
-    "bass": (
-        lambda g: zeta.ihara_reciprocal_bass(g),
-        lambda g: (zeta._bass_companion(g), g.num_edges - g.num_vertices),
-    ),
+    "grover": lambda g: zeta._grover_form(g),
+    "positive-support": lambda g: zeta._edge_form(g),
+    "bass": lambda g: zeta._bass_form(g),
 }
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    g = graphs.load_graph(args.graph)
-    reciprocal, form = _RECIPROCALS[args.matrix]
-    _refuse_unprintable(*form(g))
-    _emit({"coeffs": _poly_strings(reciprocal(g))})
+    matrix, exponent, route = _RECIPROCALS[args.matrix](graphs.load_graph(args.graph))
+    _refuse_unprintable(matrix, exponent)
+    _emit({"coeffs": _poly_strings(zeta._reciprocal(matrix, exponent, route))})
     return 0
 
 
-def _refuse_unprintable(matrix: RatMatrix, exponent: int) -> None:
+def _refuse_unprintable(matrix: polynomials._Cleared, exponent: int) -> None:
     """Refuse, before the kernel runs, a det(I - uM) (1 - u^2)^exponent whose
     coefficients could have more digits than CPython converts to a string.
 
-    det(I - uM) = sum_k C_k u^k / L^k with |C_k| <= B, L and B as
-    `_scaled_charpoly` finds them. A positive exponent comes only with the
+    det(I - uM) = sum_k C_k u^k / L^k with |C_k| <= B, L and B as the
+    cleared matrix holds them. A positive exponent comes only with the
     integer Bass companion (L = 1), and the coefficients of (1 - u^2)^e have
     absolute sum 2^e. So every numerator is at most 2^e B and every
     denominator at most L^n, and each prints when both are below 10^limit.
     """
     limit = sys.get_int_max_str_digits()
     if limit:
-        scale, bound = polynomials._charpoly_sizes(matrix)
-        # a tree has exponent -1, and the library refuses it after this check
-        if max(scale**matrix.rows, bound << max(exponent, 0)) >= 10**limit:
+        if max(matrix.scale**matrix.rows, matrix.bound << exponent) >= 10**limit:
             raise ZetawalkError(
                 f"the coefficients could have more than {limit} digits, "
                 "more than Python converts to a string"

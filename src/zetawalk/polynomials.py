@@ -4,45 +4,58 @@ Both kernels first scale a square rational matrix M to the integer matrix
 L*M, with L the lcm of its denominators.
 
 Every exact determinant in the package is det(I - u*M), computed by
-`_scaled_charpoly` as integer coefficients C_k of u^k / L^k and divided out
-by `det_i_minus_u`; callers that go on in integers (the Bass form and the
+`_charpolys` as integer coefficients C_k of u^k / L^k and divided out by
+`det_i_minus_u`; callers that go on in integers (the Bass form and the
 Konno-Sato vertex sides) take the C_k and multiply by the cocycle
 (1 - u^2)^e with `_times_one_minus_u_squared` before they divide; that
-integer pass is the one way the package forms the cocycle. The
-characteristic polynomial of L*M is found modulo K 31-bit primes at once.
-The residues form one (K, n, n) int64 stack, which Hessenberg reduction
-(Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
-section 2.2) brings to upper Hessenberg form one column at a time for all
-primes together. Each step updates only the rows and columns
-whose multiplier is nonzero for some prime. The Hessenberg recurrence then
-runs on the stack as well, and skips the blocks that a subdiagonal zero for
-every prime splits off. The residues are combined by the Chinese remainder
-theorem with symmetric residues (von zur Gathen and Gerhard, Modern
-Computer Algebra, chapter 5). A bound on each coefficient fixes the number
-of primes: the smaller of an eigenvalue (row-sum) bound and a Frobenius
-bound from the inequalities of Schur, the power mean and Maclaurin, both
-in integers, so the result is exact for every input.
+integer pass is the one way the package forms the cocycle. A matrix is
+cleared to integers and bounded once (`_clear_and_bound`), and one call of
+`_charpolys` takes several matrices. The characteristic polynomial of L*M
+is found modulo K 31-bit primes at once, by the residue kernels of
+`modular`. The residues form one (K, n, n)
+int64 stack, which Hessenberg reduction (Cohen, A Course in Computational
+Algebraic Number Theory, GTM 138, section 2.2) brings to upper Hessenberg
+form one column at a time for all primes together. Each step updates only
+the rows and columns whose multiplier is nonzero for some prime. The
+Hessenberg recurrence then runs on the stack as well, and skips the blocks
+that a subdiagonal zero for every prime splits off. The residues are
+combined by the Chinese remainder theorem with symmetric residues (von zur
+Gathen and Gerhard, Modern Computer Algebra, chapter 5). A bound on every
+coefficient fixes the number of primes: the largest of the Frobenius
+bounds C(n, k) (||L*M||_F^2 / n)^(k/2) from the inequalities of Schur, the
+power mean and Maclaurin, rounded up in integers, so the result is exact
+for every input. Only its maximum is formed, by a short walk from the mode
+in k, with a proof that no other k gives more; the row-sum bound is never
+smaller, and is not formed.
 
-Callers that hold the graph (`_det_i_minus_u`, `_scaled_charpoly`) take a
-second route to the same residues on an abelian Cayley family of the table
-`graphs._CAYLEY_GROUPS`: torus(d, N), cycle(N), complete(n) and
-hypercube(d), the Cayley graphs of Z_side^d for (d, side) = (d, N), (1, N),
-(1, n) and (d, 2). When the graph is verified to be that family
-(`graphs._cayley_group`) and L*M is verified to be translation invariant
-on its vertices or arcs, with entry t_ss'(w - v) from state (v, s) to
-(w, s'), then modulo a prime p = 1 (mod side) with a primitive side-th
-root of unity omega, det(xI - L*M) is the product over k in Z_side^d of
-the characteristic polynomials of the blocks sum_z t_ss'(z) omega^(k.z):
-w x w on the arcs, w = 2m / nu the arcs per vertex, and 1 x 1 on the
-vertices. The K side^d blocks go through the same Hessenberg kernel as one
-stack, each prime's side^d polynomials are multiplied by a product tree,
-and the bound and the CRT are those of the generic route. The public
-`det_i_minus_u(matrix)` has no graph and always takes the generic route,
-which is the oracle for the other in the tests.
+Callers that hold the graph (`_charpolys`, `_det_i_minus_u`,
+`_scaled_charpoly`) take a second route to the same residues on an abelian
+Cayley family of the table `graphs._CAYLEY_GROUPS`: torus(d, N), cycle(N),
+complete(n) and hypercube(d), the Cayley graphs of Z_side^d for
+(d, side) = (d, N), (1, N), (1, n) and (d, 2). When the graph is verified
+to be that family (`graphs._cayley_group`, once per call) and L*M is
+verified to be translation invariant on its vertices or arcs, with entry
+t_ss'(w - v) from state (v, s) to (w, s'), then modulo a prime
+p = 1 (mod side) with a primitive side-th root of unity omega (found once
+per process for each prime), det(xI - L*M) is the product over k in
+Z_side^d of the characteristic polynomials of the blocks
+sum_z t_ss'(z) omega^(k.z): w x w on the arcs, w = 2m / nu the arcs per
+vertex, and 1 x 1 on the vertices. The side^d blocks of every prime of
+every matrix of one width (U with U+, or P with D - A) go through the
+Hessenberg kernel as one stack, split into chunks of rows only where its
+arrays would pass a fixed budget, and the side^d polynomials of each row
+are multiplied by one product tree. Each level of the tree multiplies all
+its pairs at once: short factors by an outer product read along its
+anti-diagonals through a skewed view, long ones by floating-point FFT on
+11-bit limbs, whose rounding error Percival's bound keeps below 1/4, so
+that the tree takes O(n log^2 n) steps per row where the schoolbook tree
+took O(n^2). The bound and the CRT are those of the generic route. The
+public `det_i_minus_u(matrix)` has no graph and always takes the generic
+route, which is the oracle for the other in the tests.
 
 Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r, by
 the same multi-modular design. A bound B on every |Tr (L*M)^r| up to r_max,
-the smaller of n rho^r and rho^(r-2) ||L*M||_F^2 (Schur's inequality),
+rho^(r-2) ||L*M||_F^2 from the row-sum norm rho and Schur's inequality,
 fixes the primes. The powers of L*M up to ceil(r_max / 2) form one
 (K, n, n) int64 residue stack, each product a sum of gathers of rows,
 one per slot of the widest row of L*M. Each higher trace is read as a
@@ -56,6 +69,8 @@ coefficients are Tr M^r / r, which ties the two kernels together.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -64,6 +79,7 @@ import numpy as np
 
 from .errors import ZetawalkError
 from .graphs import Graph, _cayley_group, arc_space
+from .modular import _crt, _hessenberg_charpolys, _product_mod
 from .rational import RatMatrix
 
 
@@ -196,6 +212,11 @@ def det_i_minus_u(matrix: RatMatrix) -> Poly:
 def _det_i_minus_u(matrix: RatMatrix, graph: Graph | None = None) -> Poly:
     """`det_i_minus_u`, on the Fourier route when M is a torus operator of graph."""
     scale, coeffs = _scaled_charpoly(matrix, graph)
+    return _unscaled(scale, coeffs)
+
+
+def _unscaled(scale: int, coeffs: list[int]) -> Poly:
+    """det(I - u*M) = sum_k C_k u^k / L^k from L and the C_k."""
     return Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs))
 
 
@@ -203,60 +224,115 @@ def _scaled_charpoly(matrix: RatMatrix, graph: Graph | None = None) -> tuple[int
     """L and integers C_0..C_n with det(I - u*M) = sum_k C_k u^k / L^k.
 
     L is the lcm of the entry denominators of the square matrix M, and
-    x^n + C_1 x^(n-1) + ... + C_n = det(xI - L*M). The C_k are found modulo
-    enough primes to pin them down and combined by CRT. The residues come
-    from the Fourier blocks when `_torus_stencil` finds M translation
-    invariant on a graph of `graphs._CAYLEY_GROUPS`, and from the whole
-    matrix otherwise.
+    x^n + C_1 x^(n-1) + ... + C_n = det(xI - L*M); see `_charpolys`.
     """
+    cleared = _clear_and_bound(matrix)
+    return cleared.scale, _charpolys([cleared], graph)[0]
+
+
+class _Cleared(NamedTuple):
+    """A square rational matrix M as the integer matrix A = L*M.
+
+    `entries` are the nonzero entries of A as (i, j, integer), sorted by
+    (i, j), and `bound` is an integer B >= |c_k| for every coefficient c_k
+    of det(xI - A).
+    """
+
+    rows: int
+    scale: int
+    entries: list[tuple[int, int, int]]
+    bound: int
+
+
+def _clear_and_bound(matrix: RatMatrix) -> _Cleared:
+    """M cleared to integers (`_cleared`) and its coefficient bound, once."""
     if matrix.rows != matrix.cols:
         raise ZetawalkError("det(I - u*M) requires a square matrix")
-    n = matrix.rows
     scale, entries = _cleared(matrix)
-    # symmetric residues pin down every c_k once the modulus exceeds 2 |c_k|
-    limit = 2 * max(_coefficient_bounds(n, entries))
-    torus = _torus_stencil(graph, n, entries)
-    if torus is None:
-        primes, modulus = _primes_above(limit)
-        residues = _hessenberg_charpolys(_residue_stack(n, entries, primes), primes).tolist()
-    else:
-        primes, modulus = _primes_above(limit, torus.side)
-        residues = _fourier_charpolys(torus, primes)
-    return scale, _crt(residues, primes, modulus)
+    return _Cleared(matrix.rows, scale, entries, _coefficient_bound(matrix.rows, entries))
 
 
-def _charpoly_sizes(matrix: RatMatrix) -> tuple[int, int]:
-    """L and a bound B of `_scaled_charpoly(matrix)`: each C_k it returns
-    has |C_k| <= B."""
-    scale, entries = _cleared(matrix)
-    return scale, max(_coefficient_bounds(matrix.rows, entries))
+def _charpolys(matrices: Sequence[_Cleared], graph: Graph | None = None) -> list[list[int]]:
+    """The coefficients C_0..C_n of det(xI - A), C_k on x^(n-k), for each A.
 
-
-def _coefficient_bounds(n: int, entries: list[tuple[int, int, int]]) -> list[int]:
-    """Integers B_k >= |c_k| for the coefficients c_k of det(xI - A), k = 0..n.
-
-    A is the n x n integer matrix with the given nonzero entries. The row-sum
-    norm rho bounds every eigenvalue, so |c_k| <= C(n, k) rho^k. Schur's
-    inequality sum |lam|^2 <= ||A||_F^2, the power mean inequality and
-    Maclaurin's inequality give |c_k| <= C(n, k) (||A||_F^2 / n)^(k/2). B_k is
-    the smaller of the two, with the square root rounded up in integers.
+    Symmetric residues pin down every C_k once the modulus exceeds 2 |C_k|,
+    so each A takes the fewest primes whose product exceeds 2B, and its
+    residues are combined by CRT. They come from the Fourier blocks for
+    every matrix that `_torus_stencil` finds translation invariant on a
+    graph of `graphs._CAYLEY_GROUPS`, and from the whole matrix otherwise.
+    The group is verified, and the states of the graph are read, once per
+    call; the Fourier matrices of one block width go through
+    `_fourier_charpolys` together.
     """
-    row_sums = [0] * n
-    frobenius = 0
-    for i, _, value in entries:
-        row_sums[i] += abs(value)
-        frobenius += value * value
-    rho = max(row_sums)
-    bounds = []
-    # at step k, ceil((||A||_F^2 / n)^k) = ceil(num / den) and rho_k = rho^k
-    num = den = rho_k = 1
-    for k in range(n + 1):
-        mean_power = -(-num // den)
+    group = _fourier_group(graph)
+    out: list[list[int]] = [[] for _ in matrices]
+    # block width -> (index, stencil, primes, modulus) of each Fourier matrix
+    stacks: dict[int, list[tuple[int, _Torus, list[int], int]]] = {}
+    for index, a in enumerate(matrices):
+        torus = _torus_stencil(group, a.rows, a.entries)
+        if torus is None:
+            primes, modulus = _primes_above(2 * a.bound)
+            residues = _hessenberg_charpolys(_residue_stack(a.rows, a.entries, primes), primes)
+            out[index] = _crt(residues.tolist(), primes, modulus)
+        else:
+            primes, modulus = _primes_above(2 * a.bound, torus.side)
+            stacks.setdefault(torus.width, []).append((index, torus, primes, modulus))
+    for stack in stacks.values():
+        indices, tori, primes, moduli = zip(*stack)
+        residues = _fourier_charpolys(list(tori), list(primes))
+        for index, rows, row_primes, modulus in zip(indices, residues, primes, moduli):
+            out[index] = _crt(rows.tolist(), row_primes, modulus)
+    return out
+
+
+def _coefficient_bound(n: int, entries: list[tuple[int, int, int]]) -> int:
+    """An integer B >= |c_k| for every coefficient c_k of det(xI - A).
+
+    A is the n x n integer matrix with the given nonzero entries, and
+    F = ||A||_F^2. Schur's inequality sum |lam|^2 <= F, the power mean
+    inequality and Maclaurin's inequality give |c_k| <= b_k =
+    C(n, k) (F / n)^(k/2), rounded up in integers to
+    B_k = C(n, k) R_k with R_k = ceil(sqrt(ceil((F / n)^k))), and B is the
+    largest B_k. The eigenvalue bound C(n, k) rho^k of the row-sum norm rho
+    is never smaller: each row has sum_j a_ij^2 <= rho^2, so F <= n rho^2
+    and R_k <= rho^k.
+
+    The largest B_k is found near the mode of b_k, not from all n + 1 terms.
+    If F <= n, R_k is 1 for every k (0 for k >= 1 when F = 0), so B is
+    C(n, n // 2), or 1. Otherwise R_k grows with k and b_k is log-concave:
+    it rises while (n - k)^2 F >= (k + 1)^2 n, which holds for every
+    k < n / 2, and then falls. With b_k <= B_k < b_k + 2 C(n, k), B_k
+    rises up to k = n // 2; from the mode up, b_k and C(n, k) both fall, so
+    B_k + 2 C(n, k) bounds every later term; from the mode down to n // 2,
+    b_k falls and C(n, k) <= C(n, n // 2), so B_k + 2 C(n, n // 2) bounds
+    every earlier term. Each walk stops at the first such bound not above
+    the largest term seen.
+    """
+    frobenius = sum(value * value for _, _, value in entries)
+    if frobenius <= n:
+        return math.comb(n, n // 2) if frobenius else 1
+
+    def term(k: int) -> int:
+        mean_power = -(-(frobenius**k) // n**k)
         root = math.isqrt(mean_power)
-        root += root * root < mean_power
-        bounds.append(math.comb(n, k) * min(rho_k, root))
-        num, den, rho_k = num * frobenius, den * n, rho_k * rho
-    return bounds
+        return math.comb(n, k) * (root + (root * root < mean_power))
+
+    mode = bisect.bisect_left(
+        range(n), True, key=lambda k: (n - k) ** 2 * frobenius < (k + 1) ** 2 * n
+    )
+    best = term(mode)
+    for k in range(mode + 1, n + 1):
+        value = term(k)
+        best = max(best, value)
+        if value + 2 * math.comb(n, k) <= best:
+            break
+    middle = 2 * math.comb(n, n // 2)
+    for k in range(mode - 1, n // 2 - 1, -1):
+        value = term(k)
+        best = max(best, value)
+        if value + middle <= best:
+            break
+    return best
 
 
 def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
@@ -297,10 +373,12 @@ def _trace_bound(n: int, entries: list[tuple[int, int, int]], r_max: int) -> int
     with the given nonzero entries.
 
     |Tr A| <= sum_i |A[i][i]|. For r >= 2, |Tr A^r| <= sum |lam|^r, and the
-    row-sum norm rho bounds every eigenvalue, so this is at most n rho^r and,
-    by Schur's inequality sum |lam|^2 <= ||A||_F^2, at most
-    rho^(r-2) ||A||_F^2. Both grow with r (rho >= 1 unless A = 0), and for
-    integers ||A||_F^2 >= sum_i |A[i][i]|, so B is the bound at r_max.
+    row-sum norm rho bounds every eigenvalue, so by Schur's inequality
+    sum |lam|^2 <= ||A||_F^2 this is at most rho^(r-2) ||A||_F^2. The
+    eigenvalue bound n rho^r is never smaller: each row has
+    sum_j A[i][j]^2 <= rho^2, so ||A||_F^2 <= n rho^2. The bound grows with
+    r (rho >= 1 unless A = 0), and for integers ||A||_F^2 >= sum_i |A[i][i]|,
+    so B is the bound at r_max.
     """
     row_sums = [0] * n
     frobenius = diagonal = 0
@@ -311,8 +389,7 @@ def _trace_bound(n: int, entries: list[tuple[int, int, int]], r_max: int) -> int
             diagonal += abs(value)
     if r_max < 2:
         return diagonal
-    rho = max(row_sums)
-    return rho ** (r_max - 2) * min(n * rho * rho, frobenius)
+    return max(row_sums) ** (r_max - 2) * frobenius
 
 
 _INT64_MAX = 2**63 - 1
@@ -437,17 +514,24 @@ def _primes_above(limit: int, n: int = 2) -> tuple[list[int], int]:
     return primes, modulus
 
 
+# (n, p) -> the primitive n-th root of unity modulo p that `_root_of_unity` found
+_ROOTS: dict[tuple[int, int], int] = {}
+
+
 def _root_of_unity(n: int, p: int) -> int:
     """A primitive n-th root of unity modulo a prime p = 1 (mod n).
 
     omega = g^((p-1)/n) for the least g >= 2 that gives it order exactly n:
     its order divides n, and it is n when omega^(n/r) != 1 for every prime
-    factor r of n.
+    factor r of n. Each root is found once per process.
     """
+    if (n, p) in _ROOTS:
+        return _ROOTS[n, p]
     factors = {r for r in range(2, n + 1) if n % r == 0 and all(r % f for f in range(2, r))}
     for g in range(2, p):
         omega = pow(g, (p - 1) // n, p)
         if all(pow(omega, n // r, p) != 1 for r in factors):
+            _ROOTS[n, p] = omega
             return omega
     raise ZetawalkError(f"no primitive {n}-th root of unity modulo {p}")
 
@@ -480,91 +564,40 @@ def _residue_stack(n: int, entries: list[tuple[int, int, int]], primes: list[int
     return a
 
 
-def _hessenberg_charpolys(a: np.ndarray, primes: list[int]) -> np.ndarray:
-    """For each slice a[b] of a (B, n, n) stack, det(xI - a[b]) mod primes[b].
+class _Group(NamedTuple):
+    """A graph verified to be the Cayley graph of Z_side^d (`graphs._cayley_group`).
 
-    Row b of the (B, n + 1) int64 result holds c_0..c_n, with c_k on
-    x^(n-k). Each slice holds residues in [0, p) for its own prime p < 2^31;
-    a prime may serve several slices. The stack is brought to upper
-    Hessenberg form by similarity transforms, after which the characteristic
-    polynomials follow from the Hessenberg recurrence (Cohen, GTM 138,
-    Algorithm 2.2.9). Each step runs once for the whole stack and touches
-    only the rows and columns whose multiplier is nonzero for some slice.
-    Products are reduced mod p before two of them are added, so int64
-    cannot overflow. The stack is overwritten.
+    `coords[v]` are the d coordinates of the vertex with flat index v, and a
+    step z has the flat index z . `place`. `states` maps the size of an
+    operator to the vertex and the direction of each of its states, and to
+    the directions per vertex: on the nu vertices one direction, and on the
+    2m arcs, in `arc_space` order, the direction of the arc's step, one per
+    generator, 2m / nu per vertex.
     """
-    slices, n = a.shape[:2]
-    # the primes shaped to broadcast over (B, .) and (B, ., .) arrays
-    p1 = np.array(primes, dtype=np.int64)[:, None]
-    p2 = p1[:, :, None]
-    for m in range(1, n - 1):
-        nonzero = a[:, m:, m - 1] != 0
-        live = np.flatnonzero(nonzero.any(axis=0))
-        if not live.size:
-            continue
-        # one swap for the stack brings the first row that is nonzero for
-        # some slice to the pivot; a permutation of rows and columns >= m
-        # keeps the Hessenberg columns < m - 1, so it is harmless for every
-        # slice. The slices whose residue there is 0 then swap their own
-        # first nonzero row to the pivot, all at once.
-        i = m + int(live[0])
-        if i != m:
-            a[:, [i, m], :] = a[:, [m, i], :]
-            a[:, :, [i, m]] = a[:, :, [m, i]]
-        q = np.flatnonzero(~nonzero[:, i - m] & nonzero.any(axis=1))
-        if q.size:
-            j = m + np.argmax(a[q, m:, m - 1] != 0, axis=1)
-            a[q, m, :], a[q, j, :] = a[q, j, :], a[q, m, :]
-            a[q, :, m], a[q, :, j] = a[q, :, j], a[q, :, m]
-        # the swaps leave nonzero entries below row m only in rows after the
-        # first live one; a slice whose column is already zero gets inverse
-        # 0, so its multipliers are 0 and it is left unchanged
-        hit = m + live[1:]
-        if not hit.size:
-            continue
-        pivots = a[:, m, m - 1].tolist()
-        inverses = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)]
-        f = a[:, hit, m - 1] * np.array(inverses, dtype=np.int64)[:, None] % p1
-        # rows in `hit` lose factor times row m (left of column m - 1 both
-        # are already zero, and column m - 1 cancels); column m gains factor
-        # times each column in `hit`, which keeps the matrix similar. A
-        # difference of an entry and one product stays above -2^62.
-        updated = f[:, :, None] * a[:, None, m, m - 1 :]
-        np.subtract(a[:, hit, m - 1 :], updated, out=updated)
-        updated %= p2
-        a[:, hit, m - 1 :] = updated
-        gathered = a.take(hit, axis=2)
-        gathered *= f[:, None, :]
-        gathered %= p2
-        a[:, :, m] = (a[:, :, m] + gathered.sum(axis=2)) % p1
-    # polys[:, m] holds the characteristic polynomial of the leading m x m
-    # block, ascending in x; polys[:, i] (degree i <= m - 2) enters it with
-    # weight a[i, m-1] times the subdiagonal product a[i+1, i] ... a[m-1, m-2],
-    # kept in runs[:, i]. Below the last subdiagonal entry that is zero for
-    # every slice (`top`) every such product is 0, so those weights are skipped.
-    sub = a.diagonal(-1, axis1=1, axis2=2)
-    polys = np.zeros((slices, n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    runs = np.zeros((slices, n), dtype=np.int64)
-    top = 0
-    for m in range(1, n + 1):
-        polys[:, m, 1 : m + 1] = polys[:, m - 1, :m]
-        polys[:, m, :m] = (polys[:, m, :m] - polys[:, m - 1, :m] * a[:, m - 1, m - 1, None]) % p1
-        if m < 2:
-            continue
-        if not sub[:, m - 2].any():
-            top = m - 1
-            continue
-        runs[:, m - 2] = 1
-        runs[:, top : m - 1] = runs[:, top : m - 1] * sub[:, m - 2, None] % p1
-        weights = runs[:, top : m - 1] * a[:, top : m - 1, m - 1] % p1
-        hit = np.flatnonzero(weights.any(axis=0))
-        if hit.size:
-            tail = polys[:, top + hit, : m - 1]
-            tail *= weights[:, hit, None]
-            tail %= p2
-            polys[:, m, : m - 1] = (polys[:, m, : m - 1] - tail.sum(axis=1)) % p1
-    return polys[:, n, ::-1]
+
+    side: int
+    coords: np.ndarray
+    place: np.ndarray
+    states: dict[int, tuple[np.ndarray, np.ndarray, int]]
+
+
+def _fourier_group(graph: Graph | None) -> _Group | None:
+    """The group and the states of the graph, or None for the generic route."""
+    group = _cayley_group(graph) if graph is not None else None
+    if group is None:
+        return None
+    d, side = group
+    nu = graph.num_vertices
+    place = side ** np.arange(d)
+    coords = np.arange(nu)[:, None] // place % side
+    arcs = np.array(arc_space(graph).arcs)
+    # the generators are the steps of every vertex, distinct in the group
+    steps = (coords[arcs[:, 1]] - coords[arcs[:, 0]]) % side @ place
+    direction = np.unique(steps, return_inverse=True)[1]
+    states = {len(arcs): (arcs[:, 0], direction, len(arcs) // nu)}
+    # on K2, 2m = nu: a matrix of that size is read on the vertices
+    states[nu] = (np.arange(nu), np.zeros(nu, dtype=np.int64), 1)
+    return _Group(side, coords, place, states)
 
 
 class _Torus(NamedTuple):
@@ -583,38 +616,23 @@ class _Torus(NamedTuple):
 
 
 def _torus_stencil(
-    graph: Graph | None, n: int, entries: list[tuple[int, int, int]]
+    group: _Group | None, n: int, entries: list[tuple[int, int, int]]
 ) -> _Torus | None:
     """The stencil of the n x n integer matrix with these entries, when it has one.
 
-    The graph must be verified to be the Cayley graph of Z_side^d that its
-    family tag names (`graphs._cayley_group`). The matrix must act on the
-    side^d vertices, or on the 2m arcs in `arc_space` order, where an arc is
-    the state (origin, direction of its step): one direction per generator,
-    2m / nu per vertex. The stencil is read off the rows of the states at
-    vertex 0; every nonzero entry, from (v, s) to (w, s'), must then be
-    t_ss'(w - v), and there must be side^d entries per stencil entry, so
-    that none is missing. Both checks are O(m + nnz). Otherwise the answer
-    is None, and the generic kernel runs.
+    The matrix must act on the states of a verified group (`_fourier_group`):
+    the side^d vertices, or the 2m arcs, where an arc is the state
+    (origin, direction of its step). The stencil is read off the rows of the
+    states at vertex 0; every nonzero entry, from (v, s) to (w, s'), must
+    then be t_ss'(w - v), and there must be side^d entries per stencil
+    entry, so that none is missing. Both checks are O(nnz). Otherwise the
+    answer is None, and the generic kernel runs.
     """
-    group = _cayley_group(graph) if graph is not None else None
-    if group is None:
+    if group is None or n not in group.states:
         return None
-    d, side = group
-    nu = graph.num_vertices
-    place = side ** np.arange(d)
-    coords = np.arange(nu)[:, None] // place % side
-    if n == nu:
-        vertex, direction, width = np.arange(nu), np.zeros(nu, dtype=np.int64), 1
-    elif n == 2 * graph.num_edges:
-        arcs = np.array(arc_space(graph).arcs)
-        vertex = arcs[:, 0]
-        # the generators are the steps of every vertex, distinct in the group
-        steps = (coords[arcs[:, 1]] - coords[vertex]) % side @ place
-        direction = np.unique(steps, return_inverse=True)[1]
-        width = n // nu
-    else:
-        return None
+    side, coords, place, states = group
+    vertex, direction, width = states[n]
+    nu = len(coords)
     rows = np.array([i for i, _, _ in entries], dtype=np.int64)
     cols = np.array([j for _, j, _ in entries], dtype=np.int64)
     origins = vertex[rows]
@@ -630,79 +648,71 @@ def _torus_stencil(
     return _Torus(side, coords, width, table)
 
 
-def _fourier_charpolys(torus: _Torus, primes: list[int]) -> list[list[int]]:
-    """det(xI - T) mod each prime p = 1 (mod side) for the matrix T on Z_side^d.
+# about the most elements an array of one chunk of `_fourier_charpolys` holds
+_FOURIER_BUDGET = 2**21
 
-    With omega a primitive side-th root of unity mod p (-1 for side 2), the
-    vectors f(w, s') = omega^(k.w) a_s' for k in Z_side^d span F_p^n, and T
-    maps those of one k among themselves through the width x width block
-    T^(k)_ss' = sum_z t_ss'(z) omega^(k.z). So det(xI - T) is the product
-    over k of det(xI - T^(k)) mod p. The blocks of all primes form one
-    stack for `_hessenberg_charpolys`, and `_product_mod` multiplies the
-    side^d block polynomials of each prime. The coefficients come in the
-    layout of the generic kernel: c_0..c_n, with c_k on x^(n-k), which is
-    also the coefficient of u^k in det(I - uT); the block polynomials are
-    multiplied in that reading, where 1 is (1, 0, ..., 0).
+
+def _fourier_charpolys(tori: list[_Torus], primes: list[list[int]]) -> list[np.ndarray]:
+    """det(xI - T) mod each of its primes p = 1 (mod side), for each matrix T.
+
+    The matrices act on one group Z_side^d with one width, and primes[t]
+    lists the primes of tori[t]. With omega a primitive side-th root of
+    unity mod p (-1 for side 2), the vectors f(w, s') = omega^(k.w) a_s' for
+    k in Z_side^d span F_p^n, and T maps those of one k among themselves
+    through the width x width block T^(k)_ss' = sum_z t_ss'(z) omega^(k.z).
+    So det(xI - T) is the product over k of det(xI - T^(k)) mod p. The
+    blocks of every (matrix, prime) row form one stack for
+    `_hessenberg_charpolys`, and `_product_mod` multiplies the side^d block
+    polynomials of each row. A stack whose arrays would pass
+    `_FOURIER_BUDGET` elements runs in chunks of rows, so memory stays
+    bounded. The coefficients come in the layout of the generic kernel:
+    c_0..c_n, with c_k on x^(n-k), which is also the coefficient of u^k in
+    det(I - uT); the block polynomials are multiplied in that reading, where
+    1 is (1, 0, ..., 0). Row q of the (K, n + 1) int64 result of a matrix is
+    for its prime q.
     """
-    side, coords, width, stencil = torus
+    _, coords, width, _ = tori[0]
     nu = len(coords)
-    count = len(primes)
+    rows = [(t, p) for t, row_primes in enumerate(primes) for p in row_primes]
+    # a row takes nu w^2 elements in its blocks, fewer than 64 nu w in an
+    # outer product of its tree and about 16 nu w in an FFT level
+    chunk = max(1, _FOURIER_BUDGET // (nu * width * max(width, 64)))
+    residues = np.empty((len(rows), nu * width + 1), dtype=np.int64)
+    for start in range(0, len(rows), chunk):
+        part = rows[start : start + chunk]
+        blocks = np.concatenate(
+            [
+                _fourier_blocks(tori[t], [p for _, p in group])
+                for t, group in itertools.groupby(part, key=lambda row: row[0])
+            ]
+        )
+        part_primes = [p for _, p in part]
+        charpolys = _hessenberg_charpolys(
+            blocks.reshape(len(part) * nu, width, width), np.repeat(part_primes, nu).tolist()
+        )
+        p = np.array(part_primes, dtype=np.int64)[:, None]
+        product = _product_mod(charpolys.reshape(len(part), nu, width + 1), p)
+        residues[start : start + len(part)] = product[:, : nu * width + 1]
+    return np.split(residues, np.cumsum([len(row_primes) for row_primes in primes])[:-1])
+
+
+def _fourier_blocks(torus: _Torus, primes: list[int]) -> np.ndarray:
+    """The (K, side^d, w, w) int64 blocks T^(k) of the matrix mod each of K primes."""
+    side, coords, width, stencil = torus
     p = np.array(primes, dtype=np.int64)[:, None]
     # omega^e mod p for e = 0..side-1, one row per prime
-    powers = np.ones((count, side), dtype=np.int64)
+    powers = np.ones((len(primes), side), dtype=np.int64)
     roots = np.array([_root_of_unity(side, q) for q in primes], dtype=np.int64)
     for e in range(1, side):
         powers[:, e] = powers[:, e - 1] * roots % p[:, 0]
     # k.z mod side for each k and each stencil step z
     phases = coords @ coords[[z for _, _, z, _ in stencil]].T % side
-    blocks = np.zeros((count, nu, width, width), dtype=np.int64)
+    blocks = np.zeros((len(primes), len(coords), width, width), dtype=np.int64)
     for e, (s, s2, _, value) in enumerate(stencil):
         residues = np.array([value % q for q in primes], dtype=np.int64)[:, None]
         blocks[:, :, s, s2] += residues * powers[:, phases[:, e]] % p
     blocks %= p[:, :, None, None]
-    charpolys = _hessenberg_charpolys(
-        blocks.reshape(count * nu, width, width), np.repeat(primes, nu).tolist()
-    )
-    product = _product_mod(charpolys.reshape(count, nu, width + 1), p)
-    return product[:, : nu * width + 1].tolist()
-
-
-def _product_mod(polys: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The product of the M polynomials polys[q, :] mod p[q], for each row q.
-
-    polys is a (K, M, L) int64 array of coefficient lists in [0, p), lowest
-    degree first, and p a (K, 1) array of primes below 2^31. A product tree
-    pairs neighbours until one polynomial is left, with the constant 1
-    padding a level of odd length; coefficients past the true degree come
-    out 0. Each product is reduced mod p before it is added, and a sum of
-    at most L terms below 2^31 fits in int64.
-    """
-    p3 = p[:, :, None]
-    while polys.shape[1] > 1:
-        k, m, length = polys.shape
-        if m % 2:
-            one = np.zeros((k, 1, length), dtype=np.int64)
-            one[:, :, 0] = 1
-            polys = np.concatenate((polys, one), axis=1)
-        left, right = polys[:, 0::2], polys[:, 1::2]
-        product = np.zeros((k, left.shape[1], 2 * length - 1), dtype=np.int64)
-        for i in range(length):
-            product[:, :, i : i + length] += left[:, :, i, None] * right % p3
-        polys = product % p3
-    return polys[:, 0]
-
-
-def _crt(residues: list[list[int]], primes: list[int], modulus: int) -> list[int]:
-    """Combine per-prime residue lists into symmetric residues mod the product."""
-    weights = []
-    for p in primes:
-        rest = modulus // p
-        weights.append(rest * pow(rest, -1, p))
-    out = []
-    for column in zip(*residues):
-        c = sum(r * w for r, w in zip(column, weights)) % modulus
-        out.append(c - modulus if 2 * c > modulus else c)
-    return out
+    return blocks
 
 
 def log_series(p: Poly, order: int) -> tuple[Fraction, ...]:

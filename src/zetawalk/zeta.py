@@ -13,7 +13,7 @@ evaluated at the vertex factor line s = 1 + a1 u + a2 u^2, t = b u in
 integers. The Bass form and the Konno-Sato sides multiply by the cocycle
 (1 - u^2)^(m - nu) in integers before the one division. Every function
 here that builds an operator of a graph hands the graph to the kernel
-(`polynomials._det_i_minus_u`, `_scaled_charpoly`), so on a verified
+(`polynomials._charpolys`, `_det_i_minus_u`), so on a verified
 abelian Cayley family of the table `graphs._CAYLEY_GROUPS` (torus, cycle,
 complete graph, hypercube: the group Z_side^d) the determinant comes from
 side^d Fourier blocks; the Bass companion always takes the generic route.
@@ -61,9 +61,12 @@ from .operators import (
 )
 from .polynomials import (
     Poly,
+    _charpolys,
+    _clear_and_bound,
+    _Cleared,
     _det_i_minus_u,
-    _scaled_charpoly,
     _times_one_minus_u_squared,
+    _unscaled,
     log_series,
     trace_powers,
 )
@@ -168,8 +171,7 @@ def grover_zeta_reciprocal(graph: Graph) -> Poly:
     This is the reciprocal of the weighted zeta; its degree is twice the
     edge count.
     """
-    arcs = arc_space(graph)
-    return _det_i_minus_u(grover(graph, arcs), graph)
+    return _reciprocal(*_grover_form(graph))
 
 
 def ihara_reciprocal_edge(graph: Graph) -> Poly:
@@ -181,9 +183,7 @@ def ihara_reciprocal_edge(graph: Graph) -> Poly:
     rejected because their zeta is identically 1 while this determinant
     is not.
     """
-    _reject_tree(graph)
-    arcs = arc_space(graph)
-    return _det_i_minus_u(grover_positive_support(graph, arcs), graph)
+    return _reciprocal(*_edge_form(graph))
 
 
 def ihara_reciprocal_bass(graph: Graph) -> Poly:
@@ -196,9 +196,40 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
     of I - uC is the pencil. C has integer entries, so its scale L is 1 and
     the cocycle multiplies integer coefficients.
     """
+    return _reciprocal(*_bass_form(graph))
+
+
+# The three reciprocals as det(I - uM) (1 - u^2)^e: each form builds M,
+# cleared to integers with its coefficient bound, and gives e and the graph
+# the kernel may take the Fourier route on. The command line sizes a form
+# before it calls `_reciprocal`, so M is built and bounded once per call.
+
+
+def _grover_form(graph: Graph) -> tuple[_Cleared, int, Graph | None]:
+    return _clear_and_bound(grover(graph, arc_space(graph))), 0, graph
+
+
+def _edge_form(graph: Graph) -> tuple[_Cleared, int, Graph | None]:
     _reject_tree(graph)
-    _, coeffs = _scaled_charpoly(_bass_companion(graph))
-    return Poly(_times_one_minus_u_squared(coeffs, graph.num_edges - graph.num_vertices))
+    return _clear_and_bound(grover_positive_support(graph, arc_space(graph))), 0, graph
+
+
+def _bass_form(graph: Graph) -> tuple[_Cleared, int, Graph | None]:
+    _reject_tree(graph)
+    exponent = graph.num_edges - graph.num_vertices
+    return _clear_and_bound(_bass_companion(graph)), exponent, None
+
+
+def _reciprocal(matrix: _Cleared, exponent: int, graph: Graph | None) -> Poly:
+    """det(I - uM) (1 - u^2)^exponent from the kernel's C_k of L*M.
+
+    A nonzero exponent comes only with the integer Bass companion (L = 1),
+    so the cocycle multiplies the integer coefficients.
+    """
+    coeffs = _charpolys([matrix], graph)[0]
+    if exponent:
+        return Poly(_times_one_minus_u_squared(coeffs, exponent))
+    return _unscaled(matrix.scale, coeffs)
 
 
 def _bass_companion(graph: Graph) -> RatMatrix:
@@ -229,8 +260,10 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     or the Laplacian D - A of the route. The kernel runs once per route, on
     M itself: if det(I - xM) = sum_k c_k x^k, then
     det(s I + t M) = sum_k c_k (-t)^k s^(nu-k) for any matrix, so both kinds
-    are read off the same c_k (`_vertex_side`). Trees (m < nu) are
-    rejected before any determinant.
+    are read off the same c_k (`_vertex_side`). All four matrices go to one
+    kernel call, which verifies a Cayley graph's group once and stacks U
+    with U+ and P with D - A. Trees (m < nu) are rejected before any
+    determinant.
     """
     _require_regular(graph, "Konno-Sato factorization")
     q = graph.regular_degree - 1
@@ -242,16 +275,20 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
         )
 
     u_mat = grover(graph, arc_space(graph))
+    matrices = [
+        _clear_and_bound(mat)
+        for mat in (u_mat, positive_support(u_mat), transition(graph), laplacian(graph))
+    ]
+    sides = list(zip(matrices, _charpolys(matrices, graph)))
     left_sides = {
-        "grover": _det_i_minus_u(u_mat, graph),
-        "ihara": _det_i_minus_u(positive_support(u_mat), graph),
+        which: _unscaled(mat.scale, coeffs)
+        for which, (mat, coeffs) in zip(("grover", "ihara"), sides)
     }
     checks = []
-    for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):
-        scale, coeffs = _scaled_charpoly(mat, graph)
+    for route, (mat, coeffs) in zip(("transition", "laplacian"), sides[2:]):
         for which, lhs in left_sides.items():
             factor = vertex_factor_coefficients(q, which, route)
-            rhs = _vertex_side(scale, coeffs, factor, exponent)
+            rhs = _vertex_side(mat.scale, coeffs, factor, exponent)
             tag = f"{which}-{route}"
             checks.append(IdentityCheck(tag=tag, holds=lhs == rhs, lhs=lhs, rhs=rhs))
     return KonnoSatoReport(

@@ -103,6 +103,59 @@ def quadratic_pencil_det(b1: RatMatrix, b2: RatMatrix):
     return det_i_minus_u(RatMatrix(2 * n, 2 * n, entries))
 
 
+def coefficient_bounds(n: int, entries: list[tuple[int, int, int]]) -> list[int]:
+    """Integers B_k >= |c_k| for the coefficients c_k of det(xI - A), k = 0..n.
+
+    A is the n x n integer matrix with the given nonzero entries. The row-sum
+    norm rho bounds every eigenvalue, so |c_k| <= C(n, k) rho^k. Schur's
+    inequality sum |lam|^2 <= ||A||_F^2, the power mean inequality and
+    Maclaurin's inequality give |c_k| <= C(n, k) (||A||_F^2 / n)^(k/2). B_k is
+    the smaller of the two, with the square root rounded up in integers,
+    formed for every k.
+    """
+    row_sums = [0] * n
+    frobenius = 0
+    for i, _, value in entries:
+        row_sums[i] += abs(value)
+        frobenius += value * value
+    rho = max(row_sums)
+    bounds = []
+    # at step k, ceil((||A||_F^2 / n)^k) = ceil(num / den) and rho_k = rho^k
+    num = den = rho_k = 1
+    for k in range(n + 1):
+        mean_power = -(-num // den)
+        root = math.isqrt(mean_power)
+        root += root * root < mean_power
+        bounds.append(math.comb(n, k) * min(rho_k, root))
+        num, den, rho_k = num * frobenius, den * n, rho_k * rho
+    return bounds
+
+
+def product_mod(polys: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The product of the M polynomials polys[q, :] mod p[q], for each row q.
+
+    polys is a (K, M, L) int64 array of coefficient lists in [0, p), lowest
+    degree first, and p a (K, 1) array of primes below 2^31. A schoolbook
+    product tree pairs neighbours until one polynomial is left, with the
+    constant 1 padding a level of odd length; coefficients past the true
+    degree come out 0. Each product is reduced mod p before it is added,
+    and a sum of at most L terms below 2^31 fits in int64.
+    """
+    p3 = p[:, :, None]
+    while polys.shape[1] > 1:
+        k, m, length = polys.shape
+        if m % 2:
+            one = np.zeros((k, 1, length), dtype=np.int64)
+            one[:, :, 0] = 1
+            polys = np.concatenate((polys, one), axis=1)
+        left, right = polys[:, 0::2], polys[:, 1::2]
+        product = np.zeros((k, left.shape[1], 2 * length - 1), dtype=np.int64)
+        for i in range(length):
+            product[:, :, i : i + length] += left[:, :, i, None] * right % p3
+        polys = product % p3
+    return polys[:, 0]
+
+
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """List convolution; inputs and output in ascending degree."""
     if not a or not b:

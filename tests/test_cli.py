@@ -296,6 +296,29 @@ def test_charpoly_refuses_coefficients_too_long_to_print(
     assert "more than 640 digits" in err
 
 
+@pytest.mark.parametrize("matrix, grovers", [("grover", 1), ("positive-support", 1), ("bass", 0)])
+def test_charpoly_builds_clears_and_bounds_its_operator_once(
+    capsys, monkeypatch, k4_path, matrix, grovers
+):
+    # the digit refusal and the reciprocal share one built, cleared and
+    # bounded operator
+    calls = []
+    for module, name in [
+        (zetawalk.zeta, "grover"),
+        (operators, "grover"),
+        (zetawalk.polynomials, "_cleared"),
+        (zetawalk.polynomials, "_coefficient_bound"),
+    ]:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    code, out, err = run_cli(capsys, ["charpoly", "--graph", k4_path, "--matrix", matrix])
+    assert (code, err) == (0, "")
+    assert sorted(calls) == ["_cleared", "_coefficient_bound"] + ["grover"] * grovers
+    assert out == json.dumps(CHOICES["charpoly", matrix](load_graph(k4_path)), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("matrix, n", list(_FIRST_REFUSED.items()))
 def test_charpoly_prints_the_complete_graph_below_the_first_refused(
     capsys, tmp_path, digits_640, matrix, n
@@ -750,10 +773,10 @@ def test_input_errors_are_package_errors_and_exit_2(capsys, tmp_path, k4_path, a
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("boom"), ValueError("boom"), KeyError("boom")])
 def test_internal_errors_are_not_domain_errors(monkeypatch, k4_path, exc):
-    def broken(graph):
+    def broken(*form):
         raise exc
 
-    monkeypatch.setattr(zetawalk.zeta, "grover_zeta_reciprocal", broken)
+    monkeypatch.setattr(zetawalk.zeta, "_reciprocal", broken)
     with pytest.raises(type(exc), match="boom"):
         entrypoint(["charpoly", "--graph", k4_path])
 
@@ -769,9 +792,9 @@ def test_an_internal_error_exits_1_with_a_traceback(k4_path):
     env = _child_env()
     program = (
         "import zetawalk.zeta\n"
-        "def broken(graph):\n"
+        "def broken(*form):\n"
         "    raise ValueError('boom')\n"
-        "zetawalk.zeta.grover_zeta_reciprocal = broken\n"
+        "zetawalk.zeta._reciprocal = broken\n"
         "from zetawalk.cli import main\n"
         "main()\n"
     )

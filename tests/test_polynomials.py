@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    coefficient_bounds,
     dense,
     det_i_minus_t_times,
     gauss_det,
@@ -184,7 +185,7 @@ def test_det_i_minus_u_with_large_entries_needs_many_primes():
 
 def _cleared_bounds(matrix: RatMatrix) -> tuple[int, list[int]]:
     scale, entries = polynomials._cleared(matrix)
-    return scale, polynomials._coefficient_bounds(matrix.rows, entries)
+    return scale, coefficient_bounds(matrix.rows, entries)
 
 
 def _charpoly_coefficients(matrix: RatMatrix) -> list[Fraction]:
@@ -248,6 +249,85 @@ def test_prime_count_from_the_coefficient_bound(graph, operator, count):
     _, bounds = _cleared_bounds(operator(graph, arc_space(graph)))
     primes, modulus = polynomials._primes_above(2 * max(bounds))
     assert len(primes) == count and modulus == math.prod(primes)
+
+
+def _bound_and_oracle(n: int, entries: list[tuple[int, int, int]]) -> tuple[int, int]:
+    return polynomials._coefficient_bound(n, entries), max(coefficient_bounds(n, entries))
+
+
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12)),
+                ),
+                max_size=n * n,
+            ),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_coefficient_bound_is_the_largest_per_k_bound_property(case):
+    n, raw = case
+    entries = sorted({(i, j): v for i, j, v in raw if v}.items())
+    bound, oracle = _bound_and_oracle(n, [(i, j, v) for (i, j), v in entries])
+    assert bound == oracle
+
+
+@pytest.mark.parametrize(
+    "n, entries",
+    [
+        pytest.param(5, [], id="zero"),
+        pytest.param(6, [(0, 1, 1), (3, 3, -1)], id="frobenius-below-n"),
+        pytest.param(4, [(i, i, (-1) ** i) for i in range(4)], id="frobenius-equal-n"),
+        pytest.param(7, [(i, i, 1) for i in range(7)] + [(0, 1, 1)], id="frobenius-n-plus-1"),
+        pytest.param(1, [(0, 0, -5)], id="one-by-one"),
+        pytest.param(8, [(i, i, 3) for i in range(8)], id="scalar"),
+        pytest.param(9, [(i, j, 1) for i in range(9) for j in range(9)], id="all-ones"),
+    ],
+)
+def test_coefficient_bound_in_each_regime_of_the_frobenius_mean(n, entries):
+    bound, oracle = _bound_and_oracle(n, entries)
+    assert bound == oracle
+
+
+def test_coefficient_bound_on_a_grid_of_sizes_and_frobenius_norms():
+    # the bound depends only on n and F = ||A||_F^2; F ones fill the first
+    # F cells, so every F from n + 1 to 6n is met, with the mode of the
+    # walk at every position it takes for these n
+    for n in range(6, 41):
+        for frobenius in range(n + 1, 6 * n + 1):
+            entries = [(cell // n, cell % n, 1) for cell in range(frobenius)]
+            bound, oracle = _bound_and_oracle(n, entries)
+            assert bound == oracle, (n, frobenius)
+
+
+def _circulant_entries(n: int, stencil: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    return sorted((i, (i + s) % n, v) for i in range(n) for s, v in stencil)
+
+
+@pytest.mark.parametrize(
+    "stencil",
+    [
+        # a row of L*U on a 6-regular graph: -2 and five 1s, F / n = 9
+        [(1, -2), (2, 1), (3, 1), (5, 1), (7, 1), (11, 1)],
+        # F = n + 1: the walk from the mode goes far on both sides
+        [(0, 1)],
+    ],
+    ids=["grover-like", "frobenius-n-plus-1"],
+)
+def test_coefficient_bound_at_n_3072_is_the_oracle_maximum(stencil):
+    n = 3072
+    entries = _circulant_entries(n, stencil)
+    if len(stencil) == 1:
+        entries.append((0, 1, 1))
+        entries.sort()
+    bound, oracle = _bound_and_oracle(n, entries)
+    assert bound == oracle
 
 
 P0, P1 = polynomials._prime(0), polynomials._prime(1)

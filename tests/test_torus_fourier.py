@@ -11,7 +11,12 @@ which route ran.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import product_mod
 
 from zetawalk import (
     RatMatrix,
@@ -29,7 +34,7 @@ from zetawalk import (
     torus_graph,
     zeta_series_consistency,
 )
-from zetawalk import graphs, polynomials, zeta
+from zetawalk import graphs, modular, polynomials, zeta
 from zetawalk.operators import grover, grover_positive_support, laplacian, transition
 
 ARC_OPERATORS = {
@@ -55,9 +60,9 @@ def fourier_calls(monkeypatch):
     calls = []
     route = polynomials._fourier_charpolys
 
-    def spy(torus, primes):
-        calls.append(len(torus.coords) * torus.width)
-        return route(torus, primes)
+    def spy(tori, primes):
+        calls.extend(len(torus.coords) * torus.width for torus in tori)
+        return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
     return calls
@@ -277,9 +282,8 @@ def test_konno_sato_report_on_a_cayley_graph_is_that_of_the_generic_kernel(
 def _assert_konno_sato_report_is_that_of_the_generic_kernel(graph, monkeypatch, fourier_calls):
     report = konno_sato_check(graph)
     assert len(fourier_calls) == 4
-    generic = polynomials._scaled_charpoly
-    monkeypatch.setattr(zeta, "_scaled_charpoly", lambda matrix, graph=None: generic(matrix))
-    monkeypatch.setattr(zeta, "_det_i_minus_u", lambda matrix, graph=None: det_i_minus_u(matrix))
+    generic = polynomials._charpolys
+    monkeypatch.setattr(zeta, "_charpolys", lambda matrices, graph=None: generic(matrices))
     assert konno_sato_check(graph) == report
     assert len(fourier_calls) == 4
 
@@ -332,12 +336,142 @@ def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatc
     seen = []
     route = polynomials._fourier_charpolys
 
-    def spy(torus, primes):
-        seen.extend(primes)
-        return route(torus, primes)
+    def spy(tori, primes):
+        seen.extend(primes[0])
+        return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
     polynomials._scaled_charpoly(grover(graph, arc_space(graph)), graph)
     assert seen and all(p % n == 1 for p in seen)
     assert seen == [polynomials._prime(i, n) for i in range(len(seen))]
     assert graphs._cayley_group(graph) == (d, n)
+
+
+def _residues(rng, primes, shape, top=False):
+    """Random residues mod each prime, one prime per leading row, or p - 1 throughout."""
+    p = np.array(primes, dtype=np.int64).reshape((-1,) + (1,) * (len(shape) - 1))
+    if top:
+        return np.broadcast_to(p - 1, shape).copy()
+    return rng.integers(0, 2**62, size=shape, dtype=np.int64) % p
+
+
+# (rows, length, route): each side of the length switch at 32 coefficients
+# and of the 2^16 terms under which short levels stay on the outer product
+SWITCH_CASES = [
+    (1, 32, "outer"),
+    (64, 32, "outer"),
+    (1, 33, "outer"),
+    (60, 33, "outer"),
+    (61, 33, "fft"),
+    (1, 256, "outer"),
+    (1, 257, "fft"),
+    (3, 700, "fft"),
+]
+
+
+@pytest.mark.parametrize("rows, length, route", SWITCH_CASES)
+@pytest.mark.parametrize("top", [False, True], ids=["random", "p-1"])
+def test_each_product_route_matches_the_schoolbook_oracle(rows, length, route, top, monkeypatch):
+    # the primes nearest 2^31 and residues up to p - 1 give the largest sums
+    primes = [polynomials._prime(i) for i in range(rows)]
+    rng = np.random.default_rng(rows * length)
+    polys = _residues(rng, primes, (rows, 2, length), top)
+    p = np.array(primes, dtype=np.int64)[:, None]
+    taken = []
+    for name in ("_outer_mod", "_fft_mod"):
+        real = getattr(modular, name)
+        monkeypatch.setattr(
+            modular, name, lambda a, b, q, name=name, real=real: taken.append(name) or real(a, b, q)
+        )
+    assert (modular._product_mod(polys, p) == product_mod(polys, p)).all()
+    assert taken == [f"_{route}_mod"]
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 9, 33])
+@pytest.mark.parametrize("blocks", [1, 2, 3, 5, 7, 16, 33])
+def test_the_product_tree_matches_the_schoolbook_oracle(blocks, length):
+    # odd counts pad a level with the constant 1; one block is its own product
+    primes = [polynomials._prime(i, 4) for i in range(3)]
+    rng = np.random.default_rng(blocks * 100 + length)
+    polys = _residues(rng, primes, (3, blocks, length))
+    p = np.array(primes, dtype=np.int64)[:, None]
+    product = modular._product_mod(polys, p)
+    assert (product == product_mod(polys, p)).all()
+    if blocks == 1:
+        assert (product == polys[:, 0]).all()
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_product_tree_matches_the_schoolbook_oracle_property(rows, blocks, length, seed):
+    primes = [polynomials._prime(i, 6) for i in range(rows)]
+    rng = np.random.default_rng(seed)
+    polys = _residues(rng, primes, (rows, blocks, length), top=seed % 5 == 0)
+    p = np.array(primes, dtype=np.int64)[:, None]
+    assert (modular._product_mod(polys, p) == product_mod(polys, p)).all()
+
+
+def test_an_fft_product_off_an_integer_raises(monkeypatch):
+    # a convolution further than 1/4 from an integer is refused, not rounded
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
+    primes = [polynomials._prime(0)]
+    polys = _residues(np.random.default_rng(3), primes, (1, 2, 300))
+    with pytest.raises(ArithmeticError):
+        modular._fft_mod(polys[:, 0], polys[:, 1], np.array(primes, dtype=np.int64)[:, None])
+
+
+def test_konno_sato_verifies_the_group_once_and_stacks_each_width(monkeypatch, fourier_calls):
+    counts = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counting(graphs, "build_family")
+    counting(polynomials, "arc_space")
+    counting(polynomials, "_hessenberg_charpolys")
+    counting(polynomials, "_product_mod")
+    assert konno_sato_check(torus_graph(2, 4)).all_hold
+    # one rebuild of the tagged graph and one read of its arcs; U with U+ and
+    # P with D - A, one stack each
+    assert counts == {"build_family": 1, "arc_space": 1, "_hessenberg_charpolys": 2, "_product_mod": 2}
+    assert fourier_calls == [64, 64, 16, 16]
+
+
+def test_a_root_of_unity_is_found_once_per_side_and_prime(monkeypatch):
+    p = polynomials._prime(0, 8)
+    omega = polynomials._root_of_unity(8, p)
+    assert polynomials._ROOTS[8, p] == omega
+    # a cached value is returned without a search
+    monkeypatch.setitem(polynomials._ROOTS, (8, p), -1)
+    assert polynomials._root_of_unity(8, p) == -1
+
+
+@pytest.mark.parametrize("graph", [torus_graph(2, 4), complete_graph(6)], ids=lambda g: g.family)
+def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
+    # a budget of one element makes every (matrix, prime) row its own chunk
+    report = konno_sato_check(graph)
+    calls = []
+    hessenberg = polynomials._hessenberg_charpolys
+    monkeypatch.setattr(polynomials, "_FOURIER_BUDGET", 1)
+    monkeypatch.setattr(
+        polynomials, "_hessenberg_charpolys", lambda a, primes: calls.append(primes) or hessenberg(a, primes)
+    )
+    assert konno_sato_check(graph) == report
+    side = graphs._cayley_group(graph)[1]
+    operators = [*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()]
+    bounds = [polynomials._clear_and_bound(operator(graph)).bound for operator in operators]
+    rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
+    assert len(calls) == rows
+    assert all(primes == primes[:1] * graph.num_vertices for primes in calls)

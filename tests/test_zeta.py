@@ -140,7 +140,7 @@ def test_konno_sato_rejects_a_regular_tree_before_any_determinant(monkeypatch):
         raise AssertionError("no determinant may run on a tree")
 
     monkeypatch.setattr(zeta, "_det_i_minus_u", forbidden)
-    monkeypatch.setattr(zeta, "_scaled_charpoly", forbidden)
+    monkeypatch.setattr(zeta, "_charpolys", forbidden)
     with pytest.raises(TreeGraphError, match="exponent -1"):
         konno_sato_check(graph_from_edges(2, [(0, 1)]))
 
