@@ -204,25 +204,28 @@ def _trace_counts(matrix: RatMatrix, order: int) -> tuple[Fraction, ...]:
     """Tr M^1..Tr M^order, refused before the powers are formed when a count
     could not be printed.
 
-    Each count is T_r / L^r with |T_r| <= B, L and B as `trace_powers`
-    finds them, so every numerator and denominator prints when B and
-    L^order have at most as many digits as CPython converts to a string.
-    Both grow with the order, by a factor of at least 2 per step unless
-    they stay put (L = 1, rho <= 1), so the answer at order 4 * limit,
-    where 2^(4 * limit - 2) > 10^limit, holds for every higher order.
+    Each count is T_r / L^r with |T_r| <= B, L the lcm of the entry
+    denominators and B the trace bound, so every numerator and denominator
+    prints when B and L^order have at most as many digits as CPython
+    converts to a string. Both grow with the order, by a factor of at least
+    2 per step unless they stay put (L = 1, rho <= 1), so the answer at
+    order 4 * limit, where 2^(4 * limit - 2) > 10^limit, holds for every
+    higher order. The matrix is cleared to integers once, for the check
+    and the traces.
     """
     if order < 1:
         raise ZetawalkError("r_max must be at least 1")
+    scale, entries = polynomials._cleared(matrix)
     limit = sys.get_int_max_str_digits()
     if limit:
         checked = min(order, 4 * limit)
-        scale, bound = polynomials._trace_sizes(matrix, checked)
+        bound = polynomials._trace_bound(matrix.rows, entries, checked)
         if max(scale**checked, bound) >= 10**limit:
             raise ZetawalkError(
                 f"cycle counts of order {order} could have more than {limit} digits, "
                 "more than Python converts to a string"
             )
-    return polynomials.trace_powers(matrix, order)
+    return polynomials._traces(matrix.rows, scale, entries, order)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:

@@ -10,48 +10,35 @@ Konno-Sato vertex sides) take the C_k and multiply by the cocycle
 (1 - u^2)^e with `_times_one_minus_u_squared` before they divide; that
 integer pass is the one way the package forms the cocycle. A matrix is
 cleared to integers and bounded once (`_clear_and_bound`), and one call of
-`_charpolys` takes several matrices. The characteristic polynomial of L*M
-is found modulo K 31-bit primes at once, by the residue kernels of
-`modular`. The residues form one (K, n, n)
-int64 stack, which Hessenberg reduction (Cohen, A Course in Computational
-Algebraic Number Theory, GTM 138, section 2.2) brings to upper Hessenberg
-form one column at a time for all primes together. Each step updates only
-the rows and columns whose multiplier is nonzero for some prime. The
-Hessenberg recurrence then runs on the stack as well, and skips the blocks
-that a subdiagonal zero for every prime splits off. The residues are
-combined by the Chinese remainder theorem with symmetric residues (von zur
-Gathen and Gerhard, Modern Computer Algebra, chapter 5). A bound on every
-coefficient fixes the number of primes: the largest of the Frobenius
-bounds C(n, k) (||L*M||_F^2 / n)^(k/2) from the inequalities of Schur, the
-power mean and Maclaurin, rounded up in integers, so the result is exact
-for every input. Only its maximum is formed, by a short walk from the mode
-in k, with a proof that no other k gives more; the row-sum bound is never
-smaller, and is not formed.
+`_charpolys` takes several matrices. The largest of the Frobenius bounds
+C(n, k) (||L*M||_F^2 / n)^(k/2) on the coefficients, from the inequalities
+of Schur, the power mean and Maclaurin, rounded up in integers, fixes the
+number of 31-bit primes, so the result is exact for every input. The
+residue kernels of `modular` find det(xI - L*M) modulo each prime, and the
+residues are combined by the Chinese remainder theorem with symmetric
+residues (von zur Gathen and Gerhard, Modern Computer Algebra, chapter 5).
 
-Callers that hold the graph (`_charpolys`, `_det_i_minus_u`,
-`_scaled_charpoly`) take a second route to the same residues on an abelian
-Cayley family of the table `graphs._CAYLEY_GROUPS`: torus(d, N), cycle(N),
-complete(n) and hypercube(d), the Cayley graphs of Z_side^d for
-(d, side) = (d, N), (1, N), (1, n) and (d, 2). When the graph is verified
-to be that family (`graphs._cayley_group`, once per call) and L*M is
-verified to be translation invariant on its vertices or arcs, with entry
-t_ss'(w - v) from state (v, s) to (w, s'), then modulo a prime
-p = 1 (mod side) with a primitive side-th root of unity omega (found once
-per process for each prime), det(xI - L*M) is the product over k in
+There is one path to the residues. Callers that hold the graph
+(`_charpolys`, `_det_i_minus_u`, `_scaled_charpoly`) hand it down. On an
+abelian Cayley family of the table `graphs._CAYLEY_GROUPS`, the Cayley
+graphs torus(d, N), cycle(N), complete(n) and hypercube(d) of Z_side^d for
+(d, side) = (d, N), (1, N), (1, n) and (d, 2), the graph is verified
+(`graphs._cayley_group`, once per call). If L*M is then translation
+invariant on its vertices or arcs, with entry t_ss'(w - v) from state
+(v, s) to (w, s'), then modulo a prime p = 1 (mod side) with a primitive
+side-th root of unity omega, det(xI - L*M) is the product over k in
 Z_side^d of the characteristic polynomials of the blocks
 sum_z t_ss'(z) omega^(k.z): w x w on the arcs, w = 2m / nu the arcs per
-vertex, and 1 x 1 on the vertices. The side^d blocks of every prime of
-every matrix of one width (U with U+, or P with D - A) go through the
-Hessenberg kernel as one stack, split into chunks of rows only where its
-arrays would pass a fixed budget, and the side^d polynomials of each row
-are multiplied by one product tree. Each level of the tree multiplies all
-its pairs at once: short factors by an outer product read along its
-anti-diagonals through a skewed view, long ones by floating-point FFT on
-11-bit limbs, whose rounding error Percival's bound keeps below 1/4, so
-that the tree takes O(n log^2 n) steps per row where the schoolbook tree
-took O(n^2). The bound and the CRT are those of the generic route. The
-public `det_i_minus_u(matrix)` has no graph and always takes the generic
-route, which is the oracle for the other in the tests.
+vertex, and 1 x 1 on the vertices. Every other matrix, and every one of
+the public `det_i_minus_u(matrix)`, is the one n x n block of the trivial
+group (side 1, omega = 1, `_whole`) and takes the odd primes. The blocks
+of every prime of the Cayley matrices of one width (U with U+, or P with
+D - A), or of one whole matrix, form one int64 stack, run in chunks of
+rows where its arrays would pass a fixed budget. Hessenberg reduction
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+section 2.2) and the Hessenberg recurrence run on the stack, and a product
+tree multiplies the side^d polynomials of each row in O(n log^2 n) steps,
+by outer products for short factors and floating-point FFT for long ones.
 
 Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r, by
 the same multi-modular design. A bound B on every |Tr (L*M)^r| up to r_max,
@@ -257,26 +244,22 @@ def _charpolys(matrices: Sequence[_Cleared], graph: Graph | None = None) -> list
 
     Symmetric residues pin down every C_k once the modulus exceeds 2 |C_k|,
     so each A takes the fewest primes whose product exceeds 2B, and its
-    residues are combined by CRT. They come from the Fourier blocks for
-    every matrix that `_torus_stencil` finds translation invariant on a
-    graph of `graphs._CAYLEY_GROUPS`, and from the whole matrix otherwise.
-    The group is verified, and the states of the graph are read, once per
-    call; the Fourier matrices of one block width go through
-    `_fourier_charpolys` together.
+    residues are combined by CRT. Every A goes through `_fourier_charpolys`,
+    in Fourier blocks when `_torus_stencil` finds it translation invariant
+    on a graph of `graphs._CAYLEY_GROUPS` (verified, with its states read,
+    once per call), and otherwise whole (`_whole`). The Fourier matrices of
+    one width share a stack; a whole matrix has its own, since slices that
+    pivot apart each need their own swaps.
     """
     group = _fourier_group(graph)
     out: list[list[int]] = [[] for _ in matrices]
-    # block width -> (index, stencil, primes, modulus) of each Fourier matrix
-    stacks: dict[int, list[tuple[int, _Torus, list[int], int]]] = {}
+    # stack key -> (index, torus, primes, modulus) of each matrix in the stack
+    stacks: dict[object, list[tuple[int, _Torus, list[int], int]]] = {}
     for index, a in enumerate(matrices):
-        torus = _torus_stencil(group, a.rows, a.entries)
-        if torus is None:
-            primes, modulus = _primes_above(2 * a.bound)
-            residues = _hessenberg_charpolys(_residue_stack(a.rows, a.entries, primes), primes)
-            out[index] = _crt(residues.tolist(), primes, modulus)
-        else:
-            primes, modulus = _primes_above(2 * a.bound, torus.side)
-            stacks.setdefault(torus.width, []).append((index, torus, primes, modulus))
+        torus = _torus_stencil(group, a.rows, a.entries) or _whole(a)
+        primes, modulus = _primes_above(2 * a.bound, torus.side)
+        key = (torus.side, torus.width) if torus.side > 1 else index
+        stacks.setdefault(key, []).append((index, torus, primes, modulus))
     for stack in stacks.values():
         indices, tori, primes, moduli = zip(*stack)
         residues = _fourier_charpolys(list(tori), list(primes))
@@ -351,21 +334,21 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
         raise ZetawalkError("r_max must be non-negative")
     if r_max == 0:
         return ()
-    scale, entries = _cleared(matrix)
-    bound = _trace_bound(matrix.rows, entries, r_max)
+    return _traces(matrix.rows, *_cleared(matrix), r_max)
+
+
+def _traces(
+    n: int, scale: int, entries: list[tuple[int, int, int]], r_max: int
+) -> tuple[Fraction, ...]:
+    """`trace_powers` of the n x n matrix M with L*M = A, from L and the
+    nonzero entries of A (`_cleared`), for r_max >= 1."""
+    bound = _trace_bound(n, entries, r_max)
     if not bound:
         # A = 0, or r_max = 1 and a zero diagonal
         return (Fraction(0),) * r_max
     primes, modulus = _primes_above(2 * bound)
-    traces = _crt(_trace_residues(matrix.rows, entries, primes, r_max), primes, modulus)
+    traces = _crt(_trace_residues(n, entries, primes, r_max), primes, modulus)
     return tuple(Fraction(t, scale**r) for r, t in enumerate(traces, start=1))
-
-
-def _trace_sizes(matrix: RatMatrix, r_max: int) -> tuple[int, int]:
-    """L and the bound B of `trace_powers(matrix, r_max)`: each trace it
-    returns is T_r / L^r for an integer |T_r| <= B."""
-    scale, entries = _cleared(matrix)
-    return scale, _trace_bound(matrix.rows, entries, r_max)
 
 
 def _trace_bound(n: int, entries: list[tuple[int, int, int]], r_max: int) -> int:
@@ -482,20 +465,20 @@ def _cleared(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:
     return scale, [(i, j, num * factors[q]) for (i, j, _), (num, q) in zip(items, ratios)]
 
 
-# n -> the primes = 1 (mod n) below 2^31 found so far, descending
+# lcm(2, n) -> the primes = 1 (mod n) below 2^31 found so far, descending
 _PRIMES: dict[int, list[int]] = {}
 
 
 def _prime(index: int, n: int = 2) -> int:
     """The index-th prime p = 1 (mod n) below 2^31, counting down.
 
-    Each list is found once per process. The default n = 2 gives every odd
-    prime below 2^31; the Fourier route asks for p = 1 (mod N), so that F_p
-    holds the N-th roots of unity. Candidates step by lcm(2, n), so all are
-    odd.
+    Each list is found once per process. The default n = 2, and n = 1, give
+    every odd prime below 2^31; the Fourier route asks for p = 1 (mod N), so
+    that F_p holds the N-th roots of unity. Candidates step by lcm(2, n), so
+    all are odd, and each list is kept under its step.
     """
-    found = _PRIMES.setdefault(n, [])
     step = math.lcm(2, n)
+    found = _PRIMES.setdefault(step, [])
     candidate = found[-1] - step if found else (2**31 - 2) // step * step + 1
     while len(found) <= index:
         if _is_prime(candidate):
@@ -554,16 +537,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _residue_stack(n: int, entries: list[tuple[int, int, int]], primes: list[int]) -> np.ndarray:
-    """The (K, n, n) int64 residues mod each of the K primes of the n x n
-    integer matrix with the given nonzero entries."""
-    a = np.zeros((len(primes), n, n), dtype=np.int64)
-    rows = [i for i, _, _ in entries]
-    cols = [j for _, j, _ in entries]
-    a[:, rows, cols] = [[value % p for _, _, value in entries] for p in primes]
-    return a
-
-
 class _Group(NamedTuple):
     """A graph verified to be the Cayley graph of Z_side^d (`graphs._cayley_group`).
 
@@ -582,7 +555,7 @@ class _Group(NamedTuple):
 
 
 def _fourier_group(graph: Graph | None) -> _Group | None:
-    """The group and the states of the graph, or None for the generic route."""
+    """The group and the states of the graph, or None when it is not verified."""
     group = _cayley_group(graph) if graph is not None else None
     if group is None:
         return None
@@ -605,8 +578,9 @@ class _Torus(NamedTuple):
 
     Its states are pairs (vertex v, direction s), `width` directions per
     vertex, and its entry from (v, s) to (w, s') is t_ss'(w - v). `stencil`
-    lists the nonzero t_ss'(z) as (s, s', z, t), z the flat index of the
-    step; `coords[v]` are the d coordinates of the vertex with flat index v.
+    lists the nonzero t_ss'(z) as (s, s', z, t), sorted by (s, s'), z the
+    flat index of the step; `coords[v]` are the d coordinates of the vertex
+    with flat index v.
     """
 
     side: int
@@ -626,7 +600,7 @@ def _torus_stencil(
     states at vertex 0; every nonzero entry, from (v, s) to (w, s'), must
     then be t_ss'(w - v), and there must be side^d entries per stencil
     entry, so that none is missing. Both checks are O(nnz). Otherwise the
-    answer is None, and the generic kernel runs.
+    answer is None, and the matrix is taken whole.
     """
     if group is None or n not in group.states:
         return None
@@ -644,8 +618,17 @@ def _torus_stencil(
         return None
     if any(stencil.get(key) != value for key, value in zip(keys, values)):
         return None
-    table = [(key // nu // width, key // nu % width, key % nu, t) for key, t in stencil.items()]
+    table = [
+        (key // nu // width, key // nu % width, key % nu, t) for key, t in sorted(stencil.items())
+    ]
     return _Torus(side, coords, width, table)
+
+
+def _whole(a: _Cleared) -> _Torus:
+    """The n x n matrix A as the one block of the trivial group: side 1, one
+    vertex with no coordinates, n directions, and t_ij(0) = A[i][j]."""
+    stencil = [(i, j, 0, value) for i, j, value in a.entries]
+    return _Torus(1, np.zeros((1, 0), dtype=np.int64), a.rows, stencil)
 
 
 # about the most elements an array of one chunk of `_fourier_charpolys` holds
@@ -660,23 +643,25 @@ def _fourier_charpolys(tori: list[_Torus], primes: list[list[int]]) -> list[np.n
     unity mod p (-1 for side 2), the vectors f(w, s') = omega^(k.w) a_s' for
     k in Z_side^d span F_p^n, and T maps those of one k among themselves
     through the width x width block T^(k)_ss' = sum_z t_ss'(z) omega^(k.z).
-    So det(xI - T) is the product over k of det(xI - T^(k)) mod p. The
+    So det(xI - T) is the product over k of det(xI - T^(k)) mod p. On the
+    trivial group (side 1, omega = 1) the one block is T itself. The
     blocks of every (matrix, prime) row form one stack for
     `_hessenberg_charpolys`, and `_product_mod` multiplies the side^d block
     polynomials of each row. A stack whose arrays would pass
     `_FOURIER_BUDGET` elements runs in chunks of rows, so memory stays
-    bounded. The coefficients come in the layout of the generic kernel:
-    c_0..c_n, with c_k on x^(n-k), which is also the coefficient of u^k in
-    det(I - uT); the block polynomials are multiplied in that reading, where
-    1 is (1, 0, ..., 0). Row q of the (K, n + 1) int64 result of a matrix is
-    for its prime q.
+    bounded. The coefficients come as c_0..c_n, with c_k on x^(n-k), which
+    is also the coefficient of u^k in det(I - uT); the block polynomials
+    are multiplied in that reading, where 1 is (1, 0, ..., 0). Row q of the
+    (K, n + 1) int64 result of a matrix is for its prime q.
     """
     _, coords, width, _ = tori[0]
     nu = len(coords)
     rows = [(t, p) for t, row_primes in enumerate(primes) for p in row_primes]
-    # a row takes nu w^2 elements in its blocks, fewer than 64 nu w in an
-    # outer product of its tree and about 16 nu w in an FFT level
-    chunk = max(1, _FOURIER_BUDGET // (nu * width * max(width, 64)))
+    # a row takes nu w^2 elements in its blocks, nu E in the terms of its E
+    # stencil entries, fewer than 64 nu w in an outer product of its tree
+    # and about 16 nu w in an FFT level
+    per_vertex = max(width * max(width, 64), *(len(torus.stencil) for torus in tori))
+    chunk = max(1, _FOURIER_BUDGET // (nu * per_vertex))
     residues = np.empty((len(rows), nu * width + 1), dtype=np.int64)
     for start in range(0, len(rows), chunk):
         part = rows[start : start + chunk]
@@ -697,7 +682,13 @@ def _fourier_charpolys(tori: list[_Torus], primes: list[list[int]]) -> list[np.n
 
 
 def _fourier_blocks(torus: _Torus, primes: list[int]) -> np.ndarray:
-    """The (K, side^d, w, w) int64 blocks T^(k) of the matrix mod each of K primes."""
+    """The (K, side^d, w, w) int64 blocks T^(k) of the matrix mod each of K primes.
+
+    The terms t_ss'(z) omega^(k.z) of the E stencil entries form one
+    (K, side^d, E) array, in which the terms of one block entry (s, s') are
+    a run, and `np.add.reduceat` sums each run: at most side^d residues
+    below 2^31.
+    """
     side, coords, width, stencil = torus
     p = np.array(primes, dtype=np.int64)[:, None]
     # omega^e mod p for e = 0..side-1, one row per prime
@@ -705,14 +696,19 @@ def _fourier_blocks(torus: _Torus, primes: list[int]) -> np.ndarray:
     roots = np.array([_root_of_unity(side, q) for q in primes], dtype=np.int64)
     for e in range(1, side):
         powers[:, e] = powers[:, e - 1] * roots % p[:, 0]
+    keys = np.array([s * width + s2 for s, s2, _, _ in stencil], dtype=np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
+    residues = np.array([[t % q for _, _, _, t in stencil] for q in primes], dtype=np.int64)
     # k.z mod side for each k and each stencil step z
     phases = coords @ coords[[z for _, _, z, _ in stencil]].T % side
-    blocks = np.zeros((len(primes), len(coords), width, width), dtype=np.int64)
-    for e, (s, s2, _, value) in enumerate(stencil):
-        residues = np.array([value % q for q in primes], dtype=np.int64)[:, None]
-        blocks[:, :, s, s2] += residues * powers[:, phases[:, e]] % p
-    blocks %= p[:, :, None, None]
-    return blocks
+    terms = powers[:, phases]
+    terms *= residues[:, None, :]
+    terms %= p[:, :, None]
+    terms = np.add.reduceat(terms, starts, axis=2)
+    terms %= p[:, :, None]
+    blocks = np.zeros((len(primes), len(coords), width * width), dtype=np.int64)
+    blocks[:, :, keys[starts]] = terms
+    return blocks.reshape(len(primes), len(coords), width, width)
 
 
 def log_series(p: Poly, order: int) -> tuple[Fraction, ...]:

@@ -16,10 +16,10 @@ here that builds an operator of a graph hands the graph to the kernel
 (`polynomials._charpolys`, `_det_i_minus_u`), so on a verified
 abelian Cayley family of the table `graphs._CAYLEY_GROUPS` (torus, cycle,
 complete graph, hypercube: the group Z_side^d) the determinant comes from
-side^d Fourier blocks; the Bass companion always takes the generic route.
-No Konno-Sato formula enters either route, so on such a graph the check
-still compares the arc determinant with a vertex side computed apart from
-it. Cycle counts are
+side^d Fourier blocks; every other matrix, the Bass companion among them,
+is the one block of the trivial group. No Konno-Sato formula enters the
+kernel, so on such a graph the check still compares the arc determinant
+with a vertex side computed apart from it. Cycle counts are
 exact traces of operator powers (`polynomials.trace_powers`, pairings of
 the powers of the cleared matrix up to half the order, modulo primes
 chosen from a bound on every trace and combined by CRT), with an

@@ -10,7 +10,8 @@ test beyond the vertex factor line and the prefactor. The one exception is
 right sides took before they were read off the vertex characteristic
 polynomial; it runs the package kernel on a different matrix. It also
 builds the Frucht graph, which a false vertex_transitive flag cannot pass
-off as vertex-transitive.
+off as vertex-transitive. `residue_stack` is the whole matrix mod each
+prime, the stack that the kernel's trivial-group block must reproduce.
 """
 
 from __future__ import annotations
@@ -129,6 +130,16 @@ def coefficient_bounds(n: int, entries: list[tuple[int, int, int]]) -> list[int]
         bounds.append(math.comb(n, k) * min(rho_k, root))
         num, den, rho_k = num * frobenius, den * n, rho_k * rho
     return bounds
+
+
+def residue_stack(n: int, entries: list[tuple[int, int, int]], primes: list[int]) -> np.ndarray:
+    """The (K, n, n) int64 residues mod each of the K primes of the n x n
+    integer matrix with the given nonzero entries."""
+    a = np.zeros((len(primes), n, n), dtype=np.int64)
+    rows = [i for i, _, _ in entries]
+    cols = [j for _, j, _ in entries]
+    a[:, rows, cols] = [[value % p for _, _, value in entries] for p in primes]
+    return a
 
 
 def product_mod(polys: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -319,6 +319,21 @@ def test_charpoly_builds_clears_and_bounds_its_operator_once(
     assert out == json.dumps(CHOICES["charpoly", matrix](load_graph(k4_path)), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("which", ["grover", "ihara"])
+def test_series_clears_its_operator_once(capsys, monkeypatch, k4_path, which):
+    # the digit refusal and the traces share one cleared operator
+    calls = []
+    cleared = zetawalk.polynomials._cleared
+    monkeypatch.setattr(
+        zetawalk.polynomials, "_cleared", lambda matrix: calls.append(matrix) or cleared(matrix)
+    )
+    argv = ["series", "--graph", k4_path, "--which", which, "--order", "5", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+    assert out == json.dumps(CHOICES["series", which](load_graph(k4_path)), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("matrix, n", list(_FIRST_REFUSED.items()))
 def test_charpoly_prints_the_complete_graph_below_the_first_refused(
     capsys, tmp_path, digits_640, matrix, n
@@ -376,7 +391,7 @@ def test_series_digit_check_is_exact_where_the_bound_is_attained():
 def test_series_digit_check_passes_counts_that_stay_small_at_any_order(monkeypatch):
     # U+ of a cycle is a permutation: L = 1 and rho = 1, so every count is
     # 0 or 2N, and no order is refused
-    monkeypatch.setattr(zetawalk.polynomials, "trace_powers", lambda matrix, order: "formed")
+    monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda n, scale, entries, order: "formed")
     g = zetawalk.cycle_graph(5)
     assert cli._trace_counts(operators.grover_positive_support(g, arc_space(g)), 10**9) == "formed"
 

@@ -3,12 +3,14 @@
 On torus(d, N), cycle(N), complete(n) and hypercube(d), the Cayley graphs of
 Z_N^d, Z_N, Z_n and Z_2^d, every walk operator is translation invariant,
 and its characteristic polynomial mod a prime p = 1 (mod side) is the
-product of small Fourier blocks. The generic Hessenberg kernel on the whole
-matrix is the oracle here; a spy on `polynomials._fourier_charpolys` tells
+product of small Fourier blocks. The same kernel on the whole matrix, the
+one block of the trivial group Z_1^0, is the oracle here; a spy on
+`polynomials._fourier_charpolys` that counts only groups of side > 1 tells
 which route ran.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import product_mod
+from helpers import product_mod, residue_stack
 
 from zetawalk import (
     RatMatrix,
@@ -56,12 +58,13 @@ CAYLEY_GRAPHS = (
 
 @pytest.fixture
 def fourier_calls(monkeypatch):
-    """The sizes of the matrices that took the Fourier route, in call order."""
+    """The sizes of the matrices that took the Fourier route of a group of
+    side > 1, in call order; a whole matrix has side 1."""
     calls = []
     route = polynomials._fourier_charpolys
 
     def spy(tori, primes):
-        calls.extend(len(torus.coords) * torus.width for torus in tori)
+        calls.extend(len(torus.coords) * torus.width for torus in tori if torus.side > 1)
         return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
@@ -247,6 +250,38 @@ def test_a_torus_operator_with_one_perturbed_entry_takes_the_generic_route(
     assert det_i_minus_u(matrix) != det_i_minus_u(original)
 
 
+def _random_entries(rng, n, density, low, high):
+    """Sorted nonzero (i, j, value) of an n x n matrix with values drawn from [low, high)."""
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < density:
+                value = rng.randrange(low, high)
+                if value:
+                    entries.append((i, j, value))
+    return entries
+
+
+@pytest.mark.parametrize(
+    "n, density, low, high",
+    [
+        pytest.param(7, 0.5, -9, 10, id="random"),
+        pytest.param(12, 0.9, -(2**40), 2**40, id="dense"),
+        pytest.param(5, 0.0, 0, 1, id="empty"),
+        pytest.param(6, 0.6, -(2**30), 0, id="negative"),
+        pytest.param(6, 0.6, 2**63, 2**70, id="above-2^63"),
+        pytest.param(4, 0.7, -(2**80), 2**80, id="wide"),
+    ],
+)
+def test_a_whole_matrix_is_its_own_block_mod_each_prime(n, density, low, high):
+    entries = _random_entries(random.Random(f"{n}-{low}"), n, density, low, high)
+    a = polynomials._Cleared(n, 1, entries, 1)
+    primes = [polynomials._prime(i, 1) for i in range(3)]
+    blocks = polynomials._fourier_blocks(polynomials._whole(a), primes)
+    assert blocks.shape == (3, 1, n, n) and blocks.dtype == np.int64
+    assert (blocks[:, 0] == residue_stack(n, entries, primes)).all()
+
+
 def test_the_bass_companion_stays_on_the_generic_route(fourier_calls):
     graph = torus_graph(1, 5)
     ihara_reciprocal_bass(graph)
@@ -305,6 +340,16 @@ def test_primes_one_mod_n_count_down_from_2_to_the_31(n):
     )
 
 
+@pytest.mark.parametrize("odd", [1, 3, 5])
+def test_an_odd_side_and_its_double_share_one_list_of_primes(odd):
+    # every prime is odd, so p = 1 (mod n) and p = 1 (mod 2n) agree for odd n;
+    # the trivial group of a whole matrix (n = 1) takes the default odd primes
+    primes = [polynomials._prime(i, odd) for i in range(5)]
+    assert primes == [polynomials._prime(i, 2 * odd) for i in range(5)]
+    assert odd not in polynomials._PRIMES
+    assert polynomials._PRIMES[2 * odd][:5] == primes
+
+
 def test_the_default_primes_are_the_odd_primes_counting_down():
     primes = [polynomials._prime(i) for i in range(3)]
     assert primes[0] == 2**31 - 1
@@ -337,7 +382,8 @@ def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatc
     route = polynomials._fourier_charpolys
 
     def spy(tori, primes):
-        seen.extend(primes[0])
+        if tori[0].side > 1:
+            seen.extend(primes[0])
         return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
@@ -458,9 +504,14 @@ def test_a_root_of_unity_is_found_once_per_side_and_prime(monkeypatch):
     assert polynomials._root_of_unity(8, p) == -1
 
 
-@pytest.mark.parametrize("graph", [torus_graph(2, 4), complete_graph(6)], ids=lambda g: g.family)
+@pytest.mark.parametrize(
+    "graph",
+    [torus_graph(2, 4), complete_graph(6), petersen_graph(), _relabelled(torus_graph(2, 4), None)],
+    ids=lambda g: g.family or "untagged-torus(2,4)",
+)
 def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
-    # a budget of one element makes every (matrix, prime) row its own chunk
+    # a budget of one element makes every (matrix, prime) row its own chunk;
+    # off the Fourier route, a row is one whole matrix mod one prime
     report = konno_sato_check(graph)
     calls = []
     hessenberg = polynomials._hessenberg_charpolys
@@ -469,9 +520,10 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
         polynomials, "_hessenberg_charpolys", lambda a, primes: calls.append(primes) or hessenberg(a, primes)
     )
     assert konno_sato_check(graph) == report
-    side = graphs._cayley_group(graph)[1]
+    group = graphs._cayley_group(graph)
+    side, blocks = (group[1], graph.num_vertices) if group else (1, 1)
     operators = [*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()]
     bounds = [polynomials._clear_and_bound(operator(graph)).bound for operator in operators]
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
     assert len(calls) == rows
-    assert all(primes == primes[:1] * graph.num_vertices for primes in calls)
+    assert all(primes == primes[:1] * blocks for primes in calls)
