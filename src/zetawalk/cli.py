@@ -191,18 +191,22 @@ def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
 
 
 # --which -> the cycle counts N_1..N_order of a graph: the trace powers of
-# an arc operator of _OPERATORS, or a brute-force oracle
+# an arc operator of _OPERATORS, on the graph's Fourier route, or a
+# brute-force oracle
 _SERIES = {
-    "grover": lambda g, order: _trace_counts(_OPERATORS["grover"](g), order),
-    "ihara": lambda g, order: _trace_counts(_OPERATORS["positive-support"](g), order),
+    "grover": lambda g, order: _trace_counts(_OPERATORS["grover"](g), order, g),
+    "ihara": lambda g, order: _trace_counts(_OPERATORS["positive-support"](g), order, g),
     "oracle-weighted": lambda g, order: zeta.cycle_oracle(g, order, "weighted").counts,
     "oracle-reduced": lambda g, order: zeta.cycle_oracle(g, order, "reduced").counts,
 }
 
 
-def _trace_counts(matrix: RatMatrix, order: int) -> tuple[Fraction, ...]:
-    """Tr M^1..Tr M^order, refused before the powers are formed when a count
-    could not be printed.
+def _trace_counts(
+    matrix: RatMatrix, order: int, graph: graphs.Graph | None = None
+) -> tuple[Fraction, ...]:
+    """Tr M^1..Tr M^order for order >= 1, on the Fourier route when M is a
+    torus operator of graph, refused before the powers are formed when a
+    count could not be printed.
 
     Each count is T_r / L^r with |T_r| <= B, L the lcm of the entry
     denominators and B the trace bound, so every numerator and denominator
@@ -213,8 +217,6 @@ def _trace_counts(matrix: RatMatrix, order: int) -> tuple[Fraction, ...]:
     higher order. The matrix is cleared to integers once, for the check
     and the traces.
     """
-    if order < 1:
-        raise ZetawalkError("r_max must be at least 1")
     scale, entries = polynomials._cleared(matrix)
     limit = sys.get_int_max_str_digits()
     if limit:
@@ -225,10 +227,12 @@ def _trace_counts(matrix: RatMatrix, order: int) -> tuple[Fraction, ...]:
                 f"cycle counts of order {order} could have more than {limit} digits, "
                 "more than Python converts to a string"
             )
-    return polynomials._traces(matrix.rows, scale, entries, order)
+    return polynomials._traces(matrix.rows, scale, entries, order, graph)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    if args.order < 1:
+        raise ZetawalkError(f"--order must be at least 1, got {args.order}")
     counts = _SERIES[args.which](graphs.load_graph(args.graph), args.order)
     if args.json:
         _emit({"N": [str(c) for c in counts]})

@@ -40,14 +40,21 @@ section 2.2) and the Hessenberg recurrence run on the stack, and a product
 tree multiplies the side^d polynomials of each row in O(n log^2 n) steps,
 by outer products for short factors and floating-point FFT for long ones.
 
-Every trace Tr M^r is computed by `trace_powers` as Tr (L*M)^r / L^r, by
-the same multi-modular design. A bound B on every |Tr (L*M)^r| up to r_max,
-rho^(r-2) ||L*M||_F^2 from the row-sum norm rho and Schur's inequality,
-fixes the primes. The powers of L*M up to ceil(r_max / 2) form one
-(K, n, n) int64 residue stack, each product a sum of gathers of rows,
-one per slot of the widest row of L*M. Each higher trace is read as a
-pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them, and the traces
-are combined by CRT.
+Every trace Tr M^r is computed by `_traces` as Tr (L*M)^r / L^r, by the
+same multi-modular design and on the same route. A bound B on every
+|Tr (L*M)^r| up to r_max, rho^(r-2) ||L*M||_F^2 from the row-sum norm rho
+and Schur's inequality, fixes the primes, p = 1 (mod side). The Fourier
+transform is a similarity over F_p, so Tr (L*M)^r mod p is the sum of the
+traces of the r-th powers of the side^d blocks, and a whole matrix is its
+one block. The powers of the blocks up to ceil(r_max / 2) form one
+(K, side^d, w, w) int64 residue stack, each product a sum of gathers of
+block rows, one per slot of the widest block row. Each higher trace is read
+as a pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them, summed over
+the blocks, and the traces are combined by CRT. Callers that hold the
+graph (`zeta.weighted_cycle_counts`, `reduced_cycle_counts` and the CLI's
+`series`) hand it down; the public `trace_powers(matrix)` and the trace
+side of `zeta.zeta_series_consistency` take the matrix whole, so in that
+check the Fourier blocks enter only the determinant.
 
 `log_series` expands log(1/p) for p(0) = 1 by Newton's identities, one
 recurrence over the coefficients of p; for p = det(I - uM) its
@@ -256,7 +263,7 @@ def _charpolys(matrices: Sequence[_Cleared], graph: Graph | None = None) -> list
     # stack key -> (index, torus, primes, modulus) of each matrix in the stack
     stacks: dict[object, list[tuple[int, _Torus, list[int], int]]] = {}
     for index, a in enumerate(matrices):
-        torus = _torus_stencil(group, a.rows, a.entries) or _whole(a)
+        torus = _torus_stencil(group, a.rows, a.entries) or _whole(a.rows, a.entries)
         primes, modulus = _primes_above(2 * a.bound, torus.side)
         key = (torus.side, torus.width) if torus.side > 1 else index
         stacks.setdefault(key, []).append((index, torus, primes, modulus))
@@ -328,26 +335,46 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
     Independent of `det_i_minus_u` and `log_series`, which give the same
     numbers through Newton's identities.
     """
+    return _trace_powers(matrix, r_max)
+
+
+def _trace_powers(
+    matrix: RatMatrix, r_max: int, graph: Graph | None = None
+) -> tuple[Fraction, ...]:
+    """`trace_powers`, on the Fourier route when M is a torus operator of graph."""
     if matrix.rows != matrix.cols:
         raise ZetawalkError("trace powers require a square matrix")
     if r_max < 0:
         raise ZetawalkError("r_max must be non-negative")
     if r_max == 0:
         return ()
-    return _traces(matrix.rows, *_cleared(matrix), r_max)
+    return _traces(matrix.rows, *_cleared(matrix), r_max, graph)
 
 
 def _traces(
-    n: int, scale: int, entries: list[tuple[int, int, int]], r_max: int
+    n: int,
+    scale: int,
+    entries: list[tuple[int, int, int]],
+    r_max: int,
+    graph: Graph | None = None,
 ) -> tuple[Fraction, ...]:
     """`trace_powers` of the n x n matrix M with L*M = A, from L and the
-    nonzero entries of A (`_cleared`), for r_max >= 1."""
+    nonzero entries of A (`_cleared`), for r_max >= 1.
+
+    As in `_charpolys`, A goes block by block when `_torus_stencil` finds it
+    translation invariant on a verified group of the graph, and otherwise
+    whole (`_whole`), with the primes p = 1 (mod side) of its group. The
+    Fourier transform is a similarity over F_p, so Tr A^r mod p is the sum
+    of the traces of the r-th powers of the blocks, and after CRT every
+    trace is the same on both routes.
+    """
     bound = _trace_bound(n, entries, r_max)
     if not bound:
         # A = 0, or r_max = 1 and a zero diagonal
         return (Fraction(0),) * r_max
-    primes, modulus = _primes_above(2 * bound)
-    traces = _crt(_trace_residues(n, entries, primes, r_max), primes, modulus)
+    torus = _torus_stencil(_fourier_group(graph), n, entries) or _whole(n, entries)
+    primes, modulus = _primes_above(2 * bound, torus.side)
+    traces = _crt(_trace_residues(torus, primes, r_max), primes, modulus)
     return tuple(Fraction(t, scale**r) for r, t in enumerate(traces, start=1))
 
 
@@ -378,75 +405,85 @@ def _trace_bound(n: int, entries: list[tuple[int, int, int]], r_max: int) -> int
 _INT64_MAX = 2**63 - 1
 
 
-def _trace_residues(
-    n: int, entries: list[tuple[int, int, int]], primes: list[int], r_max: int
-) -> list[list[int]]:
-    """Tr A^1..Tr A^r_max mod each prime, A the n x n integer matrix with the
-    given nonzero entries; row k of the result is for primes[k].
+def _trace_residues(torus: _Torus, primes: list[int], r_max: int) -> list[list[int]]:
+    """Tr T^1..Tr T^r_max mod each prime p = 1 (mod side), T the matrix of
+    the stencil; row q of the result is for primes[q].
 
-    Only the powers P_a = A^a with a <= ceil(r_max / 2) are formed, as one
-    (K, n, n) int64 stack of residues in [0, p) for the K primes. Since
-    Tr (X Y) = sum_ij X[i][j] Y[j][i], Tr A^(2a-1) is the pairing of P_(a-1)
-    with P_a and Tr A^(2a) the pairing of P_a with itself. A is held as its
-    rows padded to the widest, w: slot t of row i holds one nonzero A[i][c]
-    as a symmetric residue, or 0 with c = 0. The product P_a = A P_(a-1) is
-    then w gathers of rows of P_(a-1), each scaled by one slot and added up.
-    The sum is reduced mod p only when its running bound would pass
-    2^63 - 1: once per product on a walk operator, whose entries are small,
-    and every few slots when they are near p / 2. Three stacks are alive at
-    a time.
+    T is held as its side^d Fourier blocks T^(k) (`_fourier_sums`), w x w
+    with w = `torus.width`; on the trivial group the one block is T. Only
+    the powers P_a = T^a with a <= ceil(r_max / 2) are formed, block by
+    block, as one (K, side^d, w, w) int64 stack of residues in [0, p) for
+    the K primes. Since Tr (X Y) = sum_ij X[i][j] Y[j][i], summed over the
+    blocks, Tr T^(2a-1) is the pairing of P_(a-1) with P_a and Tr T^(2a)
+    the pairing of P_a with itself. The entries (s, s') of a block that the
+    stencil reaches are the same for every k, so each block row is padded
+    to the widest: slot t of row s holds one of them, with column cols[t][s]
+    and the block's entry as a symmetric residue, or 0 with column 0. The
+    product P_a = T P_(a-1) is then one gather of block rows of P_(a-1) per
+    slot, each scaled by its slot and added up. The sum is reduced mod p
+    only when its running bound would pass 2^63 - 1: once per product on a
+    whole walk operator, whose entries are small, and every few slots when
+    they are near p / 2, as Fourier blocks of a side above 2 are. Three
+    stacks are alive at a time.
     """
-    count = len(primes)
+    _, coords, width, _ = torus
+    count, nu = len(primes), len(coords)
     p1 = np.array(primes, dtype=np.int64)[:, None]
-    p2 = p1[:, :, None]
-    rows = np.array([i for i, _, _ in entries], dtype=np.int64)
-    slots = np.arange(len(entries)) - np.searchsorted(rows, np.arange(n))[rows]
-    width = int(slots.max()) + 1
-    cols = np.zeros((width, n), dtype=np.int64)
-    cols[slots, rows] = [j for _, j, _ in entries]
-    residues = np.array([[value % p for _, _, value in entries] for p in primes], dtype=np.int64)
-    residues -= np.where(2 * residues > p1, p1, 0)
-    weights = np.zeros((width, count, n, 1), dtype=np.int64)
-    weights[slots, :, rows, 0] = residues.T
+    p3 = p1[:, :, None]
+    p4 = p3[:, :, :, None]
+    keys, sums = _fourier_sums(torus, primes)
+    sums -= np.where(2 * sums > p3, p3, 0)
+    rows = keys // width
+    slots = np.arange(len(keys)) - np.searchsorted(rows, np.arange(width))[rows]
+    depth = int(slots.max()) + 1
+    cols = np.zeros((depth, width), dtype=np.int64)
+    cols[slots, rows] = keys % width
+    weights = np.zeros((depth, count, nu, width, 1), dtype=np.int64)
+    weights[slots, :, :, rows, 0] = sums.transpose(2, 0, 1)
     # |weight * residue| per slot, with the residues of P in [0, p)
     top = max(primes) - 1
-    term_bounds = [int(b) * top for b in np.abs(weights).max(axis=(1, 2, 3))]
-    power = np.zeros((count, n, n), dtype=np.int64)
-    power[:, np.arange(n), np.arange(n)] = 1
+    term_bounds = [int(b) * top for b in np.abs(weights).max(axis=(1, 2, 3, 4))]
+    power = np.zeros((count, nu, width, width), dtype=np.int64)
+    power[:, :, np.arange(width), np.arange(width)] = 1
     spare = np.empty_like(power)
     gathered = np.empty_like(power)
-    sums = np.zeros((count, r_max), dtype=np.int64)
+    traces = np.zeros((count, r_max), dtype=np.int64)
     for a in range(1, (r_max + 1) // 2 + 1):
         previous, power = power, spare
-        np.take(previous, cols[0], axis=1, out=power, mode="clip")
+        np.take(previous, cols[0], axis=2, out=power, mode="clip")
         power *= weights[0]
         running = term_bounds[0]
-        for t in range(1, width):
+        for t in range(1, depth):
             if running + term_bounds[t] > _INT64_MAX:
-                power %= p2
+                power %= p4
                 running = top
-            np.take(previous, cols[t], axis=1, out=gathered, mode="clip")
+            np.take(previous, cols[t], axis=2, out=gathered, mode="clip")
             gathered *= weights[t]
             power += gathered
             running += term_bounds[t]
-        power %= p2
+        power %= p4
         spare = previous
-        sums[:, 2 * a - 2] = _pairing_mod(previous, power, p1, gathered)
+        traces[:, 2 * a - 2] = _pairing_mod(previous, power, p1, gathered)
         if 2 * a <= r_max:
-            sums[:, 2 * a - 1] = _pairing_mod(power, power, p1, gathered)
-    return sums.tolist()
+            traces[:, 2 * a - 1] = _pairing_mod(power, power, p1, gathered)
+    return traces.tolist()
 
 
 def _pairing_mod(x: np.ndarray, y: np.ndarray, p1: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Tr (X Y) = sum_ij X[i][j] Y[j][i] mod p for (K, n, n) stacks of residues in [0, p).
+    """The sum over the blocks b of Tr (X_b Y_b) mod p, with
+    Tr (X Y) = sum_ij X[i][j] Y[j][i], for (K, B, w, w) stacks of B blocks
+    of residues in [0, p).
 
     p1 holds the K primes as a (K, 1) array and `out` is a stack to write
     the products in. Each product is reduced before it is added, and each
-    sum of n residues before the next sum, so int64 cannot overflow.
+    sum of w residues before the B w sums of a prime are added, so int64
+    cannot overflow.
     """
-    np.multiply(x, y.transpose(0, 2, 1), out=out)
-    out %= p1[:, :, None]
-    return (out.sum(axis=2) % p1).sum(axis=1) % p1[:, 0]
+    np.multiply(x, y.swapaxes(2, 3), out=out)
+    # the rows of every block, one after another
+    rows = out.reshape(len(out), -1, out.shape[3])
+    rows %= p1[:, :, None]
+    return (rows.sum(axis=2) % p1).sum(axis=1) % p1[:, 0]
 
 
 def _cleared(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:
@@ -616,7 +653,7 @@ def _torus_stencil(
     stencil = {key: value for key, value, v in zip(keys, values, origins.tolist()) if v == 0}
     if len(entries) != nu * len(stencil):
         return None
-    if any(stencil.get(key) != value for key, value in zip(keys, values)):
+    if list(map(stencil.get, keys)) != values:
         return None
     table = [
         (key // nu // width, key // nu % width, key % nu, t) for key, t in sorted(stencil.items())
@@ -624,11 +661,12 @@ def _torus_stencil(
     return _Torus(side, coords, width, table)
 
 
-def _whole(a: _Cleared) -> _Torus:
-    """The n x n matrix A as the one block of the trivial group: side 1, one
-    vertex with no coordinates, n directions, and t_ij(0) = A[i][j]."""
-    stencil = [(i, j, 0, value) for i, j, value in a.entries]
-    return _Torus(1, np.zeros((1, 0), dtype=np.int64), a.rows, stencil)
+def _whole(n: int, entries: list[tuple[int, int, int]]) -> _Torus:
+    """The n x n matrix A with these entries as the one block of the trivial
+    group: side 1, one vertex with no coordinates, n directions, and
+    t_ij(0) = A[i][j]."""
+    stencil = [(i, j, 0, value) for i, j, value in entries]
+    return _Torus(1, np.zeros((1, 0), dtype=np.int64), n, stencil)
 
 
 # about the most elements an array of one chunk of `_fourier_charpolys` holds
@@ -682,33 +720,46 @@ def _fourier_charpolys(tori: list[_Torus], primes: list[list[int]]) -> list[np.n
 
 
 def _fourier_blocks(torus: _Torus, primes: list[int]) -> np.ndarray:
-    """The (K, side^d, w, w) int64 blocks T^(k) of the matrix mod each of K primes.
+    """The (K, side^d, w, w) int64 blocks T^(k) of the matrix mod each of K
+    primes, the sums of `_fourier_sums` scattered into zeroed blocks."""
+    _, coords, width, _ = torus
+    keys, sums = _fourier_sums(torus, primes)
+    blocks = np.zeros((len(primes), len(coords), width * width), dtype=np.int64)
+    blocks[:, :, keys] = sums
+    return blocks.reshape(len(primes), len(coords), width, width)
+
+
+def _fourier_sums(torus: _Torus, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the blocks T^(k) that the stencil reaches, mod each of
+    K primes: their R keys s w + s', ascending, and a (K, side^d, R) int64
+    array of residues in [0, p), the same keys for every k.
 
     The terms t_ss'(z) omega^(k.z) of the E stencil entries form one
     (K, side^d, E) array, in which the terms of one block entry (s, s') are
     a run, and `np.add.reduceat` sums each run: at most side^d residues
-    below 2^31.
+    below 2^31. When every run has one term, as on U and U+, the terms are
+    the sums.
     """
     side, coords, width, stencil = torus
-    p = np.array(primes, dtype=np.int64)[:, None]
-    # omega^e mod p for e = 0..side-1, one row per prime
-    powers = np.ones((len(primes), side), dtype=np.int64)
-    roots = np.array([_root_of_unity(side, q) for q in primes], dtype=np.int64)
-    for e in range(1, side):
-        powers[:, e] = powers[:, e - 1] * roots % p[:, 0]
+    p = np.array(primes, dtype=np.int64)[:, None, None]
     keys = np.array([s * width + s2 for s, s2, _, _ in stencil], dtype=np.int64)
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
-    residues = np.array([[t % q for _, _, _, t in stencil] for q in primes], dtype=np.int64)
-    # k.z mod side for each k and each stencil step z
-    phases = coords @ coords[[z for _, _, z, _ in stencil]].T % side
-    terms = powers[:, phases]
-    terms *= residues[:, None, :]
-    terms %= p[:, :, None]
-    terms = np.add.reduceat(terms, starts, axis=2)
-    terms %= p[:, :, None]
-    blocks = np.zeros((len(primes), len(coords), width * width), dtype=np.int64)
-    blocks[:, :, keys[starts]] = terms
-    return blocks.reshape(len(primes), len(coords), width, width)
+    terms = np.array([[t % q for _, _, _, t in stencil] for q in primes], dtype=np.int64)[:, None]
+    # on the trivial group every phase is 0, and omega^0 = 1
+    if side > 1:
+        # omega^e mod p for e = 0..side-1, one row per prime
+        powers = np.ones((len(primes), side), dtype=np.int64)
+        roots = np.array([_root_of_unity(side, q) for q in primes], dtype=np.int64)
+        for e in range(1, side):
+            powers[:, e] = powers[:, e - 1] * roots % p[:, 0, 0]
+        # k.z mod side for each k and each stencil step z
+        phases = coords @ coords[[z for _, _, z, _ in stencil]].T % side
+        terms = powers[:, phases] * terms
+        terms %= p
+    if len(starts) < len(keys):
+        terms = np.add.reduceat(terms, starts, axis=2)
+        terms %= p
+    return keys[starts], terms
 
 
 def log_series(p: Poly, order: int) -> tuple[Fraction, ...]:

@@ -20,9 +20,10 @@ side^d Fourier blocks; every other matrix, the Bass companion among them,
 is the one block of the trivial group. No Konno-Sato formula enters the
 kernel, so on such a graph the check still compares the arc determinant
 with a vertex side computed apart from it. Cycle counts are
-exact traces of operator powers (`polynomials.trace_powers`, pairings of
-the powers of the cleared matrix up to half the order, modulo primes
-chosen from a bound on every trace and combined by CRT), with an
+exact traces of operator powers (`polynomials._trace_powers`, pairings of
+the powers of the cleared matrix up to half the order, block by block on
+the same Fourier route, modulo primes chosen from a bound on every trace
+and combined by CRT), with an
 independent brute-force oracle for cross-checking, and the generalized
 zeta (the nu-th root normalization) is evaluated numerically from vertex
 spectra.
@@ -66,6 +67,7 @@ from .polynomials import (
     _Cleared,
     _det_i_minus_u,
     _times_one_minus_u_squared,
+    _trace_powers,
     _unscaled,
     log_series,
     trace_powers,
@@ -331,7 +333,7 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
         raise ZetawalkError("r_max must be at least 1")
     arcs = arc_space(graph)
     u_mat = grover(graph, arcs)
-    return SeriesCoefficients(kind="weighted", counts=trace_powers(u_mat, r_max))
+    return SeriesCoefficients(kind="weighted", counts=_trace_powers(u_mat, r_max, graph))
 
 
 def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
@@ -340,7 +342,7 @@ def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
         raise ZetawalkError("r_max must be at least 1")
     arcs = arc_space(graph)
     up = grover_positive_support(graph, arcs)
-    return SeriesCoefficients(kind="reduced", counts=trace_powers(up, r_max))
+    return SeriesCoefficients(kind="reduced", counts=_trace_powers(up, r_max, graph))
 
 
 def rooted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
@@ -421,7 +423,9 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
 def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport:
     """Check that log 1/det(I - uU) has coefficients N_r / r exactly.
 
-    U is built once for both sides.
+    U is built once for both sides. The determinant takes the graph's
+    Fourier route and the traces take U whole, so the Fourier blocks enter
+    only one side.
     The order is capped at 12 because both sides grow combinatorially and
     the check is meant as a series-level sanity gate, not a production
     computation.

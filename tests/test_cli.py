@@ -387,11 +387,46 @@ def test_series_digit_check_is_exact_where_the_bound_is_attained():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize("which", list(cli._SERIES))
+def test_series_names_the_order_flag_below_1(capsys, k4_path, which, order):
+    argv = ["series", "--graph", k4_path, "--which", which, "--order", order]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --order must be at least 1, got {order}\n"
+
+
+@pytest.mark.parametrize("which", ["grover", "ihara"])
+def test_series_takes_the_fourier_route_on_a_tagged_cayley_graph(
+    capsys, monkeypatch, tmp_path, which
+):
+    sides = []
+    route = zetawalk.polynomials._trace_residues
+    monkeypatch.setattr(
+        zetawalk.polynomials,
+        "_trace_residues",
+        lambda torus, primes, r_max: sides.append(torus.side) or route(torus, primes, r_max),
+    )
+    torus = zetawalk.torus_graph(2, 4)
+    untagged = zetawalk.graph_from_edges(16, torus.edges())
+    outputs = []
+    for graph in (torus, untagged, zetawalk.petersen_graph()):
+        path = tmp_path / "graph.json"
+        save_graph(graph, path)
+        argv = ["series", "--graph", str(path), "--which", which, "--order", "8", "--json"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert sides == [4, 1, 1]
+    # the same labelled graph with and without its tag: the same counts
+    assert outputs[0] == outputs[1]
+
+
 @_DIGIT_LIMIT
 def test_series_digit_check_passes_counts_that_stay_small_at_any_order(monkeypatch):
     # U+ of a cycle is a permutation: L = 1 and rho = 1, so every count is
     # 0 or 2N, and no order is refused
-    monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda n, scale, entries, order: "formed")
+    monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda n, scale, entries, order, graph: "formed")
     g = zetawalk.cycle_graph(5)
     assert cli._trace_counts(operators.grover_positive_support(g, arc_space(g)), 10**9) == "formed"
 

@@ -482,7 +482,7 @@ def test_trace_powers_on_a_non_regular_graph_with_lcm_2520(operator):
 
 def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
     # zeta_series_consistency compares the two routes, so the traces must
-    # not be derived from the determinant
+    # not be derived from the determinant, whole or in Fourier blocks
     def forbidden(*args):
         raise AssertionError("trace_powers went through the determinant route")
 
@@ -490,8 +490,16 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
     monkeypatch.setattr(polynomials, "log_series", forbidden)
     monkeypatch.setattr(polynomials, "_scaled_charpoly", forbidden)
     monkeypatch.setattr(polynomials, "_hessenberg_charpolys", forbidden)
+    monkeypatch.setattr(polynomials, "_fourier_charpolys", forbidden)
+    monkeypatch.setattr(polynomials, "_fourier_blocks", forbidden)
+    monkeypatch.setattr(polynomials, "_product_mod", forbidden)
     m = random_rat_matrix(random.Random(23), 5)
     assert polynomials.trace_powers(m, 6) == naive_trace_powers(m, 6)
+    graph = torus_graph(2, 4)
+    u_mat = grover(graph, arc_space(graph))
+    scale, entries = polynomials._cleared(u_mat)
+    counts = polynomials._traces(u_mat.rows, scale, entries, 6, graph=graph)
+    assert counts == naive_trace_powers(u_mat, 6)
 
 
 def test_trace_powers_edge_cases():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import product_mod, residue_stack
+from helpers import naive_trace_powers, product_mod, residue_stack
 
 from zetawalk import (
     RatMatrix,
@@ -34,6 +34,7 @@ from zetawalk import (
     konno_sato_check,
     petersen_graph,
     torus_graph,
+    trace_powers,
     zeta_series_consistency,
 )
 from zetawalk import graphs, modular, polynomials, zeta
@@ -275,9 +276,8 @@ def _random_entries(rng, n, density, low, high):
 )
 def test_a_whole_matrix_is_its_own_block_mod_each_prime(n, density, low, high):
     entries = _random_entries(random.Random(f"{n}-{low}"), n, density, low, high)
-    a = polynomials._Cleared(n, 1, entries, 1)
     primes = [polynomials._prime(i, 1) for i in range(3)]
-    blocks = polynomials._fourier_blocks(polynomials._whole(a), primes)
+    blocks = polynomials._fourier_blocks(polynomials._whole(n, entries), primes)
     assert blocks.shape == (3, 1, n, n) and blocks.dtype == np.int64
     assert (blocks[:, 0] == residue_stack(n, entries, primes)).all()
 
@@ -527,3 +527,128 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
     assert len(calls) == rows
     assert all(primes == primes[:1] * blocks for primes in calls)
+
+
+# -- cycle counts: traces of powers, block by block --------------------------
+
+TRACE_GRAPHS = (
+    [cycle_graph(n) for n in range(3, 9)]
+    + [complete_graph(n) for n in range(3, 10)]
+    + [hypercube_graph(d) for d in range(2, 7)]
+    + [torus_graph(2, n) for n in range(3, 6)]
+    + [torus_graph(3, 3)]
+)
+
+
+@pytest.fixture
+def trace_sides(monkeypatch):
+    """The side of the group of every `_trace_residues` call, in call order;
+    a whole matrix has side 1."""
+    sides = []
+    route = polynomials._trace_residues
+
+    def spy(torus, primes, r_max):
+        sides.append(torus.side)
+        return route(torus, primes, r_max)
+
+    monkeypatch.setattr(polynomials, "_trace_residues", spy)
+    return sides
+
+
+@pytest.mark.parametrize("name", list(ARC_OPERATORS))
+@pytest.mark.parametrize("graph", TRACE_GRAPHS, ids=lambda g: g.family)
+def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, trace_sides):
+    matrix = ARC_OPERATORS[name](graph)
+    whole = trace_powers(matrix, 12)
+    assert trace_sides == [1]
+    # the dense oracle only where it takes well under a second; the whole
+    # route is tied to it on every size by test_polynomials
+    if matrix.rows <= 36:
+        assert whole == naive_trace_powers(matrix, 12)
+    scale, entries = polynomials._cleared(matrix)
+    # each order takes its own primes, and odd and even orders their own pairing
+    for r_max in range(1, 13):
+        assert polynomials._traces(matrix.rows, scale, entries, r_max, graph) == whole[:r_max]
+    # r_max = 1 needs no powers: the arc operators have a zero diagonal
+    assert trace_sides[1:] == [graphs._cayley_group(graph)[1]] * 11
+
+
+@pytest.mark.parametrize("operator", [transition, laplacian], ids=list(VERTEX_OPERATORS))
+def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(operator, trace_sides):
+    graph = torus_graph(2, 4)
+    matrix = operator(graph)
+    scale, entries = polynomials._cleared(matrix)
+    torus = polynomials._torus_stencil(polynomials._fourier_group(graph), matrix.rows, entries)
+    # the one 1 x 1 entry of each block sums a run of every step of the stencil
+    keys, sums = polynomials._fourier_sums(torus, [polynomials._prime(0, 4)])
+    assert keys.tolist() == [0] and len(torus.stencil) > 1 and sums.shape == (1, 16, 1)
+    naive = naive_trace_powers(matrix, 12)
+    for r_max in range(1, 13):
+        assert polynomials._traces(matrix.rows, scale, entries, r_max, graph) == naive[:r_max]
+    assert set(trace_sides) == {4}
+
+
+@pytest.mark.parametrize(
+    "graph, side",
+    [
+        pytest.param(torus_graph(2, 4), 4, id="torus(2,4)"),
+        pytest.param(torus_graph(3, 3), 3, id="torus(3,3)"),
+        pytest.param(hypercube_graph(3), 2, id="hypercube(3)"),
+        pytest.param(complete_graph(5), 5, id="complete(5)"),
+        pytest.param(cycle_graph(6), 6, id="cycle(6)"),
+        pytest.param(petersen_graph(), 1, id="petersen"),
+        pytest.param(_relabelled(torus_graph(2, 4), None), 1, id="untagged-torus(2,4)"),
+        pytest.param(
+            _relabelled(hypercube_graph(4), "torus(2,4)"), 1, id="hypercube(4)-tagged-torus(2,4)"
+        ),
+    ],
+)
+def test_cycle_counts_take_the_route_of_their_graph(graph, side, trace_sides):
+    weighted = zeta.weighted_cycle_counts(graph, 6).counts
+    reduced = zeta.reduced_cycle_counts(graph, 6).counts
+    assert trace_sides == [side, side]
+    assert weighted == trace_powers(grover(graph, arc_space(graph)), 6)
+    assert reduced == trace_powers(grover_positive_support(graph, arc_space(graph)), 6)
+    assert trace_sides[2:] == [1, 1]
+
+
+def test_the_series_check_keeps_its_trace_side_whole(trace_sides, fourier_calls):
+    # the two sides of zeta_series_consistency share no Fourier code: the
+    # determinant takes the blocks and the traces the whole matrix
+    assert zeta_series_consistency(torus_graph(2, 4), 8).holds
+    assert fourier_calls == [64] and trace_sides == [1]
+
+
+def test_block_products_reduce_inside_their_sums():
+    # two blocks of 16 x 16 (side 2, omega = -1) whose entries are near p / 2
+    # for both primes: a product sums 16 terms of about p^2 / 4 each, past
+    # 2^63 - 1, so the kernel must reduce inside the sum; the stencil's
+    # steps 1 are multiples of both primes, so each block entry is a run of
+    # two terms
+    rng = random.Random(41)
+    primes = [polynomials._prime(i, 2) for i in range(2)]
+    width = 16
+    stencil = []
+    for s in range(width):
+        for s2 in range(width):
+            offset = rng.randrange(100)
+            near_half = modular._crt([[(p - 1) // 2 - offset] for p in primes], primes, primes[0] * primes[1])
+            stencil.append((s, s2, 0, near_half[0] % (primes[0] * primes[1])))
+            stencil.append((s, s2, 1, primes[0] * primes[1] * rng.randint(1, 9)))
+    torus = polynomials._Torus(2, np.array([[0], [1]]), width, stencil)
+    assert all(16 * ((p - 1) // 2 - 100) * (p - 1) > 2**63 - 1 for p in primes)
+    # the whole 32 x 32 matrix from (v, s) to (w, s') is t_ss'(w - v), in
+    # Python integers
+    table = {(s, s2, z): t for s, s2, z, t in stencil}
+    n = 2 * width
+    whole = [
+        [table[i % width, j % width, (j // width - i // width) % 2] for j in range(n)]
+        for i in range(n)
+    ]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    traces = []
+    for _ in range(8):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*whole)] for row in power]
+        traces.append(sum(power[i][i] for i in range(n)))
+    assert polynomials._trace_residues(torus, primes, 8) == [[t % p for t in traces] for p in primes]
+
