@@ -74,7 +74,7 @@ def _parse_u(text: str) -> Fraction:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = graphs.build_family(args.family, N=args.N, d=args.d)
+    g = graphs.build_family(args.family, N=args.N, d=args.d, k=args.k)
     if args.out is None:
         print(json.dumps(graphs.graph_payload(g), indent=2, sort_keys=True))
     else:
@@ -118,7 +118,7 @@ def _cmd_matrix_dump(args: argparse.Namespace) -> int:
 
 # --matrix -> the form of the exact zeta reciprocal of a graph: the matrix M
 # of det(I - uM) (1 - u^2)^e, cleared to integers and bounded, e, and the
-# graph for the kernel's route
+# group and the states of M for the kernel's route
 _RECIPROCALS = {
     "grover": lambda g: zeta._grover_form(g),
     "positive-support": lambda g: zeta._edge_form(g),
@@ -127,9 +127,9 @@ _RECIPROCALS = {
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    matrix, exponent, route = _RECIPROCALS[args.matrix](graphs.load_graph(args.graph))
+    matrix, exponent, group, space = _RECIPROCALS[args.matrix](graphs.load_graph(args.graph))
     _refuse_unprintable(matrix, exponent)
-    _emit({"coeffs": _poly_strings(zeta._reciprocal(matrix, exponent, route))})
+    _emit({"coeffs": _poly_strings(zeta._reciprocal(matrix, exponent, group, space))})
     return 0
 
 
@@ -191,22 +191,32 @@ def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
 
 
 # --which -> the cycle counts N_1..N_order of a graph: the trace powers of
-# an arc operator of _OPERATORS, on the graph's Fourier route, or a
-# brute-force oracle
+# an arc operator, on the graph's Fourier route, or a brute-force oracle
 _SERIES = {
-    "grover": lambda g, order: _trace_counts(_OPERATORS["grover"](g), order, g),
-    "ihara": lambda g, order: _trace_counts(_OPERATORS["positive-support"](g), order, g),
+    "grover": lambda g, order: _arc_counts(g, order, operators.grover),
+    "ihara": lambda g, order: _arc_counts(g, order, operators.grover_positive_support),
     "oracle-weighted": lambda g, order: zeta.cycle_oracle(g, order, "weighted").counts,
     "oracle-reduced": lambda g, order: zeta.cycle_oracle(g, order, "reduced").counts,
 }
 
 
+def _arc_counts(graph: graphs.Graph, order: int, build) -> tuple[Fraction, ...]:
+    """`_trace_counts` of the arc operator build(graph, arcs), on the
+    graph's Fourier route, with the one arc space of the graph."""
+    arcs = graphs.arc_space(graph)
+    group = polynomials._fourier_group(graph, arcs)
+    return _trace_counts(build(graph, arcs), order, group, "arcs")
+
+
 def _trace_counts(
-    matrix: RatMatrix, order: int, graph: graphs.Graph | None = None
+    matrix: RatMatrix,
+    order: int,
+    group: polynomials._Group | None = None,
+    space: str | None = None,
 ) -> tuple[Fraction, ...]:
-    """Tr M^1..Tr M^order for order >= 1, on the Fourier route when M is a
-    torus operator of graph, refused before the powers are formed when a
-    count could not be printed.
+    """Tr M^1..Tr M^order for order >= 1, on the Fourier route when M is
+    invariant on the states `space` of the group, refused before the powers
+    are formed when a count could not be printed.
 
     Each count is T_r / L^r with |T_r| <= B, L the lcm of the entry
     denominators and B the trace bound, so every numerator and denominator
@@ -227,7 +237,7 @@ def _trace_counts(
                 f"cycle counts of order {order} could have more than {limit} digits, "
                 "more than Python converts to a string"
             )
-    return polynomials._traces(matrix.rows, scale, entries, order, graph)
+    return polynomials._traces(matrix.rows, scale, entries, order, group, space)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -377,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--N", type=int, default=None, help="side or vertex count")
     gen.add_argument("--d", type=int, default=None, help="dimension parameter")
+    gen.add_argument("--k", type=int, default=None, help="inner step of gp")
     gen.add_argument("--out", default=None, help="output path (default: stdout)")
     gen.set_defaults(func=_cmd_gen)
 

@@ -1,4 +1,5 @@
-"""Finite simple graphs, built-in regular families, and oriented arc spaces.
+"""Finite simple graphs, built-in regular families and the free abelian
+group actions on them, and oriented arc spaces.
 
 Graphs are immutable after construction and validated eagerly: simple
 (no loops, no parallel edges), symmetric, and connected. All arc-indexed
@@ -13,7 +14,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -227,12 +228,41 @@ def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, edges, family=f"complete({n})", vertex_transitive=True)
 
 
+def _generalized_petersen_edges(n: int, k: int) -> list[tuple[int, int]]:
+    """The outer cycle i ~ i + 1 on 0..n-1, the inner star polygon n + i ~
+    n + (i + k) mod n on n..2n-1, and the spokes i ~ n + i."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    return edges
+
+
 def petersen_graph() -> Graph:
-    """The Petersen graph: 10 vertices, 15 edges, 3-regular."""
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return graph_from_edges(10, edges, family="petersen", vertex_transitive=True)
+    """The Petersen graph: 10 vertices, 15 edges, 3-regular; gp(5, 2) edge for edge."""
+    return graph_from_edges(
+        10, _generalized_petersen_edges(5, 2), family="petersen", vertex_transitive=True
+    )
+
+
+def generalized_petersen_graph(n: int, k: int) -> Graph:
+    """The generalized Petersen graph gp(n, k) on 2n vertices (3-regular).
+
+    Needs n >= 3 and 1 <= k < n / 2: k = n / 2 would give the inner vertices
+    parallel edges. The vertex_transitive flag follows Frucht, Graver and
+    Watkins (1971): gp(n, k) is vertex-transitive exactly when
+    k^2 = +-1 (mod n) or (n, k) = (10, 2).
+    """
+    if n < 3 or not 1 <= k < n / 2:
+        raise FamilyParameterError(
+            f"generalized Petersen graph needs N >= 3 and 1 <= k < N/2, got N = {n}, k = {k}"
+        )
+    transitive = (k * k) % n in (1, n - 1) or (n, k) == (10, 2)
+    return graph_from_edges(
+        2 * n,
+        _generalized_petersen_edges(n, k),
+        family=f"gp({n},{k})",
+        vertex_transitive=transitive,
+    )
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -253,11 +283,15 @@ FAMILIES = {
     "complete": (complete_graph, ("N",)),
     "petersen": (petersen_graph, ()),
     "hypercube": (hypercube_graph, ("d",)),
+    "gp": (generalized_petersen_graph, ("N", "k")),
 }
 
 
-def build_family(tag: str, N: int | None = None, d: int | None = None) -> Graph:
-    """Build a named family: cycle(N), torus(d, N), complete(N), petersen, hypercube(d).
+def build_family(
+    tag: str, N: int | None = None, d: int | None = None, k: int | None = None
+) -> Graph:
+    """Build a named family: cycle(N), torus(d, N), complete(N), petersen,
+    hypercube(d), gp(N, k).
 
     Raises FamilyParameterError for an unknown tag, or when a parameter the
     family takes is missing or one it does not take is given.
@@ -265,7 +299,7 @@ def build_family(tag: str, N: int | None = None, d: int | None = None) -> Graph:
     if tag not in FAMILIES:
         raise FamilyParameterError(f"unknown graph family {tag!r}")
     builder, takes = FAMILIES[tag]
-    given = {"N": N, "d": d}
+    given = {"N": N, "d": d, "k": k}
     for name, value in given.items():
         if name in takes and value is None:
             raise FamilyParameterError(f"family {tag!r} requires {name}")
@@ -274,41 +308,62 @@ def build_family(tag: str, N: int | None = None, d: int | None = None) -> Graph:
     return builder(*(given[name] for name in takes))
 
 
-# family tag -> the group Z_side^d of an abelian Cayley family, as (d, side)
-# from the family's parameters in `FAMILIES` order. Vertex v is the group
-# element whose coordinates are the base-side digits of v, least significant
-# first, and the edges join the elements that differ by a generator: +-e_j
-# on the torus and the cycle, e_j on the hypercube, every nonzero element on
-# the complete graph.
-_CAYLEY_GROUPS = {
-    "cycle": lambda n: (1, n),
-    "torus": lambda d, n: (d, n),
-    "complete": lambda n: (1, n),
-    "hypercube": lambda d: (d, 2),
+def _cayley_label(v: int) -> tuple[int, int]:
+    """Vertex v of a Cayley family is group element v, in the one fiber."""
+    return v, 0
+
+
+def _rings(n: int) -> Callable[[int], tuple[int, int]]:
+    """The labelling of gp(n, k): vertex v is element v mod n in fiber v div n."""
+    return lambda v: (v % n, v // n)
+
+
+# family tag -> a free action of the abelian group Z_side^d on the family's
+# graph, from the parameters in `FAMILIES` order: (d, side, fibers, label).
+# The graph is a cover of a base graph on `fibers` vertices, with side^d
+# vertices in each fiber, and label(v) is the group element and the fiber of
+# vertex v. An element is a flat index whose base-side digits, least
+# significant first, are its coordinates, and the element h moves the vertex
+# of element g in fiber f to the vertex of element g + h in fiber f. A
+# Cayley family is the case of one fiber, with element v: the edges join the
+# elements that differ by a generator, +-e_j on the torus and the cycle, e_j
+# on the hypercube, every nonzero element on the complete graph. On gp(n, k)
+# and Petersen = gp(5, 2), Z_n turns the outer and the inner polygon: the
+# outer vertex i and the inner vertex n + i are element i in fibers 0 and 1.
+_COVERS = {
+    "cycle": lambda n: (1, n, 1, _cayley_label),
+    "torus": lambda d, n: (d, n, 1, _cayley_label),
+    "complete": lambda n: (1, n, 1, _cayley_label),
+    "hypercube": lambda d: (d, 2, 1, _cayley_label),
+    "petersen": lambda: (1, 5, 2, _rings(5)),
+    "gp": lambda n, k: (1, n, 2, _rings(n)),
 }
 
 
-def _cayley_group(graph: Graph) -> tuple[int, int] | None:
-    """(d, side) when the graph is verified to be the abelian Cayley graph
-    of `_CAYLEY_GROUPS` that its family tag names, else None.
+def _abelian_cover(graph: Graph) -> tuple[int, int, list[tuple[int, int]]] | None:
+    """(d, side, labels) when the graph is verified to be the graph of
+    `_COVERS` that its family tag names, else None; labels[v] is the group
+    element and the fiber of vertex v.
 
-    The tag must name a family of the table with integer parameters, and
-    side^d must be the vertex count, which is checked before any graph is
-    built, so a tag of another size costs nothing. `build_family` then
-    rebuilds the graph: its tag must equal the given one exactly and its
-    adjacency the graph's, so a tag alone is not trusted.
+    The tag must name a family of the table, with integer parameters when it
+    takes any, and side^d times the fibers must be the vertex count, which is
+    checked before any graph is built, so a tag of another size costs
+    nothing. `build_family` then rebuilds the graph: its tag must equal the
+    given one exactly and its adjacency the graph's, so a tag alone is not
+    trusted. That the labelling is a free action of the group is checked
+    where its states are read (`polynomials._fourier_group`).
     """
     name, paren, rest = (graph.family or "").partition("(")
-    if name not in _CAYLEY_GROUPS or not paren or not rest.endswith(")"):
+    if name not in _COVERS or (paren and not rest.endswith(")")):
         return None
     try:
-        params = [int(text) for text in rest[:-1].split(",")]
-        d, side = _CAYLEY_GROUPS[name](*params)
+        params = [int(text) for text in rest[:-1].split(",")] if paren else []
+        d, side, fibers, label = _COVERS[name](*params)
     except (TypeError, ValueError):
         return None
     nu = graph.num_vertices
-    # side >= 2, so side^d = nu needs d <= log2(nu)
-    if not (1 <= d <= nu.bit_length() and side >= 2 and side**d == nu):
+    # side >= 2, so side^d <= nu needs d <= log2(nu)
+    if not (1 <= d <= nu.bit_length() and side >= 2 and fibers >= 1 and side**d * fibers == nu):
         return None
     try:
         built = build_family(name, **dict(zip(FAMILIES[name][1], params)))
@@ -316,7 +371,7 @@ def _cayley_group(graph: Graph) -> tuple[int, int] | None:
         return None
     if built.family != graph.family or built.adjacency != graph.adjacency:
         return None
-    return d, side
+    return d, side, [label(v) for v in range(nu)]
 
 
 # -- JSON persistence --------------------------------------------------------

@@ -18,21 +18,27 @@ residue kernels of `modular` find det(xI - L*M) modulo each prime, and the
 residues are combined by the Chinese remainder theorem with symmetric
 residues (von zur Gathen and Gerhard, Modern Computer Algebra, chapter 5).
 
-There is one path to the residues. Callers that hold the graph
-(`_charpolys`, `_det_i_minus_u`, `_scaled_charpoly`) hand it down. On an
-abelian Cayley family of the table `graphs._CAYLEY_GROUPS`, the Cayley
-graphs torus(d, N), cycle(N), complete(n) and hypercube(d) of Z_side^d for
-(d, side) = (d, N), (1, N), (1, n) and (d, 2), the graph is verified
-(`graphs._cayley_group`, once per call). If L*M is then translation
-invariant on its vertices or arcs, with entry t_ss'(w - v) from state
-(v, s) to (w, s'), then modulo a prime p = 1 (mod side) with a primitive
-side-th root of unity omega, det(xI - L*M) is the product over k in
-Z_side^d of the characteristic polynomials of the blocks
-sum_z t_ss'(z) omega^(k.z): w x w on the arcs, w = 2m / nu the arcs per
-vertex, and 1 x 1 on the vertices. Every other matrix, and every one of
-the public `det_i_minus_u(matrix)`, is the one n x n block of the trivial
-group (side 1, omega = 1, `_whole`) and takes the odd primes. The blocks
-of every prime of the Cayley matrices of one width (U with U+, or P with
+There is one path to the residues. Callers that hold the graph build its
+group once (`_fourier_group`, from the arc space their operator builder
+made) and hand it down with the name of the states each matrix acts on:
+"arcs", "vertices" or "bass" (the two halves of the Bass companion). On a
+family of the table `graphs._COVERS` (verified by `graphs._abelian_cover`)
+the group Z_side^d acts freely on the graph, which is then a cover of a
+base graph with F fibers: the Cayley graphs torus(d, N), cycle(N),
+complete(n) and hypercube(d) of Z_side^d for (d, side) = (d, N), (1, N),
+(1, n) and (d, 2), with F = 1, and gp(n, k) and Petersen = gp(5, 2), with
+Z_n and F = 2. A state is then a pair (group element, kind), and each state
+space is checked to be a bijection onto Z_side^d x kinds before any matrix
+is read. If L*M is invariant on its states, with entry t_ss'(h - g) from
+state (g, s) to (h, s'), then modulo a prime p = 1 (mod side) with a
+primitive side-th root of unity omega, det(xI - L*M) is the product over k
+in Z_side^d of the characteristic polynomials of the w x w blocks
+sum_z t_ss'(z) omega^(k.z), w the kinds: on the arcs the base arcs (fiber
+of the origin, fiber of the terminus, voltage), 2m / side^d of them; on the
+vertices the F fibers; on the Bass states 2F. Every other matrix, and every
+one of the public `det_i_minus_u(matrix)`, is the one n x n block of the
+trivial group (side 1, omega = 1, `_whole`) and takes the odd primes. The
+blocks of every prime of the matrices of one width (U with U+, or P with
 D - A), or of one whole matrix, form one int64 stack, run in chunks of
 rows where its arrays would pass a fixed budget. Hessenberg reduction
 (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
@@ -52,9 +58,9 @@ block rows, one per slot of the widest block row. Each higher trace is read
 as a pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them, summed over
 the blocks, and the traces are combined by CRT. Callers that hold the
 graph (`zeta.weighted_cycle_counts`, `reduced_cycle_counts` and the CLI's
-`series`) hand it down; the public `trace_powers(matrix)` and the trace
-side of `zeta.zeta_series_consistency` take the matrix whole, so in that
-check the Fourier blocks enter only the determinant.
+`series`) hand its group down; the public `trace_powers(matrix)` and the
+trace side of `zeta.zeta_series_consistency` take the matrix whole, so in
+that check the Fourier blocks enter only the determinant.
 
 `log_series` expands log(1/p) for p(0) = 1 by Newton's identities, one
 recurrence over the coefficients of p; for p = det(I - uM) its
@@ -72,7 +78,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ZetawalkError
-from .graphs import Graph, _cayley_group, arc_space
+from .graphs import ArcSpace, Graph, _abelian_cover
 from .modular import _crt, _hessenberg_charpolys, _product_mod
 from .rational import RatMatrix
 
@@ -203,9 +209,12 @@ def det_i_minus_u(matrix: RatMatrix) -> Poly:
     return _det_i_minus_u(matrix)
 
 
-def _det_i_minus_u(matrix: RatMatrix, graph: Graph | None = None) -> Poly:
-    """`det_i_minus_u`, on the Fourier route when M is a torus operator of graph."""
-    scale, coeffs = _scaled_charpoly(matrix, graph)
+def _det_i_minus_u(
+    matrix: RatMatrix, group: _Group | None = None, space: str | None = None
+) -> Poly:
+    """`det_i_minus_u`, on the Fourier route when M is invariant on the
+    states `space` of the group."""
+    scale, coeffs = _scaled_charpoly(matrix, group, space)
     return _unscaled(scale, coeffs)
 
 
@@ -214,14 +223,16 @@ def _unscaled(scale: int, coeffs: list[int]) -> Poly:
     return Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs))
 
 
-def _scaled_charpoly(matrix: RatMatrix, graph: Graph | None = None) -> tuple[int, list[int]]:
+def _scaled_charpoly(
+    matrix: RatMatrix, group: _Group | None = None, space: str | None = None
+) -> tuple[int, list[int]]:
     """L and integers C_0..C_n with det(I - u*M) = sum_k C_k u^k / L^k.
 
     L is the lcm of the entry denominators of the square matrix M, and
     x^n + C_1 x^(n-1) + ... + C_n = det(xI - L*M); see `_charpolys`.
     """
     cleared = _clear_and_bound(matrix)
-    return cleared.scale, _charpolys([cleared], graph)[0]
+    return cleared.scale, _charpolys([cleared], group, [space])[0]
 
 
 class _Cleared(NamedTuple):
@@ -246,24 +257,29 @@ def _clear_and_bound(matrix: RatMatrix) -> _Cleared:
     return _Cleared(matrix.rows, scale, entries, _coefficient_bound(matrix.rows, entries))
 
 
-def _charpolys(matrices: Sequence[_Cleared], graph: Graph | None = None) -> list[list[int]]:
+def _charpolys(
+    matrices: Sequence[_Cleared],
+    group: _Group | None = None,
+    spaces: Sequence[str | None] = (),
+) -> list[list[int]]:
     """The coefficients C_0..C_n of det(xI - A), C_k on x^(n-k), for each A.
 
     Symmetric residues pin down every C_k once the modulus exceeds 2 |C_k|,
     so each A takes the fewest primes whose product exceeds 2B, and its
-    residues are combined by CRT. Every A goes through `_fourier_charpolys`,
-    in Fourier blocks when `_torus_stencil` finds it translation invariant
-    on a graph of `graphs._CAYLEY_GROUPS` (verified, with its states read,
-    once per call), and otherwise whole (`_whole`). The Fourier matrices of
-    one width share a stack; a whole matrix has its own, since slices that
-    pivot apart each need their own swaps.
+    residues are combined by CRT. spaces[i] names the states of the group
+    (`_fourier_group`) that matrices[i] acts on, or is None, and may be
+    left out when the group is None. Every A goes through
+    `_fourier_charpolys`, in Fourier blocks when `_torus_stencil` finds it
+    translation invariant on its states, and otherwise whole (`_whole`). The
+    Fourier matrices of one width share a stack; a whole matrix has its own,
+    since slices that pivot apart each need their own swaps.
     """
-    group = _fourier_group(graph)
     out: list[list[int]] = [[] for _ in matrices]
     # stack key -> (index, torus, primes, modulus) of each matrix in the stack
     stacks: dict[object, list[tuple[int, _Torus, list[int], int]]] = {}
     for index, a in enumerate(matrices):
-        torus = _torus_stencil(group, a.rows, a.entries) or _whole(a.rows, a.entries)
+        space = spaces[index] if spaces else None
+        torus = _torus_stencil(group, space, a.rows, a.entries) or _whole(a.rows, a.entries)
         primes, modulus = _primes_above(2 * a.bound, torus.side)
         key = (torus.side, torus.width) if torus.side > 1 else index
         stacks.setdefault(key, []).append((index, torus, primes, modulus))
@@ -339,16 +355,17 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
 
 
 def _trace_powers(
-    matrix: RatMatrix, r_max: int, graph: Graph | None = None
+    matrix: RatMatrix, r_max: int, group: _Group | None = None, space: str | None = None
 ) -> tuple[Fraction, ...]:
-    """`trace_powers`, on the Fourier route when M is a torus operator of graph."""
+    """`trace_powers`, on the Fourier route when M is invariant on the
+    states `space` of the group."""
     if matrix.rows != matrix.cols:
         raise ZetawalkError("trace powers require a square matrix")
     if r_max < 0:
         raise ZetawalkError("r_max must be non-negative")
     if r_max == 0:
         return ()
-    return _traces(matrix.rows, *_cleared(matrix), r_max, graph)
+    return _traces(matrix.rows, *_cleared(matrix), r_max, group, space)
 
 
 def _traces(
@@ -356,13 +373,14 @@ def _traces(
     scale: int,
     entries: list[tuple[int, int, int]],
     r_max: int,
-    graph: Graph | None = None,
+    group: _Group | None = None,
+    space: str | None = None,
 ) -> tuple[Fraction, ...]:
     """`trace_powers` of the n x n matrix M with L*M = A, from L and the
     nonzero entries of A (`_cleared`), for r_max >= 1.
 
     As in `_charpolys`, A goes block by block when `_torus_stencil` finds it
-    translation invariant on a verified group of the graph, and otherwise
+    translation invariant on the states `space` of the group, and otherwise
     whole (`_whole`), with the primes p = 1 (mod side) of its group. The
     Fourier transform is a similarity over F_p, so Tr A^r mod p is the sum
     of the traces of the r-th powers of the blocks, and after CRT every
@@ -372,7 +390,7 @@ def _traces(
     if not bound:
         # A = 0, or r_max = 1 and a zero diagonal
         return (Fraction(0),) * r_max
-    torus = _torus_stencil(_fourier_group(graph), n, entries) or _whole(n, entries)
+    torus = _torus_stencil(group, space, n, entries) or _whole(n, entries)
     primes, modulus = _primes_above(2 * bound, torus.side)
     traces = _crt(_trace_residues(torus, primes, r_max), primes, modulus)
     return tuple(Fraction(t, scale**r) for r, t in enumerate(traces, start=1))
@@ -575,49 +593,84 @@ def _is_prime(n: int) -> bool:
 
 
 class _Group(NamedTuple):
-    """A graph verified to be the Cayley graph of Z_side^d (`graphs._cayley_group`).
+    """An abelian group Z_side^d acting freely on a graph
+    (`graphs._abelian_cover`), and the states of its operators.
 
-    `coords[v]` are the d coordinates of the vertex with flat index v, and a
-    step z has the flat index z . `place`. `states` maps the size of an
-    operator to the vertex and the direction of each of its states, and to
-    the directions per vertex: on the nu vertices one direction, and on the
-    2m arcs, in `arc_space` order, the direction of the arc's step, one per
-    generator, 2m / nu per vertex.
+    `coords[h]` are the d coordinates of the group element with flat index
+    h, and a step z has the flat index z . `place`. `states` maps the name
+    of a state space to the group element and the kind of each state, in
+    the order of the matrix rows, and to the number of kinds w. Each space
+    is checked to be a bijection onto Z_side^d x kinds, so the group moves
+    every state of one kind to every other; a space that fails is left out.
+    With F the fibers of the graph:
+    - "vertices": vertex v, its element and its fiber as the kind (w = F);
+    - "bass": the 2 nu states of the Bass companion, vertex v at v and at
+      nu + v, with the kind (half, fiber) (w = 2F);
+    - "arcs", when the arc space is given: the 2m arcs in `arc_space`
+      order, the element of the origin, and the kind (fiber of the origin,
+      fiber of the terminus, voltage), the voltage being the step from the
+      origin's element to the terminus's.
     """
 
     side: int
     coords: np.ndarray
     place: np.ndarray
-    states: dict[int, tuple[np.ndarray, np.ndarray, int]]
+    states: dict[str, tuple[np.ndarray, np.ndarray, int]]
 
 
-def _fourier_group(graph: Graph | None) -> _Group | None:
-    """The group and the states of the graph, or None when it is not verified."""
-    group = _cayley_group(graph) if graph is not None else None
-    if group is None:
+def _fourier_group(graph: Graph | None, arcs: ArcSpace | None = None) -> _Group | None:
+    """The group and the state spaces of the graph, or None when the graph
+    is not verified or its vertices are not a free orbit of the group.
+
+    arcs is the graph's `arc_space`, which the caller's operator builder
+    already made; without it the arcs are not among the state spaces.
+    """
+    cover = _abelian_cover(graph) if graph is not None else None
+    if cover is None:
         return None
-    d, side = group
-    nu = graph.num_vertices
+    d, side, labels = cover
+    order = side**d
     place = side ** np.arange(d)
-    coords = np.arange(nu)[:, None] // place % side
-    arcs = np.array(arc_space(graph).arcs)
-    # the generators are the steps of every vertex, distinct in the group
-    steps = (coords[arcs[:, 1]] - coords[arcs[:, 0]]) % side @ place
-    direction = np.unique(steps, return_inverse=True)[1]
-    states = {len(arcs): (arcs[:, 0], direction, len(arcs) // nu)}
-    # on K2, 2m = nu: a matrix of that size is read on the vertices
-    states[nu] = (np.arange(nu), np.zeros(nu, dtype=np.int64), 1)
-    return _Group(side, coords, place, states)
+    coords = np.arange(order)[:, None] // place % side
+    element, fiber = np.array(labels, dtype=np.int64).T
+    fibers, fiber = np.unique(fiber, return_inverse=True)
+    vertices = _state_space(order, element, fiber)
+    if vertices is None:
+        return None
+    states = {"vertices": vertices}
+    states["bass"] = _state_space(
+        order, np.tile(element, 2), np.repeat([0, len(fibers)], len(labels)) + np.tile(fiber, 2)
+    )
+    if arcs is not None:
+        origin, terminus = np.array(arcs.arcs).T
+        voltage = (coords[element[terminus]] - coords[element[origin]]) % side @ place
+        kind = (fiber[origin] * len(fibers) + fiber[terminus]) * order + voltage
+        states["arcs"] = _state_space(order, element[origin], kind)
+    return _Group(side, coords, place, {k: v for k, v in states.items() if v is not None})
+
+
+def _state_space(
+    order: int, element: np.ndarray, kind: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The elements, the kinds ranked 0..w-1 and w, when state -> (element,
+    kind) is a bijection onto Z_side^d x kinds, with order = side^d; else None."""
+    if not (0 <= element.min() and element.max() < order):
+        return None
+    _, kind = np.unique(kind, return_inverse=True)
+    width = int(kind.max()) + 1
+    if len(element) != order * width or np.bincount(element * width + kind).max() > 1:
+        return None
+    return element, kind, width
 
 
 class _Torus(NamedTuple):
     """A matrix found translation invariant on the group Z_side^d.
 
-    Its states are pairs (vertex v, direction s), `width` directions per
-    vertex, and its entry from (v, s) to (w, s') is t_ss'(w - v). `stencil`
-    lists the nonzero t_ss'(z) as (s, s', z, t), sorted by (s, s'), z the
-    flat index of the step; `coords[v]` are the d coordinates of the vertex
-    with flat index v.
+    Its states are pairs (element g, kind s), `width` kinds per element, and
+    its entry from (g, s) to (h, s') is t_ss'(h - g). `stencil` lists the
+    nonzero t_ss'(z) as (s, s', z, t), sorted by (s, s'), z the flat index
+    of the step; `coords[h]` are the d coordinates of the element with flat
+    index h.
     """
 
     side: int
@@ -627,43 +680,45 @@ class _Torus(NamedTuple):
 
 
 def _torus_stencil(
-    group: _Group | None, n: int, entries: list[tuple[int, int, int]]
+    group: _Group | None, space: str | None, n: int, entries: list[tuple[int, int, int]]
 ) -> _Torus | None:
     """The stencil of the n x n integer matrix with these entries, when it has one.
 
-    The matrix must act on the states of a verified group (`_fourier_group`):
-    the side^d vertices, or the 2m arcs, where an arc is the state
-    (origin, direction of its step). The stencil is read off the rows of the
-    states at vertex 0; every nonzero entry, from (v, s) to (w, s'), must
-    then be t_ss'(w - v), and there must be side^d entries per stencil
-    entry, so that none is missing. Both checks are O(nnz). Otherwise the
-    answer is None, and the matrix is taken whole.
+    The matrix must act on the n states of the space the caller names, one
+    that the group holds (`_fourier_group`). The stencil is read off the
+    rows of the states at element 0; every nonzero entry, from (g, s) to
+    (h, s'), must then be t_ss'(h - g), and there must be side^d entries
+    per stencil entry, so that none is missing. Both checks are O(nnz).
+    Otherwise the answer is None, and the matrix is taken whole.
     """
-    if group is None or n not in group.states:
+    if group is None or space not in group.states:
         return None
     side, coords, place, states = group
-    vertex, direction, width = states[n]
-    nu = len(coords)
+    element, kind, width = states[space]
+    if n != len(element):
+        return None
+    order = len(coords)
     rows = np.array([i for i, _, _ in entries], dtype=np.int64)
     cols = np.array([j for _, j, _ in entries], dtype=np.int64)
-    origins = vertex[rows]
-    steps = (coords[vertex[cols]] - coords[origins]) % side @ place
-    keys = ((direction[rows] * width + direction[cols]) * nu + steps).tolist()
+    origins = element[rows]
+    steps = (coords[element[cols]] - coords[origins]) % side @ place
+    keys = ((kind[rows] * width + kind[cols]) * order + steps).tolist()
     values = [value for _, _, value in entries]
-    stencil = {key: value for key, value, v in zip(keys, values, origins.tolist()) if v == 0}
-    if len(entries) != nu * len(stencil):
+    stencil = {key: value for key, value, g in zip(keys, values, origins.tolist()) if g == 0}
+    if len(entries) != order * len(stencil):
         return None
     if list(map(stencil.get, keys)) != values:
         return None
     table = [
-        (key // nu // width, key // nu % width, key % nu, t) for key, t in sorted(stencil.items())
+        (key // order // width, key // order % width, key % order, t)
+        for key, t in sorted(stencil.items())
     ]
     return _Torus(side, coords, width, table)
 
 
 def _whole(n: int, entries: list[tuple[int, int, int]]) -> _Torus:
     """The n x n matrix A with these entries as the one block of the trivial
-    group: side 1, one vertex with no coordinates, n directions, and
+    group: side 1, one element with no coordinates, n kinds, and
     t_ij(0) = A[i][j]."""
     stencil = [(i, j, 0, value) for i, j, value in entries]
     return _Torus(1, np.zeros((1, 0), dtype=np.int64), n, stencil)

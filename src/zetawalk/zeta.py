@@ -12,14 +12,16 @@ operator M gives det(s I + t M) = sum_k c_k (-t)^k s^(nu-k), which is
 evaluated at the vertex factor line s = 1 + a1 u + a2 u^2, t = b u in
 integers. The Bass form and the Konno-Sato sides multiply by the cocycle
 (1 - u^2)^(m - nu) in integers before the one division. Every function
-here that builds an operator of a graph hands the graph to the kernel
-(`polynomials._charpolys`, `_det_i_minus_u`), so on a verified
-abelian Cayley family of the table `graphs._CAYLEY_GROUPS` (torus, cycle,
-complete graph, hypercube: the group Z_side^d) the determinant comes from
-side^d Fourier blocks; every other matrix, the Bass companion among them,
-is the one block of the trivial group. No Konno-Sato formula enters the
-kernel, so on such a graph the check still compares the arc determinant
-with a vertex side computed apart from it. Cycle counts are
+here that builds an operator of a graph hands the graph's group
+(`polynomials._fourier_group`, from the operator's own arc space) and the
+name of the operator's states to the kernel (`polynomials._charpolys`,
+`_det_i_minus_u`), so on a verified free abelian cover of the table
+`graphs._COVERS` (torus, cycle, complete graph, hypercube, Petersen, gp:
+the group Z_side^d) the determinant comes from side^d Fourier blocks, for
+U, U+, P, D - A and the Bass companion alike; every other matrix is the
+one block of the trivial group. No Konno-Sato formula enters the kernel,
+so on such a graph the check still compares the arc determinant with a
+vertex side computed apart from it. Cycle counts are
 exact traces of operator powers (`polynomials._trace_powers`, pairings of
 the powers of the cleared matrix up to half the order, block by block on
 the same Fourier route, modulo primes chosen from a bound on every trace
@@ -66,6 +68,8 @@ from .polynomials import (
     _clear_and_bound,
     _Cleared,
     _det_i_minus_u,
+    _fourier_group,
+    _Group,
     _times_one_minus_u_squared,
     _trace_powers,
     _unscaled,
@@ -202,40 +206,49 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
 
 
 # The three reciprocals as det(I - uM) (1 - u^2)^e: each form builds M,
-# cleared to integers with its coefficient bound, and gives e and the graph
-# the kernel may take the Fourier route on. The command line sizes a form
-# before it calls `_reciprocal`, so M is built and bounded once per call.
+# cleared to integers with its coefficient bound, and gives e, the graph's
+# group (`_fourier_group`) and the name of the states M acts on, for the
+# kernel's Fourier route. The command line sizes a form before it calls
+# `_reciprocal`, so M is built and bounded once per call.
+_Form = tuple[_Cleared, int, _Group | None, str]
 
 
-def _grover_form(graph: Graph) -> tuple[_Cleared, int, Graph | None]:
-    return _clear_and_bound(grover(graph, arc_space(graph))), 0, graph
+def _grover_form(graph: Graph) -> _Form:
+    arcs = arc_space(graph)
+    return _clear_and_bound(grover(graph, arcs)), 0, _fourier_group(graph, arcs), "arcs"
 
 
-def _edge_form(graph: Graph) -> tuple[_Cleared, int, Graph | None]:
+def _edge_form(graph: Graph) -> _Form:
     _reject_tree(graph)
-    return _clear_and_bound(grover_positive_support(graph, arc_space(graph))), 0, graph
+    arcs = arc_space(graph)
+    matrix = _clear_and_bound(grover_positive_support(graph, arcs))
+    return matrix, 0, _fourier_group(graph, arcs), "arcs"
 
 
-def _bass_form(graph: Graph) -> tuple[_Cleared, int, Graph | None]:
+def _bass_form(graph: Graph) -> _Form:
     _reject_tree(graph)
     exponent = graph.num_edges - graph.num_vertices
-    return _clear_and_bound(_bass_companion(graph)), exponent, None
+    return _clear_and_bound(_bass_companion(graph)), exponent, _fourier_group(graph), "bass"
 
 
-def _reciprocal(matrix: _Cleared, exponent: int, graph: Graph | None) -> Poly:
+def _reciprocal(matrix: _Cleared, exponent: int, group: _Group | None, space: str) -> Poly:
     """det(I - uM) (1 - u^2)^exponent from the kernel's C_k of L*M.
 
     A nonzero exponent comes only with the integer Bass companion (L = 1),
     so the cocycle multiplies the integer coefficients.
     """
-    coeffs = _charpolys([matrix], graph)[0]
+    coeffs = _charpolys([matrix], group, [space])[0]
     if exponent:
         return Poly(_times_one_minus_u_squared(coeffs, exponent))
     return _unscaled(matrix.scale, coeffs)
 
 
 def _bass_companion(graph: Graph) -> RatMatrix:
-    """The integer companion matrix [[A, I - D], [I, 0]] of the Bass form."""
+    """The integer companion matrix [[A, I - D], [I, 0]] of the Bass form.
+
+    Its state v is vertex v in the first half, and nu + v vertex v in the
+    second: the "bass" states of `_fourier_group`.
+    """
     n = graph.num_vertices
     entries = list(adjacency(graph).nonzero_items())
     entries += [(v, n + v, 1 - d) for v, d in enumerate(graph.degree_profile) if d != 1]
@@ -263,8 +276,8 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     M itself: if det(I - xM) = sum_k c_k x^k, then
     det(s I + t M) = sum_k c_k (-t)^k s^(nu-k) for any matrix, so both kinds
     are read off the same c_k (`_vertex_side`). All four matrices go to one
-    kernel call, which verifies a Cayley graph's group once and stacks U
-    with U+ and P with D - A. Trees (m < nu) are rejected before any
+    kernel call, with the graph's group verified once on U's arc space, and
+    it stacks U with U+ and P with D - A. Trees (m < nu) are rejected before any
     determinant.
     """
     _require_regular(graph, "Konno-Sato factorization")
@@ -276,12 +289,14 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
             f"(1 - u^2)^(m - nu) has exponent {exponent}"
         )
 
-    u_mat = grover(graph, arc_space(graph))
+    arcs = arc_space(graph)
+    u_mat = grover(graph, arcs)
     matrices = [
         _clear_and_bound(mat)
         for mat in (u_mat, positive_support(u_mat), transition(graph), laplacian(graph))
     ]
-    sides = list(zip(matrices, _charpolys(matrices, graph)))
+    spaces = ("arcs", "arcs", "vertices", "vertices")
+    sides = list(zip(matrices, _charpolys(matrices, _fourier_group(graph, arcs), spaces)))
     left_sides = {
         which: _unscaled(mat.scale, coeffs)
         for which, (mat, coeffs) in zip(("grover", "ihara"), sides)
@@ -332,8 +347,8 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
     arcs = arc_space(graph)
-    u_mat = grover(graph, arcs)
-    return SeriesCoefficients(kind="weighted", counts=_trace_powers(u_mat, r_max, graph))
+    counts = _trace_powers(grover(graph, arcs), r_max, _fourier_group(graph, arcs), "arcs")
+    return SeriesCoefficients(kind="weighted", counts=counts)
 
 
 def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
@@ -342,7 +357,8 @@ def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
         raise ZetawalkError("r_max must be at least 1")
     arcs = arc_space(graph)
     up = grover_positive_support(graph, arcs)
-    return SeriesCoefficients(kind="reduced", counts=_trace_powers(up, r_max, graph))
+    counts = _trace_powers(up, r_max, _fourier_group(graph, arcs), "arcs")
+    return SeriesCoefficients(kind="reduced", counts=counts)
 
 
 def rooted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
@@ -437,8 +453,9 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
             f"series consistency order {order} exceeds the cap of "
             f"{SERIES_ORDER_CAP}"
         )
-    u_mat = grover(graph, arc_space(graph))
-    logs = log_series(_det_i_minus_u(u_mat, graph), order)
+    arcs = arc_space(graph)
+    u_mat = grover(graph, arcs)
+    logs = log_series(_det_i_minus_u(u_mat, _fourier_group(graph, arcs), "arcs"), order)
     scaled = tuple(c / r for r, c in enumerate(trace_powers(u_mat, order), start=1))
     return SeriesConsistencyReport(
         order=order, log_coefficients=logs, scaled_counts=scaled

@@ -417,7 +417,8 @@ def test_series_takes_the_fourier_route_on_a_tagged_cayley_graph(
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         outputs.append(out)
-    assert sides == [4, 1, 1]
+    # Petersen is a Z_5-cover
+    assert sides == [4, 1, 5]
     # the same labelled graph with and without its tag: the same counts
     assert outputs[0] == outputs[1]
 
@@ -426,7 +427,7 @@ def test_series_takes_the_fourier_route_on_a_tagged_cayley_graph(
 def test_series_digit_check_passes_counts_that_stay_small_at_any_order(monkeypatch):
     # U+ of a cycle is a permutation: L = 1 and rho = 1, so every count is
     # 0 or 2N, and no order is refused
-    monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda n, scale, entries, order, graph: "formed")
+    monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda n, scale, entries, order, group, space: "formed")
     g = zetawalk.cycle_graph(5)
     assert cli._trace_counts(operators.grover_positive_support(g, arc_space(g)), 10**9) == "formed"
 

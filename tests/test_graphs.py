@@ -99,6 +99,7 @@ def test_every_family_builds_at_its_smallest_sizes():
         "complete": [{"N": 3}],
         "petersen": [{}],
         "hypercube": [{"d": 2}],
+        "gp": [{"N": 3, "k": 1}],
     }
     assert set(smallest) == set(FAMILIES)
     for tag, sizes in smallest.items():

@@ -498,7 +498,8 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
     graph = torus_graph(2, 4)
     u_mat = grover(graph, arc_space(graph))
     scale, entries = polynomials._cleared(u_mat)
-    counts = polynomials._traces(u_mat.rows, scale, entries, 6, graph=graph)
+    group = polynomials._fourier_group(graph, arc_space(graph))
+    counts = polynomials._traces(u_mat.rows, scale, entries, 6, group, "arcs")
     assert counts == naive_trace_powers(u_mat, 6)
 
 

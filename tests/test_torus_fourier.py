@@ -1,9 +1,9 @@
 """The Fourier route for abelian Cayley graphs against the generic kernel.
 
 On torus(d, N), cycle(N), complete(n) and hypercube(d), the Cayley graphs of
-Z_N^d, Z_N, Z_n and Z_2^d, every walk operator is translation invariant,
-and its characteristic polynomial mod a prime p = 1 (mod side) is the
-product of small Fourier blocks. The same kernel on the whole matrix, the
+Z_N^d, Z_N, Z_n and Z_2^d, and on Petersen, a Z_5-cover, every walk
+operator is translation invariant, and its characteristic polynomial mod a
+prime p = 1 (mod side) is the product of small Fourier blocks. The same kernel on the whole matrix, the
 one block of the trivial group Z_1^0, is the oracle here; a spy on
 `polynomials._fourier_charpolys` that counts only groups of side > 1 tells
 which route ran.
@@ -26,6 +26,7 @@ from zetawalk import (
     complete_graph,
     cycle_graph,
     det_i_minus_u,
+    generalized_petersen_graph,
     graph_from_edges,
     grover_zeta_reciprocal,
     hypercube_graph,
@@ -45,6 +46,9 @@ ARC_OPERATORS = {
     "U+": lambda g: grover_positive_support(g, arc_space(g)),
 }
 VERTEX_OPERATORS = {"P": transition, "D-A": laplacian}
+OPERATORS = {**ARC_OPERATORS, **VERTEX_OPERATORS}
+# operator name -> the state space of `polynomials._fourier_group` it acts on
+SPACES = {"U": "arcs", "U+": "arcs", "P": "vertices", "D-A": "vertices"}
 
 # (d, N) where the generic kernel takes under about a second
 ARC_SIZES = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3)]
@@ -72,6 +76,18 @@ def fourier_calls(monkeypatch):
     return calls
 
 
+def _group(graph):
+    """The verified group of the graph with all its state spaces, or None."""
+    return polynomials._fourier_group(graph, arc_space(graph))
+
+
+def _assert_every_operator_gives_its_whole_determinant(graph):
+    group = _group(graph)
+    for name, operator in OPERATORS.items():
+        matrix = operator(graph)
+        assert polynomials._det_i_minus_u(matrix, group, SPACES[name]) == det_i_minus_u(matrix)
+
+
 def _cases(sizes, operators):
     return [
         pytest.param(torus_graph(d, n), name, id=f"torus-{d}-{n}-{name}")
@@ -93,11 +109,12 @@ def _cayley_cases():
     _cases(ARC_SIZES, ARC_OPERATORS) + _cases(VERTEX_SIZES, VERTEX_OPERATORS) + _cayley_cases(),
 )
 def test_fourier_route_reproduces_the_generic_kernel(graph, name, fourier_calls):
-    matrix = {**ARC_OPERATORS, **VERTEX_OPERATORS}[name](graph)
-    fourier = polynomials._scaled_charpoly(matrix, graph)
+    matrix = OPERATORS[name](graph)
+    group = _group(graph)
+    fourier = polynomials._scaled_charpoly(matrix, group, SPACES[name])
     assert fourier_calls == [matrix.rows]
     assert fourier == polynomials._scaled_charpoly(matrix)
-    assert polynomials._det_i_minus_u(matrix, graph) == det_i_minus_u(matrix)
+    assert polynomials._det_i_minus_u(matrix, group, SPACES[name]) == det_i_minus_u(matrix)
     assert len(fourier_calls) == 2
 
 
@@ -115,9 +132,7 @@ def test_hypercube_tagged_as_a_torus_takes_the_generic_route(fourier_calls):
     # Q4 is isomorphic to torus(2,4), but its vertices are labelled otherwise
     cube = _relabelled(hypercube_graph(4), "torus(2,4)")
     assert cube.adjacency != torus_graph(2, 4).adjacency
-    for operator in (*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()):
-        matrix = operator(cube)
-        assert polynomials._det_i_minus_u(matrix, cube) == det_i_minus_u(matrix)
+    _assert_every_operator_gives_its_whole_determinant(cube)
     assert fourier_calls == []
     # det(I - uU) does not depend on the labelling
     assert grover_zeta_reciprocal(cube) == grover_zeta_reciprocal(torus_graph(2, 4))
@@ -129,9 +144,7 @@ def test_another_cayley_graph_of_the_same_group_takes_the_generic_route(fourier_
     # invariant under the same translations, but it is not the tagged graph
     edges = sorted({tuple(sorted((v, (v + j) % 8))) for v in range(8) for j in (1, 2)})
     circulant = graph_from_edges(8, edges, family="torus(1,8)", vertex_transitive=True)
-    for operator in (*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()):
-        matrix = operator(circulant)
-        assert polynomials._det_i_minus_u(matrix, circulant) == det_i_minus_u(matrix)
+    _assert_every_operator_gives_its_whole_determinant(circulant)
     assert fourier_calls == []
 
 
@@ -142,9 +155,7 @@ def test_a_relabelled_hypercube_with_its_own_tag_takes_the_generic_route(fourier
     edges = [(relabel[i], relabel[j]) for i, j in cube.edges()]
     moved = graph_from_edges(16, edges, family="hypercube(4)", vertex_transitive=True)
     assert moved.adjacency != cube.adjacency
-    for operator in (*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()):
-        matrix = operator(moved)
-        assert polynomials._det_i_minus_u(matrix, moved) == det_i_minus_u(matrix)
+    _assert_every_operator_gives_its_whole_determinant(moved)
     assert fourier_calls == []
 
 
@@ -175,9 +186,7 @@ def test_a_relabelled_hypercube_with_its_own_tag_takes_the_generic_route(fourier
 )
 def test_a_torus_without_its_exact_tag_takes_the_generic_route(graph, family, fourier_calls):
     tagged = _relabelled(graph, family)
-    for operator in (*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()):
-        matrix = operator(tagged)
-        assert polynomials._det_i_minus_u(matrix, tagged) == det_i_minus_u(matrix)
+    _assert_every_operator_gives_its_whole_determinant(tagged)
     assert fourier_calls == []
 
 
@@ -191,24 +200,28 @@ def test_a_tag_of_another_size_is_refused_before_any_graph_is_built(
     build = graphs.build_family
     monkeypatch.setattr(graphs, "build_family", lambda *a, **k: built.append(a) or build(*a, **k))
     graph = _relabelled(torus_graph(2, 4), family)
-    assert graphs._cayley_group(graph) is None
+    assert graphs._abelian_cover(graph) is None
     matrix = VERTEX_OPERATORS["P"](graph)
-    assert polynomials._det_i_minus_u(matrix, graph) == det_i_minus_u(matrix)
+    assert polynomials._det_i_minus_u(matrix, _group(graph), "vertices") == det_i_minus_u(matrix)
     assert built == [] and fourier_calls == []
     # the spy does see the rebuild of a tag of the right size
-    assert graphs._cayley_group(torus_graph(2, 4)) == (2, 4) and built == [("torus",)]
+    assert graphs._abelian_cover(torus_graph(2, 4))[:2] == (2, 4) and built == [("torus",)]
 
 
-def test_the_cayley_table_names_the_group_of_each_family():
+def test_the_cover_table_names_the_group_of_each_family():
     for graph, group in [
         (torus_graph(3, 4), (3, 4)),
         (cycle_graph(7), (1, 7)),
         (complete_graph(5), (1, 5)),
         (hypercube_graph(3), (3, 2)),
+        (petersen_graph(), (1, 5)),
+        (generalized_petersen_graph(7, 3), (1, 7)),
     ]:
-        assert graphs._cayley_group(graph) == group
-    assert set(graphs._CAYLEY_GROUPS) == set(graphs.FAMILIES) - {"petersen"}
-    assert graphs._cayley_group(petersen_graph()) is None
+        d, side, labels = graphs._abelian_cover(graph)
+        assert (d, side) == group
+        # element v mod side^d in fiber v div side^d: one fiber on a Cayley graph
+        assert labels == [divmod(v, side**d)[::-1] for v in range(graph.num_vertices)]
+    assert set(graphs._COVERS) == set(graphs.FAMILIES)
 
 
 def _perturbed(matrix, kind):
@@ -244,9 +257,9 @@ def _perturbed(matrix, kind):
 def test_a_torus_operator_with_one_perturbed_entry_takes_the_generic_route(
     graph, name, kind, fourier_calls
 ):
-    original = {**ARC_OPERATORS, **VERTEX_OPERATORS}[name](graph)
+    original = OPERATORS[name](graph)
     matrix = _perturbed(original, kind)
-    assert polynomials._det_i_minus_u(matrix, graph) == det_i_minus_u(matrix)
+    assert polynomials._det_i_minus_u(matrix, _group(graph), SPACES[name]) == det_i_minus_u(matrix)
     assert fourier_calls == []
     assert det_i_minus_u(matrix) != det_i_minus_u(original)
 
@@ -282,12 +295,6 @@ def test_a_whole_matrix_is_its_own_block_mod_each_prime(n, density, low, high):
     assert (blocks[:, 0] == residue_stack(n, entries, primes)).all()
 
 
-def test_the_bass_companion_stays_on_the_generic_route(fourier_calls):
-    graph = torus_graph(1, 5)
-    ihara_reciprocal_bass(graph)
-    assert fourier_calls == []
-
-
 def test_callers_that_hold_the_graph_hand_it_down(fourier_calls):
     graph = torus_graph(2, 4)
     u_mat = grover(graph, arc_space(graph))
@@ -298,6 +305,9 @@ def test_callers_that_hold_the_graph_hand_it_down(fourier_calls):
     # both left sides on the arcs and P and D - A on the vertices
     assert konno_sato_check(graph).all_hold
     assert fourier_calls[3:] == [64, 64, 16, 16]
+    # the Bass companion on the two halves of the vertices
+    assert ihara_reciprocal_bass(graph) == ihara_reciprocal_edge(graph)
+    assert fourier_calls[7:] == [32, 64]
 
 
 def test_konno_sato_report_on_a_torus_is_that_of_the_generic_kernel(monkeypatch, fourier_calls):
@@ -318,7 +328,7 @@ def _assert_konno_sato_report_is_that_of_the_generic_kernel(graph, monkeypatch, 
     report = konno_sato_check(graph)
     assert len(fourier_calls) == 4
     generic = polynomials._charpolys
-    monkeypatch.setattr(zeta, "_charpolys", lambda matrices, graph=None: generic(matrices))
+    monkeypatch.setattr(zeta, "_charpolys", lambda matrices, group=None, spaces=(): generic(matrices))
     assert konno_sato_check(graph) == report
     assert len(fourier_calls) == 4
 
@@ -375,6 +385,7 @@ def test_the_root_of_unity_has_order_exactly_n(n):
         pytest.param(4, 2, hypercube_graph(4), id="hypercube(4)"),
         pytest.param(1, 6, complete_graph(6), id="complete(6)"),
         pytest.param(1, 7, cycle_graph(7), id="cycle(7)"),
+        pytest.param(1, 5, petersen_graph(), id="petersen"),
     ],
 )
 def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatch):
@@ -387,10 +398,10 @@ def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatc
         return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
-    polynomials._scaled_charpoly(grover(graph, arc_space(graph)), graph)
+    polynomials._scaled_charpoly(grover(graph, arc_space(graph)), _group(graph), "arcs")
     assert seen and all(p % n == 1 for p in seen)
     assert seen == [polynomials._prime(i, n) for i in range(len(seen))]
-    assert graphs._cayley_group(graph) == (d, n)
+    assert graphs._abelian_cover(graph)[:2] == (d, n)
 
 
 def _residues(rng, primes, shape, top=False):
@@ -485,12 +496,12 @@ def test_konno_sato_verifies_the_group_once_and_stacks_each_width(monkeypatch, f
         monkeypatch.setattr(module, name, spy)
 
     counting(graphs, "build_family")
-    counting(polynomials, "arc_space")
+    counting(zeta, "arc_space")
     counting(polynomials, "_hessenberg_charpolys")
     counting(polynomials, "_product_mod")
     assert konno_sato_check(torus_graph(2, 4)).all_hold
-    # one rebuild of the tagged graph and one read of its arcs; U with U+ and
-    # P with D - A, one stack each
+    # one rebuild of the tagged graph and one arc space, which U and the
+    # group share; U with U+ and P with D - A, one stack each
     assert counts == {"build_family": 1, "arc_space": 1, "_hessenberg_charpolys": 2, "_product_mod": 2}
     assert fourier_calls == [64, 64, 16, 16]
 
@@ -520,8 +531,8 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
         polynomials, "_hessenberg_charpolys", lambda a, primes: calls.append(primes) or hessenberg(a, primes)
     )
     assert konno_sato_check(graph) == report
-    group = graphs._cayley_group(graph)
-    side, blocks = (group[1], graph.num_vertices) if group else (1, 1)
+    cover = graphs._abelian_cover(graph)
+    side, blocks = (cover[1], cover[1] ** cover[0]) if cover else (1, 1)
     operators = [*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()]
     bounds = [polynomials._clear_and_bound(operator(graph)).bound for operator in operators]
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
@@ -566,11 +577,13 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
     if matrix.rows <= 36:
         assert whole == naive_trace_powers(matrix, 12)
     scale, entries = polynomials._cleared(matrix)
+    group = _group(graph)
     # each order takes its own primes, and odd and even orders their own pairing
     for r_max in range(1, 13):
-        assert polynomials._traces(matrix.rows, scale, entries, r_max, graph) == whole[:r_max]
+        traces = polynomials._traces(matrix.rows, scale, entries, r_max, group, "arcs")
+        assert traces == whole[:r_max]
     # r_max = 1 needs no powers: the arc operators have a zero diagonal
-    assert trace_sides[1:] == [graphs._cayley_group(graph)[1]] * 11
+    assert trace_sides[1:] == [group.side] * 11
 
 
 @pytest.mark.parametrize("operator", [transition, laplacian], ids=list(VERTEX_OPERATORS))
@@ -578,13 +591,15 @@ def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(operator, trace_s
     graph = torus_graph(2, 4)
     matrix = operator(graph)
     scale, entries = polynomials._cleared(matrix)
-    torus = polynomials._torus_stencil(polynomials._fourier_group(graph), matrix.rows, entries)
+    group = _group(graph)
+    torus = polynomials._torus_stencil(group, "vertices", matrix.rows, entries)
     # the one 1 x 1 entry of each block sums a run of every step of the stencil
     keys, sums = polynomials._fourier_sums(torus, [polynomials._prime(0, 4)])
     assert keys.tolist() == [0] and len(torus.stencil) > 1 and sums.shape == (1, 16, 1)
     naive = naive_trace_powers(matrix, 12)
     for r_max in range(1, 13):
-        assert polynomials._traces(matrix.rows, scale, entries, r_max, graph) == naive[:r_max]
+        traces = polynomials._traces(matrix.rows, scale, entries, r_max, group, "vertices")
+        assert traces == naive[:r_max]
     assert set(trace_sides) == {4}
 
 
@@ -596,7 +611,8 @@ def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(operator, trace_s
         pytest.param(hypercube_graph(3), 2, id="hypercube(3)"),
         pytest.param(complete_graph(5), 5, id="complete(5)"),
         pytest.param(cycle_graph(6), 6, id="cycle(6)"),
-        pytest.param(petersen_graph(), 1, id="petersen"),
+        pytest.param(petersen_graph(), 5, id="petersen"),
+        pytest.param(generalized_petersen_graph(8, 3), 8, id="gp(8,3)"),
         pytest.param(_relabelled(torus_graph(2, 4), None), 1, id="untagged-torus(2,4)"),
         pytest.param(
             _relabelled(hypercube_graph(4), "torus(2,4)"), 1, id="hypercube(4)-tagged-torus(2,4)"

@@ -407,7 +407,8 @@ def test_every_family_passes_the_walk_regularity_check():
     cases = [("cycle", {"N": 3}), ("cycle", {"N": 8}), ("torus", {"d": 1, "N": 5}),
              ("torus", {"d": 2, "N": 3}), ("torus", {"d": 2, "N": 4}),
              ("torus", {"d": 3, "N": 7}), ("complete", {"N": 3}), ("complete", {"N": 6}),
-             ("petersen", {}), ("hypercube", {"d": 2}), ("hypercube", {"d": 4})]
+             ("petersen", {}), ("hypercube", {"d": 2}), ("hypercube", {"d": 4}),
+             ("gp", {"N": 3, "k": 1}), ("gp", {"N": 8, "k": 3}), ("gp", {"N": 10, "k": 2})]
     assert {tag for tag, _ in cases} == set(FAMILIES)
     for tag, params in cases:
         graph = build_family(tag, **params)
