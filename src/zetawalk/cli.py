@@ -40,7 +40,6 @@ from typing import Sequence
 from . import graphs, limits, operators, polynomials, zeta
 from .errors import ZetawalkError
 from .polynomials import Poly
-from .rational import RatMatrix
 
 FLOAT_FORMAT = ".15g"
 DEFAULT_TOLERANCE = 1e-12
@@ -116,9 +115,8 @@ def _cmd_matrix_dump(args: argparse.Namespace) -> int:
 # -- charpoly -------------------------------------------------------------
 
 
-# --matrix -> the form of the exact zeta reciprocal of a graph: the matrix M
-# of det(I - uM) (1 - u^2)^e, cleared to integers and bounded, e, and the
-# group and the states of M for the kernel's route
+# --matrix -> the form of the exact zeta reciprocal of a graph: the operator
+# of the matrix M of det(I - uM) (1 - u^2)^e on the graph's route, and e
 _RECIPROCALS = {
     "grover": lambda g: zeta._grover_form(g),
     "positive-support": lambda g: zeta._edge_form(g),
@@ -127,25 +125,25 @@ _RECIPROCALS = {
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    matrix, exponent, group, space = _RECIPROCALS[args.matrix](graphs.load_graph(args.graph))
-    _refuse_unprintable(matrix, exponent)
-    _emit({"coeffs": _poly_strings(zeta._reciprocal(matrix, exponent, group, space))})
+    operator, exponent = _RECIPROCALS[args.matrix](graphs.load_graph(args.graph))
+    _refuse_unprintable(operator, exponent)
+    _emit({"coeffs": _poly_strings(zeta._reciprocal(operator, exponent))})
     return 0
 
 
-def _refuse_unprintable(matrix: polynomials._Cleared, exponent: int) -> None:
+def _refuse_unprintable(operator: polynomials._Operator, exponent: int) -> None:
     """Refuse, before the kernel runs, a det(I - uM) (1 - u^2)^exponent whose
     coefficients could have more digits than CPython converts to a string.
 
     det(I - uM) = sum_k C_k u^k / L^k with |C_k| <= B, L and B as the
-    cleared matrix holds them. A positive exponent comes only with the
+    operator holds them. A positive exponent comes only with the
     integer Bass companion (L = 1), and the coefficients of (1 - u^2)^e have
     absolute sum 2^e. So every numerator is at most 2^e B and every
     denominator at most L^n, and each prints when both are below 10^limit.
     """
     limit = sys.get_int_max_str_digits()
     if limit:
-        if max(matrix.scale**matrix.rows, matrix.bound << exponent) >= 10**limit:
+        if max(operator.scale**operator.rows, operator.bound << exponent) >= 10**limit:
             raise ZetawalkError(
                 f"the coefficients could have more than {limit} digits, "
                 "more than Python converts to a string"
@@ -193,51 +191,36 @@ def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
 # --which -> the cycle counts N_1..N_order of a graph: the trace powers of
 # an arc operator, on the graph's Fourier route, or a brute-force oracle
 _SERIES = {
-    "grover": lambda g, order: _arc_counts(g, order, operators.grover),
-    "ihara": lambda g, order: _arc_counts(g, order, operators.grover_positive_support),
+    "grover": lambda g, order: _trace_counts(zeta._arc_operator(g, operators.grover), order),
+    "ihara": lambda g, order: _trace_counts(
+        zeta._arc_operator(g, operators.grover_positive_support), order
+    ),
     "oracle-weighted": lambda g, order: zeta.cycle_oracle(g, order, "weighted").counts,
     "oracle-reduced": lambda g, order: zeta.cycle_oracle(g, order, "reduced").counts,
 }
 
 
-def _arc_counts(graph: graphs.Graph, order: int, build) -> tuple[Fraction, ...]:
-    """`_trace_counts` of the arc operator build(graph, arcs), on the
-    graph's Fourier route, with the one arc space of the graph."""
-    arcs = graphs.arc_space(graph)
-    group = polynomials._fourier_group(graph, arcs)
-    return _trace_counts(build(graph, arcs), order, group, "arcs")
+def _trace_counts(operator: polynomials._Operator, order: int) -> tuple[Fraction, ...]:
+    """Tr M^1..Tr M^order of the operator's matrix M, for order >= 1,
+    refused before the powers are formed when a count could not be printed.
 
-
-def _trace_counts(
-    matrix: RatMatrix,
-    order: int,
-    group: polynomials._Group | None = None,
-    space: str | None = None,
-) -> tuple[Fraction, ...]:
-    """Tr M^1..Tr M^order for order >= 1, on the Fourier route when M is
-    invariant on the states `space` of the group, refused before the powers
-    are formed when a count could not be printed.
-
-    Each count is T_r / L^r with |T_r| <= B, L the lcm of the entry
-    denominators and B the trace bound, so every numerator and denominator
-    prints when B and L^order have at most as many digits as CPython
-    converts to a string. Both grow with the order, by a factor of at least
-    2 per step unless they stay put (L = 1, rho <= 1), so the answer at
-    order 4 * limit, where 2^(4 * limit - 2) > 10^limit, holds for every
-    higher order. The matrix is cleared to integers once, for the check
-    and the traces.
+    Each count is T_r / L^r with |T_r| <= B, L the operator's scale and B
+    the trace bound, so every numerator and denominator prints when B and
+    L^order have at most as many digits as CPython converts to a string.
+    Both grow with the order, by a factor of at least 2 per step unless
+    they stay put (L = 1, rho <= 1), so the answer at order 4 * limit,
+    where 2^(4 * limit - 2) > 10^limit, holds for every higher order.
     """
-    scale, entries = polynomials._cleared(matrix)
     limit = sys.get_int_max_str_digits()
     if limit:
         checked = min(order, 4 * limit)
-        bound = polynomials._trace_bound(matrix.rows, entries, checked)
-        if max(scale**checked, bound) >= 10**limit:
+        bound = polynomials._trace_bound(operator.torus, checked)
+        if max(operator.scale**checked, bound) >= 10**limit:
             raise ZetawalkError(
                 f"cycle counts of order {order} could have more than {limit} digits, "
                 "more than Python converts to a string"
             )
-    return polynomials._traces(matrix.rows, scale, entries, order, group, space)
+    return polynomials._traces(operator, order)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:

@@ -1,16 +1,16 @@
 """Exact univariate polynomials over big rationals, and the two exact kernels.
 
-Both kernels first scale a square rational matrix M to the integer matrix
-L*M, with L the lcm of its denominators.
+Both kernels read one record, `_Operator`: a square rational matrix M as
+the integer matrix L*M, L the lcm of its denominators, on its route.
+`_operator` is the one place that clears a matrix and chooses its route.
 
 Every exact determinant in the package is det(I - u*M), computed by
 `_charpolys` as integer coefficients C_k of u^k / L^k and divided out by
 `det_i_minus_u`; callers that go on in integers (the Bass form and the
 Konno-Sato vertex sides) take the C_k and multiply by the cocycle
 (1 - u^2)^e with `_times_one_minus_u_squared` before they divide; that
-integer pass is the one way the package forms the cocycle. A matrix is
-cleared to integers and bounded once (`_clear_and_bound`), and one call of
-`_charpolys` takes several matrices. The largest of the Frobenius bounds
+integer pass is the one way the package forms the cocycle. One call of
+`_charpolys` takes several operators. The largest of the Frobenius bounds
 C(n, k) (||L*M||_F^2 / n)^(k/2) on the coefficients, from the inequalities
 of Schur, the power mean and Maclaurin, rounded up in integers, fixes the
 number of 31-bit primes, so the result is exact for every input. The
@@ -20,8 +20,9 @@ residues (von zur Gathen and Gerhard, Modern Computer Algebra, chapter 5).
 
 There is one path to the residues. Callers that hold the graph build its
 group once (`_fourier_group`, from the arc space their operator builder
-made) and hand it down with the name of the states each matrix acts on:
-"arcs", "vertices" or "bass" (the two halves of the Bass companion). On a
+made), and `_operator` routes each matrix by it and the name of the states
+the matrix acts on: "arcs", "vertices" or "bass" (the two halves of the
+Bass companion). On a
 family of the table `graphs._COVERS` (verified by `graphs._abelian_cover`)
 the group Z_side^d acts freely on the graph, which is then a cover of a
 base graph with F fibers: the Cayley graphs torus(d, N), cycle(N),
@@ -56,11 +57,12 @@ one block. The powers of the blocks up to ceil(r_max / 2) form one
 (K, side^d, w, w) int64 residue stack, each product a sum of gathers of
 block rows, one per slot of the widest block row. Each higher trace is read
 as a pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them, summed over
-the blocks, and the traces are combined by CRT. Callers that hold the
-graph (`zeta.weighted_cycle_counts`, `reduced_cycle_counts` and the CLI's
-`series`) hand its group down; the public `trace_powers(matrix)` and the
-trace side of `zeta.zeta_series_consistency` take the matrix whole, so in
-that check the Fourier blocks enter only the determinant.
+the blocks, and the traces are combined by CRT. `zeta.weighted_cycle_counts`,
+`reduced_cycle_counts` and the CLI's `series` route their arc operator by
+the graph's group (`zeta._arc_operator`); the public `trace_powers(matrix)`
+and the trace side of `zeta.zeta_series_consistency` take the matrix whole,
+so in that check the Fourier blocks enter only the determinant. Both bounds
+are read off the stencil (`_norms`), the same numbers on both routes.
 
 `log_series` expands log(1/p) for p(0) = 1 by Newton's identities, one
 recurrence over the coefficients of p; for p = det(I - uM) its
@@ -70,8 +72,10 @@ coefficients are Tr M^r / r, which ties the two kernels together.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -206,16 +210,10 @@ def _times_one_minus_u_squared(coeffs: list[int], exponent: int) -> list[int]:
 
 def det_i_minus_u(matrix: RatMatrix) -> Poly:
     """Exact polynomial det(I - u*M) for a square rational matrix M."""
-    return _det_i_minus_u(matrix)
-
-
-def _det_i_minus_u(
-    matrix: RatMatrix, group: _Group | None = None, space: str | None = None
-) -> Poly:
-    """`det_i_minus_u`, on the Fourier route when M is invariant on the
-    states `space` of the group."""
-    scale, coeffs = _scaled_charpoly(matrix, group, space)
-    return _unscaled(scale, coeffs)
+    if matrix.rows != matrix.cols:
+        raise ZetawalkError("det(I - u*M) requires a square matrix")
+    operator = _operator(matrix)
+    return _unscaled(operator.scale, _charpolys([operator])[0])
 
 
 def _unscaled(scale: int, coeffs: list[int]) -> Poly:
@@ -223,64 +221,59 @@ def _unscaled(scale: int, coeffs: list[int]) -> Poly:
     return Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs))
 
 
-def _scaled_charpoly(
-    matrix: RatMatrix, group: _Group | None = None, space: str | None = None
-) -> tuple[int, list[int]]:
-    """L and integers C_0..C_n with det(I - u*M) = sum_k C_k u^k / L^k.
+@dataclass(frozen=True, eq=False)
+class _Operator:
+    """A square rational matrix M as the integer matrix A = L*M on its route.
 
-    L is the lcm of the entry denominators of the square matrix M, and
-    x^n + C_1 x^(n-1) + ... + C_n = det(xI - L*M); see `_charpolys`.
-    """
-    cleared = _clear_and_bound(matrix)
-    return cleared.scale, _charpolys([cleared], group, [space])[0]
-
-
-class _Cleared(NamedTuple):
-    """A square rational matrix M as the integer matrix A = L*M.
-
-    `entries` are the nonzero entries of A as (i, j, integer), sorted by
-    (i, j), and `bound` is an integer B >= |c_k| for every coefficient c_k
-    of det(xI - A).
+    `scale` is L, the lcm of the entry denominators, and `torus` is A as
+    the stencil of its group (`_torus_stencil`), or whole (`_whole`). Both
+    kernels read only this record; `_operator` makes it.
     """
 
-    rows: int
     scale: int
-    entries: list[tuple[int, int, int]]
-    bound: int
+    torus: _Torus
+
+    @property
+    def rows(self) -> int:
+        return len(self.torus.coords) * self.torus.width
+
+    @functools.cached_property
+    def bound(self) -> int:
+        """The coefficient bound of det(xI - A) (`_coefficient_bound`), once."""
+        return _coefficient_bound(self.torus)
 
 
-def _clear_and_bound(matrix: RatMatrix) -> _Cleared:
-    """M cleared to integers (`_cleared`) and its coefficient bound, once."""
-    if matrix.rows != matrix.cols:
-        raise ZetawalkError("det(I - u*M) requires a square matrix")
+def _operator(
+    matrix: RatMatrix, group: _Group | None = None, space: str | None = None
+) -> _Operator:
+    """The record of M: M cleared to integers (`_cleared`), and its route.
+
+    A = L*M goes in Fourier blocks when `_torus_stencil` finds it
+    translation invariant on the states `space` of the group
+    (`_fourier_group`), and otherwise whole (`_whole`). M is square: the
+    public kernels refuse any other matrix before they call this.
+    """
     scale, entries = _cleared(matrix)
-    return _Cleared(matrix.rows, scale, entries, _coefficient_bound(matrix.rows, entries))
+    n = matrix.rows
+    return _Operator(scale, _torus_stencil(group, space, n, entries) or _whole(n, entries))
 
 
-def _charpolys(
-    matrices: Sequence[_Cleared],
-    group: _Group | None = None,
-    spaces: Sequence[str | None] = (),
-) -> list[list[int]]:
+def _charpolys(operators: Sequence[_Operator]) -> list[list[int]]:
     """The coefficients C_0..C_n of det(xI - A), C_k on x^(n-k), for each A.
 
     Symmetric residues pin down every C_k once the modulus exceeds 2 |C_k|,
-    so each A takes the fewest primes whose product exceeds 2B, and its
-    residues are combined by CRT. spaces[i] names the states of the group
-    (`_fourier_group`) that matrices[i] acts on, or is None, and may be
-    left out when the group is None. Every A goes through
-    `_fourier_charpolys`, in Fourier blocks when `_torus_stencil` finds it
-    translation invariant on its states, and otherwise whole (`_whole`). The
-    Fourier matrices of one width share a stack; a whole matrix has its own,
-    since slices that pivot apart each need their own swaps.
+    so each A takes the fewest primes p = 1 (mod side) of its route whose
+    product exceeds 2B, and its residues are combined by CRT. Every A goes
+    through `_fourier_charpolys` on the route its record holds. The Fourier
+    matrices of one width share a stack; a whole matrix has its own, since
+    slices that pivot apart each need their own swaps.
     """
-    out: list[list[int]] = [[] for _ in matrices]
+    out: list[list[int]] = [[] for _ in operators]
     # stack key -> (index, torus, primes, modulus) of each matrix in the stack
     stacks: dict[object, list[tuple[int, _Torus, list[int], int]]] = {}
-    for index, a in enumerate(matrices):
-        space = spaces[index] if spaces else None
-        torus = _torus_stencil(group, space, a.rows, a.entries) or _whole(a.rows, a.entries)
-        primes, modulus = _primes_above(2 * a.bound, torus.side)
+    for index, operator in enumerate(operators):
+        torus = operator.torus
+        primes, modulus = _primes_above(2 * operator.bound, torus.side)
         key = (torus.side, torus.width) if torus.side > 1 else index
         stacks.setdefault(key, []).append((index, torus, primes, modulus))
     for stack in stacks.values():
@@ -291,11 +284,33 @@ def _charpolys(
     return out
 
 
-def _coefficient_bound(n: int, entries: list[tuple[int, int, int]]) -> int:
+def _norms(torus: _Torus) -> tuple[int, int, int, int]:
+    """n, ||A||_F^2, the row-sum norm rho and sum_i |A[i][i]| of the n x n
+    matrix A of the stencil.
+
+    Each stencil entry t_ss'(z) stands for side^d entries of A, one in each
+    row of kind s, so every row of kind s sums the |t_ss'(z)| of its kind,
+    and the Frobenius and diagonal sums are side^d times those of the
+    stencil; the diagonal entries are those with s = s' and z = 0. A whole
+    matrix is its own stencil (side^d = 1), so these are its entry sums.
+    """
+    _, coords, width, stencil = torus
+    order = len(coords)
+    row_sums = [0] * width
+    frobenius = diagonal = 0
+    for s, s2, z, t in stencil:
+        row_sums[s] += abs(t)
+        frobenius += t * t
+        if s == s2 and not z:
+            diagonal += abs(t)
+    return order * width, order * frobenius, max(row_sums, default=0), order * diagonal
+
+
+def _coefficient_bound(torus: _Torus) -> int:
     """An integer B >= |c_k| for every coefficient c_k of det(xI - A).
 
-    A is the n x n integer matrix with the given nonzero entries, and
-    F = ||A||_F^2. Schur's inequality sum |lam|^2 <= F, the power mean
+    A is the n x n integer matrix of the stencil, and F = ||A||_F^2
+    (`_norms`). Schur's inequality sum |lam|^2 <= F, the power mean
     inequality and Maclaurin's inequality give |c_k| <= b_k =
     C(n, k) (F / n)^(k/2), rounded up in integers to
     B_k = C(n, k) R_k with R_k = ceil(sqrt(ceil((F / n)^k))), and B is the
@@ -314,7 +329,7 @@ def _coefficient_bound(n: int, entries: list[tuple[int, int, int]]) -> int:
     every earlier term. Each walk stops at the first such bound not above
     the largest term seen.
     """
-    frobenius = sum(value * value for _, _, value in entries)
+    n, frobenius, _, _ = _norms(torus)
     if frobenius <= n:
         return math.comb(n, n // 2) if frobenius else 1
 
@@ -351,73 +366,50 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
     Independent of `det_i_minus_u` and `log_series`, which give the same
     numbers through Newton's identities.
     """
-    return _trace_powers(matrix, r_max)
-
-
-def _trace_powers(
-    matrix: RatMatrix, r_max: int, group: _Group | None = None, space: str | None = None
-) -> tuple[Fraction, ...]:
-    """`trace_powers`, on the Fourier route when M is invariant on the
-    states `space` of the group."""
     if matrix.rows != matrix.cols:
         raise ZetawalkError("trace powers require a square matrix")
     if r_max < 0:
         raise ZetawalkError("r_max must be non-negative")
     if r_max == 0:
         return ()
-    return _traces(matrix.rows, *_cleared(matrix), r_max, group, space)
+    return _traces(_operator(matrix), r_max)
 
 
-def _traces(
-    n: int,
-    scale: int,
-    entries: list[tuple[int, int, int]],
-    r_max: int,
-    group: _Group | None = None,
-    space: str | None = None,
-) -> tuple[Fraction, ...]:
-    """`trace_powers` of the n x n matrix M with L*M = A, from L and the
-    nonzero entries of A (`_cleared`), for r_max >= 1.
+def _traces(operator: _Operator, r_max: int) -> tuple[Fraction, ...]:
+    """`trace_powers` of the matrix M of the operator, for r_max >= 1.
 
-    As in `_charpolys`, A goes block by block when `_torus_stencil` finds it
-    translation invariant on the states `space` of the group, and otherwise
-    whole (`_whole`), with the primes p = 1 (mod side) of its group. The
-    Fourier transform is a similarity over F_p, so Tr A^r mod p is the sum
-    of the traces of the r-th powers of the blocks, and after CRT every
-    trace is the same on both routes.
+    As in `_charpolys`, A = L*M goes on the route its record holds, with
+    the primes p = 1 (mod side) of its group. The Fourier transform is a
+    similarity over F_p, so Tr A^r mod p is the sum of the traces of the
+    r-th powers of the blocks, and after CRT every trace is the same on
+    both routes.
     """
-    bound = _trace_bound(n, entries, r_max)
+    torus = operator.torus
+    bound = _trace_bound(torus, r_max)
     if not bound:
         # A = 0, or r_max = 1 and a zero diagonal
         return (Fraction(0),) * r_max
-    torus = _torus_stencil(group, space, n, entries) or _whole(n, entries)
     primes, modulus = _primes_above(2 * bound, torus.side)
     traces = _crt(_trace_residues(torus, primes, r_max), primes, modulus)
-    return tuple(Fraction(t, scale**r) for r, t in enumerate(traces, start=1))
+    return tuple(Fraction(t, operator.scale**r) for r, t in enumerate(traces, start=1))
 
 
-def _trace_bound(n: int, entries: list[tuple[int, int, int]], r_max: int) -> int:
-    """An integer B >= |Tr A^r| for r = 1..r_max, A the n x n integer matrix
-    with the given nonzero entries.
+def _trace_bound(torus: _Torus, r_max: int) -> int:
+    """An integer B >= |Tr A^r| for r = 1..r_max, A the integer matrix of
+    the stencil.
 
     |Tr A| <= sum_i |A[i][i]|. For r >= 2, |Tr A^r| <= sum |lam|^r, and the
     row-sum norm rho bounds every eigenvalue, so by Schur's inequality
-    sum |lam|^2 <= ||A||_F^2 this is at most rho^(r-2) ||A||_F^2. The
-    eigenvalue bound n rho^r is never smaller: each row has
+    sum |lam|^2 <= ||A||_F^2 this is at most rho^(r-2) ||A||_F^2 (`_norms`).
+    The eigenvalue bound n rho^r is never smaller: each row has
     sum_j A[i][j]^2 <= rho^2, so ||A||_F^2 <= n rho^2. The bound grows with
     r (rho >= 1 unless A = 0), and for integers ||A||_F^2 >= sum_i |A[i][i]|,
     so B is the bound at r_max.
     """
-    row_sums = [0] * n
-    frobenius = diagonal = 0
-    for i, j, value in entries:
-        row_sums[i] += abs(value)
-        frobenius += value * value
-        if i == j:
-            diagonal += abs(value)
+    _, frobenius, rho, diagonal = _norms(torus)
     if r_max < 2:
         return diagonal
-    return max(row_sums) ** (r_max - 2) * frobenius
+    return rho ** (r_max - 2) * frobenius
 
 
 _INT64_MAX = 2**63 - 1
@@ -507,8 +499,8 @@ def _pairing_mod(x: np.ndarray, y: np.ndarray, p1: np.ndarray, out: np.ndarray) 
 def _cleared(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:
     """The lcm L of the entry denominators, and the nonzero entries of L*M.
 
-    Entries come as (i, j, integer) sorted by (i, j). This is the one place
-    that clears a matrix to integers, for both exact kernels. L is one lcm
+    Entries come as (i, j, integer) sorted by (i, j); `_operator` is its
+    one caller, for both exact kernels. L is one lcm
     over the distinct denominators, and each entry is its numerator times
     the factor L / q of its denominator q.
     """
@@ -530,12 +522,18 @@ def _prime(index: int, n: int = 2) -> int:
     Each list is found once per process. The default n = 2, and n = 1, give
     every odd prime below 2^31; the Fourier route asks for p = 1 (mod N), so
     that F_p holds the N-th roots of unity. Candidates step by lcm(2, n), so
-    all are odd, and each list is kept under its step.
+    all are odd, and each list is kept under its step. When the candidates
+    run out before the index-th prime, ZetawalkError names the step.
     """
     step = math.lcm(2, n)
     found = _PRIMES.setdefault(step, [])
     candidate = found[-1] - step if found else (2**31 - 2) // step * step + 1
     while len(found) <= index:
+        if candidate < 2:
+            raise ZetawalkError(
+                f"only {len(found)} primes p = 1 (mod {step}) lie below 2^31, "
+                f"and prime {index} was asked for"
+            )
         if _is_prime(candidate):
             found.append(candidate)
         candidate -= step
@@ -575,7 +573,20 @@ def _root_of_unity(n: int, p: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    # Miller-Rabin with bases 2, 3, 5, 7 is exact below 3,215,031,751
+    """Whether n is prime, exactly for every n below 3,215,031,751, the
+    least strong pseudoprime to the bases 2, 3, 5 and 7 (Pomerance,
+    Selfridge and Wagstaff, Math. Comp. 35 (1980) 1003), so for every
+    candidate of `_prime`.
+
+    A base that divides n decides at once: n is prime only if it is that
+    base. Otherwise n is odd and coprime to every base, and Miller-Rabin
+    runs to each of them.
+    """
+    if n < 2:
+        return False
+    for base in (2, 3, 5, 7):
+        if n % base == 0:
+            return n == base
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

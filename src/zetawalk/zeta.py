@@ -12,23 +12,22 @@ operator M gives det(s I + t M) = sum_k c_k (-t)^k s^(nu-k), which is
 evaluated at the vertex factor line s = 1 + a1 u + a2 u^2, t = b u in
 integers. The Bass form and the Konno-Sato sides multiply by the cocycle
 (1 - u^2)^(m - nu) in integers before the one division. Every function
-here that builds an operator of a graph hands the graph's group
-(`polynomials._fourier_group`, from the operator's own arc space) and the
-name of the operator's states to the kernel (`polynomials._charpolys`,
-`_det_i_minus_u`), so on a verified free abelian cover of the table
+here that builds an operator of a graph makes its record with
+`polynomials._operator`, from the graph's group (`_fourier_group`, on the
+operator's own arc space; `_arc_operator` for U and U+) and the name of
+the operator's states, so on a verified free abelian cover of the table
 `graphs._COVERS` (torus, cycle, complete graph, hypercube, Petersen, gp:
 the group Z_side^d) the determinant comes from side^d Fourier blocks, for
 U, U+, P, D - A and the Bass companion alike; every other matrix is the
 one block of the trivial group. No Konno-Sato formula enters the kernel,
 so on such a graph the check still compares the arc determinant with a
-vertex side computed apart from it. Cycle counts are
-exact traces of operator powers (`polynomials._trace_powers`, pairings of
-the powers of the cleared matrix up to half the order, block by block on
-the same Fourier route, modulo primes chosen from a bound on every trace
-and combined by CRT), with an
-independent brute-force oracle for cross-checking, and the generalized
-zeta (the nu-th root normalization) is evaluated numerically from vertex
-spectra.
+vertex side computed apart from it. Cycle counts are exact traces of
+operator powers (`polynomials._traces`, pairings of the powers of the
+cleared matrix up to half the order, block by block on the same route,
+modulo primes chosen from a bound on every trace and combined by CRT),
+with an independent brute-force oracle for cross-checking, and the
+generalized zeta (the nu-th root normalization) is evaluated numerically
+from vertex spectra.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, starmap
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     NonRegularGraphError,
@@ -65,13 +64,11 @@ from .operators import (
 from .polynomials import (
     Poly,
     _charpolys,
-    _clear_and_bound,
-    _Cleared,
-    _det_i_minus_u,
     _fourier_group,
-    _Group,
+    _operator,
+    _Operator,
     _times_one_minus_u_squared,
-    _trace_powers,
+    _traces,
     _unscaled,
     log_series,
     trace_powers,
@@ -205,42 +202,45 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
     return _reciprocal(*_bass_form(graph))
 
 
-# The three reciprocals as det(I - uM) (1 - u^2)^e: each form builds M,
-# cleared to integers with its coefficient bound, and gives e, the graph's
-# group (`_fourier_group`) and the name of the states M acts on, for the
-# kernel's Fourier route. The command line sizes a form before it calls
-# `_reciprocal`, so M is built and bounded once per call.
-_Form = tuple[_Cleared, int, _Group | None, str]
+# The three reciprocals as det(I - uM) (1 - u^2)^e: each form gives the
+# operator of M on the graph's route (`polynomials._operator`) and e. The
+# command line sizes a form before it calls `_reciprocal`, so M is built,
+# routed and bounded once per call.
+_Form = tuple[_Operator, int]
 
 
 def _grover_form(graph: Graph) -> _Form:
-    arcs = arc_space(graph)
-    return _clear_and_bound(grover(graph, arcs)), 0, _fourier_group(graph, arcs), "arcs"
+    return _arc_operator(graph, grover), 0
 
 
 def _edge_form(graph: Graph) -> _Form:
     _reject_tree(graph)
-    arcs = arc_space(graph)
-    matrix = _clear_and_bound(grover_positive_support(graph, arcs))
-    return matrix, 0, _fourier_group(graph, arcs), "arcs"
+    return _arc_operator(graph, grover_positive_support), 0
 
 
 def _bass_form(graph: Graph) -> _Form:
     _reject_tree(graph)
-    exponent = graph.num_edges - graph.num_vertices
-    return _clear_and_bound(_bass_companion(graph)), exponent, _fourier_group(graph), "bass"
+    operator = _operator(_bass_companion(graph), _fourier_group(graph), "bass")
+    return operator, graph.num_edges - graph.num_vertices
 
 
-def _reciprocal(matrix: _Cleared, exponent: int, group: _Group | None, space: str) -> Poly:
+def _arc_operator(graph: Graph, build: Callable[[Graph, ArcSpace], RatMatrix]) -> _Operator:
+    """The arc operator build(graph, arcs) on the graph's route, its group
+    verified on the one arc space that the operator is built on."""
+    arcs = arc_space(graph)
+    return _operator(build(graph, arcs), _fourier_group(graph, arcs), "arcs")
+
+
+def _reciprocal(operator: _Operator, exponent: int) -> Poly:
     """det(I - uM) (1 - u^2)^exponent from the kernel's C_k of L*M.
 
     A nonzero exponent comes only with the integer Bass companion (L = 1),
     so the cocycle multiplies the integer coefficients.
     """
-    coeffs = _charpolys([matrix], group, [space])[0]
+    coeffs = _charpolys([operator])[0]
     if exponent:
         return Poly(_times_one_minus_u_squared(coeffs, exponent))
-    return _unscaled(matrix.scale, coeffs)
+    return _unscaled(operator.scale, coeffs)
 
 
 def _bass_companion(graph: Graph) -> RatMatrix:
@@ -275,10 +275,10 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     or the Laplacian D - A of the route. The kernel runs once per route, on
     M itself: if det(I - xM) = sum_k c_k x^k, then
     det(s I + t M) = sum_k c_k (-t)^k s^(nu-k) for any matrix, so both kinds
-    are read off the same c_k (`_vertex_side`). All four matrices go to one
-    kernel call, with the graph's group verified once on U's arc space, and
-    it stacks U with U+ and P with D - A. Trees (m < nu) are rejected before any
-    determinant.
+    are read off the same c_k (`_vertex_side`). The graph's group is
+    verified once, on U's arc space, each matrix takes its route from it,
+    and all four go to one kernel call, which stacks U with U+ and P with
+    D - A. Trees (m < nu) are rejected before any determinant.
     """
     _require_regular(graph, "Konno-Sato factorization")
     q = graph.regular_degree - 1
@@ -290,13 +290,15 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
         )
 
     arcs = arc_space(graph)
+    group = _fourier_group(graph, arcs)
     u_mat = grover(graph, arcs)
-    matrices = [
-        _clear_and_bound(mat)
-        for mat in (u_mat, positive_support(u_mat), transition(graph), laplacian(graph))
+    operators = [
+        _operator(u_mat, group, "arcs"),
+        _operator(positive_support(u_mat), group, "arcs"),
+        _operator(transition(graph), group, "vertices"),
+        _operator(laplacian(graph), group, "vertices"),
     ]
-    spaces = ("arcs", "arcs", "vertices", "vertices")
-    sides = list(zip(matrices, _charpolys(matrices, _fourier_group(graph, arcs), spaces)))
+    sides = list(zip(operators, _charpolys(operators)))
     left_sides = {
         which: _unscaled(mat.scale, coeffs)
         for which, (mat, coeffs) in zip(("grover", "ihara"), sides)
@@ -346,18 +348,14 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Exact weighted counts N_r = Tr U^r for r = 1..r_max."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    arcs = arc_space(graph)
-    counts = _trace_powers(grover(graph, arcs), r_max, _fourier_group(graph, arcs), "arcs")
-    return SeriesCoefficients(kind="weighted", counts=counts)
+    return SeriesCoefficients(kind="weighted", counts=_traces(_arc_operator(graph, grover), r_max))
 
 
 def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Counts of cyclically non-backtracking closed arc walks, Tr (U+)^r."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    arcs = arc_space(graph)
-    up = grover_positive_support(graph, arcs)
-    counts = _trace_powers(up, r_max, _fourier_group(graph, arcs), "arcs")
+    counts = _traces(_arc_operator(graph, grover_positive_support), r_max)
     return SeriesCoefficients(kind="reduced", counts=counts)
 
 
@@ -455,7 +453,7 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
         )
     arcs = arc_space(graph)
     u_mat = grover(graph, arcs)
-    logs = log_series(_det_i_minus_u(u_mat, _fourier_group(graph, arcs), "arcs"), order)
+    logs = log_series(_reciprocal(_operator(u_mat, _fourier_group(graph, arcs), "arcs"), 0), order)
     scaled = tuple(c / r for r, c in enumerate(trace_powers(u_mat, order), start=1))
     return SeriesConsistencyReport(
         order=order, log_coefficients=logs, scaled_counts=scaled

@@ -32,9 +32,9 @@ from zetawalk import (
     save_graph,
     torus_graph,
 )
-from zetawalk import graphs, polynomials
+from zetawalk import graphs, polynomials, zeta
 from zetawalk.cli import entrypoint
-from zetawalk.operators import laplacian, transition
+from zetawalk.operators import grover, grover_positive_support, laplacian, transition
 
 GP_GRAPHS = [
     generalized_petersen_graph(n, k) for n in range(3, 13) for k in range(1, (n + 1) // 2)
@@ -79,7 +79,10 @@ def _polynomials(graph):
     return [
         grover_zeta_reciprocal(graph),
         ihara_reciprocal_edge(graph),
-        *(polynomials._det_i_minus_u(op(graph), group, "vertices") for op in (transition, laplacian)),
+        *(
+            zeta._reciprocal(polynomials._operator(op(graph), group, "vertices"), 0)
+            for op in (transition, laplacian)
+        ),
         ihara_reciprocal_bass(graph),
     ]
 
@@ -101,6 +104,33 @@ def test_every_polynomial_of_a_cover_is_that_of_its_untagged_copy(graph, block_c
     assert len(block_calls) == 9
     assert report.all_hold
     assert (report.regular_degree, report.identities) == (whole.regular_degree, whole.identities)
+
+
+def _bounds(route):
+    """n, ||A||_F^2, rho and the diagonal sum of the matrix A of the route,
+    its coefficient bound, and its trace bounds at orders 1, 2, 7 and 12."""
+    traces = [polynomials._trace_bound(route, r) for r in (1, 2, 7, 12)]
+    return polynomials._norms(route), polynomials._coefficient_bound(route), traces
+
+
+@pytest.mark.parametrize("graph", GP_GRAPHS + CAYLEY_GRAPHS + [petersen_graph()], ids=lambda g: g.family)
+def test_the_bounds_read_from_a_fourier_route_are_those_of_the_whole_matrix(graph):
+    # every operator on every state space of the group: the stencil holds
+    # each entry of A once per group element, so its sums give A's
+    arcs = arc_space(graph)
+    group = polynomials._fourier_group(graph, arcs)
+    operators = [
+        (grover(graph, arcs), "arcs"),
+        (grover_positive_support(graph, arcs), "arcs"),
+        (transition(graph), "vertices"),
+        (laplacian(graph), "vertices"),
+        (zeta._bass_companion(graph), "bass"),
+    ]
+    for matrix, space in operators:
+        fourier, whole = polynomials._operator(matrix, group, space), polynomials._operator(matrix)
+        assert (fourier.torus.side > 1, whole.torus.side) == (True, 1)
+        assert fourier.rows == whole.rows == matrix.rows
+        assert _bounds(fourier.torus) == _bounds(whole.torus)
 
 
 @pytest.mark.parametrize(

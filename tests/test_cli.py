@@ -296,41 +296,51 @@ def test_charpoly_refuses_coefficients_too_long_to_print(
     assert "more than 640 digits" in err
 
 
-@pytest.mark.parametrize("matrix, grovers", [("grover", 1), ("positive-support", 1), ("bass", 0)])
-def test_charpoly_builds_clears_and_bounds_its_operator_once(
-    capsys, monkeypatch, k4_path, matrix, grovers
-):
-    # the digit refusal and the reciprocal share one built, cleared and
-    # bounded operator
+def _count_calls(monkeypatch, targets):
+    """The names of the (module, name) targets, once per call, in call order."""
     calls = []
-    for module, name in [
-        (zetawalk.zeta, "grover"),
-        (operators, "grover"),
-        (zetawalk.polynomials, "_cleared"),
-        (zetawalk.polynomials, "_coefficient_bound"),
-    ]:
+    for module, name in targets:
         real = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
         )
+    return calls
+
+
+# the steps of one operator record: its group, its matrix cleared, its route
+# and its determinant bound
+_ROUTE_STEPS = [
+    (zetawalk.zeta, "_fourier_group"),
+    (zetawalk.polynomials, "_cleared"),
+    (zetawalk.polynomials, "_torus_stencil"),
+    (zetawalk.polynomials, "_coefficient_bound"),
+]
+
+
+@pytest.mark.parametrize("matrix, grovers", [("grover", 1), ("positive-support", 1), ("bass", 0)])
+def test_charpoly_chooses_the_route_of_its_operator_once(
+    capsys, monkeypatch, k4_path, matrix, grovers
+):
+    # the digit refusal and the reciprocal share one built and routed
+    # operator, whose bound is computed once
+    calls = _count_calls(monkeypatch, [(zetawalk.zeta, "grover"), (operators, "grover"), *_ROUTE_STEPS])
     code, out, err = run_cli(capsys, ["charpoly", "--graph", k4_path, "--matrix", matrix])
     assert (code, err) == (0, "")
-    assert sorted(calls) == ["_cleared", "_coefficient_bound"] + ["grover"] * grovers
+    steps = ["_fourier_group", "_cleared", "_torus_stencil", "_coefficient_bound"]
+    assert [name for name in calls if name != "grover"] == steps
+    assert calls.count("grover") == grovers
     assert out == json.dumps(CHOICES["charpoly", matrix](load_graph(k4_path)), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("which", ["grover", "ihara"])
-def test_series_clears_its_operator_once(capsys, monkeypatch, k4_path, which):
-    # the digit refusal and the traces share one cleared operator
-    calls = []
-    cleared = zetawalk.polynomials._cleared
-    monkeypatch.setattr(
-        zetawalk.polynomials, "_cleared", lambda matrix: calls.append(matrix) or cleared(matrix)
-    )
+def test_series_chooses_the_route_of_its_operator_once(capsys, monkeypatch, k4_path, which):
+    # the digit refusal and the traces share one routed operator, and the
+    # determinant bound is never computed
+    calls = _count_calls(monkeypatch, _ROUTE_STEPS)
     argv = ["series", "--graph", k4_path, "--which", which, "--order", "5", "--json"]
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
-    assert len(calls) == 1
+    assert calls == ["_fourier_group", "_cleared", "_torus_stencil"]
     assert out == json.dumps(CHOICES["series", which](load_graph(k4_path)), indent=2) + "\n"
 
 
@@ -376,13 +386,14 @@ def test_series_digit_check_is_exact_where_the_bound_is_attained():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        counts = cli._trace_counts(RatMatrix.from_rows([[10]]), 639)
+        ten = zetawalk.polynomials._operator(RatMatrix.from_rows([[10]]))
+        counts = cli._trace_counts(ten, 639)
         assert [str(c) for c in counts][-1] == "1" + "0" * 639
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
-            cli._trace_counts(RatMatrix.from_rows([[10]]), 640)
+            cli._trace_counts(ten, 640)
         # M = (1/10): the denominator 10^640 alone is refused
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
-            cli._trace_counts(RatMatrix.from_rows([[Fraction(1, 10)]]), 640)
+            cli._trace_counts(zetawalk.polynomials._operator(RatMatrix.from_rows([[Fraction(1, 10)]])), 640)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -427,9 +438,9 @@ def test_series_takes_the_fourier_route_on_a_tagged_cayley_graph(
 def test_series_digit_check_passes_counts_that_stay_small_at_any_order(monkeypatch):
     # U+ of a cycle is a permutation: L = 1 and rho = 1, so every count is
     # 0 or 2N, and no order is refused
-    monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda n, scale, entries, order, group, space: "formed")
+    monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda operator, order: "formed")
     g = zetawalk.cycle_graph(5)
-    assert cli._trace_counts(operators.grover_positive_support(g, arc_space(g)), 10**9) == "formed"
+    assert cli._trace_counts(zetawalk.zeta._arc_operator(g, operators.grover_positive_support), 10**9) == "formed"
 
 
 def test_zeta_eval_both_methods_agree(capsys, k4_path):

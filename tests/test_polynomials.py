@@ -138,11 +138,13 @@ def test_det_matrix_polynomial_quadratic_pencil():
         assert p.eval_exact(t) == gauss_det(dense(pencil))
 
 
-def test_scaled_charpoly_clears_denominators_and_matches_det_i_minus_u():
+def test_an_operator_clears_denominators_and_its_charpoly_matches_det_i_minus_u():
     rng = random.Random(23)
     for n in (1, 2, 5, 8):
         m = random_rat_matrix(rng, n)
-        scale, coeffs = polynomials._scaled_charpoly(m)
+        operator = polynomials._operator(m)
+        scale, coeffs = operator.scale, polynomials._charpolys([operator])[0]
+        assert operator.rows == n
         assert scale == math.lcm(1, *(v.denominator for _, _, v in m.nonzero_items()))
         assert len(coeffs) == n + 1 and coeffs[0] == 1
         assert all(isinstance(c, int) for c in coeffs)
@@ -252,7 +254,8 @@ def test_prime_count_from_the_coefficient_bound(graph, operator, count):
 
 
 def _bound_and_oracle(n: int, entries: list[tuple[int, int, int]]) -> tuple[int, int]:
-    return polynomials._coefficient_bound(n, entries), max(coefficient_bounds(n, entries))
+    bound = polynomials._coefficient_bound(polynomials._whole(n, entries))
+    return bound, max(coefficient_bounds(n, entries))
 
 
 @given(
@@ -488,7 +491,8 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
 
     monkeypatch.setattr(polynomials, "det_i_minus_u", forbidden)
     monkeypatch.setattr(polynomials, "log_series", forbidden)
-    monkeypatch.setattr(polynomials, "_scaled_charpoly", forbidden)
+    monkeypatch.setattr(polynomials, "_charpolys", forbidden)
+    monkeypatch.setattr(polynomials, "_coefficient_bound", forbidden)
     monkeypatch.setattr(polynomials, "_hessenberg_charpolys", forbidden)
     monkeypatch.setattr(polynomials, "_fourier_charpolys", forbidden)
     monkeypatch.setattr(polynomials, "_fourier_blocks", forbidden)
@@ -497,9 +501,8 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
     assert polynomials.trace_powers(m, 6) == naive_trace_powers(m, 6)
     graph = torus_graph(2, 4)
     u_mat = grover(graph, arc_space(graph))
-    scale, entries = polynomials._cleared(u_mat)
     group = polynomials._fourier_group(graph, arc_space(graph))
-    counts = polynomials._traces(u_mat.rows, scale, entries, 6, group, "arcs")
+    counts = polynomials._traces(polynomials._operator(u_mat, group, "arcs"), 6)
     assert counts == naive_trace_powers(u_mat, 6)
 
 
@@ -525,7 +528,8 @@ def test_trace_powers_edge_cases():
 
 def _trace_primes(matrix: RatMatrix, r_max: int) -> list[int]:
     _, entries = polynomials._cleared(matrix)
-    return polynomials._primes_above(2 * polynomials._trace_bound(matrix.rows, entries, r_max))[0]
+    route = polynomials._whole(matrix.rows, entries)
+    return polynomials._primes_above(2 * polynomials._trace_bound(route, r_max))[0]
 
 
 def test_trace_powers_of_entries_near_10_to_the_30():
@@ -572,7 +576,7 @@ def test_trace_bound_is_attained_by_the_all_ones_matrix():
         ones = RatMatrix(n, n, [(i, j, Fraction(1)) for i in range(n) for j in range(n)])
         _, entries = polynomials._cleared(ones)
         for r in range(1, 9):
-            assert polynomials._trace_bound(n, entries, r) == n**r
+            assert polynomials._trace_bound(polynomials._whole(n, entries), r) == n**r
         assert trace_powers(ones, 8) == tuple(Fraction(n**r) for r in range(1, 9))
 
 
@@ -586,8 +590,9 @@ def test_trace_bound_is_attained_by_the_all_ones_matrix():
 def test_trace_bound_is_never_exceeded_property(rows):
     m = RatMatrix.from_rows(rows)
     scale, entries = polynomials._cleared(m)
+    route = polynomials._whole(m.rows, entries)
     for r, trace in enumerate(naive_trace_powers(m, 9), start=1):
-        assert abs(trace * scale**r) <= polynomials._trace_bound(m.rows, entries, r)
+        assert abs(trace * scale**r) <= polynomials._trace_bound(route, r)
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)

@@ -22,6 +22,7 @@ from helpers import naive_trace_powers, product_mod, residue_stack
 
 from zetawalk import (
     RatMatrix,
+    ZetawalkError,
     arc_space,
     complete_graph,
     cycle_graph,
@@ -81,11 +82,23 @@ def _group(graph):
     return polynomials._fourier_group(graph, arc_space(graph))
 
 
+def _det_on_route(matrix, group, space):
+    """det(I - uM), M on the route that the group and the space choose."""
+    return zeta._reciprocal(polynomials._operator(matrix, group, space), 0)
+
+
+def _scale_and_coefficients(matrix, group=None, space=None):
+    """L and the C_k of det(I - uM) = sum_k C_k u^k / L^k, on the route that
+    the group and the space choose."""
+    operator = polynomials._operator(matrix, group, space)
+    return operator.scale, polynomials._charpolys([operator])[0]
+
+
 def _assert_every_operator_gives_its_whole_determinant(graph):
     group = _group(graph)
     for name, operator in OPERATORS.items():
         matrix = operator(graph)
-        assert polynomials._det_i_minus_u(matrix, group, SPACES[name]) == det_i_minus_u(matrix)
+        assert _det_on_route(matrix, group, SPACES[name]) == det_i_minus_u(matrix)
 
 
 def _cases(sizes, operators):
@@ -111,10 +124,10 @@ def _cayley_cases():
 def test_fourier_route_reproduces_the_generic_kernel(graph, name, fourier_calls):
     matrix = OPERATORS[name](graph)
     group = _group(graph)
-    fourier = polynomials._scaled_charpoly(matrix, group, SPACES[name])
+    fourier = _scale_and_coefficients(matrix, group, SPACES[name])
     assert fourier_calls == [matrix.rows]
-    assert fourier == polynomials._scaled_charpoly(matrix)
-    assert polynomials._det_i_minus_u(matrix, group, SPACES[name]) == det_i_minus_u(matrix)
+    assert fourier == _scale_and_coefficients(matrix)
+    assert _det_on_route(matrix, group, SPACES[name]) == det_i_minus_u(matrix)
     assert len(fourier_calls) == 2
 
 
@@ -202,7 +215,7 @@ def test_a_tag_of_another_size_is_refused_before_any_graph_is_built(
     graph = _relabelled(torus_graph(2, 4), family)
     assert graphs._abelian_cover(graph) is None
     matrix = VERTEX_OPERATORS["P"](graph)
-    assert polynomials._det_i_minus_u(matrix, _group(graph), "vertices") == det_i_minus_u(matrix)
+    assert _det_on_route(matrix, _group(graph), "vertices") == det_i_minus_u(matrix)
     assert built == [] and fourier_calls == []
     # the spy does see the rebuild of a tag of the right size
     assert graphs._abelian_cover(torus_graph(2, 4))[:2] == (2, 4) and built == [("torus",)]
@@ -259,7 +272,7 @@ def test_a_torus_operator_with_one_perturbed_entry_takes_the_generic_route(
 ):
     original = OPERATORS[name](graph)
     matrix = _perturbed(original, kind)
-    assert polynomials._det_i_minus_u(matrix, _group(graph), SPACES[name]) == det_i_minus_u(matrix)
+    assert _det_on_route(matrix, _group(graph), SPACES[name]) == det_i_minus_u(matrix)
     assert fourier_calls == []
     assert det_i_minus_u(matrix) != det_i_minus_u(original)
 
@@ -327,8 +340,8 @@ def test_konno_sato_report_on_a_cayley_graph_is_that_of_the_generic_kernel(
 def _assert_konno_sato_report_is_that_of_the_generic_kernel(graph, monkeypatch, fourier_calls):
     report = konno_sato_check(graph)
     assert len(fourier_calls) == 4
-    generic = polynomials._charpolys
-    monkeypatch.setattr(zeta, "_charpolys", lambda matrices, group=None, spaces=(): generic(matrices))
+    # no stencil is found, so every matrix goes whole
+    monkeypatch.setattr(polynomials, "_torus_stencil", lambda *args: None)
     assert konno_sato_check(graph) == report
     assert len(fourier_calls) == 4
 
@@ -367,6 +380,34 @@ def test_the_default_primes_are_the_odd_primes_counting_down():
     assert [c for c in between if _is_prime_by_trial_division(c)] == primes
 
 
+def test_the_primality_test_is_that_of_a_sieve_below_10_to_the_4():
+    limit = 10**4
+    sieve = [False, False] + [True] * (limit - 2)
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = [False] * len(range(f * f, limit, f))
+    assert [polynomials._is_prime(n) for n in range(limit)] == sieve
+
+
+def test_a_modulus_with_no_prime_left_below_2_to_the_31_is_refused(monkeypatch):
+    # the candidates = 1 (mod 2^28) below 2^31 are 7 * 2^28 + 1, ..., 2^28 + 1,
+    # none of them prime; a spy stops the search if it goes past them
+    tested = []
+    is_prime = polynomials._is_prime
+
+    def guarded(n):
+        tested.append(n)
+        if len(tested) > 7:
+            raise AssertionError(f"the search went on to {n}")
+        return is_prime(n)
+
+    monkeypatch.setattr(polynomials, "_is_prime", guarded)
+    monkeypatch.setattr(polynomials, "_PRIMES", {})
+    with pytest.raises(ZetawalkError, match=r"p = 1 \(mod 268435456\)"):
+        polynomials._prime(0, 2**28)
+    assert tested == [e * 2**28 + 1 for e in range(7, 0, -1)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 12])
 def test_the_root_of_unity_has_order_exactly_n(n):
     for i in range(3):
@@ -398,7 +439,7 @@ def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatc
         return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
-    polynomials._scaled_charpoly(grover(graph, arc_space(graph)), _group(graph), "arcs")
+    _scale_and_coefficients(grover(graph, arc_space(graph)), _group(graph), "arcs")
     assert seen and all(p % n == 1 for p in seen)
     assert seen == [polynomials._prime(i, n) for i in range(len(seen))]
     assert graphs._abelian_cover(graph)[:2] == (d, n)
@@ -497,12 +538,22 @@ def test_konno_sato_verifies_the_group_once_and_stacks_each_width(monkeypatch, f
 
     counting(graphs, "build_family")
     counting(zeta, "arc_space")
+    counting(zeta, "_fourier_group")
+    counting(zeta, "_operator")
     counting(polynomials, "_hessenberg_charpolys")
     counting(polynomials, "_product_mod")
     assert konno_sato_check(torus_graph(2, 4)).all_hold
     # one rebuild of the tagged graph and one arc space, which U and the
-    # group share; U with U+ and P with D - A, one stack each
-    assert counts == {"build_family": 1, "arc_space": 1, "_hessenberg_charpolys": 2, "_product_mod": 2}
+    # group share; the route of each of the four operators chosen once; U
+    # with U+ and P with D - A, one stack each
+    assert counts == {
+        "build_family": 1,
+        "arc_space": 1,
+        "_fourier_group": 1,
+        "_operator": 4,
+        "_hessenberg_charpolys": 2,
+        "_product_mod": 2,
+    }
     assert fourier_calls == [64, 64, 16, 16]
 
 
@@ -534,7 +585,7 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
     cover = graphs._abelian_cover(graph)
     side, blocks = (cover[1], cover[1] ** cover[0]) if cover else (1, 1)
     operators = [*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()]
-    bounds = [polynomials._clear_and_bound(operator(graph)).bound for operator in operators]
+    bounds = [polynomials._operator(operator(graph)).bound for operator in operators]
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
     assert len(calls) == rows
     assert all(primes == primes[:1] * blocks for primes in calls)
@@ -576,12 +627,11 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
     # route is tied to it on every size by test_polynomials
     if matrix.rows <= 36:
         assert whole == naive_trace_powers(matrix, 12)
-    scale, entries = polynomials._cleared(matrix)
     group = _group(graph)
+    operator = polynomials._operator(matrix, group, "arcs")
     # each order takes its own primes, and odd and even orders their own pairing
     for r_max in range(1, 13):
-        traces = polynomials._traces(matrix.rows, scale, entries, r_max, group, "arcs")
-        assert traces == whole[:r_max]
+        assert polynomials._traces(operator, r_max) == whole[:r_max]
     # r_max = 1 needs no powers: the arc operators have a zero diagonal
     assert trace_sides[1:] == [group.side] * 11
 
@@ -590,16 +640,14 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
 def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(operator, trace_sides):
     graph = torus_graph(2, 4)
     matrix = operator(graph)
-    scale, entries = polynomials._cleared(matrix)
-    group = _group(graph)
-    torus = polynomials._torus_stencil(group, "vertices", matrix.rows, entries)
+    operator = polynomials._operator(matrix, _group(graph), "vertices")
+    torus = operator.torus
     # the one 1 x 1 entry of each block sums a run of every step of the stencil
     keys, sums = polynomials._fourier_sums(torus, [polynomials._prime(0, 4)])
     assert keys.tolist() == [0] and len(torus.stencil) > 1 and sums.shape == (1, 16, 1)
     naive = naive_trace_powers(matrix, 12)
     for r_max in range(1, 13):
-        traces = polynomials._traces(matrix.rows, scale, entries, r_max, group, "vertices")
-        assert traces == naive[:r_max]
+        assert polynomials._traces(operator, r_max) == naive[:r_max]
     assert set(trace_sides) == {4}
 
 

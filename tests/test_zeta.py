@@ -43,7 +43,7 @@ from zetawalk import operators, zeta
 from zetawalk.graphs import FAMILIES
 from zetawalk.limits import vertex_factor_coefficients
 from zetawalk.operators import adjacency, degree_matrix, laplacian, transition
-from zetawalk.polynomials import _scaled_charpoly
+from zetawalk.polynomials import _charpolys, _operator
 from zetawalk.zeta import _require_vertex_transitive, _vertex_side
 
 PAW = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -139,7 +139,7 @@ def test_konno_sato_rejects_a_regular_tree_before_any_determinant(monkeypatch):
     def forbidden(*args):
         raise AssertionError("no determinant may run on a tree")
 
-    monkeypatch.setattr(zeta, "_det_i_minus_u", forbidden)
+    monkeypatch.setattr(zeta, "_operator", forbidden)
     monkeypatch.setattr(zeta, "_charpolys", forbidden)
     with pytest.raises(TreeGraphError, match="exponent -1"):
         konno_sato_check(graph_from_edges(2, [(0, 1)]))
@@ -203,7 +203,8 @@ def test_konno_sato_right_sides_match_the_companion_pencil(graph):
     eye = RatMatrix.identity(n)
     cocycle = graph.num_edges - n
     for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):
-        scale, coeffs = _scaled_charpoly(mat)
+        operator = _operator(mat)
+        scale, coeffs = operator.scale, _charpolys([operator])[0]
         for which in ("grover", "ihara"):
             a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
             oracle = Poly(poly_pow([1, 0, -1], cocycle)) * quadratic_pencil_det(
