@@ -20,10 +20,12 @@ The float commands (zeta-eval --method spectral, torus-limit, converge)
 take their domain from the library: 1 - u^2 > 0 and every vertex factor
 positive, the same rule for both kinds; outside it they exit 2.
 
-series --which grover|ihara builds the arc operator itself and refuses,
-with exit 2, an order whose counts could have more digits than CPython
-converts to a string, before any power is formed. The library stays
-unlimited.
+An exact number with more digits than CPython converts to a string is
+refused with exit 2; the library stays unlimited. charpoly and zeta-eval
+--json refuse where they convert (`_strings`), so charpoly refuses, after
+the kernel, exactly the polynomials that do not print. series --which
+grover|ihara, whose cost grows with --order, refuses an order whose counts
+could pass the limit before any power is formed.
 """
 
 from __future__ import annotations
@@ -60,6 +62,18 @@ def _emit(payload: dict) -> None:
 
 def _poly_strings(p: Poly) -> list[str]:
     return [str(c) for c in p.coeffs]
+
+
+def _strings(values: Sequence, subject: str) -> list[str]:
+    """str() of each value; ZetawalkError when one has more digits than
+    CPython converts to a string."""
+    try:
+        return [str(v) for v in values]
+    except ValueError as exc:  # CPython's limit on int-to-str conversion
+        limit = sys.get_int_max_str_digits()
+        raise ZetawalkError(
+            f"{subject} has more than {limit} digits, more than Python converts to a string"
+        ) from exc
 
 
 def _parse_u(text: str) -> Fraction:
@@ -115,39 +129,18 @@ def _cmd_matrix_dump(args: argparse.Namespace) -> int:
 # -- charpoly -------------------------------------------------------------
 
 
-# --matrix -> the form of the exact zeta reciprocal of a graph: the operator
-# of the matrix M of det(I - uM) (1 - u^2)^e on the graph's route, and e
+# --matrix -> the exact zeta reciprocal of a graph
 _RECIPROCALS = {
-    "grover": lambda g: zeta._grover_form(g),
-    "positive-support": lambda g: zeta._edge_form(g),
-    "bass": lambda g: zeta._bass_form(g),
+    "grover": lambda g: zeta.grover_zeta_reciprocal(g),
+    "positive-support": lambda g: zeta.ihara_reciprocal_edge(g),
+    "bass": lambda g: zeta.ihara_reciprocal_bass(g),
 }
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    operator, exponent = _RECIPROCALS[args.matrix](graphs.load_graph(args.graph))
-    _refuse_unprintable(operator, exponent)
-    _emit({"coeffs": _poly_strings(zeta._reciprocal(operator, exponent))})
+    reciprocal = _RECIPROCALS[args.matrix](graphs.load_graph(args.graph))
+    _emit({"coeffs": _strings(reciprocal.coeffs, "a coefficient")})
     return 0
-
-
-def _refuse_unprintable(operator: polynomials._Operator, exponent: int) -> None:
-    """Refuse, before the kernel runs, a det(I - uM) (1 - u^2)^exponent whose
-    coefficients could have more digits than CPython converts to a string.
-
-    det(I - uM) = sum_k C_k u^k / L^k with |C_k| <= B, L and B as the
-    operator holds them. A positive exponent comes only with the
-    integer Bass companion (L = 1), and the coefficients of (1 - u^2)^e have
-    absolute sum 2^e. So every numerator is at most 2^e B and every
-    denominator at most L^n, and each prints when both are below 10^limit.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        if max(operator.scale**operator.rows, operator.bound << exponent) >= 10**limit:
-            raise ZetawalkError(
-                f"the coefficients could have more than {limit} digits, "
-                "more than Python converts to a string"
-            )
 
 
 # -- verify konno-sato -----------------------------------------------------
@@ -242,11 +235,7 @@ def _cmd_zeta_eval(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ZetawalkError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     u = _parse_u(args.u)
-    try:
-        u_text = str(u) if args.json else None
-    except ValueError as exc:  # CPython's limit on int-to-str conversion
-        limit = sys.get_int_max_str_digits()
-        raise ZetawalkError(f"--u as an exact fraction has more than {limit} digits") from exc
+    u_text = _strings([u], "--u as an exact fraction")[0] if args.json else None
     g = graphs.load_graph(args.graph)
     spectral = None
     charpoly = None

@@ -348,15 +348,21 @@ def torus_limit_log_mean(d: int, u: float, which: str = "grover", grid: int = 64
     Raises ZetaDomainError, before any grid work, where 1 - u^2 or a factor
     is not positive.
     """
-    _check_limit_params(d, grid)
-    a, b, _ = _check_domain(d, to_double(u), which)
+    a, b, _ = _check_limit(d, u, which, grid)
     return _grid_log_mean(d, a, b, grid)
 
 
-def _check_limit_params(d: int, grid: int) -> None:
+def _check_limit(d: int, u: float, which: str, grid: int) -> tuple[float, float, float]:
+    """`_check_domain` of the torus limit, after its other checks.
+
+    The one order of refusals of both limit entry points: u as a double
+    (`to_double`), then d and the grid, then the domain.
+    """
+    u = to_double(u)
     check_torus(d)
     if grid < MIN_GRID:
         raise ZetawalkError(f"grid must be at least {MIN_GRID}, got {grid}")
+    return _check_domain(d, u, which)
 
 
 def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
@@ -399,9 +405,7 @@ def torus_limit_terms(
 
     u is converted, and the prefactor computed, once for both.
     """
-    u = to_double(u)
-    _check_limit_params(d, grid)
-    a, b, prefactor = _check_domain(d, u, which)
+    a, b, prefactor = _check_limit(d, u, which, grid)
     return prefactor * math.exp(_grid_log_mean(d, a, b, grid)), prefactor
 
 
@@ -438,9 +442,10 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Tabulate finite-torus values against a fine-grid limit reference.
 
-    Sides must be strictly increasing. The reference grid must be at least
-    four times the largest side (the default), so the reference is well
-    past the tabulated resolutions.
+    Sides must be strictly increasing, and each a valid torus side
+    (`check_torus`), checked before the reference is computed. The
+    reference grid must be at least four times the largest side (the
+    default), so the reference is well past the tabulated resolutions.
     """
     sides = list(sides)
     if not sides:
@@ -455,6 +460,8 @@ def convergence_study(
             f"the largest side ({4 * max(sides)})"
         )
     u = to_double(u)
+    for n in sides:
+        check_torus(d, n)
     reference = torus_limit_zeta_reciprocal(d, u, which, reference_grid)
     rows = []
     for n in sides:

@@ -72,10 +72,8 @@ coefficients are Tr M^r / r, which ties the two kernels together.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -221,26 +219,17 @@ def _unscaled(scale: int, coeffs: list[int]) -> Poly:
     return Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs))
 
 
-@dataclass(frozen=True, eq=False)
-class _Operator:
+class _Operator(NamedTuple):
     """A square rational matrix M as the integer matrix A = L*M on its route.
 
     `scale` is L, the lcm of the entry denominators, and `torus` is A as
     the stencil of its group (`_torus_stencil`), or whole (`_whole`). Both
-    kernels read only this record; `_operator` makes it.
+    kernels read only this record, and each reads its bound off the route
+    when it runs; `_operator` makes it.
     """
 
     scale: int
     torus: _Torus
-
-    @property
-    def rows(self) -> int:
-        return len(self.torus.coords) * self.torus.width
-
-    @functools.cached_property
-    def bound(self) -> int:
-        """The coefficient bound of det(xI - A) (`_coefficient_bound`), once."""
-        return _coefficient_bound(self.torus)
 
 
 def _operator(
@@ -263,17 +252,18 @@ def _charpolys(operators: Sequence[_Operator]) -> list[list[int]]:
 
     Symmetric residues pin down every C_k once the modulus exceeds 2 |C_k|,
     so each A takes the fewest primes p = 1 (mod side) of its route whose
-    product exceeds 2B, and its residues are combined by CRT. Every A goes
-    through `_fourier_charpolys` on the route its record holds. The Fourier
-    matrices of one width share a stack; a whole matrix has its own, since
-    slices that pivot apart each need their own swaps.
+    product exceeds 2B, B its `_coefficient_bound`, and its residues are
+    combined by CRT. Every A goes through `_fourier_charpolys` on the route
+    its record holds. The Fourier matrices of one width share a stack; a
+    whole matrix has its own, since slices that pivot apart each need their
+    own swaps.
     """
     out: list[list[int]] = [[] for _ in operators]
     # stack key -> (index, torus, primes, modulus) of each matrix in the stack
     stacks: dict[object, list[tuple[int, _Torus, list[int], int]]] = {}
     for index, operator in enumerate(operators):
         torus = operator.torus
-        primes, modulus = _primes_above(2 * operator.bound, torus.side)
+        primes, modulus = _primes_above(2 * _coefficient_bound(torus), torus.side)
         key = (torus.side, torus.width) if torus.side > 1 else index
         stacks.setdefault(key, []).append((index, torus, primes, modulus))
     for stack in stacks.values():

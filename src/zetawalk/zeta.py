@@ -11,7 +11,9 @@ polynomial per route: det(I - xM) = sum_k c_k x^k of the nu x nu vertex
 operator M gives det(s I + t M) = sum_k c_k (-t)^k s^(nu-k), which is
 evaluated at the vertex factor line s = 1 + a1 u + a2 u^2, t = b u in
 integers. The Bass form and the Konno-Sato sides multiply by the cocycle
-(1 - u^2)^(m - nu) in integers before the one division. Every function
+(1 - u^2)^(m - nu) in integers before the one division. Each of the three
+public reciprocals builds its operator and calls the kernel in one step,
+and the command line's charpoly calls them as they are. Every function
 here that builds an operator of a graph makes its record with
 `polynomials._operator`, from the graph's group (`_fourier_group`, on the
 operator's own arc space; `_arc_operator` for U and U+) and the name of
@@ -174,7 +176,7 @@ def grover_zeta_reciprocal(graph: Graph) -> Poly:
     This is the reciprocal of the weighted zeta; its degree is twice the
     edge count.
     """
-    return _reciprocal(*_grover_form(graph))
+    return _reciprocal(_arc_operator(graph, grover), 0)
 
 
 def ihara_reciprocal_edge(graph: Graph) -> Poly:
@@ -186,7 +188,8 @@ def ihara_reciprocal_edge(graph: Graph) -> Poly:
     rejected because their zeta is identically 1 while this determinant
     is not.
     """
-    return _reciprocal(*_edge_form(graph))
+    _reject_tree(graph)
+    return _reciprocal(_arc_operator(graph, grover_positive_support), 0)
 
 
 def ihara_reciprocal_bass(graph: Graph) -> Poly:
@@ -199,29 +202,9 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
     of I - uC is the pencil. C has integer entries, so its scale L is 1 and
     the cocycle multiplies integer coefficients.
     """
-    return _reciprocal(*_bass_form(graph))
-
-
-# The three reciprocals as det(I - uM) (1 - u^2)^e: each form gives the
-# operator of M on the graph's route (`polynomials._operator`) and e. The
-# command line sizes a form before it calls `_reciprocal`, so M is built,
-# routed and bounded once per call.
-_Form = tuple[_Operator, int]
-
-
-def _grover_form(graph: Graph) -> _Form:
-    return _arc_operator(graph, grover), 0
-
-
-def _edge_form(graph: Graph) -> _Form:
-    _reject_tree(graph)
-    return _arc_operator(graph, grover_positive_support), 0
-
-
-def _bass_form(graph: Graph) -> _Form:
     _reject_tree(graph)
     operator = _operator(_bass_companion(graph), _fourier_group(graph), "bass")
-    return operator, graph.num_edges - graph.num_vertices
+    return _reciprocal(operator, graph.num_edges - graph.num_vertices)
 
 
 def _arc_operator(graph: Graph, build: Callable[[Graph, ArcSpace], RatMatrix]) -> _Operator:

@@ -275,22 +275,26 @@ def _complete_path(tmp_path, n):
     return path
 
 
-# the least complete graph whose coefficient bound for each --matrix passes
-# 640 digits: L^n = 23^552 on K24 for U, B on K29 for U+, and 2^(m - nu) B
-# on K57 for the Bass form
-_FIRST_REFUSED = {"grover": 24, "positive-support": 29, "bass": 57}
+# complete graphs whose charpoly prints under a 640-digit limit, with the
+# most digits of a numerator or denominator in it; the coefficient bound of
+# each operator passes the limit, so only the printed numbers can decide
+_PRINTED_AT_640 = [("grover", 24, 98), ("positive-support", 29, 154), ("bass", 57, 561), ("bass", 61, 639)]
 
 
-@pytest.mark.parametrize("matrix, n", list(_FIRST_REFUSED.items()))
-def test_charpoly_refuses_coefficients_too_long_to_print(
-    capsys, monkeypatch, tmp_path, digits_640, matrix, n
-):
-    def forbidden(*args):
-        raise AssertionError("the kernel ran")
-
+@pytest.mark.parametrize("matrix, n, digits", _PRINTED_AT_640)
+def test_charpoly_prints_every_polynomial_that_converts(capsys, tmp_path, digits_640, matrix, n, digits):
     path = _complete_path(tmp_path, n)
-    monkeypatch.setattr(zetawalk.polynomials, "_hessenberg_charpolys", forbidden)
     code, out, err = run_cli(capsys, ["charpoly", "--graph", path, "--matrix", matrix])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(CHOICES["charpoly", matrix](complete_graph(n)), indent=2) + "\n"
+    parts = [part.lstrip("-") for c in json.loads(out)["coeffs"] for part in c.split("/")]
+    assert max(map(len, parts)) == digits
+
+
+def test_charpoly_refuses_a_coefficient_too_long_to_print(capsys, tmp_path, digits_640):
+    # the Bass form of complete(62) has a coefficient of 659 digits
+    path = _complete_path(tmp_path, 62)
+    code, out, err = run_cli(capsys, ["charpoly", "--graph", path, "--matrix", "bass"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "more than 640 digits" in err
@@ -321,8 +325,8 @@ _ROUTE_STEPS = [
 def test_charpoly_chooses_the_route_of_its_operator_once(
     capsys, monkeypatch, k4_path, matrix, grovers
 ):
-    # the digit refusal and the reciprocal share one built and routed
-    # operator, whose bound is computed once
+    # the reciprocal builds and routes its operator once, and the kernel
+    # computes its bound once
     calls = _count_calls(monkeypatch, [(zetawalk.zeta, "grover"), (operators, "grover"), *_ROUTE_STEPS])
     code, out, err = run_cli(capsys, ["charpoly", "--graph", k4_path, "--matrix", matrix])
     assert (code, err) == (0, "")
@@ -342,16 +346,6 @@ def test_series_chooses_the_route_of_its_operator_once(capsys, monkeypatch, k4_p
     assert (code, err) == (0, "")
     assert calls == ["_fourier_group", "_cleared", "_torus_stencil"]
     assert out == json.dumps(CHOICES["series", which](load_graph(k4_path)), indent=2) + "\n"
-
-
-@pytest.mark.parametrize("matrix, n", list(_FIRST_REFUSED.items()))
-def test_charpoly_prints_the_complete_graph_below_the_first_refused(
-    capsys, tmp_path, digits_640, matrix, n
-):
-    path = _complete_path(tmp_path, n - 1)
-    code, out, err = run_cli(capsys, ["charpoly", "--graph", path, "--matrix", matrix])
-    assert (code, err) == (0, "")
-    assert out == json.dumps(CHOICES["charpoly", matrix](complete_graph(n - 1)), indent=2) + "\n"
 
 
 @_DIGIT_LIMIT
@@ -938,7 +932,7 @@ def test_the_reused_parser_keeps_no_state(capsys, monkeypatch, k4_path):
             assert run_cli(capsys, commands[i]) == fresh[i], commands[i]
 
 
-def test_entrypoint_builds_the_parser_once_per_process(monkeypatch):
+def test_entrypoint_builds_the_parser_once_per_process(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -953,6 +947,7 @@ def test_entrypoint_builds_the_parser_once_per_process(monkeypatch):
     for _ in range(5):
         assert entrypoint(argv) == 0
     assert built == []
+    assert capsys.readouterr() == ("0.979297913382384\n" * 6, "")
     # the public builder still returns a new parser on every call
     assert cli.build_parser() is not cli.build_parser()
     assert len(built) == 2

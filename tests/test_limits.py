@@ -401,6 +401,23 @@ def test_parameter_validation():
         torus_limit_zeta_reciprocal(2, 0.1, "bass", grid=16)
 
 
+@pytest.mark.parametrize("limit", [torus_limit_log_mean, torus_limit_terms], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "d, u, grid, error, message",
+    [
+        (0, math.nan, 64, ZetaDomainError, "u is NaN"),
+        (2, math.nan, 4, ZetaDomainError, "u is NaN"),
+        (0, 2.0, 4, FamilyParameterError, "torus dimension"),
+        (2, 2.0, 4, ZetawalkError, "grid must be at least 8"),
+        (2, 2.0, 8, ZetaDomainError, "prefactor base"),
+    ],
+)
+def test_both_limit_entry_points_refuse_in_one_order(limit, d, u, grid, error, message):
+    # u as a double first, then d, then the grid, then the domain
+    with pytest.raises(error, match=message):
+        limit(d, u, grid=grid)
+
+
 def test_high_dimensions_need_no_flag():
     spec = torus_spectrum(5, 3)
     assert len(spec) == 243
@@ -466,3 +483,12 @@ def test_convergence_study_validation():
         convergence_study(2, 0.2, [4, 16, 8])
     with pytest.raises(ValueError):
         convergence_study(2, 0.2, [4, 8], reference_grid=16)
+
+
+def test_convergence_study_checks_every_side_before_the_reference(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the reference was computed")
+
+    monkeypatch.setattr(limits, "torus_limit_zeta_reciprocal", forbidden)
+    with pytest.raises(FamilyParameterError, match="got 2"):
+        convergence_study(4, 0.1, [2, 40])

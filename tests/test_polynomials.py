@@ -144,7 +144,7 @@ def test_an_operator_clears_denominators_and_its_charpoly_matches_det_i_minus_u(
         m = random_rat_matrix(rng, n)
         operator = polynomials._operator(m)
         scale, coeffs = operator.scale, polynomials._charpolys([operator])[0]
-        assert operator.rows == n
+        assert len(operator.torus.coords) * operator.torus.width == n
         assert scale == math.lcm(1, *(v.denominator for _, _, v in m.nonzero_items()))
         assert len(coeffs) == n + 1 and coeffs[0] == 1
         assert all(isinstance(c, int) for c in coeffs)

@@ -585,7 +585,10 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
     cover = graphs._abelian_cover(graph)
     side, blocks = (cover[1], cover[1] ** cover[0]) if cover else (1, 1)
     operators = [*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()]
-    bounds = [polynomials._operator(operator(graph)).bound for operator in operators]
+    bounds = [
+        polynomials._coefficient_bound(polynomials._operator(operator(graph)).torus)
+        for operator in operators
+    ]
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
     assert len(calls) == rows
     assert all(primes == primes[:1] * blocks for primes in calls)
