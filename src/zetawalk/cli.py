@@ -184,9 +184,9 @@ def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
 # --which -> the cycle counts N_1..N_order of a graph: the trace powers of
 # an arc operator, on the graph's Fourier route, or a brute-force oracle
 _SERIES = {
-    "grover": lambda g, order: _trace_counts(zeta._arc_operator(g, operators.grover), order),
+    "grover": lambda g, order: _trace_counts(zeta._arc_operator(g, operators._grover), order),
     "ihara": lambda g, order: _trace_counts(
-        zeta._arc_operator(g, operators.grover_positive_support), order
+        zeta._arc_operator(g, operators._grover_positive_support), order
     ),
     "oracle-weighted": lambda g, order: zeta.cycle_oracle(g, order, "weighted").counts,
     "oracle-reduced": lambda g, order: zeta.cycle_oracle(g, order, "reduced").counts,

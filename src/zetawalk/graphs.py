@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DisconnectedGraphError,
@@ -66,21 +68,26 @@ class ArcSpace:
     """The 2m oriented arcs of a graph with the inverse-pairing involution.
 
     Arcs are ordered lexicographically by (origin, terminus); all arc-indexed
-    matrices use this order for rows and columns.
+    matrices use this order for rows and columns. The arcs are made once, as
+    the read-only int64 arrays `origins`, `termini` and `inverses`, which the
+    operator builders read; `arcs`, `inverse` and `arc_index` hold the same
+    arcs as Python tuples and a dict.
     """
 
-    __slots__ = ("arcs", "inverse", "arc_index")
+    __slots__ = ("arcs", "inverse", "arc_index", "origins", "termini", "inverses")
 
     def __init__(self, graph: Graph):
-        arcs: list[tuple[int, int]] = []
-        for i, j in graph.edges():
-            arcs.append((i, j))
-            arcs.append((j, i))
-        arcs.sort()
-        index = {arc: k for k, arc in enumerate(arcs)}
-        self.arcs: tuple[tuple[int, int], ...] = tuple(arcs)
-        self.arc_index: dict[tuple[int, int], int] = index
-        self.inverse: tuple[int, ...] = tuple(index[(t, o)] for (o, t) in arcs)
+        origins, termini = _arc_arrays(graph)
+        # the keys o nu + t ascend with the arcs, so the inverse (t, o) of
+        # each arc is found by bisection
+        nu = graph.num_vertices
+        inverses = np.searchsorted(origins * nu + termini, termini * nu + origins)
+        for array in (origins, termini, inverses):
+            array.flags.writeable = False
+        self.origins, self.termini, self.inverses = origins, termini, inverses
+        self.arcs: tuple[tuple[int, int], ...] = tuple(zip(origins.tolist(), termini.tolist()))
+        self.arc_index: dict[tuple[int, int], int] = dict(zip(self.arcs, range(len(self.arcs))))
+        self.inverse: tuple[int, ...] = tuple(inverses.tolist())
 
     @property
     def num_arcs(self) -> int:
@@ -94,6 +101,14 @@ class ArcSpace:
 
     def __repr__(self) -> str:
         return f"ArcSpace({self.num_arcs} arcs)"
+
+
+def _arc_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The origins and the termini of the 2m arcs in `ArcSpace` order, as
+    int64 arrays: the neighbor lists are sorted, so they are read in order."""
+    origins = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degree_profile)
+    termini = np.fromiter(chain.from_iterable(graph.adjacency), np.int64, len(origins))
+    return origins, termini
 
 
 def arc_space(graph: Graph) -> ArcSpace:
@@ -171,14 +186,26 @@ def _require_connected(num_vertices: int, neighbor_sets: Mapping[int, set[int]])
 # -- built-in families ------------------------------------------------------
 
 
-def cycle_graph(n: int) -> Graph:
-    """Cycle on n >= 3 vertices (2-regular)."""
+def _tag(name: str, params: Sequence[int]) -> str:
+    """The family tag of a built graph: the name, with the parameters in
+    `FAMILIES` order in parentheses when the family takes any."""
+    return f"{name}({','.join(map(str, params))})" if params else name
+
+
+def _cycle_edges(n: int) -> np.ndarray:
+    """The edges i ~ i + 1 mod n of the cycle, as an (n, 2) int64 array."""
     if n < 3:
         raise FamilyParameterError(
             f"cycle needs N >= 3, got {n}: N <= 2 would create a loop or parallel edges"
         )
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return graph_from_edges(n, edges, family=f"cycle({n})", vertex_transitive=True)
+    ring = np.arange(n)
+    return np.stack([ring, (ring + 1) % n], axis=1)
+
+
+def cycle_graph(n: int) -> Graph:
+    """Cycle on n >= 3 vertices (2-regular)."""
+    edges = _cycle_edges(n).tolist()
+    return graph_from_edges(n, edges, family=_tag("cycle", (n,)), vertex_transitive=True)
 
 
 def check_torus(d: int, n: int | None = None) -> None:
@@ -197,51 +224,66 @@ def check_torus(d: int, n: int | None = None) -> None:
         )
 
 
+def _torus_edges(d: int, n: int) -> np.ndarray:
+    """The edges v ~ v + e_j of the torus, one per vertex and axis; vertex v
+    has the base-n digits of v, least significant first, as coordinates."""
+    check_torus(d, n)
+    v = np.arange(n**d)
+    ends = []
+    for axis in range(d):
+        stride = n**axis
+        digit = v // stride % n
+        ends.append(v + ((digit + 1) % n - digit) * stride)
+    return np.stack([np.tile(v, d), np.concatenate(ends)], axis=1)
+
+
 def torus_graph(d: int, n: int) -> Graph:
     """d-dimensional discrete torus on n^d vertices (2d-regular); see `check_torus`."""
-    check_torus(d, n)
-    num_vertices = n**d
-    strides = [n**k for k in range(d)]
-
-    def index(coords: tuple[int, ...]) -> int:
-        return sum(c * s for c, s in zip(coords, strides))
-
-    edges = []
-    for coords in product(range(n), repeat=d):
-        v = index(coords)
-        for axis in range(d):
-            shifted = list(coords)
-            shifted[axis] = (shifted[axis] + 1) % n
-            edges.append((v, index(tuple(shifted))))
-    return graph_from_edges(
-        num_vertices, edges, family=f"torus({d},{n})", vertex_transitive=True
-    )
+    edges = _torus_edges(d, n).tolist()
+    return graph_from_edges(n**d, edges, family=_tag("torus", (d, n)), vertex_transitive=True)
 
 
-def complete_graph(n: int) -> Graph:
-    """Complete graph on n >= 3 vertices ((n-1)-regular)."""
+def _complete_edges(n: int) -> np.ndarray:
+    """Every pair i < j of the n vertices."""
     if n < 3:
         raise FamilyParameterError(
             f"complete graph needs n >= 3, got {n}: n = 2 is a tree with trivial zeta"
         )
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return graph_from_edges(n, edges, family=f"complete({n})", vertex_transitive=True)
+    return np.stack(np.triu_indices(n, 1), axis=1)
 
 
-def _generalized_petersen_edges(n: int, k: int) -> list[tuple[int, int]]:
+def complete_graph(n: int) -> Graph:
+    """Complete graph on n >= 3 vertices ((n-1)-regular)."""
+    edges = _complete_edges(n).tolist()
+    return graph_from_edges(n, edges, family=_tag("complete", (n,)), vertex_transitive=True)
+
+
+def _generalized_petersen_edges(n: int, k: int) -> np.ndarray:
     """The outer cycle i ~ i + 1 on 0..n-1, the inner star polygon n + i ~
-    n + (i + k) mod n on n..2n-1, and the spokes i ~ n + i."""
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(n + i, n + (i + k) % n) for i in range(n)]
-    edges += [(i, n + i) for i in range(n)]
-    return edges
+    n + (i + k) mod n on n..2n-1, and the spokes i ~ n + i.
+
+    Needs n >= 3 and 1 <= k < n / 2: k = n / 2 would give the inner vertices
+    parallel edges.
+    """
+    if n < 3 or not 1 <= k < n / 2:
+        raise FamilyParameterError(
+            f"generalized Petersen graph needs N >= 3 and 1 <= k < N/2, got N = {n}, k = {k}"
+        )
+    i = np.arange(n)
+    return np.stack(
+        [np.concatenate([i, n + i, i]), np.concatenate([(i + 1) % n, n + (i + k) % n, n + i])],
+        axis=1,
+    )
+
+
+def _petersen_edges() -> np.ndarray:
+    return _generalized_petersen_edges(5, 2)
 
 
 def petersen_graph() -> Graph:
     """The Petersen graph: 10 vertices, 15 edges, 3-regular; gp(5, 2) edge for edge."""
-    return graph_from_edges(
-        10, _generalized_petersen_edges(5, 2), family="petersen", vertex_transitive=True
-    )
+    edges = _petersen_edges().tolist()
+    return graph_from_edges(10, edges, family=_tag("petersen", ()), vertex_transitive=True)
 
 
 def generalized_petersen_graph(n: int, k: int) -> Graph:
@@ -252,28 +294,29 @@ def generalized_petersen_graph(n: int, k: int) -> Graph:
     Watkins (1971): gp(n, k) is vertex-transitive exactly when
     k^2 = +-1 (mod n) or (n, k) = (10, 2).
     """
-    if n < 3 or not 1 <= k < n / 2:
-        raise FamilyParameterError(
-            f"generalized Petersen graph needs N >= 3 and 1 <= k < N/2, got N = {n}, k = {k}"
-        )
+    edges = _generalized_petersen_edges(n, k).tolist()
     transitive = (k * k) % n in (1, n - 1) or (n, k) == (10, 2)
     return graph_from_edges(
-        2 * n,
-        _generalized_petersen_edges(n, k),
-        family=f"gp({n},{k})",
-        vertex_transitive=transitive,
+        2 * n, edges, family=_tag("gp", (n, k)), vertex_transitive=transitive
     )
 
 
-def hypercube_graph(d: int) -> Graph:
-    """d-dimensional hypercube on 2^d vertices (d-regular)."""
+def _hypercube_edges(d: int) -> np.ndarray:
+    """The edges v ~ v xor 2^b with v < v xor 2^b."""
     if d < 2:
         raise FamilyParameterError(
             f"hypercube needs d >= 2, got {d}: d = 1 is a single edge (a tree)"
         )
-    n = 1 << d
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
-    return graph_from_edges(n, edges, family=f"hypercube({d})", vertex_transitive=True)
+    v = np.arange(1 << d)
+    ends = [np.stack([v, v ^ (1 << b)], axis=1) for b in range(d)]
+    edges = np.concatenate(ends)
+    return edges[edges[:, 0] < edges[:, 1]]
+
+
+def hypercube_graph(d: int) -> Graph:
+    """d-dimensional hypercube on 2^d vertices (d-regular)."""
+    edges = _hypercube_edges(d).tolist()
+    return graph_from_edges(1 << d, edges, family=_tag("hypercube", (d,)), vertex_transitive=True)
 
 
 # family tag -> (builder, the parameters it takes, in call order)
@@ -284,6 +327,18 @@ FAMILIES = {
     "petersen": (petersen_graph, ()),
     "hypercube": (hypercube_graph, ("d",)),
     "gp": (generalized_petersen_graph, ("N", "k")),
+}
+
+# family tag -> the edges of the family's graph as an (m, 2) int64 array,
+# from the parameters in `FAMILIES` order; FamilyParameterError as the
+# builder for parameters it refuses
+_EDGES = {
+    "cycle": _cycle_edges,
+    "torus": _torus_edges,
+    "complete": _complete_edges,
+    "petersen": _petersen_edges,
+    "hypercube": _hypercube_edges,
+    "gp": _generalized_petersen_edges,
 }
 
 
@@ -347,11 +402,12 @@ def _abelian_cover(graph: Graph) -> tuple[int, int, list[tuple[int, int]]] | Non
 
     The tag must name a family of the table, with integer parameters when it
     takes any, and side^d times the fibers must be the vertex count, which is
-    checked before any graph is built, so a tag of another size costs
-    nothing. `build_family` then rebuilds the graph: its tag must equal the
-    given one exactly and its adjacency the graph's, so a tag alone is not
-    trusted. That the labelling is a free action of the group is checked
-    where its states are read (`polynomials._fourier_group`).
+    checked before any edge is made, so a tag of another size costs nothing.
+    The tag must then be the one the family's builder writes (`_tag`), and
+    the family's edges (`_EDGES`) must be the graph's edge for edge, so a tag
+    alone is not trusted; the two edge sets are compared as sorted arrays,
+    and no graph is built. That the labelling is a free action of the group
+    is checked where its states are read (`polynomials._fourier_group`).
     """
     name, paren, rest = (graph.family or "").partition("(")
     if name not in _COVERS or (paren and not rest.endswith(")")):
@@ -365,13 +421,22 @@ def _abelian_cover(graph: Graph) -> tuple[int, int, list[tuple[int, int]]] | Non
     # side >= 2, so side^d <= nu needs d <= log2(nu)
     if not (1 <= d <= nu.bit_length() and side >= 2 and fibers >= 1 and side**d * fibers == nu):
         return None
+    if graph.family != _tag(name, params):
+        return None
     try:
-        built = build_family(name, **dict(zip(FAMILIES[name][1], params)))
+        edges = _EDGES[name](*params)
     except FamilyParameterError:
         return None
-    if built.family != graph.family or built.adjacency != graph.adjacency:
+    if len(edges) != graph.num_edges:
         return None
-    return d, side, [label(v) for v in range(nu)]
+    origins, termini = _arc_arrays(graph)
+    # each edge as the key i nu + j of its arc with i < j: the graph's arcs
+    # come sorted, so its keys ascend
+    low, high = edges.min(axis=1), edges.max(axis=1)
+    outward = origins < termini
+    if not np.array_equal(np.sort(low * nu + high), origins[outward] * nu + termini[outward]):
+        return None
+    return d, side, list(map(label, range(nu)))
 
 
 # -- JSON persistence --------------------------------------------------------

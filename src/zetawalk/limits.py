@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ZetaDomainError, ZetawalkError
-from .graphs import Graph, check_torus
+from .graphs import Graph, _arc_arrays, check_torus
 
 __all__ = [
     "ConvergenceRow",
@@ -84,19 +84,24 @@ _MAX_POINTS = 2**25
 _MONOTONE_SLACK = 1e-12
 
 
-def _normalized(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """D^-1/2 A D^-1/2, the symmetric form of the transition matrix."""
+def _normalized(origins: np.ndarray, termini: np.ndarray, degrees: np.ndarray) -> tuple:
+    """D^-1/2 A D^-1/2, the symmetric form of the transition matrix: s_i s_j
+    on the arc (i, j), s = 1 / sqrt(deg), and 0 on the diagonal."""
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return inv_sqrt[origins] * inv_sqrt[termini], 0.0
 
 
-# vertex operator -> (its symmetric form from the 0/1 adjacency matrix and
-# the degrees, for `graph_spectrum`; its torus eigenvalue from the grid sum
+# vertex operator -> (its symmetric form, for `graph_spectrum`: the value on
+# each arc (i, j) and on the diagonal, from the arcs' origins and termini
+# and the degrees; its torus eigenvalue from the grid sum
 # sum_j cos(2 pi k_j / n) and the dimension d, for `torus_spectrum`)
 _OPERATORS = {
-    "adjacency": (lambda a, degrees: a, lambda total, d: 2.0 * total),
+    "adjacency": (lambda origins, termini, degrees: (1.0, 0.0), lambda total, d: 2.0 * total),
     "transition": (_normalized, lambda total, d: total / d),
-    "laplacian": (lambda a, degrees: np.diag(degrees) - a, lambda total, d: 2.0 * (d - total)),
+    "laplacian": (
+        lambda origins, termini, degrees: (-1.0, degrees),
+        lambda total, d: 2.0 * (d - total),
+    ),
 }
 
 
@@ -112,15 +117,18 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, .
 
     The transition matrix D^-1 A is similar to the symmetric normalization
     D^-1/2 A D^-1/2, so its spectrum is real and is computed from the
-    symmetric form.
+    symmetric form. The form is written only at its nonzeros, the arcs and
+    the diagonal, into a zeroed n x n array.
     """
     symmetric_form, _ = _operator(operator)
     n = graph.num_vertices
-    a = np.zeros((n, n), dtype=float)
-    for i, neighbors in enumerate(graph.adjacency):
-        for j in neighbors:
-            a[i, j] = 1.0
-    sym = symmetric_form(a, np.array(graph.degree_profile, dtype=float))
+    origins, termini = _arc_arrays(graph)
+    on_arcs, on_diagonal = symmetric_form(
+        origins, termini, np.array(graph.degree_profile, dtype=float)
+    )
+    sym = np.zeros((n, n), dtype=float)
+    sym[origins, termini] = on_arcs
+    sym[np.arange(n), np.arange(n)] = on_diagonal
     return tuple(np.linalg.eigvalsh(sym).tolist())
 
 

@@ -1,8 +1,11 @@
 """Exact univariate polynomials over big rationals, and the two exact kernels.
 
 Both kernels read one record, `_Operator`: a square rational matrix M as
-the integer matrix L*M, L the lcm of its denominators, on its route.
-`_operator` is the one place that clears a matrix and chooses its route.
+the integer matrix L*M, L the lcm of its reduced denominators, on its
+route. `_operator` is the one place that chooses the route. It takes M as
+the integer record `rational._Cleared`: the walk operators are built as
+such records (`operators`), and `_cleared` makes one from a RatMatrix only
+for the public `det_i_minus_u` and `trace_powers`.
 
 Every exact determinant in the package is det(I - u*M), computed by
 `_charpolys` as integer coefficients C_k of u^k / L^k and divided out by
@@ -82,7 +85,7 @@ import numpy as np
 from .errors import ZetawalkError
 from .graphs import ArcSpace, Graph, _abelian_cover
 from .modular import _crt, _hessenberg_charpolys, _product_mod
-from .rational import RatMatrix
+from .rational import RatMatrix, _Cleared, _integers
 
 
 class Poly:
@@ -210,7 +213,7 @@ def det_i_minus_u(matrix: RatMatrix) -> Poly:
     """Exact polynomial det(I - u*M) for a square rational matrix M."""
     if matrix.rows != matrix.cols:
         raise ZetawalkError("det(I - u*M) requires a square matrix")
-    operator = _operator(matrix)
+    operator = _operator(_cleared(matrix))
     return _unscaled(operator.scale, _charpolys([operator])[0])
 
 
@@ -233,18 +236,16 @@ class _Operator(NamedTuple):
 
 
 def _operator(
-    matrix: RatMatrix, group: _Group | None = None, space: str | None = None
+    cleared: _Cleared, group: _Group | None = None, space: str | None = None
 ) -> _Operator:
-    """The record of M: M cleared to integers (`_cleared`), and its route.
+    """The record of M from L and the entries of A = L*M, and its route.
 
-    A = L*M goes in Fourier blocks when `_torus_stencil` finds it
-    translation invariant on the states `space` of the group
-    (`_fourier_group`), and otherwise whole (`_whole`). M is square: the
-    public kernels refuse any other matrix before they call this.
+    A goes in Fourier blocks when `_torus_stencil` finds it translation
+    invariant on the states `space` of the group (`_fourier_group`), and
+    otherwise whole (`_whole`).
     """
-    scale, entries = _cleared(matrix)
-    n = matrix.rows
-    return _Operator(scale, _torus_stencil(group, space, n, entries) or _whole(n, entries))
+    route = _torus_stencil(group, space, cleared) or _whole(cleared)
+    return _Operator(cleared.scale, route)
 
 
 def _charpolys(operators: Sequence[_Operator]) -> list[list[int]]:
@@ -284,15 +285,15 @@ def _norms(torus: _Torus) -> tuple[int, int, int, int]:
     stencil; the diagonal entries are those with s = s' and z = 0. A whole
     matrix is its own stencil (side^d = 1), so these are its entry sums.
     """
-    _, coords, width, stencil = torus
-    order = len(coords)
+    order, width = len(torus.coords), torus.width
+    kinds, values = torus.pairs // width, torus.values.tolist()
+    # in exact Python ints: a square of an int64 entry may not fit
     row_sums = [0] * width
-    frobenius = diagonal = 0
-    for s, s2, z, t in stencil:
+    for s, t in zip(kinds.tolist(), values):
         row_sums[s] += abs(t)
-        frobenius += t * t
-        if s == s2 and not z:
-            diagonal += abs(t)
+    frobenius = sum(t * t for t in values)
+    at_diagonal = (kinds == torus.pairs % width) & (torus.steps == 0)
+    diagonal = sum(abs(t) for t in torus.values[at_diagonal].tolist())
     return order * width, order * frobenius, max(row_sums, default=0), order * diagonal
 
 
@@ -362,7 +363,7 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
         raise ZetawalkError("r_max must be non-negative")
     if r_max == 0:
         return ()
-    return _traces(_operator(matrix), r_max)
+    return _traces(_operator(_cleared(matrix)), r_max)
 
 
 def _traces(operator: _Operator, r_max: int) -> tuple[Fraction, ...]:
@@ -426,8 +427,7 @@ def _trace_residues(torus: _Torus, primes: list[int], r_max: int) -> list[list[i
     they are near p / 2, as Fourier blocks of a side above 2 are. Three
     stacks are alive at a time.
     """
-    _, coords, width, _ = torus
-    count, nu = len(primes), len(coords)
+    count, nu, width = len(primes), len(torus.coords), torus.width
     p1 = np.array(primes, dtype=np.int64)[:, None]
     p3 = p1[:, :, None]
     p4 = p3[:, :, :, None]
@@ -486,20 +486,28 @@ def _pairing_mod(x: np.ndarray, y: np.ndarray, p1: np.ndarray, out: np.ndarray) 
     return (rows.sum(axis=2) % p1).sum(axis=1) % p1[:, 0]
 
 
-def _cleared(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:
-    """The lcm L of the entry denominators, and the nonzero entries of L*M.
+def _cleared(matrix: RatMatrix) -> _Cleared:
+    """The record of a square RatMatrix M: L, the lcm of its reduced entry
+    denominators, and the nonzero entries of L*M, sorted by (i, j).
 
-    Entries come as (i, j, integer) sorted by (i, j); `_operator` is its
-    one caller, for both exact kernels. L is one lcm
-    over the distinct denominators, and each entry is its numerator times
-    the factor L / q of its denominator q.
+    Only the public `det_i_minus_u` and `trace_powers` call it, on the
+    matrix they are given; the walk operators are built as records. L is
+    one lcm over the distinct denominators, and each entry is its numerator
+    times the factor L / q of its denominator q, an exact Python int kept
+    as one where it does not fit in int64 (`rational._integers`).
     """
     items = list(matrix.nonzero_items())
     ratios = [value.as_integer_ratio() for _, _, value in items]
     denominators = {q for _, q in ratios}
     scale = math.lcm(*denominators)
     factors = {q: scale // q for q in denominators}
-    return scale, [(i, j, num * factors[q]) for (i, j, _), (num, q) in zip(items, ratios)]
+    return _Cleared(
+        scale,
+        matrix.rows,
+        np.array([i for i, _, _ in items], dtype=np.int64),
+        np.array([j for _, j, _ in items], dtype=np.int64),
+        _integers([num * factors[q] for num, q in ratios]),
+    )
 
 
 # lcm(2, n) -> the primes = 1 (mod n) below 2^31 found so far, descending
@@ -643,7 +651,7 @@ def _fourier_group(graph: Graph | None, arcs: ArcSpace | None = None) -> _Group 
         order, np.tile(element, 2), np.repeat([0, len(fibers)], len(labels)) + np.tile(fiber, 2)
     )
     if arcs is not None:
-        origin, terminus = np.array(arcs.arcs).T
+        origin, terminus = arcs.origins, arcs.termini
         voltage = (coords[element[terminus]] - coords[element[origin]]) % side @ place
         kind = (fiber[origin] * len(fibers) + fiber[terminus]) * order + voltage
         states["arcs"] = _state_space(order, element[origin], kind)
@@ -668,61 +676,64 @@ class _Torus(NamedTuple):
     """A matrix found translation invariant on the group Z_side^d.
 
     Its states are pairs (element g, kind s), `width` kinds per element, and
-    its entry from (g, s) to (h, s') is t_ss'(h - g). `stencil` lists the
-    nonzero t_ss'(z) as (s, s', z, t), sorted by (s, s'), z the flat index
-    of the step; `coords[h]` are the d coordinates of the element with flat
-    index h.
+    its entry from (g, s) to (h, s') is t_ss'(h - g). The stencil is the
+    nonzero t_ss'(z) as three arrays, sorted by (s, s') and then z: `pairs`
+    holds s w + s', `steps` the flat index z of the step, and `values` the
+    integer t (int64, or exact Python ints as in `rational._Cleared`);
+    `coords[h]` are the d coordinates of the element with flat index h.
     """
 
     side: int
     coords: np.ndarray
     width: int
-    stencil: list[tuple[int, int, int, int]]
+    pairs: np.ndarray
+    steps: np.ndarray
+    values: np.ndarray
 
 
-def _torus_stencil(
-    group: _Group | None, space: str | None, n: int, entries: list[tuple[int, int, int]]
-) -> _Torus | None:
-    """The stencil of the n x n integer matrix with these entries, when it has one.
+def _torus_stencil(group: _Group | None, space: str | None, cleared: _Cleared) -> _Torus | None:
+    """The stencil of the integer matrix A of the record, when it has one.
 
-    The matrix must act on the n states of the space the caller names, one
-    that the group holds (`_fourier_group`). The stencil is read off the
-    rows of the states at element 0; every nonzero entry, from (g, s) to
-    (h, s'), must then be t_ss'(h - g), and there must be side^d entries
-    per stencil entry, so that none is missing. Both checks are O(nnz).
-    Otherwise the answer is None, and the matrix is taken whole.
+    A must act on the n states of the space the caller names, one that the
+    group holds (`_fourier_group`). The stencil is read off the rows of the
+    states at element 0, each entry keyed by (s, s', z); every nonzero
+    entry, from (g, s) to (h, s'), must then be t_ss'(h - g), and there must
+    be side^d entries per stencil entry, so that none is missing. Both
+    checks are array operations: the stencil keys are sorted once and every
+    entry's key is found among them by bisection. Otherwise the answer is
+    None, and the matrix is taken whole.
     """
     if group is None or space not in group.states:
         return None
     side, coords, place, states = group
     element, kind, width = states[space]
-    if n != len(element):
+    if cleared.size != len(element):
         return None
     order = len(coords)
-    rows = np.array([i for i, _, _ in entries], dtype=np.int64)
-    cols = np.array([j for _, j, _ in entries], dtype=np.int64)
+    _, _, rows, cols, values = cleared
     origins = element[rows]
     steps = (coords[element[cols]] - coords[origins]) % side @ place
-    keys = ((kind[rows] * width + kind[cols]) * order + steps).tolist()
-    values = [value for _, _, value in entries]
-    stencil = {key: value for key, value, g in zip(keys, values, origins.tolist()) if g == 0}
-    if len(entries) != order * len(stencil):
+    keys = (kind[rows] * width + kind[cols]) * order + steps
+    at_zero = origins == 0
+    if len(keys) != order * np.count_nonzero(at_zero):
         return None
-    if list(map(stencil.get, keys)) != values:
+    sorter = np.argsort(keys[at_zero])
+    stencil_keys, stencil_values = keys[at_zero][sorter], values[at_zero][sorter]
+    slots = np.minimum(np.searchsorted(stencil_keys, keys), len(stencil_keys) - 1)
+    if not (
+        np.array_equal(stencil_keys[slots], keys) and np.array_equal(stencil_values[slots], values)
+    ):
         return None
-    table = [
-        (key // order // width, key // order % width, key % order, t)
-        for key, t in sorted(stencil.items())
-    ]
-    return _Torus(side, coords, width, table)
+    return _Torus(side, coords, width, stencil_keys // order, stencil_keys % order, stencil_values)
 
 
-def _whole(n: int, entries: list[tuple[int, int, int]]) -> _Torus:
-    """The n x n matrix A with these entries as the one block of the trivial
+def _whole(cleared: _Cleared) -> _Torus:
+    """The n x n matrix A of the record as the one block of the trivial
     group: side 1, one element with no coordinates, n kinds, and
     t_ij(0) = A[i][j]."""
-    stencil = [(i, j, 0, value) for i, j, value in entries]
-    return _Torus(1, np.zeros((1, 0), dtype=np.int64), n, stencil)
+    n, rows = cleared.size, cleared.rows
+    pairs, steps = rows * n + cleared.cols, np.zeros(len(rows), dtype=np.int64)
+    return _Torus(1, np.zeros((1, 0), dtype=np.int64), n, pairs, steps, cleared.values)
 
 
 # about the most elements an array of one chunk of `_fourier_charpolys` holds
@@ -748,13 +759,12 @@ def _fourier_charpolys(tori: list[_Torus], primes: list[list[int]]) -> list[np.n
     are multiplied in that reading, where 1 is (1, 0, ..., 0). Row q of the
     (K, n + 1) int64 result of a matrix is for its prime q.
     """
-    _, coords, width, _ = tori[0]
-    nu = len(coords)
+    nu, width = len(tori[0].coords), tori[0].width
     rows = [(t, p) for t, row_primes in enumerate(primes) for p in row_primes]
     # a row takes nu w^2 elements in its blocks, nu E in the terms of its E
     # stencil entries, fewer than 64 nu w in an outer product of its tree
     # and about 16 nu w in an FFT level
-    per_vertex = max(width * max(width, 64), *(len(torus.stencil) for torus in tori))
+    per_vertex = max(width * max(width, 64), *(len(torus.values) for torus in tori))
     chunk = max(1, _FOURIER_BUDGET // (nu * per_vertex))
     residues = np.empty((len(rows), nu * width + 1), dtype=np.int64)
     for start in range(0, len(rows), chunk):
@@ -778,11 +788,11 @@ def _fourier_charpolys(tori: list[_Torus], primes: list[list[int]]) -> list[np.n
 def _fourier_blocks(torus: _Torus, primes: list[int]) -> np.ndarray:
     """The (K, side^d, w, w) int64 blocks T^(k) of the matrix mod each of K
     primes, the sums of `_fourier_sums` scattered into zeroed blocks."""
-    _, coords, width, _ = torus
+    order, width = len(torus.coords), torus.width
     keys, sums = _fourier_sums(torus, primes)
-    blocks = np.zeros((len(primes), len(coords), width * width), dtype=np.int64)
+    blocks = np.zeros((len(primes), order, width * width), dtype=np.int64)
     blocks[:, :, keys] = sums
-    return blocks.reshape(len(primes), len(coords), width, width)
+    return blocks.reshape(len(primes), order, width, width)
 
 
 def _fourier_sums(torus: _Torus, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -796,11 +806,12 @@ def _fourier_sums(torus: _Torus, primes: list[int]) -> tuple[np.ndarray, np.ndar
     below 2^31. When every run has one term, as on U and U+, the terms are
     the sums.
     """
-    side, coords, width, stencil = torus
+    side, coords, _, keys, steps, values = torus
     p = np.array(primes, dtype=np.int64)[:, None, None]
-    keys = np.array([s * width + s2 for s, s2, _, _ in stencil], dtype=np.int64)
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
-    terms = np.array([[t % q for _, _, _, t in stencil] for q in primes], dtype=np.int64)[:, None]
+    # residues of exact Python ints are taken in Python ints
+    moduli = np.array(primes, dtype=values.dtype)[:, None]
+    terms = (values % moduli).astype(np.int64)[:, None]
     # on the trivial group every phase is 0, and omega^0 = 1
     if side > 1:
         # omega^e mod p for e = 0..side-1, one row per prime
@@ -809,7 +820,7 @@ def _fourier_sums(torus: _Torus, primes: list[int]) -> tuple[np.ndarray, np.ndar
         for e in range(1, side):
             powers[:, e] = powers[:, e - 1] * roots % p[:, 0, 0]
         # k.z mod side for each k and each stencil step z
-        phases = coords @ coords[[z for _, _, z, _ in stencil]].T % side
+        phases = coords @ coords[steps].T % side
         terms = powers[:, phases] * terms
         terms %= p
     if len(starts) < len(keys):

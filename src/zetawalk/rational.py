@@ -1,18 +1,20 @@
-"""Exact matrices over big rationals.
+"""Exact matrices over big rationals, and their integer records.
 
 Matrices are stored sparsely (one dict of nonzero entries per row) and are
 immutable by convention: all operations return new matrices. Neither
 determinants nor traces are taken here: the exact kernels in `polynomials`
-(`det_i_minus_u` and `trace_powers`) clear a matrix to integers and work on
-that. Operator assembly needs no product either: the Grover matrix S C is
-the coin with its rows permuted (`permute_rows`). The product `@` stays as
-the tests' oracle for that assembly.
+work on a matrix M cleared to integers, the record `_Cleared` of L and the
+nonzero entries of L*M as arrays. The walk operators are built as such
+records (`operators`), and `_Cleared.matrix` is their RatMatrix view. The
+product `@` stays as the tests' oracle for operator assembly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 
 class RatMatrix:
@@ -184,3 +186,44 @@ def positive_support(matrix: RatMatrix) -> RatMatrix:
     for i, rd in enumerate(matrix._rowdata):
         out._rowdata[i] = {j: one for j, value in rd.items() if value.numerator > 0}
     return out
+
+
+def _integers(values: Sequence[int]) -> np.ndarray:
+    """The integers as an int64 array, or as exact Python ints in an object
+    array when one of them does not fit in int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class _Cleared(NamedTuple):
+    """A square rational matrix M as the integer matrix A = L*M.
+
+    `scale` is L, the lcm of the reduced denominators of the entries of M,
+    and `size` is n. The nonzero entries of A are `values[k]` at
+    (`rows[k]`, `cols[k]`), sorted by (row, column): rows and cols are int64
+    arrays, and values is int64 when every entry fits, else an object array
+    of exact Python ints (`_integers`).
+    """
+
+    scale: int
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def entries(self) -> list[tuple[int, int, int]]:
+        """The nonzero entries of A as (i, j, integer), sorted by (i, j)."""
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
+
+    def matrix(self) -> RatMatrix:
+        """M as a RatMatrix, its entries Fraction(a, L); each distinct value
+        of A is made a Fraction once."""
+        out = RatMatrix(self.size, self.size)
+        values = self.values.tolist()
+        fractions = {a: Fraction(a, self.scale) for a in set(values)}
+        rowdata = out._rowdata
+        for i, j, a in zip(self.rows.tolist(), self.cols.tolist(), values):
+            rowdata[i][j] = fractions[a]
+        return out

@@ -57,11 +57,12 @@ from .limits import (
     vertex_factor_coefficients,
 )
 from .operators import (
-    adjacency,
-    grover,
-    grover_positive_support,
-    laplacian,
-    transition,
+    _bass_companion,
+    _grover,
+    _grover_positive_support,
+    _laplacian,
+    _positive_support,
+    _transition,
 )
 from .polynomials import (
     Poly,
@@ -73,9 +74,8 @@ from .polynomials import (
     _traces,
     _unscaled,
     log_series,
-    trace_powers,
 )
-from .rational import RatMatrix, positive_support
+from .rational import _Cleared
 
 __all__ = [
     "SeriesCoefficients",
@@ -176,7 +176,7 @@ def grover_zeta_reciprocal(graph: Graph) -> Poly:
     This is the reciprocal of the weighted zeta; its degree is twice the
     edge count.
     """
-    return _reciprocal(_arc_operator(graph, grover), 0)
+    return _reciprocal(_arc_operator(graph, _grover), 0)
 
 
 def ihara_reciprocal_edge(graph: Graph) -> Poly:
@@ -189,7 +189,7 @@ def ihara_reciprocal_edge(graph: Graph) -> Poly:
     is not.
     """
     _reject_tree(graph)
-    return _reciprocal(_arc_operator(graph, grover_positive_support), 0)
+    return _reciprocal(_arc_operator(graph, _grover_positive_support), 0)
 
 
 def ihara_reciprocal_bass(graph: Graph) -> Poly:
@@ -203,13 +203,14 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
     the cocycle multiplies integer coefficients.
     """
     _reject_tree(graph)
-    operator = _operator(_bass_companion(graph), _fourier_group(graph), "bass")
+    operator = _operator(_bass_companion(graph, arc_space(graph)), _fourier_group(graph), "bass")
     return _reciprocal(operator, graph.num_edges - graph.num_vertices)
 
 
-def _arc_operator(graph: Graph, build: Callable[[Graph, ArcSpace], RatMatrix]) -> _Operator:
-    """The arc operator build(graph, arcs) on the graph's route, its group
-    verified on the one arc space that the operator is built on."""
+def _arc_operator(graph: Graph, build: Callable[[Graph, ArcSpace], _Cleared]) -> _Operator:
+    """The arc operator whose record build(graph, arcs) makes, on the
+    graph's route, its group verified on the one arc space that the
+    operator is built on."""
     arcs = arc_space(graph)
     return _operator(build(graph, arcs), _fourier_group(graph, arcs), "arcs")
 
@@ -224,19 +225,6 @@ def _reciprocal(operator: _Operator, exponent: int) -> Poly:
     if exponent:
         return Poly(_times_one_minus_u_squared(coeffs, exponent))
     return _unscaled(operator.scale, coeffs)
-
-
-def _bass_companion(graph: Graph) -> RatMatrix:
-    """The integer companion matrix [[A, I - D], [I, 0]] of the Bass form.
-
-    Its state v is vertex v in the first half, and nu + v vertex v in the
-    second: the "bass" states of `_fourier_group`.
-    """
-    n = graph.num_vertices
-    entries = list(adjacency(graph).nonzero_items())
-    entries += [(v, n + v, 1 - d) for v, d in enumerate(graph.degree_profile) if d != 1]
-    entries += [(n + v, v, 1) for v in range(n)]
-    return RatMatrix(2 * n, 2 * n, entries)
 
 
 def _reject_tree(graph: Graph) -> None:
@@ -274,12 +262,12 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
 
     arcs = arc_space(graph)
     group = _fourier_group(graph, arcs)
-    u_mat = grover(graph, arcs)
+    u_mat = _grover(graph, arcs)
     operators = [
         _operator(u_mat, group, "arcs"),
-        _operator(positive_support(u_mat), group, "arcs"),
-        _operator(transition(graph), group, "vertices"),
-        _operator(laplacian(graph), group, "vertices"),
+        _operator(_positive_support(u_mat), group, "arcs"),
+        _operator(_transition(graph, arcs), group, "vertices"),
+        _operator(_laplacian(graph, arcs), group, "vertices"),
     ]
     sides = list(zip(operators, _charpolys(operators)))
     left_sides = {
@@ -331,14 +319,14 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Exact weighted counts N_r = Tr U^r for r = 1..r_max."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    return SeriesCoefficients(kind="weighted", counts=_traces(_arc_operator(graph, grover), r_max))
+    return SeriesCoefficients(kind="weighted", counts=_traces(_arc_operator(graph, _grover), r_max))
 
 
 def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Counts of cyclically non-backtracking closed arc walks, Tr (U+)^r."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    counts = _traces(_arc_operator(graph, grover_positive_support), r_max)
+    counts = _traces(_arc_operator(graph, _grover_positive_support), r_max)
     return SeriesCoefficients(kind="reduced", counts=counts)
 
 
@@ -435,9 +423,9 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
             f"{SERIES_ORDER_CAP}"
         )
     arcs = arc_space(graph)
-    u_mat = grover(graph, arcs)
+    u_mat = _grover(graph, arcs)
     logs = log_series(_reciprocal(_operator(u_mat, _fourier_group(graph, arcs), "arcs"), 0), order)
-    scaled = tuple(c / r for r, c in enumerate(trace_powers(u_mat, order), start=1))
+    scaled = tuple(c / r for r, c in enumerate(_traces(_operator(u_mat), order), start=1))
     return SeriesConsistencyReport(
         order=order, log_coefficients=logs, scaled_counts=scaled
     )

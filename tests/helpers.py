@@ -12,6 +12,11 @@ polynomial; it runs the package kernel on a different matrix. It also
 builds the Frucht graph, which a false vertex_transitive flag cannot pass
 off as vertex-transitive. `residue_stack` is the whole matrix mod each
 prime, the stack that the kernel's trivial-group block must reproduce.
+`dict_operators` writes every walk operator entry by entry into RatMatrix
+dicts, as the package built them before its integer records, and
+`naive_det_i_minus_u` interpolates det(I - tM) from textbook elimination.
+`FAMILIES` and `RANDOM_GRAPHS` are the small graphs the operator tests run
+on.
 """
 
 from __future__ import annotations
@@ -22,8 +27,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from zetawalk import RatMatrix, det_i_minus_u, graph_from_edges, torus_prefactor
-from zetawalk.graphs import Graph
+from zetawalk import (
+    RatMatrix,
+    complete_graph,
+    cycle_graph,
+    det_i_minus_u,
+    graph_from_edges,
+    petersen_graph,
+    positive_support,
+    torus_graph,
+    torus_prefactor,
+)
+from zetawalk.graphs import ArcSpace, Graph
 from zetawalk.limits import vertex_factor
 
 # grid points per row block of the full-grid quadrature
@@ -66,6 +81,25 @@ def det_i_minus_t_times(matrix: RatMatrix, t: Fraction) -> Fraction:
         for j in range(n):
             a[i][j] = (Fraction(1) if i == j else Fraction(0)) - t * a[i][j]
     return gauss_det(a)
+
+
+def naive_det_i_minus_u(matrix: RatMatrix) -> list[Fraction]:
+    """The coefficients of det(I - uM), ascending, trailing zeros dropped:
+    the Lagrange interpolation of det(I - tM) at t = 0..n."""
+    n = matrix.rows
+    values = [det_i_minus_t_times(matrix, Fraction(t)) for t in range(n + 1)]
+    coeffs = [Fraction(0)] * (n + 1)
+    for k, value in enumerate(values):
+        basis, denominator = [Fraction(1)], 1
+        for j in range(n + 1):
+            if j != k:
+                basis = poly_mul(basis, [Fraction(-j), Fraction(1)])
+                denominator *= k - j
+        for i, b in enumerate(basis):
+            coeffs[i] += value * b / denominator
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def naive_trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
@@ -250,3 +284,64 @@ def frucht_graph() -> Graph:
     edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
     edges |= {tuple(sorted((i, (i + step) % n))) for i, step in enumerate(FRUCHT_LCF)}
     return graph_from_edges(n, sorted(edges), family="frucht", vertex_transitive=True)
+
+
+def dict_operators(graph: Graph, arcs: ArcSpace) -> dict[str, RatMatrix]:
+    """Every walk operator of the graph, written entry by entry from its
+    definition into RatMatrix dicts: A, D, P, D - A, S, the Grover coin C,
+    U = S @ C, U+ and the Bass companion [[A, I - D], [I, 0]]."""
+    n, size = graph.num_vertices, arcs.num_arcs
+    degree = graph.degree_profile
+    adjacency = RatMatrix(n, n, [(i, j, 1) for i, j in arcs.arcs])
+    degrees = RatMatrix.diagonal(degree)
+    shift = RatMatrix(size, size, [(e, f, 1) for e, f in enumerate(arcs.inverse)])
+    coin = RatMatrix(size, size, [
+        (e, f, Fraction(2, degree[arcs.terminus(e)]) - (e == f))
+        for e in range(size)
+        for f in range(size)
+        if arcs.terminus(e) == arcs.terminus(f)
+    ])
+    grover = shift @ coin
+    bass = [(i, j, 1) for i, j in arcs.arcs]
+    bass += [(v, n + v, 1 - d) for v, d in enumerate(degree)]
+    bass += [(n + v, v, 1) for v in range(n)]
+    return {
+        "A": adjacency,
+        "D": degrees,
+        "P": RatMatrix(n, n, [(i, j, Fraction(1, degree[i])) for i, j in arcs.arcs]),
+        "D-A": degrees - adjacency,
+        "S": shift,
+        "C": coin,
+        "U": grover,
+        "U+": positive_support(grover),
+        "bass": RatMatrix(2 * n, 2 * n, bass),
+    }
+
+
+FAMILIES = [
+    cycle_graph(3),
+    cycle_graph(5),
+    complete_graph(4),
+    petersen_graph(),
+    torus_graph(2, 3),
+    graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),  # diamond
+    graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # paw, has a leaf
+]
+
+
+def random_connected_graph(seed: int) -> Graph:
+    """A random tree with a few chords, and a pendant path of two vertices.
+
+    The path's middle vertex has degree 2 and its end is a leaf, the two
+    degrees at which a Grover coin entry 2/deg - 1 is 0 or 1.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    edges |= {(rng.randrange(n), n), (n, n + 1)}
+    return graph_from_edges(n + 2, sorted(edges))
+
+
+RANDOM_GRAPHS = [random_connected_graph(seed) for seed in range(8)]

@@ -8,12 +8,14 @@ here. A spy on `polynomials._fourier_charpolys` records the side and the
 size of every matrix that took blocks; a whole matrix has side 1.
 """
 
+import itertools
 import json
 from collections import deque
 
 import pytest
 
 from zetawalk import (
+    DisconnectedGraphError,
     FamilyParameterError,
     arc_space,
     build_family,
@@ -32,9 +34,8 @@ from zetawalk import (
     save_graph,
     torus_graph,
 )
-from zetawalk import graphs, polynomials, zeta
+from zetawalk import graphs, operators, polynomials, zeta
 from zetawalk.cli import entrypoint
-from zetawalk.operators import grover, grover_positive_support, laplacian, transition
 
 GP_GRAPHS = [
     generalized_petersen_graph(n, k) for n in range(3, 13) for k in range(1, (n + 1) // 2)
@@ -75,13 +76,14 @@ def _untagged(graph):
 def _polynomials(graph):
     """det(I - uU), det(I - uU+), det(I - uP), det(I - u(D - A)) and the Bass
     form, each on the graph's route."""
-    group = polynomials._fourier_group(graph, arc_space(graph))
+    arcs = arc_space(graph)
+    group = polynomials._fourier_group(graph, arcs)
     return [
         grover_zeta_reciprocal(graph),
         ihara_reciprocal_edge(graph),
         *(
-            zeta._reciprocal(polynomials._operator(op(graph), group, "vertices"), 0)
-            for op in (transition, laplacian)
+            zeta._reciprocal(polynomials._operator(op(graph, arcs), group, "vertices"), 0)
+            for op in (operators._transition, operators._laplacian)
         ),
         ihara_reciprocal_bass(graph),
     ]
@@ -119,18 +121,19 @@ def test_the_bounds_read_from_a_fourier_route_are_those_of_the_whole_matrix(grap
     # each entry of A once per group element, so its sums give A's
     arcs = arc_space(graph)
     group = polynomials._fourier_group(graph, arcs)
-    operators = [
-        (grover(graph, arcs), "arcs"),
-        (grover_positive_support(graph, arcs), "arcs"),
-        (transition(graph), "vertices"),
-        (laplacian(graph), "vertices"),
-        (zeta._bass_companion(graph), "bass"),
+    records = [
+        (operators._grover(graph, arcs), "arcs"),
+        (operators._grover_positive_support(graph, arcs), "arcs"),
+        (operators._transition(graph, arcs), "vertices"),
+        (operators._laplacian(graph, arcs), "vertices"),
+        (operators._bass_companion(graph, arcs), "bass"),
     ]
-    for matrix, space in operators:
-        fourier, whole = polynomials._operator(matrix, group, space), polynomials._operator(matrix)
+    for cleared, space in records:
+        fourier = polynomials._operator(cleared, group, space)
+        whole = polynomials._operator(cleared)
         assert (fourier.torus.side > 1, whole.torus.side) == (True, 1)
         rows = [len(operator.torus.coords) * operator.torus.width for operator in (fourier, whole)]
-        assert rows == [matrix.rows] * 2
+        assert rows == [cleared.size] * 2
         assert _bounds(fourier.torus) == _bounds(whole.torus)
 
 
@@ -230,6 +233,55 @@ def test_a_file_tagged_gp_whose_edges_differ_goes_whole(graph, tag, tmp_path, bl
         2 * graph.num_edges, 2 * graph.num_vertices, 2 * graph.num_edges, 2 * graph.num_edges,
         graph.num_vertices, graph.num_vertices,
     ]
+
+
+def _rewired(graph):
+    """The graph under its own tag with the first pair of edges (a, b),
+    (c, d) swapped to (a, d), (c, b) that keeps it simple and connected:
+    one edge moved, every degree kept."""
+    edges = set(graph.edges())
+    for (a, b), (c, d) in itertools.combinations(sorted(edges), 2):
+        moved = {tuple(sorted(pair)) for pair in ((a, d), (c, b))}
+        if len({a, b, c, d}) < 4 or moved & edges:
+            continue
+        try:
+            return graph_from_edges(
+                graph.num_vertices,
+                sorted(edges - {(a, b), (c, d)} | moved),
+                family=graph.family,
+                vertex_transitive=graph.claimed_vertex_transitive,
+            )
+        except DisconnectedGraphError:
+            continue
+    raise AssertionError("no swap keeps the graph connected")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [torus_graph(2, 4), hypercube_graph(4), generalized_petersen_graph(6, 1)],
+    ids=lambda g: g.family,
+)
+def test_a_tagged_graph_with_one_edge_rewired_goes_whole(graph, monkeypatch, block_calls):
+    rewired = _rewired(graph)
+    assert (rewired.family, rewired.degree_profile) == (graph.family, graph.degree_profile)
+    assert rewired.adjacency != graph.adjacency
+    untagged = _untagged(rewired)
+    # the trust rule compares edge arrays: it builds no graph
+    built = []
+
+    def spy(name):
+        real = getattr(graphs, name)
+        return lambda *args, **kwargs: built.append(name) or real(*args, **kwargs)
+
+    for name in ("build_family", "graph_from_edges"):
+        monkeypatch.setattr(graphs, name, spy(name))
+    assert graphs._abelian_cover(rewired) is None
+    assert graphs._abelian_cover(graph) is not None
+    assert built == []
+    assert _polynomials(rewired) == _polynomials(untagged)
+    assert konno_sato_check(rewired).identities == konno_sato_check(untagged).identities
+    assert block_calls == []
+    assert built == []
 
 
 def test_a_relabelled_gp_with_its_own_tag_goes_whole(block_calls):

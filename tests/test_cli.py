@@ -311,8 +311,9 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
-# the steps of one operator record: its group, its matrix cleared, its route
-# and its determinant bound
+# the steps of one operator record: its group, its route and its
+# determinant bound; `_cleared` is spied on too, and never runs, since the
+# walk operators are built as integer records
 _ROUTE_STEPS = [
     (zetawalk.zeta, "_fourier_group"),
     (zetawalk.polynomials, "_cleared"),
@@ -327,12 +328,13 @@ def test_charpoly_chooses_the_route_of_its_operator_once(
 ):
     # the reciprocal builds and routes its operator once, and the kernel
     # computes its bound once
-    calls = _count_calls(monkeypatch, [(zetawalk.zeta, "grover"), (operators, "grover"), *_ROUTE_STEPS])
+    targets = [(zetawalk.zeta, "_grover"), (operators, "_grover"), *_ROUTE_STEPS]
+    calls = _count_calls(monkeypatch, targets)
     code, out, err = run_cli(capsys, ["charpoly", "--graph", k4_path, "--matrix", matrix])
     assert (code, err) == (0, "")
-    steps = ["_fourier_group", "_cleared", "_torus_stencil", "_coefficient_bound"]
-    assert [name for name in calls if name != "grover"] == steps
-    assert calls.count("grover") == grovers
+    steps = ["_fourier_group", "_torus_stencil", "_coefficient_bound"]
+    assert [name for name in calls if name != "_grover"] == steps
+    assert calls.count("_grover") == grovers
     assert out == json.dumps(CHOICES["charpoly", matrix](load_graph(k4_path)), indent=2) + "\n"
 
 
@@ -344,7 +346,7 @@ def test_series_chooses_the_route_of_its_operator_once(capsys, monkeypatch, k4_p
     argv = ["series", "--graph", k4_path, "--which", which, "--order", "5", "--json"]
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
-    assert calls == ["_fourier_group", "_cleared", "_torus_stencil"]
+    assert calls == ["_fourier_group", "_torus_stencil"]
     assert out == json.dumps(CHOICES["series", which](load_graph(k4_path)), indent=2) + "\n"
 
 
@@ -375,19 +377,23 @@ def test_series_refuses_long_counts_before_the_powers(capsys, monkeypatch, k4_pa
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _whole_operator(matrix):
+    return zetawalk.polynomials._operator(zetawalk.polynomials._cleared(matrix))
+
+
 def test_series_digit_check_is_exact_where_the_bound_is_attained():
     # M = (10): Tr M^r = 10^r is the bound itself, with r + 1 digits
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        ten = zetawalk.polynomials._operator(RatMatrix.from_rows([[10]]))
+        ten = _whole_operator(RatMatrix.from_rows([[10]]))
         counts = cli._trace_counts(ten, 639)
         assert [str(c) for c in counts][-1] == "1" + "0" * 639
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
             cli._trace_counts(ten, 640)
         # M = (1/10): the denominator 10^640 alone is refused
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
-            cli._trace_counts(zetawalk.polynomials._operator(RatMatrix.from_rows([[Fraction(1, 10)]])), 640)
+            cli._trace_counts(_whole_operator(RatMatrix.from_rows([[Fraction(1, 10)]])), 640)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -434,7 +440,8 @@ def test_series_digit_check_passes_counts_that_stay_small_at_any_order(monkeypat
     # 0 or 2N, and no order is refused
     monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda operator, order: "formed")
     g = zetawalk.cycle_graph(5)
-    assert cli._trace_counts(zetawalk.zeta._arc_operator(g, operators.grover_positive_support), 10**9) == "formed"
+    operator = zetawalk.zeta._arc_operator(g, operators._grover_positive_support)
+    assert cli._trace_counts(operator, 10**9) == "formed"
 
 
 def test_zeta_eval_both_methods_agree(capsys, k4_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import full_grid_finite_torus, full_grid_log_mean
+from helpers import FAMILIES, RANDOM_GRAPHS, full_grid_finite_torus, full_grid_log_mean
 from zetawalk import (
     ConvergenceStudy,
     FamilyParameterError,
@@ -69,9 +69,8 @@ def test_both_spectra_refuse_an_unknown_operator_with_one_message():
 
 def test_both_spectra_read_the_vertex_operator_from_one_table(monkeypatch):
     # an operator added to the one table reaches both spectra
-    monkeypatch.setitem(
-        limits._OPERATORS, "twice-adjacency", (lambda a, degrees: a + a, lambda total, d: 4.0 * total)
-    )
+    twice = (lambda origins, termini, degrees: (2.0, 0.0), lambda total, d: 4.0 * total)
+    monkeypatch.setitem(limits._OPERATORS, "twice-adjacency", twice)
     closed = sorted(torus_spectrum(2, 4, "twice-adjacency"))
     assert closed == sorted(2.0 * x for x in torus_spectrum(2, 4, "adjacency"))
     numeric = graph_spectrum(torus_graph(2, 4), "twice-adjacency")
@@ -87,6 +86,44 @@ def test_closed_form_spectrum_matches_numeric_diagonalization(d, n, operator):
     assert len(closed) == len(numeric)
     for a, b in zip(closed, numeric):
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def _dense_symmetric_form(graph, operator):
+    """The symmetric form as a dense 0/1 adjacency matrix, filled in a
+    double loop, and dense products with the degrees."""
+    n = graph.num_vertices
+    a = np.zeros((n, n), dtype=float)
+    for i, neighbors in enumerate(graph.adjacency):
+        for j in neighbors:
+            a[i, j] = 1.0
+    degrees = np.array(graph.degree_profile, dtype=float)
+    if operator == "adjacency":
+        return a
+    if operator == "laplacian":
+        return np.diag(degrees) - a
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
+
+
+@pytest.mark.parametrize("operator", ["adjacency", "transition", "laplacian"])
+@pytest.mark.parametrize(
+    "graph", FAMILIES + RANDOM_GRAPHS + [torus_graph(3, 4)], ids=lambda g: g.summary()
+)
+def test_graph_spectrum_is_bitwise_that_of_the_dense_form(graph, operator, monkeypatch):
+    # the form written at its nonzeros is the dense form bit for bit, and
+    # so is its spectrum
+    formed = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: formed.append(m.copy()) or eigvalsh(m))
+    spectrum = graph_spectrum(graph, operator)
+    dense = _dense_symmetric_form(graph, operator)
+    assert [m.shape for m in formed] == [dense.shape]
+    assert _bits(formed[0]) == _bits(dense)
+    assert _bits(spectrum) == _bits(eigvalsh(dense))
 
 
 def test_spectrum_list_validation():

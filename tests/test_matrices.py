@@ -1,8 +1,9 @@
-import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from helpers import FAMILIES, RANDOM_GRAPHS, dict_operators
 from zetawalk import (
     RatMatrix,
     adjacency,
@@ -18,37 +19,52 @@ from zetawalk import (
     petersen_graph,
     positive_support,
     shift,
-    torus_graph,
     transition,
 )
+from zetawalk import operators, polynomials
 
-FAMILIES = [
-    cycle_graph(3),
-    cycle_graph(5),
-    complete_graph(4),
-    petersen_graph(),
-    torus_graph(2, 3),
-    graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),  # diamond
-    graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # paw, has a leaf
-]
+# operator name -> its one definition, the private builder of its integer record
+RECORDS = {
+    "A": lambda g, arcs: operators._adjacency(g, arcs),
+    "D": lambda g, arcs: operators._degree(g),
+    "P": lambda g, arcs: operators._transition(g, arcs),
+    "D-A": lambda g, arcs: operators._laplacian(g, arcs),
+    "S": lambda g, arcs: operators._shift(arcs),
+    "C": lambda g, arcs: operators._coin(g, arcs),
+    "U": lambda g, arcs: operators._grover(g, arcs),
+    "U+": lambda g, arcs: operators._grover_positive_support(g, arcs),
+    "bass": lambda g, arcs: operators._bass_companion(g, arcs),
+}
+# operator name -> its public RatMatrix builder; the Bass companion has none
+PUBLIC = {
+    "A": lambda g, arcs: adjacency(g),
+    "D": lambda g, arcs: degree_matrix(g),
+    "P": lambda g, arcs: transition(g),
+    "D-A": lambda g, arcs: laplacian(g),
+    "S": lambda g, arcs: shift(arcs),
+    "C": coin,
+    "U": grover,
+    "U+": grover_positive_support,
+}
 
 
-def random_connected_graph(seed: int):
-    """A random tree with a few chords, and a pendant path of two vertices.
-
-    The path's middle vertex has degree 2 and its end is a leaf, the two
-    degrees at which a Grover coin entry 2/deg - 1 is 0 or 1.
-    """
-    rng = random.Random(seed)
-    n = rng.randint(3, 9)
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    for _ in range(rng.randint(0, n)):
-        edges.add(tuple(sorted(rng.sample(range(n), 2))))
-    edges |= {(rng.randrange(n), n), (n, n + 1)}
-    return graph_from_edges(n + 2, sorted(edges))
-
-
-RANDOM_GRAPHS = [random_connected_graph(seed) for seed in range(8)]
+@pytest.mark.parametrize("name", list(RECORDS))
+@pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
+def test_each_operator_has_one_definition_its_integer_record(graph, name):
+    arcs = arc_space(graph)
+    record = RECORDS[name](graph, arcs)
+    oracle = dict_operators(graph, arcs)[name]
+    # L and every (i, j, value) are those of the dict matrix cleared
+    cleared = polynomials._cleared(oracle)
+    assert (record.scale, record.size) == (cleared.scale, oracle.rows)
+    assert record.entries() == cleared.entries()
+    assert all(array.dtype == np.int64 for array in record[2:])
+    # the RatMatrix view, and the public builder, are the dict matrix entry for entry
+    views = [record.matrix()] + ([PUBLIC[name](graph, arcs)] if name in PUBLIC else [])
+    for view in views:
+        assert view == oracle
+        assert list(view.nonzero_items()) == list(oracle.nonzero_items())
+        assert all(type(value) is Fraction for _, _, value in view.nonzero_items())
 
 
 def oracle_grover(graph, arcs):

@@ -11,6 +11,7 @@ from helpers import (
     dense,
     det_i_minus_t_times,
     gauss_det,
+    naive_det_i_minus_u,
     naive_trace_powers,
     poly_mul,
     poly_pow,
@@ -142,7 +143,7 @@ def test_an_operator_clears_denominators_and_its_charpoly_matches_det_i_minus_u(
     rng = random.Random(23)
     for n in (1, 2, 5, 8):
         m = random_rat_matrix(rng, n)
-        operator = polynomials._operator(m)
+        operator = polynomials._operator(polynomials._cleared(m))
         scale, coeffs = operator.scale, polynomials._charpolys([operator])[0]
         assert len(operator.torus.coords) * operator.torus.width == n
         assert scale == math.lcm(1, *(v.denominator for _, _, v in m.nonzero_items()))
@@ -185,9 +186,29 @@ def test_det_i_minus_u_with_large_entries_needs_many_primes():
     assert max(heights) > 4 * 31
 
 
+def test_det_i_minus_u_keeps_cleared_entries_past_2_to_the_63_exact():
+    # entries near 10^30 over denominators 1..3: L*M has entries far past
+    # 2^63, which the record keeps as exact Python ints, never int64
+    rng = random.Random(37)
+    n = 5
+    m = RatMatrix(n, n, [
+        (i, j, Fraction(10**30 + rng.randrange(10**29), rng.randint(1, 3)))
+        for i in range(n) for j in range(n) if rng.random() < 0.7
+    ])
+    cleared = polynomials._cleared(m)
+    assert cleared.values.dtype == object
+    assert max(abs(v) for v in cleared.values.tolist()) > 2**63
+    assert list(det_i_minus_u(m).coeffs) == naive_det_i_minus_u(m)
+
+
 def _cleared_bounds(matrix: RatMatrix) -> tuple[int, list[int]]:
-    scale, entries = polynomials._cleared(matrix)
-    return scale, coefficient_bounds(matrix.rows, entries)
+    cleared = polynomials._cleared(matrix)
+    return cleared.scale, coefficient_bounds(matrix.rows, cleared.entries())
+
+
+def _whole(n: int, entries: list[tuple[int, int, int]]):
+    """The whole route of the n x n integer matrix with these entries."""
+    return polynomials._whole(polynomials._cleared(RatMatrix(n, n, entries)))
 
 
 def _charpoly_coefficients(matrix: RatMatrix) -> list[Fraction]:
@@ -231,7 +252,7 @@ def test_coefficient_bound_is_never_exceeded_on_random_matrices():
         coefficients = _charpoly_coefficients(matrix * scale)
         assert all(abs(x) <= b for x, b in zip(coefficients, bounds))
         # the row-sum bound alone, which the Frobenius term can only lower
-        _, entries = polynomials._cleared(matrix)
+        entries = polynomials._cleared(matrix).entries()
         rho = max([sum(abs(v) for i, _, v in entries if i == r) for r in range(n)])
         assert all(b <= math.comb(n, k) * rho**k for k, b in enumerate(bounds))
         tight += any(b < math.comb(n, k) * rho**k for k, b in enumerate(bounds))
@@ -254,7 +275,7 @@ def test_prime_count_from_the_coefficient_bound(graph, operator, count):
 
 
 def _bound_and_oracle(n: int, entries: list[tuple[int, int, int]]) -> tuple[int, int]:
-    bound = polynomials._coefficient_bound(polynomials._whole(n, entries))
+    bound = polynomials._coefficient_bound(_whole(n, entries))
     return bound, max(coefficient_bounds(n, entries))
 
 
@@ -502,7 +523,8 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
     graph = torus_graph(2, 4)
     u_mat = grover(graph, arc_space(graph))
     group = polynomials._fourier_group(graph, arc_space(graph))
-    counts = polynomials._traces(polynomials._operator(u_mat, group, "arcs"), 6)
+    operator = polynomials._operator(polynomials._cleared(u_mat), group, "arcs")
+    counts = polynomials._traces(operator, 6)
     assert counts == naive_trace_powers(u_mat, 6)
 
 
@@ -527,8 +549,7 @@ def test_trace_powers_edge_cases():
 
 
 def _trace_primes(matrix: RatMatrix, r_max: int) -> list[int]:
-    _, entries = polynomials._cleared(matrix)
-    route = polynomials._whole(matrix.rows, entries)
+    route = polynomials._whole(polynomials._cleared(matrix))
     return polynomials._primes_above(2 * polynomials._trace_bound(route, r_max))[0]
 
 
@@ -543,7 +564,7 @@ def test_trace_powers_of_entries_near_10_to_the_30():
         for i in range(n) for j in range(n)
     ])
     primes = _trace_primes(m, 6)
-    _, entries = polynomials._cleared(m)
+    entries = polynomials._cleared(m).entries()
     slot_bounds = [
         max(abs(min(v % p, v % p - p, key=abs)) for _, _, v in entries[t::n] for p in primes)
         for t in range(n)
@@ -574,9 +595,9 @@ def test_trace_bound_is_attained_by_the_all_ones_matrix():
     # rho^(r-2) ||J||_F^2 = n^(r-2) n^2 for r >= 2
     for n in range(1, 7):
         ones = RatMatrix(n, n, [(i, j, Fraction(1)) for i in range(n) for j in range(n)])
-        _, entries = polynomials._cleared(ones)
+        route = polynomials._whole(polynomials._cleared(ones))
         for r in range(1, 9):
-            assert polynomials._trace_bound(polynomials._whole(n, entries), r) == n**r
+            assert polynomials._trace_bound(route, r) == n**r
         assert trace_powers(ones, 8) == tuple(Fraction(n**r) for r in range(1, 9))
 
 
@@ -589,8 +610,8 @@ def test_trace_bound_is_attained_by_the_all_ones_matrix():
 @settings(max_examples=60, deadline=None)
 def test_trace_bound_is_never_exceeded_property(rows):
     m = RatMatrix.from_rows(rows)
-    scale, entries = polynomials._cleared(m)
-    route = polynomials._whole(m.rows, entries)
+    cleared = polynomials._cleared(m)
+    scale, route = cleared.scale, polynomials._whole(cleared)
     for r, trace in enumerate(naive_trace_powers(m, 9), start=1):
         assert abs(trace * scale**r) <= polynomials._trace_bound(route, r)
 

@@ -41,6 +41,7 @@ from zetawalk import (
 )
 from zetawalk import graphs, modular, polynomials, zeta
 from zetawalk.operators import grover, grover_positive_support, laplacian, transition
+from zetawalk.rational import _integers
 
 ARC_OPERATORS = {
     "U": lambda g: grover(g, arc_space(g)),
@@ -82,15 +83,21 @@ def _group(graph):
     return polynomials._fourier_group(graph, arc_space(graph))
 
 
+def _route(matrix, group=None, space=None):
+    """The kernel record of a RatMatrix on the route that the group and the
+    space choose."""
+    return polynomials._operator(polynomials._cleared(matrix), group, space)
+
+
 def _det_on_route(matrix, group, space):
     """det(I - uM), M on the route that the group and the space choose."""
-    return zeta._reciprocal(polynomials._operator(matrix, group, space), 0)
+    return zeta._reciprocal(_route(matrix, group, space), 0)
 
 
 def _scale_and_coefficients(matrix, group=None, space=None):
     """L and the C_k of det(I - uM) = sum_k C_k u^k / L^k, on the route that
     the group and the space choose."""
-    operator = polynomials._operator(matrix, group, space)
+    operator = _route(matrix, group, space)
     return operator.scale, polynomials._charpolys([operator])[0]
 
 
@@ -210,15 +217,19 @@ def test_a_tag_of_another_size_is_refused_before_any_graph_is_built(
     family, monkeypatch, fourier_calls
 ):
     built = []
-    build = graphs.build_family
-    monkeypatch.setattr(graphs, "build_family", lambda *a, **k: built.append(a) or build(*a, **k))
+
+    def spying(name, edges):
+        return lambda *params: built.append((name, *params)) or edges(*params)
+
+    for name, edges in list(graphs._EDGES.items()):
+        monkeypatch.setitem(graphs._EDGES, name, spying(name, edges))
     graph = _relabelled(torus_graph(2, 4), family)
     assert graphs._abelian_cover(graph) is None
     matrix = VERTEX_OPERATORS["P"](graph)
     assert _det_on_route(matrix, _group(graph), "vertices") == det_i_minus_u(matrix)
     assert built == [] and fourier_calls == []
-    # the spy does see the rebuild of a tag of the right size
-    assert graphs._abelian_cover(torus_graph(2, 4))[:2] == (2, 4) and built == [("torus",)]
+    # the spy does see the family edges of a tag of the right size
+    assert graphs._abelian_cover(torus_graph(2, 4))[:2] == (2, 4) and built == [("torus", 2, 4)]
 
 
 def test_the_cover_table_names_the_group_of_each_family():
@@ -303,7 +314,8 @@ def _random_entries(rng, n, density, low, high):
 def test_a_whole_matrix_is_its_own_block_mod_each_prime(n, density, low, high):
     entries = _random_entries(random.Random(f"{n}-{low}"), n, density, low, high)
     primes = [polynomials._prime(i, 1) for i in range(3)]
-    blocks = polynomials._fourier_blocks(polynomials._whole(n, entries), primes)
+    whole = polynomials._whole(polynomials._cleared(RatMatrix(n, n, entries)))
+    blocks = polynomials._fourier_blocks(whole, primes)
     assert blocks.shape == (3, 1, n, n) and blocks.dtype == np.int64
     assert (blocks[:, 0] == residue_stack(n, entries, primes)).all()
 
@@ -543,11 +555,10 @@ def test_konno_sato_verifies_the_group_once_and_stacks_each_width(monkeypatch, f
     counting(polynomials, "_hessenberg_charpolys")
     counting(polynomials, "_product_mod")
     assert konno_sato_check(torus_graph(2, 4)).all_hold
-    # one rebuild of the tagged graph and one arc space, which U and the
+    # no rebuild of the tagged graph, and one arc space, which U and the
     # group share; the route of each of the four operators chosen once; U
     # with U+ and P with D - A, one stack each
     assert counts == {
-        "build_family": 1,
         "arc_space": 1,
         "_fourier_group": 1,
         "_operator": 4,
@@ -586,7 +597,7 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
     side, blocks = (cover[1], cover[1] ** cover[0]) if cover else (1, 1)
     operators = [*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()]
     bounds = [
-        polynomials._coefficient_bound(polynomials._operator(operator(graph)).torus)
+        polynomials._coefficient_bound(_route(operator(graph)).torus)
         for operator in operators
     ]
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
@@ -631,7 +642,7 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
     if matrix.rows <= 36:
         assert whole == naive_trace_powers(matrix, 12)
     group = _group(graph)
-    operator = polynomials._operator(matrix, group, "arcs")
+    operator = _route(matrix, group, "arcs")
     # each order takes its own primes, and odd and even orders their own pairing
     for r_max in range(1, 13):
         assert polynomials._traces(operator, r_max) == whole[:r_max]
@@ -643,11 +654,11 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
 def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(operator, trace_sides):
     graph = torus_graph(2, 4)
     matrix = operator(graph)
-    operator = polynomials._operator(matrix, _group(graph), "vertices")
+    operator = _route(matrix, _group(graph), "vertices")
     torus = operator.torus
     # the one 1 x 1 entry of each block sums a run of every step of the stencil
     keys, sums = polynomials._fourier_sums(torus, [polynomials._prime(0, 4)])
-    assert keys.tolist() == [0] and len(torus.stencil) > 1 and sums.shape == (1, 16, 1)
+    assert keys.tolist() == [0] and len(torus.values) > 1 and sums.shape == (1, 16, 1)
     naive = naive_trace_powers(matrix, 12)
     for r_max in range(1, 13):
         assert polynomials._traces(operator, r_max) == naive[:r_max]
@@ -702,7 +713,10 @@ def test_block_products_reduce_inside_their_sums():
             near_half = modular._crt([[(p - 1) // 2 - offset] for p in primes], primes, primes[0] * primes[1])
             stencil.append((s, s2, 0, near_half[0] % (primes[0] * primes[1])))
             stencil.append((s, s2, 1, primes[0] * primes[1] * rng.randint(1, 9)))
-    torus = polynomials._Torus(2, np.array([[0], [1]]), width, stencil)
+    pairs = np.array([s * width + s2 for s, s2, _, _ in stencil])
+    steps = np.array([z for _, _, z, _ in stencil])
+    values = _integers([t for _, _, _, t in stencil])
+    torus = polynomials._Torus(2, np.array([[0], [1]]), width, pairs, steps, values)
     assert all(16 * ((p - 1) // 2 - 100) * (p - 1) > 2**63 - 1 for p in primes)
     # the whole 32 x 32 matrix from (v, s) to (w, s') is t_ss'(w - v), in
     # Python integers

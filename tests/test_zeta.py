@@ -43,7 +43,7 @@ from zetawalk import operators, zeta
 from zetawalk.graphs import FAMILIES
 from zetawalk.limits import vertex_factor_coefficients
 from zetawalk.operators import adjacency, degree_matrix, laplacian, transition
-from zetawalk.polynomials import _charpolys, _operator
+from zetawalk.polynomials import _charpolys, _cleared, _operator
 from zetawalk.zeta import _require_vertex_transitive, _vertex_side
 
 PAW = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -148,14 +148,14 @@ def test_konno_sato_rejects_a_regular_tree_before_any_determinant(monkeypatch):
 def test_konno_sato_builds_the_grover_matrix_once(monkeypatch):
     # U+ is the positive support of the U already built, not a second S @ C
     calls = []
-    grover = operators.grover
+    grover = operators._grover
 
     def counting_grover(graph, arcs):
         calls.append(graph)
         return grover(graph, arcs)
 
-    monkeypatch.setattr(zeta, "grover", counting_grover)
-    monkeypatch.setattr(operators, "grover", counting_grover)
+    monkeypatch.setattr(zeta, "_grover", counting_grover)
+    monkeypatch.setattr(operators, "_grover", counting_grover)
     graph = torus_graph(2, 3)
     report = konno_sato_check(graph)
     assert len(calls) == 1
@@ -168,14 +168,14 @@ def test_konno_sato_builds_the_grover_matrix_once(monkeypatch):
 def test_series_consistency_builds_the_grover_matrix_once(monkeypatch):
     # det(I - uU) and the traces of U powers come from one U
     calls = []
-    grover = operators.grover
+    grover = operators._grover
 
     def counting_grover(graph, arcs):
         calls.append(graph)
         return grover(graph, arcs)
 
-    monkeypatch.setattr(zeta, "grover", counting_grover)
-    monkeypatch.setattr(operators, "grover", counting_grover)
+    monkeypatch.setattr(zeta, "_grover", counting_grover)
+    monkeypatch.setattr(operators, "_grover", counting_grover)
     report = zeta_series_consistency(torus_graph(2, 3), 6)
     assert len(calls) == 1
     assert report.holds
@@ -203,7 +203,7 @@ def test_konno_sato_right_sides_match_the_companion_pencil(graph):
     eye = RatMatrix.identity(n)
     cocycle = graph.num_edges - n
     for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):
-        operator = _operator(mat)
+        operator = _operator(_cleared(mat))
         scale, coeffs = operator.scale, _charpolys([operator])[0]
         for which in ("grover", "ihara"):
             a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
