@@ -49,7 +49,7 @@ def _record(
     """The record of L*M from its entries: the zeros dropped, the rest sorted by (row, column)."""
     keep = values != 0
     rows, cols, values = rows[keep], cols[keep], values[keep]
-    order = np.argsort(rows * size + cols, kind="stable")
+    order = np.argsort(rows * size + cols)
     return _Cleared(scale, size, rows[order], cols[order], values[order])
 
 

@@ -286,14 +286,15 @@ def _norms(torus: _Torus) -> tuple[int, int, int, int]:
     matrix is its own stencil (side^d = 1), so these are its entry sums.
     """
     order, width = len(torus.coords), torus.width
-    kinds, values = torus.pairs // width, torus.values.tolist()
-    # in exact Python ints: a square of an int64 entry may not fit
     row_sums = [0] * width
-    for s, t in zip(kinds.tolist(), values):
+    frobenius = diagonal = 0
+    # in exact Python ints: the square of an int64 entry may not fit
+    for pair, z, t in zip(torus.pairs.tolist(), torus.steps.tolist(), torus.values.tolist()):
+        s, s2 = divmod(pair, width)
         row_sums[s] += abs(t)
-    frobenius = sum(t * t for t in values)
-    at_diagonal = (kinds == torus.pairs % width) & (torus.steps == 0)
-    diagonal = sum(abs(t) for t in torus.values[at_diagonal].tolist())
+        frobenius += t * t
+        if s == s2 and not z:
+            diagonal += abs(t)
     return order * width, order * frobenius, max(row_sums, default=0), order * diagonal
 
 

@@ -220,10 +220,9 @@ class _Cleared(NamedTuple):
     def matrix(self) -> RatMatrix:
         """M as a RatMatrix, its entries Fraction(a, L); each distinct value
         of A is made a Fraction once."""
+        entries = self.entries()
+        fractions = {a: Fraction(a, self.scale) for a in {a for _, _, a in entries}}
         out = RatMatrix(self.size, self.size)
-        values = self.values.tolist()
-        fractions = {a: Fraction(a, self.scale) for a in set(values)}
-        rowdata = out._rowdata
-        for i, j, a in zip(self.rows.tolist(), self.cols.tolist(), values):
-            rowdata[i][j] = fractions[a]
+        for i, j, a in entries:
+            out._rowdata[i][j] = fractions[a]
         return out

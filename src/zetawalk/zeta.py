@@ -14,14 +14,16 @@ integers. The Bass form and the Konno-Sato sides multiply by the cocycle
 (1 - u^2)^(m - nu) in integers before the one division. Each of the three
 public reciprocals builds its operator and calls the kernel in one step,
 and the command line's charpoly calls them as they are. Every function
-here that builds an operator of a graph makes its record with
-`polynomials._operator`, from the graph's group (`_fourier_group`, on the
-operator's own arc space; `_arc_operator` for U and U+) and the name of
-the operator's states, so on a verified free abelian cover of the table
-`graphs._COVERS` (torus, cycle, complete graph, hypercube, Petersen, gp:
-the group Z_side^d) the determinant comes from side^d Fourier blocks, for
-U, U+, P, D - A and the Bass companion alike; every other matrix is the
-one block of the trivial group. No Konno-Sato formula enters the kernel,
+here that builds an operator of a graph builds it as an integer record
+(the private builders of `operators`, from the graph's arc space) and
+makes its kernel record with `polynomials._operator`, from the graph's
+group (`_fourier_group`, on the operator's own arc space; `_arc_operator`
+for U and U+) and the name of the operator's states, so on a verified
+free abelian cover of the table `graphs._COVERS` (torus, cycle, complete
+graph, hypercube, Petersen, gp: the group Z_side^d) the determinant
+comes from side^d Fourier blocks, for U, U+, P, D - A and the Bass
+companion alike; every other matrix is the one block of the trivial
+group. No Konno-Sato formula enters the kernel,
 so on such a graph the check still compares the arc determinant with a
 vertex side computed apart from it. Cycle counts are exact traces of
 operator powers (`polynomials._traces`, pairings of the powers of the
@@ -408,9 +410,9 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
 def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport:
     """Check that log 1/det(I - uU) has coefficients N_r / r exactly.
 
-    U is built once for both sides. The determinant takes the graph's
-    Fourier route and the traces take U whole, so the Fourier blocks enter
-    only one side.
+    U is built once for both sides, as its integer record. The determinant
+    takes the graph's Fourier route and the traces take U whole, as
+    `trace_powers` would, so the Fourier blocks enter only one side.
     The order is capped at 12 because both sides grow combinatorially and
     the check is meant as a series-level sanity gate, not a production
     computation.
