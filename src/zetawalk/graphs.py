@@ -276,13 +276,9 @@ def _generalized_petersen_edges(n: int, k: int) -> np.ndarray:
     )
 
 
-def _petersen_edges() -> np.ndarray:
-    return _generalized_petersen_edges(5, 2)
-
-
 def petersen_graph() -> Graph:
     """The Petersen graph: 10 vertices, 15 edges, 3-regular; gp(5, 2) edge for edge."""
-    edges = _petersen_edges().tolist()
+    edges = _generalized_petersen_edges(5, 2).tolist()
     return graph_from_edges(10, edges, family=_tag("petersen", ()), vertex_transitive=True)
 
 
@@ -336,7 +332,7 @@ _EDGES = {
     "cycle": _cycle_edges,
     "torus": _torus_edges,
     "complete": _complete_edges,
-    "petersen": _petersen_edges,
+    "petersen": lambda: _generalized_petersen_edges(5, 2),
     "hypercube": _hypercube_edges,
     "gp": _generalized_petersen_edges,
 }
@@ -436,7 +432,7 @@ def _abelian_cover(graph: Graph) -> tuple[int, int, list[tuple[int, int]]] | Non
     outward = origins < termini
     if not np.array_equal(np.sort(low * nu + high), origins[outward] * nu + termini[outward]):
         return None
-    return d, side, list(map(label, range(nu)))
+    return d, side, [label(v) for v in range(nu)]
 
 
 # -- JSON persistence --------------------------------------------------------

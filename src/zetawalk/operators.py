@@ -138,7 +138,9 @@ def shift(arcs: ArcSpace) -> RatMatrix:
     return _shift(arcs).matrix()
 
 
-def _in_blocks(graph: Graph, arcs: ArcSpace, vertex: np.ndarray, marked: np.ndarray) -> _Cleared:
+def _in_blocks(
+    graph: Graph, arcs: ArcSpace, vertex: np.ndarray, marked: np.ndarray
+) -> _Cleared:
     """The arc matrix whose row e holds 2/deg(u) at every arc into the vertex
     u = vertex[e], less 1 at the arc marked[e], and 0 elsewhere.
 
@@ -196,8 +198,8 @@ def grover(graph: Graph, arcs: ArcSpace) -> RatMatrix:
 def _positive_support(cleared: _Cleared) -> _Cleared:
     """The 0/1 record of the strictly positive entries: L*M > 0 where M > 0."""
     keep = cleared.values > 0
-    count = int(np.count_nonzero(keep))
-    return _record(1, cleared.size, cleared.rows[keep], cleared.cols[keep], _ones(count))
+    rows = cleared.rows[keep]
+    return _record(1, cleared.size, rows, cleared.cols[keep], _ones(len(rows)))
 
 
 def _grover_positive_support(graph: Graph, arcs: ArcSpace) -> _Cleared:
