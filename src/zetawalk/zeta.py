@@ -321,7 +321,8 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Exact weighted counts N_r = Tr U^r for r = 1..r_max."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    return SeriesCoefficients(kind="weighted", counts=_traces(_arc_operator(graph, _grover), r_max))
+    counts = _traces(_arc_operator(graph, _grover), r_max)
+    return SeriesCoefficients(kind="weighted", counts=counts)
 
 
 def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:

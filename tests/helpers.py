@@ -12,9 +12,10 @@ polynomial; it runs the package kernel on a different matrix. It also
 builds the Frucht graph, which a false vertex_transitive flag cannot pass
 off as vertex-transitive. `residue_stack` is the whole matrix mod each
 prime, the stack that the kernel's trivial-group block must reproduce.
-`dict_operators` writes every walk operator entry by entry into RatMatrix
-dicts, as the package built them before its integer records, and
-`naive_det_i_minus_u` interpolates det(I - tM) from textbook elimination.
+`dict_operators` writes every walk operator entry by entry from its
+definition into RatMatrix dicts, the oracle of the package's integer
+records, and `naive_det_i_minus_u` interpolates det(I - tM) from textbook
+elimination.
 `FAMILIES` and `RANDOM_GRAPHS` are the small graphs the operator tests run
 on.
 """
