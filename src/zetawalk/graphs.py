@@ -14,7 +14,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -359,42 +359,32 @@ def build_family(
     return builder(*(given[name] for name in takes))
 
 
-def _cayley_label(v: int) -> tuple[int, int]:
-    """Vertex v of a Cayley family is group element v, in the one fiber."""
-    return v, 0
-
-
-def _rings(n: int) -> Callable[[int], tuple[int, int]]:
-    """The labelling of gp(n, k): vertex v is element v mod n in fiber v div n."""
-    return lambda v: (v % n, v // n)
-
-
 # family tag -> a free action of the abelian group Z_side^d on the family's
-# graph, from the parameters in `FAMILIES` order: (d, side, fibers, label).
-# The graph is a cover of a base graph on `fibers` vertices, with side^d
-# vertices in each fiber, and label(v) is the group element and the fiber of
-# vertex v. An element is a flat index whose base-side digits, least
-# significant first, are its coordinates, and the element h moves the vertex
-# of element g in fiber f to the vertex of element g + h in fiber f. A
-# Cayley family is the case of one fiber, with element v: the edges join the
-# elements that differ by a generator, +-e_j on the torus and the cycle, e_j
-# on the hypercube, every nonzero element on the complete graph. On gp(n, k)
-# and Petersen = gp(5, 2), Z_n turns the outer and the inner polygon: the
-# outer vertex i and the inner vertex n + i are element i in fibers 0 and 1.
+# graph, from the parameters in `FAMILIES` order: (d, side, fibers). The
+# graph is a cover of a base graph on `fibers` vertices, with side^d
+# vertices in each fiber, and on every family, vertex v is the group element
+# v mod side^d in fiber v div side^d. An element is a flat index whose
+# base-side digits, least significant first, are its coordinates, and the
+# element h moves the vertex of element g in fiber f to the vertex of
+# element g + h in fiber f. A Cayley family is the case of one fiber, with
+# element v: the edges join the elements that differ by a generator, +-e_j
+# on the torus and the cycle, e_j on the hypercube, every nonzero element on
+# the complete graph. On gp(n, k) and Petersen = gp(5, 2), Z_n turns the
+# outer and the inner polygon: the outer vertex i and the inner vertex
+# n + i are element i in fibers 0 and 1.
 _COVERS = {
-    "cycle": lambda n: (1, n, 1, _cayley_label),
-    "torus": lambda d, n: (d, n, 1, _cayley_label),
-    "complete": lambda n: (1, n, 1, _cayley_label),
-    "hypercube": lambda d: (d, 2, 1, _cayley_label),
-    "petersen": lambda: (1, 5, 2, _rings(5)),
-    "gp": lambda n, k: (1, n, 2, _rings(n)),
+    "cycle": lambda n: (1, n, 1),
+    "torus": lambda d, n: (d, n, 1),
+    "complete": lambda n: (1, n, 1),
+    "hypercube": lambda d: (d, 2, 1),
+    "petersen": lambda: (1, 5, 2),
+    "gp": lambda n, k: (1, n, 2),
 }
 
 
-def _abelian_cover(graph: Graph) -> tuple[int, int, list[tuple[int, int]]] | None:
-    """(d, side, labels) when the graph is verified to be the graph of
-    `_COVERS` that its family tag names, else None; labels[v] is the group
-    element and the fiber of vertex v.
+def _abelian_cover(graph: Graph) -> tuple[int, int] | None:
+    """(d, side) when the graph is verified to be the graph of `_COVERS`
+    that its family tag names, else None.
 
     The tag must name a family of the table, with integer parameters when it
     takes any, and side^d times the fibers must be the vertex count, which is
@@ -402,15 +392,16 @@ def _abelian_cover(graph: Graph) -> tuple[int, int, list[tuple[int, int]]] | Non
     The tag must then be the one the family's builder writes (`_tag`), and
     the family's edges (`_EDGES`) must be the graph's edge for edge, so a tag
     alone is not trusted; the two edge sets are compared as sorted arrays,
-    and no graph is built. That the labelling is a free action of the group
-    is checked where its states are read (`polynomials._fourier_group`).
+    and no graph is built. That the group acts freely on the states of an
+    operator, and leaves the operator invariant, is checked where the
+    operator is routed (`polynomials._torus_stencil`).
     """
     name, paren, rest = (graph.family or "").partition("(")
     if name not in _COVERS or (paren and not rest.endswith(")")):
         return None
     try:
         params = [int(text) for text in rest[:-1].split(",")] if paren else []
-        d, side, fibers, label = _COVERS[name](*params)
+        d, side, fibers = _COVERS[name](*params)
     except (TypeError, ValueError):
         return None
     nu = graph.num_vertices
@@ -432,7 +423,7 @@ def _abelian_cover(graph: Graph) -> tuple[int, int, list[tuple[int, int]]] | Non
     outward = origins < termini
     if not np.array_equal(np.sort(low * nu + high), origins[outward] * nu + termini[outward]):
         return None
-    return d, side, [label(v) for v in range(nu)]
+    return d, side
 
 
 # -- JSON persistence --------------------------------------------------------

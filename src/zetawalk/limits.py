@@ -34,10 +34,11 @@ enumeration, and they do not depend on the block size.
 There is no cap on d; the torus parameters d >= 1 and side >= 3 are
 checked by `graphs.check_torus`, as for the torus graph. What bounds
 memory is the number of grid points formed at once: `_grid_sums` checks
-G^d and each axis step of `_grid_classes` checks the classes so far times
-G, both before they allocate, and a step above `_MAX_POINTS` is refused
-with ZetawalkError. A step holds about 24 bytes per point at its peak: the
-summed bits, their sort order and the sorted copy.
+G^j for each axis j and each axis step of `_grid_classes` checks the
+classes so far times G, both before they allocate, and a step above
+`_MAX_POINTS` is refused with ZetawalkError; no guard forms a power of G
+larger than the one it refuses. A step holds about 24 bytes per point at
+its peak: the summed bits, their sort order and the sorted copy.
 
 `vertex_factor_coefficients` is the one table of the four Konno-Sato
 vertex factors, in exact integers; the float line `vertex_factor` and the
@@ -156,8 +157,13 @@ def _grid_sums(d: int, g: int) -> np.ndarray:
     """sum_j cos(2 pi k_j / g) over k in {0..g-1}^d, flat in lexicographic order.
 
     The axis terms are added in axis order; d = 0 gives the one empty sum 0.
+    Every axis step is checked before the first is formed, and the first
+    step past the bound is refused, so no power of g above it is formed.
     """
-    _check_points(g**d, d, g)
+    points = 1
+    for _ in range(d):
+        points *= g
+        _check_points(points, d, g)
     axis = _axis_terms(g)
     total = np.zeros(1)
     for _ in range(d):
@@ -183,9 +189,10 @@ def _grid_classes(k: int, g: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     give equal sums and merging them loses no value; the g^k points are
     never listed. Values come sorted by their bits read as int64, counts as
     int64; ZetawalkError, naming the torus dimension d, when g^k does not fit
-    that count or a step would form more than `_MAX_POINTS` points.
+    that count or a step would form more than `_MAX_POINTS` points. With
+    g >= 2, every k >= 63 is refused without forming g^k.
     """
-    if g**k >= 2**63:
+    if k >= 63 or g**k >= 2**63:
         raise ZetawalkError(
             f"a grid of {g}^{k} points has more points than a 64-bit count holds"
         )

@@ -9,15 +9,20 @@ coin is the only coin: its projector |a_u><a_u| has entries 1/deg(u), so C
 and U are exactly rational even though a_u itself contains 1/sqrt(deg).
 
 Each operator M has one definition, a private builder of its record
-`rational._Cleared`: L, the lcm of the reduced denominators of M, and the
+`rational._Cleared`: L, the lcm of the reduced denominators of M, the
 nonzero entries of L*M as int64 arrays (int64 or exact Python ints for the
 values), found with numpy from the int64 arc arrays that `ArcSpace` makes
-once. L comes from the distinct degrees, so it is the same L that
-`polynomials._cleared` finds. S is the arc-reversal permutation and U is C
-with its rows permuted, so both are written straight into their rows: no
-rational product is formed. The exact kernels read the records as they
-are (`polynomials._operator`); the public builders return the RatMatrix
-view of the record (`_Cleared.matrix`), each entry Fraction(a, L).
+once, and the place of each state on the graph: a vertex operator's state
+v is vertex v (`_vertex_states`), an arc operator's state e is the arc e
+from its origin to its terminus (`_arc_states`), and the Bass companion
+has the vertices twice, in two halves. The builder is the one place that
+fixes the states of its operator; the exact kernels route a record by its
+states alone (`polynomials._operator`). L comes from the distinct degrees,
+so it is the same L that `polynomials._cleared` finds. S is the
+arc-reversal permutation and U is C with its rows permuted, so both are
+written straight into their rows: no rational product is formed. The
+public builders return the RatMatrix view of the record
+(`_Cleared.matrix`), each entry Fraction(a, L).
 """
 
 from __future__ import annotations
@@ -44,13 +49,27 @@ __all__ = [
 
 
 def _record(
-    scale: int, size: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    scale: int, states: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
 ) -> _Cleared:
-    """The record of L*M from its entries: the zeros dropped, the rest sorted by (row, column)."""
+    """The record of L*M on its states from its entries: the zeros dropped,
+    the rest sorted by (row, column)."""
+    size = states.shape[1]
     keep = values != 0
     rows, cols, values = rows[keep], cols[keep], values[keep]
     order = np.argsort(rows * size + cols)
-    return _Cleared(scale, size, rows[order], cols[order], values[order])
+    return _Cleared(scale, size, rows[order], cols[order], values[order], states)
+
+
+def _vertex_states(graph: Graph, halves: int = 1) -> np.ndarray:
+    """The states h nu + v, vertex v in half h, as rows of half, origin and terminus."""
+    nu = graph.num_vertices
+    v = np.tile(np.arange(nu), halves)
+    return np.stack([np.repeat(np.arange(halves), nu), v, v])
+
+
+def _arc_states(arcs: ArcSpace) -> np.ndarray:
+    """The states e, the arc e in `ArcSpace` order, as rows of half, origin and terminus."""
+    return np.stack([np.zeros(arcs.num_arcs, dtype=np.int64), arcs.origins, arcs.termini])
 
 
 def _ones(count: int) -> np.ndarray:
@@ -59,7 +78,7 @@ def _ones(count: int) -> np.ndarray:
 
 def _adjacency(graph: Graph, arcs: ArcSpace) -> _Cleared:
     """A: a 1 at (o, t) for every arc (o, t)."""
-    return _record(1, graph.num_vertices, arcs.origins, arcs.termini, _ones(arcs.num_arcs))
+    return _record(1, _vertex_states(graph), arcs.origins, arcs.termini, _ones(arcs.num_arcs))
 
 
 def adjacency(graph: Graph) -> RatMatrix:
@@ -70,7 +89,7 @@ def adjacency(graph: Graph) -> RatMatrix:
 def _degree(graph: Graph) -> _Cleared:
     """D: deg(v) at (v, v)."""
     v = np.arange(graph.num_vertices)
-    return _record(1, graph.num_vertices, v, v, np.array(graph.degree_profile, dtype=np.int64))
+    return _record(1, _vertex_states(graph), v, v, np.array(graph.degree_profile, dtype=np.int64))
 
 
 def degree_matrix(graph: Graph) -> RatMatrix:
@@ -82,7 +101,7 @@ def _transition(graph: Graph, arcs: ArcSpace) -> _Cleared:
     """P: 1/deg(o) at (o, t) for every arc, so L is the lcm of the degrees."""
     scale = math.lcm(*set(graph.degree_profile))
     per_vertex = _integers([scale // d for d in graph.degree_profile])
-    return _record(scale, graph.num_vertices, arcs.origins, arcs.termini, per_vertex[arcs.origins])
+    return _record(scale, _vertex_states(graph), arcs.origins, arcs.termini, per_vertex[arcs.origins])
 
 
 def transition(graph: Graph) -> RatMatrix:
@@ -96,7 +115,7 @@ def _laplacian(graph: Graph, arcs: ArcSpace) -> _Cleared:
     degrees = np.array(graph.degree_profile, dtype=np.int64)
     return _record(
         1,
-        graph.num_vertices,
+        _vertex_states(graph),
         np.concatenate([arcs.origins, v]),
         np.concatenate([arcs.termini, v]),
         np.concatenate([-_ones(arcs.num_arcs), degrees]),
@@ -112,15 +131,14 @@ def _bass_companion(graph: Graph, arcs: ArcSpace) -> _Cleared:
     """The companion [[A, I - D], [I, 0]] of the Bass form, an integer matrix.
 
     Its state v is vertex v in the first half, and nu + v vertex v in the
-    second: the "bass" states of `polynomials._fourier_group`. The entry
-    1 - deg(v) is 0 at a leaf and is not stored.
+    second. The entry 1 - deg(v) is 0 at a leaf and is not stored.
     """
     n = graph.num_vertices
     v = np.arange(n)
     degrees = np.array(graph.degree_profile, dtype=np.int64)
     return _record(
         1,
-        2 * n,
+        _vertex_states(graph, 2),
         np.concatenate([arcs.origins, v, n + v]),
         np.concatenate([arcs.termini, n + v, v]),
         np.concatenate([_ones(arcs.num_arcs), 1 - degrees, _ones(n)]),
@@ -130,7 +148,7 @@ def _bass_companion(graph: Graph, arcs: ArcSpace) -> _Cleared:
 def _shift(arcs: ArcSpace) -> _Cleared:
     """S: a 1 at (e, inverse(e)) for every arc e."""
     e = np.arange(arcs.num_arcs)
-    return _record(1, arcs.num_arcs, e, arcs.inverses, _ones(arcs.num_arcs))
+    return _record(1, _arc_states(arcs), e, arcs.inverses, _ones(arcs.num_arcs))
 
 
 def shift(arcs: ArcSpace) -> RatMatrix:
@@ -161,7 +179,7 @@ def _in_blocks(
     on = _integers([2 * scale // d - scale for d in graph.degree_profile])
     u = vertex[rows]
     values = np.where(cols == marked[rows], on[u], off[u])
-    return _record(scale, len(vertex), rows, cols, values)
+    return _record(scale, _arc_states(arcs), rows, cols, values)
 
 
 def _coin(graph: Graph, arcs: ArcSpace) -> _Cleared:
@@ -196,10 +214,11 @@ def grover(graph: Graph, arcs: ArcSpace) -> RatMatrix:
 
 
 def _positive_support(cleared: _Cleared) -> _Cleared:
-    """The 0/1 record of the strictly positive entries: L*M > 0 where M > 0."""
+    """The 0/1 record of the strictly positive entries, L*M > 0 where M > 0,
+    on the states of M."""
     keep = cleared.values > 0
     rows = cleared.rows[keep]
-    return _record(1, cleared.size, rows, cleared.cols[keep], _ones(len(rows)))
+    return _record(1, cleared.states, rows, cleared.cols[keep], _ones(len(rows)))
 
 
 def _grover_positive_support(graph: Graph, arcs: ArcSpace) -> _Cleared:

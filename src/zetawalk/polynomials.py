@@ -4,8 +4,9 @@ Both kernels read one record, `_Operator`: a square rational matrix M as
 the integer matrix L*M, L the lcm of its reduced denominators, on its
 route. `_operator` is the one place that chooses the route. It takes M as
 the integer record `rational._Cleared`: the walk operators are built as
-such records (`operators`), and `_cleared` makes one from a RatMatrix only
-for the public `det_i_minus_u` and `trace_powers`.
+such records, each with the place of its states on the graph
+(`operators`), and `_cleared` makes one without states from a RatMatrix
+only for the public `det_i_minus_u` and `trace_powers`.
 
 Every exact determinant in the package is det(I - u*M), computed by
 `_charpolys` as integer coefficients C_k of u^k / L^k and divided out by
@@ -22,26 +23,26 @@ residues are combined by the Chinese remainder theorem with symmetric
 residues (von zur Gathen and Gerhard, Modern Computer Algebra, chapter 5).
 
 There is one path to the residues. Callers that hold the graph build its
-group once (`_fourier_group`, from the arc space their operator builder
-made), and `_operator` routes each matrix by it and the name of the states
-the matrix acts on: "arcs", "vertices" or "bass" (the two halves of the
-Bass companion). On a
-family of the table `graphs._COVERS` (verified by `graphs._abelian_cover`)
-the group Z_side^d acts freely on the graph, which is then a cover of a
-base graph with F fibers: the Cayley graphs torus(d, N), cycle(N),
-complete(n) and hypercube(d) of Z_side^d for (d, side) = (d, N), (1, N),
-(1, n) and (d, 2), with F = 1, and gp(n, k) and Petersen = gp(5, 2), with
-Z_n and F = 2. A state is then a pair (group element, kind), and each state
-space is checked to be a bijection onto Z_side^d x kinds before any matrix
+group once (`_fourier_group`), and `_operator` routes each record by it
+and the record's own states. On a family of the table `graphs._COVERS`
+(verified by `graphs._abelian_cover`) the group Z_side^d acts freely on
+the graph, which is then a cover of a base graph with F fibers: the Cayley
+graphs torus(d, N), cycle(N), complete(n) and hypercube(d) of Z_side^d for
+(d, side) = (d, N), (1, N), (1, n) and (d, 2), with F = 1, and gp(n, k)
+and Petersen = gp(5, 2), with Z_n and F = 2. One rule (`_state_space`)
+makes every state a pair (group element, kind): the element of its origin,
+and the kind (half, fiber of the origin, fiber of the terminus, voltage),
+so the kinds are the F fibers on the vertices, the 2F of the two halves of
+the Bass companion, and the base arcs on the arcs, 2m / side^d of them. The
+pairs are checked to be a bijection onto Z_side^d x kinds before any entry
 is read. If L*M is invariant on its states, with entry t_ss'(h - g) from
 state (g, s) to (h, s'), then modulo a prime p = 1 (mod side) with a
 primitive side-th root of unity omega, det(xI - L*M) is the product over k
 in Z_side^d of the characteristic polynomials of the w x w blocks
-sum_z t_ss'(z) omega^(k.z), w the kinds: on the arcs the base arcs (fiber
-of the origin, fiber of the terminus, voltage), 2m / side^d of them; on the
-vertices the F fibers; on the Bass states 2F. Every other matrix, and every
-one of the public `det_i_minus_u(matrix)`, is the one n x n block of the
-trivial group (side 1, omega = 1, `_whole`) and takes the odd primes. The
+sum_z t_ss'(z) omega^(k.z), w the kinds. Every other matrix, every record
+without states, and so every one of the public `det_i_minus_u(matrix)`, is
+the one n x n block of the trivial group (side 1, omega = 1, `_whole`) and
+takes the odd primes. The
 blocks of every prime of the matrices of one width (U with U+, or P with
 D - A), or of one whole matrix, form one int64 stack, run in chunks of
 rows where its arrays would pass a fixed budget. Hessenberg reduction
@@ -83,7 +84,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ZetawalkError
-from .graphs import ArcSpace, Graph, _abelian_cover
+from .graphs import Graph, _abelian_cover
 from .modular import _crt, _hessenberg_charpolys, _product_mod
 from .rational import RatMatrix, _Cleared, _integers
 
@@ -235,16 +236,14 @@ class _Operator(NamedTuple):
     torus: _Torus
 
 
-def _operator(
-    cleared: _Cleared, group: _Group | None = None, space: str | None = None
-) -> _Operator:
+def _operator(cleared: _Cleared, group: _Group | None = None) -> _Operator:
     """The record of M from L and the entries of A = L*M, and its route.
 
     A goes in Fourier blocks when `_torus_stencil` finds it translation
-    invariant on the states `space` of the group (`_fourier_group`), and
-    otherwise whole (`_whole`).
+    invariant under the group (`_fourier_group`) on the record's own
+    states, and otherwise whole (`_whole`).
     """
-    route = _torus_stencil(group, space, cleared) or _whole(cleared)
+    route = _torus_stencil(group, cleared) or _whole(cleared)
     return _Operator(cleared.scale, route)
 
 
@@ -604,68 +603,46 @@ def _is_prime(n: int) -> bool:
 
 class _Group(NamedTuple):
     """An abelian group Z_side^d acting freely on a graph
-    (`graphs._abelian_cover`), and the states of its operators.
+    (`graphs._abelian_cover`), with `fibers` orbits of side^d vertices.
 
     `coords[h]` are the d coordinates of the group element with flat index
-    h, and a step z has the flat index z . `place`. `states` maps the name
-    of a state space to the group element and the kind of each state, in
-    the order of the matrix rows, and to the number of kinds w. Each space
-    is checked to be a bijection onto Z_side^d x kinds, so the group moves
-    every state of one kind to every other; a space that fails is left out.
-    With F the fibers of the graph:
-    - "vertices": vertex v, its element and its fiber as the kind (w = F);
-    - "bass": the 2 nu states of the Bass companion, vertex v at v and at
-      nu + v, with the kind (half, fiber) (w = 2F);
-    - "arcs", when the arc space is given: the 2m arcs in `arc_space`
-      order, the element of the origin, and the kind (fiber of the origin,
-      fiber of the terminus, voltage), the voltage being the step from the
-      origin's element to the terminus's.
+    h, and a step z has the flat index z . `place`.
     """
 
     side: int
     coords: np.ndarray
     place: np.ndarray
-    states: dict[str, tuple[np.ndarray, np.ndarray, int]]
+    fibers: int
 
 
-def _fourier_group(graph: Graph | None, arcs: ArcSpace | None = None) -> _Group | None:
-    """The group and the state spaces of the graph, or None when the graph
-    is not verified or its vertices are not a free orbit of the group.
-
-    arcs is the graph's `arc_space`, which the caller's operator builder
-    already made; without it the arcs are not among the state spaces.
-    """
-    cover = _abelian_cover(graph) if graph is not None else None
+def _fourier_group(graph: Graph) -> _Group | None:
+    """The group of the graph, or None when the graph is not verified."""
+    cover = _abelian_cover(graph)
     if cover is None:
         return None
-    d, side, labels = cover
-    order = side**d
+    d, side = cover
     place = side ** np.arange(d)
-    coords = np.arange(order)[:, None] // place % side
-    element, fiber = np.array(labels, dtype=np.int64).T
-    fibers, fiber = np.unique(fiber, return_inverse=True)
-    vertices = _state_space(order, element, fiber)
-    if vertices is None:
-        return None
-    states = {"vertices": vertices}
-    states["bass"] = _state_space(
-        order, np.tile(element, 2), np.repeat([0, len(fibers)], len(labels)) + np.tile(fiber, 2)
-    )
-    if arcs is not None:
-        origin, terminus = arcs.origins, arcs.termini
-        voltage = (coords[element[terminus]] - coords[element[origin]]) % side @ place
-        kind = (fiber[origin] * len(fibers) + fiber[terminus]) * order + voltage
-        states["arcs"] = _state_space(order, element[origin], kind)
-    return _Group(side, coords, place, {k: v for k, v in states.items() if v is not None})
+    coords = np.arange(side**d)[:, None] // place % side
+    return _Group(side, coords, place, graph.num_vertices // side**d)
 
 
-def _state_space(
-    order: int, element: np.ndarray, kind: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The elements, the kinds ranked 0..w-1 and w, when state -> (element,
-    kind) is a bijection onto Z_side^d x kinds, with order = side^d; else None."""
-    if not (0 <= element.min() and element.max() < order):
-        return None
+def _state_space(group: _Group, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The element and the kind, ranked 0..w-1, of each state, and w, when
+    state -> (element, kind) is a bijection onto Z_side^d x kinds; else None.
+
+    states holds the half, the origin and the terminus of each state
+    (`rational._Cleared`). Vertex v is element v mod side^d in fiber
+    v div side^d (`graphs._COVERS`); a state is the element of its origin,
+    and its kind is (half, fiber of the origin, fiber of the terminus,
+    voltage), the voltage being the step from the origin's element to the
+    terminus's.
+    """
+    side, coords, place, fibers = group
+    order = len(coords)
+    half, origin, terminus = states
+    element = origin % order
+    voltage = (coords[terminus % order] - coords[element]) % side @ place
+    kind = ((half * fibers + origin // order) * fibers + terminus // order) * order + voltage
     _, kind = np.unique(kind, return_inverse=True)
     width = int(kind.max()) + 1
     if len(element) != order * width or np.bincount(element * width + kind).max() > 1:
@@ -692,26 +669,27 @@ class _Torus(NamedTuple):
     values: np.ndarray
 
 
-def _torus_stencil(group: _Group | None, space: str | None, cleared: _Cleared) -> _Torus | None:
+def _torus_stencil(group: _Group | None, cleared: _Cleared) -> _Torus | None:
     """The stencil of the integer matrix A of the record, when it has one.
 
-    A must act on the n states of the space the caller names, one that the
-    group holds (`_fourier_group`). The stencil is read off the rows of the
-    states at element 0, each entry keyed by (s, s', z); every nonzero
-    entry, from (g, s) to (h, s'), must then be t_ss'(h - g), and there must
-    be side^d entries per stencil entry, so that none is missing. Both
-    checks are array operations: the stencil keys are sorted once and every
-    entry's key is found among them by bisection. Otherwise the answer is
-    None, and the matrix is taken whole.
+    The record's states must be a free orbit of the group (`_state_space`).
+    The stencil is read off the rows of the states at element 0, each entry
+    keyed by (s, s', z); every nonzero entry, from (g, s) to (h, s'), must
+    then be t_ss'(h - g), and there must be side^d entries per stencil
+    entry, so that none is missing. Both checks are array operations: the
+    stencil keys are sorted once and every entry's key is found among them
+    by bisection. Otherwise the answer is None, and the matrix is taken
+    whole.
     """
-    if group is None or space not in group.states:
+    if group is None or cleared.states is None:
         return None
-    side, coords, place, states = group
-    element, kind, width = states[space]
-    if cleared.size != len(element):
+    placed = _state_space(group, cleared.states)
+    if placed is None:
         return None
+    element, kind, width = placed
+    side, coords, place, _ = group
     order = len(coords)
-    _, _, rows, cols, values = cleared
+    rows, cols, values = cleared.rows, cleared.cols, cleared.values
     origins = element[rows]
     steps = (coords[element[cols]] - coords[origins]) % side @ place
     keys = (kind[rows] * width + kind[cols]) * order + steps

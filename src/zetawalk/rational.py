@@ -5,8 +5,9 @@ immutable by convention: all operations return new matrices. Neither
 determinants nor traces are taken here: the exact kernels in `polynomials`
 work on a matrix M cleared to integers, the record `_Cleared` of L and the
 nonzero entries of L*M as arrays. The walk operators are built as such
-records (`operators`), and `_Cleared.matrix` is their RatMatrix view. The
-product `@` stays as the tests' oracle for operator assembly.
+records (`operators`), each with the place of its states on the graph, and
+`_Cleared.matrix` is their RatMatrix view. The product `@` stays as the
+tests' oracle for operator assembly.
 """
 
 from __future__ import annotations
@@ -204,7 +205,11 @@ class _Cleared(NamedTuple):
     and `size` is n. The nonzero entries of A are `values[k]` at
     (`rows[k]`, `cols[k]`), sorted by (row, column): rows and cols are int64
     arrays, and values is int64 when every entry fits, else an object array
-    of exact Python ints (`_integers`).
+    of exact Python ints (`_integers`). `states`, on the records of the
+    walk operators, says where each of the n states sits on the graph: a
+    (3, n) int64 array of its half, its origin and its terminus vertex (a
+    vertex state has one vertex as both, and only the Bass companion has a
+    second half). A record made from a bare matrix has none.
     """
 
     scale: int
@@ -212,6 +217,7 @@ class _Cleared(NamedTuple):
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
+    states: np.ndarray | None = None
 
     def entries(self) -> list[tuple[int, int, int]]:
         """The nonzero entries of A as (i, j, integer), sorted by (i, j)."""

@@ -15,15 +15,15 @@ integers. The Bass form and the Konno-Sato sides multiply by the cocycle
 public reciprocals builds its operator and calls the kernel in one step,
 and the command line's charpoly calls them as they are. Every function
 here that builds an operator of a graph builds it as an integer record
-(the private builders of `operators`, from the graph's arc space) and
-makes its kernel record with `polynomials._operator`, from the graph's
-group (`_fourier_group`, on the operator's own arc space; `_arc_operator`
-for U and U+) and the name of the operator's states, so on a verified
-free abelian cover of the table `graphs._COVERS` (torus, cycle, complete
-graph, hypercube, Petersen, gp: the group Z_side^d) the determinant
-comes from side^d Fourier blocks, for U, U+, P, D - A and the Bass
-companion alike; every other matrix is the one block of the trivial
-group. No Konno-Sato formula enters the kernel,
+(the private builders of `operators`, from the graph's arc space), which
+carries its states, and makes its kernel record with
+`polynomials._operator` from it and the graph's group (`_fourier_group`;
+`_arc_operator` for U and U+). So on a verified free abelian cover of the
+table `graphs._COVERS` (torus, cycle, complete graph, hypercube,
+Petersen, gp: the group Z_side^d) the determinant comes from side^d
+Fourier blocks, for U, U+, P, D - A and the Bass companion alike; every
+other matrix is the one block of the trivial group. No Konno-Sato
+formula enters the kernel,
 so on such a graph the check still compares the arc determinant with a
 vertex side computed apart from it. Cycle counts are exact traces of
 operator powers (`polynomials._traces`, pairings of the powers of the
@@ -205,16 +205,14 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
     the cocycle multiplies integer coefficients.
     """
     _reject_tree(graph)
-    operator = _operator(_bass_companion(graph, arc_space(graph)), _fourier_group(graph), "bass")
+    operator = _operator(_bass_companion(graph, arc_space(graph)), _fourier_group(graph))
     return _reciprocal(operator, graph.num_edges - graph.num_vertices)
 
 
 def _arc_operator(graph: Graph, build: Callable[[Graph, ArcSpace], _Cleared]) -> _Operator:
     """The arc operator whose record build(graph, arcs) makes, on the
-    graph's route, its group verified on the one arc space that the
-    operator is built on."""
-    arcs = arc_space(graph)
-    return _operator(build(graph, arcs), _fourier_group(graph, arcs), "arcs")
+    graph's route."""
+    return _operator(build(graph, arc_space(graph)), _fourier_group(graph))
 
 
 def _reciprocal(operator: _Operator, exponent: int) -> Poly:
@@ -249,7 +247,7 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     M itself: if det(I - xM) = sum_k c_k x^k, then
     det(s I + t M) = sum_k c_k (-t)^k s^(nu-k) for any matrix, so both kinds
     are read off the same c_k (`_vertex_side`). The graph's group is
-    verified once, on U's arc space, each matrix takes its route from it,
+    verified once, each record takes its route from it on its own states,
     and all four go to one kernel call, which stacks U with U+ and P with
     D - A. Trees (m < nu) are rejected before any determinant.
     """
@@ -263,14 +261,10 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
         )
 
     arcs = arc_space(graph)
-    group = _fourier_group(graph, arcs)
+    group = _fourier_group(graph)
     u_mat = _grover(graph, arcs)
-    operators = [
-        _operator(u_mat, group, "arcs"),
-        _operator(_positive_support(u_mat), group, "arcs"),
-        _operator(_transition(graph, arcs), group, "vertices"),
-        _operator(_laplacian(graph, arcs), group, "vertices"),
-    ]
+    records = [u_mat, _positive_support(u_mat), _transition(graph, arcs), _laplacian(graph, arcs)]
+    operators = [_operator(record, group) for record in records]
     sides = list(zip(operators, _charpolys(operators)))
     left_sides = {
         which: _unscaled(mat.scale, coeffs)
@@ -354,7 +348,8 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
     Independent of the matrix-power route: step weights are recomputed from
     the Grover entry case analysis, and closed sequences of length r are
     enumerated by depth-first search including the wrap-around step. The
-    state space is capped at (2m)^r_max <= 10^8 sequences.
+    state space is capped at (2m)^r_max <= 10^8 sequences; 2m >= 2, so an
+    r_max of 27 or more is refused without forming the power.
     """
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
@@ -362,7 +357,7 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
         raise ZetawalkError(f"cycle oracle supports weighted or reduced, not {kind!r}")
     arcs = arc_space(graph)
     n_arcs = arcs.num_arcs
-    if n_arcs**r_max > ORACLE_STATE_BOUND:
+    if r_max >= ORACLE_STATE_BOUND.bit_length() or n_arcs**r_max > ORACLE_STATE_BOUND:
         raise OracleGuardError(
             f"brute-force enumeration of {n_arcs}^{r_max} arc sequences "
             f"exceeds the 10^8 guard; lower r_max"
@@ -425,9 +420,8 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
             f"series consistency order {order} exceeds the cap of "
             f"{SERIES_ORDER_CAP}"
         )
-    arcs = arc_space(graph)
-    u_mat = _grover(graph, arcs)
-    logs = log_series(_reciprocal(_operator(u_mat, _fourier_group(graph, arcs), "arcs"), 0), order)
+    u_mat = _grover(graph, arc_space(graph))
+    logs = log_series(_reciprocal(_operator(u_mat, _fourier_group(graph)), 0), order)
     scaled = tuple(c / r for r, c in enumerate(_traces(_operator(u_mat), order), start=1))
     return SeriesConsistencyReport(
         order=order, log_coefficients=logs, scaled_counts=scaled

@@ -77,12 +77,12 @@ def _polynomials(graph):
     """det(I - uU), det(I - uU+), det(I - uP), det(I - u(D - A)) and the Bass
     form, each on the graph's route."""
     arcs = arc_space(graph)
-    group = polynomials._fourier_group(graph, arcs)
+    group = polynomials._fourier_group(graph)
     return [
         grover_zeta_reciprocal(graph),
         ihara_reciprocal_edge(graph),
         *(
-            zeta._reciprocal(polynomials._operator(op(graph, arcs), group, "vertices"), 0)
+            zeta._reciprocal(polynomials._operator(op(graph, arcs), group), 0)
             for op in (operators._transition, operators._laplacian)
         ),
         ihara_reciprocal_bass(graph),
@@ -117,19 +117,19 @@ def _bounds(route):
 
 @pytest.mark.parametrize("graph", GP_GRAPHS + CAYLEY_GRAPHS + [petersen_graph()], ids=lambda g: g.family)
 def test_the_bounds_read_from_a_fourier_route_are_those_of_the_whole_matrix(graph):
-    # every operator on every state space of the group: the stencil holds
-    # each entry of A once per group element, so its sums give A's
+    # every operator on its own states: the stencil holds each entry of A
+    # once per group element, so its sums give A's
     arcs = arc_space(graph)
-    group = polynomials._fourier_group(graph, arcs)
+    group = polynomials._fourier_group(graph)
     records = [
-        (operators._grover(graph, arcs), "arcs"),
-        (operators._grover_positive_support(graph, arcs), "arcs"),
-        (operators._transition(graph, arcs), "vertices"),
-        (operators._laplacian(graph, arcs), "vertices"),
-        (operators._bass_companion(graph, arcs), "bass"),
+        operators._grover(graph, arcs),
+        operators._grover_positive_support(graph, arcs),
+        operators._transition(graph, arcs),
+        operators._laplacian(graph, arcs),
+        operators._bass_companion(graph, arcs),
     ]
-    for cleared, space in records:
-        fourier = polynomials._operator(cleared, group, space)
+    for cleared in records:
+        fourier = polynomials._operator(cleared, group)
         whole = polynomials._operator(cleared)
         assert (fourier.torus.side > 1, whole.torus.side) == (True, 1)
         rows = [len(operator.torus.coords) * operator.torus.width for operator in (fourier, whole)]
@@ -176,34 +176,18 @@ def test_petersen_is_gp_5_2_edge_for_edge():
     assert graphs._abelian_cover(petersen) == graphs._abelian_cover(gp)
 
 
-def _flipped_fiber(v):
-    # vertex 0 is put in the inner fiber, where vertex 5 is already element 0
-    return (0, 1) if v == 0 else (v % 5, v // 5)
-
-
-def _merged_elements(v):
-    # the outer vertices 0 and 1 are both element 0
-    return (0, 0) if v == 1 else (v % 5, v // 5)
-
-
-def _swapped(v):
-    # a bijection onto Z_5 x fibers, but the edges are not moved by it
-    return ((1 - v) % 5, 0) if v in (0, 1) else (v % 5, v // 5)
-
-
-@pytest.mark.parametrize("label", [_flipped_fiber, _merged_elements, _swapped])
-def test_a_labelling_that_is_not_a_free_action_goes_whole(label, monkeypatch, block_calls):
+@pytest.mark.parametrize(
+    "cover", [pytest.param((1, 10, 1), id="Z10"), pytest.param((1, 2, 5), id="Z2-on-5-fibers")]
+)
+def test_a_wrong_cover_entry_routes_nothing(cover, monkeypatch, block_calls):
     graph = petersen_graph()
     expected, report = _polynomials(graph), konno_sato_check(graph)
     block_calls.clear()
-    monkeypatch.setitem(graphs._COVERS, "petersen", lambda: (1, 5, 2, label))
-    group = polynomials._fourier_group(graph, arc_space(graph))
-    if label is _swapped:
-        # the vertices are a free orbit; the arcs are not, and no operator
-        # on the vertices is invariant under the swapped labels
-        assert set(group.states) == {"vertices", "bass"}
-    else:
-        assert group is None
+    # the entry passes the size check and the edge comparison: the vertices
+    # are a free orbit of its group, the arcs are not, and no operator on
+    # the vertices is invariant under it
+    monkeypatch.setitem(graphs._COVERS, "petersen", lambda: cover)
+    assert graphs._abelian_cover(graph) == cover[:2]
     assert _polynomials(graph) == expected
     assert konno_sato_check(graph) == report
     assert block_calls == []

@@ -311,13 +311,15 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
-# the steps of one operator record: its group, its route and its
-# determinant bound; `_cleared` is spied on too, and never runs, since the
-# walk operators are built as integer records
+# the steps of one operator record: its group, its route, the one state
+# space that the route builds, and its determinant bound; `_cleared` is
+# spied on too, and never runs, since the walk operators are built as
+# integer records
 _ROUTE_STEPS = [
     (zetawalk.zeta, "_fourier_group"),
     (zetawalk.polynomials, "_cleared"),
     (zetawalk.polynomials, "_torus_stencil"),
+    (zetawalk.polynomials, "_state_space"),
     (zetawalk.polynomials, "_coefficient_bound"),
 ]
 
@@ -332,7 +334,7 @@ def test_charpoly_chooses_the_route_of_its_operator_once(
     calls = _count_calls(monkeypatch, targets)
     code, out, err = run_cli(capsys, ["charpoly", "--graph", k4_path, "--matrix", matrix])
     assert (code, err) == (0, "")
-    steps = ["_fourier_group", "_torus_stencil", "_coefficient_bound"]
+    steps = ["_fourier_group", "_torus_stencil", "_state_space", "_coefficient_bound"]
     assert [name for name in calls if name != "_grover"] == steps
     assert calls.count("_grover") == grovers
     assert out == json.dumps(CHOICES["charpoly", matrix](load_graph(k4_path)), indent=2) + "\n"
@@ -346,7 +348,7 @@ def test_series_chooses_the_route_of_its_operator_once(capsys, monkeypatch, k4_p
     argv = ["series", "--graph", k4_path, "--which", which, "--order", "5", "--json"]
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
-    assert calls == ["_fourier_group", "_torus_stencil"]
+    assert calls == ["_fourier_group", "_torus_stencil", "_state_space"]
     assert out == json.dumps(CHOICES["series", which](load_graph(k4_path)), indent=2) + "\n"
 
 
@@ -607,6 +609,22 @@ def test_high_dimensions_run_without_a_flag(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
     assert out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--which", "oracle-weighted", "--order", "1000000000"],
+        ["converge", "--d", "100000000", "--u", "1/20", "--N", "3"],
+    ],
+    ids=["oracle-order", "converge-dimension"],
+)
+def test_a_size_guard_exits_2_without_forming_the_power(capsys, k4_path, argv):
+    if argv[0] == "series":
+        argv = argv + ["--graph", k4_path]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_grid_too_large_to_form_exits_2(capsys):

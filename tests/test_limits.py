@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -242,6 +243,31 @@ def test_grid_beyond_a_64_bit_point_count_is_refused():
     with pytest.raises(ZetawalkError, match="64-bit count"):
         finite_torus_zeta_reciprocal(21, 8, 0.01)
     assert math.isfinite(torus_limit_log_mean(21, 0.01, grid=8))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        pytest.param(lambda: torus_spectrum(10**9, 3), id="spectrum"),
+        pytest.param(lambda: finite_torus_zeta_reciprocal(10**9, 3, 0.1), id="finite"),
+        pytest.param(lambda: torus_limit_log_mean(10**9, 0.05, grid=8), id="limit"),
+        pytest.param(lambda: convergence_study(10**9, 0.05, [3]), id="converge"),
+    ],
+)
+def test_a_huge_dimension_is_refused_without_forming_the_grid_size(evaluate):
+    # the number of grid points side^d is never formed: at d = 10^9 it
+    # would take hours
+    start = time.perf_counter()
+    with pytest.raises(ZetawalkError):
+        evaluate()
+    assert time.perf_counter() - start < 1
+
+
+def test_a_spectrum_whose_size_has_too_many_digits_is_refused_by_the_package():
+    # 3^10000 has more digits than CPython converts to a string, and the
+    # refusal names the first axis step past the bound, 3^16 points
+    with pytest.raises(ZetawalkError, match="would form 43,046,721 grid points"):
+        torus_spectrum(10000, 3)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -67,6 +67,26 @@ def test_each_operator_has_one_definition_its_integer_record(graph, name):
         assert all(type(value) is Fraction for _, _, value in view.nonzero_items())
 
 
+@pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
+def test_each_record_carries_the_states_it_acts_on(graph):
+    arcs = arc_space(graph)
+    v = np.arange(graph.num_vertices)
+    # rows: half, origin, terminus
+    vertices = np.stack([0 * v, v, v])
+    arc_states = np.stack([0 * arcs.origins, arcs.origins, arcs.termini])
+    halves = np.concatenate([vertices, vertices + [[1], [0], [0]]], axis=1)
+    expected = {"S": arc_states, "C": arc_states, "U": arc_states, "U+": arc_states, "bass": halves}
+    for name, build in RECORDS.items():
+        record = build(graph, arcs)
+        assert record.states.dtype == np.int64 and record.states.shape == (3, record.size)
+        assert np.array_equal(record.states, expected.get(name, vertices))
+    # U+ is read off U's record, on U's states
+    u_record = operators._grover(graph, arcs)
+    assert operators._positive_support(u_record).states is u_record.states
+    # a record made from a bare matrix has none
+    assert polynomials._cleared(u_record.matrix()).states is None
+
+
 def oracle_grover(graph, arcs):
     """Entrywise case table, bypassing the S @ C factorization."""
     entries = []

@@ -34,7 +34,7 @@ from zetawalk import (
     torus_graph,
     trace_powers,
 )
-from zetawalk import polynomials
+from zetawalk import operators, polynomials
 
 
 def test_poly_trims_trailing_zeros_and_reports_degree():
@@ -522,8 +522,8 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
     assert polynomials.trace_powers(m, 6) == naive_trace_powers(m, 6)
     graph = torus_graph(2, 4)
     u_mat = grover(graph, arc_space(graph))
-    group = polynomials._fourier_group(graph, arc_space(graph))
-    operator = polynomials._operator(polynomials._cleared(u_mat), group, "arcs")
+    record = operators._grover(graph, arc_space(graph))
+    operator = polynomials._operator(record, polynomials._fourier_group(graph))
     counts = polynomials._traces(operator, 6)
     assert counts == naive_trace_powers(u_mat, 6)
 

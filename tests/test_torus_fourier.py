@@ -39,7 +39,7 @@ from zetawalk import (
     trace_powers,
     zeta_series_consistency,
 )
-from zetawalk import graphs, modular, polynomials, zeta
+from zetawalk import graphs, modular, operators, polynomials, zeta
 from zetawalk.operators import grover, grover_positive_support, laplacian, transition
 from zetawalk.rational import _integers
 
@@ -49,8 +49,14 @@ ARC_OPERATORS = {
 }
 VERTEX_OPERATORS = {"P": transition, "D-A": laplacian}
 OPERATORS = {**ARC_OPERATORS, **VERTEX_OPERATORS}
-# operator name -> the state space of `polynomials._fourier_group` it acts on
-SPACES = {"U": "arcs", "U+": "arcs", "P": "vertices", "D-A": "vertices"}
+# operator name -> the private builder of its integer record, which carries
+# the states the operator acts on
+RECORDS = {
+    "U": operators._grover,
+    "U+": operators._grover_positive_support,
+    "P": operators._transition,
+    "D-A": operators._laplacian,
+}
 
 # (d, N) where the generic kernel takes under about a second
 ARC_SIZES = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3)]
@@ -79,33 +85,37 @@ def fourier_calls(monkeypatch):
 
 
 def _group(graph):
-    """The verified group of the graph with all its state spaces, or None."""
-    return polynomials._fourier_group(graph, arc_space(graph))
+    """The verified group of the graph, or None."""
+    return polynomials._fourier_group(graph)
 
 
-def _route(matrix, group=None, space=None):
-    """The kernel record of a RatMatrix on the route that the group and the
-    space choose."""
-    return polynomials._operator(polynomials._cleared(matrix), group, space)
+def _record(graph, name):
+    """The integer record of the named operator of the graph, with its states."""
+    return RECORDS[name](graph, arc_space(graph))
 
 
-def _det_on_route(matrix, group, space):
-    """det(I - uM), M on the route that the group and the space choose."""
-    return zeta._reciprocal(_route(matrix, group, space), 0)
+def _route(record, group=None):
+    """The kernel record of an integer record on the route that the group
+    and the record's states choose."""
+    return polynomials._operator(record, group)
 
 
-def _scale_and_coefficients(matrix, group=None, space=None):
+def _det_on_route(record, group):
+    """det(I - uM), M on the route that the group and its states choose."""
+    return zeta._reciprocal(_route(record, group), 0)
+
+
+def _scale_and_coefficients(record, group=None):
     """L and the C_k of det(I - uM) = sum_k C_k u^k / L^k, on the route that
-    the group and the space choose."""
-    operator = _route(matrix, group, space)
+    the group and the record's states choose."""
+    operator = _route(record, group)
     return operator.scale, polynomials._charpolys([operator])[0]
 
 
 def _assert_every_operator_gives_its_whole_determinant(graph):
     group = _group(graph)
     for name, operator in OPERATORS.items():
-        matrix = operator(graph)
-        assert _det_on_route(matrix, group, SPACES[name]) == det_i_minus_u(matrix)
+        assert _det_on_route(_record(graph, name), group) == det_i_minus_u(operator(graph))
 
 
 def _cases(sizes, operators):
@@ -129,12 +139,12 @@ def _cayley_cases():
     _cases(ARC_SIZES, ARC_OPERATORS) + _cases(VERTEX_SIZES, VERTEX_OPERATORS) + _cayley_cases(),
 )
 def test_fourier_route_reproduces_the_generic_kernel(graph, name, fourier_calls):
-    matrix = OPERATORS[name](graph)
+    record = _record(graph, name)
     group = _group(graph)
-    fourier = _scale_and_coefficients(matrix, group, SPACES[name])
-    assert fourier_calls == [matrix.rows]
-    assert fourier == _scale_and_coefficients(matrix)
-    assert _det_on_route(matrix, group, SPACES[name]) == det_i_minus_u(matrix)
+    fourier = _scale_and_coefficients(record, group)
+    assert fourier_calls == [record.size]
+    assert fourier == _scale_and_coefficients(record)
+    assert _det_on_route(record, group) == det_i_minus_u(OPERATORS[name](graph))
     assert len(fourier_calls) == 2
 
 
@@ -225,8 +235,7 @@ def test_a_tag_of_another_size_is_refused_before_any_graph_is_built(
         monkeypatch.setitem(graphs._EDGES, name, spying(name, edges))
     graph = _relabelled(torus_graph(2, 4), family)
     assert graphs._abelian_cover(graph) is None
-    matrix = VERTEX_OPERATORS["P"](graph)
-    assert _det_on_route(matrix, _group(graph), "vertices") == det_i_minus_u(matrix)
+    assert _det_on_route(_record(graph, "P"), _group(graph)) == det_i_minus_u(transition(graph))
     assert built == [] and fourier_calls == []
     # the spy does see the family edges of a tag of the right size
     assert graphs._abelian_cover(torus_graph(2, 4))[:2] == (2, 4) and built == [("torus", 2, 4)]
@@ -241,10 +250,13 @@ def test_the_cover_table_names_the_group_of_each_family():
         (petersen_graph(), (1, 5)),
         (generalized_petersen_graph(7, 3), (1, 7)),
     ]:
-        d, side, labels = graphs._abelian_cover(graph)
+        d, side = graphs._abelian_cover(graph)
         assert (d, side) == group
         # element v mod side^d in fiber v div side^d: one fiber on a Cayley graph
-        assert labels == [divmod(v, side**d)[::-1] for v in range(graph.num_vertices)]
+        states = operators._vertex_states(graph)
+        element, fiber, _ = polynomials._state_space(_group(graph), states)
+        divisions = [divmod(v, side**d) for v in range(graph.num_vertices)]
+        assert list(zip(fiber.tolist(), element.tolist())) == divisions
     assert set(graphs._COVERS) == set(graphs.FAMILIES)
 
 
@@ -281,9 +293,12 @@ def _perturbed(matrix, kind):
 def test_a_torus_operator_with_one_perturbed_entry_takes_the_generic_route(
     graph, name, kind, fourier_calls
 ):
-    original = OPERATORS[name](graph)
+    record = _record(graph, name)
+    original = record.matrix()
     matrix = _perturbed(original, kind)
-    assert _det_on_route(matrix, _group(graph), SPACES[name]) == det_i_minus_u(matrix)
+    # the perturbed matrix on the states of the operator
+    perturbed = polynomials._cleared(matrix)._replace(states=record.states)
+    assert _det_on_route(perturbed, _group(graph)) == det_i_minus_u(matrix)
     assert fourier_calls == []
     assert det_i_minus_u(matrix) != det_i_minus_u(original)
 
@@ -318,6 +333,17 @@ def test_a_whole_matrix_is_its_own_block_mod_each_prime(n, density, low, high):
     blocks = polynomials._fourier_blocks(whole, primes)
     assert blocks.shape == (3, 1, n, n) and blocks.dtype == np.int64
     assert (blocks[:, 0] == residue_stack(n, entries, primes)).all()
+
+
+def test_a_record_without_states_goes_whole_on_a_verified_graph(fourier_calls):
+    graph = torus_graph(2, 4)
+    group = _group(graph)
+    record = _record(graph, "U")
+    stateless = polynomials._cleared(record.matrix())
+    assert stateless.states is None and stateless.entries() == record.entries()
+    assert (_route(stateless, group).torus.side, _route(record, group).torus.side) == (1, 4)
+    assert _det_on_route(stateless, group) == _det_on_route(record, group)
+    assert fourier_calls == [64]
 
 
 def test_callers_that_hold_the_graph_hand_it_down(fourier_calls):
@@ -451,7 +477,7 @@ def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatc
         return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
-    _scale_and_coefficients(grover(graph, arc_space(graph)), _group(graph), "arcs")
+    _scale_and_coefficients(_record(graph, "U"), _group(graph))
     assert seen and all(p % n == 1 for p in seen)
     assert seen == [polynomials._prime(i, n) for i in range(len(seen))]
     assert graphs._abelian_cover(graph)[:2] == (d, n)
@@ -595,11 +621,7 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
     assert konno_sato_check(graph) == report
     cover = graphs._abelian_cover(graph)
     side, blocks = (cover[1], cover[1] ** cover[0]) if cover else (1, 1)
-    operators = [*ARC_OPERATORS.values(), *VERTEX_OPERATORS.values()]
-    bounds = [
-        polynomials._coefficient_bound(_route(operator(graph)).torus)
-        for operator in operators
-    ]
+    bounds = [polynomials._coefficient_bound(_route(_record(graph, name)).torus) for name in RECORDS]
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
     assert len(calls) == rows
     assert all(primes == primes[:1] * blocks for primes in calls)
@@ -642,7 +664,7 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
     if matrix.rows <= 36:
         assert whole == naive_trace_powers(matrix, 12)
     group = _group(graph)
-    operator = _route(matrix, group, "arcs")
+    operator = _route(_record(graph, name), group)
     # each order takes its own primes, and odd and even orders their own pairing
     for r_max in range(1, 13):
         assert polynomials._traces(operator, r_max) == whole[:r_max]
@@ -650,11 +672,11 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
     assert trace_sides[1:] == [group.side] * 11
 
 
-@pytest.mark.parametrize("operator", [transition, laplacian], ids=list(VERTEX_OPERATORS))
-def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(operator, trace_sides):
+@pytest.mark.parametrize("name", list(VERTEX_OPERATORS))
+def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(name, trace_sides):
     graph = torus_graph(2, 4)
-    matrix = operator(graph)
-    operator = _route(matrix, _group(graph), "vertices")
+    matrix = VERTEX_OPERATORS[name](graph)
+    operator = _route(_record(graph, name), _group(graph))
     torus = operator.torus
     # the one 1 x 1 entry of each block sums a run of every step of the stencil
     keys, sums = polynomials._fourier_sums(torus, [polynomials._prime(0, 4)])

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,14 @@ def test_cycle_oracle_guard_and_validation():
         cycle_oracle(cycle_graph(3), 0)
     with pytest.raises(ValueError):
         weighted_cycle_counts(cycle_graph(3), 0)
+
+
+def test_cycle_oracle_refuses_a_huge_order_without_forming_the_power():
+    # (2m)^r_max is never formed: at r_max = 10^9 it would take hours
+    start = time.perf_counter()
+    with pytest.raises(OracleGuardError):
+        cycle_oracle(complete_graph(4), 10**9)
+    assert time.perf_counter() - start < 1
 
 
 def test_series_consistency_report():
