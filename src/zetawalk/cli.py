@@ -39,7 +39,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import graphs, limits, operators, polynomials, zeta
+from . import graphs, limits, operators, polynomials, rational, zeta
 from .errors import ZetawalkError
 from .polynomials import Poly
 
@@ -184,30 +184,31 @@ def _cmd_verify_konno_sato(args: argparse.Namespace) -> int:
 # --which -> the cycle counts N_1..N_order of a graph: the trace powers of
 # an arc operator, on the graph's Fourier route, or a brute-force oracle
 _SERIES = {
-    "grover": lambda g, order: _trace_counts(zeta._arc_operator(g, operators._grover), order),
+    "grover": lambda g, order: _trace_counts(operators._grover(g, graphs.arc_space(g)), order),
     "ihara": lambda g, order: _trace_counts(
-        zeta._arc_operator(g, operators._grover_positive_support), order
+        operators._grover_positive_support(g, graphs.arc_space(g)), order
     ),
     "oracle-weighted": lambda g, order: zeta.cycle_oracle(g, order, "weighted").counts,
     "oracle-reduced": lambda g, order: zeta.cycle_oracle(g, order, "reduced").counts,
 }
 
 
-def _trace_counts(operator: polynomials._Operator, order: int) -> tuple[Fraction, ...]:
-    """Tr M^1..Tr M^order of the operator's matrix M, for order >= 1,
-    refused before the powers are formed when a count could not be printed.
+def _trace_counts(record: rational._Cleared, order: int) -> tuple[Fraction, ...]:
+    """Tr M^1..Tr M^order of the record's matrix M, for order >= 1, refused
+    before the powers are formed when a count could not be printed.
 
-    Each count is T_r / L^r with |T_r| <= B, L the operator's scale and B
+    Each count is T_r / L^r with |T_r| <= B, L the record's scale and B
     the trace bound, so every numerator and denominator prints when B and
     L^order have at most as many digits as CPython converts to a string.
     Both grow with the order, by a factor of at least 2 per step unless
     they stay put (L = 1, rho <= 1), so the answer at order 4 * limit,
     where 2^(4 * limit - 2) > 10^limit, holds for every higher order.
     """
+    operator = polynomials._operator(record)
     limit = sys.get_int_max_str_digits()
     if limit:
         checked = min(order, 4 * limit)
-        bound = polynomials._trace_bound(operator.torus, checked)
+        bound = polynomials._trace_bound(operator, checked)
         if max(operator.scale**checked, bound) >= 10**limit:
             raise ZetawalkError(
                 f"cycle counts of order {order} could have more than {limit} digits, "

@@ -65,16 +65,17 @@ class Graph:
 
 
 class ArcSpace:
-    """The 2m oriented arcs of a graph with the inverse-pairing involution.
+    """The 2m oriented arcs of a graph with the inverse-pairing involution,
+    and the graph's cover.
 
     Arcs are ordered lexicographically by (origin, terminus); all arc-indexed
     matrices use this order for rows and columns. The arcs are made once, as
     the read-only int64 arrays `origins`, `termini` and `inverses`, which the
-    operator builders read; `arcs`, `inverse` and `arc_index` hold the same
-    arcs as Python tuples and a dict.
+    operator builders read, and so is the graph's cover (`_abelian_cover`),
+    which every operator built from the arc space carries.
     """
 
-    __slots__ = ("arcs", "inverse", "arc_index", "origins", "termini", "inverses")
+    __slots__ = ("origins", "termini", "inverses", "cover")
 
     def __init__(self, graph: Graph):
         origins, termini = _arc_arrays(graph)
@@ -85,19 +86,11 @@ class ArcSpace:
         for array in (origins, termini, inverses):
             array.flags.writeable = False
         self.origins, self.termini, self.inverses = origins, termini, inverses
-        self.arcs: tuple[tuple[int, int], ...] = tuple(zip(origins.tolist(), termini.tolist()))
-        self.arc_index: dict[tuple[int, int], int] = dict(zip(self.arcs, range(len(self.arcs))))
-        self.inverse: tuple[int, ...] = tuple(inverses.tolist())
+        self.cover = _abelian_cover(graph, origins, termini)
 
     @property
     def num_arcs(self) -> int:
-        return len(self.arcs)
-
-    def origin(self, e: int) -> int:
-        return self.arcs[e][0]
-
-    def terminus(self, e: int) -> int:
-        return self.arcs[e][1]
+        return len(self.origins)
 
     def __repr__(self) -> str:
         return f"ArcSpace({self.num_arcs} arcs)"
@@ -192,12 +185,25 @@ def _tag(name: str, params: Sequence[int]) -> str:
     return f"{name}({','.join(map(str, params))})" if params else name
 
 
+# the most edges of a family graph, checked before any array is made
+_MAX_EDGES = 2**20
+
+
+def _check_edges(tag: str, factor: int, base: int, exponent: int = 1) -> None:
+    """FamilyParameterError when the family graph `tag` would have
+    factor * base^exponent > `_MAX_EDGES` edges, base >= 2 and exponent >= 1,
+    each capped where the power passes the bound, so none larger is formed."""
+    if factor * min(base, _MAX_EDGES + 1) ** min(exponent, _MAX_EDGES.bit_length()) > _MAX_EDGES:
+        raise FamilyParameterError(f"{tag} would have more than {_MAX_EDGES:,} edges")
+
+
 def _cycle_edges(n: int) -> np.ndarray:
     """The edges i ~ i + 1 mod n of the cycle, as an (n, 2) int64 array."""
     if n < 3:
         raise FamilyParameterError(
             f"cycle needs N >= 3, got {n}: N <= 2 would create a loop or parallel edges"
         )
+    _check_edges(_tag("cycle", (n,)), 1, n)
     ring = np.arange(n)
     return np.stack([ring, (ring + 1) % n], axis=1)
 
@@ -228,6 +234,7 @@ def _torus_edges(d: int, n: int) -> np.ndarray:
     """The edges v ~ v + e_j of the torus, one per vertex and axis; vertex v
     has the base-n digits of v, least significant first, as coordinates."""
     check_torus(d, n)
+    _check_edges(_tag("torus", (d, n)), d, n, d)
     v = np.arange(n**d)
     ends = []
     for axis in range(d):
@@ -249,6 +256,7 @@ def _complete_edges(n: int) -> np.ndarray:
         raise FamilyParameterError(
             f"complete graph needs n >= 3, got {n}: n = 2 is a tree with trivial zeta"
         )
+    _check_edges(_tag("complete", (n,)), 1, n * (n - 1) // 2)
     return np.stack(np.triu_indices(n, 1), axis=1)
 
 
@@ -269,6 +277,7 @@ def _generalized_petersen_edges(n: int, k: int) -> np.ndarray:
         raise FamilyParameterError(
             f"generalized Petersen graph needs N >= 3 and 1 <= k < N/2, got N = {n}, k = {k}"
         )
+    _check_edges(_tag("gp", (n, k)), 3, n)
     i = np.arange(n)
     return np.stack(
         [np.concatenate([i, n + i, i]), np.concatenate([(i + 1) % n, n + (i + k) % n, n + i])],
@@ -303,6 +312,7 @@ def _hypercube_edges(d: int) -> np.ndarray:
         raise FamilyParameterError(
             f"hypercube needs d >= 2, got {d}: d = 1 is a single edge (a tree)"
         )
+    _check_edges(_tag("hypercube", (d,)), d, 2, d - 1)
     v = np.arange(1 << d)
     ends = [np.stack([v, v ^ (1 << b)], axis=1) for b in range(d)]
     edges = np.concatenate(ends)
@@ -382,9 +392,10 @@ _COVERS = {
 }
 
 
-def _abelian_cover(graph: Graph) -> tuple[int, int] | None:
-    """(d, side) when the graph is verified to be the graph of `_COVERS`
-    that its family tag names, else None.
+def _abelian_cover(graph: Graph, origins: np.ndarray, termini: np.ndarray) -> tuple | None:
+    """(d, side, fibers) when the graph is verified to be the graph of
+    `_COVERS` that its family tag names, else None; origins and termini are
+    the graph's arcs (`_arc_arrays`).
 
     The tag must name a family of the table, with integer parameters when it
     takes any, and side^d times the fibers must be the vertex count, which is
@@ -416,14 +427,13 @@ def _abelian_cover(graph: Graph) -> tuple[int, int] | None:
         return None
     if len(edges) != graph.num_edges:
         return None
-    origins, termini = _arc_arrays(graph)
     # each edge as the key i nu + j of its arc with i < j: the graph's arcs
     # come sorted, so its keys ascend
     low, high = edges.min(axis=1), edges.max(axis=1)
     outward = origins < termini
     if not np.array_equal(np.sort(low * nu + high), origins[outward] * nu + termini[outward]):
         return None
-    return d, side
+    return d, side, fibers
 
 
 # -- JSON persistence --------------------------------------------------------

@@ -16,11 +16,12 @@ once, and the place of each state on the graph: a vertex operator's state
 v is vertex v (`_vertex_states`), an arc operator's state e is the arc e
 from its origin to its terminus (`_arc_states`), and the Bass companion
 has the vertices twice, in two halves. The builder is the one place that
-fixes the states of its operator; the exact kernels route a record by its
-states alone (`polynomials._operator`). L comes from the distinct degrees,
-so it is the same L that `polynomials._cleared` finds. S is the
-arc-reversal permutation and U is C with its rows permuted, so both are
-written straight into their rows: no rational product is formed. The
+fixes the states of its operator, and it stores the graph's cover (D,
+built without the arc space, has none), so the exact kernels route a
+record by the record alone (`polynomials._operator`). L comes from the
+distinct degrees, so it is the same L that `polynomials._cleared` finds. S
+is the arc-reversal permutation and U is C with its rows permuted, so both
+are written straight into their rows: no rational product is formed. The
 public builders return the RatMatrix view of the record
 (`_Cleared.matrix`), each entry Fraction(a, L).
 """
@@ -49,15 +50,20 @@ __all__ = [
 
 
 def _record(
-    scale: int, states: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    scale: int,
+    states: np.ndarray,
+    cover: tuple[int, int, int] | None,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
 ) -> _Cleared:
-    """The record of L*M on its states from its entries: the zeros dropped,
-    the rest sorted by (row, column)."""
+    """The record of L*M on its states and cover from its entries: the
+    zeros dropped, the rest sorted by (row, column)."""
     size = states.shape[1]
     keep = values != 0
     rows, cols, values = rows[keep], cols[keep], values[keep]
     order = np.argsort(rows * size + cols)
-    return _Cleared(scale, size, rows[order], cols[order], values[order], states)
+    return _Cleared(scale, size, rows[order], cols[order], values[order], states, cover)
 
 
 def _vertex_states(graph: Graph, halves: int = 1) -> np.ndarray:
@@ -78,7 +84,8 @@ def _ones(count: int) -> np.ndarray:
 
 def _adjacency(graph: Graph, arcs: ArcSpace) -> _Cleared:
     """A: a 1 at (o, t) for every arc (o, t)."""
-    return _record(1, _vertex_states(graph), arcs.origins, arcs.termini, _ones(arcs.num_arcs))
+    ones = _ones(arcs.num_arcs)
+    return _record(1, _vertex_states(graph), arcs.cover, arcs.origins, arcs.termini, ones)
 
 
 def adjacency(graph: Graph) -> RatMatrix:
@@ -87,9 +94,10 @@ def adjacency(graph: Graph) -> RatMatrix:
 
 
 def _degree(graph: Graph) -> _Cleared:
-    """D: deg(v) at (v, v)."""
+    """D: deg(v) at (v, v), with no cover."""
     v = np.arange(graph.num_vertices)
-    return _record(1, _vertex_states(graph), v, v, np.array(graph.degree_profile, dtype=np.int64))
+    degrees = np.array(graph.degree_profile, dtype=np.int64)
+    return _record(1, _vertex_states(graph), None, v, v, degrees)
 
 
 def degree_matrix(graph: Graph) -> RatMatrix:
@@ -101,7 +109,8 @@ def _transition(graph: Graph, arcs: ArcSpace) -> _Cleared:
     """P: 1/deg(o) at (o, t) for every arc, so L is the lcm of the degrees."""
     scale = math.lcm(*set(graph.degree_profile))
     per_vertex = _integers([scale // d for d in graph.degree_profile])
-    return _record(scale, _vertex_states(graph), arcs.origins, arcs.termini, per_vertex[arcs.origins])
+    states = _vertex_states(graph)
+    return _record(scale, states, arcs.cover, arcs.origins, arcs.termini, per_vertex[arcs.origins])
 
 
 def transition(graph: Graph) -> RatMatrix:
@@ -116,6 +125,7 @@ def _laplacian(graph: Graph, arcs: ArcSpace) -> _Cleared:
     return _record(
         1,
         _vertex_states(graph),
+        arcs.cover,
         np.concatenate([arcs.origins, v]),
         np.concatenate([arcs.termini, v]),
         np.concatenate([-_ones(arcs.num_arcs), degrees]),
@@ -139,6 +149,7 @@ def _bass_companion(graph: Graph, arcs: ArcSpace) -> _Cleared:
     return _record(
         1,
         _vertex_states(graph, 2),
+        arcs.cover,
         np.concatenate([arcs.origins, v, n + v]),
         np.concatenate([arcs.termini, n + v, v]),
         np.concatenate([_ones(arcs.num_arcs), 1 - degrees, _ones(n)]),
@@ -148,7 +159,7 @@ def _bass_companion(graph: Graph, arcs: ArcSpace) -> _Cleared:
 def _shift(arcs: ArcSpace) -> _Cleared:
     """S: a 1 at (e, inverse(e)) for every arc e."""
     e = np.arange(arcs.num_arcs)
-    return _record(1, _arc_states(arcs), e, arcs.inverses, _ones(arcs.num_arcs))
+    return _record(1, _arc_states(arcs), arcs.cover, e, arcs.inverses, _ones(arcs.num_arcs))
 
 
 def shift(arcs: ArcSpace) -> RatMatrix:
@@ -179,7 +190,7 @@ def _in_blocks(
     on = _integers([2 * scale // d - scale for d in graph.degree_profile])
     u = vertex[rows]
     values = np.where(cols == marked[rows], on[u], off[u])
-    return _record(scale, _arc_states(arcs), rows, cols, values)
+    return _record(scale, _arc_states(arcs), arcs.cover, rows, cols, values)
 
 
 def _coin(graph: Graph, arcs: ArcSpace) -> _Cleared:
@@ -215,10 +226,10 @@ def grover(graph: Graph, arcs: ArcSpace) -> RatMatrix:
 
 def _positive_support(cleared: _Cleared) -> _Cleared:
     """The 0/1 record of the strictly positive entries, L*M > 0 where M > 0,
-    on the states of M."""
+    on the states and the cover of M."""
     keep = cleared.values > 0
     rows = cleared.rows[keep]
-    return _record(1, cleared.states, rows, cleared.cols[keep], _ones(len(rows)))
+    return _record(1, cleared.states, cleared.cover, rows, cleared.cols[keep], _ones(len(rows)))
 
 
 def _grover_positive_support(graph: Graph, arcs: ArcSpace) -> _Cleared:

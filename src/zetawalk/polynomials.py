@@ -1,12 +1,13 @@
 """Exact univariate polynomials over big rationals, and the two exact kernels.
 
-Both kernels read one record, `_Operator`: a square rational matrix M as
-the integer matrix L*M, L the lcm of its reduced denominators, on its
-route. `_operator` is the one place that chooses the route. It takes M as
-the integer record `rational._Cleared`: the walk operators are built as
-such records, each with the place of its states on the graph
-(`operators`), and `_cleared` makes one without states from a RatMatrix
-only for the public `det_i_minus_u` and `trace_powers`.
+Both kernels read one record, `_Torus`: a square rational matrix M as the
+integer matrix L*M, L the lcm of its reduced denominators, on its route.
+`_operator(record)` is the one place that chooses the route. It takes M as
+the integer record `rational._Cleared`, which routes itself: the walk
+operators are built as such records, each with the place of its states on
+the graph and the graph's cover (`operators`), and `_cleared` makes one
+with neither from a RatMatrix only for the public `det_i_minus_u` and
+`trace_powers`.
 
 Every exact determinant in the package is det(I - u*M), computed by
 `_charpolys` as integer coefficients C_k of u^k / L^k and divided out by
@@ -22,10 +23,10 @@ residue kernels of `modular` find det(xI - L*M) modulo each prime, and the
 residues are combined by the Chinese remainder theorem with symmetric
 residues (von zur Gathen and Gerhard, Modern Computer Algebra, chapter 5).
 
-There is one path to the residues. Callers that hold the graph build its
-group once (`_fourier_group`), and `_operator` routes each record by it
-and the record's own states. On a family of the table `graphs._COVERS`
-(verified by `graphs._abelian_cover`) the group Z_side^d acts freely on
+There is one path to the residues. A graph's arc space verifies its cover
+once (`graphs.ArcSpace.cover`, `graphs._abelian_cover`), and `_operator`
+routes each record built from it by that cover and the record's states. On
+a family of the table `graphs._COVERS` the group Z_side^d acts freely on
 the graph, which is then a cover of a base graph with F fibers: the Cayley
 graphs torus(d, N), cycle(N), complete(n) and hypercube(d) of Z_side^d for
 (d, side) = (d, N), (1, N), (1, n) and (d, 2), with F = 1, and gp(n, k)
@@ -40,12 +41,12 @@ state (g, s) to (h, s'), then modulo a prime p = 1 (mod side) with a
 primitive side-th root of unity omega, det(xI - L*M) is the product over k
 in Z_side^d of the characteristic polynomials of the w x w blocks
 sum_z t_ss'(z) omega^(k.z), w the kinds. Every other matrix, every record
-without states, and so every one of the public `det_i_minus_u(matrix)`, is
-the one n x n block of the trivial group (side 1, omega = 1, `_whole`) and
-takes the odd primes. The
-blocks of every prime of the matrices of one width (U with U+, or P with
-D - A), or of one whole matrix, form one int64 stack, run in chunks of
-rows where its arrays would pass a fixed budget. Hessenberg reduction
+without states or cover, and so every one of the public
+`det_i_minus_u(matrix)`, is the one n x n block of the trivial group
+(side 1, omega = 1, `_whole`) and takes the odd primes. The blocks of every
+prime of the matrices of one width (U with U+, or P with D - A), or of one
+whole matrix, form one int64 stack, run in chunks of rows where its arrays
+would pass a fixed budget. Hessenberg reduction
 (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
 section 2.2) and the Hessenberg recurrence run on the stack, and a product
 tree multiplies the side^d polynomials of each row in O(n log^2 n) steps,
@@ -61,12 +62,12 @@ one block. The powers of the blocks up to ceil(r_max / 2) form one
 (K, side^d, w, w) int64 residue stack, each product a sum of gathers of
 block rows, one per slot of the widest block row. Each higher trace is read
 as a pairing Tr (A B) = sum_ij A[i][j] B[j][i] of two of them, summed over
-the blocks, and the traces are combined by CRT. `zeta.weighted_cycle_counts`,
-`reduced_cycle_counts` and the CLI's `series` route their arc operator by
-the graph's group (`zeta._arc_operator`); the public `trace_powers(matrix)`
-and the trace side of `zeta.zeta_series_consistency` take the matrix whole,
-so in that check the Fourier blocks enter only the determinant. Both bounds
-are read off the stencil (`_norms`), the same numbers on both routes.
+the blocks, and the traces are combined by CRT. Every caller routes its
+operator as `_operator(builder(graph, arc_space(graph)))`; the public
+`trace_powers(matrix)` takes its matrix whole, and so does the trace side
+of `zeta.zeta_series_consistency` (`_whole`), so in that check the Fourier
+blocks enter only the determinant. Both bounds are read off the stencil
+(`_norms`), the same numbers on both routes.
 
 `log_series` expands log(1/p) for p(0) = 1 by Newton's identities, one
 recurrence over the coefficients of p; for p = det(I - uM) its
@@ -84,7 +85,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ZetawalkError
-from .graphs import Graph, _abelian_cover
 from .modular import _crt, _hessenberg_charpolys, _product_mod
 from .rational import RatMatrix, _Cleared, _integers
 
@@ -223,31 +223,13 @@ def _unscaled(scale: int, coeffs: list[int]) -> Poly:
     return Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs))
 
 
-class _Operator(NamedTuple):
-    """A square rational matrix M as the integer matrix A = L*M on its route.
-
-    `scale` is L, the lcm of the entry denominators, and `torus` is A as
-    the stencil of its group (`_torus_stencil`), or whole (`_whole`). Both
-    kernels read only this record, and each reads its bound off the route
-    when it runs; `_operator` makes it.
-    """
-
-    scale: int
-    torus: _Torus
+def _operator(record: _Cleared) -> _Torus:
+    """The route of the matrix of the record: its stencil on the group of
+    its cover (`_torus_stencil`), or else the whole matrix (`_whole`)."""
+    return _torus_stencil(record) or _whole(record)
 
 
-def _operator(cleared: _Cleared, group: _Group | None = None) -> _Operator:
-    """The record of M from L and the entries of A = L*M, and its route.
-
-    A goes in Fourier blocks when `_torus_stencil` finds it translation
-    invariant under the group (`_fourier_group`) on the record's own
-    states, and otherwise whole (`_whole`).
-    """
-    route = _torus_stencil(group, cleared) or _whole(cleared)
-    return _Operator(cleared.scale, route)
-
-
-def _charpolys(operators: Sequence[_Operator]) -> list[list[int]]:
+def _charpolys(operators: Sequence[_Torus]) -> list[list[int]]:
     """The coefficients C_0..C_n of det(xI - A), C_k on x^(n-k), for each A.
 
     Symmetric residues pin down every C_k once the modulus exceeds 2 |C_k|,
@@ -261,8 +243,7 @@ def _charpolys(operators: Sequence[_Operator]) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in operators]
     # stack key -> (index, torus, primes, modulus) of each matrix in the stack
     stacks: dict[object, list[tuple[int, _Torus, list[int], int]]] = {}
-    for index, operator in enumerate(operators):
-        torus = operator.torus
+    for index, torus in enumerate(operators):
         primes, modulus = _primes_above(2 * _coefficient_bound(torus), torus.side)
         key = (torus.side, torus.width) if torus.side > 1 else index
         stacks.setdefault(key, []).append((index, torus, primes, modulus))
@@ -366,23 +347,21 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
     return _traces(_operator(_cleared(matrix)), r_max)
 
 
-def _traces(operator: _Operator, r_max: int) -> tuple[Fraction, ...]:
-    """`trace_powers` of the matrix M of the operator, for r_max >= 1.
+def _traces(torus: _Torus, r_max: int) -> tuple[Fraction, ...]:
+    """`trace_powers` of the matrix M of the route, for r_max >= 1.
 
-    As in `_charpolys`, A = L*M goes on the route its record holds, with
-    the primes p = 1 (mod side) of its group. The Fourier transform is a
-    similarity over F_p, so Tr A^r mod p is the sum of the traces of the
-    r-th powers of the blocks, and after CRT every trace is the same on
-    both routes.
+    As in `_charpolys`, A = L*M goes on its route, with the primes
+    p = 1 (mod side) of its group. The Fourier transform is a similarity
+    over F_p, so Tr A^r mod p is the sum of the traces of the r-th powers
+    of the blocks, and after CRT every trace is the same on both routes.
     """
-    torus = operator.torus
     bound = _trace_bound(torus, r_max)
     if not bound:
         # A = 0, or r_max = 1 and a zero diagonal
         return (Fraction(0),) * r_max
     primes, modulus = _primes_above(2 * bound, torus.side)
     traces = _crt(_trace_residues(torus, primes, r_max), primes, modulus)
-    return tuple(Fraction(t, operator.scale**r) for r, t in enumerate(traces, start=1))
+    return tuple(Fraction(t, torus.scale**r) for r, t in enumerate(traces, start=1))
 
 
 def _trace_bound(torus: _Torus, r_max: int) -> int:
@@ -601,34 +580,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class _Group(NamedTuple):
-    """An abelian group Z_side^d acting freely on a graph
-    (`graphs._abelian_cover`), with `fibers` orbits of side^d vertices.
-
-    `coords[h]` are the d coordinates of the group element with flat index
-    h, and a step z has the flat index z . `place`.
-    """
-
-    side: int
-    coords: np.ndarray
-    place: np.ndarray
-    fibers: int
-
-
-def _fourier_group(graph: Graph) -> _Group | None:
-    """The group of the graph, or None when the graph is not verified."""
-    cover = _abelian_cover(graph)
-    if cover is None:
-        return None
-    d, side = cover
-    place = side ** np.arange(d)
-    coords = np.arange(side**d)[:, None] // place % side
-    return _Group(side, coords, place, graph.num_vertices // side**d)
-
-
-def _state_space(group: _Group, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The element and the kind, ranked 0..w-1, of each state, and w, when
-    state -> (element, kind) is a bijection onto Z_side^d x kinds; else None.
+def _state_space(d: int, side: int, fibers: int, states: np.ndarray) -> tuple | None:
+    """The group Z_side^d of a cover with `fibers` fibers, as `coords`, row
+    h the d coordinates of the element with flat index h, and `place`, a
+    step z having the flat index z . place; then the element and the kind,
+    ranked 0..w-1, of each state, and w, when state -> (element, kind) is a
+    bijection onto Z_side^d x kinds; else None.
 
     states holds the half, the origin and the terminus of each state
     (`rational._Cleared`). Vertex v is element v mod side^d in fiber
@@ -637,7 +594,8 @@ def _state_space(group: _Group, states: np.ndarray) -> tuple[np.ndarray, np.ndar
     voltage), the voltage being the step from the origin's element to the
     terminus's.
     """
-    side, coords, place, fibers = group
+    place = side ** np.arange(d)
+    coords = np.arange(side**d)[:, None] // place % side
     order = len(coords)
     half, origin, terminus = states
     element = origin % order
@@ -647,20 +605,23 @@ def _state_space(group: _Group, states: np.ndarray) -> tuple[np.ndarray, np.ndar
     width = int(kind.max()) + 1
     if len(element) != order * width or np.bincount(element * width + kind).max() > 1:
         return None
-    return element, kind, width
+    return coords, place, element, kind, width
 
 
 class _Torus(NamedTuple):
-    """A matrix found translation invariant on the group Z_side^d.
+    """The route of a square rational matrix M, the one record both kernels
+    read: L = `scale` and A = L*M, translation invariant on Z_side^d.
 
     Its states are pairs (element g, kind s), `width` kinds per element, and
     its entry from (g, s) to (h, s') is t_ss'(h - g). The stencil is the
     nonzero t_ss'(z) as three arrays, sorted by (s, s') and then z: `pairs`
     holds s w + s', `steps` the flat index z of the step, and `values` the
     integer t (int64, or exact Python ints as in `rational._Cleared`);
-    `coords[h]` are the d coordinates of the element with flat index h.
+    `coords[h]` are the d coordinates of the element with flat index h. A
+    whole matrix is the one block of the trivial group (`_whole`).
     """
 
+    scale: int
     side: int
     coords: np.ndarray
     width: int
@@ -669,27 +630,26 @@ class _Torus(NamedTuple):
     values: np.ndarray
 
 
-def _torus_stencil(group: _Group | None, cleared: _Cleared) -> _Torus | None:
+def _torus_stencil(record: _Cleared) -> _Torus | None:
     """The stencil of the integer matrix A of the record, when it has one.
 
-    The record's states must be a free orbit of the group (`_state_space`).
-    The stencil is read off the rows of the states at element 0, each entry
-    keyed by (s, s', z); every nonzero entry, from (g, s) to (h, s'), must
-    then be t_ss'(h - g), and there must be side^d entries per stencil
-    entry, so that none is missing. Both checks are array operations: the
-    stencil keys are sorted once and every entry's key is found among them
-    by bisection. Otherwise the answer is None, and the matrix is taken
-    whole.
+    The record must have states and a cover, and its states must be a free
+    orbit of the cover's group (`_state_space`). The stencil is read off
+    the rows of the states at element 0, each entry keyed by (s, s', z);
+    every nonzero entry, from (g, s) to (h, s'), must then be t_ss'(h - g),
+    and there must be side^d entries per stencil entry, so that none is
+    missing. Both checks are array operations: the stencil keys are sorted
+    once and every entry's key is found among them by bisection. Otherwise
+    the answer is None, and the matrix is taken whole.
     """
-    if group is None or cleared.states is None:
+    if record.cover is None or record.states is None:
         return None
-    placed = _state_space(group, cleared.states)
+    placed = _state_space(*record.cover, record.states)
     if placed is None:
         return None
-    element, kind, width = placed
-    side, coords, place, _ = group
-    order = len(coords)
-    rows, cols, values = cleared.rows, cleared.cols, cleared.values
+    coords, place, element, kind, width = placed
+    side, order = record.cover[1], len(coords)
+    rows, cols, values = record.rows, record.cols, record.values
     origins = element[rows]
     steps = (coords[element[cols]] - coords[origins]) % side @ place
     keys = (kind[rows] * width + kind[cols]) * order + steps
@@ -703,16 +663,17 @@ def _torus_stencil(group: _Group | None, cleared: _Cleared) -> _Torus | None:
         np.array_equal(stencil_keys[slots], keys) and np.array_equal(stencil_values[slots], values)
     ):
         return None
-    return _Torus(side, coords, width, stencil_keys // order, stencil_keys % order, stencil_values)
+    pairs, steps = stencil_keys // order, stencil_keys % order
+    return _Torus(record.scale, side, coords, width, pairs, steps, stencil_values)
 
 
-def _whole(cleared: _Cleared) -> _Torus:
+def _whole(record: _Cleared) -> _Torus:
     """The n x n matrix A of the record as the one block of the trivial
     group: side 1, one element with no coordinates, n kinds, and
     t_ij(0) = A[i][j]."""
-    n, rows = cleared.size, cleared.rows
-    pairs, steps = rows * n + cleared.cols, np.zeros(len(rows), dtype=np.int64)
-    return _Torus(1, np.zeros((1, 0), dtype=np.int64), n, pairs, steps, cleared.values)
+    n, rows, coords = record.size, record.rows, np.zeros((1, 0), dtype=np.int64)
+    pairs, steps = rows * n + record.cols, np.zeros(len(rows), dtype=np.int64)
+    return _Torus(record.scale, 1, coords, n, pairs, steps, record.values)
 
 
 # about the most elements an array of one chunk of `_fourier_charpolys` holds
@@ -750,8 +711,8 @@ def _fourier_charpolys(tori: list[_Torus], primes: list[list[int]]) -> list[np.n
         part = rows[start : start + chunk]
         blocks = np.concatenate(
             [
-                _fourier_blocks(tori[t], [p for _, p in group])
-                for t, group in itertools.groupby(part, key=lambda row: row[0])
+                _fourier_blocks(tori[t], [p for _, p in run])
+                for t, run in itertools.groupby(part, key=lambda row: row[0])
             ]
         )
         part_primes = [p for _, p in part]
@@ -785,7 +746,7 @@ def _fourier_sums(torus: _Torus, primes: list[int]) -> tuple[np.ndarray, np.ndar
     below 2^31. When every run has one term, as on U and U+, the terms are
     the sums.
     """
-    side, coords, _, keys, steps, values = torus
+    _, side, coords, _, keys, steps, values = torus
     p = np.array(primes, dtype=np.int64)[:, None, None]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
     # residues of exact Python ints are taken in Python ints

@@ -5,9 +5,10 @@ immutable by convention: all operations return new matrices. Neither
 determinants nor traces are taken here: the exact kernels in `polynomials`
 work on a matrix M cleared to integers, the record `_Cleared` of L and the
 nonzero entries of L*M as arrays. The walk operators are built as such
-records (`operators`), each with the place of its states on the graph, and
-`_Cleared.matrix` is their RatMatrix view. The product `@` stays as the
-tests' oracle for operator assembly.
+records (`operators`), each with the place of its states on the graph and
+the graph's cover, which together route it, and `_Cleared.matrix` is their
+RatMatrix view. The product `@` stays as the tests' oracle for operator
+assembly.
 """
 
 from __future__ import annotations
@@ -143,13 +144,6 @@ class RatMatrix:
             out._rowdata[i] = {j: value for j, value in acc.items() if value}
         return out
 
-    def permute_rows(self, order: Sequence[int]) -> "RatMatrix":
-        """Row i of the result is row order[i] of this one: P @ self for the
-        permutation matrix P with P[i, order[i]] = 1, without arithmetic."""
-        out = RatMatrix(len(order), self.cols)
-        out._rowdata = [dict(self._rowdata[k]) for k in order]
-        return out
-
     def transpose(self) -> "RatMatrix":
         out = RatMatrix(self.cols, self.rows)
         for i, rd in enumerate(self._rowdata):
@@ -209,7 +203,9 @@ class _Cleared(NamedTuple):
     walk operators, says where each of the n states sits on the graph: a
     (3, n) int64 array of its half, its origin and its terminus vertex (a
     vertex state has one vertex as both, and only the Bass companion has a
-    second half). A record made from a bare matrix has none.
+    second half). `cover` is the graph's (d, side, fibers), or None, as its
+    arc space found it (`graphs.ArcSpace.cover`). A record made from a bare
+    matrix has neither.
     """
 
     scale: int
@@ -218,6 +214,7 @@ class _Cleared(NamedTuple):
     cols: np.ndarray
     values: np.ndarray
     states: np.ndarray | None = None
+    cover: tuple[int, int, int] | None = None
 
     def entries(self) -> list[tuple[int, int, int]]:
         """The nonzero entries of A as (i, j, integer), sorted by (i, j)."""

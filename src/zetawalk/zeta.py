@@ -16,22 +16,20 @@ public reciprocals builds its operator and calls the kernel in one step,
 and the command line's charpoly calls them as they are. Every function
 here that builds an operator of a graph builds it as an integer record
 (the private builders of `operators`, from the graph's arc space), which
-carries its states, and makes its kernel record with
-`polynomials._operator` from it and the graph's group (`_fourier_group`;
-`_arc_operator` for U and U+). So on a verified free abelian cover of the
-table `graphs._COVERS` (torus, cycle, complete graph, hypercube,
-Petersen, gp: the group Z_side^d) the determinant comes from side^d
-Fourier blocks, for U, U+, P, D - A and the Bass companion alike; every
-other matrix is the one block of the trivial group. No Konno-Sato
-formula enters the kernel,
-so on such a graph the check still compares the arc determinant with a
-vertex side computed apart from it. Cycle counts are exact traces of
-operator powers (`polynomials._traces`, pairings of the powers of the
-cleared matrix up to half the order, block by block on the same route,
-modulo primes chosen from a bound on every trace and combined by CRT),
-with an independent brute-force oracle for cross-checking, and the
-generalized zeta (the nu-th root normalization) is evaluated numerically
-from vertex spectra.
+carries its states and the graph's cover, and routes it in one call,
+`_operator(builder(graph, arc_space(graph)))`. So on a verified free
+abelian cover of the table `graphs._COVERS` (torus, cycle, complete graph,
+hypercube, Petersen, gp: the group Z_side^d) the determinant comes from
+side^d Fourier blocks, for U, U+, P, D - A and the Bass companion alike;
+every other matrix is the one block of the trivial group. No Konno-Sato
+formula enters the kernel, so on such a graph the check still compares the
+arc determinant with a vertex side computed apart from it. Cycle counts are
+exact traces of operator powers (`polynomials._traces`, pairings of the
+powers of the cleared matrix up to half the order, block by block on the
+same route, modulo primes chosen from a bound on every trace and combined
+by CRT), with an independent brute-force oracle for cross-checking, and
+the generalized zeta (the nu-th root normalization) is evaluated
+numerically from vertex spectra.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, starmap
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     NonRegularGraphError,
@@ -50,7 +48,7 @@ from .errors import (
     ZetaDomainError,
     ZetawalkError,
 )
-from .graphs import ArcSpace, Graph, arc_space
+from .graphs import Graph, arc_space
 from .limits import (
     _prefactor,
     graph_spectrum,
@@ -69,15 +67,14 @@ from .operators import (
 from .polynomials import (
     Poly,
     _charpolys,
-    _fourier_group,
     _operator,
-    _Operator,
     _times_one_minus_u_squared,
+    _Torus,
     _traces,
     _unscaled,
+    _whole,
     log_series,
 )
-from .rational import _Cleared
 
 __all__ = [
     "SeriesCoefficients",
@@ -178,7 +175,7 @@ def grover_zeta_reciprocal(graph: Graph) -> Poly:
     This is the reciprocal of the weighted zeta; its degree is twice the
     edge count.
     """
-    return _reciprocal(_arc_operator(graph, _grover), 0)
+    return _reciprocal(_operator(_grover(graph, arc_space(graph))), 0)
 
 
 def ihara_reciprocal_edge(graph: Graph) -> Poly:
@@ -191,7 +188,7 @@ def ihara_reciprocal_edge(graph: Graph) -> Poly:
     is not.
     """
     _reject_tree(graph)
-    return _reciprocal(_arc_operator(graph, _grover_positive_support), 0)
+    return _reciprocal(_operator(_grover_positive_support(graph, arc_space(graph))), 0)
 
 
 def ihara_reciprocal_bass(graph: Graph) -> Poly:
@@ -205,17 +202,11 @@ def ihara_reciprocal_bass(graph: Graph) -> Poly:
     the cocycle multiplies integer coefficients.
     """
     _reject_tree(graph)
-    operator = _operator(_bass_companion(graph, arc_space(graph)), _fourier_group(graph))
+    operator = _operator(_bass_companion(graph, arc_space(graph)))
     return _reciprocal(operator, graph.num_edges - graph.num_vertices)
 
 
-def _arc_operator(graph: Graph, build: Callable[[Graph, ArcSpace], _Cleared]) -> _Operator:
-    """The arc operator whose record build(graph, arcs) makes, on the
-    graph's route."""
-    return _operator(build(graph, arc_space(graph)), _fourier_group(graph))
-
-
-def _reciprocal(operator: _Operator, exponent: int) -> Poly:
+def _reciprocal(operator: _Torus, exponent: int) -> Poly:
     """det(I - uM) (1 - u^2)^exponent from the kernel's C_k of L*M.
 
     A nonzero exponent comes only with the integer Bass companion (L = 1),
@@ -246,10 +237,11 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     or the Laplacian D - A of the route. The kernel runs once per route, on
     M itself: if det(I - xM) = sum_k c_k x^k, then
     det(s I + t M) = sum_k c_k (-t)^k s^(nu-k) for any matrix, so both kinds
-    are read off the same c_k (`_vertex_side`). The graph's group is
-    verified once, each record takes its route from it on its own states,
-    and all four go to one kernel call, which stacks U with U+ and P with
-    D - A. Trees (m < nu) are rejected before any determinant.
+    are read off the same c_k (`_vertex_side`). The graph's cover is
+    verified once, by its arc space, each record takes its route from that
+    cover on its own states, and all four go to one kernel call, which
+    stacks U with U+ and P with D - A. Trees (m < nu) are rejected before
+    any determinant.
     """
     _require_regular(graph, "Konno-Sato factorization")
     q = graph.regular_degree - 1
@@ -261,10 +253,9 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
         )
 
     arcs = arc_space(graph)
-    group = _fourier_group(graph)
     u_mat = _grover(graph, arcs)
     records = [u_mat, _positive_support(u_mat), _transition(graph, arcs), _laplacian(graph, arcs)]
-    operators = [_operator(record, group) for record in records]
+    operators = [_operator(record) for record in records]
     sides = list(zip(operators, _charpolys(operators)))
     left_sides = {
         which: _unscaled(mat.scale, coeffs)
@@ -315,7 +306,7 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Exact weighted counts N_r = Tr U^r for r = 1..r_max."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    counts = _traces(_arc_operator(graph, _grover), r_max)
+    counts = _traces(_operator(_grover(graph, arc_space(graph))), r_max)
     return SeriesCoefficients(kind="weighted", counts=counts)
 
 
@@ -323,7 +314,7 @@ def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Counts of cyclically non-backtracking closed arc walks, Tr (U+)^r."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    counts = _traces(_arc_operator(graph, _grover_positive_support), r_max)
+    counts = _traces(_operator(_grover_positive_support(graph, arc_space(graph))), r_max)
     return SeriesCoefficients(kind="reduced", counts=counts)
 
 
@@ -367,11 +358,9 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
     # from the entry rules rather than the assembled matrix
     successor: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_arcs)]
     into: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-    for e, (_, t) in enumerate(arcs.arcs):
+    for e, t in enumerate(arcs.termini.tolist()):
         into[t].append(e)
-    for x in range(n_arcs):
-        ox = arcs.arcs[x][0]
-        back = arcs.inverse[x]
+    for x, (ox, back) in enumerate(zip(arcs.origins.tolist(), arcs.inverses.tolist())):
         for y in into[ox]:
             w = Fraction(2, graph.degree_profile[ox])
             if y == back:
@@ -407,8 +396,9 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
     """Check that log 1/det(I - uU) has coefficients N_r / r exactly.
 
     U is built once for both sides, as its integer record. The determinant
-    takes the graph's Fourier route and the traces take U whole, as
-    `trace_powers` would, so the Fourier blocks enter only one side.
+    takes the route of the record, Fourier blocks on a verified cover, and
+    the traces take U whole (`_whole`), as `trace_powers` would, so the
+    Fourier blocks enter only one side.
     The order is capped at 12 because both sides grow combinatorially and
     the check is meant as a series-level sanity gate, not a production
     computation.
@@ -421,8 +411,8 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
             f"{SERIES_ORDER_CAP}"
         )
     u_mat = _grover(graph, arc_space(graph))
-    logs = log_series(_reciprocal(_operator(u_mat, _fourier_group(graph)), 0), order)
-    scaled = tuple(c / r for r, c in enumerate(_traces(_operator(u_mat), order), start=1))
+    logs = log_series(_reciprocal(_operator(u_mat), 0), order)
+    scaled = tuple(c / r for r, c in enumerate(_traces(_whole(u_mat), order), start=1))
     return SeriesConsistencyReport(
         order=order, log_coefficients=logs, scaled_counts=scaled
     )

@@ -293,23 +293,25 @@ def dict_operators(graph: Graph, arcs: ArcSpace) -> dict[str, RatMatrix]:
     U = S @ C, U+ and the Bass companion [[A, I - D], [I, 0]]."""
     n, size = graph.num_vertices, arcs.num_arcs
     degree = graph.degree_profile
-    adjacency = RatMatrix(n, n, [(i, j, 1) for i, j in arcs.arcs])
+    pairs = list(zip(arcs.origins.tolist(), arcs.termini.tolist()))
+    termini = arcs.termini.tolist()
+    adjacency = RatMatrix(n, n, [(i, j, 1) for i, j in pairs])
     degrees = RatMatrix.diagonal(degree)
-    shift = RatMatrix(size, size, [(e, f, 1) for e, f in enumerate(arcs.inverse)])
+    shift = RatMatrix(size, size, [(e, f, 1) for e, f in enumerate(arcs.inverses.tolist())])
     coin = RatMatrix(size, size, [
-        (e, f, Fraction(2, degree[arcs.terminus(e)]) - (e == f))
+        (e, f, Fraction(2, degree[termini[e]]) - (e == f))
         for e in range(size)
         for f in range(size)
-        if arcs.terminus(e) == arcs.terminus(f)
+        if termini[e] == termini[f]
     ])
     grover = shift @ coin
-    bass = [(i, j, 1) for i, j in arcs.arcs]
+    bass = [(i, j, 1) for i, j in pairs]
     bass += [(v, n + v, 1 - d) for v, d in enumerate(degree)]
     bass += [(n + v, v, 1) for v in range(n)]
     return {
         "A": adjacency,
         "D": degrees,
-        "P": RatMatrix(n, n, [(i, j, Fraction(1, degree[i])) for i, j in arcs.arcs]),
+        "P": RatMatrix(n, n, [(i, j, Fraction(1, degree[i])) for i, j in pairs]),
         "D-A": degrees - adjacency,
         "S": shift,
         "C": coin,

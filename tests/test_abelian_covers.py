@@ -77,12 +77,11 @@ def _polynomials(graph):
     """det(I - uU), det(I - uU+), det(I - uP), det(I - u(D - A)) and the Bass
     form, each on the graph's route."""
     arcs = arc_space(graph)
-    group = polynomials._fourier_group(graph)
     return [
         grover_zeta_reciprocal(graph),
         ihara_reciprocal_edge(graph),
         *(
-            zeta._reciprocal(polynomials._operator(op(graph, arcs), group), 0)
+            zeta._reciprocal(polynomials._operator(op(graph, arcs)), 0)
             for op in (operators._transition, operators._laplacian)
         ),
         ihara_reciprocal_bass(graph),
@@ -97,7 +96,7 @@ def _polynomials(graph):
 def test_every_polynomial_of_a_cover_is_that_of_its_untagged_copy(graph, block_calls):
     tagged = _polynomials(graph)
     arcs, nu = 2 * graph.num_edges, graph.num_vertices
-    side = graphs._abelian_cover(graph)[1]
+    side = arc_space(graph).cover[1]
     assert block_calls == [(side, arcs), (side, arcs), (side, nu), (side, nu), (side, 2 * nu)]
     assert tagged == _polynomials(_untagged(graph))
     report = konno_sato_check(graph)
@@ -120,7 +119,6 @@ def test_the_bounds_read_from_a_fourier_route_are_those_of_the_whole_matrix(grap
     # every operator on its own states: the stencil holds each entry of A
     # once per group element, so its sums give A's
     arcs = arc_space(graph)
-    group = polynomials._fourier_group(graph)
     records = [
         operators._grover(graph, arcs),
         operators._grover_positive_support(graph, arcs),
@@ -129,12 +127,12 @@ def test_the_bounds_read_from_a_fourier_route_are_those_of_the_whole_matrix(grap
         operators._bass_companion(graph, arcs),
     ]
     for cleared in records:
-        fourier = polynomials._operator(cleared, group)
-        whole = polynomials._operator(cleared)
-        assert (fourier.torus.side > 1, whole.torus.side) == (True, 1)
-        rows = [len(operator.torus.coords) * operator.torus.width for operator in (fourier, whole)]
+        fourier = polynomials._operator(cleared)
+        whole = polynomials._whole(cleared)
+        assert (fourier.side > 1, whole.side) == (True, 1)
+        rows = [len(route.coords) * route.width for route in (fourier, whole)]
         assert rows == [cleared.size] * 2
-        assert _bounds(fourier.torus) == _bounds(whole.torus)
+        assert _bounds(fourier) == _bounds(whole)
 
 
 @pytest.mark.parametrize(
@@ -146,7 +144,7 @@ def test_the_bass_form_of_a_larger_cayley_graph_is_that_of_its_untagged_copy(gra
     # U, U+, P and D - A of these graphs are compared with the whole kernel
     # by tests/test_torus_fourier.py
     assert ihara_reciprocal_bass(graph) == ihara_reciprocal_bass(_untagged(graph))
-    assert block_calls == [(graphs._abelian_cover(graph)[1], 2 * graph.num_vertices)]
+    assert block_calls == [(arc_space(graph).cover[1], 2 * graph.num_vertices)]
 
 
 def test_petersen_and_every_bass_companion_take_blocks(block_calls):
@@ -173,7 +171,7 @@ def test_petersen_is_gp_5_2_edge_for_edge():
     petersen, gp = petersen_graph(), generalized_petersen_graph(5, 2)
     assert petersen.adjacency == gp.adjacency
     assert (petersen.family, gp.family) == ("petersen", "gp(5,2)")
-    assert graphs._abelian_cover(petersen) == graphs._abelian_cover(gp)
+    assert arc_space(petersen).cover == arc_space(gp).cover == (1, 5, 2)
 
 
 @pytest.mark.parametrize(
@@ -187,7 +185,7 @@ def test_a_wrong_cover_entry_routes_nothing(cover, monkeypatch, block_calls):
     # are a free orbit of its group, the arcs are not, and no operator on
     # the vertices is invariant under it
     monkeypatch.setitem(graphs._COVERS, "petersen", lambda: cover)
-    assert graphs._abelian_cover(graph) == cover[:2]
+    assert arc_space(graph).cover == cover
     assert _polynomials(graph) == expected
     assert konno_sato_check(graph) == report
     assert block_calls == []
@@ -208,7 +206,7 @@ def test_a_file_tagged_gp_whose_edges_differ_goes_whole(graph, tag, tmp_path, bl
     path = tmp_path / "tagged.json"
     save_graph(graph_from_edges(graph.num_vertices, graph.edges(), family=tag), path)
     tagged = load_graph(path)
-    assert graphs._abelian_cover(tagged) is None
+    assert arc_space(tagged).cover is None
     assert grover_zeta_reciprocal(tagged) == grover_zeta_reciprocal(graph)
     assert ihara_reciprocal_bass(tagged) == ihara_reciprocal_bass(graph)
     assert konno_sato_check(tagged).identities == konno_sato_check(graph).identities
@@ -259,8 +257,8 @@ def test_a_tagged_graph_with_one_edge_rewired_goes_whole(graph, monkeypatch, blo
 
     for name in ("build_family", "graph_from_edges"):
         monkeypatch.setattr(graphs, name, spy(name))
-    assert graphs._abelian_cover(rewired) is None
-    assert graphs._abelian_cover(graph) is not None
+    assert arc_space(rewired).cover is None
+    assert arc_space(graph).cover is not None
     assert built == []
     assert _polynomials(rewired) == _polynomials(untagged)
     assert konno_sato_check(rewired).identities == konno_sato_check(untagged).identities
@@ -275,7 +273,7 @@ def test_a_relabelled_gp_with_its_own_tag_goes_whole(block_calls):
     edges = [(swap.get(i, i), swap.get(j, j)) for i, j in gp.edges()]
     moved = graph_from_edges(14, edges, family="gp(7,2)", vertex_transitive=True)
     assert moved.adjacency != gp.adjacency
-    assert graphs._abelian_cover(moved) is None
+    assert arc_space(moved).cover is None
     # the graphs are isomorphic; only gp under its own labels takes blocks
     assert grover_zeta_reciprocal(moved) == grover_zeta_reciprocal(gp)
     assert block_calls == [(7, 42)]

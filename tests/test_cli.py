@@ -311,12 +311,12 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
-# the steps of one operator record: its group, its route, the one state
-# space that the route builds, and its determinant bound; `_cleared` is
-# spied on too, and never runs, since the walk operators are built as
-# integer records
+# the steps of one operator record: its graph's cover, which its arc space
+# verifies, its route, the one state space that the route builds, and its
+# determinant bound; `_cleared` is spied on too, and never runs, since the
+# walk operators are built as integer records
 _ROUTE_STEPS = [
-    (zetawalk.zeta, "_fourier_group"),
+    (zetawalk.graphs, "_abelian_cover"),
     (zetawalk.polynomials, "_cleared"),
     (zetawalk.polynomials, "_torus_stencil"),
     (zetawalk.polynomials, "_state_space"),
@@ -334,7 +334,7 @@ def test_charpoly_chooses_the_route_of_its_operator_once(
     calls = _count_calls(monkeypatch, targets)
     code, out, err = run_cli(capsys, ["charpoly", "--graph", k4_path, "--matrix", matrix])
     assert (code, err) == (0, "")
-    steps = ["_fourier_group", "_torus_stencil", "_state_space", "_coefficient_bound"]
+    steps = ["_abelian_cover", "_torus_stencil", "_state_space", "_coefficient_bound"]
     assert [name for name in calls if name != "_grover"] == steps
     assert calls.count("_grover") == grovers
     assert out == json.dumps(CHOICES["charpoly", matrix](load_graph(k4_path)), indent=2) + "\n"
@@ -348,7 +348,7 @@ def test_series_chooses_the_route_of_its_operator_once(capsys, monkeypatch, k4_p
     argv = ["series", "--graph", k4_path, "--which", which, "--order", "5", "--json"]
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
-    assert calls == ["_fourier_group", "_torus_stencil", "_state_space"]
+    assert calls == ["_abelian_cover", "_torus_stencil", "_state_space"]
     assert out == json.dumps(CHOICES["series", which](load_graph(k4_path)), indent=2) + "\n"
 
 
@@ -379,23 +379,21 @@ def test_series_refuses_long_counts_before_the_powers(capsys, monkeypatch, k4_pa
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _whole_operator(matrix):
-    return zetawalk.polynomials._operator(zetawalk.polynomials._cleared(matrix))
-
-
 def test_series_digit_check_is_exact_where_the_bound_is_attained():
     # M = (10): Tr M^r = 10^r is the bound itself, with r + 1 digits
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        ten = _whole_operator(RatMatrix.from_rows([[10]]))
+        # a record of a bare matrix has no cover, so it goes whole
+        ten = zetawalk.polynomials._cleared(RatMatrix.from_rows([[10]]))
         counts = cli._trace_counts(ten, 639)
         assert [str(c) for c in counts][-1] == "1" + "0" * 639
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
             cli._trace_counts(ten, 640)
         # M = (1/10): the denominator 10^640 alone is refused
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
-            cli._trace_counts(_whole_operator(RatMatrix.from_rows([[Fraction(1, 10)]])), 640)
+            tenth = zetawalk.polynomials._cleared(RatMatrix.from_rows([[Fraction(1, 10)]]))
+            cli._trace_counts(tenth, 640)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -442,8 +440,8 @@ def test_series_digit_check_passes_counts_that_stay_small_at_any_order(monkeypat
     # 0 or 2N, and no order is refused
     monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda operator, order: "formed")
     g = zetawalk.cycle_graph(5)
-    operator = zetawalk.zeta._arc_operator(g, operators._grover_positive_support)
-    assert cli._trace_counts(operator, 10**9) == "formed"
+    record = operators._grover_positive_support(g, zetawalk.arc_space(g))
+    assert cli._trace_counts(record, 10**9) == "formed"
 
 
 def test_zeta_eval_both_methods_agree(capsys, k4_path):

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -22,6 +23,7 @@ from zetawalk import (
     save_graph,
     torus_graph,
 )
+from zetawalk import graphs
 from zetawalk.graphs import FAMILIES
 
 
@@ -128,6 +130,57 @@ def test_family_parameters_validated():
         build_family("moebius")
 
 
+@pytest.mark.parametrize(
+    "tag, params",
+    [
+        ("hypercube", {"d": 10**9}),
+        ("torus", {"d": 10**9, "N": 3}),
+        ("complete", {"N": 10**9}),
+        ("gp", {"N": 10**9, "k": 3}),
+        ("cycle", {"N": 10**9}),
+    ],
+)
+def test_a_family_past_the_edge_bound_is_refused_before_any_array(tag, params, monkeypatch):
+    # no numpy call can run: an array of the family would fail
+    monkeypatch.setattr(graphs, "np", None)
+    start = time.perf_counter()
+    with pytest.raises(FamilyParameterError, match="more than 1,048,576 edges"):
+        build_family(tag, **params)
+    assert time.perf_counter() - start < 1
+
+
+def test_each_family_bounds_its_exact_edge_count(monkeypatch):
+    counts = []
+    check = graphs._check_edges
+
+    def spy(tag, factor, base, exponent=1):
+        counts.append(factor * base**exponent)
+        return check(tag, factor, base, exponent)
+
+    monkeypatch.setattr(graphs, "_check_edges", spy)
+    for tag, params in [
+        ("cycle", (7,)),
+        ("torus", (3, 4)),
+        ("complete", (6,)),
+        ("gp", (7, 2)),
+        ("hypercube", (4,)),
+        ("petersen", ()),
+    ]:
+        before = len(counts)
+        edges = graphs._EDGES[tag](*params)
+        assert counts[before:] == [len(edges)]
+
+
+def test_the_edge_bound_admits_its_own_count_and_caps_every_power():
+    bound = graphs._MAX_EDGES
+    graphs._check_edges("cycle", 1, bound)
+    # torus(2,724) has 1,048,352 edges and torus(2,725) 1,051,250
+    graphs._check_edges("torus(2,724)", 2, 724, 2)
+    for factor, base, exponent in [(1, bound + 1, 1), (2, 725, 2), (1, 2, 10**18), (3, 10**400, 10**9)]:
+        with pytest.raises(FamilyParameterError):
+            graphs._check_edges("family", factor, base, exponent)
+
+
 def test_family_shapes():
     assert torus_graph(2, 3).num_vertices == 9
     assert torus_graph(2, 3).regular_degree == 4
@@ -164,16 +217,19 @@ def test_arc_space_pairs_inverses():
     g = complete_graph(4)
     arcs = arc_space(g)
     assert arcs.num_arcs == 2 * g.num_edges
-    for e, (o, t) in enumerate(arcs.arcs):
-        back = arcs.inverse[e]
-        assert arcs.arcs[back] == (t, o)
-        assert arcs.inverse[back] == e
+    pairs = list(zip(arcs.origins.tolist(), arcs.termini.tolist()))
+    inverses = arcs.inverses.tolist()
+    for e, (o, t) in enumerate(pairs):
+        back = inverses[e]
+        assert pairs[back] == (t, o)
+        assert inverses[back] == e
         assert back != e
 
 
 def test_arc_space_is_lexicographically_ordered():
     arcs = arc_space(cycle_graph(4))
-    assert list(arcs.arcs) == sorted(arcs.arcs)
+    pairs = list(zip(arcs.origins.tolist(), arcs.termini.tolist()))
+    assert pairs == sorted(pairs)
 
 
 def test_json_round_trip(tmp_path):
@@ -254,4 +310,5 @@ def test_construction_invariants_on_random_connected_graphs(data):
     assert g.betti_number == g.num_edges - g.num_vertices + 1
     arcs = arc_space(g)
     assert arcs.num_arcs == 2 * g.num_edges
-    assert all(arcs.inverse[arcs.inverse[e]] == e for e in range(arcs.num_arcs))
+    inverses = arcs.inverses.tolist()
+    assert all(inverses[inverses[e]] == e for e in range(arcs.num_arcs))

@@ -58,7 +58,8 @@ def test_each_operator_has_one_definition_its_integer_record(graph, name):
     cleared = polynomials._cleared(oracle)
     assert (record.scale, record.size) == (cleared.scale, oracle.rows)
     assert record.entries() == cleared.entries()
-    assert all(array.dtype == np.int64 for array in record[2:])
+    arrays = (record.rows, record.cols, record.values, record.states)
+    assert all(array.dtype == np.int64 for array in arrays)
     # the RatMatrix view, and the public builder, are the dict matrix entry for entry
     views = [record.matrix()] + ([PUBLIC[name](graph, arcs)] if name in PUBLIC else [])
     for view in views:
@@ -87,15 +88,31 @@ def test_each_record_carries_the_states_it_acts_on(graph):
     assert polynomials._cleared(u_record.matrix()).states is None
 
 
+@pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
+def test_each_record_carries_the_cover_of_its_arc_space(graph):
+    arcs = arc_space(graph)
+    # the tagged families are verified covers; the untagged graphs have none
+    assert (arcs.cover is not None) == (graph.family is not None)
+    for name, build in RECORDS.items():
+        # D is built without the arc space, so it has no cover
+        assert build(graph, arcs).cover is (None if name == "D" else arcs.cover)
+    # U+ keeps U's cover, and a record made from a bare matrix has none
+    u_record = operators._grover(graph, arcs)
+    assert operators._positive_support(u_record).cover is u_record.cover
+    assert polynomials._cleared(u_record.matrix()).cover is None
+
+
 def oracle_grover(graph, arcs):
     """Entrywise case table, bypassing the S @ C factorization."""
     entries = []
+    origins, termini = arcs.origins.tolist(), arcs.termini.tolist()
+    inverses = arcs.inverses.tolist()
     for e in range(arcs.num_arcs):
         for f in range(arcs.num_arcs):
-            if arcs.terminus(f) != arcs.origin(e):
+            if termini[f] != origins[e]:
                 continue
-            value = Fraction(2, graph.degree(arcs.terminus(f)))
-            if f == arcs.inverse[e]:
+            value = Fraction(2, graph.degree(termini[f]))
+            if f == inverses[e]:
                 value -= 1
             if value:
                 entries.append((e, f, value))
@@ -157,8 +174,8 @@ def test_shift_is_a_symmetric_involution(graph):
     assert s.is_symmetric()
     assert s @ s == RatMatrix.identity(n)
     assert s.num_nonzero() == n
-    for e in range(n):
-        assert s[e, arcs.inverse[e]] == 1
+    for e, back in enumerate(arcs.inverses.tolist()):
+        assert s[e, back] == 1
 
 
 @pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
@@ -168,7 +185,7 @@ def test_rows_written_directly_are_those_of_the_entry_list_build(graph):
     n = graph.num_vertices
     arcs = arc_space(graph)
     arcs_out = [(i, j) for i, neighbors in enumerate(graph.adjacency) for j in neighbors]
-    inverses = [(e, f, 1) for e, f in enumerate(arcs.inverse)]
+    inverses = [(e, f, 1) for e, f in enumerate(arcs.inverses.tolist())]
     pairs = [
         (adjacency(graph), RatMatrix(n, n, [(i, j, 1) for i, j in arcs_out])),
         (
@@ -206,11 +223,12 @@ def test_grover_coin_block_structure(graph):
     assert c @ c == RatMatrix.identity(n)
     # Arcs into u form one block of (2/deg u) J - I, arcs into distinct
     # vertices never couple, and no zero is stored (the diagonal at degree 2).
+    termini = arcs.termini.tolist()
     blocks = [
-        (e, f, Fraction(2, graph.degree(arcs.terminus(e))) - (e == f))
+        (e, f, Fraction(2, graph.degree(termini[e])) - (e == f))
         for e in range(n)
         for f in range(n)
-        if arcs.terminus(e) == arcs.terminus(f)
+        if termini[e] == termini[f]
     ]
     assert list(c.nonzero_items()) == [entry for entry in blocks if entry[2]]
 
@@ -241,8 +259,8 @@ def test_positive_support_drops_backtracking_when_degree_at_least_three():
     assert {v for _, _, v in up.nonzero_items()} == {Fraction(1)}
     # row sums equal q = degree - 1: one choice per non-reversing continuation
     assert up.row_sums() == [Fraction(2)] * arcs.num_arcs
-    for e in range(arcs.num_arcs):
-        assert up[e, arcs.inverse[e]] == 0
+    for e, back in enumerate(arcs.inverses.tolist()):
+        assert up[e, back] == 0
 
 
 def test_positive_support_keeps_backtracking_at_a_leaf():
@@ -250,8 +268,9 @@ def test_positive_support_keeps_backtracking_at_a_leaf():
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     arcs = arc_space(g)
     up = grover_positive_support(g, arcs)
-    leaf_out = arcs.arc_index[(3, 2)]
-    leaf_in = arcs.arc_index[(2, 3)]
+    pairs = list(zip(arcs.origins.tolist(), arcs.termini.tolist()))
+    leaf_out = pairs.index((3, 2))
+    leaf_in = pairs.index((2, 3))
     assert up[leaf_out, leaf_in] == 1
 
 

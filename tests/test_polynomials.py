@@ -145,7 +145,7 @@ def test_an_operator_clears_denominators_and_its_charpoly_matches_det_i_minus_u(
         m = random_rat_matrix(rng, n)
         operator = polynomials._operator(polynomials._cleared(m))
         scale, coeffs = operator.scale, polynomials._charpolys([operator])[0]
-        assert len(operator.torus.coords) * operator.torus.width == n
+        assert len(operator.coords) * operator.width == n
         assert scale == math.lcm(1, *(v.denominator for _, _, v in m.nonzero_items()))
         assert len(coeffs) == n + 1 and coeffs[0] == 1
         assert all(isinstance(c, int) for c in coeffs)
@@ -523,7 +523,7 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
     graph = torus_graph(2, 4)
     u_mat = grover(graph, arc_space(graph))
     record = operators._grover(graph, arc_space(graph))
-    operator = polynomials._operator(record, polynomials._fourier_group(graph))
+    operator = polynomials._operator(record)
     counts = polynomials._traces(operator, 6)
     assert counts == naive_trace_powers(u_mat, 6)
 

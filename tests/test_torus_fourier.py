@@ -84,38 +84,25 @@ def fourier_calls(monkeypatch):
     return calls
 
 
-def _group(graph):
-    """The verified group of the graph, or None."""
-    return polynomials._fourier_group(graph)
-
-
 def _record(graph, name):
-    """The integer record of the named operator of the graph, with its states."""
+    """The integer record of the named operator of the graph, with its
+    states and its graph's cover."""
     return RECORDS[name](graph, arc_space(graph))
 
 
-def _route(record, group=None):
-    """The kernel record of an integer record on the route that the group
-    and the record's states choose."""
-    return polynomials._operator(record, group)
+def _det_on_route(record):
+    """det(I - uM), M on the route that the record's cover and states choose."""
+    return zeta._reciprocal(polynomials._operator(record), 0)
 
 
-def _det_on_route(record, group):
-    """det(I - uM), M on the route that the group and its states choose."""
-    return zeta._reciprocal(_route(record, group), 0)
-
-
-def _scale_and_coefficients(record, group=None):
-    """L and the C_k of det(I - uM) = sum_k C_k u^k / L^k, on the route that
-    the group and the record's states choose."""
-    operator = _route(record, group)
-    return operator.scale, polynomials._charpolys([operator])[0]
+def _scale_and_coefficients(route):
+    """L and the C_k of det(I - uM) = sum_k C_k u^k / L^k, M on the route."""
+    return route.scale, polynomials._charpolys([route])[0]
 
 
 def _assert_every_operator_gives_its_whole_determinant(graph):
-    group = _group(graph)
     for name, operator in OPERATORS.items():
-        assert _det_on_route(_record(graph, name), group) == det_i_minus_u(operator(graph))
+        assert _det_on_route(_record(graph, name)) == det_i_minus_u(operator(graph))
 
 
 def _cases(sizes, operators):
@@ -140,11 +127,10 @@ def _cayley_cases():
 )
 def test_fourier_route_reproduces_the_generic_kernel(graph, name, fourier_calls):
     record = _record(graph, name)
-    group = _group(graph)
-    fourier = _scale_and_coefficients(record, group)
+    fourier = _scale_and_coefficients(polynomials._operator(record))
     assert fourier_calls == [record.size]
-    assert fourier == _scale_and_coefficients(record)
-    assert _det_on_route(record, group) == det_i_minus_u(OPERATORS[name](graph))
+    assert fourier == _scale_and_coefficients(polynomials._whole(record))
+    assert _det_on_route(record) == det_i_minus_u(OPERATORS[name](graph))
     assert len(fourier_calls) == 2
 
 
@@ -234,27 +220,27 @@ def test_a_tag_of_another_size_is_refused_before_any_graph_is_built(
     for name, edges in list(graphs._EDGES.items()):
         monkeypatch.setitem(graphs._EDGES, name, spying(name, edges))
     graph = _relabelled(torus_graph(2, 4), family)
-    assert graphs._abelian_cover(graph) is None
-    assert _det_on_route(_record(graph, "P"), _group(graph)) == det_i_minus_u(transition(graph))
+    assert arc_space(graph).cover is None
+    assert _det_on_route(_record(graph, "P")) == det_i_minus_u(transition(graph))
     assert built == [] and fourier_calls == []
     # the spy does see the family edges of a tag of the right size
-    assert graphs._abelian_cover(torus_graph(2, 4))[:2] == (2, 4) and built == [("torus", 2, 4)]
+    assert arc_space(torus_graph(2, 4)).cover == (2, 4, 1) and built == [("torus", 2, 4)]
 
 
 def test_the_cover_table_names_the_group_of_each_family():
-    for graph, group in [
-        (torus_graph(3, 4), (3, 4)),
-        (cycle_graph(7), (1, 7)),
-        (complete_graph(5), (1, 5)),
-        (hypercube_graph(3), (3, 2)),
-        (petersen_graph(), (1, 5)),
-        (generalized_petersen_graph(7, 3), (1, 7)),
+    for graph, cover in [
+        (torus_graph(3, 4), (3, 4, 1)),
+        (cycle_graph(7), (1, 7, 1)),
+        (complete_graph(5), (1, 5, 1)),
+        (hypercube_graph(3), (3, 2, 1)),
+        (petersen_graph(), (1, 5, 2)),
+        (generalized_petersen_graph(7, 3), (1, 7, 2)),
     ]:
-        d, side = graphs._abelian_cover(graph)
-        assert (d, side) == group
+        d, side, fibers = arc_space(graph).cover
+        assert (d, side, fibers) == cover
         # element v mod side^d in fiber v div side^d: one fiber on a Cayley graph
         states = operators._vertex_states(graph)
-        element, fiber, _ = polynomials._state_space(_group(graph), states)
+        _, _, element, fiber, _ = polynomials._state_space(d, side, fibers, states)
         divisions = [divmod(v, side**d) for v in range(graph.num_vertices)]
         assert list(zip(fiber.tolist(), element.tolist())) == divisions
     assert set(graphs._COVERS) == set(graphs.FAMILIES)
@@ -296,9 +282,9 @@ def test_a_torus_operator_with_one_perturbed_entry_takes_the_generic_route(
     record = _record(graph, name)
     original = record.matrix()
     matrix = _perturbed(original, kind)
-    # the perturbed matrix on the states of the operator
-    perturbed = polynomials._cleared(matrix)._replace(states=record.states)
-    assert _det_on_route(perturbed, _group(graph)) == det_i_minus_u(matrix)
+    # the perturbed matrix on the states and the cover of the operator
+    perturbed = polynomials._cleared(matrix)._replace(states=record.states, cover=record.cover)
+    assert _det_on_route(perturbed) == det_i_minus_u(matrix)
     assert fourier_calls == []
     assert det_i_minus_u(matrix) != det_i_minus_u(original)
 
@@ -337,12 +323,23 @@ def test_a_whole_matrix_is_its_own_block_mod_each_prime(n, density, low, high):
 
 def test_a_record_without_states_goes_whole_on_a_verified_graph(fourier_calls):
     graph = torus_graph(2, 4)
-    group = _group(graph)
     record = _record(graph, "U")
     stateless = polynomials._cleared(record.matrix())
     assert stateless.states is None and stateless.entries() == record.entries()
-    assert (_route(stateless, group).torus.side, _route(record, group).torus.side) == (1, 4)
-    assert _det_on_route(stateless, group) == _det_on_route(record, group)
+    sides = [polynomials._operator(r).side for r in (stateless, record)]
+    assert sides == [1, 4]
+    assert _det_on_route(stateless) == _det_on_route(record)
+    assert fourier_calls == [64]
+
+
+def test_a_record_with_states_but_no_cover_or_a_cover_but_no_states_goes_whole(fourier_calls):
+    graph = torus_graph(2, 4)
+    record = _record(graph, "U")
+    det = _det_on_route(record)
+    assert fourier_calls == [64]
+    for partial in (record._replace(cover=None), record._replace(states=None)):
+        assert polynomials._operator(partial).side == 1
+        assert _det_on_route(partial) == det
     assert fourier_calls == [64]
 
 
@@ -477,10 +474,10 @@ def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatc
         return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
-    _scale_and_coefficients(_record(graph, "U"), _group(graph))
+    _scale_and_coefficients(polynomials._operator(_record(graph, "U")))
     assert seen and all(p % n == 1 for p in seen)
     assert seen == [polynomials._prime(i, n) for i in range(len(seen))]
-    assert graphs._abelian_cover(graph)[:2] == (d, n)
+    assert arc_space(graph).cover[:2] == (d, n)
 
 
 def _residues(rng, primes, shape, top=False):
@@ -576,17 +573,17 @@ def test_konno_sato_verifies_the_group_once_and_stacks_each_width(monkeypatch, f
 
     counting(graphs, "build_family")
     counting(zeta, "arc_space")
-    counting(zeta, "_fourier_group")
+    counting(graphs, "_abelian_cover")
     counting(zeta, "_operator")
     counting(polynomials, "_hessenberg_charpolys")
     counting(polynomials, "_product_mod")
     assert konno_sato_check(torus_graph(2, 4)).all_hold
-    # no rebuild of the tagged graph, and one arc space, which U and the
-    # group share; the route of each of the four operators chosen once; U
-    # with U+ and P with D - A, one stack each
+    # no rebuild of the tagged graph, and one arc space, which verifies the
+    # cover once for all four records; the route of each of the four
+    # operators chosen once; U with U+ and P with D - A, one stack each
     assert counts == {
         "arc_space": 1,
-        "_fourier_group": 1,
+        "_abelian_cover": 1,
         "_operator": 4,
         "_hessenberg_charpolys": 2,
         "_product_mod": 2,
@@ -619,9 +616,9 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
         polynomials, "_hessenberg_charpolys", lambda a, primes: calls.append(primes) or hessenberg(a, primes)
     )
     assert konno_sato_check(graph) == report
-    cover = graphs._abelian_cover(graph)
+    cover = arc_space(graph).cover
     side, blocks = (cover[1], cover[1] ** cover[0]) if cover else (1, 1)
-    bounds = [polynomials._coefficient_bound(_route(_record(graph, name)).torus) for name in RECORDS]
+    bounds = [polynomials._coefficient_bound(polynomials._whole(_record(graph, name))) for name in RECORDS]
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
     assert len(calls) == rows
     assert all(primes == primes[:1] * blocks for primes in calls)
@@ -663,27 +660,25 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
     # route is tied to it on every size by test_polynomials
     if matrix.rows <= 36:
         assert whole == naive_trace_powers(matrix, 12)
-    group = _group(graph)
-    operator = _route(_record(graph, name), group)
+    operator = polynomials._operator(_record(graph, name))
     # each order takes its own primes, and odd and even orders their own pairing
     for r_max in range(1, 13):
         assert polynomials._traces(operator, r_max) == whole[:r_max]
     # r_max = 1 needs no powers: the arc operators have a zero diagonal
-    assert trace_sides[1:] == [group.side] * 11
+    assert trace_sides[1:] == [arc_space(graph).cover[1]] * 11
 
 
 @pytest.mark.parametrize("name", list(VERTEX_OPERATORS))
 def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(name, trace_sides):
     graph = torus_graph(2, 4)
     matrix = VERTEX_OPERATORS[name](graph)
-    operator = _route(_record(graph, name), _group(graph))
-    torus = operator.torus
+    torus = polynomials._operator(_record(graph, name))
     # the one 1 x 1 entry of each block sums a run of every step of the stencil
     keys, sums = polynomials._fourier_sums(torus, [polynomials._prime(0, 4)])
     assert keys.tolist() == [0] and len(torus.values) > 1 and sums.shape == (1, 16, 1)
     naive = naive_trace_powers(matrix, 12)
     for r_max in range(1, 13):
-        assert polynomials._traces(operator, r_max) == naive[:r_max]
+        assert polynomials._traces(torus, r_max) == naive[:r_max]
     assert set(trace_sides) == {4}
 
 
@@ -738,7 +733,7 @@ def test_block_products_reduce_inside_their_sums():
     pairs = np.array([s * width + s2 for s, s2, _, _ in stencil])
     steps = np.array([z for _, _, z, _ in stencil])
     values = _integers([t for _, _, _, t in stencil])
-    torus = polynomials._Torus(2, np.array([[0], [1]]), width, pairs, steps, values)
+    torus = polynomials._Torus(1, 2, np.array([[0], [1]]), width, pairs, steps, values)
     assert all(16 * ((p - 1) // 2 - 100) * (p - 1) > 2**63 - 1 for p in primes)
     # the whole 32 x 32 matrix from (v, s) to (w, s') is t_ss'(w - v), in
     # Python integers
