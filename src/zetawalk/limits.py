@@ -38,7 +38,8 @@ G^j for each axis j and each axis step of `_grid_classes` checks the
 classes so far times G, both before they allocate, and a step above
 `_MAX_POINTS` is refused with ZetawalkError; no guard forms a power of G
 larger than the one it refuses. A step holds about 24 bytes per point at
-its peak: the summed bits, their sort order and the sorted copy.
+its peak: the summed bits, their sort order and the sorted copy. The same
+bound refuses a `graph_spectrum` whose dense n x n form is larger.
 
 `vertex_factor_coefficients` is the one table of the four Konno-Sato
 vertex factors, in exact integers; the float line `vertex_factor` and the
@@ -77,8 +78,9 @@ __all__ = [
 MIN_GRID = 8
 # grid points per quadrature block; bounds memory, does not change the result
 _BLOCK_POINTS = 2**15
-# the most grid points formed at once; a larger grid is refused before it
-# is allocated (d = 6 on grid 64 forms 26.1M and peaks at 656 MiB RSS)
+# the most grid points formed at once, or entries of a dense spectrum
+# matrix; a larger grid or graph is refused before it is allocated (d = 6
+# on grid 64 forms 26.1M points and peaks at 656 MiB RSS)
 _MAX_POINTS = 2**25
 # how far one absolute error may exceed the one before it and still count
 # as not increasing in `ConvergenceStudy.errors_monotone`
@@ -119,10 +121,16 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, .
     The transition matrix D^-1 A is similar to the symmetric normalization
     D^-1/2 A D^-1/2, so its spectrum is real and is computed from the
     symmetric form. The form is written only at its nonzeros, the arcs and
-    the diagonal, into a zeroed n x n array.
+    the diagonal, into a zeroed n x n array. ZetawalkError, before any array
+    is made, when its n^2 entries are more than `_MAX_POINTS`.
     """
     symmetric_form, _ = _operator(operator)
     n = graph.num_vertices
+    if n * n > _MAX_POINTS:
+        raise ZetawalkError(
+            f"the spectrum of {n:,} vertices needs a dense {n:,} x {n:,} matrix, "
+            f"more than the {_MAX_POINTS:,} entries allowed"
+        )
     origins, termini = _arc_arrays(graph)
     on_arcs, on_diagonal = symmetric_form(
         origins, termini, np.array(graph.degree_profile, dtype=float)

@@ -4,9 +4,10 @@ integer record.
 Vertex-indexed operators: adjacency A, degree D, simple-random-walk
 transition P, combinatorial Laplacian D - A, and the Bass companion
 [[A, I - D], [I, 0]]. Arc-indexed operators: the flip-flop shift S, the
-Grover coin C, the Grover matrix U = S C, and positive supports. The Grover
-coin is the only coin: its projector |a_u><a_u| has entries 1/deg(u), so C
-and U are exactly rational even though a_u itself contains 1/sqrt(deg).
+Grover coin C, the Grover matrix U = S C, and its positive support U+. The
+Grover coin is the only coin: its projector |a_u><a_u| has entries
+1/deg(u), so C and U are exactly rational even though a_u itself contains
+1/sqrt(deg).
 
 Each operator M has one definition, a private builder of its record
 `rational._Cleared`: L, the lcm of the reduced denominators of M, the
@@ -21,9 +22,11 @@ built without the arc space, has none), so the exact kernels route a
 record by the record alone (`polynomials._operator`). L comes from the
 distinct degrees, so it is the same L that `polynomials._cleared` finds. S
 is the arc-reversal permutation and U is C with its rows permuted, so both
-are written straight into their rows: no rational product is formed. The
-public builders return the RatMatrix view of the record
-(`_Cleared.matrix`), each entry Fraction(a, L).
+are written straight into their rows: no rational product is formed. U+
+is read off U's record by `_positive_support`, the one positive support,
+which keeps the entries with L*M > 0. The public builders return the
+read-only RatMatrix view of the record (`_Cleared.matrix`), each entry
+Fraction(a, L).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import ArcSpace, Graph, arc_space
-from .rational import RatMatrix, _Cleared, _integers, positive_support
+from .rational import RatMatrix, _Cleared, _integers
 
 __all__ = [
     "adjacency",
@@ -45,7 +48,6 @@ __all__ = [
     "coin",
     "grover",
     "grover_positive_support",
-    "positive_support",
 ]
 
 

@@ -1,14 +1,14 @@
-"""Exact matrices over big rationals, and their integer records.
+"""Exact rational matrices as read-only views of their integer records.
 
-Matrices are stored sparsely (one dict of nonzero entries per row) and are
-immutable by convention: all operations return new matrices. Neither
-determinants nor traces are taken here: the exact kernels in `polynomials`
-work on a matrix M cleared to integers, the record `_Cleared` of L and the
-nonzero entries of L*M as arrays. The walk operators are built as such
-records (`operators`), each with the place of its states on the graph and
-the graph's cover, which together route it, and `_Cleared.matrix` is their
-RatMatrix view. The product `@` stays as the tests' oracle for operator
-assembly.
+A RatMatrix stores its nonzero entries sparsely (one dict per row) and is
+only read: by index, by its nonzero entries in order, and by equality. Its
+one piece of algebra, the product `@`, has no caller in the library. The
+walk operators are built as integer records `_Cleared` (`operators`): L
+and the nonzero entries of L*M as arrays, with the place of each state on
+the graph and the graph's cover, which together route the record, and
+`_Cleared.matrix` is their RatMatrix view. Neither determinants nor traces
+are taken here: the exact kernels in `polynomials` read a record, and
+clear a RatMatrix handed to them into one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 
 class RatMatrix:
-    """Dense-shaped, sparsely stored matrix with exact rational entries."""
+    """Read-only, sparsely stored matrix with exact rational entries."""
 
     __slots__ = ("rows", "cols", "_rowdata")
 
@@ -39,41 +39,6 @@ class RatMatrix:
             else:
                 self._rowdata[i].pop(j, None)
 
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence]) -> "RatMatrix":
-        rows = len(data)
-        cols = len(data[0])
-        m = cls(rows, cols)
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            rd = m._rowdata[i]
-            for j, value in enumerate(row):
-                value = Fraction(value)
-                if value:
-                    rd[j] = value
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        m = cls(n, n)
-        one = Fraction(1)
-        for i in range(n):
-            m._rowdata[i][i] = one
-        return m
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "RatMatrix":
-        n = len(values)
-        m = cls(n, n)
-        for i, value in enumerate(values):
-            value = Fraction(value)
-            if value:
-                m._rowdata[i][i] = value
-        return m
-
-    # -- access ---------------------------------------------------------
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -89,8 +54,6 @@ class RatMatrix:
     def num_nonzero(self) -> int:
         return sum(len(rd) for rd in self._rowdata)
 
-    # -- algebra --------------------------------------------------------
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -100,36 +63,8 @@ class RatMatrix:
             and self._rowdata == other._rowdata
         )
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        out = RatMatrix(self.rows, self.cols)
-        for i in range(self.rows):
-            rd = dict(self._rowdata[i])
-            for j, value in other._rowdata[i].items():
-                s = rd.get(j, Fraction(0)) + value
-                if s:
-                    rd[j] = s
-                else:
-                    rd.pop(j, None)
-            out._rowdata[i] = rd
-        return out
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (other * Fraction(-1))
-
-    def __neg__(self) -> "RatMatrix":
-        return self * Fraction(-1)
-
-    def __mul__(self, scalar) -> "RatMatrix":
-        scalar = Fraction(scalar)
-        out = RatMatrix(self.rows, self.cols)
-        if scalar:
-            for i, rd in enumerate(self._rowdata):
-                out._rowdata[i] = {j: value * scalar for j, value in rd.items()}
-        return out
-
-    __rmul__ = __mul__
-
+    # no library code multiplies matrices; `@` stays only because the
+    # benchmark tracer (perfbench/tracer.py) wraps it by name at install
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -144,43 +79,8 @@ class RatMatrix:
             out._rowdata[i] = {j: value for j, value in acc.items() if value}
         return out
 
-    def transpose(self) -> "RatMatrix":
-        out = RatMatrix(self.cols, self.rows)
-        for i, rd in enumerate(self._rowdata):
-            for j, value in rd.items():
-                out._rowdata[j][i] = value
-        return out
-
-    def row_sums(self) -> list[Fraction]:
-        return [sum(rd.values(), Fraction(0)) for rd in self._rowdata]
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i, rd in enumerate(self._rowdata):
-            for j, value in rd.items():
-                if self._rowdata[j].get(i, Fraction(0)) != value:
-                    return False
-        return True
-
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, {self.num_nonzero()} nonzero)"
-
-    def _check_same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-
-def positive_support(matrix: RatMatrix) -> RatMatrix:
-    """0/1 matrix marking the strictly positive entries of ``matrix``."""
-    out = RatMatrix(matrix.rows, matrix.cols)
-    one = Fraction(1)
-    # a Fraction's sign is its numerator's, read without a Fraction comparison
-    for i, rd in enumerate(matrix._rowdata):
-        out._rowdata[i] = {j: one for j, value in rd.items() if value.numerator > 0}
-    return out
 
 
 def _integers(values: Sequence[int]) -> np.ndarray:

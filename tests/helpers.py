@@ -14,8 +14,8 @@ off as vertex-transitive. `residue_stack` is the whole matrix mod each
 prime, the stack that the kernel's trivial-group block must reproduce.
 `dict_operators` writes every walk operator entry by entry from its
 definition into RatMatrix dicts, the oracle of the package's integer
-records, and `naive_det_i_minus_u` interpolates det(I - tM) from textbook
-elimination.
+records, U+ through the oracle `positive_support`, and
+`naive_det_i_minus_u` interpolates det(I - tM) from textbook elimination.
 `FAMILIES` and `RANDOM_GRAPHS` are the small graphs the operator tests run
 on.
 """
@@ -35,7 +35,6 @@ from zetawalk import (
     det_i_minus_u,
     graph_from_edges,
     petersen_graph,
-    positive_support,
     torus_graph,
     torus_prefactor,
 )
@@ -50,6 +49,12 @@ def dense(matrix: RatMatrix) -> list[list[Fraction]]:
     return [
         [matrix[i, j] for j in range(matrix.cols)] for i in range(matrix.rows)
     ]
+
+
+def positive_support(matrix: RatMatrix) -> RatMatrix:
+    """0/1 matrix marking the strictly positive entries of ``matrix``."""
+    ones = [(i, j, 1) for i, j, value in matrix.nonzero_items() if value > 0]
+    return RatMatrix(matrix.rows, matrix.cols, ones)
 
 
 def gauss_det(rows: list[list[Fraction]]) -> Fraction:
@@ -126,15 +131,17 @@ def naive_trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
     return tuple(traces)
 
 
-def quadratic_pencil_det(b1: RatMatrix, b2: RatMatrix):
-    """det(I + u B1 + u^2 B2) as det(I - uC) of the 2n x 2n companion matrix.
+def quadratic_pencil_det(b1, b2):
+    """det(I + u B1 + u^2 B2) as det(I - uC) of the 2n x 2n companion matrix,
+    B1 and B2 given as n x n lists or object arrays of rationals.
 
     C = [[-B1, -B2], [I, 0]]; the Schur complement of the lower-right block
     of I - uC is I + u B1 + u^2 B2, so the two determinants are equal.
     """
-    n = b1.rows
-    entries = [(i, j, -value) for i, j, value in b1.nonzero_items()]
-    entries += [(i, n + j, -value) for i, j, value in b2.nonzero_items()]
+    n = len(b1)
+    square = [(i, j) for i in range(n) for j in range(n)]
+    entries = [(i, j, -b1[i][j]) for i, j in square]
+    entries += [(i, n + j, -b2[i][j]) for i, j in square]
     entries += [(n + i, i, 1) for i in range(n)]
     return det_i_minus_u(RatMatrix(2 * n, 2 * n, entries))
 
@@ -295,8 +302,7 @@ def dict_operators(graph: Graph, arcs: ArcSpace) -> dict[str, RatMatrix]:
     degree = graph.degree_profile
     pairs = list(zip(arcs.origins.tolist(), arcs.termini.tolist()))
     termini = arcs.termini.tolist()
-    adjacency = RatMatrix(n, n, [(i, j, 1) for i, j in pairs])
-    degrees = RatMatrix.diagonal(degree)
+    diagonal = list(zip(range(n), range(n), degree))
     shift = RatMatrix(size, size, [(e, f, 1) for e, f in enumerate(arcs.inverses.tolist())])
     coin = RatMatrix(size, size, [
         (e, f, Fraction(2, degree[termini[e]]) - (e == f))
@@ -309,10 +315,10 @@ def dict_operators(graph: Graph, arcs: ArcSpace) -> dict[str, RatMatrix]:
     bass += [(v, n + v, 1 - d) for v, d in enumerate(degree)]
     bass += [(n + v, v, 1) for v in range(n)]
     return {
-        "A": adjacency,
-        "D": degrees,
+        "A": RatMatrix(n, n, [(i, j, 1) for i, j in pairs]),
+        "D": RatMatrix(n, n, diagonal),
         "P": RatMatrix(n, n, [(i, j, Fraction(1, degree[i])) for i, j in pairs]),
-        "D-A": degrees - adjacency,
+        "D-A": RatMatrix(n, n, diagonal + [(i, j, -1) for i, j in pairs]),
         "S": shift,
         "C": coin,
         "U": grover,

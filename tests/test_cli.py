@@ -385,14 +385,14 @@ def test_series_digit_check_is_exact_where_the_bound_is_attained():
     sys.set_int_max_str_digits(640)
     try:
         # a record of a bare matrix has no cover, so it goes whole
-        ten = zetawalk.polynomials._cleared(RatMatrix.from_rows([[10]]))
+        ten = zetawalk.polynomials._cleared(RatMatrix(1, 1, [(0, 0, 10)]))
         counts = cli._trace_counts(ten, 639)
         assert [str(c) for c in counts][-1] == "1" + "0" * 639
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
             cli._trace_counts(ten, 640)
         # M = (1/10): the denominator 10^640 alone is refused
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
-            tenth = zetawalk.polynomials._cleared(RatMatrix.from_rows([[Fraction(1, 10)]]))
+            tenth = zetawalk.polynomials._cleared(RatMatrix(1, 1, [(0, 0, Fraction(1, 10))]))
             cli._trace_counts(tenth, 640)
     finally:
         sys.set_int_max_str_digits(limit)

@@ -16,6 +16,7 @@ from zetawalk import (
     ZetaDomainError,
     ZetawalkError,
     convergence_study,
+    cycle_graph,
     finite_torus_zeta_reciprocal,
     graph_spectrum,
     petersen_graph,
@@ -268,6 +269,21 @@ def test_a_spectrum_whose_size_has_too_many_digits_is_refused_by_the_package():
     # refusal names the first axis step past the bound, 3^16 points
     with pytest.raises(ZetawalkError, match="would form 43,046,721 grid points"):
         torus_spectrum(10000, 3)
+
+
+def test_a_graph_spectrum_past_the_point_bound_is_refused_before_any_array():
+    # 5793^2 is just past 2^25: a dense 5793 x 5793 form would take 268 MB
+    start = time.perf_counter()
+    with pytest.raises(ZetawalkError, match="5,793 x 5,793"):
+        graph_spectrum(cycle_graph(5793))
+    assert time.perf_counter() - start < 1
+
+
+def test_graph_spectrum_refuses_exactly_past_the_point_bound(monkeypatch):
+    monkeypatch.setattr(limits, "_MAX_POINTS", 100)
+    assert len(graph_spectrum(cycle_graph(10))) == 10
+    with pytest.raises(ZetawalkError, match="more than the 100 entries"):
+        graph_spectrum(cycle_graph(11))
 
 
 @pytest.mark.parametrize("n", [4, 6])

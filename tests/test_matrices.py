@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import FAMILIES, RANDOM_GRAPHS, dict_operators
+from helpers import FAMILIES, RANDOM_GRAPHS, dense, dict_operators, positive_support
 from zetawalk import (
     RatMatrix,
     adjacency,
@@ -17,7 +17,6 @@ from zetawalk import (
     grover_positive_support,
     laplacian,
     petersen_graph,
-    positive_support,
     shift,
     transition,
 )
@@ -122,7 +121,7 @@ def oracle_grover(graph, arcs):
 @pytest.mark.parametrize("graph", FAMILIES, ids=lambda g: g.summary())
 def test_adjacency_is_symmetric_binary_with_zero_diagonal(graph):
     a = adjacency(graph)
-    assert a.is_symmetric()
+    assert dense(a) == [list(col) for col in zip(*dense(a))]
     for i in range(graph.num_vertices):
         assert a[i, i] == 0
     assert all(v == 1 for _, _, v in a.nonzero_items())
@@ -131,8 +130,7 @@ def test_adjacency_is_symmetric_binary_with_zero_diagonal(graph):
 
 @pytest.mark.parametrize("graph", FAMILIES, ids=lambda g: g.summary())
 def test_transition_rows_sum_to_one_exactly(graph):
-    p = transition(graph)
-    assert p.row_sums() == [Fraction(1)] * graph.num_vertices
+    assert [sum(row) for row in dense(transition(graph))] == [1] * graph.num_vertices
 
 
 def test_transition_entries_on_cycle_and_complete():
@@ -147,17 +145,16 @@ def test_transition_entries_on_cycle_and_complete():
 
 @pytest.mark.parametrize("graph", FAMILIES, ids=lambda g: g.summary())
 def test_laplacian_annihilates_constants(graph):
-    assert laplacian(graph).row_sums() == [Fraction(0)] * graph.num_vertices
+    assert [sum(row) for row in dense(laplacian(graph))] == [0] * graph.num_vertices
 
 
 @pytest.mark.parametrize(
     "graph", [g for g in FAMILIES if g.is_regular], ids=lambda g: g.summary()
 )
 def test_laplacian_is_degree_times_i_minus_p_when_regular(graph):
-    deg = Fraction(graph.regular_degree)
-    n = graph.num_vertices
-    expected = (RatMatrix.identity(n) - transition(graph)) * deg
-    assert laplacian(graph) == expected
+    eye = np.identity(graph.num_vertices, dtype=object)
+    expected = (eye - np.array(dense(transition(graph)), dtype=object)) * graph.regular_degree
+    assert dense(laplacian(graph)) == expected.tolist()
 
 
 def test_degree_matrix_is_diagonal():
@@ -171,8 +168,8 @@ def test_shift_is_a_symmetric_involution(graph):
     arcs = arc_space(graph)
     s = shift(arcs)
     n = arcs.num_arcs
-    assert s.is_symmetric()
-    assert s @ s == RatMatrix.identity(n)
+    assert dense(s) == [list(col) for col in zip(*dense(s))]
+    assert s @ s == RatMatrix(n, n, [(e, e, 1) for e in range(n)])
     assert s.num_nonzero() == n
     for e, back in enumerate(arcs.inverses.tolist()):
         assert s[e, back] == 1
@@ -210,8 +207,8 @@ def test_grover_matches_entrywise_case_table(graph):
 @pytest.mark.parametrize("graph", FAMILIES, ids=lambda g: g.summary())
 def test_grover_is_exactly_orthogonal(graph):
     arcs = arc_space(graph)
-    u = grover(graph, arcs)
-    assert u.transpose() @ u == RatMatrix.identity(arcs.num_arcs)
+    u = np.array(dense(grover(graph, arcs)), dtype=object)
+    assert (u.T @ u == np.identity(arcs.num_arcs, dtype=object)).all()
 
 
 @pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
@@ -219,8 +216,8 @@ def test_grover_coin_block_structure(graph):
     arcs = arc_space(graph)
     n = arcs.num_arcs
     c = coin(graph, arcs)
-    assert c.is_symmetric()
-    assert c @ c == RatMatrix.identity(n)
+    assert dense(c) == [list(col) for col in zip(*dense(c))]
+    assert c @ c == RatMatrix(n, n, [(e, e, 1) for e in range(n)])
     # Arcs into u form one block of (2/deg u) J - I, arcs into distinct
     # vertices never couple, and no zero is stored (the diagonal at degree 2).
     termini = arcs.termini.tolist()
@@ -239,7 +236,7 @@ def test_grover_entries_on_complete_graph():
     u = grover(g, arcs)
     values = {v for _, _, v in u.nonzero_items()}
     assert values == {Fraction(2, 3), Fraction(-1, 3)}
-    assert all(s == 1 for s in u.row_sums())
+    assert all(sum(row) == 1 for row in dense(u))
 
 
 def test_cycle_grover_is_a_permutation_and_equals_its_support():
@@ -258,7 +255,7 @@ def test_positive_support_drops_backtracking_when_degree_at_least_three():
     up = grover_positive_support(g, arcs)
     assert {v for _, _, v in up.nonzero_items()} == {Fraction(1)}
     # row sums equal q = degree - 1: one choice per non-reversing continuation
-    assert up.row_sums() == [Fraction(2)] * arcs.num_arcs
+    assert [sum(row) for row in dense(up)] == [2] * arcs.num_arcs
     for e, back in enumerate(arcs.inverses.tolist()):
         assert up[e, back] == 0
 
@@ -275,12 +272,15 @@ def test_positive_support_keeps_backtracking_at_a_leaf():
 
 
 def test_positive_support_thresholds_strictly_at_zero():
-    m = RatMatrix.from_rows(
-        [
-            [Fraction(1, 3), Fraction(-1, 3)],
-            [Fraction(0), Fraction(5)],
-        ]
-    )
-    assert positive_support(m) == RatMatrix.from_rows(
-        [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    )
+    # the paw's U holds -1/3 at its degree-3 vertex, 1 at its leaf, and 0,
+    # not stored, on the backtrack through a degree-2 vertex
+    g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    arcs = arc_space(g)
+    record = operators._grover(g, arcs)
+    u = record.matrix()
+    back = [(e, f) for e, f in enumerate(arcs.inverses.tolist()) if g.degree(arcs.origins[e]) == 2]
+    assert back and all(u[e, f] == 0 for e, f in back)
+    assert {Fraction(-1, 3), Fraction(1)} <= {v for _, _, v in u.nonzero_items()}
+    support = operators._positive_support(record)
+    assert support.scale == 1
+    assert support.matrix() == positive_support(u)
