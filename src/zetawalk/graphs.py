@@ -10,11 +10,11 @@ fixed here.
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, islice, starmap
+from operator import gt
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Graph:
-    """Connected simple undirected graph with sorted neighbor lists."""
+    """Connected simple undirected graph with sorted neighbor lists.
+
+    It also carries its 2m arcs, the read-only int64 arrays (origins,
+    termini) in `ArcSpace` order, which `_arc_arrays` hands out; they are
+    outside equality and repr, and are read off the neighbor lists when the
+    constructor is not given them.
+    """
 
     num_vertices: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -38,6 +44,16 @@ class Graph:
     regular_degree: int | None
     family: str | None
     claimed_vertex_transitive: bool
+    _arcs: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._arcs is None:
+            # the neighbor lists are sorted, so they are read in arc order
+            origins = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degree_profile)
+            termini = np.fromiter(chain.from_iterable(self.adjacency), np.int64, len(origins))
+            object.__setattr__(self, "_arcs", (origins, termini))
+        for array in self._arcs:
+            array.flags.writeable = False
 
     @property
     def betti_number(self) -> int:
@@ -98,10 +114,8 @@ class ArcSpace:
 
 def _arc_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The origins and the termini of the 2m arcs in `ArcSpace` order, as
-    int64 arrays: the neighbor lists are sorted, so they are read in order."""
-    origins = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degree_profile)
-    termini = np.fromiter(chain.from_iterable(graph.adjacency), np.int64, len(origins))
-    return origins, termini
+    read-only int64 arrays: those the graph carries."""
+    return graph._arcs
 
 
 def arc_space(graph: Graph) -> ArcSpace:
@@ -114,66 +128,145 @@ def arc_space(graph: Graph) -> ArcSpace:
 
 def graph_from_edges(
     num_vertices: int,
-    edges: Iterable[Sequence[int]],
+    edges: Iterable[Sequence[int]] | np.ndarray,
     family: str | None = None,
     vertex_transitive: bool = False,
 ) -> Graph:
     """Validate an edge list and build an immutable Graph.
 
-    Raises LoopEdgeError, DuplicateEdgeError, or DisconnectedGraphError for
-    the corresponding simplicity/connectivity violations, and
-    GraphFormatError for a vertex outside the range or an empty edge list:
-    every operator of the package needs at least one arc.
+    The edges are (i, j) pairs: an (m, 2) integer array, or an iterable of
+    pairs whose ids are converted as `int` converts them. Raises
+    GraphFormatError for a vertex count below 1, an entry that is not a pair
+    or an empty edge list: every operator of the package needs at least one
+    arc. Then the first edge in input order that breaks a rule raises
+    GraphFormatError for a vertex outside the range, LoopEdgeError for a
+    loop, or DuplicateEdgeError when it was given before in either
+    orientation; and a graph that is not connected raises
+    DisconnectedGraphError.
+
+    Each rule is a few numpy passes over the whole edge array. A connected
+    graph has nu <= m + 1, and until that holds, nothing is sized by the
+    declared vertex count: past m + 1 the vertices that edges touch are
+    numbered apart. The sort that finds duplicates also puts the arcs in
+    `ArcSpace` order, and the graph keeps them.
     """
     if num_vertices < 1:
         raise GraphFormatError(f"vertex count must be positive, got {num_vertices}")
-    seen: set[tuple[int, int]] = set()
-    # only the vertices edges touch: nothing is sized by the declared count
-    # before the connectivity check, since a connected graph has nu <= m + 1
-    neighbor_sets: defaultdict[int, set[int]] = defaultdict(set)
-    for edge in edges:
-        i, j = int(edge[0]), int(edge[1])
-        if not (0 <= i < num_vertices and 0 <= j < num_vertices):
-            raise GraphFormatError(f"edge ({i}, {j}) references a vertex outside 0..{num_vertices - 1}")
-        if i == j:
-            raise LoopEdgeError(f"loop edge ({i}, {j}) is not allowed in a simple graph")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DuplicateEdgeError(f"edge {key} appears more than once")
-        seen.add(key)
-        neighbor_sets[i].add(j)
-        neighbor_sets[j].add(i)
-    if not seen:
+    ids = _edge_ids(edges)
+    if not len(ids):
         raise GraphFormatError("the graph has no edges; at least one is required")
+    # (input position, rule) of the first edge that breaks each rule; each
+    # rule is checked on the edges before those found so far, and located
+    # only when it fails
+    broken = []
+    valid = ids
+    if ids.min() < 0 or ids.max() >= num_vertices:
+        outside = np.flatnonzero(((ids < 0) | (ids >= num_vertices)).any(axis=1))[0]
+        broken.append((outside, "range"))
+        valid = ids[:outside]
+    if num_vertices <= len(ids) + 1:
+        ends, width, zero = valid.astype(np.int64, copy=False), num_vertices, 0
+    else:
+        touched, labels = np.unique(valid, return_inverse=True)
+        ends, width = labels.reshape(-1, 2).astype(np.int64), len(touched)
+        zero = 0 if len(touched) and touched[0] == 0 else None
+    heads, tails = ends[:, 0], ends[:, 1]
+    keys = np.concatenate([heads * width + tails, tails * width + heads])
+    keys.sort()
+    # a loop or a repeated edge repeats an arc
+    if (keys[1:] == keys[:-1]).any():
+        loops = heads == tails
+        if loops.any():
+            loop = int(loops.argmax())
+            broken.append((loop, "loop"))
+            heads, tails = heads[:loop], tails[:loop]
+        edge_keys = np.minimum(heads, tails) * width + np.maximum(heads, tails)
+        repeat = _first_repeat(edge_keys)
+        if repeat is not None:
+            broken.append((repeat, "duplicate"))
+    if broken:
+        position, rule = min(broken)
+        i, j = int(ids[position, 0]), int(ids[position, 1])
+        if rule == "range":
+            raise GraphFormatError(
+                f"edge ({i}, {j}) references a vertex outside 0..{num_vertices - 1}"
+            )
+        if rule == "loop":
+            raise LoopEdgeError(f"loop edge ({i}, {j}) is not allowed in a simple graph")
+        raise DuplicateEdgeError(f"edge {(min(i, j), max(i, j))} appears more than once")
 
-    _require_connected(num_vertices, neighbor_sets)
-
-    adjacency = tuple(tuple(sorted(neighbor_sets[v])) for v in range(num_vertices))
-    degrees = tuple(len(s) for s in adjacency)
-    regular = degrees[0] if len(set(degrees)) == 1 else None
+    # the arcs in `ArcSpace` order, of the touched vertices until connected
+    origins, termini = np.divmod(keys, width)
+    reached = 1 if zero is None else _reached(width, zero, origins, termini)
+    if reached != num_vertices:
+        raise DisconnectedGraphError(
+            f"graph is not connected: reached {reached} of {num_vertices} vertices"
+        )
+    degrees = np.bincount(origins, minlength=num_vertices).tolist()
+    neighbors = iter(termini.tolist())
+    adjacency = tuple(tuple(islice(neighbors, degree)) for degree in degrees)
     return Graph(
         num_vertices=num_vertices,
         adjacency=adjacency,
-        num_edges=len(seen),
-        degree_profile=degrees,
-        regular_degree=regular,
+        num_edges=len(ids),
+        degree_profile=tuple(degrees),
+        regular_degree=degrees[0] if min(degrees) == max(degrees) else None,
         family=family,
         claimed_vertex_transitive=vertex_transitive,
+        _arcs=(origins, termini),
     )
 
 
-def _require_connected(num_vertices: int, neighbor_sets: Mapping[int, set[int]]) -> None:
-    reached = {0}
-    queue = deque([0])
-    while queue:
-        for w in neighbor_sets.get(queue.popleft(), ()):
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != num_vertices:
-        raise DisconnectedGraphError(
-            f"graph is not connected: reached {len(reached)} of {num_vertices} vertices"
-        )
+def _edge_ids(edges: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """The edges as an (m, 2) array of ids: int64, or Python ints in an
+    object array when one of them does not fit int64."""
+    if isinstance(edges, np.ndarray):
+        ids = edges.astype(np.int64, copy=False)
+    else:
+        pairs = edges if isinstance(edges, list) else list(edges)
+        if set(map(len, pairs)) - {2}:
+            raise GraphFormatError("every edge must be an (i, j) pair")
+        try:
+            ids = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+        except OverflowError:
+            ids = np.array(list(map(int, chain.from_iterable(pairs))), dtype=object)
+        ids = ids.reshape(-1, 2)
+    if ids.ndim != 2 or ids.shape[1] != 2:
+        raise GraphFormatError("every edge must be an (i, j) pair")
+    return ids
+
+
+def _first_repeat(keys: np.ndarray) -> int | None:
+    """The least position whose key occurs at an earlier position, or None."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    # a stable sort keeps the first occurrence of each key ahead of its repeats
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    return int(repeats.min()) if len(repeats) else None
+
+
+def _reached(num: int, start: int, origins: np.ndarray, termini: np.ndarray) -> int:
+    """How many of the vertices 0..num-1 the arcs (origins[k], termini[k]),
+    with each arc's inverse among them, join to the vertex `start`, counting
+    itself.
+
+    Hook and compress: every vertex points at a root. Each round points
+    every root at the least root that its arcs reach, then jumps pointers
+    until each vertex points at its root again: a path of pointers is
+    shorter than num, and each jump halves it. The arcs whose ends now share
+    a root are dropped. Pointers only go down, so no cycle forms, and each
+    round joins two components at least, so the rounds end when no arc is
+    left.
+    """
+    root = np.arange(num)
+    while True:
+        np.minimum.at(root, root[origins], root[termini])
+        for _ in range(num.bit_length()):
+            root = root[root]
+        apart = root[origins] != root[termini]
+        if not apart.any():
+            return int(np.count_nonzero(root == root[start]))
+        origins, termini = origins[apart], termini[apart]
 
 
 # -- built-in families ------------------------------------------------------
@@ -210,7 +303,7 @@ def _cycle_edges(n: int) -> np.ndarray:
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n >= 3 vertices (2-regular)."""
-    edges = _cycle_edges(n).tolist()
+    edges = _cycle_edges(n)
     return graph_from_edges(n, edges, family=_tag("cycle", (n,)), vertex_transitive=True)
 
 
@@ -246,7 +339,7 @@ def _torus_edges(d: int, n: int) -> np.ndarray:
 
 def torus_graph(d: int, n: int) -> Graph:
     """d-dimensional discrete torus on n^d vertices (2d-regular); see `check_torus`."""
-    edges = _torus_edges(d, n).tolist()
+    edges = _torus_edges(d, n)
     return graph_from_edges(n**d, edges, family=_tag("torus", (d, n)), vertex_transitive=True)
 
 
@@ -262,7 +355,7 @@ def _complete_edges(n: int) -> np.ndarray:
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on n >= 3 vertices ((n-1)-regular)."""
-    edges = _complete_edges(n).tolist()
+    edges = _complete_edges(n)
     return graph_from_edges(n, edges, family=_tag("complete", (n,)), vertex_transitive=True)
 
 
@@ -287,7 +380,7 @@ def _generalized_petersen_edges(n: int, k: int) -> np.ndarray:
 
 def petersen_graph() -> Graph:
     """The Petersen graph: 10 vertices, 15 edges, 3-regular; gp(5, 2) edge for edge."""
-    edges = _generalized_petersen_edges(5, 2).tolist()
+    edges = _generalized_petersen_edges(5, 2)
     return graph_from_edges(10, edges, family=_tag("petersen", ()), vertex_transitive=True)
 
 
@@ -299,7 +392,7 @@ def generalized_petersen_graph(n: int, k: int) -> Graph:
     Watkins (1971): gp(n, k) is vertex-transitive exactly when
     k^2 = +-1 (mod n) or (n, k) = (10, 2).
     """
-    edges = _generalized_petersen_edges(n, k).tolist()
+    edges = _generalized_petersen_edges(n, k)
     transitive = (k * k) % n in (1, n - 1) or (n, k) == (10, 2)
     return graph_from_edges(
         2 * n, edges, family=_tag("gp", (n, k)), vertex_transitive=transitive
@@ -321,7 +414,7 @@ def _hypercube_edges(d: int) -> np.ndarray:
 
 def hypercube_graph(d: int) -> Graph:
     """d-dimensional hypercube on 2^d vertices (d-regular)."""
-    edges = _hypercube_edges(d).tolist()
+    edges = _hypercube_edges(d)
     return graph_from_edges(1 << d, edges, family=_tag("hypercube", (d,)), vertex_transitive=True)
 
 
@@ -471,22 +564,28 @@ def load_graph(path: str | Path) -> Graph:
         raise GraphFormatError('"vertices" must be an integer')
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of [i, j] pairs')
-    checked = []
-    for entry in edges:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-        ):
-            raise GraphFormatError(f"edge entry {entry!r} is not an [i, j] integer pair")
-        i, j = entry
-        if i > j:
-            raise GraphFormatError(f"edge [{i}, {j}] must be written with i < j")
-        checked.append((i, j))
+    # every entry a list of two ints, i <= j, checked at C speed; the loop
+    # names the first entry that is not, only when one is not
+    if (
+        set(map(type, edges)) - {list}
+        or set(map(len, edges)) - {2}
+        or set(map(type, chain.from_iterable(edges))) - {int}
+        or any(starmap(gt, edges))
+    ):
+        for entry in edges:
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
+            ):
+                raise GraphFormatError(f"edge entry {entry!r} is not an [i, j] integer pair")
+            i, j = entry
+            if i > j:
+                raise GraphFormatError(f"edge [{i}, {j}] must be written with i < j")
     family = payload.get("family")
     if family is not None and not isinstance(family, str):
         raise GraphFormatError('"family" must be a string or null')
     vertex_transitive = payload.get("vertex_transitive", False)
     if not isinstance(vertex_transitive, bool):
         raise GraphFormatError('"vertex_transitive" must be a boolean')
-    return graph_from_edges(vertices, checked, family=family, vertex_transitive=vertex_transitive)
+    return graph_from_edges(vertices, edges, family=family, vertex_transitive=vertex_transitive)

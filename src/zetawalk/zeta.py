@@ -37,8 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap
-from typing import Iterator, Sequence
+from typing import Iterator
+
+import numpy as np
 
 from .errors import (
     NonRegularGraphError,
@@ -48,8 +49,9 @@ from .errors import (
     ZetaDomainError,
     ZetawalkError,
 )
-from .graphs import Graph, arc_space
+from .graphs import Graph, _arc_arrays, arc_space
 from .limits import (
+    _check_dense,
     _prefactor,
     graph_spectrum,
     to_double,
@@ -425,11 +427,16 @@ def spectral_zeta_reciprocal(
 
     Computes (1 - u^2)^((q-1)/2) * exp((1/nu) * sum_lam log arg(lam)) where
     arg is the Konno-Sato vertex factor for the chosen kind ("grover" or
-    "ihara") and route ("transition" or "laplacian"). The graph must be
-    regular and flagged vertex-transitive. Raises ZetaDomainError when
-    1 - u^2 or any factor is not strictly positive.
+    "ihara") and route ("transition" or "laplacian"). The refusals come
+    cheapest first: a graph that is not regular; a dense spectrum form of
+    more than `limits._MAX_POINTS` entries (ZetawalkError); a graph not
+    flagged vertex-transitive, or flagged but refuted by walk-regularity,
+    which costs a pass over the 2-paths; then u beyond the double range, an
+    unknown kind or route, and ZetaDomainError when 1 - u^2 or any factor
+    is not strictly positive.
     """
     _require_regular(graph, "generalized zeta evaluation")
+    _check_dense(graph.num_vertices)
     _require_vertex_transitive(graph, "generalized zeta evaluation")
     q = graph.regular_degree - 1
     u = to_double(u)
@@ -501,31 +508,65 @@ def _require_vertex_transitive(graph: Graph, purpose: str) -> None:
             f"vertex_transitive flag"
         )
     for length, counts in _closed_walk_counts(graph):
-        if min(counts) != max(counts):
+        low, high = int(counts.min()), int(counts.max())
+        if low != high:
             raise NotVertexTransitiveError(
                 f"{purpose} requires a vertex-transitive graph, but the graph "
-                f"flagged vertex_transitive has from {min(counts)} to "
-                f"{max(counts)} closed walks of length {length} at a vertex"
+                f"flagged vertex_transitive has from {low} to {high} closed "
+                f"walks of length {length} at a vertex"
             )
 
 
-def _closed_walk_counts(graph: Graph) -> Iterator[tuple[int, Sequence[int]]]:
-    """(length, closed walks of that length at each vertex) for lengths 2, 3, 4.
+# the most 2-paths formed at once by `_closed_walk_counts`, unless one
+# vertex starts more; bounds memory, does not change the counts
+_PATHS_PER_CHUNK = 2**18
+
+
+def _closed_walk_counts(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
+    """(length, closed walks of that length at each vertex, as int64) for
+    lengths 2, 3, 4.
 
     diag A^2 is the degree sequence; the caller asks for more only when it
-    is constant. With each neighbor set N(w) held as a bitmask, the entry
-    A^2_ww' = |N(w) & N(w')| is a popcount, so diag A^3_v = sum_w A_vw A^2_wv
-    and diag A^4_v = sum_ww' A_vw A^2_ww' A_w'v follow in exact integers from
-    the adjacency lists; in the latter the terms w = w' add up to deg(v)^2
-    and the others come in equal pairs.
+    is constant. The rest works on the graph's arcs, in chunks of origin
+    vertices with at most `_PATHS_PER_CHUNK` 2-paths between them: every
+    2-path v -> w -> x is keyed v nu + x, and the keys are sorted and counted,
+    which gives the entries A^2_vx. Then diag A^3_v = sum_x A^2_vx A_xv adds
+    the counts of the keys whose reverse (x, v) is an arc, and
+    diag A^4_v = sum_x (A^2_vx)^2, in exact integers.
     """
-    yield 2, graph.degree_profile
-    masks = [sum(map((1).__lshift__, neighbors)) for neighbors in graph.adjacency]
-    threes, fours = [], []
-    for mask, neighbors in zip(masks, graph.adjacency):
-        rows = [masks[w] for w in neighbors]
-        threes.append(sum(map(int.bit_count, map(mask.__and__, rows))))
-        pairs = sum(map(int.bit_count, starmap(int.__and__, combinations(rows, 2))))
-        fours.append(len(neighbors) ** 2 + 2 * pairs)
+    nu = graph.num_vertices
+    degrees = np.array(graph.degree_profile, dtype=np.int64)
+    yield 2, degrees
+    origins, termini = _arc_arrays(graph)
+    arc_keys = origins * nu + termini
+    first_arc = degrees.cumsum() - degrees
+    # the 2-paths through each arc, and from each vertex: every vertex of a
+    # connected graph with an edge starts an arc
+    fanout = degrees[termini]
+    paths_to = np.add.reduceat(fanout, first_arc).cumsum()
+    threes = np.zeros(nu, dtype=np.int64)
+    fours = np.zeros(nu, dtype=np.int64)
+    low = 0
+    while low < nu:
+        before = paths_to[low - 1] if low else 0
+        high = max(low + 1, int(paths_to.searchsorted(before + _PATHS_PER_CHUNK, "right")))
+        arcs = slice(first_arc[low], first_arc[high - 1] + degrees[high - 1])
+        counts = fanout[arcs]
+        # the second arc of each 2-path runs over the arcs out of the first's terminus
+        offsets = (first_arc[termini[arcs]] - (counts.cumsum() - counts)).repeat(counts)
+        keys = origins[arcs].repeat(counts) * nu + termini[np.arange(len(offsets)) + offsets]
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        walks = np.bincount(first.cumsum() - 1)
+        v, x = np.divmod(keys[first], nu)
+        reverse = x * nu + v
+        # the last arc key at most the reverse; below every key, index -1
+        # reads the largest, which differs
+        closing = arc_keys[arc_keys.searchsorted(reverse, "right") - 1] == reverse
+        np.add.at(threes, v, walks * closing)
+        np.add.at(fours, v, walks * walks)
+        low = high
     yield 3, threes
     yield 4, fours

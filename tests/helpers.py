@@ -17,18 +17,27 @@ definition into RatMatrix dicts, the oracle of the package's integer
 records, U+ through the oracle `positive_support`, and
 `naive_det_i_minus_u` interpolates det(I - tM) from textbook elimination.
 `FAMILIES` and `RANDOM_GRAPHS` are the small graphs the operator tests run
-on.
+on. `oracle_graph_from_edges` and `oracle_load_graph` validate edge by edge
+with Python sets and a breadth-first search, the oracles of the array
+validation in `graphs`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from collections import defaultdict, deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from zetawalk import (
+    DisconnectedGraphError,
+    DuplicateEdgeError,
+    GraphFormatError,
+    LoopEdgeError,
     RatMatrix,
     complete_graph,
     cycle_graph,
@@ -354,3 +363,85 @@ def random_connected_graph(seed: int) -> Graph:
 
 
 RANDOM_GRAPHS = [random_connected_graph(seed) for seed in range(8)]
+
+
+def oracle_graph_from_edges(num_vertices, edges, family=None, vertex_transitive=False) -> Graph:
+    """`graphs.graph_from_edges` edge by edge: the same refusals, with the
+    same messages, for the first edge in input order that breaks a rule."""
+    if num_vertices < 1:
+        raise GraphFormatError(f"vertex count must be positive, got {num_vertices}")
+    seen = set()
+    neighbor_sets = defaultdict(set)
+    for edge in edges:
+        i, j = int(edge[0]), int(edge[1])
+        if not (0 <= i < num_vertices and 0 <= j < num_vertices):
+            raise GraphFormatError(f"edge ({i}, {j}) references a vertex outside 0..{num_vertices - 1}")
+        if i == j:
+            raise LoopEdgeError(f"loop edge ({i}, {j}) is not allowed in a simple graph")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise DuplicateEdgeError(f"edge {key} appears more than once")
+        seen.add(key)
+        neighbor_sets[i].add(j)
+        neighbor_sets[j].add(i)
+    if not seen:
+        raise GraphFormatError("the graph has no edges; at least one is required")
+    reached = {0}
+    queue = deque([0])
+    while queue:
+        for w in neighbor_sets.get(queue.popleft(), ()):
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    if len(reached) != num_vertices:
+        raise DisconnectedGraphError(
+            f"graph is not connected: reached {len(reached)} of {num_vertices} vertices"
+        )
+    adjacency = tuple(tuple(sorted(neighbor_sets[v])) for v in range(num_vertices))
+    degrees = tuple(len(s) for s in adjacency)
+    return Graph(
+        num_vertices=num_vertices,
+        adjacency=adjacency,
+        num_edges=len(seen),
+        degree_profile=degrees,
+        regular_degree=degrees[0] if len(set(degrees)) == 1 else None,
+        family=family,
+        claimed_vertex_transitive=vertex_transitive,
+    )
+
+
+def oracle_load_graph(path) -> Graph:
+    """`graphs.load_graph` entry by entry, through `oracle_graph_from_edges`."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise GraphFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise GraphFormatError("top-level JSON value must be an object")
+    if "vertices" not in payload or "edges" not in payload:
+        raise GraphFormatError('missing required keys "vertices" and "edges"')
+    vertices = payload["vertices"]
+    edges = payload["edges"]
+    if not isinstance(vertices, int) or isinstance(vertices, bool):
+        raise GraphFormatError('"vertices" must be an integer')
+    if not isinstance(edges, list):
+        raise GraphFormatError('"edges" must be a list of [i, j] pairs')
+    checked = []
+    for entry in edges:
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
+        ):
+            raise GraphFormatError(f"edge entry {entry!r} is not an [i, j] integer pair")
+        i, j = entry
+        if i > j:
+            raise GraphFormatError(f"edge [{i}, {j}] must be written with i < j")
+        checked.append((i, j))
+    family = payload.get("family")
+    if family is not None and not isinstance(family, str):
+        raise GraphFormatError('"family" must be a string or null')
+    vertex_transitive = payload.get("vertex_transitive", False)
+    if not isinstance(vertex_transitive, bool):
+        raise GraphFormatError('"vertex_transitive" must be a boolean')
+    return oracle_graph_from_edges(vertices, checked, family=family, vertex_transitive=vertex_transitive)

@@ -1,9 +1,12 @@
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from helpers import oracle_graph_from_edges, oracle_load_graph
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zetawalk import (
@@ -23,8 +26,8 @@ from zetawalk import (
     save_graph,
     torus_graph,
 )
-from zetawalk import graphs
-from zetawalk.graphs import FAMILIES
+from zetawalk import ZetawalkError, graphs
+from zetawalk.graphs import FAMILIES, Graph, _arc_arrays
 
 
 def test_triangle_basic_counts():
@@ -312,3 +315,160 @@ def test_construction_invariants_on_random_connected_graphs(data):
     assert arcs.num_arcs == 2 * g.num_edges
     inverses = arcs.inverses.tolist()
     assert all(inverses[inverses[e]] == e for e in range(arcs.num_arcs))
+
+
+# ids that pass the int64 range, and the ends of that range
+HUGE_IDS = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30]
+
+
+@st.composite
+def edge_lists(draw):
+    """(declared vertex count, edges): a random connected graph in random
+    order and orientations, with some edges dropped, looped, repeated or
+    given an id out of range, and a declared count that may not match."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=6))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = draw(st.permutations(edges))
+    edges = [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if not edges:
+            break
+        k = draw(st.integers(min_value=0, max_value=len(edges) - 1))
+        i, j = edges[k]
+        change = draw(st.sampled_from(["drop", "loop", "repeat", "reverse", "outside"]))
+        if change == "drop":
+            del edges[k]
+        elif change == "loop":
+            edges.insert(k, (i, i))
+        elif change in ("repeat", "reverse"):
+            later = draw(st.integers(min_value=k + 1, max_value=len(edges)))
+            edges.insert(later, (i, j) if change == "repeat" else (j, i))
+        else:
+            far = draw(st.sampled_from([-1, n, n + 3] + HUGE_IDS))
+            edges[k] = (i, far) if draw(st.booleans()) else (far, j)
+    declared = draw(st.sampled_from([n, n, n, max(n - 1, 1), n + 1, 2**63, 10**30]))
+    return declared, edges
+
+
+def _outcome(build, *args):
+    """The graph built, or the class and message of the refusal."""
+    try:
+        return build(*args)
+    except ZetawalkError as exc:
+        return type(exc), str(exc)
+
+
+def _same_graph(new, old):
+    assert new == old
+    if isinstance(new, Graph):
+        # the oracle's arcs are read off its neighbor lists
+        for ours, theirs in zip(_arc_arrays(new), _arc_arrays(old)):
+            assert ours.dtype == np.int64 and not ours.flags.writeable
+            assert np.array_equal(ours, theirs)
+        assert repr(new) == repr(old)
+
+
+@given(edge_lists(), st.sampled_from(["list", "generator", "array"]))
+@settings(max_examples=300, deadline=None)
+def test_array_validation_matches_the_per_edge_oracle(case, form):
+    declared, edges = case
+    given_edges = edges
+    if form == "generator":
+        given_edges = iter(edges)
+    elif form == "array" and all(-(2**63) <= x < 2**63 for edge in edges for x in edge):
+        given_edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    _same_graph(
+        _outcome(graph_from_edges, declared, given_edges),
+        _outcome(oracle_graph_from_edges, declared, edges),
+    )
+
+
+# an entry of a graph file that the loader refuses, from a valid [i, j]
+ENTRY_CHANGES = [
+    lambda i, j: [j, i],
+    lambda i, j: [True, j],
+    lambda i, j: [i, False],
+    lambda i, j: [i, float(j)],
+    lambda i, j: [float(i), j],
+    lambda i, j: [i],
+    lambda i, j: [i, j, j],
+    lambda i, j: i,
+    lambda i, j: [i, str(j)],
+    lambda i, j: None,
+]
+
+
+@st.composite
+def graph_documents(draw):
+    """A graph file's payload: `edge_lists` written with i <= j, with some
+    entries of the wrong type, length or order, and some keys of the wrong
+    type."""
+    declared, edges = draw(edge_lists())
+    entries = [[min(i, j), max(i, j)] for i, j in edges]
+    if entries:
+        for k in draw(st.sets(st.integers(min_value=0, max_value=len(entries) - 1), max_size=2)):
+            entries[k] = draw(st.sampled_from(ENTRY_CHANGES))(*entries[k])
+    return {
+        "vertices": draw(st.sampled_from([declared] * 6 + [True, float(declared), str(declared)])),
+        "edges": entries,
+        "family": draw(st.sampled_from([None, None, "custom", 7])),
+        "vertex_transitive": draw(st.sampled_from([False, False, True, "yes"])),
+    }
+
+
+@given(graph_documents())
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_loading_matches_the_per_entry_oracle(tmp_path, payload):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    _same_graph(_outcome(load_graph, path), _outcome(oracle_load_graph, path))
+
+
+@pytest.mark.parametrize(
+    "tag, params",
+    [("cycle", (3,)), ("cycle", (10,)), ("torus", (1, 5)), ("torus", (2, 4)), ("torus", (3, 3)),
+     ("complete", (3,)), ("complete", (9,)), ("petersen", ()), ("hypercube", (2,)),
+     ("hypercube", (5,)), ("gp", (3, 1)), ("gp", (12, 5))],
+)
+def test_every_family_and_its_file_build_the_oracle_graph(tmp_path, tag, params):
+    builder = FAMILIES[tag][0]
+    graph = builder(*params)
+    edges = graphs._EDGES[tag](*params)
+    assert edges.dtype == np.int64
+    oracle = oracle_graph_from_edges(
+        graph.num_vertices, edges.tolist(), graph.family, graph.claimed_vertex_transitive
+    )
+    _same_graph(graph, oracle)
+    assert graph.adjacency == oracle.adjacency and graph.degree_profile == oracle.degree_profile
+    path = tmp_path / "family.json"
+    save_graph(graph, path)
+    _same_graph(load_graph(path), oracle_load_graph(path))
+    _same_graph(load_graph(path), graph)
+
+
+def test_the_committed_graph_fixture_loads_to_the_oracle_graph():
+    path = Path(__file__).parent / "fixtures" / "operators" / "leafy.json"
+    _same_graph(load_graph(path), oracle_load_graph(path))
+
+
+def test_edges_that_are_not_pairs_are_refused():
+    for edges in ([(0, 1), (1, 2, 0)], [(0, 1), (1,)], np.zeros((3, 3), dtype=np.int64)):
+        with pytest.raises(GraphFormatError, match="every edge must be an"):
+            graph_from_edges(3, edges)
+
+
+def test_a_long_path_in_scrambled_labels_matches_the_oracle():
+    # labels in random order take the connectivity check through many
+    # hooking rounds and pointer jumps
+    n = 4097
+    labels = np.random.default_rng(5).permutation(n)
+    path = np.stack([labels[:-1], labels[1:]], axis=1)
+    # whole, and without the edge of its last vertex, which is left alone
+    for edges in (path, path[:-1]):
+        oracle = _outcome(oracle_graph_from_edges, n, edges.tolist())
+        _same_graph(_outcome(graph_from_edges, n, edges), oracle)

@@ -5,7 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import dense, frucht_graph, poly_mul, poly_pow, quadratic_pencil_det
+from helpers import (
+    FAMILIES as SMALL_GRAPHS,
+    RANDOM_GRAPHS,
+    dense,
+    frucht_graph,
+    poly_mul,
+    poly_pow,
+    quadratic_pencil_det,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from zetawalk import (
     NonRegularGraphError,
     NotVertexTransitiveError,
@@ -46,7 +56,7 @@ from zetawalk.graphs import FAMILIES
 from zetawalk.limits import vertex_factor_coefficients
 from zetawalk.operators import adjacency, degree_matrix, laplacian, transition
 from zetawalk.polynomials import _charpolys, _cleared, _operator
-from zetawalk.zeta import _require_vertex_transitive, _vertex_side
+from zetawalk.zeta import _closed_walk_counts, _require_vertex_transitive, _vertex_side
 
 PAW = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 DIAMOND = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -426,6 +436,79 @@ def test_every_family_passes_the_walk_regularity_check():
         graph = build_family(tag, **params)
         assert graph.claimed_vertex_transitive
         _require_vertex_transitive(graph, "walk-regularity check")
+
+
+def _walk_diagonals(graph):
+    """diag A^2, A^3 and A^4 from powers of A as an object array of Python ints."""
+    n = graph.num_vertices
+    a = np.zeros((n, n), dtype=object)
+    for v, neighbors in enumerate(graph.adjacency):
+        a[v, list(neighbors)] = 1
+    power, diagonals = a, []
+    for _ in range(3):
+        power = power.dot(a)
+        diagonals.append([int(x) for x in power.diagonal()])
+    return diagonals
+
+
+def _checked_walk_counts(graph):
+    """`_closed_walk_counts` of the graph, checked against `_walk_diagonals`
+    with chunks of every size from one origin vertex up."""
+    expected = _walk_diagonals(graph)
+    for chunk in (1, 5, 64, zeta._PATHS_PER_CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zeta, "_PATHS_PER_CHUNK", chunk)
+            counts = list(_closed_walk_counts(graph))
+        assert [length for length, _ in counts] == [2, 3, 4]
+        for (_, walks), diagonal in zip(counts, expected):
+            assert walks.dtype == np.int64
+            assert walks.tolist() == diagonal
+
+
+def test_closed_walk_counts_equal_the_diagonals_of_adjacency_powers():
+    graphs = SMALL_GRAPHS + RANDOM_GRAPHS + [frucht_graph(), hypercube_graph(4), complete_graph(7)]
+    for graph in graphs:
+        _checked_walk_counts(graph)
+
+
+@st.composite
+def random_graphs(draw):
+    """A random connected graph: a random tree and a random set of chords."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(e), max(e)) for e in draw(st.lists(pairs, max_size=30)) if e[0] != e[1]}
+    return graph_from_edges(n, sorted(edges))
+
+
+@given(random_graphs())
+@settings(max_examples=60, deadline=None)
+def test_closed_walk_counts_on_random_graphs_do_not_depend_on_the_chunks(graph):
+    _checked_walk_counts(graph)
+
+
+def test_spectral_evaluation_refuses_a_dense_spectrum_before_the_walk_check(monkeypatch):
+    def walks(graph):
+        raise AssertionError("the walk-regularity check ran")
+
+    monkeypatch.setattr(zeta, "_closed_walk_counts", walks)
+    # 5793^2 is just past the 2^25 entries of the point bound
+    flagged = cycle_graph(5793)
+    unflagged = graph_from_edges(5793, flagged.edges())
+    for graph in (flagged, unflagged):
+        start = time.perf_counter()
+        with pytest.raises(ZetawalkError, match="needs a dense 5,793 x 5,793 matrix"):
+            spectral_zeta_reciprocal(graph, 0.2)
+        assert time.perf_counter() - start < 1
+    # regularity comes first
+    with pytest.raises(NonRegularGraphError):
+        spectral_zeta_reciprocal(graph_from_edges(5794, list(flagged.edges()) + [(0, 5793)]), 0.2)
+
+
+def test_spectral_evaluation_refuses_a_false_flag_before_u():
+    for u in (float("nan"), 5.0, 10**400):
+        with pytest.raises(NotVertexTransitiveError, match="closed walks of length 3"):
+            spectral_zeta_reciprocal(frucht_graph(), u)
 
 
 def test_spectral_domain_errors():
