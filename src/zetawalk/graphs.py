@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, islice, starmap
-from operator import gt
+from operator import gt, index
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -307,26 +307,43 @@ def cycle_graph(n: int) -> Graph:
     return graph_from_edges(n, edges, family=_tag("cycle", (n,)), vertex_transitive=True)
 
 
-def check_torus(d: int, n: int | None = None) -> None:
+def _integer(value, what: str, error: type = FamilyParameterError) -> int:
+    """`value` as an exact int, numpy integers included; `error` for a bool
+    or any value that is not an integer, 6.0 too, as `load_graph` refuses
+    such vertex ids."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def check_torus(d: int, n: int | None = None) -> tuple[int, int | None]:
     """Refuse a torus dimension below 1 and, when given, a side below 3.
 
-    A side of 2 would collapse the two directions per axis into parallel
-    edges, breaking the simple-graph assumption. The one torus check of the
-    package: the torus graph, its closed-form spectrum and values, and the
-    torus limit all call it.
+    Returns (d, n) as exact ints; a bool or a non-integer dimension or side
+    is refused. A side of 2 would collapse the two directions per axis into
+    parallel edges, breaking the simple-graph assumption. The one torus
+    check of the package: the torus graph, its closed-form spectrum and
+    values, and the torus limit all call it.
     """
+    d = _integer(d, "torus dimension")
     if d < 1:
         raise FamilyParameterError(f"torus dimension must be at least 1, got {d}")
-    if n is not None and n < 3:
-        raise FamilyParameterError(
-            f"torus side must be at least 3 to avoid parallel edges, got {n}"
-        )
+    if n is not None:
+        n = _integer(n, "torus side")
+        if n < 3:
+            raise FamilyParameterError(
+                f"torus side must be at least 3 to avoid parallel edges, got {n}"
+            )
+    return d, n
 
 
 def _torus_edges(d: int, n: int) -> np.ndarray:
     """The edges v ~ v + e_j of the torus, one per vertex and axis; vertex v
     has the base-n digits of v, least significant first, as coordinates."""
-    check_torus(d, n)
+    d, n = check_torus(d, n)
     _check_edges(_tag("torus", (d, n)), d, n, d)
     v = np.arange(n**d)
     ends = []
@@ -339,6 +356,7 @@ def _torus_edges(d: int, n: int) -> np.ndarray:
 
 def torus_graph(d: int, n: int) -> Graph:
     """d-dimensional discrete torus on n^d vertices (2d-regular); see `check_torus`."""
+    d, n = check_torus(d, n)
     edges = _torus_edges(d, n)
     return graph_from_edges(n**d, edges, family=_tag("torus", (d, n)), vertex_transitive=True)
 

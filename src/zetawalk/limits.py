@@ -29,7 +29,19 @@ rows: each row of G points is summed by numpy, as for the full grid. A
 mean is then the exact sum of each log (or row sum) times its multiplicity,
 rounded once by `_weighted_fsum`; `math.fsum` over the full list rounds the
 same exact sum once, so the values are bitwise those of the full
-enumeration, and they do not depend on the block size.
+enumeration, and they do not depend on the block size. Each block is
+evaluated in place in one buffer allocated per call.
+
+The classes depend on the grid alone, not on u, so a u-sweep at a fixed
+grid need not rebuild them: `_grid_classes` keeps them in `_CLASSES` for
+the life of the process, keyed by (k, G), the number of axes and the grid,
+as exact ints. The dimension d is not in the key because it only names the
+torus in a refusal: the side-G torus of dimension d and the limit heads of
+dimension d + 1 read one entry. A refused grid is never stored. The store
+holds at most `_CLASS_BUDGET` classes, 2^20 of 16 bytes each (16 MiB),
+dropping the oldest entries first; a result larger than that is returned
+but not kept. Every caller shares the stored arrays, so they are read-only:
+a write into them raises ValueError instead of corrupting every later value.
 
 There is no cap on d; the torus parameters d >= 1 and side >= 3 are
 checked by `graphs.check_torus`, as for the torus graph. What bounds
@@ -57,7 +69,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ZetaDomainError, ZetawalkError
-from .graphs import Graph, _arc_arrays, check_torus
+from .graphs import Graph, _arc_arrays, _integer, check_torus
 
 __all__ = [
     "ConvergenceRow",
@@ -79,6 +91,12 @@ __all__ = [
 MIN_GRID = 8
 # grid points per quadrature block; bounds memory, does not change the result
 _BLOCK_POINTS = 2**15
+# the most value classes `_CLASSES` holds, 16 bytes each (a float64 value
+# and an int64 count): 16 MiB
+_CLASS_BUDGET = 2**20
+# (k, g) -> the read-only value classes of `_grid_classes(k, g, d)`, oldest
+# first, kept for the life of the process
+_CLASSES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 # the most grid points formed at once, or entries of a dense spectrum
 # matrix; a larger grid or graph is refused before it is allocated (d = 6
 # on grid 64 forms 26.1M points and peaks at 656 MiB RSS)
@@ -159,7 +177,7 @@ def torus_spectrum(d: int, n: int, operator: str = "transition") -> tuple[float,
     at once.
     """
     _, eigenvalue = _operator(operator)
-    check_torus(d, n)
+    d, n = check_torus(d, n)
     return tuple(eigenvalue(_grid_sums(d, n), d).tolist())
 
 
@@ -206,7 +224,14 @@ def _grid_classes(k: int, g: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     int64; ZetawalkError, naming the torus dimension d, when g^k does not fit
     that count or a step would form more than `_MAX_POINTS` points. With
     g >= 2, every k >= 63 is refused without forming g^k.
+
+    The classes do not depend on d, so they are looked up in `_CLASSES` by
+    (k, g) alone, built on a miss and kept there read-only (`_keep`); a
+    refused grid is never kept, so it refuses again.
     """
+    classes = _CLASSES.get((k, g))
+    if classes is not None:
+        return classes
     if k >= 63 or g**k >= 2**63:
         raise ZetawalkError(
             f"a grid of {g}^{k} points has more points than a 64-bit count holds"
@@ -229,7 +254,22 @@ def _grid_classes(k: int, g: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         # point i * g + j of the step has the count of class i
         order //= g
         counts = np.add.reduceat(counts[order], starts)
+    values.flags.writeable = False
+    counts.flags.writeable = False
+    _keep((k, g), values, counts)
     return values, counts
+
+
+def _keep(key: tuple[int, int], values: np.ndarray, counts: np.ndarray) -> None:
+    """Store the classes of `key` in `_CLASSES`, dropping the oldest entries
+    until the classes held are at most `_CLASS_BUDGET`; classes larger than
+    the whole budget are not kept."""
+    if values.size > _CLASS_BUDGET:
+        return
+    held = values.size + sum(kept.size for kept, _ in _CLASSES.values())
+    while held > _CLASS_BUDGET:
+        held -= _CLASSES.pop(next(iter(_CLASSES)))[0].size
+    _CLASSES[key] = values, counts
 
 
 _HALF_BITS = 26
@@ -362,7 +402,7 @@ def finite_torus_zeta_reciprocal(d: int, n: int, u: float, which: str = "grover"
     of log factor(lambda)) for the chosen kind. Raises ZetaDomainError
     outside the positivity domain or beyond the double range.
     """
-    check_torus(d, n)
+    d, n = check_torus(d, n)
     u = to_double(u)
     a, b, prefactor = _check_domain(d, u, which)
     values, counts = _grid_classes(d, n, d)
@@ -380,21 +420,25 @@ def torus_limit_log_mean(d: int, u: float, which: str = "grover", grid: int = 64
     Raises ZetaDomainError, before any grid work, where 1 - u^2 or a factor
     is not positive.
     """
-    a, b, _ = _check_limit(d, u, which, grid)
+    d, grid, a, b, _ = _check_limit(d, u, which, grid)
     return _grid_log_mean(d, a, b, grid)
 
 
-def _check_limit(d: int, u: float, which: str, grid: int) -> tuple[float, float, float]:
-    """`_check_domain` of the torus limit, after its other checks.
+def _check_limit(
+    d: int, u: float, which: str, grid: int
+) -> tuple[int, int, float, float, float]:
+    """d and the grid as exact ints, then `_check_domain` of the torus limit.
 
     The one order of refusals of both limit entry points: u as a double
-    (`to_double`), then d and the grid, then the domain.
+    (`to_double`), then d and the grid, then the domain. A grid that is not
+    an integer is refused, so 64.0 never stands for 64.
     """
     u = to_double(u)
-    check_torus(d)
+    d, _ = check_torus(d)
+    grid = _integer(grid, "grid", ZetawalkError)
     if grid < MIN_GRID:
         raise ZetawalkError(f"grid must be at least {MIN_GRID}, got {grid}")
-    return _check_domain(d, u, which)
+    return d, grid, *_check_domain(d, u, which)
 
 
 def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
@@ -410,10 +454,19 @@ def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
     heads, counts = _grid_classes(d - 1, grid, d)
     axis = _grid_sums(1, grid)
     rows = max(1, _BLOCK_POINTS // grid)
+    # every block is evaluated in place in one buffer, with the operands of
+    # log(a + b * ((head + axis) / d)) in that order, so each value rounds
+    # as it does written out
+    block = np.empty((min(rows, heads.size), grid))
     row_sums = np.empty(heads.size)
     for start in range(0, heads.size, rows):
-        lams = (heads[start:start + rows, None] + axis) / d
-        row_sums[start:start + rows] = np.log(a + b * lams).sum(axis=1)
+        head = heads[start:start + rows, None]
+        lams = block[:head.shape[0]]
+        np.add(head, axis, out=lams)
+        np.divide(lams, d, out=lams)
+        np.multiply(b, lams, out=lams)
+        np.add(a, lams, out=lams)
+        row_sums[start:start + rows] = np.log(lams, out=lams).sum(axis=1)
     return _weighted_fsum(row_sums, counts) / float(grid**d)
 
 
@@ -437,7 +490,7 @@ def torus_limit_terms(
 
     u is converted, and the prefactor computed, once for both.
     """
-    a, b, prefactor = _check_limit(d, u, which, grid)
+    d, grid, a, b, prefactor = _check_limit(d, u, which, grid)
     return prefactor * math.exp(_grid_log_mean(d, a, b, grid)), prefactor
 
 
@@ -486,14 +539,16 @@ def convergence_study(
         raise ZetawalkError(f"sides must be strictly increasing, got {sides}")
     if reference_grid is None:
         reference_grid = 4 * max(sides)
+    else:
+        reference_grid = _integer(reference_grid, "reference grid", ZetawalkError)
     if reference_grid < 4 * max(sides):
         raise ZetawalkError(
             f"reference grid {reference_grid} must be at least four times "
             f"the largest side ({4 * max(sides)})"
         )
     u = to_double(u)
-    for n in sides:
-        check_torus(d, n)
+    d, _ = check_torus(d)
+    sides = [check_torus(d, n)[1] for n in sides]
     reference = torus_limit_zeta_reciprocal(d, u, which, reference_grid)
     rows = []
     for n in sides:

@@ -489,6 +489,8 @@ def test_parameter_validation():
         (0, 2.0, 4, FamilyParameterError, "torus dimension"),
         (2, 2.0, 4, ZetawalkError, "grid must be at least 8"),
         (2, 2.0, 8, ZetaDomainError, "prefactor base"),
+        (2.0, 2.0, 4, FamilyParameterError, "torus dimension must be an integer"),
+        (2, 2.0, 8.0, ZetawalkError, "grid must be an integer"),
     ],
 )
 def test_both_limit_entry_points_refuse_in_one_order(limit, d, u, grid, error, message):
@@ -571,3 +573,174 @@ def test_convergence_study_checks_every_side_before_the_reference(monkeypatch):
     monkeypatch.setattr(limits, "torus_limit_zeta_reciprocal", forbidden)
     with pytest.raises(FamilyParameterError, match="got 2"):
         convergence_study(4, 0.1, [2, 40])
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """An empty class store of `_grid_classes`, for this test alone."""
+    fresh = {}
+    monkeypatch.setattr(limits, "_CLASSES", fresh)
+    return fresh
+
+
+def test_a_second_call_returns_the_stored_arrays(store):
+    values, counts = limits._grid_classes(3, 16, 4)
+    again = limits._grid_classes(3, 16, 4)
+    assert again[0] is values and again[1] is counts
+    assert list(store) == [(3, 16)]
+
+
+def test_stored_classes_are_read_only(store):
+    torus_limit_log_mean(3, 0.2, grid=16)
+    ((values, counts),) = store.values()
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+    with pytest.raises(ValueError):
+        counts[0] = 2
+    assert limits._grid_classes(2, 16, 3)[0] is values
+
+
+def test_a_finite_torus_and_the_limit_one_dimension_up_share_one_entry(store):
+    # the d = 3 torus of side 16 has the value classes of the d = 4 limit's
+    # heads on grid 16: one entry, built once
+    finite_torus_zeta_reciprocal(3, 16, 0.1)
+    ((key, classes),) = store.items()
+    assert key == (3, 16) and all(type(x) is int for x in key)
+    torus_limit_log_mean(4, 0.1, grid=16)
+    assert list(store.items()) == [(key, classes)]
+
+
+@pytest.mark.parametrize(
+    "evaluate, message",
+    [
+        (lambda: torus_limit_log_mean(3, 0.1, grid=20000), "would form"),
+        (lambda: finite_torus_zeta_reciprocal(3, 20000, 0.05), "would form"),
+        (lambda: finite_torus_zeta_reciprocal(21, 8, 0.01), "64-bit count"),
+    ],
+)
+def test_a_refused_grid_is_not_stored_and_refuses_again(store, evaluate, message):
+    for _ in range(2):
+        with pytest.raises(ZetawalkError, match=message):
+            evaluate()
+        assert not store
+
+
+def test_the_store_keeps_within_its_budget_and_drops_the_oldest_first(store, monkeypatch):
+    keys = [(1, 16), (1, 32), (2, 8), (1, 64), (1, 9), (2, 9)]
+    sizes = {key: limits._grid_classes(*key, key[0] + 1)[0].size for key in keys}
+    store.clear()
+    budget = 80
+    assert max(sizes.values()) <= budget < sum(sizes.values())
+    monkeypatch.setattr(limits, "_CLASS_BUDGET", budget)
+    for i, key in enumerate(keys):
+        limits._grid_classes(*key, key[0] + 1)
+        held = list(store)
+        assert sum(values.size for values, _ in store.values()) <= budget
+        # what is held is the newest entries, as many as the budget allows
+        assert held == keys[i + 1 - len(held):i + 1]
+        if len(held) <= i:
+            assert sum(sizes[k] for k in keys[i - len(held):i + 1]) > budget
+
+
+def test_classes_larger_than_the_budget_are_returned_but_not_kept(store, monkeypatch):
+    small = limits._grid_classes(1, 16, 2)
+    monkeypatch.setattr(limits, "_CLASS_BUDGET", small[0].size)
+    values, counts = limits._grid_classes(2, 16, 3)
+    assert values.size > small[0].size
+    assert list(store.items()) == [((1, 16), small)]
+    assert limits._grid_classes(2, 16, 3)[0] is not values
+
+
+SWEEP = (-0.5, 0.0, 0.2, 0.6, 0.95)
+
+
+@pytest.mark.parametrize("d, grid", ORACLE_CASES)
+def test_values_from_an_empty_store_are_bitwise_those_from_a_warm_one(store, d, grid):
+    def values(which, u):
+        edge = 1.0 if which == "grover" else 1.0 / (2 * d - 1)
+        found = [torus_limit_log_mean(d, u * edge, which, grid),
+                 torus_limit_terms(d, u * edge, which, grid)]
+        if grid**d < 2**20:
+            found.append(finite_torus_zeta_reciprocal(d, grid, u * edge, which))
+        return found
+
+    for which in ("grover", "ihara"):
+        cold = []
+        for u in SWEEP:
+            store.clear()
+            cold.append(values(which, u))
+        assert (d - 1, grid) in store
+        assert [values(which, u) for u in SWEEP] == cold
+
+
+@pytest.mark.parametrize("d, grid, rows", [(2, 31, 5), (3, 16, 10), (4, 15, 11), (3, 64, 100)])
+def test_a_partial_last_block_keeps_the_full_grid_value(monkeypatch, d, grid, rows):
+    heads = limits._grid_classes(d - 1, grid, d)[0].size
+    assert heads > rows and heads % rows != 0
+    monkeypatch.setattr(limits, "_BLOCK_POINTS", rows * grid)
+    for which, u in (("grover", 0.3), ("ihara", -0.2 / (2 * d - 1))):
+        assert torus_limit_log_mean(d, u, which, grid) == full_grid_log_mean(d, u, which, grid)
+
+
+@pytest.mark.parametrize(
+    "evaluate, error, message",
+    [
+        pytest.param(lambda: torus_limit_log_mean(2.0, 0.1), FamilyParameterError,
+            "torus dimension must be an integer, got 2.0", id="limit-d-2.0"),
+        pytest.param(lambda: torus_limit_terms(True, 0.1), FamilyParameterError,
+            "torus dimension must be an integer, got True", id="terms-d-True"),
+        pytest.param(lambda: finite_torus_zeta_reciprocal(2.0, 6, 0.1), FamilyParameterError,
+            "torus dimension must be an integer, got 2.0", id="finite-d-2.0"),
+        pytest.param(lambda: finite_torus_zeta_reciprocal(2, 6.0, 0.1), FamilyParameterError,
+            "torus side must be an integer, got 6.0", id="finite-side-6.0"),
+        pytest.param(lambda: finite_torus_zeta_reciprocal(True, 6, 0.1), FamilyParameterError,
+            "torus dimension must be an integer, got True", id="finite-d-True"),
+        pytest.param(lambda: torus_spectrum(2, 6.0), FamilyParameterError,
+            "torus side must be an integer, got 6.0", id="spectrum-side-6.0"),
+        pytest.param(lambda: torus_spectrum(2, np.float64(6)), FamilyParameterError,
+            "torus side must be an integer", id="spectrum-side-float64"),
+        pytest.param(lambda: torus_graph(2, 6.0), FamilyParameterError,
+            "torus side must be an integer, got 6.0", id="graph-side-6.0"),
+        pytest.param(lambda: torus_graph(True, 6), FamilyParameterError,
+            "torus dimension must be an integer, got True", id="graph-d-True"),
+        pytest.param(lambda: torus_limit_log_mean(2, 0.1, grid=10.5), ZetawalkError,
+            "grid must be an integer, got 10.5", id="grid-10.5"),
+        pytest.param(lambda: torus_limit_zeta_reciprocal(2, 0.1, grid=64.0), ZetawalkError,
+            "grid must be an integer, got 64.0", id="grid-64.0"),
+        pytest.param(lambda: torus_limit_log_mean(2, 0.1, grid=np.True_), ZetawalkError,
+            "grid must be an integer", id="grid-numpy-bool"),
+        pytest.param(lambda: convergence_study(2, 0.1, [4, 8], reference_grid=64.0), ZetawalkError,
+            "reference grid must be an integer, got 64.0", id="reference-grid-64.0"),
+        pytest.param(lambda: convergence_study(2.0, 0.1, [4, 8]), FamilyParameterError,
+            "torus dimension must be an integer, got 2.0", id="converge-d-2.0"),
+        pytest.param(lambda: convergence_study(2, 0.1, [4, 8.0]), FamilyParameterError,
+            "torus side must be an integer, got 8.0", id="converge-side-8.0"),
+    ],
+)
+def test_torus_parameters_that_are_not_integers_are_refused_before_any_work(
+    monkeypatch, evaluate, error, message
+):
+    def forbidden(g):
+        raise AssertionError("a grid axis was formed")
+
+    monkeypatch.setattr(limits, "_axis_terms", forbidden)
+    with pytest.raises(error, match=message):
+        evaluate()
+
+
+def test_a_float_grid_never_reads_the_entry_of_its_integer(store):
+    torus_limit_log_mean(2, 0.1, grid=64)
+    assert list(store) == [(1, 64)]
+    with pytest.raises(ZetawalkError, match="grid must be an integer"):
+        torus_limit_log_mean(2, 0.1, grid=64.0)
+
+
+def test_numpy_integer_torus_parameters_are_taken_at_their_value():
+    d, n, grid = np.int64(3), np.int32(8), np.int64(16)
+    assert torus_limit_log_mean(d, 0.2, grid=grid) == torus_limit_log_mean(3, 0.2, grid=16)
+    assert finite_torus_zeta_reciprocal(d, n, 0.2) == finite_torus_zeta_reciprocal(3, 8, 0.2)
+    assert torus_spectrum(d, n) == torus_spectrum(3, 8)
+    assert torus_graph(d, n) == torus_graph(3, 8)
+    study = convergence_study(d, 0.2, [n], reference_grid=np.int64(32))
+    assert type(study.d) is int and type(study.reference_grid) is int
+    assert type(study.rows[0].n) is int
