@@ -68,11 +68,11 @@ class Graph:
         return self.degree_profile[v]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Undirected edges as (i, j) with i < j, lexicographic."""
-        for i, neighbors in enumerate(self.adjacency):
-            for j in neighbors:
-                if i < j:
-                    yield (i, j)
+        """Undirected edges as (i, j) with i < j, lexicographic: the arcs
+        with origin below terminus, which come in that order."""
+        origins, termini = self._arcs
+        outward = origins < termini
+        return zip(origins[outward].tolist(), termini[outward].tolist())
 
     def summary(self) -> str:
         name = self.family if self.family is not None else "custom"
@@ -278,6 +278,18 @@ def _tag(name: str, params: Sequence[int]) -> str:
     return f"{name}({','.join(map(str, params))})" if params else name
 
 
+def _integer(value, what: str, error: type = FamilyParameterError) -> int:
+    """`value` as an exact int, numpy integers included; `error` for a bool
+    or any value that is not an integer, 6.0 too, as `load_graph` refuses
+    such vertex ids."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 # the most edges of a family graph, checked before any array is made
 _MAX_EDGES = 2**20
 
@@ -292,6 +304,7 @@ def _check_edges(tag: str, factor: int, base: int, exponent: int = 1) -> None:
 
 def _cycle_edges(n: int) -> np.ndarray:
     """The edges i ~ i + 1 mod n of the cycle, as an (n, 2) int64 array."""
+    n = _integer(n, "cycle N")
     if n < 3:
         raise FamilyParameterError(
             f"cycle needs N >= 3, got {n}: N <= 2 would create a loop or parallel edges"
@@ -303,20 +316,9 @@ def _cycle_edges(n: int) -> np.ndarray:
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n >= 3 vertices (2-regular)."""
+    n = _integer(n, "cycle N")
     edges = _cycle_edges(n)
     return graph_from_edges(n, edges, family=_tag("cycle", (n,)), vertex_transitive=True)
-
-
-def _integer(value, what: str, error: type = FamilyParameterError) -> int:
-    """`value` as an exact int, numpy integers included; `error` for a bool
-    or any value that is not an integer, 6.0 too, as `load_graph` refuses
-    such vertex ids."""
-    if not isinstance(value, bool):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def check_torus(d: int, n: int | None = None) -> tuple[int, int | None]:
@@ -363,6 +365,7 @@ def torus_graph(d: int, n: int) -> Graph:
 
 def _complete_edges(n: int) -> np.ndarray:
     """Every pair i < j of the n vertices."""
+    n = _integer(n, "complete graph n")
     if n < 3:
         raise FamilyParameterError(
             f"complete graph needs n >= 3, got {n}: n = 2 is a tree with trivial zeta"
@@ -373,6 +376,7 @@ def _complete_edges(n: int) -> np.ndarray:
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on n >= 3 vertices ((n-1)-regular)."""
+    n = _integer(n, "complete graph n")
     edges = _complete_edges(n)
     return graph_from_edges(n, edges, family=_tag("complete", (n,)), vertex_transitive=True)
 
@@ -384,6 +388,7 @@ def _generalized_petersen_edges(n: int, k: int) -> np.ndarray:
     Needs n >= 3 and 1 <= k < n / 2: k = n / 2 would give the inner vertices
     parallel edges.
     """
+    n, k = _integer(n, "generalized Petersen N"), _integer(k, "generalized Petersen k")
     if n < 3 or not 1 <= k < n / 2:
         raise FamilyParameterError(
             f"generalized Petersen graph needs N >= 3 and 1 <= k < N/2, got N = {n}, k = {k}"
@@ -410,6 +415,7 @@ def generalized_petersen_graph(n: int, k: int) -> Graph:
     Watkins (1971): gp(n, k) is vertex-transitive exactly when
     k^2 = +-1 (mod n) or (n, k) = (10, 2).
     """
+    n, k = _integer(n, "generalized Petersen N"), _integer(k, "generalized Petersen k")
     edges = _generalized_petersen_edges(n, k)
     transitive = (k * k) % n in (1, n - 1) or (n, k) == (10, 2)
     return graph_from_edges(
@@ -419,6 +425,7 @@ def generalized_petersen_graph(n: int, k: int) -> Graph:
 
 def _hypercube_edges(d: int) -> np.ndarray:
     """The edges v ~ v xor 2^b with v < v xor 2^b."""
+    d = _integer(d, "hypercube d")
     if d < 2:
         raise FamilyParameterError(
             f"hypercube needs d >= 2, got {d}: d = 1 is a single edge (a tree)"
@@ -432,6 +439,7 @@ def _hypercube_edges(d: int) -> np.ndarray:
 
 def hypercube_graph(d: int) -> Graph:
     """d-dimensional hypercube on 2^d vertices (d-regular)."""
+    d = _integer(d, "hypercube d")
     edges = _hypercube_edges(d)
     return graph_from_edges(1 << d, edges, family=_tag("hypercube", (d,)), vertex_transitive=True)
 

@@ -2,12 +2,12 @@
 
 Both kernels read one record, `_Torus`: a square rational matrix M as the
 integer matrix L*M, L the lcm of its reduced denominators, on its route.
-`_operator(record)` is the one place that chooses the route. It takes M as
-the integer record `rational._Cleared`, which routes itself: the walk
-operators are built as such records, each with the place of its states on
-the graph and the graph's cover (`operators`), and `_cleared` makes one
-with neither from a RatMatrix only for the public `det_i_minus_u` and
-`trace_powers`.
+`_operator(matrix)` is the one place that chooses the route. A
+`rational.RatMatrix` already holds L and L*M, and a walk operator also
+holds the place of its states on the graph and the graph's cover
+(`operators`), so it routes itself. The public `det_i_minus_u` and
+`trace_powers` take every matrix whole (`_whole`), even a walk operator,
+so they stay the oracle of the routes.
 
 Every exact determinant in the package is det(I - u*M), computed by
 `_charpolys` as integer coefficients C_k of u^k / L^k and divided out by
@@ -25,7 +25,7 @@ residues (von zur Gathen and Gerhard, Modern Computer Algebra, chapter 5).
 
 There is one path to the residues. A graph's arc space verifies its cover
 once (`graphs.ArcSpace.cover`, `graphs._abelian_cover`), and `_operator`
-routes each record built from it by that cover and the record's states. On
+routes each operator built from it by that cover and its states. On
 a family of the table `graphs._COVERS` the group Z_side^d acts freely on
 the graph, which is then a cover of a base graph with F fibers: the Cayley
 graphs torus(d, N), cycle(N), complete(n) and hypercube(d) of Z_side^d for
@@ -40,8 +40,8 @@ is read. If L*M is invariant on its states, with entry t_ss'(h - g) from
 state (g, s) to (h, s'), then modulo a prime p = 1 (mod side) with a
 primitive side-th root of unity omega, det(xI - L*M) is the product over k
 in Z_side^d of the characteristic polynomials of the w x w blocks
-sum_z t_ss'(z) omega^(k.z), w the kinds. Every other matrix, every record
-without states or cover, and so every one of the public
+sum_z t_ss'(z) omega^(k.z), w the kinds. Every other matrix, every matrix
+without states or cover, and every one of the public
 `det_i_minus_u(matrix)`, is the one n x n block of the trivial group
 (side 1, omega = 1, `_whole`) and takes the odd primes. The blocks of every
 prime of the matrices of one width (U with U+, or P with D - A), or of one
@@ -86,7 +86,7 @@ import numpy as np
 
 from .errors import ZetawalkError
 from .modular import _crt, _hessenberg_charpolys, _product_mod
-from .rational import RatMatrix, _Cleared, _integers
+from .rational import RatMatrix
 
 
 class Poly:
@@ -214,8 +214,7 @@ def det_i_minus_u(matrix: RatMatrix) -> Poly:
     """Exact polynomial det(I - u*M) for a square rational matrix M."""
     if matrix.rows != matrix.cols:
         raise ZetawalkError("det(I - u*M) requires a square matrix")
-    operator = _operator(_cleared(matrix))
-    return _unscaled(operator.scale, _charpolys([operator])[0])
+    return _unscaled(matrix.scale, _charpolys([_whole(matrix)])[0])
 
 
 def _unscaled(scale: int, coeffs: list[int]) -> Poly:
@@ -223,10 +222,10 @@ def _unscaled(scale: int, coeffs: list[int]) -> Poly:
     return Poly(Fraction(c, scale**k) for k, c in enumerate(coeffs))
 
 
-def _operator(record: _Cleared) -> _Torus:
-    """The route of the matrix of the record: its stencil on the group of
-    its cover (`_torus_stencil`), or else the whole matrix (`_whole`)."""
-    return _torus_stencil(record) or _whole(record)
+def _operator(matrix: RatMatrix) -> _Torus:
+    """The route of the matrix: its stencil on the group of its cover
+    (`_torus_stencil`), or else the whole matrix (`_whole`)."""
+    return _torus_stencil(matrix) or _whole(matrix)
 
 
 def _charpolys(operators: Sequence[_Torus]) -> list[list[int]]:
@@ -344,7 +343,7 @@ def trace_powers(matrix: RatMatrix, r_max: int) -> tuple[Fraction, ...]:
         raise ZetawalkError("r_max must be non-negative")
     if r_max == 0:
         return ()
-    return _traces(_operator(_cleared(matrix)), r_max)
+    return _traces(_whole(matrix), r_max)
 
 
 def _traces(torus: _Torus, r_max: int) -> tuple[Fraction, ...]:
@@ -465,30 +464,6 @@ def _pairing_mod(x: np.ndarray, y: np.ndarray, p1: np.ndarray, out: np.ndarray) 
     return (rows.sum(axis=2) % p1).sum(axis=1) % p1[:, 0]
 
 
-def _cleared(matrix: RatMatrix) -> _Cleared:
-    """The record of a square RatMatrix M: L, the lcm of its reduced entry
-    denominators, and the nonzero entries of L*M, sorted by (i, j).
-
-    Only the public `det_i_minus_u` and `trace_powers` call it, on the
-    matrix they are given; the walk operators are built as records. L is
-    one lcm over the distinct denominators, and each entry is its numerator
-    times the factor L / q of its denominator q, an exact Python int kept
-    as one where it does not fit in int64 (`rational._integers`).
-    """
-    items = list(matrix.nonzero_items())
-    ratios = [value.as_integer_ratio() for _, _, value in items]
-    denominators = {q for _, q in ratios}
-    scale = math.lcm(*denominators)
-    factors = {q: scale // q for q in denominators}
-    return _Cleared(
-        scale,
-        matrix.rows,
-        np.array([i for i, _, _ in items], dtype=np.int64),
-        np.array([j for _, j, _ in items], dtype=np.int64),
-        _integers([num * factors[q] for num, q in ratios]),
-    )
-
-
 # lcm(2, n) -> the primes = 1 (mod n) below 2^31 found so far, descending
 _PRIMES: dict[int, list[int]] = {}
 
@@ -588,7 +563,7 @@ def _state_space(d: int, side: int, fibers: int, states: np.ndarray) -> tuple | 
     bijection onto Z_side^d x kinds; else None.
 
     states holds the half, the origin and the terminus of each state
-    (`rational._Cleared`). Vertex v is element v mod side^d in fiber
+    (`rational.RatMatrix`). Vertex v is element v mod side^d in fiber
     v div side^d (`graphs._COVERS`); a state is the element of its origin,
     and its kind is (half, fiber of the origin, fiber of the terminus,
     voltage), the voltage being the step from the origin's element to the
@@ -616,7 +591,7 @@ class _Torus(NamedTuple):
     its entry from (g, s) to (h, s') is t_ss'(h - g). The stencil is the
     nonzero t_ss'(z) as three arrays, sorted by (s, s') and then z: `pairs`
     holds s w + s', `steps` the flat index z of the step, and `values` the
-    integer t (int64, or exact Python ints as in `rational._Cleared`);
+    integer t (int64, or exact Python ints as in `rational.RatMatrix`);
     `coords[h]` are the d coordinates of the element with flat index h. A
     whole matrix is the one block of the trivial group (`_whole`).
     """
@@ -630,10 +605,10 @@ class _Torus(NamedTuple):
     values: np.ndarray
 
 
-def _torus_stencil(record: _Cleared) -> _Torus | None:
-    """The stencil of the integer matrix A of the record, when it has one.
+def _torus_stencil(matrix: RatMatrix) -> _Torus | None:
+    """The stencil of the integer matrix A = L*M of the matrix, when it has one.
 
-    The record must have states and a cover, and its states must be a free
+    The matrix must have states and a cover, and its states must be a free
     orbit of the cover's group (`_state_space`). The stencil is read off
     the rows of the states at element 0, each entry keyed by (s, s', z);
     every nonzero entry, from (g, s) to (h, s'), must then be t_ss'(h - g),
@@ -642,14 +617,15 @@ def _torus_stencil(record: _Cleared) -> _Torus | None:
     once and every entry's key is found among them by bisection. Otherwise
     the answer is None, and the matrix is taken whole.
     """
-    if record.cover is None or record.states is None:
+    cover, states = matrix._cover, matrix._states
+    if cover is None or states is None:
         return None
-    placed = _state_space(*record.cover, record.states)
+    placed = _state_space(*cover, states)
     if placed is None:
         return None
     coords, place, element, kind, width = placed
-    side, order = record.cover[1], len(coords)
-    rows, cols, values = record.rows, record.cols, record.values
+    side, order = cover[1], len(coords)
+    rows, cols, values = matrix._i, matrix._j, matrix._a
     origins = element[rows]
     steps = (coords[element[cols]] - coords[origins]) % side @ place
     keys = (kind[rows] * width + kind[cols]) * order + steps
@@ -664,16 +640,16 @@ def _torus_stencil(record: _Cleared) -> _Torus | None:
     ):
         return None
     pairs, steps = stencil_keys // order, stencil_keys % order
-    return _Torus(record.scale, side, coords, width, pairs, steps, stencil_values)
+    return _Torus(matrix.scale, side, coords, width, pairs, steps, stencil_values)
 
 
-def _whole(record: _Cleared) -> _Torus:
-    """The n x n matrix A of the record as the one block of the trivial
+def _whole(matrix: RatMatrix) -> _Torus:
+    """The n x n integer matrix A = L*M as the one block of the trivial
     group: side 1, one element with no coordinates, n kinds, and
     t_ij(0) = A[i][j]."""
-    n, rows, coords = record.size, record.rows, np.zeros((1, 0), dtype=np.int64)
-    pairs, steps = rows * n + record.cols, np.zeros(len(rows), dtype=np.int64)
-    return _Torus(record.scale, 1, coords, n, pairs, steps, record.values)
+    n, rows, coords = matrix.rows, matrix._i, np.zeros((1, 0), dtype=np.int64)
+    pairs, steps = rows * n + matrix._j, np.zeros(len(rows), dtype=np.int64)
+    return _Torus(matrix.scale, 1, coords, n, pairs, steps, matrix._a)
 
 
 # about the most elements an array of one chunk of `_fourier_charpolys` holds

@@ -14,9 +14,9 @@ integers. The Bass form and the Konno-Sato sides multiply by the cocycle
 (1 - u^2)^(m - nu) in integers before the one division. Each of the three
 public reciprocals builds its operator and calls the kernel in one step,
 and the command line's charpoly calls them as they are. Every function
-here that builds an operator of a graph builds it as an integer record
-(the private builders of `operators`, from the graph's arc space), which
-carries its states and the graph's cover, and routes it in one call,
+here that builds an operator of a graph builds it with a builder of
+`operators`, from the graph's arc space, as a `RatMatrix` that carries its
+states and the graph's cover, and routes it in one call,
 `_operator(builder(graph, arc_space(graph)))`. So on a verified free
 abelian cover of the table `graphs._COVERS` (torus, cycle, complete graph,
 hypercube, Petersen, gp: the group Z_side^d) the determinant comes from
@@ -25,7 +25,7 @@ every other matrix is the one block of the trivial group. No Konno-Sato
 formula enters the kernel, so on such a graph the check still compares the
 arc determinant with a vertex side computed apart from it. Cycle counts are
 exact traces of operator powers (`polynomials._traces`, pairings of the
-powers of the cleared matrix up to half the order, block by block on the
+powers of the integer matrix L*M up to half the order, block by block on the
 same route, modulo primes chosen from a bound on every trace and combined
 by CRT), with an independent brute-force oracle for cross-checking, and
 the generalized zeta (the nu-th root normalization) is evaluated
@@ -60,11 +60,11 @@ from .limits import (
 )
 from .operators import (
     _bass_companion,
-    _grover,
-    _grover_positive_support,
     _laplacian,
     _positive_support,
     _transition,
+    grover,
+    grover_positive_support,
 )
 from .polynomials import (
     Poly,
@@ -177,7 +177,7 @@ def grover_zeta_reciprocal(graph: Graph) -> Poly:
     This is the reciprocal of the weighted zeta; its degree is twice the
     edge count.
     """
-    return _reciprocal(_operator(_grover(graph, arc_space(graph))), 0)
+    return _reciprocal(_operator(grover(graph, arc_space(graph))), 0)
 
 
 def ihara_reciprocal_edge(graph: Graph) -> Poly:
@@ -190,7 +190,7 @@ def ihara_reciprocal_edge(graph: Graph) -> Poly:
     is not.
     """
     _reject_tree(graph)
-    return _reciprocal(_operator(_grover_positive_support(graph, arc_space(graph))), 0)
+    return _reciprocal(_operator(grover_positive_support(graph, arc_space(graph))), 0)
 
 
 def ihara_reciprocal_bass(graph: Graph) -> Poly:
@@ -240,7 +240,7 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
     M itself: if det(I - xM) = sum_k c_k x^k, then
     det(s I + t M) = sum_k c_k (-t)^k s^(nu-k) for any matrix, so both kinds
     are read off the same c_k (`_vertex_side`). The graph's cover is
-    verified once, by its arc space, each record takes its route from that
+    verified once, by its arc space, each operator takes its route from that
     cover on its own states, and all four go to one kernel call, which
     stacks U with U+ and P with D - A. Trees (m < nu) are rejected before
     any determinant.
@@ -255,9 +255,9 @@ def konno_sato_check(graph: Graph) -> KonnoSatoReport:
         )
 
     arcs = arc_space(graph)
-    u_mat = _grover(graph, arcs)
-    records = [u_mat, _positive_support(u_mat), _transition(graph, arcs), _laplacian(graph, arcs)]
-    operators = [_operator(record) for record in records]
+    u_mat = grover(graph, arcs)
+    matrices = [u_mat, _positive_support(u_mat), _transition(graph, arcs), _laplacian(graph, arcs)]
+    operators = [_operator(matrix) for matrix in matrices]
     sides = list(zip(operators, _charpolys(operators)))
     left_sides = {
         which: _unscaled(mat.scale, coeffs)
@@ -308,7 +308,7 @@ def weighted_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Exact weighted counts N_r = Tr U^r for r = 1..r_max."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    counts = _traces(_operator(_grover(graph, arc_space(graph))), r_max)
+    counts = _traces(_operator(grover(graph, arc_space(graph))), r_max)
     return SeriesCoefficients(kind="weighted", counts=counts)
 
 
@@ -316,7 +316,7 @@ def reduced_cycle_counts(graph: Graph, r_max: int) -> SeriesCoefficients:
     """Counts of cyclically non-backtracking closed arc walks, Tr (U+)^r."""
     if r_max < 1:
         raise ZetawalkError("r_max must be at least 1")
-    counts = _traces(_operator(_grover_positive_support(graph, arc_space(graph))), r_max)
+    counts = _traces(_operator(grover_positive_support(graph, arc_space(graph))), r_max)
     return SeriesCoefficients(kind="reduced", counts=counts)
 
 
@@ -397,10 +397,10 @@ def cycle_oracle(graph: Graph, r_max: int, kind: str = "weighted") -> SeriesCoef
 def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport:
     """Check that log 1/det(I - uU) has coefficients N_r / r exactly.
 
-    U is built once for both sides, as its integer record. The determinant
-    takes the route of the record, Fourier blocks on a verified cover, and
-    the traces take U whole (`_whole`), as `trace_powers` would, so the
-    Fourier blocks enter only one side.
+    U is built once for both sides. The determinant takes the route of U,
+    Fourier blocks on a verified cover, and the traces take U whole
+    (`_whole`), as `trace_powers` would, so the Fourier blocks enter only
+    one side.
     The order is capped at 12 because both sides grow combinatorially and
     the check is meant as a series-level sanity gate, not a production
     computation.
@@ -412,7 +412,7 @@ def zeta_series_consistency(graph: Graph, order: int) -> SeriesConsistencyReport
             f"series consistency order {order} exceeds the cap of "
             f"{SERIES_ORDER_CAP}"
         )
-    u_mat = _grover(graph, arc_space(graph))
+    u_mat = grover(graph, arc_space(graph))
     logs = log_series(_reciprocal(_operator(u_mat), 0), order)
     scaled = tuple(c / r for r, c in enumerate(_traces(_whole(u_mat), order), start=1))
     return SeriesConsistencyReport(

@@ -12,9 +12,11 @@ polynomial; it runs the package kernel on a different matrix. It also
 builds the Frucht graph, which a false vertex_transitive flag cannot pass
 off as vertex-transitive. `residue_stack` is the whole matrix mod each
 prime, the stack that the kernel's trivial-group block must reproduce.
-`dict_operators` writes every walk operator entry by entry from its
-definition into RatMatrix dicts, the oracle of the package's integer
-records, U+ through the oracle `positive_support`, and
+`entrywise_operators` writes every walk operator entry by entry from its
+definition as a list of entries, the oracle of the package's builders, U+
+through the oracle `positive_support`; `integer_form` reads L and L*M off
+the Fractions of a matrix; `edge_walk` lists the edges of a graph from its
+neighbor tuples; and
 `naive_det_i_minus_u` interpolates det(I - tM) from textbook elimination.
 `FAMILIES` and `RANDOM_GRAPHS` are the small graphs the operator tests run
 on. `oracle_graph_from_edges` and `oracle_load_graph` validate edge by edge
@@ -58,6 +60,19 @@ def dense(matrix: RatMatrix) -> list[list[Fraction]]:
     return [
         [matrix[i, j] for j in range(matrix.cols)] for i in range(matrix.rows)
     ]
+
+
+def integer_form(matrix: RatMatrix) -> tuple[int, list[tuple[int, int, int]]]:
+    """L, the lcm of the reduced denominators of M, and the nonzero entries
+    of L*M as (i, j, integer), read off the Fractions of M."""
+    items = list(matrix.nonzero_items())
+    scale = math.lcm(1, *(value.denominator for _, _, value in items))
+    return scale, [(i, j, int(value * scale)) for i, j, value in items]
+
+
+def edge_walk(graph: Graph) -> list[tuple[int, int]]:
+    """The edges (i, j) with i < j, walked off the sorted neighbor tuples."""
+    return [(i, j) for i, neighbors in enumerate(graph.adjacency) for j in neighbors if i < j]
 
 
 def positive_support(matrix: RatMatrix) -> RatMatrix:
@@ -303,9 +318,9 @@ def frucht_graph() -> Graph:
     return graph_from_edges(n, sorted(edges), family="frucht", vertex_transitive=True)
 
 
-def dict_operators(graph: Graph, arcs: ArcSpace) -> dict[str, RatMatrix]:
-    """Every walk operator of the graph, written entry by entry from its
-    definition into RatMatrix dicts: A, D, P, D - A, S, the Grover coin C,
+def entrywise_operators(graph: Graph, arcs: ArcSpace) -> dict[str, RatMatrix]:
+    """Every walk operator of the graph, built from its entries written one
+    by one from its definition: A, D, P, D - A, S, the Grover coin C,
     U = S @ C, U+ and the Bass companion [[A, I - D], [I, 0]]."""
     n, size = graph.num_vertices, arcs.num_arcs
     degree = graph.degree_profile

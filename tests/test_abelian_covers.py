@@ -119,19 +119,19 @@ def test_the_bounds_read_from_a_fourier_route_are_those_of_the_whole_matrix(grap
     # every operator on its own states: the stencil holds each entry of A
     # once per group element, so its sums give A's
     arcs = arc_space(graph)
-    records = [
-        operators._grover(graph, arcs),
-        operators._grover_positive_support(graph, arcs),
+    matrices = [
+        operators.grover(graph, arcs),
+        operators.grover_positive_support(graph, arcs),
         operators._transition(graph, arcs),
         operators._laplacian(graph, arcs),
         operators._bass_companion(graph, arcs),
     ]
-    for cleared in records:
-        fourier = polynomials._operator(cleared)
-        whole = polynomials._whole(cleared)
+    for matrix in matrices:
+        fourier = polynomials._operator(matrix)
+        whole = polynomials._whole(matrix)
         assert (fourier.side > 1, whole.side) == (True, 1)
         rows = [len(route.coords) * route.width for route in (fourier, whole)]
-        assert rows == [cleared.size] * 2
+        assert rows == [matrix.rows] * 2
         assert _bounds(fourier) == _bounds(whole)
 
 

@@ -311,13 +311,11 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
-# the steps of one operator record: its graph's cover, which its arc space
+# the steps of one walk operator: its graph's cover, which its arc space
 # verifies, its route, the one state space that the route builds, and its
-# determinant bound; `_cleared` is spied on too, and never runs, since the
-# walk operators are built as integer records
+# determinant bound
 _ROUTE_STEPS = [
     (zetawalk.graphs, "_abelian_cover"),
-    (zetawalk.polynomials, "_cleared"),
     (zetawalk.polynomials, "_torus_stencil"),
     (zetawalk.polynomials, "_state_space"),
     (zetawalk.polynomials, "_coefficient_bound"),
@@ -330,13 +328,13 @@ def test_charpoly_chooses_the_route_of_its_operator_once(
 ):
     # the reciprocal builds and routes its operator once, and the kernel
     # computes its bound once
-    targets = [(zetawalk.zeta, "_grover"), (operators, "_grover"), *_ROUTE_STEPS]
+    targets = [(zetawalk.zeta, "grover"), (operators, "grover"), *_ROUTE_STEPS]
     calls = _count_calls(monkeypatch, targets)
     code, out, err = run_cli(capsys, ["charpoly", "--graph", k4_path, "--matrix", matrix])
     assert (code, err) == (0, "")
     steps = ["_abelian_cover", "_torus_stencil", "_state_space", "_coefficient_bound"]
-    assert [name for name in calls if name != "_grover"] == steps
-    assert calls.count("_grover") == grovers
+    assert [name for name in calls if name != "grover"] == steps
+    assert calls.count("grover") == grovers
     assert out == json.dumps(CHOICES["charpoly", matrix](load_graph(k4_path)), indent=2) + "\n"
 
 
@@ -384,15 +382,15 @@ def test_series_digit_check_is_exact_where_the_bound_is_attained():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        # a record of a bare matrix has no cover, so it goes whole
-        ten = zetawalk.polynomials._cleared(RatMatrix(1, 1, [(0, 0, 10)]))
+        # a matrix built from its entries has no cover, so it goes whole
+        ten = RatMatrix(1, 1, [(0, 0, 10)])
         counts = cli._trace_counts(ten, 639)
         assert [str(c) for c in counts][-1] == "1" + "0" * 639
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
             cli._trace_counts(ten, 640)
         # M = (1/10): the denominator 10^640 alone is refused
         with pytest.raises(ZetawalkError, match="more than 640 digits"):
-            tenth = zetawalk.polynomials._cleared(RatMatrix(1, 1, [(0, 0, Fraction(1, 10))]))
+            tenth = RatMatrix(1, 1, [(0, 0, Fraction(1, 10))])
             cli._trace_counts(tenth, 640)
     finally:
         sys.set_int_max_str_digits(limit)
@@ -440,8 +438,8 @@ def test_series_digit_check_passes_counts_that_stay_small_at_any_order(monkeypat
     # 0 or 2N, and no order is refused
     monkeypatch.setattr(zetawalk.polynomials, "_traces", lambda operator, order: "formed")
     g = zetawalk.cycle_graph(5)
-    record = operators._grover_positive_support(g, zetawalk.arc_space(g))
-    assert cli._trace_counts(record, 10**9) == "formed"
+    support = operators.grover_positive_support(g, zetawalk.arc_space(g))
+    assert cli._trace_counts(support, 10**9) == "formed"
 
 
 def test_zeta_eval_both_methods_agree(capsys, k4_path):

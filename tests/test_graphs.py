@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import oracle_graph_from_edges, oracle_load_graph
+from helpers import FAMILIES as FAMILY_GRAPHS
+from helpers import RANDOM_GRAPHS, edge_walk, oracle_graph_from_edges, oracle_load_graph
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from zetawalk import (
     build_family,
     complete_graph,
     cycle_graph,
+    generalized_petersen_graph,
     graph_from_edges,
     hypercube_graph,
     load_graph,
@@ -131,6 +133,45 @@ def test_family_parameters_validated():
         hypercube_graph(1)
     with pytest.raises(FamilyParameterError):
         build_family("moebius")
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (cycle_graph, (6.0,)),
+        (complete_graph, (5.0,)),
+        (generalized_petersen_graph, (7.0, 2)),
+        (generalized_petersen_graph, (7, 2.0)),
+        (hypercube_graph, (3.0,)),
+        (cycle_graph, (True,)),
+        (hypercube_graph, (True,)),
+        (lambda n: build_family("cycle", N=n), (6.0,)),
+        (graphs._EDGES["cycle"], (6.0,)),
+        (graphs._EDGES["complete"], (5.0,)),
+        (graphs._EDGES["gp"], (7.0, 2)),
+        (graphs._EDGES["hypercube"], (3.0,)),
+    ],
+)
+def test_every_family_refuses_a_parameter_that_is_not_an_integer(build, args):
+    with pytest.raises(FamilyParameterError, match="must be an integer, got"):
+        build(*args)
+
+
+def test_every_family_takes_numpy_integers_as_ints():
+    six, two = np.int64(6), np.int64(2)
+    assert cycle_graph(six) == cycle_graph(6)
+    assert complete_graph(six) == complete_graph(6)
+    assert generalized_petersen_graph(six + 1, two) == generalized_petersen_graph(7, 2)
+    assert hypercube_graph(two + 1) == hypercube_graph(3)
+    assert build_family("cycle", N=six) == cycle_graph(6)
+    assert type(cycle_graph(six).num_vertices) is int
+
+
+@pytest.mark.parametrize("graph", FAMILY_GRAPHS + RANDOM_GRAPHS, ids=lambda g: g.summary())
+def test_the_edges_read_off_the_arcs_are_those_of_the_neighbor_lists(graph):
+    edges = list(graph.edges())
+    assert edges == edge_walk(graph)
+    assert all(type(i) is int and type(j) is int for i, j in edges)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import FAMILIES, RANDOM_GRAPHS, dense, dict_operators, positive_support
+from helpers import (
+    FAMILIES,
+    RANDOM_GRAPHS,
+    dense,
+    entrywise_operators,
+    integer_form,
+    positive_support,
+)
 from zetawalk import (
     RatMatrix,
     adjacency,
@@ -20,55 +27,45 @@ from zetawalk import (
     shift,
     transition,
 )
-from zetawalk import operators, polynomials
+from zetawalk import operators
 
-# operator name -> its one definition, the private builder of its integer record
-RECORDS = {
-    "A": lambda g, arcs: operators._adjacency(g, arcs),
-    "D": lambda g, arcs: operators._degree(g),
-    "P": lambda g, arcs: operators._transition(g, arcs),
-    "D-A": lambda g, arcs: operators._laplacian(g, arcs),
-    "S": lambda g, arcs: operators._shift(arcs),
-    "C": lambda g, arcs: operators._coin(g, arcs),
-    "U": lambda g, arcs: operators._grover(g, arcs),
-    "U+": lambda g, arcs: operators._grover_positive_support(g, arcs),
-    "bass": lambda g, arcs: operators._bass_companion(g, arcs),
-}
-# operator name -> its public RatMatrix builder; the Bass companion has none
-PUBLIC = {
-    "A": lambda g, arcs: adjacency(g),
+# operator name -> its one builder, from the graph and its arc space
+BUILDERS = {
+    "A": operators._adjacency,
     "D": lambda g, arcs: degree_matrix(g),
-    "P": lambda g, arcs: transition(g),
-    "D-A": lambda g, arcs: laplacian(g),
+    "P": operators._transition,
+    "D-A": operators._laplacian,
     "S": lambda g, arcs: shift(arcs),
     "C": coin,
     "U": grover,
     "U+": grover_positive_support,
+    "bass": operators._bass_companion,
 }
+# operator name -> its public form that builds its own arc space
+PUBLIC = {"A": adjacency, "P": transition, "D-A": laplacian}
 
 
-@pytest.mark.parametrize("name", list(RECORDS))
+@pytest.mark.parametrize("name", list(BUILDERS))
 @pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
-def test_each_operator_has_one_definition_its_integer_record(graph, name):
+def test_each_operator_has_one_builder_equal_to_the_matrix_of_its_entries(graph, name):
     arcs = arc_space(graph)
-    record = RECORDS[name](graph, arcs)
-    oracle = dict_operators(graph, arcs)[name]
-    # L and every (i, j, value) are those of the dict matrix cleared
-    cleared = polynomials._cleared(oracle)
-    assert (record.scale, record.size) == (cleared.scale, oracle.rows)
-    assert record.entries() == cleared.entries()
-    arrays = (record.rows, record.cols, record.values, record.states)
+    matrix = BUILDERS[name](graph, arcs)
+    oracle = entrywise_operators(graph, arcs)[name]
+    # L and every entry of L*M are those read off the Fractions of the
+    # matrix built by hand from its entries
+    assert (matrix.scale, matrix.rows) == (integer_form(oracle)[0], oracle.rows)
+    assert integer_form(matrix) == integer_form(oracle)
+    arrays = (matrix._i, matrix._j, matrix._a, matrix._states)
     assert all(array.dtype == np.int64 for array in arrays)
-    # the RatMatrix view, and the public builder, are the dict matrix entry for entry
-    views = [record.matrix()] + ([PUBLIC[name](graph, arcs)] if name in PUBLIC else [])
-    for view in views:
-        assert view == oracle
-        assert list(view.nonzero_items()) == list(oracle.nonzero_items())
-        assert all(type(value) is Fraction for _, _, value in view.nonzero_items())
+    forms = [matrix] + ([PUBLIC[name](graph)] if name in PUBLIC else [])
+    for form in forms:
+        assert form == oracle
+        assert list(form.nonzero_items()) == list(oracle.nonzero_items())
+        assert all(type(value) is Fraction for _, _, value in form.nonzero_items())
 
 
 @pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
-def test_each_record_carries_the_states_it_acts_on(graph):
+def test_each_operator_carries_the_states_it_acts_on(graph):
     arcs = arc_space(graph)
     v = np.arange(graph.num_vertices)
     # rows: half, origin, terminus
@@ -76,29 +73,64 @@ def test_each_record_carries_the_states_it_acts_on(graph):
     arc_states = np.stack([0 * arcs.origins, arcs.origins, arcs.termini])
     halves = np.concatenate([vertices, vertices + [[1], [0], [0]]], axis=1)
     expected = {"S": arc_states, "C": arc_states, "U": arc_states, "U+": arc_states, "bass": halves}
-    for name, build in RECORDS.items():
-        record = build(graph, arcs)
-        assert record.states.dtype == np.int64 and record.states.shape == (3, record.size)
-        assert np.array_equal(record.states, expected.get(name, vertices))
-    # U+ is read off U's record, on U's states
-    u_record = operators._grover(graph, arcs)
-    assert operators._positive_support(u_record).states is u_record.states
-    # a record made from a bare matrix has none
-    assert polynomials._cleared(u_record.matrix()).states is None
+    for name, build in BUILDERS.items():
+        matrix = build(graph, arcs)
+        assert matrix._states.dtype == np.int64 and matrix._states.shape == (3, matrix.rows)
+        assert np.array_equal(matrix._states, expected.get(name, vertices))
+    # U+ is read off U, on U's states
+    u_mat = grover(graph, arcs)
+    assert operators._positive_support(u_mat)._states is u_mat._states
+    # a matrix built from its entries has none, and equals U all the same
+    bare = RatMatrix(u_mat.rows, u_mat.cols, u_mat.nonzero_items())
+    assert bare._states is None and bare == u_mat
 
 
 @pytest.mark.parametrize("graph", FAMILIES + RANDOM_GRAPHS, ids=lambda g: g.summary())
-def test_each_record_carries_the_cover_of_its_arc_space(graph):
+def test_each_operator_carries_the_cover_of_its_arc_space(graph):
     arcs = arc_space(graph)
     # the tagged families are verified covers; the untagged graphs have none
     assert (arcs.cover is not None) == (graph.family is not None)
-    for name, build in RECORDS.items():
+    for name, build in BUILDERS.items():
         # D is built without the arc space, so it has no cover
-        assert build(graph, arcs).cover is (None if name == "D" else arcs.cover)
-    # U+ keeps U's cover, and a record made from a bare matrix has none
-    u_record = operators._grover(graph, arcs)
-    assert operators._positive_support(u_record).cover is u_record.cover
-    assert polynomials._cleared(u_record.matrix()).cover is None
+        assert build(graph, arcs)._cover is (None if name == "D" else arcs.cover)
+    # U+ keeps U's cover, and a matrix built from its entries has none
+    u_mat = grover(graph, arcs)
+    assert operators._positive_support(u_mat)._cover is u_mat._cover
+    assert RatMatrix(u_mat.rows, u_mat.cols, u_mat.nonzero_items())._cover is None
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_the_arrays_of_a_builder_are_read_only(name):
+    graph = petersen_graph()
+    matrix = BUILDERS[name](graph, arc_space(graph))
+    for array in (matrix._i, matrix._j, matrix._a, matrix._states):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    # nor are those of a matrix built from its entries
+    built = RatMatrix(2, 2, [(0, 1, Fraction(2**70, 3))])
+    for array in (built._i, built._j, built._a):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def test_the_constructor_keeps_the_last_write_drops_zeros_and_stays_exact_past_2_to_the_63():
+    big = Fraction(2**70 + 1, 3)
+    entries = [(0, 1, 5), (0, 1, Fraction(1, 2)), (1, 2, 7), (1, 2, 0), (0, 0, 0), (1, 0, big)]
+    m = RatMatrix(2, 3, entries)
+    assert list(m.nonzero_items()) == [(0, 1, Fraction(1, 2)), (1, 0, big)]
+    assert (m.num_nonzero(), m.scale) == (2, 6)
+    assert (m[0, 0], m[0, 1], m[1, 0], m[1, 2]) == (0, Fraction(1, 2), big, 0)
+    # 6 * big = 2^71 + 2 does not fit in int64 and is kept as an exact int
+    assert m._a.dtype == object and m._a.tolist() == [3, 2**71 + 2]
+    assert m == RatMatrix(2, 3, [(1, 0, big), (0, 1, Fraction(1, 2))])
+    assert m != RatMatrix(3, 2, [(1, 0, big), (0, 1, Fraction(1, 2))])
+    assert RatMatrix(2, 2, [(0, 0, 1), (0, 0, 0)]) == RatMatrix(2, 2)
+    with pytest.raises(ValueError):
+        RatMatrix(0, 2)
+    with pytest.raises(IndexError):
+        RatMatrix(2, 2, [(2, 0, 1)])
+    with pytest.raises(IndexError):
+        m[2, 0]
 
 
 def oracle_grover(graph, arcs):
@@ -276,11 +308,10 @@ def test_positive_support_thresholds_strictly_at_zero():
     # not stored, on the backtrack through a degree-2 vertex
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     arcs = arc_space(g)
-    record = operators._grover(g, arcs)
-    u = record.matrix()
+    u = grover(g, arcs)
     back = [(e, f) for e, f in enumerate(arcs.inverses.tolist()) if g.degree(arcs.origins[e]) == 2]
     assert back and all(u[e, f] == 0 for e, f in back)
     assert {Fraction(-1, 3), Fraction(1)} <= {v for _, _, v in u.nonzero_items()}
-    support = operators._positive_support(record)
+    support = operators._positive_support(u)
     assert support.scale == 1
-    assert support.matrix() == positive_support(u)
+    assert support == positive_support(u)

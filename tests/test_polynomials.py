@@ -11,6 +11,7 @@ from helpers import (
     coefficient_bounds,
     dense,
     det_i_minus_t_times,
+    integer_form,
     gauss_det,
     naive_det_i_minus_u,
     naive_trace_powers,
@@ -29,13 +30,15 @@ from zetawalk import (
     graph_from_edges,
     grover,
     grover_positive_support,
+    grover_zeta_reciprocal,
     log_series,
     petersen_graph,
     shift,
     torus_graph,
     trace_powers,
+    weighted_cycle_counts,
 )
-from zetawalk import operators, polynomials
+from zetawalk import polynomials
 
 
 def test_poly_trims_trailing_zeros_and_reports_degree():
@@ -144,7 +147,7 @@ def test_an_operator_clears_denominators_and_its_charpoly_matches_det_i_minus_u(
     rng = random.Random(23)
     for n in (1, 2, 5, 8):
         m = random_rat_matrix(rng, n)
-        operator = polynomials._operator(polynomials._cleared(m))
+        operator = polynomials._operator(m)
         scale, coeffs = operator.scale, polynomials._charpolys([operator])[0]
         assert len(operator.coords) * operator.width == n
         assert scale == math.lcm(1, *(v.denominator for _, _, v in m.nonzero_items()))
@@ -189,27 +192,27 @@ def test_det_i_minus_u_with_large_entries_needs_many_primes():
 
 def test_det_i_minus_u_keeps_cleared_entries_past_2_to_the_63_exact():
     # entries near 10^30 over denominators 1..3: L*M has entries far past
-    # 2^63, which the record keeps as exact Python ints, never int64
+    # 2^63, which the matrix keeps as exact Python ints, never int64
     rng = random.Random(37)
     n = 5
     m = RatMatrix(n, n, [
         (i, j, Fraction(10**30 + rng.randrange(10**29), rng.randint(1, 3)))
         for i in range(n) for j in range(n) if rng.random() < 0.7
     ])
-    cleared = polynomials._cleared(m)
-    assert cleared.values.dtype == object
-    assert max(abs(v) for v in cleared.values.tolist()) > 2**63
+    assert m._a.dtype == object
+    assert max(abs(v) for _, _, v in integer_form(m)[1]) > 2**63
     assert list(det_i_minus_u(m).coeffs) == naive_det_i_minus_u(m)
 
 
-def _cleared_bounds(matrix: RatMatrix) -> tuple[int, list[int]]:
-    cleared = polynomials._cleared(matrix)
-    return cleared.scale, coefficient_bounds(matrix.rows, cleared.entries())
+def _integer_bounds(matrix: RatMatrix) -> tuple[int, list[int]]:
+    scale, entries = integer_form(matrix)
+    assert scale == matrix.scale
+    return scale, coefficient_bounds(matrix.rows, entries)
 
 
 def _whole(n: int, entries: list[tuple[int, int, int]]):
     """The whole route of the n x n integer matrix with these entries."""
-    return polynomials._whole(polynomials._cleared(RatMatrix(n, n, entries)))
+    return polynomials._whole(RatMatrix(n, n, entries))
 
 
 def _charpoly_coefficients(matrix: RatMatrix, scale: int) -> list[Fraction]:
@@ -230,7 +233,7 @@ def test_coefficient_bound_of_an_orthogonal_matrix_is_binomial_times_scale_power
     # C(n, k) L^k; for q >= 1 it is never above the row-sum bound
     u_mat = grover(graph, arc_space(graph))
     n = u_mat.rows
-    scale, bounds = _cleared_bounds(u_mat)
+    scale, bounds = _integer_bounds(u_mat)
     assert bounds == [math.comb(n, k) * scale**k for k in range(n + 1)]
 
 
@@ -239,7 +242,7 @@ def test_coefficient_bound_is_attained_by_a_scalar_matrix(c):
     # det(xI - L*c*I) = (x - L*c)^n has |c_k| = C(n, k) |L*c|^k exactly
     n = 6
     matrix = RatMatrix(n, n, [(i, i, c) for i in range(n)])
-    scale, bounds = _cleared_bounds(matrix)
+    scale, bounds = _integer_bounds(matrix)
     coefficients = _charpoly_coefficients(matrix, scale)
     assert [abs(x) for x in coefficients] == bounds
 
@@ -250,11 +253,11 @@ def test_coefficient_bound_is_never_exceeded_on_random_matrices():
     for trial in range(40):
         n = rng.randint(1, 7)
         matrix = random_rat_matrix(rng, n, rng.choice([0.2, 0.5, 1.0]))
-        scale, bounds = _cleared_bounds(matrix)
+        scale, bounds = _integer_bounds(matrix)
         coefficients = _charpoly_coefficients(matrix, scale)
         assert all(abs(x) <= b for x, b in zip(coefficients, bounds))
         # the row-sum bound alone, which the Frobenius term can only lower
-        entries = polynomials._cleared(matrix).entries()
+        entries = integer_form(matrix)[1]
         rho = max([sum(abs(v) for i, _, v in entries if i == r) for r in range(n)])
         assert all(b <= math.comb(n, k) * rho**k for k, b in enumerate(bounds))
         tight += any(b < math.comb(n, k) * rho**k for k, b in enumerate(bounds))
@@ -271,7 +274,7 @@ def test_coefficient_bound_is_never_exceeded_on_random_matrices():
     ids=["torus-2-4-U", "torus-2-4-U+", "petersen-U"],
 )
 def test_prime_count_from_the_coefficient_bound(graph, operator, count):
-    _, bounds = _cleared_bounds(operator(graph, arc_space(graph)))
+    _, bounds = _integer_bounds(operator(graph, arc_space(graph)))
     primes, modulus = polynomials._primes_above(2 * max(bounds))
     assert len(primes) == count and modulus == math.prod(primes)
 
@@ -376,7 +379,7 @@ def test_kernel_swaps_for_a_single_prime_whose_pivot_is_zero():
     entries = [(i + 1, 0, v) for i, v in enumerate(column)]
     entries += [(i, j, (i * 7 + j * 3) % 5 - 2) for i in range(n) for j in range(1, n)]
     matrix = RatMatrix(n, n, entries)
-    primes, _ = polynomials._primes_above(2 * max(_cleared_bounds(matrix)[1]))
+    primes, _ = polynomials._primes_above(2 * max(_integer_bounds(matrix)[1]))
     assert primes[:2] == [P0, P1]
     assert [v % P0 for v in column][:2] == [0, 1]
     assert all(column[0] % p for p in primes[1:])
@@ -391,7 +394,7 @@ def test_kernel_leaves_a_prime_whose_column_is_zero_unchanged():
     entries = [(0, 0, 2)] + [(i + 1, 0, v) for i, v in enumerate(column)]
     entries += [(i, j, (i + 2 * j) % 7 - 3) for i in range(n) for j in range(1, n)]
     matrix = RatMatrix(n, n, entries)
-    primes, _ = polynomials._primes_above(2 * max(_cleared_bounds(matrix)[1]))
+    primes, _ = polynomials._primes_above(2 * max(_integer_bounds(matrix)[1]))
     assert primes[0] == P0 and len(primes) >= 3
     assert all(v % P0 == 0 for v in column)
     assert all(any(v % p for v in column) for p in primes[1:])
@@ -524,10 +527,24 @@ def test_trace_powers_do_not_use_the_determinant_route(monkeypatch):
     assert polynomials.trace_powers(m, 6) == naive_trace_powers(m, 6)
     graph = torus_graph(2, 4)
     u_mat = grover(graph, arc_space(graph))
-    record = operators._grover(graph, arc_space(graph))
-    operator = polynomials._operator(record)
-    counts = polynomials._traces(operator, 6)
+    counts = polynomials._traces(polynomials._operator(u_mat), 6)
     assert counts == naive_trace_powers(u_mat, 6)
+
+
+@pytest.mark.parametrize("graph", [torus_graph(2, 4), petersen_graph()], ids=["torus-2-4", "petersen"])
+def test_the_public_kernels_take_a_walk_operator_whole(graph, monkeypatch):
+    # U carries its states and a verified cover, and still det_i_minus_u
+    # and trace_powers read it as the whole matrix: they stay the oracle of
+    # the Fourier route that grover_zeta_reciprocal and the counts take
+    u_mat = grover(graph, arc_space(graph))
+    assert u_mat._states is not None and u_mat._cover is not None
+    routed = (grover_zeta_reciprocal(graph), weighted_cycle_counts(graph, 8).counts)
+
+    def forbidden(*args):
+        raise AssertionError("the public kernels looked for a stencil")
+
+    monkeypatch.setattr(polynomials, "_torus_stencil", forbidden)
+    assert (det_i_minus_u(u_mat), trace_powers(u_mat, 8)) == routed
 
 
 def test_trace_powers_edge_cases():
@@ -549,7 +566,7 @@ def test_trace_powers_edge_cases():
 
 
 def _trace_primes(matrix: RatMatrix, r_max: int) -> list[int]:
-    route = polynomials._whole(polynomials._cleared(matrix))
+    route = polynomials._whole(matrix)
     return polynomials._primes_above(2 * polynomials._trace_bound(route, r_max))[0]
 
 
@@ -564,7 +581,7 @@ def test_trace_powers_of_entries_near_10_to_the_30():
         for i in range(n) for j in range(n)
     ])
     primes = _trace_primes(m, 6)
-    entries = polynomials._cleared(m).entries()
+    entries = integer_form(m)[1]
     slot_bounds = [
         max(abs(min(v % p, v % p - p, key=abs)) for _, _, v in entries[t::n] for p in primes)
         for t in range(n)
@@ -595,7 +612,7 @@ def test_trace_bound_is_attained_by_the_all_ones_matrix():
     # rho^(r-2) ||J||_F^2 = n^(r-2) n^2 for r >= 2
     for n in range(1, 7):
         ones = RatMatrix(n, n, [(i, j, Fraction(1)) for i in range(n) for j in range(n)])
-        route = polynomials._whole(polynomials._cleared(ones))
+        route = polynomials._whole(ones)
         for r in range(1, 9):
             assert polynomials._trace_bound(route, r) == n**r
         assert trace_powers(ones, 8) == tuple(Fraction(n**r) for r in range(1, 9))
@@ -611,8 +628,7 @@ def test_trace_bound_is_attained_by_the_all_ones_matrix():
 def test_trace_bound_is_never_exceeded_property(rows):
     n = len(rows)
     m = RatMatrix(n, n, [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)])
-    cleared = polynomials._cleared(m)
-    scale, route = cleared.scale, polynomials._whole(cleared)
+    scale, route = m.scale, polynomials._whole(m)
     for r, trace in enumerate(naive_trace_powers(m, 9), start=1):
         assert abs(trace * scale**r) <= polynomials._trace_bound(route, r)
 

@@ -49,11 +49,11 @@ ARC_OPERATORS = {
 }
 VERTEX_OPERATORS = {"P": transition, "D-A": laplacian}
 OPERATORS = {**ARC_OPERATORS, **VERTEX_OPERATORS}
-# operator name -> the private builder of its integer record, which carries
-# the states the operator acts on
-RECORDS = {
-    "U": operators._grover,
-    "U+": operators._grover_positive_support,
+# operator name -> its builder from the graph and its arc space, whose
+# matrix carries the states the operator acts on
+BUILDERS = {
+    "U": grover,
+    "U+": grover_positive_support,
     "P": operators._transition,
     "D-A": operators._laplacian,
 }
@@ -84,15 +84,22 @@ def fourier_calls(monkeypatch):
     return calls
 
 
-def _record(graph, name):
-    """The integer record of the named operator of the graph, with its
+def _built(graph, name):
+    """The named operator of the graph as its builder makes it, with its
     states and its graph's cover."""
-    return RECORDS[name](graph, arc_space(graph))
+    return BUILDERS[name](graph, arc_space(graph))
 
 
-def _det_on_route(record):
-    """det(I - uM), M on the route that the record's cover and states choose."""
-    return zeta._reciprocal(polynomials._operator(record), 0)
+def _on(matrix, states, cover):
+    """The matrix, built again from its entries, on these states and this cover."""
+    out = RatMatrix(matrix.rows, matrix.cols, matrix.nonzero_items())
+    out._states, out._cover = states, cover
+    return out
+
+
+def _det_on_route(matrix):
+    """det(I - uM), M on the route that the matrix's cover and states choose."""
+    return zeta._reciprocal(polynomials._operator(matrix), 0)
 
 
 def _scale_and_coefficients(route):
@@ -102,7 +109,7 @@ def _scale_and_coefficients(route):
 
 def _assert_every_operator_gives_its_whole_determinant(graph):
     for name, operator in OPERATORS.items():
-        assert _det_on_route(_record(graph, name)) == det_i_minus_u(operator(graph))
+        assert _det_on_route(_built(graph, name)) == det_i_minus_u(operator(graph))
 
 
 def _cases(sizes, operators):
@@ -126,11 +133,11 @@ def _cayley_cases():
     _cases(ARC_SIZES, ARC_OPERATORS) + _cases(VERTEX_SIZES, VERTEX_OPERATORS) + _cayley_cases(),
 )
 def test_fourier_route_reproduces_the_generic_kernel(graph, name, fourier_calls):
-    record = _record(graph, name)
-    fourier = _scale_and_coefficients(polynomials._operator(record))
-    assert fourier_calls == [record.size]
-    assert fourier == _scale_and_coefficients(polynomials._whole(record))
-    assert _det_on_route(record) == det_i_minus_u(OPERATORS[name](graph))
+    matrix = _built(graph, name)
+    fourier = _scale_and_coefficients(polynomials._operator(matrix))
+    assert fourier_calls == [matrix.rows]
+    assert fourier == _scale_and_coefficients(polynomials._whole(matrix))
+    assert _det_on_route(matrix) == det_i_minus_u(OPERATORS[name](graph))
     assert len(fourier_calls) == 2
 
 
@@ -221,7 +228,7 @@ def test_a_tag_of_another_size_is_refused_before_any_graph_is_built(
         monkeypatch.setitem(graphs._EDGES, name, spying(name, edges))
     graph = _relabelled(torus_graph(2, 4), family)
     assert arc_space(graph).cover is None
-    assert _det_on_route(_record(graph, "P")) == det_i_minus_u(transition(graph))
+    assert _det_on_route(_built(graph, "P")) == det_i_minus_u(transition(graph))
     assert built == [] and fourier_calls == []
     # the spy does see the family edges of a tag of the right size
     assert arc_space(torus_graph(2, 4)).cover == (2, 4, 1) and built == [("torus", 2, 4)]
@@ -279,11 +286,10 @@ def _perturbed(matrix, kind):
 def test_a_torus_operator_with_one_perturbed_entry_takes_the_generic_route(
     graph, name, kind, fourier_calls
 ):
-    record = _record(graph, name)
-    original = record.matrix()
+    original = _built(graph, name)
     matrix = _perturbed(original, kind)
     # the perturbed matrix on the states and the cover of the operator
-    perturbed = polynomials._cleared(matrix)._replace(states=record.states, cover=record.cover)
+    perturbed = _on(matrix, original._states, original._cover)
     assert _det_on_route(perturbed) == det_i_minus_u(matrix)
     assert fourier_calls == []
     assert det_i_minus_u(matrix) != det_i_minus_u(original)
@@ -315,29 +321,29 @@ def _random_entries(rng, n, density, low, high):
 def test_a_whole_matrix_is_its_own_block_mod_each_prime(n, density, low, high):
     entries = _random_entries(random.Random(f"{n}-{low}"), n, density, low, high)
     primes = [polynomials._prime(i, 1) for i in range(3)]
-    whole = polynomials._whole(polynomials._cleared(RatMatrix(n, n, entries)))
+    whole = polynomials._whole(RatMatrix(n, n, entries))
     blocks = polynomials._fourier_blocks(whole, primes)
     assert blocks.shape == (3, 1, n, n) and blocks.dtype == np.int64
     assert (blocks[:, 0] == residue_stack(n, entries, primes)).all()
 
 
-def test_a_record_without_states_goes_whole_on_a_verified_graph(fourier_calls):
+def test_a_matrix_without_states_goes_whole_on_a_verified_graph(fourier_calls):
     graph = torus_graph(2, 4)
-    record = _record(graph, "U")
-    stateless = polynomials._cleared(record.matrix())
-    assert stateless.states is None and stateless.entries() == record.entries()
-    sides = [polynomials._operator(r).side for r in (stateless, record)]
+    u_mat = _built(graph, "U")
+    stateless = RatMatrix(u_mat.rows, u_mat.cols, u_mat.nonzero_items())
+    assert stateless._states is None and stateless == u_mat
+    sides = [polynomials._operator(m).side for m in (stateless, u_mat)]
     assert sides == [1, 4]
-    assert _det_on_route(stateless) == _det_on_route(record)
+    assert _det_on_route(stateless) == _det_on_route(u_mat)
     assert fourier_calls == [64]
 
 
-def test_a_record_with_states_but_no_cover_or_a_cover_but_no_states_goes_whole(fourier_calls):
+def test_a_matrix_with_states_but_no_cover_or_a_cover_but_no_states_goes_whole(fourier_calls):
     graph = torus_graph(2, 4)
-    record = _record(graph, "U")
-    det = _det_on_route(record)
+    u_mat = _built(graph, "U")
+    det = _det_on_route(u_mat)
     assert fourier_calls == [64]
-    for partial in (record._replace(cover=None), record._replace(states=None)):
+    for partial in (_on(u_mat, u_mat._states, None), _on(u_mat, None, u_mat._cover)):
         assert polynomials._operator(partial).side == 1
         assert _det_on_route(partial) == det
     assert fourier_calls == [64]
@@ -474,7 +480,7 @@ def test_the_fourier_route_takes_primes_one_mod_the_side(d, n, graph, monkeypatc
         return route(tori, primes)
 
     monkeypatch.setattr(polynomials, "_fourier_charpolys", spy)
-    _scale_and_coefficients(polynomials._operator(_record(graph, "U")))
+    _scale_and_coefficients(polynomials._operator(_built(graph, "U")))
     assert seen and all(p % n == 1 for p in seen)
     assert seen == [polynomials._prime(i, n) for i in range(len(seen))]
     assert arc_space(graph).cover[:2] == (d, n)
@@ -579,8 +585,8 @@ def test_konno_sato_verifies_the_group_once_and_stacks_each_width(monkeypatch, f
     counting(polynomials, "_product_mod")
     assert konno_sato_check(torus_graph(2, 4)).all_hold
     # no rebuild of the tagged graph, and one arc space, which verifies the
-    # cover once for all four records; the route of each of the four
-    # operators chosen once; U with U+ and P with D - A, one stack each
+    # cover once for all four operators; the route of each of them chosen
+    # once; U with U+ and P with D - A, one stack each
     assert counts == {
         "arc_space": 1,
         "_abelian_cover": 1,
@@ -618,7 +624,7 @@ def test_a_stack_run_in_chunks_gives_the_same_report(graph, monkeypatch):
     assert konno_sato_check(graph) == report
     cover = arc_space(graph).cover
     side, blocks = (cover[1], cover[1] ** cover[0]) if cover else (1, 1)
-    bounds = [polynomials._coefficient_bound(polynomials._whole(_record(graph, name))) for name in RECORDS]
+    bounds = [polynomials._coefficient_bound(polynomials._whole(_built(graph, name))) for name in BUILDERS]
     rows = sum(len(polynomials._primes_above(2 * bound, side)[0]) for bound in bounds)
     assert len(calls) == rows
     assert all(primes == primes[:1] * blocks for primes in calls)
@@ -660,7 +666,7 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
     # route is tied to it on every size by test_polynomials
     if matrix.rows <= 36:
         assert whole == naive_trace_powers(matrix, 12)
-    operator = polynomials._operator(_record(graph, name))
+    operator = polynomials._operator(_built(graph, name))
     # each order takes its own primes, and odd and even orders their own pairing
     for r_max in range(1, 13):
         assert polynomials._traces(operator, r_max) == whole[:r_max]
@@ -672,7 +678,7 @@ def test_traces_on_the_fourier_route_are_those_of_the_whole_matrix(graph, name, 
 def test_traces_of_a_vertex_operator_sum_runs_of_several_terms(name, trace_sides):
     graph = torus_graph(2, 4)
     matrix = VERTEX_OPERATORS[name](graph)
-    torus = polynomials._operator(_record(graph, name))
+    torus = polynomials._operator(_built(graph, name))
     # the one 1 x 1 entry of each block sums a run of every step of the stencil
     keys, sums = polynomials._fourier_sums(torus, [polynomials._prime(0, 4)])
     assert keys.tolist() == [0] and len(torus.values) > 1 and sums.shape == (1, 16, 1)

@@ -55,7 +55,7 @@ from zetawalk import operators, zeta
 from zetawalk.graphs import FAMILIES
 from zetawalk.limits import vertex_factor_coefficients
 from zetawalk.operators import adjacency, degree_matrix, laplacian, transition
-from zetawalk.polynomials import _charpolys, _cleared, _operator
+from zetawalk.polynomials import _charpolys, _operator
 from zetawalk.zeta import _closed_walk_counts, _require_vertex_transitive, _vertex_side
 
 PAW = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -160,14 +160,14 @@ def test_konno_sato_rejects_a_regular_tree_before_any_determinant(monkeypatch):
 def test_konno_sato_builds_the_grover_matrix_once(monkeypatch):
     # U+ is the positive support of the U already built, not a second S @ C
     calls = []
-    grover = operators._grover
+    grover = operators.grover
 
     def counting_grover(graph, arcs):
         calls.append(graph)
         return grover(graph, arcs)
 
-    monkeypatch.setattr(zeta, "_grover", counting_grover)
-    monkeypatch.setattr(operators, "_grover", counting_grover)
+    monkeypatch.setattr(zeta, "grover", counting_grover)
+    monkeypatch.setattr(operators, "grover", counting_grover)
     graph = torus_graph(2, 3)
     report = konno_sato_check(graph)
     assert len(calls) == 1
@@ -180,14 +180,14 @@ def test_konno_sato_builds_the_grover_matrix_once(monkeypatch):
 def test_series_consistency_builds_the_grover_matrix_once(monkeypatch):
     # det(I - uU) and the traces of U powers come from one U
     calls = []
-    grover = operators._grover
+    grover = operators.grover
 
     def counting_grover(graph, arcs):
         calls.append(graph)
         return grover(graph, arcs)
 
-    monkeypatch.setattr(zeta, "_grover", counting_grover)
-    monkeypatch.setattr(operators, "_grover", counting_grover)
+    monkeypatch.setattr(zeta, "grover", counting_grover)
+    monkeypatch.setattr(operators, "grover", counting_grover)
     report = zeta_series_consistency(torus_graph(2, 3), 6)
     assert len(calls) == 1
     assert report.holds
@@ -215,7 +215,7 @@ def test_konno_sato_right_sides_match_the_companion_pencil(graph):
     eye = np.identity(n, dtype=object)
     cocycle = graph.num_edges - n
     for route, mat in (("transition", transition(graph)), ("laplacian", laplacian(graph))):
-        operator = _operator(_cleared(mat))
+        operator = _operator(mat)
         scale, coeffs = operator.scale, _charpolys([operator])[0]
         for which in ("grover", "ihara"):
             a1, a2, b_num, b_den = vertex_factor_coefficients(q, which, route)
