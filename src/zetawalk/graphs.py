@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice, starmap
 from operator import gt, index
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,7 +136,8 @@ def graph_from_edges(
 
     The edges are (i, j) pairs: an (m, 2) integer array, or an iterable of
     pairs whose ids are converted as `int` converts them. Raises
-    GraphFormatError for a vertex count below 1, an entry that is not a pair
+    GraphFormatError for a vertex count that is not an integer (`_integer`)
+    or is below 1, an entry that is not a pair
     or an empty edge list: every operator of the package needs at least one
     arc. Then the first edge in input order that breaks a rule raises
     GraphFormatError for a vertex outside the range, LoopEdgeError for a
@@ -150,6 +151,7 @@ def graph_from_edges(
     numbered apart. The sort that finds duplicates also puts the arcs in
     `ArcSpace` order, and the graph keeps them.
     """
+    num_vertices = _integer(num_vertices, "vertex count", GraphFormatError)
     if num_vertices < 1:
         raise GraphFormatError(f"vertex count must be positive, got {num_vertices}")
     ids = _edge_ids(edges)
@@ -294,31 +296,42 @@ def _integer(value, what: str, error: type = FamilyParameterError) -> int:
 _MAX_EDGES = 2**20
 
 
-def _check_edges(tag: str, factor: int, base: int, exponent: int = 1) -> None:
-    """FamilyParameterError when the family graph `tag` would have
-    factor * base^exponent > `_MAX_EDGES` edges, base >= 2 and exponent >= 1,
-    each capped where the power passes the bound, so none larger is formed."""
-    if factor * min(base, _MAX_EDGES + 1) ** min(exponent, _MAX_EDGES.bit_length()) > _MAX_EDGES:
-        raise FamilyParameterError(f"{tag} would have more than {_MAX_EDGES:,} edges")
+class _Base(NamedTuple):
+    """A family graph as the derived cover of a base graph whose edges carry
+    voltages in Z_side^d (Gross and Tucker, Topological Graph Theory, 1987,
+    ch. 2): the family's parameters as exact ints, the `fibers` base
+    vertices, the base edges (a, b, z), z a d-tuple, as an iterator read
+    only after the size check (`_cover_edges`), and the vertex_transitive
+    flag of the family graph.
+
+    The cover has vertex f side^d + g for the element g of Z_side^d in fiber
+    f, an element being a flat index whose base-side digits, least
+    significant first, are its coordinates; each base edge gives the edges
+    (a, g) ~ (b, g + z), and the element h moves the vertex of g in fiber f
+    to the vertex of g + h in fiber f.
+    """
+
+    params: tuple[int, ...]
+    fibers: int
+    d: int
+    side: int
+    edges: Iterator[tuple[int, int, tuple[int, ...]]]
+    transitive: bool = True
 
 
-def _cycle_edges(n: int) -> np.ndarray:
-    """The edges i ~ i + 1 mod n of the cycle, as an (n, 2) int64 array."""
+def _loops(d: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The loops on base vertex 0 of voltages e_1..e_d."""
+    return ((0, 0, (0,) * j + (1,) + (0,) * (d - 1 - j)) for j in range(d))
+
+
+def _cycle(n: int) -> _Base:
+    """cycle(N): one loop of voltage 1 on Z_N."""
     n = _integer(n, "cycle N")
     if n < 3:
         raise FamilyParameterError(
             f"cycle needs N >= 3, got {n}: N <= 2 would create a loop or parallel edges"
         )
-    _check_edges(_tag("cycle", (n,)), 1, n)
-    ring = np.arange(n)
-    return np.stack([ring, (ring + 1) % n], axis=1)
-
-
-def cycle_graph(n: int) -> Graph:
-    """Cycle on n >= 3 vertices (2-regular)."""
-    n = _integer(n, "cycle N")
-    edges = _cycle_edges(n)
-    return graph_from_edges(n, edges, family=_tag("cycle", (n,)), vertex_transitive=True)
+    return _Base((n,), 1, 1, n, _loops(1))
 
 
 def check_torus(d: int, n: int | None = None) -> tuple[int, int | None]:
@@ -342,129 +355,135 @@ def check_torus(d: int, n: int | None = None) -> tuple[int, int | None]:
     return d, n
 
 
-def _torus_edges(d: int, n: int) -> np.ndarray:
-    """The edges v ~ v + e_j of the torus, one per vertex and axis; vertex v
-    has the base-n digits of v, least significant first, as coordinates."""
+def _torus(d: int, n: int) -> _Base:
+    """torus(d, N): loops of voltages e_1..e_d on Z_N^d."""
     d, n = check_torus(d, n)
-    _check_edges(_tag("torus", (d, n)), d, n, d)
-    v = np.arange(n**d)
-    ends = []
-    for axis in range(d):
-        stride = n**axis
-        digit = v // stride % n
-        ends.append(v + ((digit + 1) % n - digit) * stride)
-    return np.stack([np.tile(v, d), np.concatenate(ends)], axis=1)
+    return _Base((d, n), 1, d, n, _loops(d))
 
 
-def torus_graph(d: int, n: int) -> Graph:
-    """d-dimensional discrete torus on n^d vertices (2d-regular); see `check_torus`."""
-    d, n = check_torus(d, n)
-    edges = _torus_edges(d, n)
-    return graph_from_edges(n**d, edges, family=_tag("torus", (d, n)), vertex_transitive=True)
-
-
-def _complete_edges(n: int) -> np.ndarray:
-    """Every pair i < j of the n vertices."""
+def _complete(n: int) -> _Base:
+    """complete(n): loops of voltages 1..n div 2 on Z_n, so every nonzero
+    element is a step; for even n the loop n / 2 has order 2."""
     n = _integer(n, "complete graph n")
     if n < 3:
         raise FamilyParameterError(
             f"complete graph needs n >= 3, got {n}: n = 2 is a tree with trivial zeta"
         )
-    _check_edges(_tag("complete", (n,)), 1, n * (n - 1) // 2)
-    return np.stack(np.triu_indices(n, 1), axis=1)
+    return _Base((n,), 1, 1, n, ((0, 0, (z,)) for z in range(1, n // 2 + 1)))
 
 
-def complete_graph(n: int) -> Graph:
-    """Complete graph on n >= 3 vertices ((n-1)-regular)."""
-    n = _integer(n, "complete graph n")
-    edges = _complete_edges(n)
-    return graph_from_edges(n, edges, family=_tag("complete", (n,)), vertex_transitive=True)
+def _hypercube(d: int) -> _Base:
+    """hypercube(d): loops of voltages e_1..e_d on Z_2^d, each of order 2."""
+    d = _integer(d, "hypercube d")
+    if d < 2:
+        raise FamilyParameterError(
+            f"hypercube needs d >= 2, got {d}: d = 1 is a single edge (a tree)"
+        )
+    return _Base((d,), 1, d, 2, _loops(d))
 
 
-def _generalized_petersen_edges(n: int, k: int) -> np.ndarray:
-    """The outer cycle i ~ i + 1 on 0..n-1, the inner star polygon n + i ~
-    n + (i + k) mod n on n..2n-1, and the spokes i ~ n + i.
+def _generalized_petersen(n: int, k: int) -> _Base:
+    """gp(n, k) on Z_n, outer vertex i and inner vertex n + i being element i
+    in fibers 0 and 1: a loop of voltage 1 on fiber 0 (the outer cycle), a
+    loop of voltage k on fiber 1 (the inner star polygon) and the spoke 0-1
+    of voltage 0.
 
     Needs n >= 3 and 1 <= k < n / 2: k = n / 2 would give the inner vertices
-    parallel edges.
+    parallel edges. gp(n, k) is vertex-transitive exactly when
+    k^2 = +-1 (mod n) or (n, k) = (10, 2) (Frucht, Graver and Watkins, 1971).
     """
     n, k = _integer(n, "generalized Petersen N"), _integer(k, "generalized Petersen k")
     if n < 3 or not 1 <= k < n / 2:
         raise FamilyParameterError(
             f"generalized Petersen graph needs N >= 3 and 1 <= k < N/2, got N = {n}, k = {k}"
         )
-    _check_edges(_tag("gp", (n, k)), 3, n)
-    i = np.arange(n)
-    return np.stack(
-        [np.concatenate([i, n + i, i]), np.concatenate([(i + 1) % n, n + (i + k) % n, n + i])],
-        axis=1,
+    transitive = (k * k) % n in (1, n - 1) or (n, k) == (10, 2)
+    return _Base((n, k), 2, 1, n, iter([(0, 0, (1,)), (1, 1, (k,)), (0, 1, (0,))]), transitive)
+
+
+# family tag -> (the parameters it takes, in call order; its base graph
+# (`_Base`) from them, FamilyParameterError for parameters it refuses)
+FAMILIES = {
+    "cycle": (("N",), _cycle),
+    "torus": (("d", "N"), _torus),
+    "complete": (("N",), _complete),
+    "petersen": ((), lambda: _generalized_petersen(5, 2)._replace(params=())),
+    "hypercube": (("d",), _hypercube),
+    "gp": (("N", "k"), _generalized_petersen),
+}
+
+
+def _cover_edges(tag: str, base: _Base) -> np.ndarray:
+    """The edges of the family graph `tag`, the cover of `base`, as an (m, 2)
+    int64 array: (a, g) ~ (b, g + z) for every base edge (a, b, z) and
+    element g, in one broadcast over base edges x elements. A loop whose
+    voltage has order 2 gives each of its edges twice, and keeps them once.
+
+    FamilyParameterError when the graph would have more than `_MAX_EDGES`
+    edges, before any array is made: side^d is capped where it passes the
+    bound, and at most 2 `_MAX_EDGES` / side^d + 1 base edges are read.
+    """
+    side, d, bound = base.side, base.d, 2 * _MAX_EDGES
+    order = min(side, bound + 1) ** min(d, bound.bit_length())
+    listed = list(islice(base.edges, bound // order + 1)) if order <= bound else []
+    # edges per element, doubled: 1 for a loop of order 2, else 2
+    halves = [1 if a == b and not any(2 * x % side for x in z) else 2 for a, b, z in listed]
+    if order > bound or order * sum(halves) > bound:
+        raise FamilyParameterError(f"{tag} would have more than {_MAX_EDGES:,} edges")
+    # row (a, b, z) per base edge, and the d coordinates of every element
+    table = np.array([(a, b, *z) for a, b, z in listed], dtype=np.int64)
+    element, place = np.arange(order), side ** np.arange(d)
+    coords = element // place[:, None] % side
+    heads, tails = table[:, :1] * order + element, table[:, 1:2] * order
+    for axis in range(d):
+        tails = tails + (coords[axis] + table[:, 2 + axis, None]) % side * place[axis]
+    if 1 in halves:
+        once = (heads < tails) | (np.array(halves) == 2)[:, None]
+        heads, tails = heads[once], tails[once]
+    return np.stack([heads.ravel(), tails.ravel()], axis=1)
+
+
+def _family_graph(name: str, *params: int) -> Graph:
+    """The graph of the family `name` with the given parameters: the cover of
+    its base graph, validated."""
+    base = FAMILIES[name][1](*params)
+    tag = _tag(name, base.params)
+    edges = _cover_edges(tag, base)
+    return graph_from_edges(
+        base.fibers * base.side**base.d, edges, family=tag, vertex_transitive=base.transitive
     )
+
+
+def cycle_graph(n: int) -> Graph:
+    """Cycle on n >= 3 vertices (2-regular)."""
+    return _family_graph("cycle", n)
+
+
+def torus_graph(d: int, n: int) -> Graph:
+    """d-dimensional discrete torus on n^d vertices (2d-regular); see `check_torus`."""
+    return _family_graph("torus", d, n)
+
+
+def complete_graph(n: int) -> Graph:
+    """Complete graph on n >= 3 vertices ((n-1)-regular)."""
+    return _family_graph("complete", n)
 
 
 def petersen_graph() -> Graph:
     """The Petersen graph: 10 vertices, 15 edges, 3-regular; gp(5, 2) edge for edge."""
-    edges = _generalized_petersen_edges(5, 2)
-    return graph_from_edges(10, edges, family=_tag("petersen", ()), vertex_transitive=True)
+    return _family_graph("petersen")
 
 
 def generalized_petersen_graph(n: int, k: int) -> Graph:
-    """The generalized Petersen graph gp(n, k) on 2n vertices (3-regular).
-
-    Needs n >= 3 and 1 <= k < n / 2: k = n / 2 would give the inner vertices
-    parallel edges. The vertex_transitive flag follows Frucht, Graver and
-    Watkins (1971): gp(n, k) is vertex-transitive exactly when
-    k^2 = +-1 (mod n) or (n, k) = (10, 2).
-    """
-    n, k = _integer(n, "generalized Petersen N"), _integer(k, "generalized Petersen k")
-    edges = _generalized_petersen_edges(n, k)
-    transitive = (k * k) % n in (1, n - 1) or (n, k) == (10, 2)
-    return graph_from_edges(
-        2 * n, edges, family=_tag("gp", (n, k)), vertex_transitive=transitive
-    )
-
-
-def _hypercube_edges(d: int) -> np.ndarray:
-    """The edges v ~ v xor 2^b with v < v xor 2^b."""
-    d = _integer(d, "hypercube d")
-    if d < 2:
-        raise FamilyParameterError(
-            f"hypercube needs d >= 2, got {d}: d = 1 is a single edge (a tree)"
-        )
-    _check_edges(_tag("hypercube", (d,)), d, 2, d - 1)
-    v = np.arange(1 << d)
-    ends = [np.stack([v, v ^ (1 << b)], axis=1) for b in range(d)]
-    edges = np.concatenate(ends)
-    return edges[edges[:, 0] < edges[:, 1]]
+    """The generalized Petersen graph gp(n, k) on 2n vertices (3-regular): the
+    outer cycle i ~ i + 1 on 0..n-1, the inner star polygon n + i ~
+    n + (i + k) mod n and the spokes i ~ n + i; see `_generalized_petersen`."""
+    return _family_graph("gp", n, k)
 
 
 def hypercube_graph(d: int) -> Graph:
     """d-dimensional hypercube on 2^d vertices (d-regular)."""
-    d = _integer(d, "hypercube d")
-    edges = _hypercube_edges(d)
-    return graph_from_edges(1 << d, edges, family=_tag("hypercube", (d,)), vertex_transitive=True)
-
-
-# family tag -> (builder, the parameters it takes, in call order)
-FAMILIES = {
-    "cycle": (cycle_graph, ("N",)),
-    "torus": (torus_graph, ("d", "N")),
-    "complete": (complete_graph, ("N",)),
-    "petersen": (petersen_graph, ()),
-    "hypercube": (hypercube_graph, ("d",)),
-    "gp": (generalized_petersen_graph, ("N", "k")),
-}
-
-# family tag -> the edges of the family's graph as an (m, 2) int64 array,
-# from the parameters in `FAMILIES` order; FamilyParameterError as the
-# builder for parameters it refuses
-_EDGES = {
-    "cycle": _cycle_edges,
-    "torus": _torus_edges,
-    "complete": _complete_edges,
-    "petersen": lambda: _generalized_petersen_edges(5, 2),
-    "hypercube": _hypercube_edges,
-    "gp": _generalized_petersen_edges,
-}
+    return _family_graph("hypercube", d)
 
 
 def build_family(
@@ -478,79 +497,56 @@ def build_family(
     """
     if tag not in FAMILIES:
         raise FamilyParameterError(f"unknown graph family {tag!r}")
-    builder, takes = FAMILIES[tag]
+    takes = FAMILIES[tag][0]
     given = {"N": N, "d": d, "k": k}
     for name, value in given.items():
         if name in takes and value is None:
             raise FamilyParameterError(f"family {tag!r} requires {name}")
         if name not in takes and value is not None:
             raise FamilyParameterError(f"family {tag!r} does not take {name}")
-    return builder(*(given[name] for name in takes))
-
-
-# family tag -> a free action of the abelian group Z_side^d on the family's
-# graph, from the parameters in `FAMILIES` order: (d, side, fibers). The
-# graph is a cover of a base graph on `fibers` vertices, with side^d
-# vertices in each fiber, and on every family, vertex v is the group element
-# v mod side^d in fiber v div side^d. An element is a flat index whose
-# base-side digits, least significant first, are its coordinates, and the
-# element h moves the vertex of element g in fiber f to the vertex of
-# element g + h in fiber f. A Cayley family is the case of one fiber, with
-# element v: the edges join the elements that differ by a generator, +-e_j
-# on the torus and the cycle, e_j on the hypercube, every nonzero element on
-# the complete graph. On gp(n, k) and Petersen = gp(5, 2), Z_n turns the
-# outer and the inner polygon: the outer vertex i and the inner vertex
-# n + i are element i in fibers 0 and 1.
-_COVERS = {
-    "cycle": lambda n: (1, n, 1),
-    "torus": lambda d, n: (d, n, 1),
-    "complete": lambda n: (1, n, 1),
-    "hypercube": lambda d: (d, 2, 1),
-    "petersen": lambda: (1, 5, 2),
-    "gp": lambda n, k: (1, n, 2),
-}
+    return _family_graph(tag, *(given[name] for name in takes))
 
 
 def _abelian_cover(graph: Graph, origins: np.ndarray, termini: np.ndarray) -> tuple | None:
-    """(d, side, fibers) when the graph is verified to be the graph of
-    `_COVERS` that its family tag names, else None; origins and termini are
-    the graph's arcs (`_arc_arrays`).
+    """(d, side, fibers) when the graph is verified to be the cover of the base
+    graph of the family (`FAMILIES`) that its tag names, else None; origins
+    and termini are the graph's arcs (`_arc_arrays`).
 
-    The tag must name a family of the table, with integer parameters when it
-    takes any, and side^d times the fibers must be the vertex count, which is
-    checked before any edge is made, so a tag of another size costs nothing.
-    The tag must then be the one the family's builder writes (`_tag`), and
-    the family's edges (`_EDGES`) must be the graph's edge for edge, so a tag
-    alone is not trusted; the two edge sets are compared as sorted arrays,
-    and no graph is built. That the group acts freely on the states of an
-    operator, and leaves the operator invariant, is checked where the
-    operator is routed (`polynomials._torus_stencil`).
+    The tag must name a family, with integer parameters that the family takes
+    when it takes any, and side^d times the fibers must be the vertex count,
+    which is checked before any edge is made, so a tag of another size costs
+    nothing. The tag must then be the one the family's builder writes
+    (`_tag`), and the cover's edges (`_cover_edges`) must be the graph's edge
+    for edge, so a tag alone is not trusted; the two are compared as sorted
+    arrays of arc keys, and no graph is built. That the group acts freely on
+    the states of an operator, and leaves the operator invariant, is checked
+    where the operator is routed (`polynomials._torus_stencil`).
     """
     name, paren, rest = (graph.family or "").partition("(")
-    if name not in _COVERS or (paren and not rest.endswith(")")):
+    if name not in FAMILIES or (paren and not rest.endswith(")")):
         return None
     try:
         params = [int(text) for text in rest[:-1].split(",")] if paren else []
-        d, side, fibers = _COVERS[name](*params)
-    except (TypeError, ValueError):
+        base = FAMILIES[name][1](*params)
+    except (TypeError, ValueError, FamilyParameterError):
         return None
+    d, side, fibers = base.d, base.side, base.fibers
     nu = graph.num_vertices
     # side >= 2, so side^d <= nu needs d <= log2(nu)
-    if not (1 <= d <= nu.bit_length() and side >= 2 and fibers >= 1 and side**d * fibers == nu):
-        return None
-    if graph.family != _tag(name, params):
+    if not (d <= nu.bit_length() and side**d * fibers == nu) or graph.family != _tag(name, params):
         return None
     try:
-        edges = _EDGES[name](*params)
+        edges = _cover_edges(graph.family, base)
     except FamilyParameterError:
         return None
     if len(edges) != graph.num_edges:
         return None
-    # each edge as the key i nu + j of its arc with i < j: the graph's arcs
-    # come sorted, so its keys ascend
-    low, high = edges.min(axis=1), edges.max(axis=1)
-    outward = origins < termini
-    if not np.array_equal(np.sort(low * nu + high), origins[outward] * nu + termini[outward]):
+    # the keys o nu + t of the two arcs of each edge; the graph's arcs come
+    # sorted, so its keys ascend
+    heads, tails = edges.T
+    keys = np.concatenate([heads * nu + tails, tails * nu + heads])
+    keys.sort()
+    if not np.array_equal(keys, origins * nu + termini):
         return None
     return d, side, fibers
 

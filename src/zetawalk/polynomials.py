@@ -26,7 +26,7 @@ residues (von zur Gathen and Gerhard, Modern Computer Algebra, chapter 5).
 There is one path to the residues. A graph's arc space verifies its cover
 once (`graphs.ArcSpace.cover`, `graphs._abelian_cover`), and `_operator`
 routes each operator built from it by that cover and its states. On
-a family of the table `graphs._COVERS` the group Z_side^d acts freely on
+a family of `graphs.FAMILIES` the group Z_side^d acts freely on
 the graph, which is then a cover of a base graph with F fibers: the Cayley
 graphs torus(d, N), cycle(N), complete(n) and hypercube(d) of Z_side^d for
 (d, side) = (d, N), (1, N), (1, n) and (d, 2), with F = 1, and gp(n, k)
@@ -564,7 +564,7 @@ def _state_space(d: int, side: int, fibers: int, states: np.ndarray) -> tuple | 
 
     states holds the half, the origin and the terminus of each state
     (`rational.RatMatrix`). Vertex v is element v mod side^d in fiber
-    v div side^d (`graphs._COVERS`); a state is the element of its origin,
+    v div side^d (`graphs._Base`); a state is the element of its origin,
     and its kind is (half, fiber of the origin, fiber of the terminus,
     voltage), the voltage being the step from the origin's element to the
     terminus's.

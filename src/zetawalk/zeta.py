@@ -18,7 +18,7 @@ here that builds an operator of a graph builds it with a builder of
 `operators`, from the graph's arc space, as a `RatMatrix` that carries its
 states and the graph's cover, and routes it in one call,
 `_operator(builder(graph, arc_space(graph)))`. So on a verified free
-abelian cover of the table `graphs._COVERS` (torus, cycle, complete graph,
+abelian cover of a family of `graphs.FAMILIES` (torus, cycle, complete graph,
 hypercube, Petersen, gp: the group Z_side^d) the determinant comes from
 side^d Fourier blocks, for U, U+, P, D - A and the Bass companion alike;
 every other matrix is the one block of the trivial group. No Konno-Sato

@@ -21,7 +21,9 @@ neighbor tuples; and
 `FAMILIES` and `RANDOM_GRAPHS` are the small graphs the operator tests run
 on. `oracle_graph_from_edges` and `oracle_load_graph` validate edge by edge
 with Python sets and a breadth-first search, the oracles of the array
-validation in `graphs`.
+validation in `graphs`. `FAMILY_EDGES` writes the edges of each built-in
+family by hand, and `FAMILY_COVERS` its group and fibers, the oracles of the
+one cover generator.
 """
 
 from __future__ import annotations
@@ -460,3 +462,70 @@ def oracle_load_graph(path) -> Graph:
     if not isinstance(vertex_transitive, bool):
         raise GraphFormatError('"vertex_transitive" must be a boolean')
     return oracle_graph_from_edges(vertices, checked, family=family, vertex_transitive=vertex_transitive)
+
+
+# -- the family edges, written one family at a time --------------------------
+# Each builds the edges of its family by hand, as an (m, 2) int64 array, for
+# valid parameters; `FAMILY_COVERS` gives (d, side, fibers), the group
+# Z_side^d of each family and its fibers, under the labelling that vertex v
+# is element v mod side^d in fiber v div side^d. They are the oracles of the
+# one cover generator of `graphs`.
+
+
+def cycle_edges(n: int) -> np.ndarray:
+    """The edges i ~ i + 1 mod n of the cycle."""
+    ring = np.arange(n)
+    return np.stack([ring, (ring + 1) % n], axis=1)
+
+
+def torus_edges(d: int, n: int) -> np.ndarray:
+    """The edges v ~ v + e_j of the torus, one per vertex and axis; vertex v
+    has the base-n digits of v, least significant first, as coordinates."""
+    v = np.arange(n**d)
+    ends = []
+    for axis in range(d):
+        stride = n**axis
+        digit = v // stride % n
+        ends.append(v + ((digit + 1) % n - digit) * stride)
+    return np.stack([np.tile(v, d), np.concatenate(ends)], axis=1)
+
+
+def complete_edges(n: int) -> np.ndarray:
+    """Every pair i < j of the n vertices."""
+    return np.stack(np.triu_indices(n, 1), axis=1)
+
+
+def generalized_petersen_edges(n: int, k: int) -> np.ndarray:
+    """The outer cycle i ~ i + 1 on 0..n-1, the inner star polygon n + i ~
+    n + (i + k) mod n on n..2n-1, and the spokes i ~ n + i."""
+    i = np.arange(n)
+    return np.stack(
+        [np.concatenate([i, n + i, i]), np.concatenate([(i + 1) % n, n + (i + k) % n, n + i])],
+        axis=1,
+    )
+
+
+def hypercube_edges(d: int) -> np.ndarray:
+    """The edges v ~ v xor 2^b with v < v xor 2^b."""
+    v = np.arange(1 << d)
+    edges = np.concatenate([np.stack([v, v ^ (1 << b)], axis=1) for b in range(d)])
+    return edges[edges[:, 0] < edges[:, 1]]
+
+
+FAMILY_EDGES = {
+    "cycle": cycle_edges,
+    "torus": torus_edges,
+    "complete": complete_edges,
+    "petersen": lambda: generalized_petersen_edges(5, 2),
+    "hypercube": hypercube_edges,
+    "gp": generalized_petersen_edges,
+}
+
+FAMILY_COVERS = {
+    "cycle": lambda n: (1, n, 1),
+    "torus": lambda d, n: (d, n, 1),
+    "complete": lambda n: (1, n, 1),
+    "hypercube": lambda d: (d, 2, 1),
+    "petersen": lambda: (1, 5, 2),
+    "gp": lambda n, k: (1, n, 2),
+}

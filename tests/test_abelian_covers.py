@@ -12,6 +12,7 @@ import itertools
 import json
 from collections import deque
 
+import numpy as np
 import pytest
 
 from zetawalk import (
@@ -183,8 +184,13 @@ def test_a_wrong_cover_entry_routes_nothing(cover, monkeypatch, block_calls):
     block_calls.clear()
     # the entry passes the size check and the edge comparison: the vertices
     # are a free orbit of its group, the arcs are not, and no operator on
-    # the vertices is invariant under it
-    monkeypatch.setitem(graphs._COVERS, "petersen", lambda: cover)
+    # the vertices is invariant under it. No base graph on the group gives
+    # Petersen's edges, so the generator hands back the graph's own.
+    d, side, fibers = cover
+    wrong = graphs._Base((), fibers, d, side, iter([]))
+    monkeypatch.setitem(graphs.FAMILIES, "petersen", ((), lambda: wrong))
+    edges = np.array(list(graph.edges()))
+    monkeypatch.setattr(graphs, "_cover_edges", lambda tag, base: edges)
     assert arc_space(graph).cover == cover
     assert _polynomials(graph) == expected
     assert konno_sato_check(graph) == report

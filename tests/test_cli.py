@@ -76,6 +76,29 @@ def test_gen_output_file_round_trips(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, args",
+    [
+        ("cycle-5", "cycle --N 5"),
+        ("cycle-8", "cycle --N 8"),
+        ("torus-2-3", "torus --d 2 --N 3"),
+        ("torus-3-4", "torus --d 3 --N 4"),
+        ("complete-6", "complete --N 6"),
+        ("complete-7", "complete --N 7"),
+        ("hypercube-3", "hypercube --d 3"),
+        ("hypercube-4", "hypercube --d 4"),
+        ("petersen", "petersen"),
+        ("gp-7-2", "gp --N 7 --k 2"),
+        ("gp-12-5", "gp --N 12 --k 5"),
+    ],
+)
+def test_gen_writes_each_committed_family_file_byte_for_byte(tmp_path, name, args):
+    path = tmp_path / f"{name}.json"
+    assert entrypoint(["gen", "--family", *args.split(), "--out", str(path)]) == 0
+    fixture = Path(__file__).parent / "fixtures" / "families" / f"{name}.json"
+    assert path.read_bytes() == fixture.read_bytes()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gen", "--family", "cycle"],

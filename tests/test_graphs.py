@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import FAMILIES as FAMILY_GRAPHS
-from helpers import RANDOM_GRAPHS, edge_walk, oracle_graph_from_edges, oracle_load_graph
+from helpers import (
+    FAMILY_COVERS,
+    FAMILY_EDGES,
+    RANDOM_GRAPHS,
+    edge_walk,
+    oracle_graph_from_edges,
+    oracle_load_graph,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -146,10 +153,10 @@ def test_family_parameters_validated():
         (cycle_graph, (True,)),
         (hypercube_graph, (True,)),
         (lambda n: build_family("cycle", N=n), (6.0,)),
-        (graphs._EDGES["cycle"], (6.0,)),
-        (graphs._EDGES["complete"], (5.0,)),
-        (graphs._EDGES["gp"], (7.0, 2)),
-        (graphs._EDGES["hypercube"], (3.0,)),
+        (graphs.FAMILIES["cycle"][1], (6.0,)),
+        (graphs.FAMILIES["complete"][1], (5.0,)),
+        (graphs.FAMILIES["gp"][1], (7.0, 2)),
+        (graphs.FAMILIES["hypercube"][1], (3.0,)),
     ],
 )
 def test_every_family_refuses_a_parameter_that_is_not_an_integer(build, args):
@@ -194,35 +201,39 @@ def test_a_family_past_the_edge_bound_is_refused_before_any_array(tag, params, m
 
 
 def test_each_family_bounds_its_exact_edge_count(monkeypatch):
-    counts = []
-    check = graphs._check_edges
-
-    def spy(tag, factor, base, exponent=1):
-        counts.append(factor * base**exponent)
-        return check(tag, factor, base, exponent)
-
-    monkeypatch.setattr(graphs, "_check_edges", spy)
     for tag, params in [
         ("cycle", (7,)),
         ("torus", (3, 4)),
         ("complete", (6,)),
+        ("complete", (7,)),
         ("gp", (7, 2)),
         ("hypercube", (4,)),
         ("petersen", ()),
     ]:
-        before = len(counts)
-        edges = graphs._EDGES[tag](*params)
-        assert counts[before:] == [len(edges)]
+        base = graphs.FAMILIES[tag][1]
+        count = len(graphs._cover_edges(tag, base(*params)))
+        # the bound admits the graph at its edge count, and refuses it one below
+        monkeypatch.setattr(graphs, "_MAX_EDGES", count)
+        assert len(graphs._cover_edges(tag, base(*params))) == count
+        monkeypatch.setattr(graphs, "_MAX_EDGES", count - 1)
+        with pytest.raises(FamilyParameterError, match=f"more than {count - 1:,} edges"):
+            graphs._cover_edges(tag, base(*params))
+        monkeypatch.undo()
 
 
 def test_the_edge_bound_admits_its_own_count_and_caps_every_power():
     bound = graphs._MAX_EDGES
-    graphs._check_edges("cycle", 1, bound)
+    assert len(graphs._cover_edges("cycle", graphs._cycle(bound))) == bound
     # torus(2,724) has 1,048,352 edges and torus(2,725) 1,051,250
-    graphs._check_edges("torus(2,724)", 2, 724, 2)
-    for factor, base, exponent in [(1, bound + 1, 1), (2, 725, 2), (1, 2, 10**18), (3, 10**400, 10**9)]:
+    assert len(graphs._cover_edges("torus(2,724)", graphs._torus(2, 724))) == 1_048_352
+    for base in [
+        graphs._cycle(bound + 1),
+        graphs._torus(2, 725),
+        graphs._hypercube(10**18),
+        graphs._Base((), 2, 10**9, 10**400, graphs._loops(10**9)),
+    ]:
         with pytest.raises(FamilyParameterError):
-            graphs._check_edges("family", factor, base, exponent)
+            graphs._cover_edges("family", base)
 
 
 def test_family_shapes():
@@ -237,6 +248,49 @@ def test_family_shapes():
 
 def test_one_dimensional_torus_is_the_cycle():
     assert list(torus_graph(1, 6).edges()) == list(cycle_graph(6).edges())
+
+
+@st.composite
+def family_parameters(draw):
+    """A family tag and valid parameters in `FAMILIES` order."""
+    tag = draw(st.sampled_from(sorted(FAMILIES)))
+    if tag == "torus":
+        d = draw(st.integers(1, 3))
+        return tag, (d, draw(st.integers(3, {1: 40, 2: 12, 3: 6}[d])))
+    if tag == "hypercube":
+        return tag, (draw(st.integers(2, 6)),)
+    if tag == "gp":
+        n = draw(st.integers(3, 40))
+        return tag, (n, draw(st.integers(1, (n - 1) // 2)))
+    return tag, () if tag == "petersen" else (draw(st.integers(3, 40)),)
+
+
+@given(family_parameters())
+@settings(max_examples=200, deadline=None)
+def test_the_cover_generator_gives_the_edges_and_the_group_of_each_family(case):
+    tag, params = case
+    base = FAMILIES[tag][1](*params)
+    edges = graphs._cover_edges(tag, base)
+    oracle = FAMILY_EDGES[tag](*params)
+    assert edges.dtype == np.int64 and len(edges) == len(oracle)
+    assert sorted(map(tuple, np.sort(edges, axis=1).tolist())) == sorted(
+        map(tuple, np.sort(oracle, axis=1).tolist())
+    )
+    assert (base.d, base.side, base.fibers) == FAMILY_COVERS[tag](*params)
+
+
+@pytest.mark.parametrize("count", [3, np.int64(3), np.int32(3)])
+def test_a_vertex_count_is_taken_at_its_integer_value(count):
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    graph = graph_from_edges(count, triangle)
+    assert graph == graph_from_edges(3, triangle)
+    assert type(graph.num_vertices) is int
+
+
+@pytest.mark.parametrize("count", [3.0, True, "3", None, [3]])
+def test_a_vertex_count_that_is_not_an_integer_is_refused(count):
+    with pytest.raises(GraphFormatError, match="vertex count must be an integer, got"):
+        graph_from_edges(count, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_build_family_dispatch():
@@ -477,9 +531,9 @@ def test_loading_matches_the_per_entry_oracle(tmp_path, payload):
      ("hypercube", (5,)), ("gp", (3, 1)), ("gp", (12, 5))],
 )
 def test_every_family_and_its_file_build_the_oracle_graph(tmp_path, tag, params):
-    builder = FAMILIES[tag][0]
-    graph = builder(*params)
-    edges = graphs._EDGES[tag](*params)
+    takes, base = FAMILIES[tag]
+    graph = build_family(tag, **dict(zip(takes, params)))
+    edges = graphs._cover_edges(graph.family, base(*params))
     assert edges.dtype == np.int64
     oracle = oracle_graph_from_edges(
         graph.num_vertices, edges.tolist(), graph.family, graph.claimed_vertex_transitive
