@@ -888,6 +888,20 @@ def _child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
+def test_importing_the_command_line_starts_no_thread():
+    # the quadrature's thread pool, and concurrent.futures, come on first use
+    program = (
+        "import sys, threading\n"
+        "import zetawalk.cli\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_an_internal_error_exits_1_with_a_traceback(k4_path):
     env = _child_env()
     program = (

@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -680,6 +683,87 @@ def test_a_partial_last_block_keeps_the_full_grid_value(monkeypatch, d, grid, ro
     monkeypatch.setattr(limits, "_BLOCK_POINTS", rows * grid)
     for which, u in (("grover", 0.3), ("ihara", -0.2 / (2 * d - 1))):
         assert torus_limit_log_mean(d, u, which, grid) == full_grid_log_mean(d, u, which, grid)
+
+
+# the cores of this process, read before any test patches them
+CORES = limits._CORES
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the cores `_grid_log_mean` may use, with no pool made before;
+    every pool made under the setting is shut down after the test."""
+    def set_cores(n):
+        if limits._POOL is not None and limits._POOL is not pool_before:
+            limits._POOL.shutdown()
+        monkeypatch.setattr(limits, "_POOL", None)
+        monkeypatch.setattr(limits, "_CORES", n)
+
+    pool_before = limits._POOL
+    yield set_cores
+    if limits._POOL is not None and limits._POOL is not pool_before:
+        limits._POOL.shutdown()
+
+
+# d = 2, 4 and 8 divide the heads once, d = 3 every point; each case has a
+# partial last block
+@pytest.mark.parametrize("d, grid, rows", [(2, 9, 2), (3, 15, 7), (4, 16, 9), (8, 8, 10)])
+def test_the_quadrature_is_bitwise_the_full_grid_on_any_worker_count(
+    monkeypatch, cores, d, grid, rows
+):
+    heads = limits._grid_classes(d - 1, grid, d)[0].size
+    assert heads % rows != 0 and heads // rows >= 4
+    monkeypatch.setattr(limits, "_BLOCK_POINTS", rows * grid)
+    cases = [("grover", 0.3), ("grover", -0.5), ("ihara", 0.2 / (2 * d - 1))]
+    expected = [full_grid_log_mean(d, u, which, grid) for which, u in cases]
+    for workers in (1, 2, CORES + 2):
+        cores(workers)
+        assert [torus_limit_log_mean(d, u, which, grid) for which, u in cases] == expected
+        if workers == 1:
+            assert limits._POOL is None
+        else:
+            assert limits._POOL._max_workers == workers - 1
+
+
+def test_more_workers_than_cores_under_frequent_thread_switches(monkeypatch, cores):
+    d, grid = 4, 32
+    monkeypatch.setattr(limits, "_BLOCK_POINTS", 7 * grid)
+    cases = [(which, u) for which in ("grover", "ihara") for u in (-0.1, 0.05, 0.1)]
+    expected = [full_grid_log_mean(d, u, which, grid) for which, u in cases]
+    cores(2 * CORES + 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert [torus_limit_log_mean(d, u, which, grid) for which, u in cases] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _send_limit_mean(connection) -> None:
+    # in the forked child: whether it starts without a pool, and the value
+    connection.send((limits._POOL is None, torus_limit_log_mean(4, 0.3, "grover", 32)))
+    connection.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_computes_without_the_parents_pool(cores):
+    cores(2)
+    expected = torus_limit_log_mean(4, 0.3, "grover", 32)
+    assert limits._POOL is not None
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_send_limit_mean, args=(sender,))
+    child.start()
+    sender.close()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive
+    assert child.exitcode == 0
+    assert receiver.recv() == (True, expected)
 
 
 @pytest.mark.parametrize(
