@@ -32,19 +32,18 @@ same exact sum once, so the values are bitwise those of the full
 enumeration, and they do not depend on the block size.
 
 The blocks of rows run on the cores the process may use (`_CORES`, from
-its CPU affinity): the calling thread and a thread pool made on first
-parallel use and kept for the process, at most one worker per block.
-Each worker evaluates its blocks in place in its own buffer of
-`_BLOCK_POINTS` doubles, allocated per call, so the quadrature holds at
-most workers x 2^15 doubles at once; each row sum is formed by one worker
-from the same operands in the same order, so the values are the same bits
-on any number of cores. When d is a power of two the heads and the axis
-are divided by d once, before the blocks, instead of every point: scaling
-by 2^-k is exact for normal doubles and so commutes with rounding, and a
-grid sum is 0 or far above the subnormal range (its terms are cosines of
-at least about 6e-17, each a multiple of 2^-106, so every nonzero sum is
-at least 2^-106), so (head + x) / d and head / d + x / d round to the
-same double.
+its CPU affinity), at most one worker per block: the calling thread and
+threads started for the call and joined before it returns. Each worker
+evaluates its blocks in place in its own buffer of `_BLOCK_POINTS`
+doubles, so the quadrature holds at most workers x 2^15 doubles at once;
+each row sum is formed by one worker from the same operands in the same
+order, so the values are the same bits on any number of cores. When d is a
+power of two the heads and the axis are divided by d once, before the
+blocks, instead of every point: scaling by 2^-k is exact for normal
+doubles and so commutes with rounding, and a grid sum is 0 or far above
+the subnormal range (its terms are cosines of at least about 6e-17, each
+a multiple of 2^-106, so every nonzero sum is at least 2^-106), so
+(head + x) / d and head / d + x / d round to the same double.
 
 The classes depend on the grid alone, not on u, so a u-sweep at a fixed
 grid need not rebuild them: `_grid_classes` keeps them in `_CLASSES` for
@@ -114,10 +113,6 @@ try:
     _CORES = len(os.sched_getaffinity(0))
 except AttributeError:
     _CORES = os.cpu_count() or 1
-# the ThreadPoolExecutor of `_grid_log_mean`, made on first parallel use
-# under `_POOL_LOCK`
-_POOL = None
-_POOL_LOCK = threading.Lock()
 # the most value classes `_CLASSES` holds, 16 bytes each (a float64 value
 # and an int64 count): 16 MiB
 _CLASS_BUDGET = 2**20
@@ -479,10 +474,11 @@ def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
     head: the mean is bitwise that of the full grid.
 
     The blocks are shared among at most `_CORES` workers, worker i taking
-    blocks i, i + workers, ...: the calling thread is worker 0 and `_pool`
-    runs the others. Each worker has its own block buffer and writes only
-    its blocks' slots of the row sums, so the value does not depend on the
-    worker count.
+    blocks i, i + workers, ...: the calling thread is worker 0, and a thread
+    started here runs each of the others. Each worker has its own block
+    buffer and writes only its blocks' slots of the row sums, so the value
+    does not depend on the worker count. Every worker is joined before the
+    first error, if any, is raised.
     """
     heads, counts = _grid_classes(d - 1, grid, d)
     axis = _grid_sums(1, grid)
@@ -495,58 +491,48 @@ def _grid_log_mean(d: int, a: float, b: float, grid: int) -> float:
     starts = range(0, heads.size, rows)
     workers = min(_CORES, len(starts))
     row_sums = np.empty(heads.size)
+    errors: list[BaseException] = []
 
-    def evaluate(worker: int) -> None:
-        # each block is evaluated in place in the worker's buffer, with the
-        # operands of log(a + b * ((head + axis) / d)) in that order, so each
-        # value rounds as it does written out
-        block = np.empty((min(rows, heads.size), grid))
-        for start in starts[worker::workers]:
-            head = heads[start:start + rows, None]
-            lams = block[:head.shape[0]]
-            np.add(head, axis, out=lams)
-            if divisor != 1:
-                np.divide(lams, divisor, out=lams)
-            np.multiply(b, lams, out=lams)
-            np.add(a, lams, out=lams)
-            row_sums[start:start + rows] = np.log(lams, out=lams).sum(axis=1)
+    def work(worker: int) -> None:
+        try:
+            _grid_rows(divisor, a, b, heads, axis, starts[worker::workers], rows, row_sums)
+        except BaseException as error:
+            errors.append(error)
 
-    # with one worker the list is empty and no pool is made
-    futures = [_pool().submit(evaluate, worker) for worker in range(1, workers)]
-    try:
-        evaluate(0)
-    finally:
-        # every worker finishes before an error, if any, is raised
-        errors = [future.exception() for future in futures]
-    for error in errors:
-        if error is not None:
-            raise error
+    # with one worker no thread is started
+    threads = [threading.Thread(target=work, args=(worker,)) for worker in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return _weighted_fsum(row_sums, counts) / float(grid**d)
 
 
-def _pool():
-    """The thread pool of `_grid_log_mean`: `_CORES` - 1 threads besides the
-    caller's, made on first use and kept for the process (a forked child
-    makes its own)."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
+def _grid_rows(
+    divisor: int, a: float, b: float, heads: np.ndarray, axis: np.ndarray,
+    starts: range, rows: int, row_sums: np.ndarray,
+) -> None:
+    """Sum log(a + b * lambda) over the rows of the blocks that begin at
+    `starts`, each block `rows` heads by the axis, into their slots of
+    `row_sums`.
 
-            _POOL = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="zetawalk-grid")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    """Drop the pool in a forked child, where its threads do not exist, and
-    renew the lock, which another thread may have held at the fork."""
-    global _POOL, _POOL_LOCK
-    _POOL = None
-    _POOL_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    Each block is evaluated in place in one buffer, with the operands of
+    log(a + b * ((head + axis) / divisor)) in that order, so each value
+    rounds as it does written out; a divisor of 1 is not applied.
+    """
+    block = np.empty((min(rows, heads.size), axis.size))
+    for start in starts:
+        head = heads[start:start + rows, None]
+        lams = block[:head.shape[0]]
+        np.add(head, axis, out=lams)
+        if divisor != 1:
+            np.divide(lams, divisor, out=lams)
+        np.multiply(b, lams, out=lams)
+        np.add(a, lams, out=lams)
+        row_sums[start:start + rows] = np.log(lams, out=lams).sum(axis=1)
 
 
 def torus_limit_zeta_reciprocal(

@@ -889,7 +889,8 @@ def _child_env() -> dict[str, str]:
 
 
 def test_importing_the_command_line_starts_no_thread():
-    # the quadrature's thread pool, and concurrent.futures, come on first use
+    # the quadrature starts its threads per call, and never imports
+    # concurrent.futures
     program = (
         "import sys, threading\n"
         "import zetawalk.cli\n"

@@ -3,9 +3,11 @@ import multiprocessing
 import os
 import re
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -690,47 +692,53 @@ CORES = limits._CORES
 
 
 @pytest.fixture
-def cores(monkeypatch):
-    """Set the cores `_grid_log_mean` may use, with no pool made before;
-    every pool made under the setting is shut down after the test."""
-    def set_cores(n):
-        if limits._POOL is not None and limits._POOL is not pool_before:
-            limits._POOL.shutdown()
-        monkeypatch.setattr(limits, "_POOL", None)
-        monkeypatch.setattr(limits, "_CORES", n)
+def threads_used(monkeypatch):
+    """Record the thread of every `_grid_rows` call and the blocks it took
+    (the thread itself, as an ended thread's ident may be reused)."""
+    calls = []
+    grid_rows = limits._grid_rows
 
-    pool_before = limits._POOL
-    yield set_cores
-    if limits._POOL is not None and limits._POOL is not pool_before:
-        limits._POOL.shutdown()
+    def record(divisor, a, b, heads, axis, starts, rows, row_sums):
+        calls.append((threading.current_thread(), list(starts)))
+        grid_rows(divisor, a, b, heads, axis, starts, rows, row_sums)
+
+    monkeypatch.setattr(limits, "_grid_rows", record)
+    return calls
 
 
 # d = 2, 4 and 8 divide the heads once, d = 3 every point; each case has a
 # partial last block
 @pytest.mark.parametrize("d, grid, rows", [(2, 9, 2), (3, 15, 7), (4, 16, 9), (8, 8, 10)])
 def test_the_quadrature_is_bitwise_the_full_grid_on_any_worker_count(
-    monkeypatch, cores, d, grid, rows
+    monkeypatch, threads_used, d, grid, rows
 ):
     heads = limits._grid_classes(d - 1, grid, d)[0].size
     assert heads % rows != 0 and heads // rows >= 4
     monkeypatch.setattr(limits, "_BLOCK_POINTS", rows * grid)
+    blocks = list(range(0, heads, rows))
     cases = [("grover", 0.3), ("grover", -0.5), ("ihara", 0.2 / (2 * d - 1))]
     expected = [full_grid_log_mean(d, u, which, grid) for which, u in cases]
+    running = threading.active_count()
     for workers in (1, 2, CORES + 2):
-        cores(workers)
-        assert [torus_limit_log_mean(d, u, which, grid) for which, u in cases] == expected
-        if workers == 1:
-            assert limits._POOL is None
-        else:
-            assert limits._POOL._max_workers == workers - 1
+        monkeypatch.setattr(limits, "_CORES", workers)
+        for (which, u), value in zip(cases, expected):
+            threads_used.clear()
+            assert torus_limit_log_mean(d, u, which, grid) == value
+            # one call per worker, each in its own thread, one of them the
+            # caller's, and every block taken once
+            used = {thread for thread, _ in threads_used}
+            assert len(used) == len(threads_used) == workers
+            assert threading.current_thread() in used
+            assert sorted(chain.from_iterable(taken for _, taken in threads_used)) == blocks
+        assert threading.active_count() == running
 
 
-def test_more_workers_than_cores_under_frequent_thread_switches(monkeypatch, cores):
+def test_more_workers_than_cores_under_frequent_thread_switches(monkeypatch):
     d, grid = 4, 32
     monkeypatch.setattr(limits, "_BLOCK_POINTS", 7 * grid)
     cases = [(which, u) for which in ("grover", "ihara") for u in (-0.1, 0.05, 0.1)]
     expected = [full_grid_log_mean(d, u, which, grid) for which, u in cases]
-    cores(2 * CORES + 3)
+    monkeypatch.setattr(limits, "_CORES", 2 * CORES + 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -740,17 +748,32 @@ def test_more_workers_than_cores_under_frequent_thread_switches(monkeypatch, cor
         sys.setswitchinterval(interval)
 
 
+def test_an_error_in_a_worker_is_raised_after_every_worker_is_joined(monkeypatch):
+    monkeypatch.setattr(limits, "_CORES", 4)
+    grid_rows = limits._grid_rows
+    caller = threading.get_ident()
+
+    def fail_off_the_caller(*args):
+        if threading.get_ident() != caller:
+            raise ZeroDivisionError("worker failed")
+        grid_rows(*args)
+
+    monkeypatch.setattr(limits, "_grid_rows", fail_off_the_caller)
+    running = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="worker failed"):
+        torus_limit_log_mean(4, 0.3, "grover", 32)
+    assert threading.active_count() == running
+
+
 def _send_limit_mean(connection) -> None:
-    # in the forked child: whether it starts without a pool, and the value
-    connection.send((limits._POOL is None, torus_limit_log_mean(4, 0.3, "grover", 32)))
+    connection.send(torus_limit_log_mean(4, 0.3, "grover", 32))
     connection.close()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_computes_without_the_parents_pool(cores):
-    cores(2)
+def test_a_forked_child_computes_the_parents_value(monkeypatch):
+    monkeypatch.setattr(limits, "_CORES", 2)
     expected = torus_limit_log_mean(4, 0.3, "grover", 32)
-    assert limits._POOL is not None
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
     child = context.Process(target=_send_limit_mean, args=(sender,))
@@ -763,7 +786,7 @@ def test_a_forked_child_computes_without_the_parents_pool(cores):
         child.join()
     assert not alive
     assert child.exitcode == 0
-    assert receiver.recv() == (True, expected)
+    assert receiver.recv() == expected
 
 
 @pytest.mark.parametrize(
