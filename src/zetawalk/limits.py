@@ -1,5 +1,17 @@
 """Vertex spectra, Konno-Sato vertex factors, and torus limit values.
 
+A family graph is a verified cover on which Z_side^d acts freely
+(`graphs.ArcSpace.cover`), and its vertex operators are invariant, so
+their spectrum is the union over k in Z_side^d of the spectra of their
+w x w Fourier blocks, the character symbols of the periodic graph (Sunada,
+Topological Crystallography, 2013). `graph_spectrum` reads the stencil of
+the exact operator with `polynomials._torus_stencil`, the reader of the
+exact kernels, and takes the block spectra: a cosine sum per character at
+width 1 (torus, hypercube, cycle, complete), one batched `eigvalsh` of
+the block stack at width 2 (Petersen, gp). Neither forms a float matrix
+product, so the values do not depend on the BLAS threads. Every other
+graph takes a dense n x n `eigvalsh`.
+
 The discrete torus of dimension d and side N is 2d-regular with explicit
 transition eigenvalues (1/d) sum_j cos(2 pi k_j / N) over lattice points k.
 As N grows, the generalized zeta reciprocal converges to
@@ -27,9 +39,10 @@ takes the log of each distinct eigenvalue once. The quadrature takes the
 classes of the first d - 1 axes and adds the last axis in fixed blocks of
 rows: each row of G points is summed by numpy, as for the full grid. A
 mean is then the exact sum of each log (or row sum) times its multiplicity,
-rounded once by `_weighted_fsum`; `math.fsum` over the full list rounds the
-same exact sum once, so the values are bitwise those of the full
-enumeration, and they do not depend on the block size.
+rounded once by `_weighted_fsum`, an exact sum in int64 bins of limb
+products; `math.fsum` over the full list rounds the same exact sum once,
+so the values are bitwise those of the full enumeration, and they do not
+depend on the block size.
 
 The blocks of rows run on the cores the process may use (`_CORES`, from
 its CPU affinity), at most one worker per block: the calling thread and
@@ -64,7 +77,8 @@ classes so far times G, both before they allocate, and a step above
 `_MAX_POINTS` is refused with ZetawalkError; no guard forms a power of G
 larger than the one it refuses. A step holds about 24 bytes per point at
 its peak: the summed bits, their sort order and the sorted copy. The same
-bound refuses a `graph_spectrum` whose dense n x n form is larger.
+bound refuses a `graph_spectrum` whose dense n x n form is larger, on the
+Fourier route too.
 
 `vertex_factor_coefficients` is the one table of the four Konno-Sato
 vertex factors, in exact integers; the float line `vertex_factor` and the
@@ -78,13 +92,14 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ZetaDomainError, ZetawalkError
-from .graphs import Graph, _arc_arrays, _integer, check_torus
+from .graphs import Graph, _arc_arrays, _integer, arc_space, check_torus
+from .operators import _adjacency, _laplacian, _transition
+from .polynomials import _Torus, _torus_stencil
 
 __all__ = [
     "ConvergenceRow",
@@ -135,14 +150,20 @@ def _normalized(origins: np.ndarray, termini: np.ndarray, degrees: np.ndarray) -
     return inv_sqrt[origins] * inv_sqrt[termini], 0.0
 
 
-# vertex operator -> (its symmetric form, for `graph_spectrum`: the value on
-# each arc (i, j) and on the diagonal, from the arcs' origins and termini
-# and the degrees; its torus eigenvalue from the grid sum
+# vertex operator -> (its exact builder on an arc space, for the Fourier
+# route of `graph_spectrum`; its symmetric form, for the dense route: the
+# value on each arc (i, j) and on the diagonal, from the arcs' origins and
+# termini and the degrees; its torus eigenvalue from the grid sum
 # sum_j cos(2 pi k_j / n) and the dimension d, for `torus_spectrum`)
 _OPERATORS = {
-    "adjacency": (lambda origins, termini, degrees: (1.0, 0.0), lambda total, d: 2.0 * total),
-    "transition": (_normalized, lambda total, d: total / d),
+    "adjacency": (
+        _adjacency,
+        lambda origins, termini, degrees: (1.0, 0.0),
+        lambda total, d: 2.0 * total,
+    ),
+    "transition": (_transition, _normalized, lambda total, d: total / d),
     "laplacian": (
+        _laplacian,
         lambda origins, termini, degrees: (-1.0, degrees),
         lambda total, d: 2.0 * (d - total),
     ),
@@ -159,15 +180,24 @@ def _operator(name: str) -> tuple:
 def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, ...]:
     """Ascending eigenvalues of the adjacency, transition, or Laplacian matrix.
 
-    The transition matrix D^-1 A is similar to the symmetric normalization
-    D^-1/2 A D^-1/2, so its spectrum is real and is computed from the
-    symmetric form. The form is written only at its nonzeros, the arcs and
-    the diagonal, into a zeroed n x n array. ZetawalkError, before any array
-    is made, when its n^2 entries are more than `_MAX_POINTS`.
+    ZetawalkError, before any array is made, when the dense n x n form has
+    more than `_MAX_POINTS` entries. A regular graph whose verified cover
+    gives the operator a stencil (`polynomials._torus_stencil`) takes the
+    eigenvalues of its Fourier blocks (`_block_spectrum`); on a regular
+    graph P = A / deg is symmetric. Every other graph takes the dense
+    route: the transition matrix D^-1 A is similar to the symmetric
+    normalization D^-1/2 A D^-1/2, so its spectrum is real and is computed
+    from the symmetric form, written only at its nonzeros, the arcs and the
+    diagonal, into a zeroed n x n array.
     """
-    symmetric_form, _ = _operator(operator)
+    builder, symmetric_form, _ = _operator(operator)
     n = graph.num_vertices
     _check_dense(n)
+    if graph.is_regular:
+        arcs = arc_space(graph)
+        stencil = _torus_stencil(builder(graph, arcs)) if arcs.cover else None
+        if stencil is not None:
+            return tuple(_block_spectrum(stencil).tolist())
     origins, termini = _arc_arrays(graph)
     on_arcs, on_diagonal = symmetric_form(
         origins, termini, np.array(graph.degree_profile, dtype=float)
@@ -176,6 +206,33 @@ def graph_spectrum(graph: Graph, operator: str = "transition") -> tuple[float, .
     sym[origins, termini] = on_arcs
     sym[np.arange(n), np.arange(n)] = on_diagonal
     return tuple(np.linalg.eigvalsh(sym).tolist())
+
+
+def _block_spectrum(torus: _Torus) -> np.ndarray:
+    """The ascending eigenvalues of the Hermitian Fourier blocks of a
+    symmetric matrix M with a stencil: one w x w block
+    sum_z t_ss'(z) e^(2 pi i k.z / side) / L for each k in Z_side^d.
+
+    A block of width 1 is its one real entry, the cosine sum
+    sum_z t(z) cos(2 pi k.z / side) / L, formed by elementwise products and
+    a sum; wider blocks take one batched `eigvalsh` over their
+    (side^d, w, w) stack. No float matrix product is formed, so the values
+    do not depend on how many threads the BLAS library runs.
+    """
+    scale, side, coords, width, pairs, steps, values = torus
+    # k.z mod side for each element k and each stencil step z
+    phases = coords @ coords[steps].T % side
+    angles = 2.0 * np.pi * np.arange(side) / side
+    weights = values.astype(np.float64)
+    terms = weights * np.cos(angles)[phases]
+    if width == 1:
+        return np.sort(terms.sum(axis=1) / scale)
+    terms = terms + 1j * (weights * np.sin(angles)[phases])
+    starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+    blocks = np.zeros((len(coords), width * width), dtype=complex)
+    blocks[:, pairs[starts]] = np.add.reduceat(terms, starts, axis=1)
+    blocks /= scale
+    return np.sort(np.linalg.eigvalsh(blocks.reshape(-1, width, width)).ravel())
 
 
 def _check_dense(n: int) -> None:
@@ -198,7 +255,7 @@ def torus_spectrum(d: int, n: int, operator: str = "transition") -> tuple[float,
     ZetawalkError when the n^d values are more than the grid points formed
     at once.
     """
-    _, eigenvalue = _operator(operator)
+    *_, eigenvalue = _operator(operator)
     d, n = check_torus(d, n)
     return tuple(eigenvalue(_grid_sums(d, n), d).tolist())
 
@@ -294,34 +351,59 @@ def _keep(key: tuple[int, int], values: np.ndarray, counts: np.ndarray) -> None:
     _CLASSES[key] = values, counts
 
 
-_HALF_BITS = 26
-# Veltkamp's splitter: x * (2^27 + 1) leaves a double in halves of 26 bits
-_SPLITTER = 2.0 ** (_HALF_BITS + 1) + 1.0
+# the mantissas and the counts of `_weighted_fsum` are cut into limbs of
+# 18 bits, so the product of two limbs is below 2^36
+_LIMB_BITS = 18
+# a finite double is m 2^(e - 1075) with 1 <= e <= 2046, and a limb product
+# lies up to 2 + 3 limbs above its exponent: one bin per power of two
+_BINS = 2047 + 5 * _LIMB_BITS
+# values summed into one set of int64 bins: each adds at most 12 limb
+# products below 2^36, so a bin stays below 12 * 2^58 < 2^63
+_SUM_CHUNK = 2**22
 
 
 def _weighted_fsum(values: np.ndarray, counts: np.ndarray) -> float:
     """sum_i values[i] * counts[i], exact before its one final rounding.
 
-    Each value splits into 26-bit halves (Veltkamp; Dekker, Numer. Math. 18
-    (1971) 224) and each int64 count into 26-bit limbs, so every product of
-    a half with a limb scaled by its power of two is exact; `math.fsum`
-    rounds their sum correctly, so the result equals `math.fsum` over the
-    values repeated counts times. Values must stay below about 2^900 so the
-    split and the products do not overflow.
+    Each finite double is m 2^(e - 1075), its integer mantissa m < 2^53 and
+    its exponent e read off its bits (e = 1 for a subnormal). The mantissas
+    and the non-negative int64 counts are cut into 18-bit limbs, and each
+    product of a mantissa limb and a count limb, with the value's sign, is
+    added into the int64 bin of its power of two. The bins joined as one
+    Python int are the exact sum in units of 2^-1075, and its division by
+    2^1075 rounds once, correctly, so the result equals `math.fsum` over
+    the values repeated counts times. The values must be finite float64:
+    every caller sums logs of positive factors, or sums of them.
     """
-    scaled = values * _SPLITTER
-    high = scaled - (scaled - values)
-    low = values - high
-    products = []
-    scale = 1.0
+    total = 0
+    for start in range(0, values.size, _SUM_CHUNK):
+        bins = _binned(values[start : start + _SUM_CHUNK], counts[start : start + _SUM_CHUNK])
+        places = np.flatnonzero(bins)
+        total += sum(v << e for e, v in zip(places.tolist(), bins[places].tolist()))
+    return total / (1 << 1075)
+
+
+def _binned(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The signed limb products of `_weighted_fsum` summed into int64 bins:
+    bin e + 18 (i + j) for mantissa limb i and count limb j of a value of
+    exponent e."""
+    bits = values.view(np.int64)
+    exponents = (bits >> 52) & 0x7FF
+    mantissas = bits & (2**52 - 1)
+    mantissas[exponents > 0] |= 2**52
+    signs = np.where(bits < 0, -1, 1)
+    limb = 2**_LIMB_BITS - 1
+    limbs = [signs * (mantissas >> (_LIMB_BITS * i) & limb) for i in range(3)]
+    exponents = np.maximum(exponents, 1)
+    bins = np.zeros(_BINS, dtype=np.int64)
+    j = 0
     while counts.any():
-        limb = (counts & (2**_HALF_BITS - 1)).astype(np.float64) * scale
-        products += [high * limb, low * limb]
-        counts = counts >> _HALF_BITS
-        scale *= 2.0**_HALF_BITS
-    # fsum reads floats from lists far faster than from ndarrays; one list
-    # at a time keeps the peak near one product's
-    return math.fsum(chain.from_iterable(map(np.ndarray.tolist, products)))
+        count_limb = counts & limb
+        for i, mantissa_limb in enumerate(limbs):
+            np.add.at(bins, exponents + _LIMB_BITS * (i + j), mantissa_limb * count_limb)
+        counts = counts >> _LIMB_BITS
+        j += 1
+    return bins
 
 
 def vertex_factor_coefficients(

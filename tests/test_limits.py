@@ -2,12 +2,14 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,10 @@ from zetawalk import (
     convergence_study,
     cycle_graph,
     finite_torus_zeta_reciprocal,
+    generalized_petersen_graph,
+    graph_from_edges,
     graph_spectrum,
+    hypercube_graph,
     petersen_graph,
     spectral_zeta_reciprocal,
     torus_graph,
@@ -33,8 +38,10 @@ from zetawalk import (
     torus_prefactor,
     torus_spectrum,
 )
-from zetawalk import limits
+from zetawalk import limits, operators
 from zetawalk.limits import _weighted_fsum, vertex_factor, vertex_factor_coefficients
+from zetawalk.polynomials import _Torus
+from zetawalk.rational import RatMatrix
 
 TORI = [(1, 5), (2, 3), (2, 4), (3, 3)]
 
@@ -75,14 +82,20 @@ def test_both_spectra_refuse_an_unknown_operator_with_one_message():
 
 
 def test_both_spectra_read_the_vertex_operator_from_one_table(monkeypatch):
-    # an operator added to the one table reaches both spectra
-    twice = (lambda origins, termini, degrees: (2.0, 0.0), lambda total, d: 4.0 * total)
+    # an operator added to the one table reaches both spectra, on the
+    # Fourier route of a cover and on the dense route
+    def exact(graph, arcs):
+        a = operators._adjacency(graph, arcs)
+        return RatMatrix._record(1, a._states, a._cover, a._i, a._j, 2 * a._a)
+
+    twice = (exact, lambda origins, termini, degrees: (2.0, 0.0), lambda total, d: 4.0 * total)
     monkeypatch.setitem(limits._OPERATORS, "twice-adjacency", twice)
     closed = sorted(torus_spectrum(2, 4, "twice-adjacency"))
     assert closed == sorted(2.0 * x for x in torus_spectrum(2, 4, "adjacency"))
-    numeric = graph_spectrum(torus_graph(2, 4), "twice-adjacency")
-    assert numeric == tuple(2.0 * x for x in graph_spectrum(torus_graph(2, 4), "adjacency"))
-    assert np.allclose(numeric, closed, atol=1e-9)
+    for graph in (torus_graph(2, 4), _untagged(torus_graph(2, 4))):
+        numeric = graph_spectrum(graph, "twice-adjacency")
+        assert numeric == tuple(2.0 * x for x in graph_spectrum(graph, "adjacency"))
+        assert np.allclose(numeric, closed, atol=1e-9)
 
 
 @pytest.mark.parametrize("d, n", TORI)
@@ -116,21 +129,118 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
 
 
-@pytest.mark.parametrize("operator", ["adjacency", "transition", "laplacian"])
-@pytest.mark.parametrize(
-    "graph", FAMILIES + RANDOM_GRAPHS + [torus_graph(3, 4)], ids=lambda g: g.summary()
-)
-def test_graph_spectrum_is_bitwise_that_of_the_dense_form(graph, operator, monkeypatch):
-    # the form written at its nonzeros is the dense form bit for bit, and
-    # so is its spectrum
+def _untagged(graph):
+    return graph_from_edges(
+        graph.num_vertices, graph.edges(), vertex_transitive=graph.claimed_vertex_transitive
+    )
+
+
+def _spy_eigvalsh(monkeypatch) -> tuple[list, object]:
+    """The list of the arrays that `np.linalg.eigvalsh` receives from now
+    on, and the function itself."""
     formed = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: formed.append(m.copy()) or eigvalsh(m))
+    return formed, eigvalsh
+
+
+OPERATORS = ["adjacency", "transition", "laplacian"]
+# a graph of every family, each a verified cover
+COVERS = [g for g in FAMILIES if g.family] + [
+    torus_graph(3, 4),
+    generalized_petersen_graph(12, 5),
+    hypercube_graph(3),
+]
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+@pytest.mark.parametrize(
+    "graph",
+    RANDOM_GRAPHS + [_untagged(g) for g in FAMILIES + [torus_graph(3, 4)]],
+    ids=lambda g: g.summary(),
+)
+def test_graph_spectrum_is_bitwise_that_of_the_dense_form(graph, operator, monkeypatch):
+    # off the Fourier route the form written at its nonzeros is the dense
+    # form bit for bit, and so is its spectrum
+    formed, eigvalsh = _spy_eigvalsh(monkeypatch)
     spectrum = graph_spectrum(graph, operator)
     dense = _dense_symmetric_form(graph, operator)
     assert [m.shape for m in formed] == [dense.shape]
     assert _bits(formed[0]) == _bits(dense)
     assert _bits(spectrum) == _bits(eigvalsh(dense))
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+@pytest.mark.parametrize("graph", COVERS, ids=lambda g: g.summary())
+def test_graph_spectrum_of_a_cover_is_that_of_its_fourier_blocks(graph, operator, monkeypatch):
+    n = graph.num_vertices
+    formed, eigvalsh = _spy_eigvalsh(monkeypatch)
+    spectrum = graph_spectrum(graph, operator)
+    # no n x n matrix is diagonalized: width-1 blocks none, wider ones a
+    # stack of blocks narrower than the graph
+    assert all(m.ndim == 3 and m.shape[1] == m.shape[2] < n for m in formed)
+    assert len(spectrum) == n
+    assert list(spectrum) == sorted(spectrum)
+    dense = eigvalsh(_dense_symmetric_form(_untagged(graph), operator))
+    assert np.abs(np.array(spectrum) - dense).max() <= 1e-13
+    torus = re.fullmatch(r"torus\((\d+),(\d+)\)", graph.family)
+    if torus:
+        closed = np.sort(torus_spectrum(*map(int, torus.groups()), operator))
+        assert (np.abs(np.array(spectrum) - closed) <= 1e-15 * np.maximum(1, abs(closed))).all()
+    # the same edges under a tag that names another graph take the dense route
+    forged_tag = "petersen" if graph.num_edges == n * (n - 1) // 2 else f"complete({n})"
+    forged = graph_from_edges(n, graph.edges(), forged_tag, vertex_transitive=True)
+    formed.clear()
+    forged_spectrum = graph_spectrum(forged, operator)
+    dense_form = _dense_symmetric_form(forged, operator)
+    assert [m.shape for m in formed] == [(n, n)]
+    assert _bits(forged_spectrum) == _bits(eigvalsh(dense_form))
+
+
+def test_block_spectrum_keeps_the_phase_of_an_entry_whose_steps_are_not_symmetric():
+    # the family covers have blocks with real entries, since t_ss'(z) =
+    # t_ss'(-z) on each; here t_01(1) = t_10(-1) = 1 beside two cycles, so the
+    # block [[2 cos, e^(i theta)], [e^(-i theta), 2 cos]] is complex
+    side = 5
+    stencil = [(0, 0, 1), (0, 0, side - 1), (0, 1, 1), (1, 0, side - 1), (1, 1, 1),
+               (1, 1, side - 1)]
+    dense = np.zeros((2 * side, 2 * side))
+    for g in range(side):
+        for s, t, z in stencil:
+            dense[2 * g + s, 2 * ((g + z) % side) + t] = 1.0
+    pairs, steps = (np.array(column) for column in zip(*((2 * s + t, z) for s, t, z in stencil)))
+    values = np.ones(len(stencil), dtype=np.int64)
+    torus = _Torus(1, side, np.arange(side)[:, None], 2, pairs, steps, values)
+    spectrum = limits._block_spectrum(torus)
+    assert np.abs(spectrum - np.linalg.eigvalsh(dense)).max() <= 1e-13
+
+
+_SPECTRUM_BITS = """
+import numpy as np
+from zetawalk import (generalized_petersen_graph, graph_spectrum, hypercube_graph,
+                      petersen_graph, torus_graph)
+for graph in (torus_graph(3, 7), hypercube_graph(8), petersen_graph(),
+              generalized_petersen_graph(12, 5)):
+    for operator in ("adjacency", "transition", "laplacian"):
+        print(np.array(graph_spectrum(graph, operator)).tobytes().hex())
+"""
+
+
+def test_graph_spectra_of_covers_do_not_depend_on_the_blas_threads():
+    # the variable is read when numpy loads its BLAS library, so each
+    # count runs in a process of its own
+    source = str(Path(limits.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH", "")]))
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-c", _SPECTRUM_BITS], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        printed.append(result.stdout)
+    assert printed[0].count("\n") == 12
+    assert printed[0] == printed[1]
 
 
 def test_spectrum_list_validation():
@@ -214,8 +324,11 @@ def test_weighted_fsum_is_fsum_over_the_repeated_values(values, counts):
 @pytest.mark.parametrize(
     "values, counts",
     [
-        # counts at and past 2^26 fill the second 26-bit limb, past 2^52 the third
+        # counts past 2^18, 2^36 and 2^54 fill the second, third and fourth
+        # 18-bit limbs
+        ([0.1, -0.3, 1e16, -1e16], [2**18 + 5, 3 * 2**36 + 1, 2**54, 2**54]),
         ([0.1, -0.3, 1e16, -1e16], [2**26 + 5, 3 * 2**26 + 1, 2**26, 2**26]),
+        ([2.0**-1074, -(2.0**1000)], [2**62 + 2**36 + 2**18 + 1, 2**18 - 1]),
         ([1 / 3, -1 / 7], [2**62 + 1, 2**53 - 1]),
         ([0.7], [2**26]),
         ([1e16, 1.0, -1e16], [2**40, 2**40 + 3, 2**40]),
@@ -237,6 +350,35 @@ def test_weighted_fsum_with_counts_past_one_limb(values, counts):
     )
 )
 def test_weighted_fsum_rounds_the_exact_sum_once(pairs):
+    values, counts = zip(*pairs)
+    got = _weighted_fsum(np.array(values), np.array(counts, dtype=np.int64))
+    assert got == exact_weighted_sum(values, counts)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_weighted_fsum_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    values = np.array([1e16, 0.1, -1e16, 3.0, 5e-324, -2.5] * 10) * np.arange(1, 61)
+    counts = np.arange(60, dtype=np.int64) ** 5 + 1
+    expected = exact_weighted_sum(values, counts)
+    monkeypatch.setattr(limits, "_SUM_CHUNK", chunk)
+    assert _weighted_fsum(values, counts) == expected
+
+
+# finite doubles of every scale whose weighted sums stay in the double
+# range: subnormals, signed zeros and values near 1e-300 and 1e280
+_DOUBLES = st.one_of(
+    st.floats(min_value=-1e280, max_value=1e280),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1022 - 2.0**-1074]),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(_DOUBLES, st.integers(min_value=0, max_value=2**62)), min_size=1, max_size=20
+    )
+)
+def test_weighted_fsum_is_the_exact_sum_rounded_once_at_every_scale(pairs):
     values, counts = zip(*pairs)
     got = _weighted_fsum(np.array(values), np.array(counts, dtype=np.int64))
     assert got == exact_weighted_sum(values, counts)
